@@ -4,11 +4,12 @@
 # (bundled leases, mid-bundle reassignment, TLS/token auth, quorum voting,
 # chaos fault injection, fleet supervision) included, so coordinator and
 # worker locking is exercised under contention on every run.
-# `make fuzz` gives the wire codec a short coverage-guided beating.
+# `make fuzz` gives the wire codec and the cache model a short
+# coverage-guided beating.
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench bench-sweep
+.PHONY: check fmt vet build test race fuzz bench bench-ab bench-sweep
 
 check: fmt vet build test
 
@@ -32,23 +33,30 @@ race:
 		./internal/fleet/... ./internal/core/... ./internal/timing/... \
 		./internal/mem/... ./internal/stats/... ./cmd/...
 
-# fuzz runs the journal/distributed-result codec fuzzer for a bounded time
-# (FUZZTIME to taste); CI runs the same thing for 10s on every push.
+# fuzz runs the journal/distributed-result codec fuzzer and the cache-vs-
+# reference-LRU fuzzer for a bounded time each (FUZZTIME to taste); CI runs
+# the same things for 10s on every push.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzWireResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/exp
+	$(GO) test -fuzz=FuzzCacheAccess -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
 
-# bench measures simulator throughput — the serial hot path (the PR 4
-# metric), the CU-parallel loop (the PR 9 metric), and the stacked
-# CU-parallel + banked-memory drain (the PR 10 metric), plus the
-# memory-bound ArrayBW serial/parallel pair the banked drain targets — and
-# archives all rows as JSON for cross-commit comparison. The parallel/serial
-# siminsts/s ratios are the intra-simulation speedups; they only exceed 1 on
-# a multi-core host.
+# bench runs the repository's one benchmark (bench/, declared by
+# BENCHMARK.json): five workloads end to end in host time; see
+# bench/README.md for -layers, -runs/-out and -compare.
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput(Parallel|MemParallel|MemBound(Parallel)?)?$$' -benchtime 10x -benchmem . \
-		| $(GO) run ./cmd/ilsim-benchjson -out BENCH_PR10.json
-	@cat BENCH_PR10.json
+	bash bench/run.sh
+
+# bench-ab settles a speed claim the way bench/README.md prescribes: REF is
+# checked out as a git worktree, each side is built by its own bench/run.sh,
+# PAIRS (>= 10) interleaved pairs alternate which side goes first, and
+# `bench -compare` judges parent against change (scripts/bench-ab.sh).
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(REF)" || { echo "usage: make bench-ab REF=<commit> [PAIRS=10]"; exit 2; }
+	git worktree add --detach --force .bench_build/ab/ref $(REF)
+	bash scripts/bench-ab.sh .bench_build/ab/ref $(PAIRS); status=$$?; \
+		git worktree remove --force .bench_build/ab/ref; exit $$status
 
 # bench-sweep measures experiment-engine scheduling overhead.
 bench-sweep:

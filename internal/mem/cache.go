@@ -54,22 +54,157 @@ func (s *CacheStats) MeanLatency() float64 {
 	return float64(s.LatencySum) / float64(s.Accesses)
 }
 
-type cacheLine struct {
-	tag      uint64
-	valid    bool
-	dirty    bool
-	lastUsed int64
+// cacheWay is one line slot. Slots are laid out flat per bank, local set s
+// owning slots [s*ways, (s+1)*ways); prev/next thread the set's resident
+// lines into a recency list (slot indices, noSlot ends it).
+type cacheWay struct {
+	line       uint64 // addr >> lineBits of the resident line
+	prev, next int32  // towards more / less recently used
+	dirty      bool
 }
+
+// cacheSet is one set's recency list and fill level. Lines only become
+// invalid wholesale (Reset), so the valid ways of a set are always the
+// prefix [0, used) and "first invalid way" is a counter, not a search.
+type cacheSet struct {
+	mru, lru int32 // list ends (noSlot when the set is empty)
+	used     int32
+}
+
+// indexEntry is one cell of a bank's open-addressed line→slot index.
+type indexEntry struct {
+	line uint64
+	slot int32 // noSlot marks an empty cell
+}
+
+const noSlot = -1
+
+// portOccupancy is the cycles one request holds a bank's port. It must stay
+// >= 1: each request then starts strictly later than the previous one on its
+// bank, so per-bank use times never tie and a set's recency list is exactly
+// its lines ordered by last use — which is what lets the list tail stand in
+// for a least-lastUsed scan (see DESIGN.md, "Banked structures").
+const portOccupancy = 1
 
 // cacheBank is one set-interleaved partition of a cache: it owns the lines
 // of every set s with s % numBanks == bank, a private request port and a
-// private statistics shard, so two banks never share mutable state.
+// private statistics shard, so two banks never share mutable state. Probe,
+// LRU update and victim choice are O(1) at any associativity: an
+// open-addressed index (linear probing, at most half full) maps a resident
+// line to its slot, and each set keeps its slots on an intrusive recency
+// list.
 type cacheBank struct {
 	stats CacheStats
 	// nextFree models the bank's single request port.
 	nextFree int64
-	// lines[local] holds global set local*numBanks + bank.
-	lines [][]cacheLine
+	// sets[local] is global set local*numBanks + bank.
+	sets  []cacheSet
+	ways  []cacheWay
+	index []indexEntry
+	// shift turns a 64-bit line hash into an index position.
+	shift uint
+}
+
+func newCacheBank(nSets, ways int) cacheBank {
+	b := cacheBank{
+		sets: make([]cacheSet, nSets),
+		ways: make([]cacheWay, nSets*ways),
+	}
+	bits := uint(1)
+	for 1<<bits < 2*len(b.ways) {
+		bits++
+	}
+	b.index = make([]indexEntry, 1<<bits)
+	b.shift = 64 - bits
+	b.reset()
+	return b
+}
+
+func (b *cacheBank) reset() {
+	for i := range b.sets {
+		b.sets[i] = cacheSet{mru: noSlot, lru: noSlot}
+	}
+	for i := range b.index {
+		b.index[i].slot = noSlot
+	}
+	b.stats = CacheStats{}
+	b.nextFree = 0
+}
+
+// home is line's preferred index position (Fibonacci hashing: set-strided
+// line numbers still spread over the table).
+func (b *cacheBank) home(line uint64) int {
+	return int(line * 0x9E3779B97F4A7C15 >> b.shift)
+}
+
+// find returns the slot holding line, or noSlot.
+func (b *cacheBank) find(line uint64) int32 {
+	mask := len(b.index) - 1
+	for i := b.home(line); ; i = (i + 1) & mask {
+		e := &b.index[i]
+		if e.slot == noSlot || e.line == line {
+			return e.slot
+		}
+	}
+}
+
+// insert records line→slot; line must not be present.
+func (b *cacheBank) insert(line uint64, slot int32) {
+	mask := len(b.index) - 1
+	i := b.home(line)
+	for b.index[i].slot != noSlot {
+		i = (i + 1) & mask
+	}
+	b.index[i] = indexEntry{line: line, slot: slot}
+}
+
+// remove deletes line (which must be present) by backward shift: every
+// later entry of the probe run that may legally move into the hole does, so
+// the table never needs tombstones.
+func (b *cacheBank) remove(line uint64) {
+	mask := len(b.index) - 1
+	i := b.home(line)
+	for b.index[i].line != line {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; b.index[j].slot != noSlot; j = (j + 1) & mask {
+		// The entry at j may fill the hole at i unless its home lies
+		// cyclically within (i, j].
+		if h := b.home(b.index[j].line); (h-i-1)&mask < (j-i)&mask {
+			continue
+		}
+		b.index[i] = b.index[j]
+		i = j
+	}
+	b.index[i].slot = noSlot
+}
+
+// touch makes slot the most recently used line of set s.
+func (b *cacheBank) touch(s *cacheSet, slot int32) {
+	if s.mru == slot {
+		return
+	}
+	w := &b.ways[slot]
+	// slot is not the MRU, so it has a prev.
+	b.ways[w.prev].next = w.next
+	if w.next == noSlot {
+		s.lru = w.prev
+	} else {
+		b.ways[w.next].prev = w.prev
+	}
+	b.pushMRU(s, slot)
+}
+
+// pushMRU links an unlinked slot at the recent end of set s.
+func (b *cacheBank) pushMRU(s *cacheSet, slot int32) {
+	w := &b.ways[slot]
+	w.prev, w.next = noSlot, s.mru
+	if s.mru == noSlot {
+		s.lru = slot
+	} else {
+		b.ways[s.mru].prev = slot
+	}
+	s.mru = slot
 }
 
 // access is the bank-local outcome of one request. Either the completion
@@ -106,8 +241,6 @@ type Cache struct {
 	hitLatency int64
 	writeBack  bool
 	lower      Level
-	// throughput is the port occupancy per request in cycles.
-	throughput int64
 	banks      []cacheBank
 }
 
@@ -136,15 +269,10 @@ func NewCache(name string, sizeBytes, lineSize, ways int, hitLatency int64, writ
 	c := &Cache{
 		Name: name, sets: sets, ways: ways, numBanks: banks, lineBits: lineBits,
 		hitLatency: hitLatency, writeBack: writeBack, lower: lower,
-		throughput: 1,
 	}
 	c.banks = make([]cacheBank, banks)
 	for b := range c.banks {
-		nLocal := (sets - b + banks - 1) / banks
-		c.banks[b].lines = make([][]cacheLine, nLocal)
-		for i := range c.banks[b].lines {
-			c.banks[b].lines[i] = make([]cacheLine, ways)
-		}
+		c.banks[b] = newCacheBank((sets-b+banks-1)/banks, ways)
 	}
 	return c
 }
@@ -152,14 +280,7 @@ func NewCache(name string, sizeBytes, lineSize, ways int, hitLatency int64, writ
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	for b := range c.banks {
-		bank := &c.banks[b]
-		for i := range bank.lines {
-			for j := range bank.lines[i] {
-				bank.lines[i][j] = cacheLine{}
-			}
-		}
-		bank.stats = CacheStats{}
-		bank.nextFree = 0
+		c.banks[b].reset()
 	}
 }
 
@@ -201,26 +322,25 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 	if b.nextFree > start {
 		start = b.nextFree
 	}
-	b.nextFree = start + c.throughput
+	b.nextFree = start + portOccupancy
 
-	setIdx, tag := c.setAndTag(addr)
-	set := b.lines[setIdx/c.numBanks]
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			b.stats.Hits++
-			set[i].lastUsed = start
-			done := start + c.hitLatency
-			b.stats.LatencySum += uint64(done - now)
-			if write && !c.writeBack && c.lower != nil {
-				// Write-through: forward the write but do not stall the
-				// core on the lower level (posted write).
-				return access{done: done, post: true, downAddr: addr, downAt: start + c.hitLatency}
-			}
-			if write && c.writeBack {
-				set[i].dirty = true
-			}
-			return access{done: done}
+	line := addr >> c.lineBits
+	local := int(line%uint64(c.sets)) / c.numBanks // set index within the bank
+	set := &b.sets[local]
+	if slot := b.find(line); slot != noSlot {
+		b.stats.Hits++
+		b.touch(set, slot)
+		done := start + c.hitLatency
+		b.stats.LatencySum += uint64(done - now)
+		if write && !c.writeBack && c.lower != nil {
+			// Write-through: forward the write but do not stall the
+			// core on the lower level (posted write).
+			return access{done: done, post: true, downAddr: addr, downAt: start + c.hitLatency}
 		}
+		if write && c.writeBack {
+			b.ways[slot].dirty = true
+		}
+		return access{done: done}
 	}
 	b.stats.Misses++
 	if write && !c.writeBack {
@@ -235,25 +355,27 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 	// Miss: fetch from below and fill. The line is inserted now (victim
 	// selection included); its availability is the fill's completion.
 	out := access{fill: true, downAddr: addr, downAt: start + c.hitLatency}
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
-		}
-		if set[i].lastUsed < set[victim].lastUsed {
-			victim = i
-		}
-	}
-	if set[victim].valid {
+	var slot int32
+	if int(set.used) < c.ways {
+		slot = int32(local*c.ways) + set.used
+		set.used++
+		b.pushMRU(set, slot)
+	} else {
+		// Full set: the victim is the least recently used line.
+		slot = set.lru
+		v := &b.ways[slot]
 		b.stats.Evictions++
-		if set[victim].dirty && c.lower != nil {
+		if v.dirty && c.lower != nil {
 			// Write back the victim; posted, does not extend the fill.
-			out.victimAddr = (set[victim].tag*uint64(c.sets) + uint64(setIdx)) << c.lineBits
+			out.victimAddr = v.line << c.lineBits
 			out.victimWB = true
 		}
+		b.remove(v.line)
+		b.touch(set, slot)
 	}
-	set[victim] = cacheLine{tag: tag, valid: true, dirty: write && c.writeBack, lastUsed: start}
+	b.ways[slot].line = line
+	b.ways[slot].dirty = write && c.writeBack
+	b.insert(line, slot)
 	if c.lower == nil {
 		// Nothing below: the "fill" completes at the hit latency.
 		out.fill = false

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Executor runs n independent tasks, indexed 0..n-1, and returns when all
 // have finished. The timing layer injects its worker pool through this so
@@ -44,20 +47,24 @@ type pendFill struct {
 
 // drainTask is one bank of one level: the unit of phase-2 parallelism.
 // Exactly one worker runs a task per wave, so everything here is private to
-// that worker for the wave's duration.
+// that worker for the wave's duration. A task's inputs (srcs or jobs) are
+// wired per flush from the buckets that actually hold work, and every
+// per-flush field is empty between flushes.
 type drainTask struct {
 	cache *Cache // nil for DRAM-channel tasks
 	bank  int
 	lower Banked
-	// srcs are level-1 inputs: each entry points at one request buffer's
-	// bucket for (cache, bank), in buffer registration order (CU order).
+	// srcs are level-1 inputs: the non-empty request-buffer buckets for
+	// (cache, bank), in source order (CU order).
 	srcs []*[]lineReq
-	// jobs are lower-level inputs: each entry points at one upper task's
-	// down bucket for this bank, in upper-task order.
+	// jobs are lower-level inputs: the non-empty down buckets upper tasks
+	// filled for this bank, in upper-task order.
 	jobs []*[]downJob
-	// down holds this task's per-lower-bank output buckets.
-	down [][]downJob
-	pend []pendFill
+	// down holds this task's per-lower-bank output buckets; touched lists
+	// the ones this flush made non-empty, in first-deposit order.
+	down    [][]downJob
+	touched []int32
+	pend    []pendFill
 }
 
 // DrainSource is one request producer (a CU): its routed buffer and the
@@ -65,6 +72,19 @@ type drainTask struct {
 type DrainSource struct {
 	Buf      *RequestBuffer
 	Complete func(tag int, ready int64)
+}
+
+// drainWave is one level's share of a flush: the tasks that have input
+// (active, in ascending task order once wired) and the task body, bound once
+// for the executor: run(i) processes task active[i].
+type drainWave struct {
+	tasks  []drainTask
+	active []int32
+	run    func(int)
+}
+
+func (w *drainWave) bind(proc func(*drainTask)) {
+	w.run = func(i int) { proc(&w.tasks[w.active[i]]) }
 }
 
 // Drain replays deferred cache accesses through a banked two-level
@@ -86,19 +106,24 @@ type DrainSource struct {
 // completions upward, charge miss latency, and apply dirty-victim
 // write-backs; a final serial reduction folds per-line completions into
 // per-request ready cycles and invokes each source's completion callback in
-// (source, request) order. A steady-state Flush allocates nothing once the
-// buckets have grown to their working size.
+// (source, request) order.
+//
+// The waves are sparse: a flush visits only banks that received work. Each
+// request buffer and each task lists the buckets it made non-empty, a wave's
+// active list is built from the lists of the wave above and sorted into
+// ascending task order — the order lower banks replay their inputs in and
+// finalize issues victim write-backs in, so results do not depend on which
+// banks happened to be idle — and the end of the flush empties exactly what
+// was touched. A steady-state Flush allocates nothing once the buckets have
+// grown to their working size.
 type Drain struct {
-	l2    *Cache
-	dram  *DRAM
-	l1T   []drainTask
-	l2T   []drainTask
-	drT   []drainTask
-	srcs  []DrainSource
-	now   int64
-	runL1 func(int)
-	runL2 func(int)
-	runDR func(int)
+	dram *DRAM
+	srcs []DrainSource
+	// l1Base[src][dest] is the level-1 task index of bank 0 of the cache
+	// behind that source's destination handle.
+	l1Base                 [][]int32
+	waveL1, waveL2, waveDR drainWave
+	now                    int64
 }
 
 // NewDrain wires the pipeline. l1s lists every level-1 cache in replay
@@ -112,74 +137,47 @@ func NewDrain(l1s []*Cache, srcs []DrainSource, l2 *Cache, dram *DRAM) *Drain {
 	if l2.lower != Level(dram) {
 		panic("mem: NewDrain: l2 is not directly above dram")
 	}
-	d := &Drain{l2: l2, dram: dram, srcs: srcs}
+	d := &Drain{dram: dram, srcs: srcs}
+	base := make(map[*Cache]int32, len(l1s))
 	for _, c := range l1s {
 		if c.lower != Level(l2) {
 			panic(fmt.Sprintf("mem: NewDrain: %s is not directly above %s", c.Name, l2.Name))
 		}
+		base[c] = int32(len(d.waveL1.tasks))
 		for bank := 0; bank < c.NumBanks(); bank++ {
-			t := drainTask{cache: c, bank: bank, lower: l2,
-				down: make([][]downJob, l2.NumBanks())}
-			for si := range srcs {
-				buf := srcs[si].Buf
-				for di := range buf.dests {
-					if buf.dests[di].cache == c {
-						t.srcs = append(t.srcs, &buf.dests[di].buckets[bank])
-					}
-				}
-			}
-			d.l1T = append(d.l1T, t)
+			d.waveL1.tasks = append(d.waveL1.tasks, drainTask{cache: c, bank: bank, lower: l2,
+				down: make([][]downJob, l2.NumBanks())})
 		}
 	}
 	for _, s := range srcs {
+		bases := make([]int32, len(s.Buf.dests))
 		for di := range s.Buf.dests {
-			if !containsCache(l1s, s.Buf.dests[di].cache) {
-				panic(fmt.Sprintf("mem: NewDrain: destination %s not in level-1 list",
-					s.Buf.dests[di].cache.Name))
+			c := s.Buf.dests[di].cache
+			b, ok := base[c]
+			if !ok {
+				panic(fmt.Sprintf("mem: NewDrain: destination %s not in level-1 list", c.Name))
 			}
+			bases[di] = b
 		}
+		d.l1Base = append(d.l1Base, bases)
 	}
 	for bank := 0; bank < l2.NumBanks(); bank++ {
-		t := drainTask{cache: l2, bank: bank, lower: dram,
-			down: make([][]downJob, dram.NumBanks())}
-		for i := range d.l1T {
-			t.jobs = append(t.jobs, &d.l1T[i].down[bank])
-		}
-		d.l2T = append(d.l2T, t)
+		d.waveL2.tasks = append(d.waveL2.tasks, drainTask{cache: l2, bank: bank, lower: dram,
+			down: make([][]downJob, dram.NumBanks())})
 	}
 	for ch := 0; ch < dram.NumBanks(); ch++ {
-		t := drainTask{bank: ch}
-		for i := range d.l2T {
-			t.jobs = append(t.jobs, &d.l2T[i].down[ch])
-		}
-		d.drT = append(d.drT, t)
+		d.waveDR.tasks = append(d.waveDR.tasks, drainTask{bank: ch})
 	}
-	d.runL1 = d.procL1
-	d.runL2 = d.procL2
-	d.runDR = d.procDRAM
+	d.waveL1.bind(d.procCache)
+	d.waveL2.bind(d.procCache)
+	d.waveDR.bind(d.procDRAM)
 	return d
-}
-
-func containsCache(cs []*Cache, c *Cache) bool {
-	for _, x := range cs {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }
 
 // MaxWave returns the widest wave's task count — the useful upper bound on
 // drain parallelism.
 func (d *Drain) MaxWave() int {
-	w := len(d.l1T)
-	if len(d.l2T) > w {
-		w = len(d.l2T)
-	}
-	if len(d.drT) > w {
-		w = len(d.drT)
-	}
-	return w
+	return max(len(d.waveL1.tasks), len(d.waveL2.tasks), len(d.waveDR.tasks))
 }
 
 // Pending returns the number of routed line accesses waiting across all
@@ -192,6 +190,72 @@ func (d *Drain) Pending() int {
 	return n
 }
 
+// activate returns task i for the caller to wire an input to, putting it on
+// the wave's list if this is its first input of the flush.
+func (w *drainWave) activate(i int32) *drainTask {
+	t := &w.tasks[i]
+	if len(t.srcs)+len(t.jobs) == 0 {
+		w.active = append(w.active, i)
+	}
+	return t
+}
+
+// wireSources builds wave 1's inputs from the buckets the sources filled:
+// sources in order, so each task's srcs end up in source order.
+func (d *Drain) wireSources() {
+	for si, s := range d.srcs {
+		buf := s.Buf
+		for _, r := range buf.touched {
+			t := d.waveL1.activate(d.l1Base[si][r.dest] + r.bank)
+			t.srcs = append(t.srcs, &buf.dests[r.dest].buckets[r.bank])
+		}
+	}
+	slices.Sort(d.waveL1.active)
+}
+
+// wireJobs builds the lower wave's inputs from the down buckets the upper
+// wave filled: upper tasks in ascending order, so each lower task's jobs
+// end up in upper-task order.
+func wireJobs(upper, lower *drainWave) {
+	for _, ui := range upper.active {
+		ut := &upper.tasks[ui]
+		for _, lb := range ut.touched {
+			lt := lower.activate(lb)
+			lt.jobs = append(lt.jobs, &ut.down[lb])
+		}
+	}
+	slices.Sort(lower.active)
+}
+
+// exec runs the wave's active tasks: nothing for an empty wave, inline for
+// a single task (no barrier to pay for), on the executor otherwise.
+func (w *drainWave) exec(exec Executor) {
+	switch n := len(w.active); n {
+	case 0:
+	case 1:
+		w.run(0)
+	default:
+		exec(n, w.run)
+	}
+}
+
+// clear empties everything the flush touched on the wave's active tasks.
+// Idle tasks hold nothing, so the next flush finds every bucket empty
+// whichever tasks it wakes.
+func (w *drainWave) clear() {
+	for _, i := range w.active {
+		t := &w.tasks[i]
+		for _, lb := range t.touched {
+			t.down[lb] = t.down[lb][:0]
+		}
+		t.touched = t.touched[:0]
+		t.pend = t.pend[:0]
+		t.srcs = t.srcs[:0]
+		t.jobs = t.jobs[:0]
+	}
+	w.active = w.active[:0]
+}
+
 // procCache replays one cache bank's inputs: level-1 buckets first (only
 // level-1 tasks have any), then lower-level job buckets, both in wiring
 // order. Misses and posted writes are deposited into the lower bank's
@@ -199,49 +263,47 @@ func (d *Drain) Pending() int {
 func (d *Drain) procCache(t *drainTask) {
 	c := t.cache
 	b := &c.banks[t.bank]
-	for k := range t.down {
-		t.down[k] = t.down[k][:0]
-	}
-	t.pend = t.pend[:0]
 	for _, sp := range t.srcs {
 		src := *sp
 		for j := range src {
 			lr := &src[j]
-			d.apply(t, c, b, lr.line, lr.write, d.now, &lr.done)
+			t.apply(c, b, lr.line, lr.write, d.now, &lr.done)
 		}
 	}
 	for _, jp := range t.jobs {
 		js := *jp
 		for j := range js {
 			jb := &js[j]
-			d.apply(t, c, b, jb.addr, jb.write, jb.at, &jb.done)
+			t.apply(c, b, jb.addr, jb.write, jb.at, &jb.done)
 		}
 	}
 }
 
-func (d *Drain) apply(t *drainTask, c *Cache, b *cacheBank, addr uint64, write bool, at int64, sink *int64) {
+// deposit queues a job for the lower level and returns its (bank, index).
+func (t *drainTask) deposit(j downJob) (int32, int32) {
+	lb := int32(t.lower.BankOf(j.addr))
+	if len(t.down[lb]) == 0 {
+		t.touched = append(t.touched, lb)
+	}
+	t.down[lb] = append(t.down[lb], j)
+	return lb, int32(len(t.down[lb]) - 1)
+}
+
+func (t *drainTask) apply(c *Cache, b *cacheBank, addr uint64, write bool, at int64, sink *int64) {
 	a := c.bankAccess(b, addr, write, at)
 	if a.fill {
-		lb := t.lower.BankOf(a.downAddr)
-		t.down[lb] = append(t.down[lb], downJob{addr: a.downAddr, at: a.downAt})
-		t.pend = append(t.pend, pendFill{sink: sink,
-			bank: int32(lb), idx: int32(len(t.down[lb]) - 1), at: at,
+		lb, idx := t.deposit(downJob{addr: a.downAddr, at: a.downAt})
+		t.pend = append(t.pend, pendFill{sink: sink, bank: lb, idx: idx, at: at,
 			victimAddr: a.victimAddr, victimWB: a.victimWB})
 		return
 	}
 	*sink = a.done
 	if a.post {
-		lb := t.lower.BankOf(a.downAddr)
-		t.down[lb] = append(t.down[lb],
-			downJob{addr: a.downAddr, write: true, at: a.downAt, done: a.downAt})
+		t.deposit(downJob{addr: a.downAddr, write: true, at: a.downAt, done: a.downAt})
 	}
 }
 
-func (d *Drain) procL1(i int) { d.procCache(&d.l1T[i]) }
-func (d *Drain) procL2(i int) { d.procCache(&d.l2T[i]) }
-
-func (d *Drain) procDRAM(i int) {
-	t := &d.drT[i]
+func (d *Drain) procDRAM(t *drainTask) {
 	for _, jp := range t.jobs {
 		js := *jp
 		for j := range js {
@@ -251,13 +313,13 @@ func (d *Drain) procDRAM(i int) {
 	}
 }
 
-// finalizeLevel resolves one level's pending fills after the lower waves
-// ran: copy each fill's completion into its sink, charge the miss latency
-// to the bank shard, and apply dirty-victim write-backs (posted at the
-// fill's completion, replayed here serially in task/pend order).
-func (d *Drain) finalizeLevel(tasks []drainTask) {
-	for i := range tasks {
-		t := &tasks[i]
+// finalize resolves the wave's pending fills after the lower waves ran:
+// copy each fill's completion into its sink, charge the miss latency to the
+// bank shard, and apply dirty-victim write-backs (posted at the fill's
+// completion, replayed here serially in ascending task, then pend, order).
+func (w *drainWave) finalize() {
+	for _, i := range w.active {
+		t := &w.tasks[i]
 		b := &t.cache.banks[t.bank]
 		for _, p := range t.pend {
 			done := t.down[p.bank][p.idx].done
@@ -282,14 +344,12 @@ func (d *Drain) reduce() {
 		for i := range buf.reqs {
 			buf.reqs[i].ready = d.now
 		}
-		for di := range buf.dests {
-			dst := &buf.dests[di]
-			for _, bucket := range dst.buckets {
-				for j := range bucket {
-					lr := &bucket[j]
-					if r := &buf.reqs[lr.req]; lr.done > r.ready {
-						r.ready = lr.done
-					}
+		for _, r := range buf.touched {
+			bucket := buf.dests[r.dest].buckets[r.bank]
+			for j := range bucket {
+				lr := &bucket[j]
+				if q := &buf.reqs[lr.req]; lr.done > q.ready {
+					q.ready = lr.done
 				}
 			}
 		}
@@ -316,10 +376,16 @@ func (d *Drain) Flush(now int64, exec Executor) {
 	if exec == nil {
 		exec = serialExec
 	}
-	exec(len(d.l1T), d.runL1)
-	exec(len(d.l2T), d.runL2)
-	exec(len(d.drT), d.runDR)
-	d.finalizeLevel(d.l2T)
-	d.finalizeLevel(d.l1T)
+	d.wireSources()
+	d.waveL1.exec(exec)
+	wireJobs(&d.waveL1, &d.waveL2)
+	d.waveL2.exec(exec)
+	wireJobs(&d.waveL2, &d.waveDR)
+	d.waveDR.exec(exec)
+	d.waveL2.finalize()
+	d.waveL1.finalize()
 	d.reduce()
+	d.waveL1.clear()
+	d.waveL2.clear()
+	d.waveDR.clear()
 }

@@ -177,53 +177,187 @@ func genRequests(h *hier, seed int64, n int) {
 	}
 }
 
-// TestDrainMatchesSynchronousReplay: with single-bank level-1 caches and no
-// dirty L2 victims, the level-wave pipeline must reproduce the synchronous
-// Access path exactly — same per-request ready cycles, same counters.
-func TestDrainMatchesSynchronousReplay(t *testing.T) {
-	hA := buildHier(2, 1, 2)
-	genRequests(hA, 7, 40)
-	hA.drain.Flush(100, nil)
-
-	// Reference: identical geometry, requests applied synchronously in
-	// (source, append, line) order.
-	hB := buildHier(2, 1, 2)
-	genRequests(hB, 7, 40)
-	for s, buf := range hB.bufs {
+// syncReplay applies every buffered request of h synchronously, in (source,
+// append, line) order at cycle now, recording completions as the drain
+// would, and empties the buffers.
+func syncReplay(h *hier, now int64) {
+	for s, buf := range h.bufs {
 		for i := range buf.reqs {
-			ready := int64(100)
+			ready := now
 			for _, bucket := range buf.dests[0].buckets {
 				for _, lr := range bucket {
 					if lr.req != int32(i) {
 						continue
 					}
-					if done := hB.l1s[s].Access(lr.line, lr.write, 100); done > ready {
+					if done := h.l1s[s].Access(lr.line, lr.write, now); done > ready {
 						ready = done
 					}
 				}
 			}
-			hB.ready = append(hB.ready, [2]int64{int64(buf.reqs[i].tag), ready})
+			h.ready = append(h.ready, [2]int64{int64(buf.reqs[i].tag), ready})
+		}
+		buf.Reset()
+	}
+}
+
+// sameHier fails unless two hierarchies recorded identical completions and
+// identical per-bank counters at every level.
+func sameHier(t *testing.T, what string, a, b *hier) {
+	t.Helper()
+	if len(a.ready) != len(b.ready) {
+		t.Fatalf("%s: %d completions, want %d", what, len(a.ready), len(b.ready))
+	}
+	for i := range a.ready {
+		if a.ready[i] != b.ready[i] {
+			t.Fatalf("%s: completion %d = %v, want %v", what, i, a.ready[i], b.ready[i])
 		}
 	}
-	if len(hA.ready) != len(hB.ready) {
-		t.Fatalf("completion counts: drain %d, sync %d", len(hA.ready), len(hB.ready))
-	}
-	for i := range hA.ready {
-		if hA.ready[i] != hB.ready[i] {
-			t.Fatalf("completion %d: drain %v, sync %v", i, hA.ready[i], hB.ready[i])
+	for i := range a.l1s {
+		if x, y := a.l1s[i].Stats(), b.l1s[i].Stats(); x != y {
+			t.Fatalf("%s: L1 %d stats %+v, want %+v", what, i, x, y)
 		}
 	}
-	if a, b := hA.l2.Stats(), hB.l2.Stats(); a != b {
-		t.Fatalf("L2 stats diverge: drain %+v sync %+v", a, b)
+	for bank := 0; bank < a.l2.NumBanks(); bank++ {
+		if x, y := a.l2.BankStats(bank), b.l2.BankStats(bank); x != y {
+			t.Fatalf("%s: L2 bank %d stats %+v, want %+v", what, bank, x, y)
+		}
 	}
-	if a, b := hA.dram.Stats(), hB.dram.Stats(); a != b {
-		t.Fatalf("DRAM stats diverge: drain %+v sync %+v", a, b)
+	for ch := 0; ch < a.dram.NumBanks(); ch++ {
+		if x, y := a.dram.BankStats(ch), b.dram.BankStats(ch); x != y {
+			t.Fatalf("%s: DRAM channel %d stats %+v, want %+v", what, ch, x, y)
+		}
+	}
+}
+
+// TestDrainMatchesSynchronousReplay: where the synchronous Access path
+// defines an order — single-bank level-1 caches and either one L2 bank
+// without dirty victims, or one line per flush — the level-wave pipeline
+// must reproduce it exactly: same per-request ready cycles, same counters.
+func TestDrainMatchesSynchronousReplay(t *testing.T) {
+	t.Run("dense", func(t *testing.T) {
+		hA, hB := buildHier(2, 1, 2), buildHier(2, 1, 2)
+		genRequests(hA, 7, 40)
+		genRequests(hB, 7, 40)
+		hA.drain.Flush(100, nil)
+		syncReplay(hB, 100)
+		sameHier(t, "drain vs sync", hA, hB)
+	})
+	// One line per flush from a random source, over four times the L2: the
+	// L1 task and L2 bank of flush N are idle in flush N+1 while another
+	// source deposits into the same L2 bank or DRAM channel, and L2 evicts
+	// dirty victims. Anything a sparse flush left behind in an idle task's
+	// buckets would be replayed by (or hidden from) a sibling's lower bank
+	// and show in the counters.
+	t.Run("sparse", func(t *testing.T) {
+		hA, hB := buildHier(3, 4, 4), buildHier(3, 4, 4)
+		rng := rand.New(rand.NewSource(21))
+		for f := 0; f < 4000; f++ {
+			src, line := rng.Intn(3), uint64(rng.Intn(512))*64
+			write, now := rng.Intn(3) == 0, int64(f*5)
+			for _, h := range []*hier{hA, hB} {
+				if f%50 == 0 {
+					h.bufs[(src+1)%3].Append(0, nil, false, -f) // a zero-line request rides along
+				}
+				h.bufs[src].AppendLine(0, line, write, f)
+			}
+			hA.drain.Flush(now, nil)
+			syncReplay(hB, now)
+		}
+		sameHier(t, "drain vs sync", hA, hB)
+		if hA.l2.Stats().Evictions == 0 {
+			t.Fatal("stream never evicted from L2")
+		}
+	})
+}
+
+// TestDrainLevel1ReplayOrder: an L2 bank replays the misses of one flush in
+// level-1 task order (the l1s order NewDrain was given), not in the order
+// the sources happened to touch their destinations. Source 0 fetches through
+// a cache shared with source 1 — last in l1s — and source 1 through its own,
+// so the flush wakes the shared cache's task first; the synchronous path
+// applied in l1s order is the reference.
+func TestDrainLevel1ReplayOrder(t *testing.T) {
+	build := func() (own, shared *Cache) {
+		l2 := NewCache("L2", 8<<10, 64, 2, 8, true, NewDRAM(1, 64, 100, 4), 1)
+		return NewCache("L1", 1<<10, 64, 2, 2, false, l2, 1),
+			NewCache("shared", 1<<10, 64, 2, 2, false, l2, 1)
+	}
+	own, shared := build()
+	l2 := own.lower.(*Cache)
+	var got [2]int64
+	var bufs [2]RequestBuffer
+	var srcs []DrainSource
+	for i := range bufs {
+		bufs[i].Register(own) // handle 0; only source 1 uses it
+		bufs[i].Register(shared)
+		srcs = append(srcs, DrainSource{Buf: &bufs[i],
+			Complete: func(tag int, ready int64) { got[tag] = ready }})
+	}
+	drain := NewDrain([]*Cache{own, shared}, srcs, l2, l2.lower.(*DRAM))
+	bufs[0].AppendLine(1, 0x1000, false, 0)
+	bufs[1].AppendLine(0, 0x2000, false, 1)
+	drain.Flush(10, nil)
+
+	refOwn, refShared := build()
+	wantOwn := refOwn.Access(0x2000, false, 10)
+	wantShared := refShared.Access(0x1000, false, 10)
+	if want := [2]int64{wantShared, wantOwn}; got != want {
+		t.Fatalf("ready cycles %v, want %v (own cache's miss reaches L2 first)", got, want)
+	}
+}
+
+// TestDrainVictimWriteBackOrder pins the order finalize applies dirty-L2-
+// victim write-backs in — ascending L2 bank, whichever bank the flush woke
+// first. Two mirrored hierarchies run the same stream with sources 0 and 1
+// swapped, so in the last flush, where each L2 bank receives one read that
+// evicts a dirty line and both write-backs queue on the one DRAM channel,
+// one hierarchy wakes bank 1 first and the other bank 0. Each L2 bank sees
+// the same job either way, so everything below the L1s must agree.
+func TestDrainVictimWriteBackOrder(t *testing.T) {
+	run := func(swap int) *hier {
+		h := buildHier(2, 2, 1)
+		now := int64(0)
+		flush1 := func(src int, line uint64, write bool) {
+			h.bufs[src^swap].AppendLine(0, line*64, write, 0)
+			h.drain.Flush(now, nil)
+			now += 1000
+		}
+		// L2: 64 sets x 2 ways, bank = set % 2. Dirty both ways of set 0
+		// (bank 0) and set 1 (bank 1); L1 write misses post straight down.
+		for _, line := range []uint64{0, 64, 1, 65} {
+			flush1(0, line, true)
+		}
+		// One flush: source 0 reads a third line of set 1, source 1 a third
+		// line of set 0.
+		h.bufs[0^swap].AppendLine(0, 129*64, false, 1)
+		h.bufs[1^swap].AppendLine(0, 128*64, false, 2)
+		h.ready = h.ready[:0]
+		h.drain.Flush(now, nil)
+		return h
+	}
+	a, b := run(0), run(1)
+	for bank := 0; bank < 2; bank++ {
+		if a.l2.BankStats(bank).Evictions != 1 {
+			t.Fatalf("scenario drifted: L2 bank %d evictions = %d, want 1", bank, a.l2.BankStats(bank).Evictions)
+		}
+	}
+	if got := a.dram.Stats().Accesses; got != 4+2+2 {
+		t.Fatalf("scenario drifted: DRAM accesses = %d, want 4 fills + 2 fills + 2 write-backs", got)
+	}
+	// Completion order follows source order; match the two runs by tag.
+	b.ready[0], b.ready[1] = b.ready[1], b.ready[0]
+	a.l1s, b.l1s = nil, nil // mirrored by construction, not compared
+	sameHier(t, "mirrored sources", a, b)
+	if a.ready[0][1] == a.ready[1][1] {
+		t.Fatal("scenario drifted: the two fills completed together, so order cannot show")
 	}
 }
 
 // TestDrainExecutorInvariance: the drain's results must not depend on how
 // wave tasks are scheduled — serial, reversed, or genuinely concurrent
-// (the latter also puts the wave structure under the race detector).
+// (the latter also puts the wave structure under the race detector) —
+// across dense flushes that wake every bank and sparse ones that wake a
+// few, so active lists, wiring and clearing all change from flush to flush.
 func TestDrainExecutorInvariance(t *testing.T) {
 	reversed := func(n int, run func(int)) {
 		for i := n - 1; i >= 0; i-- {
@@ -243,30 +377,26 @@ func TestDrainExecutorInvariance(t *testing.T) {
 		"serial": nil, "reversed": reversed, "concurrent": concurrent,
 	} {
 		h := buildHier(3, 4, 4)
-		for cycle := 0; cycle < 30; cycle++ {
-			genRequests(h, int64(cycle), 10)
+		rng := rand.New(rand.NewSource(9))
+		for cycle := 0; cycle < 90; cycle++ {
+			if cycle%3 == 0 {
+				genRequests(h, int64(cycle), 10)
+			} else {
+				// Sparse flushes between the dense ones: one source, one or
+				// two lines from four times the L2 (dirty L2 victims
+				// included), every other task and bank idle.
+				buf := h.bufs[rng.Intn(len(h.bufs))]
+				for k := 0; k <= rng.Intn(2); k++ {
+					buf.AppendLine(0, uint64(rng.Intn(512))*64, rng.Intn(3) == 0, cycle)
+				}
+			}
 			h.drain.Flush(int64(100*cycle), exec)
 		}
 		if base == nil {
 			base = h
 			continue
 		}
-		if len(h.ready) != len(base.ready) {
-			t.Fatalf("%s: %d completions, want %d", name, len(h.ready), len(base.ready))
-		}
-		for i := range h.ready {
-			if h.ready[i] != base.ready[i] {
-				t.Fatalf("%s: completion %d = %v, want %v", name, i, h.ready[i], base.ready[i])
-			}
-		}
-		if h.l2.Stats() != base.l2.Stats() || h.dram.Stats() != base.dram.Stats() {
-			t.Fatalf("%s: shared-level stats diverge", name)
-		}
-		for i := range h.l1s {
-			if h.l1s[i].Stats() != base.l1s[i].Stats() {
-				t.Fatalf("%s: L1 %d stats diverge", name, i)
-			}
-		}
+		sameHier(t, name, h, base)
 	}
 }
 

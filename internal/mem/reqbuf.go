@@ -18,6 +18,11 @@ type dest struct {
 	buckets [][]lineReq
 }
 
+// bucketRef names one (destination, bank) bucket of a buffer.
+type bucketRef struct {
+	dest, bank int32
+}
+
 // request is the buffer-side record of one deferred access: the caller's
 // tag and the max-reduced completion cycle of its lines.
 type request struct {
@@ -32,15 +37,19 @@ type request struct {
 // line by (destination cache, bank); phase 2 (Drain.Flush) replays every
 // bank's bucket sequence in (CU index, append order), so each bank's
 // port/LRU/miss-counter state evolves deterministically regardless of which
-// goroutine services it. Reset keeps capacity, so a steady-state tick/drain
-// cycle allocates nothing.
+// goroutine services it. The buffer lists the buckets it made non-empty
+// (touched), so the drain and Reset visit only those: an idle destination
+// costs nothing. Reset keeps capacity, so a steady-state tick/drain cycle
+// allocates nothing.
 //
 // All Register calls must precede Drain construction (the drain captures
 // pointers to the per-bank buckets).
 type RequestBuffer struct {
 	dests []dest
 	reqs  []request
-	lines int
+	// touched lists the non-empty buckets in first-append order.
+	touched []bucketRef
+	lines   int
 }
 
 // Register adds a destination cache and returns its handle for AppendLine/
@@ -55,12 +64,19 @@ func (b *RequestBuffer) Register(c *Cache) int {
 	return len(b.dests) - 1
 }
 
-// AppendLine defers a single-line access to destination d.
-func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
+// route appends one line of request ri to its bank's bucket of destination d.
+func (b *RequestBuffer) route(d int, line uint64, write bool, ri int32) {
 	dst := &b.dests[d]
 	bank := dst.cache.BankOf(line)
-	dst.buckets[bank] = append(dst.buckets[bank],
-		lineReq{line: line, write: write, req: int32(len(b.reqs))})
+	if len(dst.buckets[bank]) == 0 {
+		b.touched = append(b.touched, bucketRef{dest: int32(d), bank: int32(bank)})
+	}
+	dst.buckets[bank] = append(dst.buckets[bank], lineReq{line: line, write: write, req: ri})
+}
+
+// AppendLine defers a single-line access to destination d.
+func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
+	b.route(d, line, write, int32(len(b.reqs)))
 	b.reqs = append(b.reqs, request{tag: tag})
 	b.lines++
 }
@@ -70,12 +86,9 @@ func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
 // may be reused immediately. Cross-bank lines of one request max-reduce
 // their completion cycles back into a single ready cycle at drain time.
 func (b *RequestBuffer) Append(d int, lines []uint64, write bool, tag int) {
-	dst := &b.dests[d]
 	ri := int32(len(b.reqs))
 	for _, line := range lines {
-		bank := dst.cache.BankOf(line)
-		dst.buckets[bank] = append(dst.buckets[bank],
-			lineReq{line: line, write: write, req: ri})
+		b.route(d, line, write, ri)
 	}
 	b.reqs = append(b.reqs, request{tag: tag})
 	b.lines += len(lines)
@@ -90,11 +103,10 @@ func (b *RequestBuffer) Lines() int { return b.lines }
 // Reset empties the buffer, keeping its capacity.
 func (b *RequestBuffer) Reset() {
 	b.reqs = b.reqs[:0]
-	for i := range b.dests {
-		d := &b.dests[i]
-		for k := range d.buckets {
-			d.buckets[k] = d.buckets[k][:0]
-		}
+	for _, r := range b.touched {
+		bucket := &b.dests[r.dest].buckets[r.bank]
+		*bucket = (*bucket)[:0]
 	}
+	b.touched = b.touched[:0]
 	b.lines = 0
 }

@@ -465,19 +465,18 @@ func (r *Results) Markdown(cfg core.Config) string {
 }
 
 // throughputSection records the simulator's own performance — the host-side
-// cost of producing everything above. The numbers are a historical record
-// from the event-driven-core optimization pass (Intel Xeon @ 2.70GHz dev
-// box, MD scale 1, ±30% machine noise observed between runs); regenerate
-// locally with `make bench`, which archives BENCH_PR4.json.
+// cost of producing everything above. The table is a historical record from
+// the event-driven-core optimization pass (Intel Xeon @ 2.70GHz dev box, MD
+// scale 1, ±30% machine noise observed between runs); current numbers come
+// from the repository's benchmark, `make bench`.
 const throughputSection = `
 ### Simulator throughput (host-side cost of the suite)
 
-` + "`BenchmarkSimulatorThroughput`" + ` measures end-to-end simulated
-instructions per wall-second (MD, scale 1, full statistics). The
-event-driven timing core — deterministic cycle skipping, per-PC decode
-caches, O(1) PC lookup, allocation-free issue loop, engine-owned lane
-scratch (DESIGN.md §4) — delivered these gains with byte-identical
-statistics fingerprints across the whole suite:
+Simulated instructions per wall-second, end to end (MD, scale 1, full
+statistics). The event-driven timing core — deterministic cycle skipping,
+per-PC decode caches, O(1) PC lookup, allocation-free issue loop,
+engine-owned lane scratch (DESIGN.md §4) — delivered these gains with
+byte-identical statistics fingerprints across the whole suite:
 
 | Abstraction | before (siminsts/s) | after (siminsts/s) | speedup | allocs/op |
 |---|---|---|---|---|
@@ -488,24 +487,25 @@ Measured on a shared Intel Xeon @ 2.70GHz dev machine; run-to-run noise of
 +-30% was observed under load, so treat the speedup, not the absolute
 numbers, as the reproducible quantity.
 
-` + "`BenchmarkSimulatorThroughputParallel`" + ` repeats the measurement with one
-goroutine per compute unit (` + "`-cu-par`" + `, the two-phase parallel timing
-loop), and ` + "`BenchmarkSimulatorThroughputMemParallel`" + ` stacks the banked
-memory drain on top (` + "`-mem-par`" + ` at the full drain width);
-` + "`BenchmarkSimulatorThroughputMemBound`" + `/` + "`...MemBoundParallel`" + ` repeat the
-serial-vs-stacked pair on ArrayBW, the memory-bound streaming workload
-the banked drain targets. Each parallel row's siminsts/s ratio to its
-serial baseline is the intra-simulation speedup and needs a multi-core
-host to exceed 1 — on a single core the pool costs a few percent of
-overhead and the serial fallback is the right setting. ` + "`make bench`" + `
-re-measures all rows and archives the result as BENCH_PR10.json; the CI
-bench-smoke job does the same per commit and additionally gates on
-TestCycleSkippingDeterminism (skip-on vs skip-off fingerprint identity),
-TestParallelTimingDeterminism (every -cu-par setting must fingerprint
-identically to serial), TestBankedMemoryDeterminism (every -cu-par x
--mem-par combination must fingerprint identically to the serial drain)
-and TestIssueStageNoAllocs/TestDrainRoutingNoAllocs (zero allocations in
-the steady-state two-phase cycle, bank routing included).
+Host speed is now measured by one benchmark, ` + "`bench/`" + ` (declared by
+BENCHMARK.json, described in bench/README.md): ` + "`make bench`" + ` runs its five
+workloads — serial MD and SpMV, MD+SpMV at ` + "`-cu-par`" + ` = ` + "`-mem-par`" + ` = P, the
+20-run suite on the parallel engine, a loopback distributed campaign — and
+reports siminsts/s, wall and set-up time for each, with a traced per-layer
+ladder under ` + "`-layers`" + `. Numbers from different hosts do not compare; a
+speed claim is a same-host A/B, ` + "`make bench-ab REF=<commit>`" + `: both
+commits built from source, at least ten interleaved pairs, judged by
+` + "`bench -compare`" + `. The intra-simulation parallel paths need a multi-core
+host to beat serial; on a single core the pool is pure overhead and the
+automatic serial fallback (` + "`-cu-par 0`" + ` / ` + "`-mem-par 0`" + ` resolve to 1) is
+the right setting. The CI bench-smoke job runs the benchmark at smoke-test
+sizes per commit and additionally gates on TestCycleSkippingDeterminism
+(skip-on vs skip-off fingerprint identity), TestParallelTimingDeterminism
+(every -cu-par setting must fingerprint identically to serial),
+TestBankedMemoryDeterminism (every -cu-par x -mem-par combination must
+fingerprint identically to the serial drain) and
+TestIssueStageNoAllocs/TestDrainRoutingNoAllocs (zero allocations in the
+steady-state two-phase cycle, bank routing and sparse drains included).
 `
 
 func abs(v float64) float64 {

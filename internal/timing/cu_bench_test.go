@@ -6,6 +6,7 @@ import (
 	"ilsim/internal/emu"
 	"ilsim/internal/hsa"
 	"ilsim/internal/isa"
+	"ilsim/internal/mem"
 	"ilsim/internal/stats"
 )
 
@@ -142,6 +143,45 @@ func TestDrainRoutingNoAllocs(t *testing.T) {
 	}
 	if banked < 2 {
 		t.Fatalf("routing exercised %d L2 banks, want >= 2", banked)
+	}
+
+	// The sparse steady state of a compute-bound kernel: one or two lines a
+	// flush, from a different source each time, each missing all the way to
+	// DRAM on a different L2 bank and channel. The per-flush active lists,
+	// input wiring and touched-bucket clearing must reuse their storage too.
+	p := DefaultParams()
+	dram := mem.NewDRAM(p.DRAMChannels, mem.LineSize, p.DRAMLatency, p.DRAMOccupancy)
+	l2 := mem.NewCache("L2", p.L2Size, mem.LineSize, p.L2Ways, p.L2HitLatency, true, dram, p.L2Banks)
+	var l1s []*mem.Cache
+	var srcs []mem.DrainSource
+	bufs := make([]mem.RequestBuffer, 4)
+	for i := range bufs {
+		l1 := mem.NewCache("L1D", p.L1DSize, mem.LineSize, p.L1DWays, p.L1HitLatency, false, l2, 1)
+		l1s = append(l1s, l1)
+		bufs[i].Register(l1)
+		srcs = append(srcs, mem.DrainSource{Buf: &bufs[i], Complete: func(int, int64) {}})
+	}
+	drain := mem.NewDrain(l1s, srcs, l2, dram)
+	flush := int64(0)
+	sparse := func() {
+		buf := &bufs[flush%4]
+		line := uint64(flush) * 3 * mem.LineSize
+		buf.AppendLine(0, line, flush%5 == 0, 0)
+		if flush%2 == 1 {
+			buf.AppendLine(0, line+mem.LineSize, false, 1)
+		}
+		drain.Flush(flush, nil)
+		flush++
+	}
+	// Warm until every L2 set has evicted, so victim bookkeeping is warm too.
+	for flush < 3*int64(p.L2Size/mem.LineSize) {
+		sparse()
+	}
+	if avg := testing.AllocsPerRun(2000, sparse); avg != 0 {
+		t.Fatalf("steady-state sparse flush allocates: %v allocs/op, want 0", avg)
+	}
+	if l2.Stats().Evictions == 0 {
+		t.Fatal("sparse stream never evicted from L2")
 	}
 }
 

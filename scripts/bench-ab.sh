@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# Same-host A/B of the repository's benchmark: this checkout (the change)
+# against a checkout of the parent commit, as bench/README.md prescribes.
+#
+#	scripts/bench-ab.sh <parent-checkout> [pairs]     (make bench-ab REF=<commit>)
+#
+# Each side is built by its own bench/run.sh. Every pair is one full set (all
+# five workloads, seed = pair number) on each side, back to back; odd pairs
+# run the parent first, even pairs the change. One traced set per side
+# follows (the per-layer ladder and the exact sim.* comparison). The runs are
+# merged into .bench_build/ab/{parent,change}.json and handed to
+# `bench -compare`, whose table is printed and kept in compare.txt.
+set -euo pipefail
+
+parent=$(cd "${1:?usage: bench-ab.sh <parent-checkout> [pairs]}" && pwd)
+pairs=${2:-10}
+cd "$(dirname "$0")/.."
+change=$PWD
+if [ "$pairs" -lt 10 ]; then
+	echo "bench-ab: $pairs pairs cannot settle a claim; bench/README.md asks for at least 10" >&2
+	exit 2
+fi
+command -v jq >/dev/null || { echo "bench-ab: jq is needed to merge the result files" >&2; exit 2; }
+[ -f "$parent/bench/run.sh" ] || { echo "bench-ab: $parent has no bench/run.sh" >&2; exit 2; }
+
+out=$change/.bench_build/ab
+rm -rf "$out/runs"
+mkdir -p "$out/runs"
+
+# side <parent|change> <name> <bench arguments...>
+side() {
+	local dir=$change
+	[ "$1" = parent ] && dir=$parent
+	bash "$dir/bench/run.sh" "${@:3}" -out "$out/runs/$1.$2.json" >"$out/runs/$1.$2.log" 2>&1 ||
+		{ echo "bench-ab: $1 run $2 failed; see $out/runs/$1.$2.log" >&2; exit 1; }
+}
+
+for i in $(seq 1 "$pairs"); do
+	order="parent change"
+	[ $((i % 2)) -eq 0 ] && order="change parent"
+	echo "pair $i/$pairs: $order"
+	for s in $order; do
+		side "$s" "$i" -seed "$i"
+	done
+done
+echo "traced sets: parent change"
+side parent layers -seed 1 -layers
+side change layers -seed 1 -layers
+
+for s in parent change; do
+	files=()
+	for i in $(seq 1 "$pairs") layers; do
+		files+=("$out/runs/$s.$i.json")
+	done
+	jq -s '.[0] + {runs: (map(.runs) | add)}' "${files[@]}" >"$out/$s.json"
+done
+bash bench/run.sh -compare "$out/parent.json" "$out/change.json" | tee "$out/compare.txt"
