@@ -51,11 +51,12 @@ type RunOptions struct {
 	// (0 = timing.DefaultCheckEvery).
 	CheckEvery int
 
-	// DisableCycleSkipping forces the timing core to tick every cycle
-	// instead of skipping provably-inert spans. Statistics are
-	// byte-identical either way; this is a debugging/verification knob
-	// (the determinism regression test runs both and compares
-	// fingerprints).
+	// DisableCycleSkipping forces the timing core to tick every CU and
+	// visit every resident wave every cycle instead of skipping the
+	// provably inert ones (sleeping waves, sleeping CUs, GPU-wide idle
+	// spans). Statistics are byte-identical either way; this is a
+	// debugging/verification knob (the determinism regression test runs
+	// both and compares fingerprints).
 	DisableCycleSkipping bool
 }
 

@@ -9,34 +9,58 @@ import (
 )
 
 // TestCycleSkippingDeterminism proves the event-driven fast path is a pure
-// speedup: running with cycle skipping disabled (every cycle ticked) and
-// enabled (inert spans jumped) must produce byte-identical statistics. MD
-// and LULESH cover the two scheduling regimes that stress the skip logic —
-// MD is long-latency-bound (deep waitcnt/scoreboard waits, the spans the
-// skipper elides), LULESH is launch-bound (many small kernels, so dispatch
-// and drain edges repeat often).
+// speedup: running with cycle skipping disabled (every CU ticked and every
+// wave visited every cycle) and enabled (sleeping waves and CUs skipped,
+// inert spans jumped) must produce byte-identical statistics, and outputs
+// that pass the workload's check. The whole suite runs under both
+// abstractions — MD is long-latency-bound (deep waitcnt/scoreboard waits),
+// LULESH launch-bound (dispatch and drain edges repeat often), SpMV divergent
+// — plus BitonicSort on one CU with one wavefront slot: barrier-heavy
+// single-slot scheduling, where every workgroup retires on a cycle that
+// leaves the CU empty (the dispatcher once ended the dispatch there, dropping
+// the workgroups still queued).
+//
+// That DisableCycleSkipping really switches every level of skipping off is
+// asserted where the timing core's test hooks are reachable
+// (internal/timing TestNoSkipTicksEverything).
 func TestCycleSkippingDeterminism(t *testing.T) {
 	opts := core.RunOptions{TrackValues: true, ValueSampleEvery: 4, TrackReuse: true}
-	for _, name := range []string{"MD", "LULESH"} {
-		w, err := workloads.ByName(name)
+	type runCase struct {
+		label, workload string
+		scale           int
+		cfg             core.Config
+	}
+	var cases []runCase
+	for _, name := range []string{
+		"ArrayBW", "BitonicSort", "CoMD", "FFT", "HPGMG",
+		"LULESH", "MD", "SNAP", "SpMV", "XSBench",
+	} {
+		cases = append(cases, runCase{name, name, 1, core.DefaultConfig()})
+	}
+	single := core.DefaultConfig()
+	single.NumCUs, single.WFSlots = 1, 1
+	cases = append(cases, runCase{"BitonicSort-1cu-1slot", "BitonicSort", 2, single})
+
+	for _, tc := range cases {
+		w, err := workloads.ByName(tc.workload)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
-			t.Run(name+"/"+abs.String(), func(t *testing.T) {
+			t.Run(tc.label+"/"+abs.String(), func(t *testing.T) {
 				var fps [2][]byte
 				for i, noskip := range []bool{true, false} {
-					inst, err := w.Prepare(1)
+					inst, err := w.Prepare(tc.scale)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sim, err := core.NewSimulator(core.DefaultConfig())
+					sim, err := core.NewSimulator(tc.cfg)
 					if err != nil {
 						t.Fatal(err)
 					}
 					o := opts
 					o.DisableCycleSkipping = noskip
-					run, m, err := sim.Run(abs, name, inst.Setup, o)
+					run, m, err := sim.Run(abs, tc.workload, inst.Setup, o)
 					if err != nil {
 						t.Fatal(err)
 					}

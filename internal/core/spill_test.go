@@ -7,6 +7,7 @@ import (
 	"ilsim/internal/hsail"
 	"ilsim/internal/isa"
 	"ilsim/internal/kernel"
+	"ilsim/internal/kernel/randkernel"
 	"ilsim/internal/stats"
 )
 
@@ -16,7 +17,7 @@ import (
 func TestFinalizerSpillingPreservesSemantics(t *testing.T) {
 	const grid = 64
 	for seed := int64(0); seed < 20; seed++ {
-		k, err := genRandomKernel(seed, false)
+		k, err := randkernel.Gen(seed, false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

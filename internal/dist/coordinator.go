@@ -1198,7 +1198,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		// A quarantined worker stays in the long-poll loop (so it learns
 		// promptly when the campaign finishes, or when its probation
 		// ends) but is never granted a lease.
-		if !cp.quarantinedLocked(req.Worker, now) {
+		// Nor is a request whose worker has hung up (a drain cancels its
+		// lease polls): a bundle granted now would sit unseen until its
+		// leases expire.
+		if !cp.quarantinedLocked(req.Worker, now) && r.Context().Err() == nil {
 			if taken := cp.takeLocked(req.Worker, now, cp.bundleSizeLocked(req.Worker, req.BundleMS)); len(taken) > 0 {
 				bundle := make([]leasedJob, len(taken))
 				for i, idx := range taken {
@@ -1291,14 +1294,29 @@ func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	for _, idx := range req.Indexes {
 		cp.release(idx, req.Worker)
 	}
-	if len(req.Indexes) > 0 {
-		cp.logf("dist: worker %s released %d leases", req.Worker, len(req.Indexes))
-	}
+	released := len(req.Indexes)
 	// Handing leases back without results is a worker's goodbye — mark it
-	// draining so status reflects it and the linger does not wait for it.
+	// draining so status reflects it, the linger does not wait for it, and
+	// a lease poll of its still unwinding is refused rather than granted.
 	cp.mu.Lock()
 	cp.drains[req.Worker] = true
+	if req.All {
+		unlisted := 0
+		for idx, holders := range cp.leases {
+			if _, ok := holders[req.Worker]; ok && cp.state[idx] != stateDone {
+				delete(holders, req.Worker)
+				unlisted++
+			}
+		}
+		if unlisted > 0 {
+			released += unlisted
+			cp.broadcastLocked()
+		}
+	}
 	cp.mu.Unlock()
+	if released > 0 {
+		cp.logf("dist: worker %s released %d leases", req.Worker, released)
+	}
 	reply(w, struct{}{})
 }
 

@@ -184,6 +184,11 @@ type releaseRequest struct {
 	Worker  string `json:"worker"`
 	SetFP   string `json:"setFp"`
 	Indexes []int  `json:"indexes"`
+	// All hands back every lease the coordinator holds for the worker,
+	// listed or not: a drained worker's last word, sent once nothing is
+	// executing. It covers a grant the worker never saw — its reply was
+	// in flight when the drain cut the lease poll short.
+	All bool `json:"all,omitempty"`
 }
 
 // WorkerStatus is one worker's row in the Status snapshot.

@@ -233,3 +233,62 @@ func TestDrainBeforeRun(t *testing.T) {
 		t.Fatalf("campaign: %+v, %v", oc.metrics, oc.err)
 	}
 }
+
+// TestDrainReleasesUnseenGrant covers the grant a draining worker never
+// sees: its lease poll was in flight when the drain cut it short, the
+// coordinator granted a bundle into the closed connection, and the worker —
+// holding nothing it knows of — has nothing to list in a /release. Its
+// last word hands back everything the coordinator holds in its name, so
+// the jobs are pending again at once instead of after the 60 s lease TTL.
+func TestDrainReleasesUnseenGrant(t *testing.T) {
+	jobs := testJobs(t, 2) // 4 jobs
+	want := localFingerprints(t, jobs)
+	ctx := context.Background()
+	c, out := startCampaign(t, ctx, Options{
+		LongPoll: 100 * time.Millisecond,
+		LeaseTTL: 60 * time.Second,
+		Logf:     t.Logf,
+	}, jobs)
+	cp := waitCampaign(t, c)
+
+	// The lost grant, as handleLease leaves it behind.
+	cp.mu.Lock()
+	granted := cp.takeLocked("drainer", time.Now(), 3)
+	cp.mu.Unlock()
+	if len(granted) != 3 {
+		t.Fatalf("granted %v, want 3 jobs", granted)
+	}
+
+	w1 := &Worker{Coordinator: c.Addr(), Name: "drainer", Slots: 2, Logf: t.Logf}
+	w1.Drain()
+	if err := w1.Run(ctx); err != nil {
+		t.Fatalf("draining worker: %v", err)
+	}
+	cp.mu.Lock()
+	for idx, holders := range cp.leases {
+		if _, held := holders["drainer"]; held {
+			t.Errorf("job %d still leased to the drained worker", idx)
+		}
+	}
+	draining := cp.drains["drainer"]
+	cp.mu.Unlock()
+	if !draining {
+		t.Error("coordinator does not list the drained worker as draining")
+	}
+
+	w2 := &Worker{Coordinator: c.Addr(), Name: "relief", Slots: 2}
+	w2Done := make(chan error, 1)
+	go func() { w2Done <- w2.Run(ctx) }()
+	select {
+	case oc := <-out:
+		if oc.err != nil {
+			t.Fatal(oc.err)
+		}
+		checkFingerprints(t, oc.results, want)
+	case <-time.After(30 * time.Second):
+		t.Fatal("campaign did not finish: the unseen grant was never released (TTL would take 60s)")
+	}
+	if err := <-w2Done; err != nil {
+		t.Fatalf("relief worker: %v", err)
+	}
+}

@@ -82,8 +82,10 @@ var errStale = errors.New("dist: worker binary is stale")
 // Drain asks the worker to stop gracefully: the job currently executing
 // in each slot finishes and reports, the unstarted remainder of each
 // bundle is handed back via POST /release (so the coordinator re-leases
-// immediately instead of waiting out the TTL), and Run returns nil. Safe
-// to call from any goroutine, any number of times, before or during Run.
+// immediately instead of waiting out the TTL), a last /release hands back
+// whatever else the coordinator holds in the worker's name, and Run returns
+// nil. Safe to call from any goroutine, any number of times, before or
+// during Run.
 func (w *Worker) Drain() {
 	w.drainMu.Lock()
 	defer w.drainMu.Unlock()
@@ -191,6 +193,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			first = err
 			cancel() // one slot failing fatally stops the rest
 		}
+	}
+	if first == nil && ctx.Err() == nil && w.Draining() {
+		w.release(ctx, nil, true)
 	}
 	return first
 }
@@ -342,20 +347,31 @@ func (w *Worker) runBundle(ctx context.Context, bundle []leasedJob) error {
 }
 
 // releaseRemainder posts the unstarted leases of a draining bundle back
-// to the coordinator — best effort with a short timeout; on failure the
-// coordinator reclaims them at lease-TTL expiry anyway.
+// to the coordinator.
 func (w *Worker) releaseRemainder(ctx context.Context, idxs []int) {
 	if len(idxs) == 0 {
 		return
 	}
 	w.dropHeld(idxs)
+	w.release(ctx, idxs, false)
+}
+
+// release hands leases back to the coordinator: the ones listed, or with
+// all — a drained worker's last word, once every slot has stopped — every
+// lease the coordinator holds for this worker, including one granted to a
+// lease poll the drain had already abandoned. Best effort with a short
+// timeout; on failure the coordinator reclaims them at lease-TTL expiry
+// anyway.
+func (w *Worker) release(ctx context.Context, idxs []int, all bool) {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	if err := w.post(rctx, "/release", releaseRequest{Worker: w.Name, SetFP: w.setFP, Indexes: idxs}, &struct{}{}); err != nil {
-		w.Logf("dist: %s could not release %d leases (%v); coordinator reclaims them at TTL", w.Name, len(idxs), err)
+	if err := w.post(rctx, "/release", releaseRequest{Worker: w.Name, SetFP: w.setFP, Indexes: idxs, All: all}, &struct{}{}); err != nil {
+		w.Logf("dist: %s could not release its leases (%v); coordinator reclaims them at TTL", w.Name, err)
 		return
 	}
-	w.Logf("dist: %s released %d unstarted leases while draining", w.Name, len(idxs))
+	if len(idxs) > 0 {
+		w.Logf("dist: %s released %d unstarted leases while draining", w.Name, len(idxs))
+	}
 }
 
 // addHeld and dropHeld maintain the lease set the heartbeat loop renews.

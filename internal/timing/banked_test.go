@@ -24,10 +24,7 @@ import (
 // Run under -race (make race does) this is also the data-race gate for the
 // task-epoch work-stealing path.
 func TestBankedMemoryDeterminism(t *testing.T) {
-	names := []string{
-		"ArrayBW", "BitonicSort", "CoMD", "FFT", "HPGMG",
-		"LULESH", "MD", "SNAP", "SpMV", "XSBench",
-	}
+	names := suiteNames
 	if testing.Short() {
 		// ArrayBW (memory-bound streams, the drain's stress case), SpMV
 		// (divergent, irregular bank spread), HPGMG (multi-kernel) cover

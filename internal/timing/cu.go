@@ -47,6 +47,13 @@ type waveCtx struct {
 	nextIssue int64
 	barrier   bool
 	done      bool
+
+	// wakeAt is the first cycle at which visiting the wave can do anything:
+	// until then no fill of its can land or start and its next instruction
+	// cannot issue, so tick skips it (see park). stalled marks a sleeping
+	// wave that charges FetchStallCycles every cycle it sleeps through.
+	wakeAt  int64
+	stalled bool
 }
 
 // outstanding returns how many completion cycles are still in the future,
@@ -164,19 +171,18 @@ type cu struct {
 	// cycles rather than resetting every cycle.
 	bankFree []int64
 
-	// order is the issue stage's reusable scheduling scratch: the waves
-	// eligible at the start of the cycle, oldest first. Keeping it on the
-	// CU makes the steady-state issue loop allocation-free.
+	// order is the issue stage's reusable scheduling scratch: the awake
+	// waves eligible at the start of the cycle, oldest first. Keeping it on
+	// the CU makes the steady-state issue loop allocation-free.
 	order []*waveCtx
 
-	// Per-tick skip bookkeeping (see GPU.RunDispatch):
-	//   active    — this tick changed simulation state (fetch started or
-	//               completed, instruction issued, barrier released, ...).
-	//   stallers  — waves that charged FetchStallCycles this tick and will
-	//               charge it again every cycle until their next event.
-	//   nextEvent — earliest future cycle at which this CU's state can
-	//               change without outside input.
-	active    bool
+	// Sleep bookkeeping, left behind by the last real tick:
+	//   nextEvent — the minimum of the waves' wakeAt: the CU's ticks before
+	//               it are inert and are skipped (idle), and the GPU jumps
+	//               to the minimum over CUs. place resets it to wake the CU
+	//               for an incoming workgroup.
+	//   stallers  — waves that charged FetchStallCycles in that tick and
+	//               would charge it again in every cycle slept through.
 	stallers  int
 	nextEvent int64
 }
@@ -208,7 +214,7 @@ func (c *cu) canPlace(wg *emu.WGState, maxWaves int) bool {
 	return c.usedSlots+wg.Info.NumWaves <= cap
 }
 
-// place creates the workgroup's wavefronts in this CU.
+// place creates the workgroup's wavefronts in this CU and wakes it.
 func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 	run := &wgRun{wg: wg, remaining: wg.Info.NumWaves}
 	vregs, _ := eng.RegDemand()
@@ -233,110 +239,148 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 		run.waves = append(run.waves, ctx)
 		c.usedSlots++
 	}
+	c.nextEvent = 0
 }
 
 // tick advances the CU one cycle; it returns how many workgroups finished.
-// Afterwards c.active, c.stallers and c.nextEvent describe the tick for the
-// GPU's cycle-skipping logic.
+//
+// A tick costs what the waves that can act cost. One pass over c.waves skips
+// every wave still asleep (now < wakeAt: one compare), completes and starts
+// instruction-buffer fills for the rest, and collects those that may issue;
+// the issue stage then visits only them. Every visited wave leaves with a
+// new wakeAt (park), their minimum is c.nextEvent, and a CU whose nextEvent
+// lies ahead skips its ticks whole (idle). GPU.NoSkip switches both levels
+// off: every tick then visits every wave, which is the oracle the skipping
+// runs are compared against.
 func (c *cu) tick(now int64) (int, error) {
-	c.active = false
-	c.stallers = 0
-	c.nextEvent = noEvent
-	if len(c.waves) == 0 {
+	skip := !c.g.NoSkip
+	if skip && now < c.nextEvent {
+		c.idle(now, 1)
 		return 0, nil
 	}
-	c.fetchStage(now)
-	finished, err := c.issueStage(now)
-	if err != nil {
-		return 0, err
-	}
-	return finished, nil
-}
+	c.nextEvent = noEvent
+	p := &c.g.P
+	sh := c.g.shadow
 
-// fetchStage completes and starts instruction-buffer fills.
-func (c *cu) fetchStage(now int64) {
+	// c.waves is seq-ordered by construction; filtering into the reusable
+	// scratch snapshots eligibility at the start of the cycle (a barrier
+	// released mid-cycle must not issue until the next cycle).
+	order := c.order[:0]
+	visited, started := 0, 0
+	sleepers, firstWake := 0, noEvent // stalled sleepers; earliest sleeper's wakeAt
 	for _, wv := range c.waves {
+		if at := wv.wakeAt; skip && now < at {
+			if at < firstWake {
+				firstWake = at
+			}
+			if wv.stalled {
+				sleepers++
+			}
+			if sh != nil {
+				sh.waveAsleep(c, wv, now)
+			}
+			continue
+		}
+		visited++
 		if wv.fetchBusy && now >= wv.fetchDone {
 			wv.fetchBusy = false
 			if wv.fetchInEpoch == wv.fetchEpoch {
 				wv.ibBytes += wv.fetchBytes
 			}
-			if !wv.done {
-				c.active = true
+		}
+		if !wv.done && !wv.fetchBusy && wv.ibBytes < p.IBBytes && started < p.FetchWidth {
+			addr := wv.w.PC + uint64(wv.ibBytes)
+			line := addr &^ (mem.LineSize - 1)
+			// The shared (per-4-CU) I-cache lookup is deferred to the drain
+			// phase; until then the fill's completion cycle is unknown, which
+			// noEvent encodes (it cannot satisfy the completion check above,
+			// and waking at it is a no-op).
+			wv.fetchBusy = true
+			wv.fetchDone = noEvent
+			wv.fetchBytes = int(line + mem.LineSize - addr)
+			wv.fetchInEpoch = wv.fetchEpoch
+			c.pend = append(c.pend, pendReq{wv: wv})
+			c.reqs.AppendLine(c.l1iDest, line, false, len(c.pend)-1)
+			started++
+		}
+		if wv.done || wv.barrier {
+			c.park(wv, noEvent, now)
+		} else {
+			order = append(order, wv)
+		}
+	}
+	c.order = order
+	c.wake(firstWake)
+	c.stallers = sleepers
+	c.run.FetchStallCycles += uint64(sleepers)
+	if sh != nil {
+		sh.ticked(c, visited, len(order))
+	}
+	return c.issueStage(now)
+}
+
+// park records when wv next needs visiting: at, the issue stage's bound
+// (noEvent when only a fill or a barrier release can unblock the wave),
+// folded with the wave's own fetch needs. The bound may be early — the visit
+// then changes nothing and parks the wave again — but never late, and that
+// is exact: a wave's instruction buffer and dependency state change only
+// through its own issue, its own fill landing, or the drain completing its
+// own requests in the cycle it issued them, and unit-busy times only grow.
+func (c *cu) park(wv *waveCtx, at, now int64) {
+	if !wv.done {
+		if wv.fetchBusy {
+			// A fill deferred this tick lands its true completion cycle
+			// during drain (complete), lowering wakeAt then.
+			if wv.fetchDone < at {
+				at = wv.fetchDone
 			}
+		} else if wv.ibBytes < c.g.P.IBBytes {
+			// Lost fetch-width arbitration: contend again next cycle.
+			at = now + 1
 		}
 	}
-	started := 0
-	for _, wv := range c.waves {
-		if started >= c.g.P.FetchWidth {
-			break
-		}
-		if wv.done || wv.fetchBusy || wv.ibBytes >= c.g.P.IBBytes {
-			continue
-		}
-		addr := wv.w.PC + uint64(wv.ibBytes)
-		line := addr &^ (mem.LineSize - 1)
-		bytes := int(line + mem.LineSize - addr)
-		// The shared (per-4-CU) I-cache lookup is deferred to the drain
-		// phase; until then the fill's completion cycle is unknown, which
-		// noEvent encodes (it cannot satisfy the completion check above,
-		// and waking at it is a no-op).
-		wv.fetchBusy = true
-		wv.fetchDone = noEvent
-		wv.fetchBytes = bytes
-		wv.fetchInEpoch = wv.fetchEpoch
-		c.pend = append(c.pend, pendReq{wv: wv})
-		c.reqs.AppendLine(c.l1iDest, line, false, len(c.pend)-1)
-		c.active = true
-		started++
-	}
-	// Every in-flight fill is a future event (completion refills the IB, or
-	// frees the fetch slot of a flushed wave). Fills deferred this tick
-	// wake at their true completion cycle during drain.
-	for _, wv := range c.waves {
-		if wv.fetchBusy && !wv.done {
-			c.wake(wv.fetchDone)
+	wv.wakeAt = at
+	wv.stalled = false
+	c.wake(at)
+}
+
+// idle accounts for n cycles from cycle from that the CU sleeps through: none
+// of its waves can act before nextEvent, so all its ticks would have done is
+// charge FetchStallCycles once per stalled wave per cycle.
+func (c *cu) idle(from, n int64) {
+	c.run.FetchStallCycles += uint64(c.stallers) * uint64(n)
+	if sh := c.g.shadow; sh != nil {
+		for t := from; t < from+n; t++ {
+			sh.cuAsleep(c, t)
 		}
 	}
 }
 
 // complete is the drain callback: it lands one deferred access's
 // completion cycle. Fetch fills (nil info) record the fill time and wake
-// the CU exactly as the serial fetch stage did — unconditionally, because
-// the requesting wave was live when the fill started, which is when the
-// serial loop registered the wake. Data accesses feed the wave's
-// dependency state.
+// the wave and the CU then. Data accesses feed the wave's dependency state.
 func (c *cu) complete(tag int, ready int64) {
 	p := &c.pend[tag]
 	if p.info == nil {
 		p.wv.fetchDone = ready
+		if ready < p.wv.wakeAt {
+			p.wv.wakeAt = ready
+		}
 		c.wake(ready)
 		return
 	}
 	c.finishMem(p.wv, p.info, ready)
 }
 
-// issueStage picks ready wavefronts oldest-first and issues at most one
-// instruction per execution unit. Waves blocked this cycle report the cycle
-// their blocking condition can next change via c.wake, which is what makes
-// whole-GPU cycle skipping exact.
+// issueStage picks ready wavefronts oldest-first from c.order and issues at
+// most one instruction per execution unit. A wave blocked this cycle parks
+// until the exact cycle its blocking condition can next change.
 func (c *cu) issueStage(now int64) (int, error) {
-	// c.waves is seq-ordered by construction; filtering into the reusable
-	// scratch snapshots eligibility at the start of the cycle (a barrier
-	// released mid-cycle must not issue until the next cycle).
-	order := c.order[:0]
-	for _, wv := range c.waves {
-		if !wv.done && !wv.barrier {
-			order = append(order, wv)
-		}
-	}
-	c.order = order
-
 	finished := 0
 	run := c.run
-	for _, wv := range order {
+	for _, wv := range c.order {
 		if now < wv.nextIssue {
-			c.wake(wv.nextIssue)
+			c.park(wv, wv.nextIssue, now)
 			continue
 		}
 		if wv.info == nil {
@@ -348,23 +392,19 @@ func (c *cu) issueStage(now int64) (int, error) {
 		}
 		info := wv.info
 		if wv.ibBytes < info.SizeBytes {
-			if run != nil {
-				run.FetchStallCycles++
-			}
-			// The stall repeats every cycle until the in-flight fill
-			// lands; RunDispatch bulk-charges it across skipped cycles.
+			// The stall repeats every cycle until a fill lands, asleep or
+			// awake; idle bulk-charges it across cycles the CU sleeps
+			// through.
+			run.FetchStallCycles++
 			c.stallers++
-			if !wv.fetchBusy {
-				// No fill in flight (fetch-width starvation): retry next
-				// cycle.
-				c.wake(now + 1)
-			}
+			c.park(wv, noEvent, now)
+			wv.stalled = true
 			continue
 		}
 		// Dependency checks.
 		if wv.vregReady != nil {
-			if !c.scoreboardReady(wv, info, now) {
-				c.wake(scoreboardReadyAt(wv, info))
+			if at := scoreboardReadyAt(wv, info); at > now {
+				c.park(wv, at, now)
 				continue
 			}
 		} else {
@@ -372,29 +412,18 @@ func (c *cu) issueStage(now int64) (int, error) {
 				// vmcnt completes in order (vmemDone is non-decreasing):
 				// the counter reaches WaitVM exactly when the
 				// (n-WaitVM)-th oldest operation lands.
-				c.wake(wv.vmemDone[len(wv.vmemDone)-1-int(info.WaitVM)])
+				c.park(wv, wv.vmemDone[len(wv.vmemDone)-1-int(info.WaitVM)], now)
 				continue
 			}
 			if info.WaitLGKM >= 0 && outstanding(&wv.lgkmDone, now) > int(info.WaitLGKM) {
-				c.wake(kthSmallest(wv.lgkmDone, len(wv.lgkmDone)-int(info.WaitLGKM)))
+				c.park(wv, kthSmallest(wv.lgkmDone, len(wv.lgkmDone)-int(info.WaitLGKM)), now)
 				continue
 			}
 		}
 		// Execution-unit availability.
-		var busy *int64
-		var occ int64
-		switch info.Category {
-		case isa.CatVALU:
-			busy, occ = &c.simdBusy[wv.simd], c.g.P.SIMDIssueCycles
-		case isa.CatVMem:
-			busy, occ = &c.vmemBusy, c.g.P.VMemIssueCycles
-		case isa.CatLDS:
-			busy, occ = &c.ldsBusy, c.g.P.VMemIssueCycles
-		default: // scalar ALU, scalar memory, branch, waitcnt, misc
-			busy, occ = &c.scalarBusy, c.g.P.ScalarIssueCycles
-		}
+		busy, occ := c.unit(wv, info)
 		if *busy > now {
-			c.wake(*busy)
+			c.park(wv, *busy, now)
 			continue
 		}
 
@@ -402,7 +431,6 @@ func (c *cu) issueStage(now int64) (int, error) {
 		if err != nil {
 			return finished, err
 		}
-		c.active = true
 		*busy = now + occ
 		wv.nextIssue = now + 1
 		wv.ibBytes -= info.SizeBytes
@@ -431,13 +459,9 @@ func (c *cu) issueStage(now int64) (int, error) {
 		}
 		if conflicts > 0 {
 			*busy += conflicts
-			if run != nil {
-				run.VRFBankConflicts += uint64(conflicts)
-			}
+			run.VRFBankConflicts += uint64(conflicts)
 		}
-		if run != nil {
-			run.VRFAccesses += uint64(info.VRFReads.N) + uint64(info.VRFWrites.N)
-		}
+		run.VRFAccesses += uint64(info.VRFReads.N) + uint64(info.VRFWrites.N)
 
 		c.retire(wv, info, &res, now)
 		if res.IsEndPgm {
@@ -448,29 +472,35 @@ func (c *cu) issueStage(now int64) (int, error) {
 				finished++
 			}
 		}
+		at := wv.nextIssue
+		if wv.done || wv.barrier {
+			at = noEvent
+		}
+		c.park(wv, at, now)
 	}
 	return finished, nil
 }
 
-// scoreboardReady implements the HSAIL hardware scoreboard: every register
-// the instruction touches must have its pending write complete.
-func (c *cu) scoreboardReady(wv *waveCtx, info *emu.InstInfo, now int64) bool {
-	for _, r := range info.VRFReads.Slice() {
-		if wv.vregReady[r] > now {
-			return false
-		}
+// unit returns the execution unit an instruction issues to — the cycle it
+// is busy until — and how many cycles an issue occupies it.
+func (c *cu) unit(wv *waveCtx, info *emu.InstInfo) (busy *int64, occ int64) {
+	switch info.Category {
+	case isa.CatVALU:
+		return &c.simdBusy[wv.simd], c.g.P.SIMDIssueCycles
+	case isa.CatVMem:
+		return &c.vmemBusy, c.g.P.VMemIssueCycles
+	case isa.CatLDS:
+		return &c.ldsBusy, c.g.P.VMemIssueCycles
+	default: // scalar ALU, scalar memory, branch, waitcnt, misc
+		return &c.scalarBusy, c.g.P.ScalarIssueCycles
 	}
-	for _, r := range info.VRFWrites.Slice() {
-		if wv.vregReady[r] > now {
-			return false
-		}
-	}
-	return true
 }
 
-// scoreboardReadyAt returns the cycle at which every register the blocked
-// instruction touches has its pending write complete. Pending writes only
-// move on issue (an event), so between events this bound is exact.
+// scoreboardReadyAt implements the HSAIL hardware scoreboard: it returns the
+// cycle at which every register the instruction touches has its pending
+// write complete, and the instruction may issue no earlier. Pending writes
+// only move on the wave's own issue, so for a blocked wave the bound is
+// exact.
 func scoreboardReadyAt(wv *waveCtx, info *emu.InstInfo) int64 {
 	var at int64
 	for _, r := range info.VRFReads.Slice() {
@@ -533,12 +563,9 @@ func (c *cu) retire(wv *waveCtx, info *emu.InstInfo, res *emu.ExecResult, now in
 	}
 
 	if res.Redirected {
-		run := c.run
-		if run != nil {
-			run.Redirects++
-			if wv.ibBytes > 0 || wv.fetchBusy {
-				run.IBFlushes++
-			}
+		c.run.Redirects++
+		if wv.ibBytes > 0 || wv.fetchBusy {
+			c.run.IBFlushes++
 		}
 		wv.ibBytes = 0
 		wv.fetchEpoch++ // cancel any in-flight fill
@@ -577,7 +604,7 @@ func (c *cu) finishMem(wv *waveCtx, info *emu.InstInfo, ready int64) {
 }
 
 // checkBarrier releases a workgroup barrier once every unfinished wave has
-// arrived.
+// arrived, waking the released waves and the CU.
 func (c *cu) checkBarrier(run *wgRun) {
 	for _, wv := range run.waves {
 		if !wv.done && !wv.barrier {
@@ -586,7 +613,9 @@ func (c *cu) checkBarrier(run *wgRun) {
 	}
 	for _, wv := range run.waves {
 		wv.barrier = false
+		wv.wakeAt = 0
 	}
+	c.nextEvent = 0
 }
 
 // releaseWG frees the workgroup's slots. The compaction is stable, so

@@ -77,21 +77,23 @@ func cycle(c *cu, now int64) error {
 // the steady-state workload for the drain's routing path.
 type memStubEngine struct {
 	stubEngine
+	// region is the span the loads sweep cyclically: twice a cache's
+	// capacity never hits in it.
+	region uint64
 	cursor uint64
 	lines  [4]uint64
 }
 
 func newMemStubEngine() *memStubEngine {
-	e := &memStubEngine{stubEngine: *newStubEngine()}
+	e := &memStubEngine{stubEngine: *newStubEngine(), region: 2 * uint64(DefaultParams().L1DSize)}
 	e.info.Category = isa.CatVMem
 	return e
 }
 
 func (e *memStubEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
 	w.PC += 4
-	const region = 32 << 10 // 2x the default L1D: a cyclic sweep never hits L1
 	for i := range e.lines {
-		e.lines[i] = e.cursor % region
+		e.lines[i] = e.cursor % e.region
 		e.cursor += 64
 	}
 	return emu.ExecResult{ActiveLanes: isa.WavefrontSize,
@@ -185,50 +187,158 @@ func TestDrainRoutingNoAllocs(t *testing.T) {
 	}
 }
 
+// blockedStubEngine is the mostly-blocked steady state of a memory-bound
+// kernel: waves below ready stream vector-ALU work as under stubEngine; every
+// other wave alternates a global load that misses all the way to DRAM with
+// the s_waitcnt vmcnt(0) that waits for it, so it spends nearly all its
+// cycles parked on the load's completion.
+type blockedStubEngine struct {
+	memStubEngine
+	ready      int
+	load, wait emu.InstInfo
+}
+
+func newBlockedStubEngine(ready int) *blockedStubEngine {
+	e := &blockedStubEngine{ready: ready, memStubEngine: memStubEngine{
+		stubEngine: *newStubEngine(), region: 2 * uint64(DefaultParams().L2Size)}}
+	e.load = emu.InstInfo{SizeBytes: 4, Category: isa.CatVMem, IsVMem: true, WaitVM: -1, WaitLGKM: -1}
+	e.load.VRFWrites.Add(2, 1)
+	e.wait = emu.InstInfo{SizeBytes: 4, Category: isa.CatWaitcnt, LatClass: emu.LatScalar, WaitVM: 0, WaitLGKM: -1}
+	return e
+}
+
+func (e *blockedStubEngine) loads(w *emu.Wave) bool {
+	return w.WaveID >= e.ready && (w.PC/4)%2 == 0
+}
+
+func (e *blockedStubEngine) Peek(w *emu.Wave) (*emu.InstInfo, error) {
+	switch {
+	case w.WaveID < e.ready:
+		return &e.info, nil
+	case e.loads(w):
+		return &e.load, nil
+	}
+	return &e.wait, nil
+}
+
+func (e *blockedStubEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
+	if e.loads(w) {
+		return e.memStubEngine.Execute(w)
+	}
+	return e.stubEngine.Execute(w)
+}
+
+// benchBlockedCU builds one CU with a full complement of 40 waves, ready of
+// them streaming vector-ALU work and the rest parked on loads.
+func benchBlockedCU(ready int) *cu {
+	const waves = 40
+	g := NewGPU(DefaultParams(), &stats.Run{})
+	d := &hsa.Dispatch{Workgroups: make([]hsa.WorkgroupInfo, 1)}
+	d.Workgroups[0] = hsa.WorkgroupInfo{Size: waves * isa.WavefrontSize, NumWaves: waves}
+	c := g.cus[0]
+	c.place(emu.NewWGState(d, &d.Workgroups[0], 0), newBlockedStubEngine(ready))
+	return c
+}
+
+// benchInertCU builds one CU whose 40 waves all wait on a load that never
+// lands: once their instruction buffers have filled, every tick is a sleeping
+// CU's.
+func benchInertCU() *cu {
+	c := benchBlockedCU(0)
+	for _, wv := range c.waves {
+		wv.w.PC = 4 // the waiting instruction
+		wv.vmemDone = append(wv.vmemDone, 1<<40)
+	}
+	return c
+}
+
+// warm runs c through its first 2048 cycles: cold-start growth (order
+// scratch, request buffers, dependency lists, cache compulsory misses) and,
+// for the blocked shapes, several load round trips per wave.
+func warm(tb testing.TB, c *cu) (now int64) {
+	for ; now < 2048; now++ {
+		if err := cycle(c, now); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return now
+}
+
 // TestIssueStageNoAllocs pins the allocation invariant the parallel timing
 // core inherits from the serial one: once a CU is in steady state, a full
 // two-phase cycle — tick (fetch + issue + execute + retire into the request
 // buffer) plus drain (deferred cache accesses) — allocates nothing. This is
 // exactly the per-worker scratch contract: every buffer involved (order
-// scratch, request buffer, pending metadata) is CU-owned and reused.
+// scratch, request buffer, pending metadata) is CU-owned and reused. The
+// contract covers every shape a tick takes: all waves issuing, most waves
+// asleep and waking as their loads land (park, wake, re-park), and a CU
+// asleep as a whole.
 func TestIssueStageNoAllocs(t *testing.T) {
-	c := benchCU(8)
-	now := int64(0)
-	// Warm past cold-start growth (order scratch, request buffers, cache
-	// compulsory misses).
-	for ; now < 512; now++ {
-		if err := cycle(c, now); err != nil {
-			t.Fatal(err)
+	for _, shape := range []struct {
+		name string
+		c    *cu
+	}{
+		{"all-ready", benchCU(8)},
+		{"mostly-blocked", benchBlockedCU(2)},
+		{"inert", benchInertCU()},
+	} {
+		c := shape.c
+		now := warm(t, c)
+		// The stub engines commit nothing to the stats shard; operand
+		// traffic counts issues and the L1D counts the loads among them.
+		issues, loads := c.run.VRFAccesses, c.l1d.Stats().Accesses
+		avg := testing.AllocsPerRun(4000, func() {
+			if err := cycle(c, now); err != nil {
+				t.Fatal(err)
+			}
+			now++
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state cycle allocates: %v allocs/op, want 0", shape.name, avg)
 		}
-	}
-	avg := testing.AllocsPerRun(2000, func() {
-		if err := cycle(c, now); err != nil {
-			t.Fatal(err)
+		// Sanity: the shape is what its name says.
+		issued, loaded := c.run.VRFAccesses > issues, c.l1d.Stats().Accesses > loads
+		switch shape.name {
+		case "inert":
+			if issued || c.nextEvent != 1<<40 {
+				t.Errorf("inert: issued=%v and the CU wakes at %d (now %d)", issued, c.nextEvent, now)
+			}
+		case "mostly-blocked":
+			if !issued || !loaded {
+				t.Errorf("mostly-blocked: issued=%v loaded=%v: nothing slept and woke", issued, loaded)
+			}
+		default:
+			if !issued {
+				t.Errorf("%s: nothing issued", shape.name)
+			}
 		}
-		now++
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state cycle allocates: %v allocs/op, want 0", avg)
 	}
 }
 
-// BenchmarkIssueStage measures the per-cycle cost of one CU's pipeline in
-// steady state (8 resident waves issuing vector-ALU work), including the
-// phase-2 drain.
+// BenchmarkIssueStage measures the per-cycle cost (ns/op is ns per tick) of
+// one CU's pipeline in steady state, including the phase-2 drain, in the two
+// shapes that bracket real kernels: ready is 8 resident waves all issuing
+// vector-ALU work, blocked is 40 resident waves of which 2 issue and 38 sit
+// parked on loads.
 func BenchmarkIssueStage(b *testing.B) {
-	c := benchCU(8)
-	now := int64(0)
-	for ; now < 512; now++ {
-		if err := cycle(c, now); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := cycle(c, now); err != nil {
-			b.Fatal(err)
-		}
-		now++
+	for _, shape := range []struct {
+		name  string
+		build func() *cu
+	}{
+		{"ready", func() *cu { return benchCU(8) }},
+		{"blocked", func() *cu { return benchBlockedCU(2) }},
+	} {
+		b.Run(shape.name, func(b *testing.B) {
+			c := shape.build()
+			now := warm(b, c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cycle(c, now); err != nil {
+					b.Fatal(err)
+				}
+				now++
+			}
+		})
 	}
 }

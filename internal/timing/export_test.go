@@ -1,0 +1,162 @@
+package timing
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+)
+
+// Shadow is the sleep-bound oracle the tests install: for every wave a tick
+// skips as asleep and every cycle a CU sleeps through — alone or as part of
+// a GPU-wide jump — it re-runs the unabridged fetch and issue checks
+// (refWave: what a tick-everything run would do with that wave that cycle)
+// and records a failure if the wave could have acted or would have charged
+// FetchStallCycles differently from what the sleeper charged for it. It
+// also tallies what the real ticks did. Safe under Parallelism > 1.
+type Shadow struct {
+	// WavesAsleep counts wave visits skipped inside real ticks,
+	// CUCyclesAsleep CU ticks skipped (one per CU per cycle slept).
+	WavesAsleep, CUCyclesAsleep atomic.Int64
+	// Ticks counts real CU ticks; Resident sums the waves resident at each,
+	// Visited the waves its pass visited, Checked those that went through
+	// the issue stage's eligibility checks.
+	Ticks, Resident, Visited, Checked atomic.Int64
+
+	mu       sync.Mutex
+	failures []string
+	nFailed  int
+}
+
+// InstallShadow makes every GPU built until the test ends report to a fresh
+// Shadow.
+func InstallShadow(t testing.TB) *Shadow {
+	s := &Shadow{}
+	shadow = &shadowHooks{waveAsleep: s.waveAsleep, cuAsleep: s.cuAsleep, ticked: s.ticked}
+	t.Cleanup(func() { shadow = nil })
+	return s
+}
+
+// Failures returns how many checks failed and the first few messages.
+func (s *Shadow) Failures() (int, []string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nFailed, s.failures
+}
+
+func (s *Shadow) failf(format string, args ...any) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.nFailed++; len(s.failures) < 8 {
+		s.failures = append(s.failures, fmt.Sprintf(format, args...))
+	}
+}
+
+func (s *Shadow) ticked(c *cu, visited, checked int) {
+	s.Ticks.Add(1)
+	s.Resident.Add(int64(len(c.waves)))
+	s.Visited.Add(int64(visited))
+	s.Checked.Add(int64(checked))
+}
+
+func (s *Shadow) waveAsleep(c *cu, wv *waveCtx, now int64) {
+	s.WavesAsleep.Add(1)
+	o, err := refWave(c, wv, now)
+	switch {
+	case err != nil:
+		s.failf("cycle %d CU %d wave %d: %v", now, c.id, wv.seq, err)
+	case o.fetch || o.issue:
+		s.failf("cycle %d CU %d wave %d asleep until %d, but a visit would act: %+v", now, c.id, wv.seq, wv.wakeAt, o)
+	case o.stall != wv.stalled:
+		s.failf("cycle %d CU %d wave %d asleep with stalled=%v, but a visit would have stall=%v", now, c.id, wv.seq, wv.stalled, o.stall)
+	}
+}
+
+func (s *Shadow) cuAsleep(c *cu, now int64) {
+	s.CUCyclesAsleep.Add(1)
+	stallers := 0
+	for _, wv := range c.waves {
+		o, err := refWave(c, wv, now)
+		switch {
+		case err != nil:
+			s.failf("cycle %d CU %d wave %d: %v", now, c.id, wv.seq, err)
+		case o.fetch || o.issue:
+			s.failf("cycle %d CU %d asleep until %d, but a tick would act on wave %d: %+v", now, c.id, c.nextEvent, wv.seq, o)
+		case o.stall:
+			stallers++
+		}
+	}
+	if stallers != c.stallers {
+		s.failf("cycle %d CU %d asleep charging %d stallers, a tick would charge %d", now, c.id, c.stallers, stallers)
+	}
+}
+
+// refOutcome is what visiting a wave would do: land or start a fill, issue
+// its next instruction, charge FetchStallCycles for an empty buffer.
+type refOutcome struct{ fetch, issue, stall bool }
+
+// refWave is the fetch and issue stages' treatment of one wave with no sleep
+// state consulted and nothing modified: the checks, in order, that a
+// tick-everything run applies to every wave every cycle. Unit-busy times are
+// read as they stand before this cycle's issues, which can only make the
+// verdict stricter (another wave taking the unit first would block this one).
+func refWave(c *cu, wv *waveCtx, now int64) (refOutcome, error) {
+	var o refOutcome
+	if wv.done {
+		// Nothing is started for a finished wave, and a fill still in
+		// flight lands unobserved.
+		return o, nil
+	}
+	if wv.fetchBusy {
+		o.fetch = now >= wv.fetchDone
+	} else {
+		o.fetch = wv.ibBytes < c.g.P.IBBytes
+	}
+	if wv.barrier || now < wv.nextIssue {
+		return o, nil
+	}
+	info := wv.info
+	if info == nil {
+		var err error
+		if info, err = wv.eng.Peek(wv.w); err != nil {
+			return o, err
+		}
+	}
+	if wv.ibBytes < info.SizeBytes {
+		o.stall = true
+		return o, nil
+	}
+	if wv.vregReady != nil {
+		for _, r := range info.VRFReads.Slice() {
+			if wv.vregReady[r] > now {
+				return o, nil
+			}
+		}
+		for _, r := range info.VRFWrites.Slice() {
+			if wv.vregReady[r] > now {
+				return o, nil
+			}
+		}
+	} else {
+		if info.WaitVM >= 0 && pendingAfter(wv.vmemDone, now) > int(info.WaitVM) {
+			return o, nil
+		}
+		if info.WaitLGKM >= 0 && pendingAfter(wv.lgkmDone, now) > int(info.WaitLGKM) {
+			return o, nil
+		}
+	}
+	busy, _ := c.unit(wv, info)
+	o.issue = *busy <= now
+	return o, nil
+}
+
+// pendingAfter is outstanding without the compaction.
+func pendingAfter(list []int64, now int64) int {
+	n := 0
+	for _, at := range list {
+		if at > now {
+			n++
+		}
+	}
+	return n
+}

@@ -21,10 +21,7 @@ import (
 // Run under -race (make race does) this is also the data-race gate for the
 // phase-1 worker pool.
 func TestParallelTimingDeterminism(t *testing.T) {
-	names := []string{
-		"ArrayBW", "BitonicSort", "CoMD", "FFT", "HPGMG",
-		"LULESH", "MD", "SNAP", "SpMV", "XSBench",
-	}
+	names := suiteNames
 	if testing.Short() {
 		// MD (latency-bound), SpMV (divergent), HPGMG (multi-kernel
 		// stencil) cover the scheduling regimes.

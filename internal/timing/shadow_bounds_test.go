@@ -1,0 +1,142 @@
+package timing
+
+import (
+	"reflect"
+	"testing"
+)
+
+// run advances c by n cycles from now.
+func run(tb testing.TB, c *cu, now, n int64) int64 {
+	for end := now + n; now < end; now++ {
+		if err := cycle(c, now); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return now
+}
+
+// runUntil advances c until cond holds after a cycle and returns the next
+// cycle.
+func runUntil(tb testing.TB, c *cu, now int64, cond func(now int64) bool) int64 {
+	for limit := now + 1<<16; now < limit; {
+		if err := cycle(c, now); err != nil {
+			tb.Fatal(err)
+		}
+		if now++; cond(now) {
+			return now
+		}
+	}
+	tb.Fatal("condition never held")
+	return now
+}
+
+// TestShadowRefutesWrongBounds shows the oracle has teeth: the mostly-blocked
+// CU that passes it untouched fails it as soon as a sleep bound is one cycle
+// late — at the wave level, at the CU level, or in what a sleeper is charged —
+// while a bound one cycle early, which the design allows (the early visit
+// finds nothing to do and parks the wave again), passes and leaves every
+// counter where the unperturbed run leaves it.
+func TestShadowRefutesWrongBounds(t *testing.T) {
+	// sleeping reports whether wv sits out cycle now on a bound that a
+	// one-cycle shift keeps meaningful.
+	sleeping := func(wv *waveCtx, now int64) bool {
+		return wv.wakeAt > now+1 && wv.wakeAt != noEvent
+	}
+	failures := func(sh *Shadow) int { n, _ := sh.Failures(); return n }
+
+	t.Run("exact", func(t *testing.T) {
+		sh := InstallShadow(t)
+		c := benchBlockedCU(2)
+		run(t, c, warm(t, c), 4096)
+		if n, msgs := sh.Failures(); n != 0 {
+			t.Fatalf("unperturbed run refuted %d times: %v", n, msgs)
+		}
+		if sh.WavesAsleep.Load() == 0 {
+			t.Fatal("nothing slept")
+		}
+	})
+
+	t.Run("wave bound late", func(t *testing.T) {
+		sh := InstallShadow(t)
+		c := benchBlockedCU(2)
+		now := warm(t, c)
+		for _, wv := range c.waves {
+			if sleeping(wv, now) {
+				wv.wakeAt++
+			}
+		}
+		c.nextEvent = 0 // keep the CU awake: this case is about the waves
+		run(t, c, now, 1024)
+		if failures(sh) == 0 {
+			t.Fatal("every sleeping wave woke a cycle late and the oracle saw nothing")
+		}
+	})
+
+	t.Run("wave bound early", func(t *testing.T) {
+		sh := InstallShadow(t)
+		c, twin := benchBlockedCU(2), benchBlockedCU(2)
+		now, twinNow := warm(t, c), warm(t, twin)
+		for i := 0; i < 64; i++ {
+			for _, wv := range c.waves {
+				if sleeping(wv, now) {
+					wv.wakeAt--
+				}
+			}
+			c.nextEvent = 0
+			now = run(t, c, now, 16)
+		}
+		run(t, twin, twinNow, 64*16)
+		if n, msgs := sh.Failures(); n != 0 {
+			t.Fatalf("early bounds refuted %d times: %v", n, msgs)
+		}
+		if !reflect.DeepEqual(c.run, twin.run) || c.l1d.Stats() != twin.l1d.Stats() {
+			t.Fatalf("early bounds changed the run:\n%+v\n%+v", c.run, twin.run)
+		}
+	})
+
+	t.Run("CU bound late", func(t *testing.T) {
+		sh := InstallShadow(t)
+		c := benchBlockedCU(0)
+		now := runUntil(t, c, warm(t, c), func(now int64) bool {
+			return c.nextEvent > now+1 && c.nextEvent != noEvent
+		})
+		c.nextEvent++
+		run(t, c, now, c.nextEvent-now)
+		if failures(sh) == 0 {
+			t.Fatal("the CU slept through a wave's wake-up and the oracle saw nothing")
+		}
+	})
+
+	t.Run("stall charge dropped", func(t *testing.T) {
+		// Cold start: every wave's first fill misses the I-cache, so
+		// waves sleep on it while charging FetchStallCycles.
+		stalled := func(c *cu, now int64) *waveCtx {
+			for _, wv := range c.waves {
+				if wv.stalled && sleeping(wv, now) {
+					return wv
+				}
+			}
+			return nil
+		}
+		sh := InstallShadow(t)
+		c := benchBlockedCU(2)
+		now := runUntil(t, c, 0, func(now int64) bool { return stalled(c, now) != nil })
+		stalled(c, now).stalled = false
+		c.nextEvent = 0
+		run(t, c, now, 1)
+		if failures(sh) == 0 {
+			t.Fatal("a sleeping wave stopped charging its fetch stall and the oracle saw nothing")
+		}
+
+		sh = InstallShadow(t)
+		c = benchBlockedCU(0)
+		now = runUntil(t, c, 0, func(now int64) bool {
+			return c.stallers > 0 && c.nextEvent > now
+		})
+		c.stallers--
+		run(t, c, now, 1)
+		if failures(sh) == 0 {
+			t.Fatal("a sleeping CU undercharged its stallers and the oracle saw nothing")
+		}
+	})
+}

@@ -1,0 +1,313 @@
+package timing_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"ilsim/internal/core"
+	"ilsim/internal/finalizer"
+	"ilsim/internal/kernel/randkernel"
+	"ilsim/internal/stats"
+	"ilsim/internal/timing"
+	"ilsim/internal/workloads"
+)
+
+// suiteNames is the Table 5 suite.
+var suiteNames = []string{
+	"ArrayBW", "BitonicSort", "CoMD", "FFT", "HPGMG",
+	"LULESH", "MD", "SNAP", "SpMV", "XSBench",
+}
+
+// requireClean fails the test with the oracle's first messages if any sleep
+// bound was refuted.
+func requireClean(t *testing.T, sh *timing.Shadow) {
+	t.Helper()
+	if n, msgs := sh.Failures(); n > 0 {
+		t.Errorf("%d sleep-bound violations, first:", n)
+		for _, m := range msgs {
+			t.Errorf("  %s", m)
+		}
+	}
+}
+
+// TestSleepBoundsShadow is the invariant behind the three skipping levels
+// (wave wakeAt, CU sleep, GPU jump): with the shadow oracle installed, every
+// wave and every CU cycle the timing core skips is re-checked against the
+// unabridged fetch/issue rules, and none may have been able to act or have
+// been charged a different FetchStallCycles. Every workload of the suite
+// under both abstractions, serial and pooled, plus random structured kernels
+// on machines small enough that workgroups queue behind occupied slots.
+func TestSleepBoundsShadow(t *testing.T) {
+	names := suiteNames
+	if testing.Short() {
+		names = []string{"MD", "SpMV", "BitonicSort"}
+	}
+	for _, name := range names {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+			t.Run(name+"/"+abs.String(), func(t *testing.T) {
+				for _, par := range []int{1, 2} {
+					sh := timing.InstallShadow(t)
+					inst, err := w.Prepare(1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sim, err := core.NewSimulator(core.DefaultConfig())
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, m, err := sim.Run(abs, name, inst.Setup, core.RunOptions{CUParallelism: par})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := inst.Check(m); err != nil {
+						t.Fatal(err)
+					}
+					requireClean(t, sh)
+					if sh.WavesAsleep.Load() == 0 || sh.CUCyclesAsleep.Load() == 0 {
+						t.Errorf("cu-par=%d: nothing slept (waves %d, CU cycles %d): the oracle checked nothing",
+							par, sh.WavesAsleep.Load(), sh.CUCyclesAsleep.Load())
+					}
+				}
+			})
+		}
+	}
+
+	t.Run("random", func(t *testing.T) {
+		seeds := 24
+		if testing.Short() {
+			seeds = 6
+		}
+		// The grid is four one-wave workgroups: they queue two deep on two
+		// single-slot CUs, share one CU's SIMDs, or spread over the default
+		// machine.
+		var sims []*core.Simulator
+		for _, shape := range [][2]int{{2, 1}, {1, 4}, {8, 40}} {
+			cfg := core.DefaultConfig()
+			cfg.NumCUs, cfg.WFSlots = shape[0], shape[1]
+			sim, err := core.NewSimulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sims = append(sims, sim)
+		}
+		sh := timing.InstallShadow(t)
+		for seed := int64(0); seed < int64(seeds); seed++ {
+			sim := sims[seed%int64(len(sims))]
+			k, err := randkernel.Gen(seed, false)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			ks, err := core.PrepareKernel(k, finalizer.Options{})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			var outs [2][]uint32
+			for i, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+				_, outs[i] = runRandomTimed(t, sim, ks, abs, seed)
+			}
+			for i := range outs[0] {
+				if outs[0][i] != outs[1][i] {
+					t.Fatalf("seed %d: timed HSAIL and GCN3 disagree at lane %d: %#x != %#x",
+						seed, i, outs[0][i], outs[1][i])
+				}
+			}
+		}
+		requireClean(t, sh)
+		if sh.WavesAsleep.Load() == 0 || sh.CUCyclesAsleep.Load() == 0 {
+			t.Error("nothing slept: the oracle checked nothing")
+		}
+	})
+}
+
+// randGrid is the largest grid a generated kernel takes (it reads in[gid]):
+// four one-wave workgroups.
+const randGrid = randkernel.BufWords
+
+// randomSetup returns the setup for one generated kernel — the seeded input
+// buffer, an output word per work-item, one launch — and where it put the
+// output.
+func randomSetup(ks *core.KernelSource, seed int64) (setup func(m *core.Machine) error, out *uint64) {
+	out = new(uint64)
+	return func(m *core.Machine) error {
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		in := m.Ctx.AllocBuffer(4 * randkernel.BufWords)
+		*out = m.Ctx.AllocBuffer(4 * randGrid)
+		for i := 0; i < randkernel.BufWords; i++ {
+			m.Ctx.Mem.WriteU32(in+uint64(4*i), rng.Uint32())
+		}
+		return m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{randGrid, 1, 1},
+			WG: [3]uint16{64, 1, 1}, Args: []uint64{in, *out}})
+	}, out
+}
+
+// runRandomTimed runs one generated kernel on the timed model and returns
+// its run and its output.
+func runRandomTimed(t *testing.T, sim *core.Simulator, ks *core.KernelSource, abs core.Abstraction, seed int64) (*stats.Run, []uint32) {
+	t.Helper()
+	setup, out := randomSetup(ks, seed)
+	run, m, err := sim.Run(abs, fmt.Sprintf("rand_%d", seed), setup, core.RunOptions{})
+	if err != nil {
+		t.Fatalf("seed %d (%s): %v", seed, abs, err)
+	}
+	return run, readWords(m, *out, randGrid)
+}
+
+func readWords(m *core.Machine, addr uint64, n int) []uint32 {
+	got := make([]uint32, n)
+	for i := range got {
+		got[i] = m.Ctx.Mem.ReadU32(addr + uint64(4*i))
+	}
+	return got
+}
+
+// TestNoSkipTicksEverything pins what DisableCycleSkipping promises the
+// determinism tests that use it as their oracle: every CU really ticks every
+// cycle and every tick really visits every resident wave — no level of
+// sleeping left on — while the default run skips at every level and still
+// ends with the same fingerprint. BitonicSort on one CU with one wavefront
+// slot is the barrier-heavy single-slot schedule (and the configuration that
+// used to drop workgroups); SpMV on the default machine sleeps on memory.
+func TestNoSkipTicksEverything(t *testing.T) {
+	single := core.DefaultConfig()
+	single.NumCUs, single.WFSlots = 1, 1
+	for _, tc := range []struct {
+		name  string
+		cfg   core.Config
+		scale int
+	}{
+		{"BitonicSort", single, 2},
+		{"SpMV", core.DefaultConfig(), 1},
+	} {
+		w, err := workloads.ByName(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+			t.Run(tc.name+"/"+abs.String(), func(t *testing.T) {
+				var fps [2][]byte
+				for i, noskip := range []bool{true, false} {
+					sh := timing.InstallShadow(t)
+					inst, err := w.Prepare(tc.scale)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sim, err := core.NewSimulator(tc.cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					run, m, err := sim.Run(abs, tc.name, inst.Setup, core.RunOptions{DisableCycleSkipping: noskip})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := inst.Check(m); err != nil {
+						t.Fatal(err)
+					}
+					requireClean(t, sh)
+					fps[i] = run.Fingerprint()
+					everyTick := int64(tc.cfg.NumCUs) * int64(run.Cycles)
+					ticks, resident, visited := sh.Ticks.Load(), sh.Resident.Load(), sh.Visited.Load()
+					asleep := sh.WavesAsleep.Load() + sh.CUCyclesAsleep.Load()
+					if noskip {
+						if ticks != everyTick || visited != resident || asleep != 0 || resident == 0 {
+							t.Errorf("noskip: %d ticks (want %d CUs x cycles), %d of %d resident waves visited, %d skips",
+								ticks, everyTick, visited, resident, asleep)
+						}
+					} else if ticks >= everyTick || asleep == 0 {
+						t.Errorf("skip: %d ticks of %d, %d of %d resident waves visited, %d skips: nothing slept",
+							ticks, everyTick, visited, resident, asleep)
+					}
+				}
+				if !bytes.Equal(fps[0], fps[1]) {
+					t.Errorf("fingerprint differs between ticked and skipped runs:\n%s", diffLines(fps[0], fps[1]))
+				}
+			})
+		}
+	}
+}
+
+// TestVisitsPerIssue holds the issue loop to its cost model on the workload
+// that motivated it: SpMV at scale 16 under HSAIL parks nearly every wave on
+// a scoreboard dependency, and used to run ~190 eligibility checks per
+// instruction issued. With exact wake bounds a wave is checked when it can
+// have become ready, so the ratio must stay under 10.
+func TestVisitsPerIssue(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale-16 run")
+	}
+	w, err := workloads.ByName("SpMV")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := w.Prepare(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.NewSimulator(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := timing.InstallShadow(t)
+	run, _, err := sim.Run(core.AbsHSAIL, "SpMV", inst.Setup, core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireClean(t, sh)
+	perIssue := float64(sh.Checked.Load()) / float64(run.TotalInsts())
+	t.Logf("SpMV@16/HSAIL: %d eligibility checks for %d instructions (%.2f per issue); %d wave visits skipped",
+		sh.Checked.Load(), run.TotalInsts(), perIssue, sh.WavesAsleep.Load())
+	if perIssue >= 10 {
+		t.Errorf("%.1f eligibility checks per issued instruction, want < 10", perIssue)
+	}
+}
+
+// TestDispatchLaunchesEveryWorkgroup is the regression test for the
+// dispatcher dropping queued workgroups: on one CU with one wavefront slot
+// every one-wave workgroup retires alone, so the cycle a workgroup finishes
+// is also a cycle with nothing resident — which used to end the dispatch
+// with the rest never launched. The timed run must commit exactly the
+// instructions the functional reference commits.
+func TestDispatchLaunchesEveryWorkgroup(t *testing.T) {
+	k, err := randkernel.Gen(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks, err := core.PrepareKernel(k, finalizer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.NumCUs, cfg.WFSlots = 1, 1
+	sim, err := core.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+		ref := &stats.Run{}
+		fm := core.NewMachine(abs, ref)
+		setup, out := randomSetup(ks, 1)
+		if err := setup(fm); err != nil {
+			t.Fatal(err)
+		}
+		if err := fm.RunFunctional(); err != nil {
+			t.Fatal(err)
+		}
+		want := readWords(fm, *out, randGrid)
+
+		run, got := runRandomTimed(t, sim, ks, abs, 1)
+		if run.TotalInsts() != ref.TotalInsts() {
+			t.Errorf("%s: timed run committed %d instructions, functional reference %d",
+				abs, run.TotalInsts(), ref.TotalInsts())
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: work-item %d: got %#x, want %#x (workgroup never ran?)", abs, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -158,10 +158,11 @@ type GPU struct {
 	// WD bounds the run (cancellation and budgets); set it before the
 	// first RunDispatch. The zero value runs unbounded.
 	WD Watchdog
-	// NoSkip forces the dispatcher to tick every cycle instead of skipping
-	// provably-inert spans. Results are byte-identical either way (the
-	// determinism tests assert it); the flag exists for debugging and for
-	// those tests.
+	// NoSkip switches every level of skipping off — sleeping waves, sleeping
+	// CUs, GPU-wide jumps over inert spans: every CU ticks every cycle and
+	// every tick visits every resident wave. Results are byte-identical
+	// either way (the determinism tests assert it); the flag exists for
+	// debugging and as those tests' oracle.
 	NoSkip bool
 	// Parallelism is the number of goroutines phase-1 CU ticks shard
 	// across (core.ResolveCUParallelism computes the usual value; <=1
@@ -198,11 +199,30 @@ type GPU struct {
 	// pool is the lazily started worker pool shared by phase-1 ticks and
 	// phase-2 bank waves (nil until first needed; Stop shuts it down).
 	pool *pool
+	// shadow is the sleep-bound oracle NewGPU found installed (tests only).
+	shadow *shadowHooks
 }
+
+// shadowHooks is the test-only oracle of the sleep bounds. Production never
+// installs one, so each call site costs a nil check; the tests do
+// (export_test.go), and are then told of every wave a tick skips as asleep
+// and every cycle a CU sleeps through — to re-run the unabridged fetch and
+// issue checks against — and of what each real tick visited. With
+// Parallelism > 1 the hooks run on the pool's goroutines.
+type shadowHooks struct {
+	waveAsleep func(c *cu, wv *waveCtx, now int64)
+	cuAsleep   func(c *cu, now int64)
+	// ticked reports a real tick: how many waves its pass visited and how
+	// many of them went through the issue stage's eligibility checks.
+	ticked func(c *cu, visited, checked int)
+}
+
+// shadow is what NewGPU installs on the GPUs it builds.
+var shadow *shadowHooks
 
 // NewGPU builds the device.
 func NewGPU(p Params, run *stats.Run) *GPU {
-	g := &GPU{P: p, Run: run}
+	g := &GPU{P: p, Run: run, shadow: shadow}
 	g.dram = mem.NewDRAM(p.DRAMChannels, mem.LineSize, p.DRAMLatency, p.DRAMOccupancy)
 	g.l2 = mem.NewCache("L2", p.L2Size, mem.LineSize, p.L2Ways, p.L2HitLatency, true, g.dram, p.L2Banks)
 	nShared := (p.NumCUs + 3) / 4
@@ -322,11 +342,12 @@ func (g *GPU) wdInsts() uint64 {
 	return g.totalInsts()
 }
 
-// populated counts CUs holding at least one wavefront slot.
-func (g *GPU) populated() int {
+// runnable counts the CUs whose tick this cycle has a wave to visit: they
+// hold at least one wavefront slot and are not asleep.
+func (g *GPU) runnable() int {
 	n := 0
 	for _, c := range g.cus {
-		if len(c.waves) > 0 {
+		if len(c.waves) > 0 && (g.NoSkip || c.nextEvent <= g.now) {
 			n++
 		}
 	}
@@ -375,10 +396,14 @@ func (g *GPU) prepareEngines(eng emu.Engine) bool {
 // then DRAM channels — see mem.Drain): each bank replays its requests in
 // (CU index, append order), so its port/LRU/counter state evolves
 // identically whether the waves run serially or across MemParallelism
-// workers. Then the per-CU skip bounds are reduced. Shared state therefore
-// evolves byte-identically at every (Parallelism, MemParallelism) setting,
-// which TestParallelTimingDeterminism and TestBankedMemoryDeterminism
-// assert via run fingerprints.
+// workers. Shared state therefore evolves byte-identically at every
+// (Parallelism, MemParallelism) setting, which TestParallelTimingDeterminism
+// and TestBankedMemoryDeterminism assert via run fingerprints.
+//
+// A cycle costs what the waves that can act in it cost: a wave sleeps until
+// its wakeAt, a CU until the earliest of its waves' (cu.tick), and when every
+// CU is asleep the loop jumps to the earliest of theirs (below). NoSkip turns
+// all three off.
 func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	watched := g.WD.enabled()
 	if watched {
@@ -413,7 +438,10 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	next := 0
 	active := 0
 
-	dispatchMore := func() {
+	// dispatchMore launches queued workgroups, in order, for as long as the
+	// next one fits on some CU. With nothing resident every CU is empty, so
+	// a workgroup that does not fit then never will.
+	dispatchMore := func() error {
 		for next < len(pending) {
 			wg := pending[next]
 			placed := false
@@ -430,20 +458,21 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 				break
 			}
 		}
+		if active == 0 && next < len(pending) {
+			return fmt.Errorf("timing: workgroup does not fit on any CU")
+		}
+		return nil
 	}
-	dispatchMore()
-	if active == 0 && next < len(pending) {
-		return 0, fmt.Errorf("timing: workgroup does not fit on any CU")
+	if err := dispatchMore(); err != nil {
+		return 0, err
 	}
 
 	for active > 0 {
-		idle := true
-		nextEvent := noEvent
-		stallers := int64(0)
 		// Phase 1: tick CUs against private state. The pool path and the
 		// inline path run the same per-CU code; the pool only pays off when
-		// at least two CUs hold waves (drain tails often leave one).
-		if parallel && g.populated() > 1 {
+		// at least two CUs have a wave to visit (drain tails and sleeping
+		// CUs often leave one).
+		if parallel && g.runnable() > 1 {
 			g.ensurePool()
 			g.pool.run(g.now)
 		} else {
@@ -456,27 +485,17 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 		// accesses: requests were routed to their destination banks during
 		// phase 1, so the drain replays bank waves — concurrently when
 		// MemParallelism > 1 and enough work is pending, byte-identically
-		// either way. The skip-bound reduction comes after the drain,
-		// because fill completions lower the bounds.
+		// either way.
 		for _, c := range g.cus {
 			if c.tickErr != nil {
 				return 0, c.tickErr
 			}
 			active -= c.finWGs
-			if c.active {
-				idle = false
-			}
-			stallers += int64(c.stallers)
 		}
 		g.drainFlush(g.now)
-		for _, c := range g.cus {
-			if c.nextEvent < nextEvent {
-				nextEvent = c.nextEvent
-			}
-		}
 		g.now++
-		if active > 0 && next < len(pending) {
-			dispatchMore()
+		if err := dispatchMore(); err != nil {
+			return 0, err
 		}
 		if g.Run != nil {
 			g.Run.Cycles++
@@ -490,24 +509,35 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 			}
 		}
 
-		// Deterministic cycle skipping: if this tick changed nothing, no
-		// CU can act before nextEvent, so every cycle in between would be
-		// an identical no-op tick. Advance now straight there, charging
-		// in bulk exactly what those ticks would have charged — Cycles,
-		// and one FetchStallCycles per stalled wave per cycle. Skips are
-		// capped at the watchdog's next check boundary so budget and
-		// cancellation polls fire at the same cycles a ticked run polls.
-		if idle && !g.NoSkip && active > 0 && nextEvent != noEvent && nextEvent > g.now {
-			skip := nextEvent - g.now
+		// The GPU-wide jump is the CU sleep with every CU asleep at once:
+		// no CU can act before the earliest nextEvent (fill completions
+		// lowered the bounds during the drain, placements reset them), so
+		// advance now straight there, each CU accounting for the span as
+		// for a single slept cycle (idle). Jumps are capped at the
+		// watchdog's next check boundary so budget and cancellation polls
+		// fire at the same cycles a ticked run polls.
+		if g.NoSkip || active == 0 {
+			continue
+		}
+		wake := noEvent
+		for _, c := range g.cus {
+			if c.nextEvent < wake {
+				wake = c.nextEvent
+			}
+		}
+		if wake != noEvent && wake > g.now {
+			skip := wake - g.now
 			if watched {
 				if room := g.WD.every() - g.wdTick; skip > room {
 					skip = room
 				}
 			}
+			for _, c := range g.cus {
+				c.idle(g.now, skip)
+			}
 			g.now += skip
 			if g.Run != nil {
 				g.Run.Cycles += uint64(skip)
-				g.Run.FetchStallCycles += uint64(stallers) * uint64(skip)
 			}
 			if watched {
 				if g.wdTick += skip; g.wdTick >= g.WD.every() {
