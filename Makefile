@@ -4,8 +4,8 @@
 # (bundled leases, mid-bundle reassignment, TLS/token auth, quorum voting,
 # chaos fault injection, fleet supervision) included, so coordinator and
 # worker locking is exercised under contention on every run.
-# `make fuzz` gives the wire codec and the cache model a short
-# coverage-guided beating.
+# `make fuzz` gives the wire codec, the cache model and the whole-wave
+# kernels a short coverage-guided beating.
 
 GO ?= go
 
@@ -31,15 +31,16 @@ test:
 race:
 	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
 		./internal/fleet/... ./internal/core/... ./internal/timing/... \
-		./internal/mem/... ./internal/stats/... ./cmd/...
+		./internal/mem/... ./internal/emu/... ./internal/stats/... ./cmd/...
 
-# fuzz runs the journal/distributed-result codec fuzzer and the cache-vs-
-# reference-LRU fuzzer for a bounded time each (FUZZTIME to taste); CI runs
-# the same things for 10s on every push.
+# fuzz runs the journal/distributed-result codec fuzzer, the cache-vs-
+# reference-LRU fuzzer and the kernel-vs-scalar-ALU fuzzer for a bounded time
+# each (FUZZTIME to taste); CI runs the same things for 10s on every push.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzWireResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzCacheAccess -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
+	$(GO) test -fuzz=FuzzLaneKernels -fuzztime $(FUZZTIME) -run '^$$' ./internal/emu
 
 # bench runs the repository's one benchmark (bench/, declared by
 # BENCHMARK.json): five workloads end to end in host time; see

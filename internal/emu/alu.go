@@ -12,6 +12,7 @@ package emu
 
 import (
 	"math"
+	"math/bits"
 
 	"ilsim/internal/isa"
 )
@@ -172,6 +173,9 @@ func binOp(kind binOpKind, t isa.DataType, a, b uint64) uint64 {
 			return a - b
 		case binMul:
 			return a * b
+		case binMulHi:
+			hi, _ := bits.Mul64(a, b)
+			return hi
 		case binDiv:
 			if b == 0 {
 				return ^uint64(0)
@@ -212,6 +216,8 @@ func binOp(kind binOpKind, t isa.DataType, a, b uint64) uint64 {
 			return uint64(x - y)
 		case binMul:
 			return uint64(x * y)
+		case binMulHi:
+			return uint64(mulHiS64(x, y))
 		case binDiv:
 			if y == 0 {
 				return ^uint64(0)
@@ -232,6 +238,12 @@ func binOp(kind binOpKind, t isa.DataType, a, b uint64) uint64 {
 				return uint64(x)
 			}
 			return uint64(y)
+		case binAnd:
+			return a & b
+		case binOr:
+			return a | b
+		case binXor:
+			return a ^ b
 		case binShl:
 			return uint64(x << (uint64(y) & 63))
 		case binShr:
@@ -239,6 +251,19 @@ func binOp(kind binOpKind, t isa.DataType, a, b uint64) uint64 {
 		}
 	}
 	return 0
+}
+
+// mulHiS64 returns the high 64 bits of the signed 128-bit product: the
+// unsigned high half corrected for each negative operand.
+func mulHiS64(x, y int64) int64 {
+	hi, _ := bits.Mul64(uint64(x), uint64(y))
+	if x < 0 {
+		hi -= uint64(y)
+	}
+	if y < 0 {
+		hi -= uint64(x)
+	}
+	return int64(hi)
 }
 
 // fma applies a fused multiply-add of type t.
@@ -451,4 +476,36 @@ func convert(dt, st isa.DataType, v uint64) uint64 {
 	default:
 		return asU
 	}
+}
+
+// divFixup applies the special-case handling of v_div_fixup.
+func divFixup(t isa.DataType, q, den, num uint64) uint64 {
+	if t == isa.TypeF32 {
+		d, n := f32(den), f32(num)
+		switch {
+		case d == 0 && n == 0:
+			return fromF32(nan32())
+		case d == 0:
+			return fromF32(n / d) // ±Inf with correct sign
+		case n == 0:
+			return fromF32(n / d) // ±0
+		}
+		return q
+	}
+	d, n := f64v(den), f64v(num)
+	switch {
+	case d == 0 && n == 0:
+		return fromF64(nan64())
+	case d == 0:
+		return fromF64(n / d)
+	case n == 0:
+		return fromF64(n / d)
+	}
+	return q
+}
+
+func nan32() float32 { return float32(nan64()) }
+func nan64() float64 {
+	var z float64
+	return z / z * 0 // quiet NaN via 0/0 — computed to avoid constant-folding error
 }

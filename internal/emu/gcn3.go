@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ilsim/internal/gcn3"
 	"ilsim/internal/hsa"
@@ -29,13 +30,14 @@ type GCN3Engine struct {
 	// instruction, so Peek is a table lookup on the hot path.
 	infos []InstInfo
 
-	// vs0..vdst are vector's lane scratch buffers, hoisted to the engine
-	// so the hot path does not zero 2KB of stack per instruction. Reuse is
-	// safe because sources are filled for all lanes (readVecSrc) and dst
-	// is both written and consumed under EXEC (perLane / writeVecDst), so
-	// stale lanes are never observable. They also make Execute
-	// non-reentrant: concurrent compute units need per-CU clones (Fork).
-	vs0, vs1, vs2, vdst [isa.WavefrontSize]uint64
+	// uops is the decode-once form of the program: one micro-op per
+	// instruction, lowered at load and immutable afterwards (Fork clones
+	// share it, and the pre-broadcast constants it points to).
+	uops []gcn3Uop
+
+	// scratch is Execute's working state. It makes Execute non-reentrant:
+	// concurrent compute units need per-CU clones (Fork).
+	scratch laneUnit
 
 	// sharedAtomics records whether the kernel touches shared memory with
 	// read-modify-write operations (computed once at load).
@@ -51,8 +53,11 @@ func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, d *hsa.Dispatch, base 
 	}
 	e := &GCN3Engine{Ctx: ctx, CO: co, D: d, Col: col, Base: base, prog: co.Program}
 	e.infos = make([]InstInfo, len(e.prog.Insts))
+	e.uops = make([]gcn3Uop, len(e.prog.Insts))
+	consts := constPool{}
 	for i := range e.infos {
 		e.infos[i] = e.decodeInfo(i)
+		e.uops[i] = e.lower(i, consts)
 	}
 	for i := range e.prog.Insts {
 		if e.prog.Insts[i].Op == gcn3.OpFlatAtomicAdd {
@@ -63,9 +68,10 @@ func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, d *hsa.Dispatch, base 
 	return e
 }
 
-// Fork returns an execution clone for one compute unit: shared decode
-// state, private lane scratch (the struct copy), a private collector
-// targeting run, and a private memory view when mv is non-nil.
+// Fork returns an execution clone for one compute unit: shared decode state
+// (program, scheduling metadata, micro-ops and their constants), private
+// lane scratch (the struct copy), a private collector targeting run, and a
+// private memory view when mv is non-nil.
 func (e *GCN3Engine) Fork(run *stats.Run, mv *mem.Memory) Engine {
 	f := *e
 	f.Col = e.Col.Fork(run)
@@ -166,6 +172,9 @@ func (e *GCN3Engine) Peek(w *Wave) (*InstInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := e.uops[idx].err; err != nil {
+		return nil, err
+	}
 	return &e.infos[idx], nil
 }
 
@@ -241,7 +250,7 @@ func (e *GCN3Engine) decodeInfo(idx int) InstInfo {
 }
 
 // readScalar reads a scalar operand of the given register width.
-func (e *GCN3Engine) readScalar(w *Wave, o gcn3.Operand, width int) uint64 {
+func readScalar(w *Wave, o gcn3.Operand, width int) uint64 {
 	switch o.Kind {
 	case gcn3.OperSGPR:
 		v := uint64(w.SGPR[o.Index])
@@ -265,7 +274,7 @@ func (e *GCN3Engine) readScalar(w *Wave, o gcn3.Operand, width int) uint64 {
 }
 
 // writeScalar writes a scalar destination of the given register width.
-func (e *GCN3Engine) writeScalar(w *Wave, o gcn3.Operand, width int, v uint64) {
+func writeScalar(w *Wave, o gcn3.Operand, width int, v uint64) {
 	switch o.Kind {
 	case gcn3.OperSGPR:
 		w.SGPR[o.Index] = uint32(v)
@@ -291,595 +300,546 @@ func expandConst(t isa.DataType, v uint32) uint64 {
 	return uint64(v)
 }
 
-// readVecSrc gathers a vector-instruction source: per-lane for VGPRs,
-// broadcast for scalars and constants.
-func (e *GCN3Engine) readVecSrc(w *Wave, o gcn3.Operand, width int, t isa.DataType, vals *[isa.WavefrontSize]uint64) {
+// sccRule says how a scalar ALU instruction sets SCC.
+type sccRule uint8
+
+const (
+	sccKeep    sccRule = iota // SCC unchanged (s_mul)
+	sccNonZero                // SCC = result != 0
+	sccCarry                  // SCC = unsigned 32-bit carry out (s_add)
+	sccBorrow                 // SCC = unsigned 32-bit borrow (s_sub)
+)
+
+// gcn3Uop is one GCN3 instruction lowered for execution.
+type gcn3Uop struct {
+	step func(e *GCN3Engine, w *Wave, u *gcn3Uop, res *ExecResult)
+	// err, when set, is what Peek and Execute report at this PC: the
+	// instruction has no defined execution.
+	err   error
+	pc    uint64
+	seqPC uint64
+	cat   isa.Category
+
+	// in is the decoded instruction; scalar steps read their operands
+	// from it (a scalar operand needs no further resolution).
+	in *gcn3.Inst
+
+	// vec is the kernel call of a vector ALU instruction. FLAT and DS
+	// instructions reuse its operand slots: src[0] is the address, src[1]
+	// the store or atomic data, dst the loaded value.
+	vec vecOp
+
+	// Scalar ALU: operation, type, operand width in registers, SCC rule.
+	kind  binOpKind
+	t     isa.DataType
+	width int
+	scc   sccRule
+
+	// Branches: the taken PC.
+	target uint64
+
+	// Memory: access bytes, and the DS immediate offset sign-extended so
+	// that address arithmetic wraps out of range instead of going negative.
+	size uint8
+	off  uint64
+}
+
+// gcn3LaneOps maps the vector opcodes whose lowering is "look the kernel up
+// by (operation, Inst.Type)".
+var gcn3LaneOps = [gcn3.NumOps]laneOp{
+	gcn3.OpVRcp: opRcp, gcn3.OpVSqrt: opSqrt, gcn3.OpVRsq: opRsqrt,
+	gcn3.OpVAdd: opAdd, gcn3.OpVSub: opSub, gcn3.OpVMul: opMul,
+	gcn3.OpVMin: opMin, gcn3.OpVMax: opMax,
+	gcn3.OpVAnd: opAnd, gcn3.OpVOr: opOr, gcn3.OpVXor: opXor,
+	gcn3.OpVLshl: opShl, gcn3.OpVLshr: opShr,
+	gcn3.OpVMad: opFma, gcn3.OpVFma: opFma, gcn3.OpVDivFmas: opFma,
+	gcn3.OpVDivFixup: opDivFixup,
+}
+
+// gcn3ScalarOps describes the two-source scalar ALU instructions that are a
+// binOp plus an SCC rule.
+var gcn3ScalarOps = [gcn3.NumOps]struct {
+	ok   bool
+	kind binOpKind
+	scc  sccRule
+}{
+	gcn3.OpSAdd: {true, binAdd, sccCarry}, gcn3.OpSSub: {true, binSub, sccBorrow},
+	gcn3.OpSMul:  {true, binMul, sccKeep},
+	gcn3.OpSLshl: {true, binShl, sccNonZero}, gcn3.OpSLshr: {true, binShr, sccNonZero},
+	gcn3.OpSAshr: {true, binShr, sccNonZero},
+	gcn3.OpSAnd:  {true, binAnd, sccNonZero}, gcn3.OpSOr: {true, binOr, sccNonZero},
+	gcn3.OpSXor: {true, binXor, sccNonZero},
+}
+
+// lower builds the micro-op of instruction idx.
+func (e *GCN3Engine) lower(idx int, consts constPool) gcn3Uop {
+	in := &e.prog.Insts[idx]
+	pc := e.Base + e.prog.PCs[idx]
+	u := gcn3Uop{pc: pc, seqPC: pc + uint64(in.SizeBytes()), cat: in.Category(), in: in}
+	u.width = in.Type.Regs()
+	switch in.Op {
+	case gcn3.OpSMov:
+		u.step = (*GCN3Engine).stepSMov
+	case gcn3.OpSNot:
+		u.step = (*GCN3Engine).stepSNot
+	case gcn3.OpSAndSaveexec, gcn3.OpSOrSaveexec:
+		u.step = (*GCN3Engine).stepSaveexec
+	case gcn3.OpSAndN2:
+		u.step = (*GCN3Engine).stepSAndN2
+	case gcn3.OpSAddc:
+		u.step = (*GCN3Engine).stepSAddc
+	case gcn3.OpSBfe:
+		u.step = (*GCN3Engine).stepSBfe
+	case gcn3.OpSCmp:
+		u.step = (*GCN3Engine).stepSCmp
+	case gcn3.OpSEndpgm:
+		u.step = (*GCN3Engine).stepEndpgm
+	case gcn3.OpSBarrier:
+		u.step = (*GCN3Engine).stepBarrier
+	case gcn3.OpSNop, gcn3.OpSWaitcnt:
+		u.step = (*GCN3Engine).stepNop // timing-only effects
+	case gcn3.OpSBranch, gcn3.OpSCbranchSCC0, gcn3.OpSCbranchSCC1,
+		gcn3.OpSCbranchVCCZ, gcn3.OpSCbranchVCCNZ,
+		gcn3.OpSCbranchExecZ, gcn3.OpSCbranchExecNZ:
+		if int(in.Target) < 0 || int(in.Target) >= len(e.prog.PCs) {
+			u.err = fmt.Errorf("emu: %s to undefined instruction %d", in.Op, in.Target)
+			break
+		}
+		u.step = (*GCN3Engine).stepBranch
+		u.target = e.Base + e.prog.PCs[in.Target]
+	case gcn3.OpSLoadDword, gcn3.OpSLoadDwordx2, gcn3.OpSLoadDwordx4:
+		u.step = (*GCN3Engine).stepSLoad
+	case gcn3.OpFlatLoadDword, gcn3.OpFlatLoadDwordx2,
+		gcn3.OpFlatStoreDword, gcn3.OpFlatStoreDwordx2, gcn3.OpFlatAtomicAdd,
+		gcn3.OpDSReadB32, gcn3.OpDSReadB64, gcn3.OpDSWriteB32,
+		gcn3.OpDSWriteB64, gcn3.OpDSAddU32:
+		u.err = lowerGCN3Memory(&u, in, consts)
+	default:
+		if int(in.Op) < len(gcn3ScalarOps) && gcn3ScalarOps[in.Op].ok {
+			so := gcn3ScalarOps[in.Op]
+			u.step = (*GCN3Engine).stepSALU
+			u.kind, u.scc, u.t = so.kind, so.scc, in.Type
+			if in.Op == gcn3.OpSAshr {
+				u.t = isa.TypeS32
+			}
+			if u.width == 0 {
+				u.width = 1
+			}
+			break
+		}
+		u.step = (*GCN3Engine).stepVec
+		u.err = lowerGCN3Vec(&u.vec, in, consts)
+	}
+	return u
+}
+
+// gcn3Src lowers a vector-instruction source of the given register width:
+// per-lane for VGPRs, pre-broadcast for constants (expanded as type t when
+// 64-bit), broadcast at run time for scalar state.
+func gcn3Src(o gcn3.Operand, width int, t isa.DataType, consts constPool) vsrc {
+	wide := width == 2
 	switch o.Kind {
 	case gcn3.OperVGPR:
-		lo := &w.VGPR[o.Index]
-		e.Col.OnVRFValue(false, lo, w.Exec)
-		e.Col.OnVRFSlot(w, int(o.Index))
-		if width == 2 {
-			hi := &w.VGPR[o.Index+1]
-			e.Col.OnVRFValue(false, hi, w.Exec)
-			e.Col.OnVRFSlot(w, int(o.Index)+1)
-			for lane := 0; lane < isa.WavefrontSize; lane++ {
-				vals[lane] = uint64(lo[lane]) | uint64(hi[lane])<<32
-			}
-		} else {
-			for lane := 0; lane < isa.WavefrontSize; lane++ {
-				vals[lane] = uint64(lo[lane])
-			}
-		}
+		return vsrc{kind: srcReg, wide: wide, slot: o.Index}
 	case gcn3.OperInline, gcn3.OperLit:
 		v := uint64(o.Val)
-		if width == 2 {
+		if wide {
 			v = expandConst(t, o.Val)
 		}
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			vals[lane] = v
-		}
-	default:
-		v := e.readScalar(w, o, width)
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			vals[lane] = v
-		}
+		return vsrc{kind: srcConst, wide: wide, k: consts.get(v)}
+	case gcn3.OperNone:
+		return vsrc{kind: srcConst, wide: wide, k: consts.get(0)}
 	}
+	return vsrc{kind: srcScalar, wide: wide, sop: o}
 }
 
-// writeVecDst stores per-lane results into a VGPR destination under EXEC.
-func (e *GCN3Engine) writeVecDst(w *Wave, o gcn3.Operand, width int, vals *[isa.WavefrontSize]uint64) {
-	if o.Kind != gcn3.OperVGPR {
-		return
+// scalarMask names a 64-bit scalar operand as a lane mask.
+func scalarMask(o gcn3.Operand) maskRef { return maskRef{kind: maskScalar, sop: o} }
+
+// lowerGCN3Vec lowers a vector ALU instruction to a kernel call.
+func lowerGCN3Vec(v *vecOp, in *gcn3.Inst, consts constPool) error {
+	t := in.Type
+	kt := t // the kernel's data type
+	nsrc := in.Op.NSrc()
+	constT := t // how 64-bit constants expand
+	if int(in.Op) >= len(gcn3LaneOps) {
+		return fmt.Errorf("emu: unimplemented GCN3 op %s", in.Op)
 	}
-	lo := &w.VGPR[o.Index]
-	for lane := 0; lane < isa.WavefrontSize; lane++ {
-		if w.Exec.Bit(lane) {
-			lo[lane] = uint32(vals[lane])
+	op := gcn3LaneOps[in.Op]
+	// carryOut: a scalar co-destination receives the kernel's lane mask.
+	carryOut := in.SDst.Kind == gcn3.OperVCC || in.SDst.Kind == gcn3.OperSGPR
+	switch in.Op {
+	case gcn3.OpVMov:
+		op, kt = opMov, isa.TypeB32
+		if in.DstRegs() == 2 {
+			kt = isa.TypeB64
 		}
-	}
-	e.Col.OnVRFValue(true, lo, w.Exec)
-	e.Col.OnVRFSlot(w, int(o.Index))
-	if width == 2 {
-		hi := &w.VGPR[o.Index+1]
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if w.Exec.Bit(lane) {
-				hi[lane] = uint32(vals[lane] >> 32)
+	case gcn3.OpVNot:
+		op, kt = opNot, isa.TypeB32
+	case gcn3.OpVCvt:
+		constT = in.SrcType
+		v.kern = cvtKernelFor(in.Type, in.SrcType)
+	case gcn3.OpVAdd, gcn3.OpVSub:
+		// The u32 forms produce a carry/borrow mask when something
+		// receives it.
+		if t == isa.TypeU32 && carryOut {
+			op = opAddCO
+			if in.Op == gcn3.OpVSub {
+				op = opSubBO
 			}
 		}
-		e.Col.OnVRFValue(true, hi, w.Exec)
-		e.Col.OnVRFSlot(w, int(o.Index)+1)
+	case gcn3.OpVMulLo:
+		op, kt = opMul, isa.TypeU32
+	case gcn3.OpVMulHi:
+		op, kt = opMulHi, isa.TypeU32
+	case gcn3.OpVAddc:
+		op, kt = opAddC, isa.TypeU32
+		v.maskIn, v.maskOut = scalarMask(gcn3.VCC()), scalarMask(gcn3.VCC())
+	case gcn3.OpVLshl, gcn3.OpVLshr:
+		v.swap = true // rev operand order: src0 is the shift amount
+	case gcn3.OpVAshr:
+		op, kt, v.swap = opShr, isa.TypeS32, true
+	case gcn3.OpVCmp:
+		v.kern = cmpKernelFor(in.Cmp, t)
+		v.maskOut = scalarMask(gcn3.VCC())
+		if in.Dst.Kind == gcn3.OperSGPR {
+			v.maskOut = scalarMask(in.Dst)
+		}
+	case gcn3.OpVCndmask:
+		// dst = sel ? src1 : src0: the select kernel with the mask
+		// complemented.
+		op, kt, nsrc = opSel, isa.TypeB32, 2
+		v.maskIn = scalarMask(in.Srcs[2])
+		v.maskIn.invert = true
+	case gcn3.OpVDivScale:
+		// Simplified semantics: pass the scaled operand through and clear
+		// VCC; the Newton-Raphson chain does the real work (Table 3).
+		op, nsrc = opMov, 1
+		v.maskOut = scalarMask(gcn3.VCC())
 	}
+	switch in.Op {
+	case gcn3.OpVAdd, gcn3.OpVSub, gcn3.OpVMul, gcn3.OpVMulLo, gcn3.OpVMulHi,
+		gcn3.OpVMin, gcn3.OpVMax, gcn3.OpVAnd, gcn3.OpVOr, gcn3.OpVXor:
+		if carryOut {
+			v.maskOut = scalarMask(in.SDst) // all zeros unless the kernel is a carry form
+		}
+	}
+	if v.kern == nil && op != opNone {
+		v.kern = kernelFor(op, kt)
+	}
+	if v.kern == nil {
+		if in.Op == gcn3.OpVCvt {
+			return fmt.Errorf("emu: unimplemented %s %s from %s", in.Op, in.Type, in.SrcType)
+		}
+		return fmt.Errorf("emu: unimplemented %s %s", in.Op, t)
+	}
+	for i := 0; i < nsrc; i++ {
+		v.src[i] = gcn3Src(in.Srcs[i], in.SrcRegs(i), constT, consts)
+	}
+	v.nsrc = uint8(nsrc)
+	if in.Op == gcn3.OpVCmp {
+		return nil
+	}
+	// The destination is as wide as the kernel's result; v_ashrrev on a
+	// 64-bit type (a 32-bit shift into a register pair) has no kernel.
+	if in.Dst.Kind != gcn3.OperVGPR || kt.Regs() == 0 || (in.Op == gcn3.OpVAshr && t.Regs() != 1) {
+		return fmt.Errorf("emu: unimplemented %s %s destination", in.Op, t)
+	}
+	v.dst, v.dstW = in.Dst.Index, uint8(kt.Regs())
+	return nil
 }
 
-// gcn3UnKind and gcn3BinKind map vector ALU opcodes to evaluator kinds
-// (hoisted to package scope so execution does not rebuild them per
-// instruction).
-var gcn3UnKind = map[gcn3.Op]unOpKind{
-	gcn3.OpVRcp: unRcp, gcn3.OpVSqrt: unSqrt, gcn3.OpVRsq: unRsqrt,
+// lowerGCN3Memory lowers FLAT and DS instructions.
+func lowerGCN3Memory(u *gcn3Uop, in *gcn3.Inst, consts constPool) error {
+	v := &u.vec
+	u.size = 4
+	lds := in.Category() == isa.CatLDS
+	if lds {
+		u.off = uint64(int64(in.Offset))
+		v.src[0] = gcn3Src(in.Srcs[0], 1, isa.TypeU32, consts)
+	} else {
+		v.src[0] = gcn3Src(in.Srcs[0], 2, isa.TypeU64, consts)
+	}
+	needDst := true
+	switch in.Op {
+	case gcn3.OpFlatLoadDwordx2, gcn3.OpDSReadB64:
+		u.size = 8
+		fallthrough
+	case gcn3.OpFlatLoadDword, gcn3.OpDSReadB32:
+		u.step = (*GCN3Engine).stepFlatLoad
+		if lds {
+			u.step = (*GCN3Engine).stepDSRead
+		}
+	case gcn3.OpFlatStoreDwordx2, gcn3.OpDSWriteB64:
+		u.size = 8
+		fallthrough
+	case gcn3.OpFlatStoreDword, gcn3.OpDSWriteB32:
+		needDst = false
+		v.src[1] = gcn3Src(in.Srcs[1], int(u.size)/4, isa.TypeB64, consts)
+		u.step = (*GCN3Engine).stepFlatStore
+		if lds {
+			u.step = (*GCN3Engine).stepDSWrite
+		}
+	case gcn3.OpFlatAtomicAdd, gcn3.OpDSAddU32:
+		v.src[1] = gcn3Src(in.Srcs[1], 1, isa.TypeU32, consts)
+		u.step = (*GCN3Engine).stepFlatAtomicAdd
+		if lds {
+			u.step = (*GCN3Engine).stepDSAdd
+		}
+	}
+	if needDst {
+		if in.Dst.Kind != gcn3.OperVGPR {
+			return fmt.Errorf("emu: unimplemented %s destination", in.Op)
+		}
+		v.dst, v.dstW = in.Dst.Index, u.size/4
+	}
+	return nil
 }
 
-var gcn3BinKind = map[gcn3.Op]binOpKind{
-	gcn3.OpVAdd: binAdd, gcn3.OpVSub: binSub, gcn3.OpVMul: binMul,
-	gcn3.OpVMulLo: binMul, gcn3.OpVMulHi: binMulHi,
-	gcn3.OpVMin: binMin, gcn3.OpVMax: binMax, gcn3.OpVAnd: binAnd,
-	gcn3.OpVOr: binOr, gcn3.OpVXor: binXor,
-}
-
-// Execute commits the instruction at w.PC.
+// Execute commits the instruction at w.PC: index, micro-op, step.
 func (e *GCN3Engine) Execute(w *Wave) (ExecResult, error) {
 	idx, err := e.idxOf(w.PC)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	in := &e.prog.Insts[idx]
-	info := &e.infos[idx]
-	res := ExecResult{ActiveLanes: w.Exec.PopCount()}
+	u := &e.uops[idx]
+	if u.err != nil {
+		return ExecResult{}, u.err
+	}
+	// The result is built in the clone's scratch: a local handed to an
+	// indirect call would escape to the heap on every instruction.
+	res := &e.scratch.res
+	*res = ExecResult{ActiveLanes: w.Exec.PopCount()}
 	e.Col.TickReuse(w)
-	seqPC := w.PC + uint64(info.SizeBytes)
-	nextPC := seqPC
+	w.PC = u.seqPC
+	u.step(e, w, u, res)
+	e.Col.OnCommit(u.cat, res.ActiveLanes)
+	return *res, nil
+}
 
-	switch in.Op {
-	// ---- Scalar ALU ----
-	case gcn3.OpSMov:
-		wd := in.Type.Regs()
-		e.writeScalar(w, in.Dst, wd, e.readScalar(w, in.Srcs[0], wd))
-	case gcn3.OpSNot:
-		wd := in.Type.Regs()
-		v := ^e.readScalar(w, in.Srcs[0], wd)
-		if wd == 1 {
-			v = uint64(uint32(v))
-		}
-		e.writeScalar(w, in.Dst, wd, v)
+func (e *GCN3Engine) stepNop(w *Wave, u *gcn3Uop, res *ExecResult) {}
+
+func (e *GCN3Engine) stepBarrier(w *Wave, u *gcn3Uop, res *ExecResult) { res.IsBarrier = true }
+
+func (e *GCN3Engine) stepEndpgm(w *Wave, u *gcn3Uop, res *ExecResult) {
+	w.PC = u.pc
+	w.Done = true
+	res.IsEndPgm = true
+}
+
+func (e *GCN3Engine) stepVec(w *Wave, u *gcn3Uop, res *ExecResult) {
+	e.scratch.run(&u.vec, w, w.VGPR, e.Col)
+}
+
+func (e *GCN3Engine) stepSMov(w *Wave, u *gcn3Uop, res *ExecResult) {
+	writeScalar(w, u.in.Dst, u.width, readScalar(w, u.in.Srcs[0], u.width))
+}
+
+func (e *GCN3Engine) stepSNot(w *Wave, u *gcn3Uop, res *ExecResult) {
+	v := ^readScalar(w, u.in.Srcs[0], u.width)
+	if u.width == 1 {
+		v = uint64(uint32(v))
+	}
+	writeScalar(w, u.in.Dst, u.width, v)
+	w.SCC = v != 0
+}
+
+func (e *GCN3Engine) stepSaveexec(w *Wave, u *gcn3Uop, res *ExecResult) {
+	old := uint64(w.Exec)
+	src := readScalar(w, u.in.Srcs[0], 2)
+	writeScalar(w, u.in.Dst, 2, old)
+	if u.in.Op == gcn3.OpSAndSaveexec {
+		w.Exec = isa.ExecMask(old & src)
+	} else {
+		w.Exec = isa.ExecMask(old | src)
+	}
+	w.SCC = w.Exec != 0
+}
+
+// stepSALU executes the two-source scalar ALU instructions through the
+// scalar semantics of alu.go.
+func (e *GCN3Engine) stepSALU(w *Wave, u *gcn3Uop, res *ExecResult) {
+	a := readScalar(w, u.in.Srcs[0], u.width)
+	b := readScalar(w, u.in.Srcs[1], u.width)
+	v := binOp(u.kind, u.t, a, b)
+	switch u.scc {
+	case sccNonZero:
 		w.SCC = v != 0
-	case gcn3.OpSAndSaveexec, gcn3.OpSOrSaveexec:
-		old := uint64(w.Exec)
-		src := e.readScalar(w, in.Srcs[0], 2)
-		e.writeScalar(w, in.Dst, 2, old)
-		if in.Op == gcn3.OpSAndSaveexec {
-			w.Exec = isa.ExecMask(old & src)
-		} else {
-			w.Exec = isa.ExecMask(old | src)
-		}
-		w.SCC = w.Exec != 0
-	case gcn3.OpSAdd, gcn3.OpSSub, gcn3.OpSMul, gcn3.OpSLshl, gcn3.OpSLshr,
-		gcn3.OpSAshr, gcn3.OpSAnd, gcn3.OpSOr, gcn3.OpSXor, gcn3.OpSAndN2:
-		wd := in.Type.Regs()
-		if wd == 0 {
-			wd = 1
-		}
-		a := e.readScalar(w, in.Srcs[0], wd)
-		b := e.readScalar(w, in.Srcs[1], wd)
-		var v uint64
-		switch in.Op {
-		case gcn3.OpSAdd:
-			v = binOp(binAdd, in.Type, a, b)
-			w.SCC = uint64(uint32(a))+uint64(uint32(b)) > 0xFFFFFFFF
-		case gcn3.OpSSub:
-			v = binOp(binSub, in.Type, a, b)
-			w.SCC = uint32(b) > uint32(a)
-		case gcn3.OpSMul:
-			v = binOp(binMul, in.Type, a, b)
-		case gcn3.OpSLshl:
-			v = binOp(binShl, in.Type, a, b)
-			w.SCC = v != 0
-		case gcn3.OpSLshr:
-			v = binOp(binShr, in.Type, a, b)
-			w.SCC = v != 0
-		case gcn3.OpSAshr:
-			v = binOp(binShr, isa.TypeS32, a, b)
-			w.SCC = v != 0
-		case gcn3.OpSAnd:
-			v = binOp(binAnd, in.Type, a, b)
-			w.SCC = v != 0
-		case gcn3.OpSOr:
-			v = binOp(binOr, in.Type, a, b)
-			w.SCC = v != 0
-		case gcn3.OpSXor:
-			v = binOp(binXor, in.Type, a, b)
-			w.SCC = v != 0
-		case gcn3.OpSAndN2:
-			v = a &^ b
-			w.SCC = v != 0
-		}
-		e.writeScalar(w, in.Dst, wd, v)
-	case gcn3.OpSAddc:
-		a := e.readScalar(w, in.Srcs[0], 1)
-		b := e.readScalar(w, in.Srcs[1], 1)
-		cin := uint64(0)
-		if w.SCC {
-			cin = 1
-		}
-		sum := uint64(uint32(a)) + uint64(uint32(b)) + cin
-		e.writeScalar(w, in.Dst, 1, uint64(uint32(sum)))
-		w.SCC = sum > 0xFFFFFFFF
-	case gcn3.OpSBfe:
-		a := e.readScalar(w, in.Srcs[0], 1)
-		spec := e.readScalar(w, in.Srcs[1], 1)
-		off := spec & 0x1F
-		width := spec >> 16 & 0x7F
-		v := uint64(0)
-		if width > 0 {
-			v = a >> off & (1<<width - 1)
-		}
-		e.writeScalar(w, in.Dst, 1, v)
-		w.SCC = v != 0
-	case gcn3.OpSCmp:
-		a := e.readScalar(w, in.Srcs[0], 1)
-		b := e.readScalar(w, in.Srcs[1], 1)
-		w.SCC = compare(in.Cmp, in.Type, a, b)
-
-	// ---- Scalar program control ----
-	case gcn3.OpSEndpgm:
-		w.Done = true
-		res.IsEndPgm = true
-		e.Col.OnCommit(info.Category, res.ActiveLanes)
-		return res, nil
-	case gcn3.OpSBarrier:
-		res.IsBarrier = true
-	case gcn3.OpSNop, gcn3.OpSWaitcnt:
-		// Timing-only effects.
-	case gcn3.OpSBranch, gcn3.OpSCbranchSCC0, gcn3.OpSCbranchSCC1,
-		gcn3.OpSCbranchVCCZ, gcn3.OpSCbranchVCCNZ,
-		gcn3.OpSCbranchExecZ, gcn3.OpSCbranchExecNZ:
-		taken := false
-		switch in.Op {
-		case gcn3.OpSBranch:
-			taken = true
-		case gcn3.OpSCbranchSCC0:
-			taken = !w.SCC
-		case gcn3.OpSCbranchSCC1:
-			taken = w.SCC
-		case gcn3.OpSCbranchVCCZ:
-			taken = w.VCC == 0
-		case gcn3.OpSCbranchVCCNZ:
-			taken = w.VCC != 0
-		case gcn3.OpSCbranchExecZ:
-			taken = w.Exec == 0
-		case gcn3.OpSCbranchExecNZ:
-			taken = w.Exec != 0
-		}
-		if taken {
-			nextPC = e.Base + e.prog.PCs[in.Target]
-			res.Redirected = nextPC != seqPC
-		}
-
-	// ---- Scalar memory ----
-	case gcn3.OpSLoadDword, gcn3.OpSLoadDwordx2, gcn3.OpSLoadDwordx4:
-		base := e.readScalar(w, in.Srcs[0], 2)
-		addr := base + uint64(in.Offset)
-		n := in.DstRegs()
-		for i := 0; i < n; i++ {
-			w.SGPR[int(in.Dst.Index)+i] = e.Ctx.Mem.ReadU32(addr + uint64(4*i))
-		}
-		res.MemKind = MemScalar
-		first := addr &^ (mem.LineSize - 1)
-		last := (addr + uint64(4*n) - 1) &^ (mem.LineSize - 1)
-		w.linesBuf = w.linesBuf[:0]
-		for l := first; l <= last; l += mem.LineSize {
-			w.linesBuf = append(w.linesBuf, l)
-		}
-		res.Lines = w.linesBuf
-
-	// ---- Vector ALU ----
-	default:
-		if err := e.vector(w, in, &res); err != nil {
-			return res, err
-		}
+	case sccCarry:
+		w.SCC = uint64(uint32(a))+uint64(uint32(b)) > 0xFFFFFFFF
+	case sccBorrow:
+		w.SCC = uint32(b) > uint32(a)
 	}
-
-	w.PC = nextPC
-	e.Col.OnCommit(info.Category, res.ActiveLanes)
-	return res, nil
+	writeScalar(w, u.in.Dst, u.width, v)
 }
 
-// vector executes VALU, FLAT and DS operations.
-func (e *GCN3Engine) vector(w *Wave, in *gcn3.Inst, res *ExecResult) error {
-	s0, s1, s2, dst := &e.vs0, &e.vs1, &e.vs2, &e.vdst
-	t := in.Type
-	read := func(i int, buf *[isa.WavefrontSize]uint64) {
-		st := t
-		if in.Op == gcn3.OpVCvt {
-			st = in.SrcType
-		}
-		e.readVecSrc(w, in.Srcs[i], in.SrcRegs(i), st, buf)
+func (e *GCN3Engine) stepSAndN2(w *Wave, u *gcn3Uop, res *ExecResult) {
+	width := u.width
+	if width == 0 {
+		width = 1
 	}
-	perLane := func(f func(lane int)) {
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if w.Exec.Bit(lane) {
-				f(lane)
-			}
-		}
-	}
-
-	switch in.Op {
-	case gcn3.OpVMov:
-		read(0, s0)
-		perLane(func(l int) { dst[l] = s0[l] })
-		e.writeVecDst(w, in.Dst, in.DstRegs(), dst)
-	case gcn3.OpVNot:
-		read(0, s0)
-		perLane(func(l int) { dst[l] = uint64(^uint32(s0[l])) })
-		e.writeVecDst(w, in.Dst, 1, dst)
-	case gcn3.OpVCvt:
-		read(0, s0)
-		perLane(func(l int) { dst[l] = convert(in.Type, in.SrcType, s0[l]) })
-		e.writeVecDst(w, in.Dst, in.Type.Regs(), dst)
-	case gcn3.OpVRcp, gcn3.OpVSqrt, gcn3.OpVRsq:
-		read(0, s0)
-		kind := gcn3UnKind[in.Op]
-		perLane(func(l int) { dst[l] = unOp(kind, t, s0[l]) })
-		e.writeVecDst(w, in.Dst, t.Regs(), dst)
-	case gcn3.OpVAdd, gcn3.OpVSub, gcn3.OpVMul, gcn3.OpVMulLo, gcn3.OpVMulHi,
-		gcn3.OpVMin, gcn3.OpVMax, gcn3.OpVAnd, gcn3.OpVOr, gcn3.OpVXor:
-		read(0, s0)
-		read(1, s1)
-		kind := gcn3BinKind[in.Op]
-		bt := t
-		if in.Op == gcn3.OpVMulLo || in.Op == gcn3.OpVMulHi {
-			bt = isa.TypeU32
-		}
-		var carry uint64
-		perLane(func(l int) {
-			dst[l] = binOp(kind, bt, s0[l], s1[l])
-			if in.Op == gcn3.OpVAdd && t == isa.TypeU32 {
-				if s0[l]+s1[l] > 0xFFFFFFFF {
-					carry |= 1 << uint(l)
-				}
-			}
-			if in.Op == gcn3.OpVSub && t == isa.TypeU32 {
-				if uint32(s1[l]) > uint32(s0[l]) {
-					carry |= 1 << uint(l)
-				}
-			}
-		})
-		e.writeVecDst(w, in.Dst, bt.Regs(), dst)
-		if in.SDst.Kind == gcn3.OperVCC {
-			w.VCC = carry
-		} else if in.SDst.Kind == gcn3.OperSGPR {
-			e.writeScalar(w, in.SDst, 2, carry)
-		}
-	case gcn3.OpVAddc:
-		read(0, s0)
-		read(1, s1)
-		oldVCC := w.VCC
-		var carry uint64
-		perLane(func(l int) {
-			cin := oldVCC >> uint(l) & 1
-			sum := uint64(uint32(s0[l])) + uint64(uint32(s1[l])) + cin
-			dst[l] = uint64(uint32(sum))
-			if sum > 0xFFFFFFFF {
-				carry |= 1 << uint(l)
-			}
-		})
-		e.writeVecDst(w, in.Dst, 1, dst)
-		w.VCC = carry
-	case gcn3.OpVLshl, gcn3.OpVLshr, gcn3.OpVAshr:
-		// rev operand order: src0 is the shift amount.
-		read(0, s0)
-		read(1, s1)
-		kind := binShl
-		bt := t
-		switch in.Op {
-		case gcn3.OpVLshr:
-			kind = binShr
-		case gcn3.OpVAshr:
-			kind = binShr
-			bt = isa.TypeS32
-		}
-		perLane(func(l int) { dst[l] = binOp(kind, bt, s1[l], s0[l]) })
-		e.writeVecDst(w, in.Dst, t.Regs(), dst)
-	case gcn3.OpVMad, gcn3.OpVFma:
-		read(0, s0)
-		read(1, s1)
-		read(2, s2)
-		perLane(func(l int) { dst[l] = fma(t, s0[l], s1[l], s2[l]) })
-		e.writeVecDst(w, in.Dst, t.Regs(), dst)
-	case gcn3.OpVCmp:
-		read(0, s0)
-		read(1, s1)
-		var m uint64
-		perLane(func(l int) {
-			if compare(in.Cmp, t, s0[l], s1[l]) {
-				m |= 1 << uint(l)
-			}
-		})
-		if in.Dst.Kind == gcn3.OperSGPR {
-			e.writeScalar(w, in.Dst, 2, m)
-		} else {
-			w.VCC = m
-		}
-	case gcn3.OpVCndmask:
-		read(0, s0)
-		read(1, s1)
-		sel := e.readScalar(w, in.Srcs[2], 2)
-		perLane(func(l int) {
-			if sel>>uint(l)&1 != 0 {
-				dst[l] = s1[l]
-			} else {
-				dst[l] = s0[l]
-			}
-		})
-		e.writeVecDst(w, in.Dst, 1, dst)
-	case gcn3.OpVDivScale:
-		// Simplified semantics: pass the scaled operand through and clear
-		// VCC; the Newton-Raphson chain does the real work (Table 3).
-		read(0, s0)
-		perLane(func(l int) { dst[l] = s0[l] })
-		e.writeVecDst(w, in.Dst, t.Regs(), dst)
-		w.VCC = 0
-	case gcn3.OpVDivFmas:
-		read(0, s0)
-		read(1, s1)
-		read(2, s2)
-		perLane(func(l int) { dst[l] = fma(t, s0[l], s1[l], s2[l]) })
-		e.writeVecDst(w, in.Dst, t.Regs(), dst)
-	case gcn3.OpVDivFixup:
-		// src0 = quotient estimate, src1 = denominator, src2 = numerator.
-		read(0, s0)
-		read(1, s1)
-		read(2, s2)
-		perLane(func(l int) { dst[l] = divFixup(t, s0[l], s1[l], s2[l]) })
-		e.writeVecDst(w, in.Dst, t.Regs(), dst)
-
-	// ---- Flat memory ----
-	case gcn3.OpFlatLoadDword, gcn3.OpFlatLoadDwordx2,
-		gcn3.OpFlatStoreDword, gcn3.OpFlatStoreDwordx2, gcn3.OpFlatAtomicAdd:
-		return e.flat(w, in, res)
-
-	// ---- LDS ----
-	case gcn3.OpDSReadB32, gcn3.OpDSReadB64, gcn3.OpDSWriteB32,
-		gcn3.OpDSWriteB64, gcn3.OpDSAddU32:
-		return e.ds(w, in, res)
-
-	default:
-		return fmt.Errorf("emu: unimplemented GCN3 op %s", in.Op)
-	}
-	return nil
+	v := readScalar(w, u.in.Srcs[0], width) &^ readScalar(w, u.in.Srcs[1], width)
+	w.SCC = v != 0
+	writeScalar(w, u.in.Dst, width, v)
 }
 
-// divFixup applies the special-case handling of v_div_fixup.
-func divFixup(t isa.DataType, q, den, num uint64) uint64 {
-	if t == isa.TypeF32 {
-		d, n := f32(den), f32(num)
-		switch {
-		case d == 0 && n == 0:
-			return fromF32(float32(nan32()))
-		case d == 0:
-			return fromF32(n / d) // ±Inf with correct sign
-		case n == 0:
-			return fromF32(n / d) // ±0
-		}
-		return q
+func (e *GCN3Engine) stepSAddc(w *Wave, u *gcn3Uop, res *ExecResult) {
+	a := readScalar(w, u.in.Srcs[0], 1)
+	b := readScalar(w, u.in.Srcs[1], 1)
+	cin := uint64(0)
+	if w.SCC {
+		cin = 1
 	}
-	d, n := f64v(den), f64v(num)
-	switch {
-	case d == 0 && n == 0:
-		return fromF64(nan64())
-	case d == 0:
-		return fromF64(n / d)
-	case n == 0:
-		return fromF64(n / d)
-	}
-	return q
+	sum := uint64(uint32(a)) + uint64(uint32(b)) + cin
+	writeScalar(w, u.in.Dst, 1, uint64(uint32(sum)))
+	w.SCC = sum > 0xFFFFFFFF
 }
 
-func nan32() float32 { return float32(nan64()) }
-func nan64() float64 {
-	var z float64
-	return z / z * 0 // quiet NaN via 0/0 — computed to avoid constant-folding error
+func (e *GCN3Engine) stepSBfe(w *Wave, u *gcn3Uop, res *ExecResult) {
+	a := readScalar(w, u.in.Srcs[0], 1)
+	spec := readScalar(w, u.in.Srcs[1], 1)
+	off := spec & 0x1F
+	width := spec >> 16 & 0x7F
+	v := uint64(0)
+	if width > 0 {
+		v = a >> off & (1<<width - 1)
+	}
+	writeScalar(w, u.in.Dst, 1, v)
+	w.SCC = v != 0
 }
 
-// flat executes FLAT memory operations.
-func (e *GCN3Engine) flat(w *Wave, in *gcn3.Inst, res *ExecResult) error {
-	var addrs64 [isa.WavefrontSize]uint64
-	e.readVecSrc(w, in.Srcs[0], 2, isa.TypeU64, &addrs64)
-	size := 4
-	if in.Op == gcn3.OpFlatLoadDwordx2 || in.Op == gcn3.OpFlatStoreDwordx2 {
-		size = 8
+func (e *GCN3Engine) stepSCmp(w *Wave, u *gcn3Uop, res *ExecResult) {
+	a := readScalar(w, u.in.Srcs[0], 1)
+	b := readScalar(w, u.in.Srcs[1], 1)
+	w.SCC = compare(u.in.Cmp, u.in.Type, a, b)
+}
+
+func (e *GCN3Engine) stepBranch(w *Wave, u *gcn3Uop, res *ExecResult) {
+	taken := false
+	switch u.in.Op {
+	case gcn3.OpSBranch:
+		taken = true
+	case gcn3.OpSCbranchSCC0:
+		taken = !w.SCC
+	case gcn3.OpSCbranchSCC1:
+		taken = w.SCC
+	case gcn3.OpSCbranchVCCZ:
+		taken = w.VCC == 0
+	case gcn3.OpSCbranchVCCNZ:
+		taken = w.VCC != 0
+	case gcn3.OpSCbranchExecZ:
+		taken = w.Exec == 0
+	case gcn3.OpSCbranchExecNZ:
+		taken = w.Exec != 0
 	}
-	m := e.Ctx.Mem
-	switch in.Op {
-	case gcn3.OpFlatLoadDword, gcn3.OpFlatLoadDwordx2:
-		var data [isa.WavefrontSize]uint64
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if !w.Exec.Bit(lane) {
-				continue
-			}
-			if size == 8 {
-				data[lane] = m.ReadU64(addrs64[lane])
-			} else {
-				data[lane] = uint64(m.ReadU32(addrs64[lane]))
-			}
-		}
-		e.writeVecDst(w, in.Dst, size/4, &data)
-	case gcn3.OpFlatStoreDword, gcn3.OpFlatStoreDwordx2:
-		var data [isa.WavefrontSize]uint64
-		e.readVecSrc(w, in.Srcs[1], size/4, isa.TypeB64, &data)
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if !w.Exec.Bit(lane) {
-				continue
-			}
-			if size == 8 {
-				m.WriteU64(addrs64[lane], data[lane])
-			} else {
-				m.WriteU32(addrs64[lane], uint32(data[lane]))
-			}
-		}
-		res.MemWrite = true
-	case gcn3.OpFlatAtomicAdd:
-		var data, ret [isa.WavefrontSize]uint64
-		e.readVecSrc(w, in.Srcs[1], 1, isa.TypeU32, &data)
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if !w.Exec.Bit(lane) {
-				continue
-			}
-			ret[lane] = uint64(m.AtomicAddU32(addrs64[lane], uint32(data[lane])))
-		}
-		e.writeVecDst(w, in.Dst, 1, &ret)
-		res.MemWrite = true
+	if taken {
+		w.PC = u.target
+		res.Redirected = u.target != u.seqPC
 	}
-	res.MemKind = MemGlobal
-	w.linesBuf = mem.CoalesceInto(w.linesBuf[:0], &addrs64, size, w.Exec)
+}
+
+func (e *GCN3Engine) stepSLoad(w *Wave, u *gcn3Uop, res *ExecResult) {
+	in := u.in
+	addr := readScalar(w, in.Srcs[0], 2) + uint64(in.Offset)
+	n := in.DstRegs()
+	for i := 0; i < n; i++ {
+		w.SGPR[int(in.Dst.Index)+i] = e.Ctx.Mem.ReadU32(addr + uint64(4*i))
+	}
+	res.MemKind = MemScalar
+	first := addr &^ (mem.LineSize - 1)
+	last := (addr + uint64(4*n) - 1) &^ (mem.LineSize - 1)
+	w.linesBuf = w.linesBuf[:0]
+	for l := first; l <= last; l += mem.LineSize {
+		w.linesBuf = append(w.linesBuf, l)
+	}
 	res.Lines = w.linesBuf
-	return nil
 }
 
-// ldsBankConflicts returns the extra serialization cycles for per-lane LDS
-// word addresses: the LDS has 32 banks of 4-byte words, and simultaneous
-// accesses to different words in one bank serialize.
-func ldsBankConflicts(addrs *[isa.WavefrontSize]uint64, mask isa.ExecMask) int {
-	var count [32]int8
-	var word [32]uint32
-	maxC := 0
-	for lane := 0; lane < isa.WavefrontSize; lane++ {
-		if !mask.Bit(lane) {
-			continue
-		}
-		w := uint32(addrs[lane] >> 2)
-		b := w % 32
-		if count[b] == 0 || word[b] == w {
-			// Same-word accesses broadcast without conflict.
-			if count[b] == 0 {
-				count[b] = 1
-				word[b] = w
-			}
-		} else {
-			count[b]++
-		}
-		if int(count[b]) > maxC {
-			maxC = int(count[b])
-		}
+// addresses reads the address operand (a 64-bit flat address or a 32-bit
+// LDS byte address) into the lane scratch for the active lanes.
+func (e *GCN3Engine) addresses(w *Wave, u *gcn3Uop, tracked bool) {
+	a := e.scratch.operand(0, &u.vec.src[0], w, w.VGPR, e.Col, tracked)
+	addrs := &e.scratch.addrs
+	for m := uint64(w.Exec); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m) & 63
+		addrs[lane] = uint64(a.lo[lane]) | uint64(a.hi[lane])<<32
 	}
-	if maxC <= 1 {
-		return 0
-	}
-	return maxC - 1
 }
 
-// ds executes LDS operations.
-func (e *GCN3Engine) ds(w *Wave, in *gcn3.Inst, res *ExecResult) error {
-	var addrs [isa.WavefrontSize]uint64
-	e.readVecSrc(w, in.Srcs[0], 1, isa.TypeU32, &addrs)
-	size := 4
-	if in.Op == gcn3.OpDSReadB64 || in.Op == gcn3.OpDSWriteB64 {
-		size = 8
+// flatResult reports a FLAT access's coalesced line requests.
+func (e *GCN3Engine) flatResult(w *Wave, u *gcn3Uop, res *ExecResult) {
+	res.MemKind = MemGlobal
+	w.linesBuf = mem.CoalesceInto(w.linesBuf[:0], &e.scratch.addrs, int(u.size), w.Exec)
+	res.Lines = w.linesBuf
+}
+
+func (e *GCN3Engine) stepFlatLoad(w *Wave, u *gcn3Uop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.addresses(w, u, tracked)
+	dst := dstPair(w.VGPR, u.vec.dst, u.vec.dstW)
+	e.Ctx.Mem.LoadLanes(&e.scratch.addrs, w.Exec, int(u.size), dst.lo, dst.hi)
+	if tracked {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, u.vec.dstW == 2)
 	}
-	lds := w.WG.LDS
-	rd := func(a uint64) uint64 {
-		off := int(a) + int(in.Offset)
-		if off+size > len(lds) {
-			return 0
-		}
-		v := uint64(0)
-		for i := 0; i < size; i++ {
-			v |= uint64(lds[off+i]) << uint(8*i)
-		}
-		return v
+	e.flatResult(w, u, res)
+}
+
+func (e *GCN3Engine) stepFlatStore(w *Wave, u *gcn3Uop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.addresses(w, u, tracked)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	e.Ctx.Mem.StoreLanes(&e.scratch.addrs, w.Exec, int(u.size), data.lo, data.hi)
+	res.MemWrite = true
+	e.flatResult(w, u, res)
+}
+
+func (e *GCN3Engine) stepFlatAtomicAdd(w *Wave, u *gcn3Uop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.addresses(w, u, tracked)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	dst := dstPair(w.VGPR, u.vec.dst, 1)
+	e.Ctx.Mem.AtomicAddLanes(&e.scratch.addrs, w.Exec, data.lo, dst.lo)
+	if tracked {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
 	}
-	wr := func(a uint64, v uint64) {
-		off := int(a) + int(in.Offset)
-		if off+size > len(lds) {
-			return
-		}
-		for i := 0; i < size; i++ {
-			lds[off+i] = byte(v >> uint(8*i))
-		}
-	}
-	res.LDSBankConflicts = ldsBankConflicts(&addrs, w.Exec)
-	switch in.Op {
-	case gcn3.OpDSReadB32, gcn3.OpDSReadB64:
-		var data [isa.WavefrontSize]uint64
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if w.Exec.Bit(lane) {
-				data[lane] = rd(addrs[lane])
-			}
-		}
-		e.writeVecDst(w, in.Dst, size/4, &data)
-	case gcn3.OpDSWriteB32, gcn3.OpDSWriteB64:
-		var data [isa.WavefrontSize]uint64
-		e.readVecSrc(w, in.Srcs[1], size/4, isa.TypeB64, &data)
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if w.Exec.Bit(lane) {
-				wr(addrs[lane], data[lane])
-			}
-		}
-		res.MemWrite = true
-	case gcn3.OpDSAddU32:
-		// Per-lane sequential read-modify-write: same-address lanes
-		// serialize, as the hardware's LDS atomic unit guarantees.
-		var data, ret [isa.WavefrontSize]uint64
-		e.readVecSrc(w, in.Srcs[1], 1, isa.TypeU32, &data)
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if w.Exec.Bit(lane) {
-				old := rd(addrs[lane])
-				wr(addrs[lane], uint64(uint32(old)+uint32(data[lane])))
-				ret[lane] = old
-			}
-		}
-		e.writeVecDst(w, in.Dst, 1, &ret)
-		res.MemWrite = true
-	}
+	res.MemWrite = true
+	e.flatResult(w, u, res)
+}
+
+// dsAddresses is addresses for DS instructions, which also report bank
+// conflicts (on the register address, before the immediate offset).
+func (e *GCN3Engine) dsAddresses(w *Wave, u *gcn3Uop, res *ExecResult, tracked bool) {
+	e.addresses(w, u, tracked)
+	res.LDSBankConflicts = ldsBankConflicts(&e.scratch.addrs, w.Exec)
 	res.MemKind = MemLDS
-	return nil
+}
+
+func (e *GCN3Engine) stepDSRead(w *Wave, u *gcn3Uop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.dsAddresses(w, u, res, tracked)
+	dst := dstPair(w.VGPR, u.vec.dst, u.vec.dstW)
+	ldsLoadLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, int(u.size), dst)
+	if tracked {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, u.vec.dstW == 2)
+	}
+}
+
+func (e *GCN3Engine) stepDSWrite(w *Wave, u *gcn3Uop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.dsAddresses(w, u, res, tracked)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	ldsStoreLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, int(u.size), data)
+	res.MemWrite = true
+}
+
+func (e *GCN3Engine) stepDSAdd(w *Wave, u *gcn3Uop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.dsAddresses(w, u, res, tracked)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	dst := dstPair(w.VGPR, u.vec.dst, 1)
+	ldsAddLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, data.lo, dst.lo)
+	if tracked {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
+	}
+	res.MemWrite = true
 }

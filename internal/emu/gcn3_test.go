@@ -9,7 +9,7 @@ import (
 )
 
 // engineFor builds a single-wave GCN3 engine around a program.
-func engineFor(t *testing.T, insts []gcn3.Inst) (*GCN3Engine, *Wave) {
+func engineFor(t testing.TB, insts []gcn3.Inst) (*GCN3Engine, *Wave) {
 	t.Helper()
 	prog := &gcn3.Program{Insts: insts}
 	prog.Layout()

@@ -2,6 +2,7 @@ package emu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ilsim/internal/hsa"
 	"ilsim/internal/hsail"
@@ -35,13 +36,14 @@ type HSAILEngine struct {
 	// instruction, so Peek is a table lookup on the hot path.
 	infos []InstInfo
 
-	// vs0..vdst are Execute's lane scratch buffers, hoisted to the engine
-	// so the hot path does not zero 2KB of stack per instruction. Reuse is
-	// safe because sources are filled for all lanes (readSrc) and dst is
-	// both written and consumed under EXEC (perLane / writeDst), so stale
-	// lanes are never observable. They also make Execute non-reentrant:
+	// uops is the decode-once form of flat: one micro-op per instruction,
+	// lowered at load and immutable afterwards (Fork clones share it, and
+	// the pre-broadcast constants it points to).
+	uops []hsailUop
+
+	// scratch is Execute's working state. It makes Execute non-reentrant:
 	// concurrent compute units need per-CU clones (Fork).
-	vs0, vs1, vs2, vdst [isa.WavefrontSize]uint64
+	scratch laneUnit
 
 	// sharedAtomics records whether the kernel touches shared memory with
 	// read-modify-write operations (computed once at load).
@@ -62,8 +64,11 @@ func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, d *hsa.D
 		}
 	}
 	e.infos = make([]InstInfo, len(e.flat))
+	e.uops = make([]hsailUop, len(e.flat))
+	consts := constPool{}
 	for i := range e.infos {
 		e.infos[i] = e.decodeInfo(i)
+		e.uops[i] = e.lower(i, consts)
 	}
 	for _, in := range e.flat {
 		if in.Op == hsail.OpAtomicAdd && in.Seg != hsail.SegGroup {
@@ -74,9 +79,10 @@ func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, d *hsa.D
 	return e
 }
 
-// Fork returns an execution clone for one compute unit: shared decode
-// state, private lane scratch (the struct copy), a private collector
-// targeting run, and a private memory view when mv is non-nil.
+// Fork returns an execution clone for one compute unit: shared decode state
+// (instructions, scheduling metadata, micro-ops and their constants),
+// private lane scratch (the struct copy), a private collector targeting
+// run, and a private memory view when mv is non-nil.
 func (e *HSAILEngine) Fork(run *stats.Run, mv *mem.Memory) Engine {
 	f := *e
 	f.Col = e.Col.Fork(run)
@@ -150,6 +156,9 @@ func (e *HSAILEngine) NewWave(wg *WGState, waveID int) *Wave {
 func (e *HSAILEngine) Peek(w *Wave) (*InstInfo, error) {
 	idx, err := e.idxOf(w.PC)
 	if err != nil {
+		return nil, err
+	}
+	if err := e.uops[idx].err; err != nil {
 		return nil, err
 	}
 	return &e.infos[idx], nil
@@ -226,60 +235,212 @@ func (e *HSAILEngine) decodeInfo(idx int) InstInfo {
 	return info
 }
 
-// readSrc gathers a source operand's per-lane raw values.
-func (e *HSAILEngine) readSrc(w *Wave, o hsail.Operand, t isa.DataType, vals *[isa.WavefrontSize]uint64) {
-	switch o.Kind {
-	case hsail.OperImm:
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			vals[lane] = o.Imm
-		}
-	case hsail.OperReg:
-		slot := int(o.Reg)
-		lo := &w.VRegs[slot]
-		e.Col.OnVRFValue(false, lo, w.Exec)
-		e.Col.OnVRFSlot(w, slot)
-		if t.Regs() == 2 {
-			hi := &w.VRegs[slot+1]
-			e.Col.OnVRFValue(false, hi, w.Exec)
-			e.Col.OnVRFSlot(w, slot+1)
-			for lane := 0; lane < isa.WavefrontSize; lane++ {
-				vals[lane] = uint64(lo[lane]) | uint64(hi[lane])<<32
-			}
-		} else {
-			for lane := 0; lane < isa.WavefrontSize; lane++ {
-				vals[lane] = uint64(lo[lane])
-			}
-		}
-	case hsail.OperCReg:
-		m := w.CRegs[o.Reg]
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			vals[lane] = m >> uint(lane) & 1
-		}
-	}
+// hsailUop is one HSAIL instruction lowered for execution: the step that
+// runs it and every operand, constant and address it needs, resolved once.
+type hsailUop struct {
+	step func(e *HSAILEngine, w *Wave, u *hsailUop, res *ExecResult)
+	// err, when set, is what Peek and Execute report at this PC: the
+	// instruction has no defined execution.
+	err   error
+	pc    uint64
+	seqPC uint64
+	cat   isa.Category
+
+	// vec is the kernel call of an ALU instruction. Memory instructions
+	// reuse its operand slots: src[0] is the address base register (when
+	// hasBase), src[1] the store or atomic data, dst the loaded value.
+	vec vecOp
+
+	// Memory instructions and lda.
+	seg     hsail.Segment
+	size    uint8 // access bytes
+	hasBase bool
+	disp    uint64 // constant address part: kernarg symbol offset + immediate
+
+	// Geometry queries.
+	geom hsail.Op
+	dim  uint8
+
+	// Branches: taken PC, the branch's own block, the condition register.
+	target uint64
+	block  int
+	creg   uint16
 }
 
-// writeDst stores per-lane results into a destination register under the
-// current execution mask.
-func (e *HSAILEngine) writeDst(w *Wave, o hsail.Operand, t isa.DataType, vals *[isa.WavefrontSize]uint64) {
-	slot := int(o.Reg)
-	lo := &w.VRegs[slot]
-	for lane := 0; lane < isa.WavefrontSize; lane++ {
-		if w.Exec.Bit(lane) {
-			lo[lane] = uint32(vals[lane])
+// constPool dedupes the constants pre-broadcast while lowering one kernel.
+type constPool map[uint64]*constLanes
+
+func (p constPool) get(v uint64) *constLanes {
+	c := p[v]
+	if c == nil {
+		c = newConstLanes(v)
+		p[v] = c
+	}
+	return c
+}
+
+// hsailLaneOps maps the ALU opcodes whose lowering is "look the kernel up by
+// (operation, Inst.Type)". cvt, cmp and cmov have their own tables or
+// operand shapes and are lowered by name.
+var hsailLaneOps = [hsail.NumOps]laneOp{
+	hsail.OpMov: opMov,
+	hsail.OpAdd: opAdd, hsail.OpSub: opSub, hsail.OpMul: opMul, hsail.OpMulHi: opMulHi,
+	hsail.OpMad: opFma, hsail.OpFma: opFma, hsail.OpDiv: opDiv, hsail.OpRem: opRem,
+	hsail.OpMin: opMin, hsail.OpMax: opMax, hsail.OpAbs: opAbs, hsail.OpNeg: opNeg,
+	hsail.OpSqrt: opSqrt, hsail.OpRsqrt: opRsqrt,
+	hsail.OpAnd: opAnd, hsail.OpOr: opOr, hsail.OpXor: opXor, hsail.OpNot: opNot,
+	hsail.OpShl: opShl, hsail.OpShr: opShr,
+}
+
+// lower builds the micro-op of instruction idx.
+func (e *HSAILEngine) lower(idx int, consts constPool) hsailUop {
+	in := &e.flat[idx]
+	u := hsailUop{pc: e.pcOf(idx), seqPC: e.pcOf(idx + 1), cat: in.Category()}
+	switch in.Op {
+	case hsail.OpNop:
+		u.step = (*HSAILEngine).stepNop
+	case hsail.OpBarrier:
+		u.step = (*HSAILEngine).stepBarrier
+	case hsail.OpRet:
+		u.step = (*HSAILEngine).stepRet
+	case hsail.OpBr, hsail.OpCBr:
+		if int(in.Target) < 0 || int(in.Target) >= len(e.blockStart) {
+			u.err = fmt.Errorf("emu: %s to undefined block %d", in.Op, in.Target)
+			break
+		}
+		u.step = (*HSAILEngine).stepBr
+		u.target = e.pcOf(e.blockStart[in.Target])
+		if in.Op == hsail.OpCBr {
+			u.step = (*HSAILEngine).stepCBr
+			u.block = e.instBlock[idx]
+			u.creg = in.Srcs[0].Reg
+		}
+	case hsail.OpWorkItemAbsId, hsail.OpWorkItemId, hsail.OpWorkGroupId,
+		hsail.OpWorkGroupSize, hsail.OpGridSize:
+		u.step = (*HSAILEngine).stepGeometry
+		u.geom, u.dim = in.Op, uint8(in.Dim)
+		u.err = u.vec.setDst(in, in.Type, 1)
+	case hsail.OpLd, hsail.OpSt, hsail.OpAtomicAdd, hsail.OpLda:
+		u.err = e.lowerMemory(&u, in, consts)
+	default:
+		u.step = (*HSAILEngine).stepVec
+		u.err = lowerHSAILVec(&u.vec, in, consts)
+	}
+	return u
+}
+
+// hsailSrc lowers a source operand read as type t.
+func hsailSrc(o hsail.Operand, t isa.DataType, consts constPool) (vsrc, error) {
+	wide := t.Regs() == 2
+	switch o.Kind {
+	case hsail.OperReg:
+		return vsrc{kind: srcReg, wide: wide, slot: o.Reg}, nil
+	case hsail.OperImm:
+		return vsrc{kind: srcConst, wide: wide, k: consts.get(o.Imm)}, nil
+	}
+	return vsrc{}, fmt.Errorf("emu: unimplemented source operand kind %d", o.Kind)
+}
+
+// setDst names in.Dst as the destination of a result of type t, which must
+// be width slots wide (0: whatever t says).
+func (v *vecOp) setDst(in *hsail.Inst, t isa.DataType, width int) error {
+	if in.Dst.Kind != hsail.OperReg || t.Regs() == 0 || (width != 0 && t.Regs() != width) {
+		return fmt.Errorf("emu: unimplemented %s %s destination", in.Op, t)
+	}
+	v.dst, v.dstW = in.Dst.Reg, uint8(t.Regs())
+	return nil
+}
+
+// lowerHSAILVec lowers an ALU instruction to a kernel call.
+func lowerHSAILVec(v *vecOp, in *hsail.Inst, consts constPool) error {
+	srcT := in.Type
+	if in.SrcType != isa.TypeNone {
+		srcT = in.SrcType
+	}
+	srcs := in.SrcSlice()
+	switch in.Op {
+	case hsail.OpCvt:
+		v.kern = cvtKernelFor(in.Type, in.SrcType)
+	case hsail.OpCmp:
+		// cmp writes a control register, merged under the mask.
+		v.kern = cmpKernelFor(in.Cmp, in.SrcType)
+		if in.Dst.Kind != hsail.OperCReg {
+			v.kern = nil
+		}
+		v.maskOut = maskRef{kind: maskCReg, creg: in.Dst.Reg}
+	case hsail.OpCmov:
+		// cmov selects on a control register: dst = c ? src1 : src2.
+		v.kern = kernelFor(opSel, in.Type)
+		if len(srcs) != 3 || srcs[0].Kind != hsail.OperCReg {
+			return fmt.Errorf("emu: unimplemented %s condition operand", in.Op)
+		}
+		v.maskIn = maskRef{kind: maskCReg, creg: srcs[0].Reg}
+		srcs = srcs[1:]
+	default:
+		if int(in.Op) < len(hsailLaneOps) && hsailLaneOps[in.Op] != opNone {
+			v.kern = kernelFor(hsailLaneOps[in.Op], in.Type)
 		}
 	}
-	e.Col.OnVRFValue(true, lo, w.Exec)
-	e.Col.OnVRFSlot(w, slot)
-	if t.Regs() == 2 {
-		hi := &w.VRegs[slot+1]
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if w.Exec.Bit(lane) {
-				hi[lane] = uint32(vals[lane] >> 32)
-			}
+	if v.kern == nil {
+		if in.Op == hsail.OpCvt || in.Op == hsail.OpCmp {
+			return fmt.Errorf("emu: unimplemented %s %s from %s", in.Op, in.Type, in.SrcType)
 		}
-		e.Col.OnVRFValue(true, hi, w.Exec)
-		e.Col.OnVRFSlot(w, slot+1)
+		return fmt.Errorf("emu: unimplemented %s %s", in.Op, in.Type)
 	}
+	for i, s := range srcs {
+		var err error
+		if v.src[i], err = hsailSrc(s, srcT, consts); err != nil {
+			return err
+		}
+	}
+	v.nsrc = uint8(len(srcs))
+	if in.Op == hsail.OpCmp {
+		return nil
+	}
+	return v.setDst(in, in.Type, 0)
+}
+
+// lowerMemory lowers ld, st, atomic_add and lda: the address expression
+// (segment base, optional 64-bit base register, constant displacement) and
+// the data operand.
+func (e *HSAILEngine) lowerMemory(u *hsailUop, in *hsail.Inst, consts constPool) error {
+	t := in.Type
+	u.seg = in.Seg
+	u.disp = uint64(int64(in.Addr.Offset))
+	switch in.Addr.Base.Kind {
+	case hsail.OperReg:
+		u.hasBase = true
+		u.vec.src[0] = vsrc{kind: srcReg, wide: true, slot: in.Addr.Base.Reg}
+	case hsail.OperArgSym:
+		if int(in.Addr.Base.Reg) >= len(e.K.Args) {
+			return fmt.Errorf("emu: %s of undeclared argument %%arg%d", in.Op, in.Addr.Base.Reg)
+		}
+		u.disp += uint64(e.K.Args[in.Addr.Base.Reg].Offset)
+	}
+	if in.Op == hsail.OpLda {
+		u.step = (*HSAILEngine).stepLda
+		return u.vec.setDst(in, isa.TypeU64, 2)
+	}
+	u.size = uint8(t.Regs() * 4)
+	if u.size == 0 || (in.Op == hsail.OpAtomicAdd && u.size != 4) {
+		return fmt.Errorf("emu: unimplemented %s %s", in.Op, t)
+	}
+	if in.Op != hsail.OpLd {
+		var err error
+		if u.vec.src[1], err = hsailSrc(in.Srcs[0], t, consts); err != nil {
+			return err
+		}
+	}
+	switch in.Op {
+	case hsail.OpLd:
+		u.step = (*HSAILEngine).stepLoad
+	case hsail.OpSt:
+		u.step = (*HSAILEngine).stepStore
+		return nil
+	case hsail.OpAtomicAdd:
+		u.step = (*HSAILEngine).stepAtomicAdd
+	}
+	return u.vec.setDst(in, t, 0)
 }
 
 // laneAbsFlatID returns the absolute flat work-item ID for a lane.
@@ -287,325 +448,209 @@ func (w *Wave) laneAbsFlatID(lane int) uint64 {
 	return w.WG.Info.FirstAbsFlatID + uint64(w.FirstWI+lane)
 }
 
-// hsailBinKind and hsailUnKind map ALU opcodes to evaluator kinds (hoisted
-// to package scope so Execute does not rebuild them per instruction).
-var hsailBinKind = map[hsail.Op]binOpKind{
-	hsail.OpAdd: binAdd, hsail.OpSub: binSub, hsail.OpMul: binMul,
-	hsail.OpMulHi: binMulHi, hsail.OpDiv: binDiv, hsail.OpRem: binRem,
-	hsail.OpMin: binMin, hsail.OpMax: binMax, hsail.OpAnd: binAnd,
-	hsail.OpOr: binOr, hsail.OpXor: binXor, hsail.OpShl: binShl,
-	hsail.OpShr: binShr,
-}
-
-var hsailUnKind = map[hsail.Op]unOpKind{
-	hsail.OpAbs: unAbs, hsail.OpNeg: unNeg, hsail.OpNot: unNot,
-	hsail.OpSqrt: unSqrt, hsail.OpRsqrt: unRsqrt,
-}
-
-// Execute commits the instruction at w.PC.
+// Execute commits the instruction at w.PC: index, micro-op, step, then the
+// reconvergence stack.
 func (e *HSAILEngine) Execute(w *Wave) (ExecResult, error) {
 	idx, err := e.idxOf(w.PC)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	in := &e.flat[idx]
-	info := &e.infos[idx]
-	res := ExecResult{ActiveLanes: w.Exec.PopCount()}
+	u := &e.uops[idx]
+	if u.err != nil {
+		return ExecResult{}, u.err
+	}
+	// The result is built in the clone's scratch: a local handed to an
+	// indirect call would escape to the heap on every instruction.
+	res := &e.scratch.res
+	*res = ExecResult{ActiveLanes: w.Exec.PopCount()}
 	e.Col.TickReuse(w)
-	seqPC := w.PC + hsail.InstBytes
-
-	s0, s1, s2, dst := &e.vs0, &e.vs1, &e.vs2, &e.vdst
-	srcT := in.Type
-	if in.SrcType != isa.TypeNone {
-		srcT = in.SrcType
+	w.PC = u.seqPC
+	u.step(e, w, u, res)
+	if len(w.RS) != 0 && !w.Done {
+		e.rsArrival(w, res)
 	}
-	readSrcs := func() {
-		srcs := in.SrcSlice()
-		if len(srcs) > 0 {
-			t := srcT
-			if in.Op == hsail.OpCmov {
-				t = isa.TypeNone
-			}
-			e.readSrc(w, srcs[0], t, s0)
-		}
-		if len(srcs) > 1 {
-			e.readSrc(w, srcs[1], srcT, s1)
-		}
-		if len(srcs) > 2 {
-			e.readSrc(w, srcs[2], srcT, s2)
-		}
-	}
-
-	perLane := func(f func(lane int)) {
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if w.Exec.Bit(lane) {
-				f(lane)
-			}
-		}
-	}
-
-	switch in.Op {
-	case hsail.OpNop:
-		// nothing
-	case hsail.OpMov:
-		readSrcs()
-		perLane(func(l int) { dst[l] = s0[l] })
-		e.writeDst(w, in.Dst, in.Type, dst)
-	case hsail.OpCvt:
-		readSrcs()
-		perLane(func(l int) { dst[l] = convert(in.Type, in.SrcType, s0[l]) })
-		e.writeDst(w, in.Dst, in.Type, dst)
-	case hsail.OpAdd, hsail.OpSub, hsail.OpMul, hsail.OpMulHi, hsail.OpDiv,
-		hsail.OpRem, hsail.OpMin, hsail.OpMax, hsail.OpAnd, hsail.OpOr,
-		hsail.OpXor, hsail.OpShl, hsail.OpShr:
-		readSrcs()
-		kind := hsailBinKind[in.Op]
-		perLane(func(l int) { dst[l] = binOp(kind, in.Type, s0[l], s1[l]) })
-		e.writeDst(w, in.Dst, in.Type, dst)
-	case hsail.OpMad, hsail.OpFma:
-		readSrcs()
-		perLane(func(l int) { dst[l] = fma(in.Type, s0[l], s1[l], s2[l]) })
-		e.writeDst(w, in.Dst, in.Type, dst)
-	case hsail.OpAbs, hsail.OpNeg, hsail.OpNot, hsail.OpSqrt, hsail.OpRsqrt:
-		readSrcs()
-		kind := hsailUnKind[in.Op]
-		perLane(func(l int) { dst[l] = unOp(kind, in.Type, s0[l]) })
-		e.writeDst(w, in.Dst, in.Type, dst)
-	case hsail.OpCmp:
-		readSrcs()
-		var m uint64
-		perLane(func(l int) {
-			if compare(in.Cmp, in.SrcType, s0[l], s1[l]) {
-				m |= 1 << uint(l)
-			}
-		})
-		// Merge under mask: inactive lanes keep their old bit.
-		old := w.CRegs[in.Dst.Reg]
-		w.CRegs[in.Dst.Reg] = old&^uint64(w.Exec) | m
-	case hsail.OpCmov:
-		readSrcs()
-		perLane(func(l int) {
-			if s0[l] != 0 {
-				dst[l] = s1[l]
-			} else {
-				dst[l] = s2[l]
-			}
-		})
-		e.writeDst(w, in.Dst, in.Type, dst)
-	case hsail.OpWorkItemAbsId, hsail.OpWorkItemId, hsail.OpWorkGroupId,
-		hsail.OpWorkGroupSize, hsail.OpGridSize:
-		e.geometry(w, in, dst)
-		e.writeDst(w, in.Dst, in.Type, dst)
-	case hsail.OpLda:
-		readSrcs()
-		perLane(func(l int) {
-			base := e.segmentBase(w, in.Seg, l)
-			var regOff uint64
-			if in.Addr.Base.Kind == hsail.OperReg {
-				lo := w.VRegs[in.Addr.Base.Reg][l]
-				hi := w.VRegs[in.Addr.Base.Reg+1][l]
-				regOff = uint64(lo) | uint64(hi)<<32
-			}
-			dst[l] = base + regOff + uint64(int64(in.Addr.Offset))
-		})
-		if in.Addr.Base.Kind == hsail.OperReg {
-			e.Col.OnVRFSlot(w, int(in.Addr.Base.Reg))
-			e.Col.OnVRFSlot(w, int(in.Addr.Base.Reg)+1)
-		}
-		e.writeDst(w, in.Dst, isa.TypeU64, dst)
-	case hsail.OpLd, hsail.OpSt, hsail.OpAtomicAdd:
-		if err := e.memory(w, in, &res); err != nil {
-			return res, err
-		}
-	case hsail.OpBarrier:
-		res.IsBarrier = true
-	case hsail.OpRet:
-		w.Done = true
-		res.IsEndPgm = true
-		e.Col.OnCommit(info.Category, res.ActiveLanes)
-		return res, nil
-	case hsail.OpBr, hsail.OpCBr:
-		e.branch(w, in, idx, seqPC, &res)
-		e.Col.OnCommit(info.Category, res.ActiveLanes)
-		return res, nil
-	default:
-		return res, fmt.Errorf("emu: unimplemented HSAIL op %s", in.Op)
-	}
-
-	w.PC = seqPC
-	e.rsArrival(w, &res)
-	e.Col.OnCommit(info.Category, res.ActiveLanes)
-	return res, nil
+	e.Col.OnCommit(u.cat, res.ActiveLanes)
+	return *res, nil
 }
 
-// geometry services the dispatch-geometry query ops from simulator state —
-// the "simulator-defined ABI" of IL execution (paper §III.A.1).
-func (e *HSAILEngine) geometry(w *Wave, in *hsail.Inst, dst *[isa.WavefrontSize]uint64) {
+func (e *HSAILEngine) stepNop(w *Wave, u *hsailUop, res *ExecResult) {}
+
+func (e *HSAILEngine) stepBarrier(w *Wave, u *hsailUop, res *ExecResult) { res.IsBarrier = true }
+
+func (e *HSAILEngine) stepRet(w *Wave, u *hsailUop, res *ExecResult) {
+	w.PC = u.pc
+	w.Done = true
+	res.IsEndPgm = true
+}
+
+func (e *HSAILEngine) stepVec(w *Wave, u *hsailUop, res *ExecResult) {
+	e.scratch.run(&u.vec, w, w.VRegs, e.Col)
+}
+
+// stepGeometry services the dispatch-geometry query ops from simulator state
+// — the "simulator-defined ABI" of IL execution (paper §III.A.1).
+func (e *HSAILEngine) stepGeometry(w *Wave, u *hsailUop, res *ExecResult) {
 	d := w.WG.Dispatch
 	p := d.Packet
-	dim := int(in.Dim)
-	for lane := 0; lane < isa.WavefrontSize; lane++ {
-		if !w.Exec.Bit(lane) {
-			continue
-		}
+	dim := int(u.dim)
+	dst := dstPair(w.VRegs, u.vec.dst, 1)
+	for m := uint64(w.Exec); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m) & 63
 		wiFlat := w.FirstWI + lane
-		switch in.Op {
+		switch u.geom {
 		case hsail.OpWorkItemAbsId:
-			dst[lane] = uint64(d.AbsID(w.WG.Info, wiFlat)[dim])
+			dst.lo[lane] = d.AbsID(w.WG.Info, wiFlat)[dim]
 		case hsail.OpWorkItemId:
-			dst[lane] = uint64(d.LocalID(wiFlat)[dim])
+			dst.lo[lane] = d.LocalID(wiFlat)[dim]
 		case hsail.OpWorkGroupId:
-			dst[lane] = uint64(w.WG.Info.ID[dim])
+			dst.lo[lane] = w.WG.Info.ID[dim]
 		case hsail.OpWorkGroupSize:
-			dst[lane] = uint64(p.WorkgroupSize[dim])
+			dst.lo[lane] = uint32(p.WorkgroupSize[dim])
 		case hsail.OpGridSize:
-			dst[lane] = uint64(p.GridSize[dim])
+			dst.lo[lane] = p.GridSize[dim]
 		}
+	}
+	if e.Col.tracksVRF() {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
 	}
 }
 
-// segmentBase resolves the implicit base address of a segment for a lane,
-// state the IL never sees in registers.
-func (e *HSAILEngine) segmentBase(w *Wave, seg hsail.Segment, lane int) uint64 {
+// addresses computes the active lanes' addresses of a memory instruction
+// into the lane scratch: the segment's implicit base — state the IL never
+// sees in registers — plus the base register, plus the displacement.
+func (e *HSAILEngine) addresses(w *Wave, u *hsailUop, base lanePair) {
 	d := w.WG.Dispatch
-	switch seg {
+	c := u.disp
+	var stride uint64 // per-work-item segments: bytes between consecutive lanes
+	switch u.seg {
 	case hsail.SegKernarg:
-		return d.Packet.KernargAddress
+		c += d.Packet.KernargAddress
 	case hsail.SegPrivate:
-		return d.PrivateBase + w.laneAbsFlatID(lane)*uint64(d.PrivateStride)
+		stride = uint64(d.PrivateStride)
+		c += d.PrivateBase + w.laneAbsFlatID(0)*stride
 	case hsail.SegSpill:
-		return d.SpillBase + w.laneAbsFlatID(lane)*uint64(d.SpillStride)
-	default:
-		return 0
+		stride = uint64(d.SpillStride)
+		c += d.SpillBase + w.laneAbsFlatID(0)*stride
+	}
+	addrs := &e.scratch.addrs
+	for m := uint64(w.Exec); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m) & 63
+		a := c + uint64(lane)*stride
+		if base.lo != nil {
+			a += uint64(base.lo[lane]) | uint64(base.hi[lane])<<32
+		}
+		addrs[lane] = a
 	}
 }
 
-// memory executes ld/st/atomic for every active lane and coalesces the
-// generated addresses into line requests for the timing model.
-func (e *HSAILEngine) memory(w *Wave, in *hsail.Inst, res *ExecResult) error {
-	t := in.Type
-	size := t.Regs() * 4
-	var addrs [isa.WavefrontSize]uint64
-	var regOff [isa.WavefrontSize]uint64
-	if in.Addr.Base.Kind == hsail.OperReg {
-		e.readSrc(w, hsail.Operand{Kind: hsail.OperReg, Reg: in.Addr.Base.Reg}, isa.TypeU64, &regOff)
+// memAddresses is addresses for ld/st/atomic, whose base register read is a
+// VRF access.
+func (e *HSAILEngine) memAddresses(w *Wave, u *hsailUop, tracked bool) {
+	var base lanePair
+	if u.hasBase {
+		base = e.scratch.operand(0, &u.vec.src[0], w, w.VRegs, e.Col, tracked)
 	}
-	var argOff uint64
-	if in.Addr.Base.Kind == hsail.OperArgSym {
-		argOff = uint64(e.K.Args[in.Addr.Base.Reg].Offset)
-	}
-	for lane := 0; lane < isa.WavefrontSize; lane++ {
-		if !w.Exec.Bit(lane) {
-			continue
-		}
-		addrs[lane] = e.segmentBase(w, in.Seg, lane) + regOff[lane] + argOff + uint64(int64(in.Addr.Offset))
-	}
+	e.addresses(w, u, base)
+}
 
-	var data [isa.WavefrontSize]uint64
-	mmem := e.Ctx.Mem
-	isLDS := in.Seg == hsail.SegGroup
-	switch in.Op {
-	case hsail.OpLd:
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if !w.Exec.Bit(lane) {
-				continue
-			}
-			if isLDS {
-				data[lane] = e.ldsRead(w, addrs[lane], size)
-			} else if size == 8 {
-				data[lane] = mmem.ReadU64(addrs[lane])
-			} else {
-				data[lane] = uint64(mmem.ReadU32(addrs[lane]))
-			}
-		}
-		e.writeDst(w, in.Dst, t, &data)
-	case hsail.OpSt:
-		e.readSrc(w, in.Srcs[0], t, &data)
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if !w.Exec.Bit(lane) {
-				continue
-			}
-			if isLDS {
-				e.ldsWrite(w, addrs[lane], size, data[lane])
-			} else if size == 8 {
-				mmem.WriteU64(addrs[lane], data[lane])
-			} else {
-				mmem.WriteU32(addrs[lane], uint32(data[lane]))
-			}
-		}
-		res.MemWrite = true
-	case hsail.OpAtomicAdd:
-		e.readSrc(w, in.Srcs[0], t, &data)
-		var ret [isa.WavefrontSize]uint64
-		for lane := 0; lane < isa.WavefrontSize; lane++ {
-			if !w.Exec.Bit(lane) {
-				continue
-			}
-			if isLDS {
-				old := e.ldsRead(w, addrs[lane], size)
-				e.ldsWrite(w, addrs[lane], size, old+data[lane])
-				ret[lane] = old
-			} else {
-				ret[lane] = uint64(mmem.AtomicAddU32(addrs[lane], uint32(data[lane])))
-			}
-		}
-		e.writeDst(w, in.Dst, t, &ret)
-		res.MemWrite = true
+// stepLda materializes a segment address into a register pair.
+func (e *HSAILEngine) stepLda(w *Wave, u *hsailUop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	var base lanePair
+	if u.hasBase {
+		base = srcPair(w.VRegs, u.vec.src[0].slot, true)
 	}
-	switch in.Seg {
+	e.addresses(w, u, base)
+	if tracked && u.hasBase {
+		// The base register counts towards reuse distance but is not a
+		// value-sampled read.
+		e.Col.OnVRFSlot(w, int(u.vec.src[0].slot))
+		e.Col.OnVRFSlot(w, int(u.vec.src[0].slot)+1)
+	}
+	dst := dstPair(w.VRegs, u.vec.dst, 2)
+	addrs := &e.scratch.addrs
+	for m := uint64(w.Exec); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m) & 63
+		dst.lo[lane], dst.hi[lane] = uint32(addrs[lane]), uint32(addrs[lane]>>32)
+	}
+	if tracked {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, true)
+	}
+}
+
+func (e *HSAILEngine) stepLoad(w *Wave, u *hsailUop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.memAddresses(w, u, tracked)
+	dst := dstPair(w.VRegs, u.vec.dst, u.vec.dstW)
+	if u.seg == hsail.SegGroup {
+		ldsLoadLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, int(u.size), dst)
+	} else {
+		e.Ctx.Mem.LoadLanes(&e.scratch.addrs, w.Exec, int(u.size), dst.lo, dst.hi)
+	}
+	if tracked {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, u.vec.dstW == 2)
+	}
+	e.memResult(w, u, res)
+}
+
+func (e *HSAILEngine) stepStore(w *Wave, u *hsailUop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.memAddresses(w, u, tracked)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, e.Col, tracked)
+	if u.seg == hsail.SegGroup {
+		ldsStoreLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, int(u.size), data)
+	} else {
+		e.Ctx.Mem.StoreLanes(&e.scratch.addrs, w.Exec, int(u.size), data.lo, data.hi)
+	}
+	res.MemWrite = true
+	e.memResult(w, u, res)
+}
+
+func (e *HSAILEngine) stepAtomicAdd(w *Wave, u *hsailUop, res *ExecResult) {
+	tracked := e.Col.tracksVRF()
+	e.memAddresses(w, u, tracked)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, e.Col, tracked)
+	dst := dstPair(w.VRegs, u.vec.dst, 1)
+	if u.seg == hsail.SegGroup {
+		ldsAddLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, data.lo, dst.lo)
+	} else {
+		e.Ctx.Mem.AtomicAddLanes(&e.scratch.addrs, w.Exec, data.lo, dst.lo)
+	}
+	if tracked {
+		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
+	}
+	res.MemWrite = true
+	e.memResult(w, u, res)
+}
+
+// memResult reports the access to the timing model: LDS bank conflicts, or
+// the coalesced line requests of a global access.
+func (e *HSAILEngine) memResult(w *Wave, u *hsailUop, res *ExecResult) {
+	switch u.seg {
 	case hsail.SegGroup:
 		res.MemKind = MemLDS
-		res.LDSBankConflicts = ldsBankConflicts(&addrs, w.Exec)
+		res.LDSBankConflicts = ldsBankConflicts(&e.scratch.addrs, w.Exec)
 	case hsail.SegKernarg:
 		// Kernarg loads are serviced from the emulated runtime's own
 		// state: under HSAIL they never reach the memory system.
 		res.MemKind = MemNone
 	default:
 		res.MemKind = MemGlobal
-		w.linesBuf = mem.CoalesceInto(w.linesBuf[:0], &addrs, size, w.Exec)
+		w.linesBuf = mem.CoalesceInto(w.linesBuf[:0], &e.scratch.addrs, int(u.size), w.Exec)
 		res.Lines = w.linesBuf
 	}
-	return nil
 }
 
-func (e *HSAILEngine) ldsRead(w *Wave, addr uint64, size int) uint64 {
-	lds := w.WG.LDS
-	if int(addr)+size > len(lds) {
-		return 0
-	}
-	v := uint64(0)
-	for i := 0; i < size; i++ {
-		v |= uint64(lds[int(addr)+i]) << uint(8*i)
-	}
-	return v
+func (e *HSAILEngine) stepBr(w *Wave, u *hsailUop, res *ExecResult) {
+	w.PC = u.target
+	res.Redirected = u.target != u.seqPC
 }
 
-func (e *HSAILEngine) ldsWrite(w *Wave, addr uint64, size int, v uint64) {
-	lds := w.WG.LDS
-	if int(addr)+size > len(lds) {
-		return
-	}
-	for i := 0; i < size; i++ {
-		lds[int(addr)+i] = byte(v >> uint(8*i))
-	}
-}
-
-// branch implements the reconvergence-stack discipline of IL simulation
+// stepCBr implements the reconvergence-stack discipline of IL simulation
 // (paper §III.C.1 and Figure 3b).
-func (e *HSAILEngine) branch(w *Wave, in *hsail.Inst, idx int, seqPC uint64, res *ExecResult) {
-	curBlock := e.instBlock[idx]
-	targetPC := e.pcOf(e.blockStart[in.Target])
-
-	if in.Op == hsail.OpBr {
-		w.PC = targetPC
-		res.Redirected = targetPC != seqPC
-		e.rsArrival(w, res)
-		return
-	}
-
-	// Conditional branch: evaluate per-lane condition.
-	cond := w.CRegs[in.Srcs[0].Reg]
-	taken := isa.ExecMask(cond) & w.Exec
+func (e *HSAILEngine) stepCBr(w *Wave, u *hsailUop, res *ExecResult) {
+	seqPC, targetPC := u.seqPC, u.target
+	taken := isa.ExecMask(w.CRegs[u.creg]) & w.Exec
 	fall := w.Exec &^ taken
 
 	switch {
@@ -613,9 +658,8 @@ func (e *HSAILEngine) branch(w *Wave, in *hsail.Inst, idx int, seqPC uint64, res
 		w.PC = targetPC
 		res.Redirected = targetPC != seqPC
 	case taken == 0: // uniformly not taken
-		w.PC = seqPC
 	default: // divergent
-		rpcBlock := e.CFG.IPDom[curBlock]
+		rpcBlock := e.CFG.IPDom[u.block]
 		if rpcBlock < 0 {
 			// No reconvergence point: treat as taken-first with exit.
 			rpcBlock = len(e.CFG.Succs) - 1
@@ -628,7 +672,6 @@ func (e *HSAILEngine) branch(w *Wave, in *hsail.Inst, idx int, seqPC uint64, res
 			// case Figure 3's step ② highlights.
 			e.ensureRestore(w, rpc)
 			w.Exec = fall
-			w.PC = seqPC
 		case seqPC == rpc:
 			// Backward latch (do-while): exiting lanes wait at the
 			// join; remaining lanes jump back to the loop header.
@@ -648,7 +691,6 @@ func (e *HSAILEngine) branch(w *Wave, in *hsail.Inst, idx int, seqPC uint64, res
 			res.Redirected = true
 		}
 	}
-	e.rsArrival(w, res)
 }
 
 // ensureRestore pushes a restore entry for rpc unless one already exists

@@ -11,7 +11,7 @@ import (
 
 // hsailEngineFor builds a single-wave HSAIL engine for a builder-produced
 // kernel.
-func hsailEngineFor(t *testing.T, k *hsail.Kernel) (*HSAILEngine, *Wave) {
+func hsailEngineFor(t testing.TB, k *hsail.Kernel) (*HSAILEngine, *Wave) {
 	t.Helper()
 	cfg, err := kernel.AnalyzeCFG(k)
 	if err != nil {

@@ -11,7 +11,10 @@
 // abstractions through one lens, exactly as the paper's methodology requires.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // WavefrontSize is the number of work-items that execute in lock step on the
 // SIMD units of a compute unit. The paper models AMD GCN3 hardware, which uses
@@ -256,13 +259,7 @@ func (m ExecMask) SetBit(lane int) ExecMask { return m | 1<<uint(lane) }
 func (m ExecMask) ClearBit(lane int) ExecMask { return m &^ (1 << uint(lane)) }
 
 // PopCount returns the number of active lanes.
-func (m ExecMask) PopCount() int {
-	n := 0
-	for v := uint64(m); v != 0; v &= v - 1 {
-		n++
-	}
-	return n
-}
+func (m ExecMask) PopCount() int { return bits.OnesCount64(uint64(m)) }
 
 // Any reports whether any lane is active.
 func (m ExecMask) Any() bool { return m != 0 }

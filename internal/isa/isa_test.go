@@ -85,3 +85,26 @@ func TestCategoryStrings(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+func TestPopCountMatchesLoop(t *testing.T) {
+	loop := func(m ExecMask) int {
+		n := 0
+		for lane := 0; lane < WavefrontSize; lane++ {
+			if m.Bit(lane) {
+				n++
+			}
+		}
+		return n
+	}
+	masks := []ExecMask{0, 1, 1 << 63, ^ExecMask(0), 0x8421, 0xAAAAAAAAAAAAAAAA, FullMask(17)}
+	for i := ExecMask(1); i != 0; i = i*6364136223846793005 + 1442695040888963407 {
+		if masks = append(masks, i); len(masks) > 1000 {
+			break
+		}
+	}
+	for _, m := range masks {
+		if got, want := m.PopCount(), loop(m); got != want {
+			t.Fatalf("PopCount(%#x) = %d, want %d", uint64(m), got, want)
+		}
+	}
+}

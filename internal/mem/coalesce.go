@@ -1,6 +1,10 @@
 package mem
 
-import "ilsim/internal/isa"
+import (
+	"math/bits"
+
+	"ilsim/internal/isa"
+)
 
 // CoalesceInto merges the per-lane addresses of one wavefront memory
 // instruction into the set of distinct cache-line requests, the function the
@@ -13,10 +17,8 @@ import "ilsim/internal/isa"
 // coalesce to at most 2×WavefrontSize lines and usually to a handful, and
 // consecutive lanes overwhelmingly touch the line just inserted.
 func CoalesceInto(buf []uint64, addrs *[isa.WavefrontSize]uint64, accessBytes int, active isa.ExecMask) []uint64 {
-	for lane := 0; lane < isa.WavefrontSize; lane++ {
-		if !active.Bit(lane) {
-			continue
-		}
+	for m := uint64(active); m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros64(m) & 63
 		first := addrs[lane] &^ (LineSize - 1)
 		last := (addrs[lane] + uint64(accessBytes) - 1) &^ (LineSize - 1)
 		for l := first; l <= last; l += LineSize {

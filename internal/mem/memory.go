@@ -27,6 +27,9 @@ const PageSize = 1 << PageBits
 // LineSize is the cache-line size used throughout the hierarchy (Table 4).
 const LineSize = 64
 
+// recentLines is the size of a view's touched-line filter.
+const recentLines = 1024
+
 // pageTable is the page store shared by a Memory and all of its forked
 // views. Until the first Fork the owning Memory is the only user and the
 // mutex is bypassed; once shared, first-touch page allocation takes the
@@ -60,11 +63,13 @@ type Memory struct {
 	// accesses are heavily page-local, so most lookups skip the map.
 	lastBase uint64
 	lastPage []byte
-	// lastLine caches the most recently touched line (valid when
-	// hasLastLine), skipping redundant touched-set inserts for the common
-	// case of consecutive accesses to one line.
-	lastLine    uint64
-	hasLastLine bool
+	// recent is a direct-mapped filter in front of touched: recent[i]
+	// holding l+1 means line l is already in the set, so re-touching a
+	// line the view touched lately — consecutive lanes of one access, the
+	// same gather table every iteration — skips the map insert. It only
+	// ever claims membership of lines that were inserted, so the set stays
+	// exact; it is cleared whenever the set shrinks.
+	recent [recentLines]uint64
 	// trackFootprint enables touched-line recording.
 	trackFootprint bool
 	// exclLo/exclHi is an address range excluded from footprint tracking
@@ -112,8 +117,7 @@ func (m *Memory) AbsorbFootprint(f *Memory) {
 		m.touched[l] = struct{}{}
 	}
 	clear(f.touched)
-	f.hasLastLine = false
-	m.hasLastLine = false
+	f.recent = [recentLines]uint64{}
 }
 
 // SetFootprintTracking toggles touched-line recording (loaders disable it so
@@ -139,7 +143,7 @@ func (m *Memory) ExcludeFromFootprint(lo, hi uint64) {
 // ResetFootprint clears the touched-line set.
 func (m *Memory) ResetFootprint() {
 	m.touched = make(map[uint64]struct{})
-	m.hasLastLine = false
+	m.recent = [recentLines]uint64{}
 }
 
 // FootprintBytes returns the data footprint: touched lines × line size.
@@ -177,28 +181,36 @@ func (m *Memory) page(addr uint64) []byte {
 	return p
 }
 
-func (m *Memory) touch(addr uint64, n int) {
-	// Tracking policy lives on the root view; writes to it happen only
-	// between parallel phases, so forks may read it without locking.
+// footprintPolicy returns whether touched lines are being recorded and the
+// address range excluded from the record. The policy lives on the root
+// view; writes to it happen only between parallel phases, so forks may read
+// it without locking.
+func (m *Memory) footprintPolicy() (track bool, exclLo, exclHi uint64) {
 	pol := m
 	if m.parent != nil {
 		pol = m.parent
 	}
-	if !pol.trackFootprint || n <= 0 {
+	return pol.trackFootprint, pol.exclLo, pol.exclHi
+}
+
+func (m *Memory) touch(addr uint64, n int) {
+	track, exclLo, exclHi := m.footprintPolicy()
+	if !track || n <= 0 || (addr >= exclLo && addr < exclHi) {
 		return
 	}
-	if addr >= pol.exclLo && addr < pol.exclHi {
-		return
-	}
+	m.touchLines(addr, n)
+}
+
+// touchLines records the lines of [addr, addr+n), n > 0, as touched.
+func (m *Memory) touchLines(addr uint64, n int) {
 	first := addr / LineSize
 	last := (addr + uint64(n) - 1) / LineSize
-	if first == last && m.hasLastLine && first == m.lastLine {
-		return
-	}
 	for l := first; l <= last; l++ {
-		m.touched[l] = struct{}{}
+		if slot := &m.recent[l%recentLines]; *slot != l+1 {
+			m.touched[l] = struct{}{}
+			*slot = l + 1
+		}
 	}
-	m.lastLine, m.hasLastLine = last, true
 }
 
 // Read copies len(dst) bytes at addr into dst.

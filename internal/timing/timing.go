@@ -347,11 +347,16 @@ func (g *GPU) wdInsts() uint64 {
 func (g *GPU) runnable() int {
 	n := 0
 	for _, c := range g.cus {
-		if len(c.waves) > 0 && (g.NoSkip || c.nextEvent <= g.now) {
+		if c.awake(g.now) {
 			n++
 		}
 	}
 	return n
+}
+
+// awake reports whether the CU's tick at cycle now has a wave to visit.
+func (c *cu) awake(now int64) bool {
+	return len(c.waves) > 0 && (c.g.NoSkip || c.nextEvent <= now)
 }
 
 // prepareEngines binds each CU's execution engine for the coming dispatch.
