@@ -1,15 +1,17 @@
 # Developer entry points. `make check` is the tier-1 gate; `make race` runs
 # the concurrency-sensitive packages under the race detector — the
 # experiment engine's determinism tests and the full distributed suite
-# (bundled leases, mid-bundle reassignment, TLS/token auth, quorum voting,
-# chaos fault injection, fleet supervision) included, so coordinator and
-# worker locking is exercised under contention on every run.
+# (the socket-free campaign state machine, TLS/token auth, quorum voting,
+# chaos fault injection, drains, fleet supervision) included, so coordinator
+# and worker locking is exercised under contention on every run.
+# `make dist-soak` repeats the control plane's own suites COUNT times under
+# the race detector — the flake detector for lease/election/drain timing.
 # `make fuzz` gives the wire codec, the cache model and the whole-wave
 # kernels a short coverage-guided beating.
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench bench-ab bench-sweep
+.PHONY: check fmt vet build test race dist-soak fuzz bench bench-ab
 
 check: fmt vet build test
 
@@ -32,6 +34,12 @@ race:
 	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
 		./internal/fleet/... ./internal/core/... ./internal/timing/... \
 		./internal/mem/... ./internal/emu/... ./internal/stats/... ./cmd/...
+
+# dist-soak: ~10 s per repeat on two cores, so the default is about half an
+# hour; the timeout is per package and replaces go test's 10-minute default.
+COUNT ?= 200
+dist-soak:
+	$(GO) test -race -count=$(COUNT) -timeout 2h ./internal/dist ./internal/fleet
 
 # fuzz runs the journal/distributed-result codec fuzzer, the cache-vs-
 # reference-LRU fuzzer and the kernel-vs-scalar-ALU fuzzer for a bounded time
@@ -58,7 +66,3 @@ bench-ab:
 	git worktree add --detach --force .bench_build/ab/ref $(REF)
 	bash scripts/bench-ab.sh .bench_build/ab/ref $(PAIRS); status=$$?; \
 		git worktree remove --force .bench_build/ab/ref; exit $$status
-
-# bench-sweep measures experiment-engine scheduling overhead.
-bench-sweep:
-	$(GO) test -bench 'BenchmarkSweep(Serial|Parallel)' -benchtime 3x .

@@ -2,26 +2,22 @@
 // autoscaling loop the coordinator's /status hints open. The daemon
 // polls a coordinator (ilsim-sweep -serve), converts the WantWorkers
 // slot target into a replica count through a hysteresis/cooldown policy
-// (-min/-max clamps, -deadband, -up-cooldown/-down-cooldown, step caps),
-// and reconciles the live fleet to match — launching workers to grow,
+// (-min/-max clamps, -deadband, -up-cooldown/-down-cooldown), and
+// reconciles the live fleet to match — launching workers to grow,
 // draining them to shrink, and exiting 0 once the campaign completes and
 // the fleet is gone.
 //
-// Two launchers cover the deployment spectrum. The default exec launcher
-// spawns local ilsim-workerd child processes, passing through the
+// Replicas are local ilsim-workerd child processes, launched with the
 // transport and engine flags given here (-token, -tls-ca, -tls-insecure,
 // -tls-cert/-tls-key, -chaos, -j) plus -name/-fleet labels; a crashed
 // worker relaunches under the same name with exponential backoff, and a
 // crash loop trips a breaker that abandons the lineage instead of
-// respawning it forever. The cmdtmpl launcher (-launch-cmd, optional
-// -terminate-cmd) renders shell templates over {{.Name}}, {{.Fleet}} and
-// {{.Coordinator}} — ssh, cloud CLIs, kubectl — with the launch command
-// staying in the foreground as the replica's lifetime.
+// respawning it forever.
 //
 // Scale-down never loses work: the supervisor asks the coordinator to
 // drain the victim (POST /drain), the worker finishes its in-flight job,
-// hands the unstarted remainder back via POST /release, and exits — only
-// then is the process reaped. Victims are the cheapest first: crashed
+// says goodbye via POST /release, and exits — only then is the process
+// reaped. Victims are the cheapest first: crashed
 // lineages waiting out a backoff, then quarantined workers, then idle
 // ones, then the slowest.
 //
@@ -36,9 +32,6 @@
 //	ilsim-fleetd -connect host:9666 -min 2 -max 16 -j 4    # 4 slots per worker
 //	ilsim-fleetd -connect host:9666 -max 8 -token s3cret -tls-ca coord.pem
 //	ilsim-fleetd -connect host:9666 -max 4 -status 10s
-//	ilsim-fleetd -connect host:9666 -max 8 \
-//	  -launch-cmd 'ssh {{.Name}}.lab ilsim-workerd -connect {{.Coordinator}} -name {{.Name}} -fleet {{.Fleet}}' \
-//	  -terminate-cmd 'ssh {{.Name}}.lab pkill -TERM -f {{.Name}}'
 package main
 
 import (
@@ -79,21 +72,17 @@ func run(args []string, out, errw io.Writer) error {
 	deadband := fs.Float64("deadband", 0.25, "hysteresis width as a fraction of the current replica count")
 	upCd := fs.Duration("up-cooldown", 5*time.Second, "quiet time required after any fleet change before growing")
 	downCd := fs.Duration("down-cooldown", 30*time.Second, "quiet time required after any fleet change before shrinking")
-	stepUp := fs.Int("step-up", 0, "max replicas added per decision (0 = uncapped)")
-	stepDown := fs.Int("step-down", 0, "max replicas removed per decision (0 = uncapped)")
 	poll := fs.Duration("poll", 2*time.Second, "status poll and reconcile interval")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a drained worker may linger before Stop, twice before Kill")
 	breaker := fs.Int("breaker", 5, "consecutive crashes that abandon a worker lineage")
 	slots := fs.Int("j", 1, "execution slots per launched worker (passed to ilsim-workerd as -j)")
-	workerBin := fs.String("worker-bin", "", "ilsim-workerd binary for the exec launcher (default: found next to this binary, then $PATH)")
-	launchCmd := fs.String("launch-cmd", "", "shell template launching one worker ({{.Name}}, {{.Fleet}}, {{.Coordinator}}); replaces the exec launcher")
-	terminateCmd := fs.String("terminate-cmd", "", "shell template terminating one worker (cmdtmpl launcher only; optional)")
-	token := fs.String("token", "", "shared auth token, used by the supervisor and passed to exec-launched workers")
+	workerBin := fs.String("worker-bin", "", "ilsim-workerd binary to launch (default: found next to this binary, then $PATH)")
+	token := fs.String("token", "", "shared auth token, used by the supervisor and passed to the launched workers")
 	tlsCA := fs.String("tls-ca", "", "trust this PEM certificate and dial https (passed through to workers)")
 	tlsInsecure := fs.Bool("tls-insecure", false, "dial https without verifying the coordinator certificate (lab use only)")
 	tlsCert := fs.String("tls-cert", "", "client certificate for mutual TLS (passed through to workers; needs -tls-key)")
 	tlsKey := fs.String("tls-key", "", "private key for -tls-cert")
-	chaosSpec := fs.String("chaos", "", "chaos spec passed through to exec-launched workers (dev/test harness)")
+	chaosSpec := fs.String("chaos", "", "chaos spec passed through to the launched workers (dev/test harness)")
 	statusEvery := fs.Duration("status", 0, "log the supervisor's fleet view and the coordinator's campaign line at this interval (0 = off)")
 	verbose := fs.Bool("v", false, "log supervisor lifecycle events to stderr")
 	if err := fs.Parse(args); err != nil {
@@ -114,55 +103,39 @@ func run(args []string, out, errw io.Writer) error {
 		TLSKey:        *tlsKey,
 	}
 
-	var launcher fleet.Launcher
-	switch {
-	case *launchCmd != "":
-		l, err := fleet.NewCmdTemplateLauncher(*launchCmd, *terminateCmd)
-		if err != nil {
-			return err
-		}
-		l.Stdout, l.Stderr = errw, errw
-		l.Logf = func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) }
-		launcher = l
-	case *terminateCmd != "":
-		return errors.New("-terminate-cmd needs -launch-cmd")
-	default:
-		bin, err := findWorkerBinary(*workerBin)
-		if err != nil {
-			return err
-		}
-		wargs := []string{"-j", strconv.Itoa(*slots)}
-		if *token != "" {
-			wargs = append(wargs, "-token", *token)
-		}
-		if *tlsCA != "" {
-			wargs = append(wargs, "-tls-ca", *tlsCA)
-		}
-		if *tlsInsecure {
-			wargs = append(wargs, "-tls-insecure")
-		}
-		if *tlsCert != "" {
-			wargs = append(wargs, "-tls-cert", *tlsCert, "-tls-key", *tlsKey)
-		}
-		if *chaosSpec != "" {
-			wargs = append(wargs, "-chaos", *chaosSpec)
-		}
-		if *verbose {
-			wargs = append(wargs, "-v")
-		}
-		launcher = &fleet.ExecLauncher{Path: bin, Args: wargs, Stdout: errw, Stderr: errw}
+	bin, err := findWorkerBinary(*workerBin)
+	if err != nil {
+		return err
+	}
+	wargs := []string{"-j", strconv.Itoa(*slots)}
+	if *token != "" {
+		wargs = append(wargs, "-token", *token)
+	}
+	if *tlsCA != "" {
+		wargs = append(wargs, "-tls-ca", *tlsCA)
+	}
+	if *tlsInsecure {
+		wargs = append(wargs, "-tls-insecure")
+	}
+	if *tlsCert != "" {
+		wargs = append(wargs, "-tls-cert", *tlsCert, "-tls-key", *tlsKey)
+	}
+	if *chaosSpec != "" {
+		wargs = append(wargs, "-chaos", *chaosSpec)
+	}
+	if *verbose {
+		wargs = append(wargs, "-v")
 	}
 
 	sup := &fleet.Supervisor{
 		Coordinator: *connect,
 		Client:      clientOpts,
 		Fleet:       *label,
-		Launcher:    launcher,
+		Launcher:    &fleet.ExecLauncher{Path: bin, Args: wargs, Stdout: errw, Stderr: errw},
 		Policy: fleet.Policy{
 			Min: *minR, Max: *maxR,
 			Deadband:   *deadband,
 			UpCooldown: *upCd, DownCooldown: *downCd,
-			StepUp: *stepUp, StepDown: *stepDown,
 		},
 		SlotsPerWorker: *slots,
 		Poll:           *poll,
@@ -216,7 +189,7 @@ func run(args []string, out, errw io.Writer) error {
 		}()
 	}
 
-	err := sup.Run(ctx)
+	err = sup.Run(ctx)
 	stopStatus()
 	if err != nil {
 		return err
@@ -225,7 +198,7 @@ func run(args []string, out, errw io.Writer) error {
 	return nil
 }
 
-// findWorkerBinary locates ilsim-workerd for the exec launcher: an
+// findWorkerBinary locates ilsim-workerd: an
 // explicit -worker-bin wins, then a binary sitting next to ilsim-fleetd
 // (the `go build ./...` layout), then $PATH.
 func findWorkerBinary(explicit string) (string, error) {

@@ -146,34 +146,6 @@ func TestFleetdSmoke(t *testing.T) {
 	}
 }
 
-// TestFleetdCmdTemplate covers the -launch-cmd wiring: the template
-// renders this test binary as the remote launch command, and the daemon
-// still drains the campaign and exits clean.
-func TestFleetdCmdTemplate(t *testing.T) {
-	t.Setenv("ILSIM_FLEETD_TEST_WORKER", "1")
-	self, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, campDone := startCampaign(t, testJobs(t, 2))
-
-	var out bytes.Buffer
-	errw := &logBuffer{}
-	runErr := run([]string{"-connect", c.Addr(), "-fleet", "tmpl",
-		"-min", "1", "-max", "1", "-poll", "50ms",
-		"-launch-cmd", self + " -connect {{.Coordinator}} -name {{.Name}} -fleet {{.Fleet}}",
-		"-v"}, &out, errw)
-	if runErr != nil {
-		t.Fatalf("ilsim-fleetd: %v\nstderr: %s", runErr, errw.String())
-	}
-	if err := <-campDone; err != nil {
-		t.Fatalf("campaign: %v", err)
-	}
-	if !strings.Contains(out.String(), "campaign complete; fleet drained") {
-		t.Errorf("missing completion line:\n%s", out.String())
-	}
-}
-
 // TestFleetdValidation pins the flag-validation refusals.
 func TestFleetdValidation(t *testing.T) {
 	cases := []struct {
@@ -182,8 +154,6 @@ func TestFleetdValidation(t *testing.T) {
 	}{
 		{"no-connect", []string{"-max", "2"}},
 		{"bad-bounds", []string{"-connect", "x:1", "-min", "4", "-max", "2"}},
-		{"terminate-without-launch", []string{"-connect", "x:1", "-terminate-cmd", "echo"}},
-		{"bad-launch-template", []string{"-connect", "x:1", "-launch-cmd", "{{.Name"}},
 		{"missing-worker-bin", []string{"-connect", "x:1", "-worker-bin", "/does/not/exist"}},
 	}
 	for _, tc := range cases {

@@ -2,11 +2,12 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"regexp"
-	"strings"
 	"sync"
 	"testing"
-	"time"
+
+	"ilsim/internal/dist"
 )
 
 // syncBuffer is a bytes.Buffer safe to read while the coordinator
@@ -34,8 +35,27 @@ var timingRe = regexp.MustCompile(`(?m)^\d+ jobs in .*$`)
 
 func sweepTable(s string) string { return timingRe.ReplaceAllString(s, "N jobs") }
 
+// runWorkers attaches n two-slot workers (the library behind ilsim-workerd)
+// to the coordinator at addr and returns a wait function that fails the test
+// if any of them did.
+func runWorkers(t *testing.T, addr string, n int, client dist.ClientOptions) (wait func()) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := &dist.Worker{Coordinator: addr, Slots: 2, Client: client}
+			if err := w.Run(context.Background()); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	return wg.Wait
+}
+
 // TestSweepServeConnect runs the same tiny sweep twice — once locally,
-// once through -serve with two -connect workers over loopback — and
+// once through -serve with two workers connected over loopback — and
 // asserts the result tables are identical: the distributed path must not
 // change a byte of the science.
 func TestSweepServeConnect(t *testing.T) {
@@ -48,57 +68,15 @@ func TestSweepServeConnect(t *testing.T) {
 
 	var serveOut bytes.Buffer
 	serveErr := &syncBuffer{}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- run(append(sweep, "-serve", "127.0.0.1:0"), &serveOut, serveErr) }()
-
-	// The coordinator prints its bound address before accepting workers.
-	addrRe := regexp.MustCompile(`-connect (127\.0\.0\.1:\d+)`)
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if m := addrRe.FindStringSubmatch(serveErr.String()); m != nil {
-			addr = m[1]
-			break
-		}
-		select {
-		case err := <-serveDone:
-			t.Fatalf("coordinator exited early: %v\nstderr: %s", err, serveErr.String())
-		default:
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no coordinator address in stderr:\n%s", serveErr.String())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var wOut bytes.Buffer
-			wErr := &syncBuffer{}
-			if err := run([]string{"-connect", addr, "-j", "2", "-v"}, &wOut, wErr); err != nil {
-				t.Errorf("worker: %v\nstderr: %s", err, wErr.String())
-			}
-		}()
-	}
+	addr, serveDone := startServe(t, append(sweep, "-serve", "127.0.0.1:0"), &serveOut, serveErr)
+	wait := runWorkers(t, addr, 2, dist.ClientOptions{})
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve run: %v\nstderr: %s", err, serveErr.String())
 	}
-	wg.Wait()
+	wait()
 
 	if sweepTable(localOut.String()) != sweepTable(serveOut.String()) {
 		t.Fatalf("distributed sweep output differs from local:\n--- local ---\n%s--- distributed ---\n%s",
 			localOut.String(), serveOut.String())
-	}
-}
-
-// TestSweepServeConnectExclusive rejects contradictory modes.
-func TestSweepServeConnectExclusive(t *testing.T) {
-	var out, errw bytes.Buffer
-	err := run([]string{"-serve", ":0", "-connect", "x:1"}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("err = %v", err)
 	}
 }

@@ -11,13 +11,12 @@
 // -resume instead of restarting.
 //
 // Sweeps also distribute: -serve turns the process into a coordinator that
-// leases the same job set to workers (-connect here, or ilsim-workerd) and
+// leases the same job set, one job per lease, to ilsim-workerd workers and
 // assembles their streamed results in design-point order, byte-identical
-// to a local run. Leases carry bundles of jobs sized by each worker's
-// observed throughput (-bundle tunes the per-lease work target), the
-// endpoints optionally require TLS (-tls-cert/-tls-key), client
-// certificates (-tls-client-ca, mutual TLS) and a shared token (-token),
-// and -watch prints a status snapshot — queue depth, per-worker
+// to a local run. The endpoints optionally require TLS
+// (-tls-cert/-tls-key), client certificates (-tls-client-ca, mutual TLS)
+// and a shared token (-token), and -watch prints a status snapshot —
+// queue depth, per-worker
 // throughput, health/quarantine state, fleet labels and the WantWorkers
 // autoscaling hint — from a running coordinator (one-shot, or redrawn
 // continuously with -interval, where a sparkline tracks recent fleet
@@ -45,10 +44,9 @@
 //	ilsim-sweep -param banks -journal s.jsonl     # checkpoint completed jobs
 //	ilsim-sweep -param banks -journal s.jsonl -resume   # continue after a kill
 //	ilsim-sweep -param banks -serve :9666         # coordinate remote workers
-//	ilsim-sweep -param banks -serve :9666 -bundle 5s -token s3cret
+//	ilsim-sweep -param banks -serve :9666 -token s3cret
 //	ilsim-sweep -param banks -serve :9666 -replicas 3   # quorum over untrusted workers
 //	ilsim-sweep -param banks -serve :9666 -fleet 4      # self-supervised local fleet
-//	ilsim-sweep -connect host:9666 -j 4           # execute leases from a coordinator
 //	ilsim-sweep -watch host:9666                  # one-shot campaign status
 //	ilsim-sweep -watch host:9666 -interval 2s     # live status board
 //	ilsim-sweep -journal s.jsonl -journal-compact # drop superseded journal entries
@@ -61,7 +59,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -98,7 +95,6 @@ func run(args []string, out, errw io.Writer) error {
 	journalPath := fs.String("journal", "", "checkpoint completed jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "reuse an existing -journal file, re-running only unfinished jobs")
 	serve := fs.String("serve", "", "coordinate the sweep over HTTP on this address instead of running it locally")
-	connect := fs.String("connect", "", "run as a worker executing leases from the coordinator at this address")
 	watch := fs.String("watch", "", "print a status snapshot (autoscaling and health included) from the coordinator at this address, then exit")
 	interval := fs.Duration("interval", 0, "with -watch: redraw the status continuously at this period instead of one snapshot")
 	replicas := fs.Int("replicas", 1, "with -serve: lease every job to this many distinct workers and accept the majority result (quorum over untrusted workers)")
@@ -106,20 +102,19 @@ func run(args []string, out, errw io.Writer) error {
 	allowCN := fs.String("allow-cn", "", "with -serve: comma-separated client-certificate CommonNames admitted past mutual TLS (needs -tls-client-ca); others get 403")
 	scaleHorizon := fs.Duration("scale-horizon", 0, "with -serve: drain window the WantWorkers autoscaling hint aims for (0 = default 1m)")
 	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries and vote records), then exit")
-	bundle := fs.Duration("bundle", dist.DefaultBundleTarget, "target work per lease: bundles are sized to this much estimated runtime (with -serve; 0 disables bundling). With -connect, caps this worker's bundles")
-	token := fs.String("token", "", "shared auth token: required of workers with -serve, sent to the coordinator with -connect/-watch")
-	tlsCert := fs.String("tls-cert", "", "with -serve: serve the coordinator endpoints over TLS using this PEM certificate. With -connect: present it as this worker's client certificate (mutual TLS)")
+	token := fs.String("token", "", "shared auth token: required of workers with -serve, sent to the coordinator with -watch")
+	tlsCert := fs.String("tls-cert", "", "with -serve: serve the coordinator endpoints over TLS using this PEM certificate. With -watch: present it as the client certificate (mutual TLS)")
 	tlsKey := fs.String("tls-key", "", "the PEM key matching -tls-cert")
 	tlsClientCA := fs.String("tls-client-ca", "", "with -serve: require client certificates signed by this PEM CA on every connection (mutual TLS; needs -tls-cert/-tls-key)")
-	tlsCA := fs.String("tls-ca", "", "with -connect/-watch: trust this PEM certificate (e.g. a self-signed coordinator cert) and dial https")
-	tlsInsecure := fs.Bool("tls-insecure", false, "with -connect/-watch: dial https without verifying the coordinator certificate (lab use only)")
+	tlsCA := fs.String("tls-ca", "", "with -watch: trust this PEM certificate (e.g. a self-signed coordinator cert) and dial https")
+	tlsInsecure := fs.Bool("tls-insecure", false, "with -watch: dial https without verifying the coordinator certificate (lab use only)")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	debugPprof := fs.Bool("pprof", false, "with -serve: expose net/http/pprof handlers on the coordinator's status mux")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = auto: cores/-j, capped at NumCUs; 1 = serial; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = auto: cores/-j, capped at the drain width; 1 = serial; results identical)")
+	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 or 1 = serial, the default; capped at NumCUs; results identical)")
+	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 or 1 = serial, the default; capped at the drain width; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -139,21 +134,15 @@ func run(args []string, out, errw io.Writer) error {
 	if *resume && *journalPath == "" {
 		return errors.New("-resume requires -journal")
 	}
-	modes := 0
-	for _, m := range []string{*serve, *connect, *watch} {
-		if m != "" {
-			modes++
-		}
-	}
-	if modes > 1 {
-		return errors.New("-serve, -connect and -watch are mutually exclusive")
+	if *serve != "" && *watch != "" {
+		return errors.New("-serve and -watch are mutually exclusive")
 	}
 	if *compact {
 		if *journalPath == "" {
 			return errors.New("-journal-compact requires -journal")
 		}
-		if modes > 0 {
-			return errors.New("-journal-compact runs standalone (no -serve/-connect/-watch)")
+		if *serve != "" || *watch != "" {
+			return errors.New("-journal-compact runs standalone (no -serve/-watch)")
 		}
 		kept, dropped, err := exp.CompactJournal(*journalPath)
 		if err != nil {
@@ -162,40 +151,13 @@ func run(args []string, out, errw io.Writer) error {
 		fmt.Fprintf(out, "compacted %s: kept %d entries, dropped %d\n", *journalPath, kept, dropped)
 		return nil
 	}
-	clientOpts := dist.ClientOptions{AuthToken: *token, TLSCACert: *tlsCA, TLSSkipVerify: *tlsInsecure}
-	if *connect != "" || *watch != "" {
-		// On the client side of the wire, -tls-cert/-tls-key are this
-		// process's client certificate for a mutual-TLS coordinator.
-		clientOpts.TLSCert, clientOpts.TLSKey = *tlsCert, *tlsKey
-	}
-
 	if *watch != "" {
 		// Status mode: a snapshot for operators and autoscaling scripts —
-		// one-shot by default, a live board with -interval.
-		return watchStatus(*watch, clientOpts, *interval, out)
-	}
-
-	if *connect != "" {
-		// Worker mode: the job set lives on the coordinator; every local
-		// defense (retries, watchdogs, panic isolation) still applies per
-		// leased job.
-		slots := *workers
-		if slots <= 0 {
-			slots = runtime.GOMAXPROCS(0)
-		}
-		eng := exp.New(0)
-		eng.Retry = exp.RetryPolicy{MaxRetries: *retries}
-		eng.CUParallelism = *cuPar
-		eng.MemParallelism = *memPar
-		if msg := core.OversubscriptionWarning(slots, *cuPar, *memPar); msg != "" {
-			fmt.Fprintln(errw, "ilsim-sweep:", msg)
-		}
-		w := &dist.Worker{Coordinator: *connect, Slots: slots, Engine: eng,
-			BundleTarget: *bundle, Client: clientOpts}
-		if *verbose {
-			w.Logf = func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) }
-		}
-		return w.Run(context.Background())
+		// one-shot by default, a live board with -interval. Here
+		// -tls-cert/-tls-key are this process's client certificate for a
+		// mutual-TLS coordinator.
+		return watchStatus(*watch, dist.ClientOptions{AuthToken: *token, TLSCACert: *tlsCA,
+			TLSSkipVerify: *tlsInsecure, TLSCert: *tlsCert, TLSKey: *tlsKey}, *interval, out)
 	}
 
 	pts, err := exp.SweepPoints(*param)
@@ -236,10 +198,6 @@ func run(args []string, out, errw io.Writer) error {
 		if *failFast {
 			return errors.New("-failfast applies to the local engine; with -serve, failures are collected")
 		}
-		bundleTarget := *bundle
-		if bundleTarget <= 0 {
-			bundleTarget = -1 // 0 on the flag means "no bundling", not "default"
-		}
 		var allowedCNs []string
 		if *allowCN != "" {
 			for _, cn := range strings.Split(*allowCN, ",") {
@@ -250,7 +208,6 @@ func run(args []string, out, errw io.Writer) error {
 		}
 		c := dist.NewCoordinator(dist.Options{
 			Addr:         *serve,
-			BundleTarget: bundleTarget,
 			ScaleHorizon: *scaleHorizon,
 			Replicas:     *replicas,
 			AuthToken:    *token,

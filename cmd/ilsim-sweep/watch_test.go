@@ -5,7 +5,6 @@ import (
 	"context"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,12 +38,12 @@ func startServe(t *testing.T, args []string, out *bytes.Buffer, errw *syncBuffer
 }
 
 // TestSweepWatchAndToken drives the hardened CLI path end to end: a
-// coordinator started with -token and -bundle, a -watch snapshot that
-// must authenticate and must carry the autoscaling fields, and a worker
-// that needs the token to drain the campaign.
+// coordinator started with -token, a -watch snapshot that must
+// authenticate and must carry the autoscaling fields, and a worker that
+// needs the token to drain the campaign.
 func TestSweepWatchAndToken(t *testing.T) {
 	sweep := []string{"-param", "banks", "-workload", "ArrayBW", "-points", "2",
-		"-serve", "127.0.0.1:0", "-token", "s3cret", "-bundle", "5s"}
+		"-serve", "127.0.0.1:0", "-token", "s3cret"}
 	var serveOut bytes.Buffer
 	serveErr := &syncBuffer{}
 	addr, serveDone := startServe(t, sweep, &serveOut, serveErr)
@@ -78,20 +77,11 @@ func TestSweepWatchAndToken(t *testing.T) {
 		t.Fatal("wrong-token -watch succeeded")
 	}
 
-	var wOut bytes.Buffer
-	wErr := &syncBuffer{}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := run([]string{"-connect", addr, "-j", "2", "-token", "s3cret"}, &wOut, wErr); err != nil {
-			t.Errorf("worker: %v\nstderr: %s", err, wErr.String())
-		}
-	}()
+	wait := runWorkers(t, addr, 1, dist.ClientOptions{AuthToken: "s3cret"})
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve run: %v\nstderr: %s", err, serveErr.String())
 	}
-	wg.Wait()
+	wait()
 	if !strings.Contains(serveOut.String(), "sweep banks") {
 		t.Fatalf("coordinator produced no sweep table:\n%s", serveOut.String())
 	}
@@ -99,7 +89,7 @@ func TestSweepWatchAndToken(t *testing.T) {
 
 // TestSweepServeReplicas drives the quorum flag end to end: with
 // -replicas 2 every job needs matching ballots from two distinct workers
-// before it is accepted, so the campaign only completes once both CLI
+// before it is accepted, so the campaign only completes once both
 // workers have executed the whole job set — and the sweep table still
 // prints normally.
 func TestSweepServeReplicas(t *testing.T) {
@@ -109,22 +99,11 @@ func TestSweepServeReplicas(t *testing.T) {
 	serveErr := &syncBuffer{}
 	addr, serveDone := startServe(t, sweep, &serveOut, serveErr)
 
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var wOut bytes.Buffer
-			wErr := &syncBuffer{}
-			if err := run([]string{"-connect", addr, "-j", "2"}, &wOut, wErr); err != nil {
-				t.Errorf("replica worker: %v\nstderr: %s", err, wErr.String())
-			}
-		}()
-	}
+	wait := runWorkers(t, addr, 2, dist.ClientOptions{})
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve run: %v\nstderr: %s", err, serveErr.String())
 	}
-	wg.Wait()
+	wait()
 	if !strings.Contains(serveOut.String(), "sweep banks") {
 		t.Fatalf("coordinator produced no sweep table:\n%s", serveOut.String())
 	}
@@ -178,17 +157,12 @@ func TestSweepWatchInterval(t *testing.T) {
 	}
 }
 
-// TestSweepWatchExclusive rejects -watch combined with the other modes.
+// TestSweepWatchExclusive rejects -watch combined with -serve.
 func TestSweepWatchExclusive(t *testing.T) {
-	for _, args := range [][]string{
-		{"-watch", "x:1", "-serve", ":0"},
-		{"-watch", "x:1", "-connect", "x:1"},
-	} {
-		var out, errw bytes.Buffer
-		err := run(args, &out, &errw)
-		if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-			t.Fatalf("%v: err = %v", args, err)
-		}
+	var out, errw bytes.Buffer
+	err := run([]string{"-watch", "x:1", "-serve", ":0"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
+		t.Fatalf("err = %v", err)
 	}
 }
 

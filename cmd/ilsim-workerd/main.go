@@ -10,23 +10,20 @@
 // identically, so a worker whose job encoding drifted can never taint a
 // campaign.
 //
-// Leases arrive as bundles sized by this worker's observed throughput
-// (-bundle caps the per-lease work target); each job's result streams back
-// individually, so a kill mid-bundle forfeits only un-acked work. For
-// hardened coordinators, -token sends the shared auth token,
-// -tls-ca/-tls-insecure dial https, and -tls-cert/-tls-key present this
-// worker's client certificate to a mutual-TLS coordinator. -status-poll
-// logs the coordinator's campaign status — queue depth, fleet throughput,
-// the WantWorkers autoscaling hint — at a fixed interval, giving
-// supervisor scripts a scrapeable scaling signal. -fleet labels the
-// worker as supervisor-managed (ilsim-fleetd sets it on the workers it
+// A lease carries one job and each of the -j slots leases independently,
+// so a kill forfeits only the jobs in flight. For hardened coordinators,
+// -token sends the shared auth token, -tls-ca/-tls-insecure dial https, and
+// -tls-cert/-tls-key present this worker's client certificate to a
+// mutual-TLS coordinator. (The campaign's status board is `ilsim-sweep
+// -watch`, not this daemon.) -fleet labels the worker as
+// supervisor-managed (ilsim-fleetd sets it on the workers it
 // launches); the label shows up in the coordinator's status table and
 // steers scale-down victim selection.
 //
 // The first SIGINT/SIGTERM drains gracefully: in-flight jobs finish and
-// report, the unstarted remainder of the current bundle is released back
-// to the coordinator, and the process exits 0. A second signal aborts
-// hard — work in flight cancels and held leases lapse via their TTL.
+// report, no further lease is taken, and the process exits 0. A second
+// signal aborts hard — work in flight cancels and held leases lapse via
+// their TTL.
 //
 // -chaos injects deterministic, seeded network faults (drops, delays,
 // duplicates, corrupted and truncated responses, timed partitions) into
@@ -40,7 +37,6 @@
 //	ilsim-workerd -connect host:9666              # one execution slot
 //	ilsim-workerd -connect host:9666 -j 8 -v      # 8 slots, lifecycle logs
 //	ilsim-workerd -connect host:9666 -retries 2   # local transient retries
-//	ilsim-workerd -connect host:9666 -bundle 2s -status-poll 10s
 //	ilsim-workerd -connect host:9666 -token s3cret -tls-ca coord.pem
 //	ilsim-workerd -connect host:9666 -tls-ca ca.pem -tls-cert w.pem -tls-key w.key
 //	ilsim-workerd -connect host:9666 -chaos 'seed=7,drop=0.05,delay=20ms:0.2'
@@ -57,7 +53,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"syscall"
 	"time"
 
@@ -83,18 +78,16 @@ func run(args []string, out, errw io.Writer) error {
 	name := fs.String("name", "", "worker name in leases and logs (default hostname-pid)")
 	fleetLabel := fs.String("fleet", "", "fleet label announced at join (set by ilsim-fleetd; empty = hand-launched)")
 	slots := fs.Int("j", 0, "concurrent execution slots (0 = GOMAXPROCS)")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = auto: cores/-j, capped at NumCUs; 1 = serial; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = auto: cores/-j, capped at the drain width; 1 = serial; results identical)")
+	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 or 1 = serial, the default; capped at NumCUs; results identical)")
+	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 or 1 = serial, the default; capped at the drain width; results identical)")
 	retries := fs.Int("retries", 0, "local retries per transiently failing job")
 	window := fs.Duration("window", 2*time.Minute, "how long to retry an unreachable coordinator before giving up")
-	bundle := fs.Duration("bundle", 0, "cap this worker's lease bundles at this much estimated work (0 = accept the coordinator's target)")
 	token := fs.String("token", "", "shared auth token for a coordinator started with -token")
 	tlsCA := fs.String("tls-ca", "", "trust this PEM certificate (e.g. a self-signed coordinator cert) and dial https")
 	tlsInsecure := fs.Bool("tls-insecure", false, "dial https without verifying the coordinator certificate (lab use only)")
 	tlsCert := fs.String("tls-cert", "", "present this PEM certificate as the worker's client certificate (mutual TLS; needs -tls-key)")
 	tlsKey := fs.String("tls-key", "", "private key for -tls-cert")
 	chaosSpec := fs.String("chaos", "", "inject deterministic seeded network faults into the coordinator connection, e.g. 'seed=7,drop=0.05,corrupt=0.02,delay=20ms:0.2' (dev/test harness)")
-	statusPoll := fs.Duration("status-poll", 0, "log the coordinator's campaign status (queue depth, throughput, WantWorkers hint) to stderr at this interval (0 = off)")
 	verbose := fs.Bool("v", false, "log lifecycle events to stderr")
 	debugAddr := fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	if err := fs.Parse(args); err != nil {
@@ -144,22 +137,21 @@ func run(args []string, out, errw io.Writer) error {
 		fmt.Fprintln(errw, "ilsim-workerd:", msg)
 	}
 	w := &dist.Worker{
-		Coordinator:  *connect,
-		Name:         *name,
-		Fleet:        *fleetLabel,
-		Slots:        *slots,
-		Engine:       eng,
-		BundleTarget: *bundle,
-		Client:       clientOpts,
-		RetryWindow:  *window,
+		Coordinator: *connect,
+		Name:        *name,
+		Fleet:       *fleetLabel,
+		Slots:       *slots,
+		Engine:      eng,
+		Client:      clientOpts,
+		RetryWindow: *window,
 	}
 	if *verbose {
 		w.Logf = func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) }
 	}
 
 	// Two-stage shutdown. The first SIGINT/SIGTERM drains: in-flight
-	// jobs finish and report, the unstarted remainder of the bundle is
-	// released back to the coordinator, and Run returns cleanly. A
+	// jobs finish and report, no further lease is taken, and Run returns
+	// cleanly. A
 	// second signal aborts hard — work cancels mid-flight and held
 	// leases lapse via their TTL.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -173,7 +165,7 @@ func run(args []string, out, errw io.Writer) error {
 			return
 		case <-sigs:
 		}
-		fmt.Fprintln(errw, "draining: finishing in-flight jobs, releasing the rest (signal again to abort)")
+		fmt.Fprintln(errw, "draining: finishing in-flight jobs, taking no more (signal again to abort)")
 		w.Drain()
 		select {
 		case <-ctx.Done():
@@ -183,49 +175,8 @@ func run(args []string, out, errw io.Writer) error {
 		}
 	}()
 
-	stopPoll := func() {}
-	if *statusPoll > 0 {
-		// The poller shares the worker's credentials, so a hardened
-		// coordinator feeds the same autoscaling signal as an open one. It
-		// is stopped (and waited for) before the exit report so the two
-		// never interleave on the log stream.
-		pollStop := make(chan struct{})
-		pollDone := make(chan struct{})
-		var pollOnce sync.Once
-		stopPoll = func() {
-			pollOnce.Do(func() { close(pollStop) })
-			<-pollDone
-		}
-		go func() {
-			defer close(pollDone)
-			t := time.NewTicker(*statusPoll)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-pollStop:
-					return
-				case <-t.C:
-					if st, err := dist.FetchStatus(ctx, *connect, clientOpts); err == nil {
-						fmt.Fprintln(errw, st.Summary())
-					}
-				}
-			}
-		}()
-	}
-
 	if err := w.Run(ctx); err != nil {
-		stopPoll()
 		return err
-	}
-	stopPoll()
-	if *statusPoll > 0 && !w.Draining() {
-		// One final snapshot so the log always ends with the campaign's
-		// closing state, even when the run outpaces the poll interval.
-		if st, err := dist.FetchStatus(ctx, *connect, clientOpts); err == nil {
-			fmt.Fprintln(errw, st.Summary())
-		}
 	}
 	if chaosT != nil {
 		s := chaosT.Stats()

@@ -49,40 +49,6 @@ func TestWorkerdSmoke(t *testing.T) {
 	}
 }
 
-// TestWorkerdStatusPoll runs the daemon with -status-poll against an
-// in-process coordinator and asserts the autoscaling summary reaches the
-// log — at minimum the final snapshot printed at campaign exit.
-func TestWorkerdStatusPoll(t *testing.T) {
-	pts, err := exp.SweepPoints("banks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := exp.PairJobs("ArrayBW", 1, pts[:2], core.RunOptions{})
-
-	c := dist.NewCoordinator(dist.Options{Addr: "127.0.0.1:0", LongPoll: 100 * time.Millisecond})
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.Run(jobs)
-		done <- err
-	}()
-
-	var out, errw bytes.Buffer
-	if err := run([]string{"-connect", c.Addr(), "-j", "1", "-status-poll", "5ms"}, &out, &errw); err != nil {
-		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	log := errw.String()
-	if !strings.Contains(log, "dist: ") || !strings.Contains(log, "done") {
-		t.Fatalf("-status-poll logged no campaign summary:\n%s", log)
-	}
-}
-
 // TestWorkerdRequiresConnect asserts the daemon refuses to start without a
 // coordinator address.
 func TestWorkerdRequiresConnect(t *testing.T) {

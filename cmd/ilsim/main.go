@@ -61,8 +61,8 @@ func run(args []string, out, errw io.Writer) error {
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	noSkip := fs.Bool("noskip", false, "disable cycle skipping (tick every cycle; identical results, for verification)")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 = auto: cores/-j, capped at NumCUs; 1 = serial; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 = auto: cores/-j, capped at the drain width; 1 = serial; results identical)")
+	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 or 1 = serial, the default; capped at NumCUs; results identical)")
+	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 or 1 = serial, the default; capped at the drain width; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -26,15 +26,15 @@ type RunOptions struct {
 
 	// CUParallelism shards each cycle's compute-unit ticks across this
 	// many goroutines (the paper-visible statistics are byte-identical at
-	// every setting). 0 resolves via ResolveCUParallelism — min(NumCUs,
-	// GOMAXPROCS) for a lone simulation; 1 forces the serial loop.
+	// every setting). 0 and 1 both mean the serial loop; larger values are
+	// clamped to NumCUs (ResolveCUParallelism).
 	CUParallelism int
 
 	// MemParallelism shards the phase-2 memory drain's bank waves — L1
 	// banks, then L2 banks, then DRAM channels — across this many pool
 	// goroutines (statistics stay byte-identical at every setting; the
-	// determinism suite pins it). 0 resolves via ResolveMemParallelism
-	// against Config.DrainWidth(); 1 forces the serial drain. The pool is
+	// determinism suite pins it). 0 and 1 both mean the serial drain; larger
+	// values are clamped to Config.DrainWidth(). The pool is
 	// shared with CU ticking and the phases never overlap, so a
 	// simulation's peak concurrency is max(CUParallelism, MemParallelism),
 	// not their sum.
@@ -60,68 +60,25 @@ type RunOptions struct {
 	DisableCycleSkipping bool
 }
 
-// ResolveCUParallelism turns a requested per-simulation CU-parallelism
-// setting into an effective worker count. An explicit request (>0) is
-// honored up to the CU count — even if it oversubscribes the host; CLIs
-// warn about that but defer to the user. Auto (<=0) divides the host's
-// GOMAXPROCS across activeJobs concurrent simulations (a sweep's -j) so the
-// two levels of parallelism multiply to roughly the core budget instead of
-// fighting each other.
-func ResolveCUParallelism(requested, numCUs, activeJobs int) int {
-	if numCUs < 1 {
-		numCUs = 1
-	}
-	if requested > 0 {
-		if requested > numCUs {
-			return numCUs
-		}
-		return requested
-	}
-	if activeJobs < 1 {
-		activeJobs = 1
-	}
-	per := runtime.GOMAXPROCS(0) / activeJobs
-	if per > numCUs {
-		per = numCUs
-	}
-	if per < 1 {
-		per = 1
-	}
-	return per
+// ResolveCUParallelism clamps a requested per-simulation CU-parallelism
+// setting to [1, numCUs]: an explicit request is honored up to the CU count
+// — even if it oversubscribes the host; CLIs warn about that but defer to
+// the user — and 0 (or less) means the serial loop. Parallel timing has not
+// yet beaten serial on any measured host (EXPERIMENTS.md), so it is opt-in.
+func ResolveCUParallelism(requested, numCUs int) int {
+	return max(1, min(requested, numCUs))
 }
 
-// ResolveMemParallelism turns a requested drain-parallelism setting into an
-// effective worker count, mirroring ResolveCUParallelism: an explicit request
-// (>0) is honored up to width (the configuration's DrainWidth — the widest
-// bank wave, beyond which extra workers can never find a task); auto (<=0)
-// divides GOMAXPROCS across activeJobs concurrent simulations.
-func ResolveMemParallelism(requested, width, activeJobs int) int {
-	if width < 1 {
-		width = 1
-	}
-	if requested > 0 {
-		if requested > width {
-			return width
-		}
-		return requested
-	}
-	if activeJobs < 1 {
-		activeJobs = 1
-	}
-	per := runtime.GOMAXPROCS(0) / activeJobs
-	if per > width {
-		per = width
-	}
-	if per < 1 {
-		per = 1
-	}
-	return per
+// ResolveMemParallelism clamps a requested drain-parallelism setting to
+// [1, width] (the configuration's DrainWidth — the widest bank wave, beyond
+// which extra workers can never find a task); 0 means the serial drain.
+func ResolveMemParallelism(requested, width int) int {
+	return max(1, min(requested, width))
 }
 
 // OversubscriptionWarning returns a human-readable warning when an explicit
 // intra-simulation parallelism request multiplied by the job-level worker
-// pool exceeds the host's cores, or "" when the combination is fine (or
-// auto-resolved). A simulation's peak concurrency is max(cuPar, memPar) —
+// pool exceeds the host's cores, or "" when the combination is fine. A simulation's peak concurrency is max(cuPar, memPar) —
 // the phase-1 tick and phase-2 drain share one pool and never overlap.
 // jobWorkers <= 0 means GOMAXPROCS, matching the sweep engines' -j default.
 func OversubscriptionWarning(jobWorkers, cuPar, memPar int) string {
@@ -137,7 +94,7 @@ func OversubscriptionWarning(jobWorkers, cuPar, memPar int) string {
 	}
 	cores := runtime.GOMAXPROCS(0)
 	if total := jobWorkers * intra; total > cores {
-		return fmt.Sprintf("-j %d x max(-cu-par %d, -mem-par %d) = %d goroutines oversubscribes %d cores; results are identical but wall-clock may suffer (use -cu-par 0 / -mem-par 0 to auto-budget)",
+		return fmt.Sprintf("-j %d x max(-cu-par %d, -mem-par %d) = %d goroutines oversubscribes %d cores; results are identical but wall-clock may suffer",
 			jobWorkers, cuPar, memPar, total, cores)
 	}
 	return ""
@@ -198,8 +155,8 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 	}
 	gpu := timing.NewGPU(s.params(), run)
 	gpu.Mem = m.Ctx.Mem
-	gpu.Parallelism = ResolveCUParallelism(opts.CUParallelism, s.Cfg.NumCUs, 1)
-	gpu.MemParallelism = ResolveMemParallelism(opts.MemParallelism, s.Cfg.DrainWidth(), 1)
+	gpu.Parallelism = ResolveCUParallelism(opts.CUParallelism, s.Cfg.NumCUs)
+	gpu.MemParallelism = ResolveMemParallelism(opts.MemParallelism, s.Cfg.DrainWidth())
 	defer gpu.Stop()
 	wd := timing.Watchdog{
 		MaxCycles:  int64(opts.MaxCycles),

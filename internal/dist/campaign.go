@@ -1,0 +1,589 @@
+package dist
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"time"
+
+	"ilsim/internal/exp"
+)
+
+// The campaign state machine (see the package doc): this file holds the
+// type and the lease table, election.go the ballot box, health.go the
+// quarantine ledger. None of the three may import net, net/http or crypto/*.
+
+// refusalKind classifies a protocol refusal; the HTTP adapter maps it to a
+// status code and the worker's isFatal maps that back to retry-or-give-up.
+type refusalKind int
+
+const (
+	// refuseMalformed: the request can never succeed as sent — empty worker
+	// name, out-of-range index, payload failing its integrity hash (400).
+	refuseMalformed refusalKind = iota
+	// refuseStale: version, job-set or job fingerprint skew between the
+	// two binaries (409).
+	refuseStale
+	// refuseJournal: an accepted result could not be made durable; the
+	// worker should retry the delivery (500).
+	refuseJournal
+	// refuseNotReady: no campaign is installed yet; retry (503).
+	refuseNotReady
+)
+
+// refusal is the typed error campaign methods return.
+type refusal struct {
+	kind refusalKind
+	msg  string
+}
+
+func (e *refusal) Error() string { return e.msg }
+
+func refusef(kind refusalKind, format string, args ...any) error {
+	return &refusal{kind: kind, msg: fmt.Sprintf(format, args...)}
+}
+
+// errNoCampaign is served while no campaign is installed; workers treat it
+// as "not yet" and retry.
+var errNoCampaign = &refusal{refuseNotReady, "dist: no active campaign"}
+
+// validateJoin is the part of the handshake that needs no campaign: a stale
+// binary (or a nameless worker) is refused fatally even while the
+// coordinator is still installing its job set, instead of being told 503 and
+// retrying for its whole outage window.
+func validateJoin(req joinRequest) error {
+	if req.Version != ProtocolVersion {
+		return refusef(refuseStale, "dist: protocol version %d, coordinator speaks %d (stale binary?)", req.Version, ProtocolVersion)
+	}
+	if req.Worker == "" {
+		return refusef(refuseMalformed, "dist: join without a worker name")
+	}
+	return nil
+}
+
+// validateDrain likewise needs no campaign.
+func validateDrain(req drainRequest) error {
+	if req.Worker == "" {
+		return refusef(refuseMalformed, "dist: drain without a worker name")
+	}
+	return nil
+}
+
+// ewmaAlpha weights the newest observation in the per-worker runtime
+// average the status table, ETA and WantWorkers hint run on: high enough to
+// track a workload change within a few jobs, low enough that one outlier
+// cannot swing the hint.
+const ewmaAlpha = 0.3
+
+// workerState is everything the coordinator tracks per worker: liveness,
+// the completion handshake, the runtime estimate behind the autoscaling
+// hints, and the health ledger behind quarantine.
+type workerState struct {
+	seen time.Time
+	// slots is the worker's declared lease-poll concurrency; acked counts
+	// the Done replies served to it. The coordinator lingers after
+	// completion until every live worker's acked count reaches its slots,
+	// so every polling slot learns the campaign is over.
+	slots int
+	acked int
+	// done counts results reported by this worker; ewma tracks its
+	// observed per-job runtime.
+	done int
+	ewma time.Duration
+	// cn is the CommonName of the worker's client certificate under
+	// mutual TLS.
+	cn string
+	// fleet is the supervisor label the worker announced at join; empty
+	// for hand-launched workers.
+	fleet string
+	// Health ledger: score decays exponentially from scoreAt; a non-zero
+	// quarantinedUntil in the future means leases are refused. The
+	// counters feed WorkerStatus.
+	score            float64
+	scoreAt          time.Time
+	quarantinedUntil time.Time
+	quarantines      int
+	integrity        int
+	dissents         int
+	expiries         int
+}
+
+// campaign is the lease table, ballot box and result store of one job
+// set. A lease covers one job; with replicas > 1 a job may be leased to
+// several workers at once: leases maps job index → holder → deadline, and
+// votes/ballots/accepted run the per-job election over result fingerprints.
+type campaign struct {
+	mu      sync.Mutex
+	jobs    []exp.Job
+	fps     []string
+	setFP   string
+	results []exp.Result
+	state   []jobState
+	leases  map[int]map[string]time.Time
+	workers map[string]*workerState
+	// drains marks workers asked to retire: their next lease poll or
+	// heartbeat carries the drain flag, and the post-completion linger
+	// does not wait for them. A worker that posts /release marks itself.
+	drains map[string]bool
+
+	// replicas is the quorum width; health the ledger policy.
+	replicas int
+	health   HealthPolicy
+	// votes[idx] maps voter → ballot key; ballots[idx] maps ballot key →
+	// the first result that cast it; accepted[idx] is the winning key
+	// once the job is done ("" for resumed failures and pre-quorum
+	// campaigns); tallying[idx] guards the unlock-journal-relock window
+	// so one election is only journaled once.
+	votes    []map[string]string
+	ballots  []map[string]voteOutcome
+	accepted []string
+	tallying []bool
+
+	done, resumed, failed, retries int
+	jobWall                        time.Duration
+	start                          time.Time
+	aborted                        bool
+	// ewma is the campaign-wide per-job runtime estimate, the basis of the
+	// WantWorkers hint.
+	ewma time.Duration
+	// changed is closed and replaced on every state transition a lease
+	// long-poller could care about; finished closes once when every job is
+	// terminal (or the campaign aborts).
+	changed  chan struct{}
+	finished chan struct{}
+
+	journal      *exp.Journal
+	onProgress   func(exp.Progress)
+	progressMu   sync.Mutex
+	leaseTTL     time.Duration
+	scaleHorizon time.Duration
+	logf         func(string, ...any)
+}
+
+type jobState uint8
+
+const (
+	statePending jobState = iota
+	stateDone
+)
+
+// voteOutcome is one ballot's evidence: the first result that cast it and
+// the worker it came from (the worker credited on acceptance).
+type voteOutcome struct {
+	res    exp.Result
+	worker string
+}
+
+// newCampaign builds the state machine for jobs, started at now.
+func newCampaign(jobs []exp.Job, opts Options, now time.Time) *campaign {
+	opts = opts.withDefaults()
+	cp := &campaign{
+		jobs:         jobs,
+		fps:          make([]string, len(jobs)),
+		setFP:        exp.JobSetFingerprint(jobs),
+		results:      make([]exp.Result, len(jobs)),
+		state:        make([]jobState, len(jobs)),
+		leases:       make(map[int]map[string]time.Time),
+		workers:      make(map[string]*workerState),
+		drains:       make(map[string]bool),
+		replicas:     opts.Replicas,
+		health:       *opts.Health,
+		votes:        make([]map[string]string, len(jobs)),
+		ballots:      make([]map[string]voteOutcome, len(jobs)),
+		accepted:     make([]string, len(jobs)),
+		tallying:     make([]bool, len(jobs)),
+		start:        now,
+		changed:      make(chan struct{}),
+		finished:     make(chan struct{}),
+		journal:      opts.Journal,
+		onProgress:   opts.OnProgress,
+		leaseTTL:     opts.LeaseTTL,
+		scaleHorizon: opts.ScaleHorizon,
+		logf:         opts.Logf,
+	}
+	for i, job := range jobs {
+		cp.fps[i] = job.Fingerprint()
+		cp.results[i].Job = job
+	}
+	return cp
+}
+
+// restore pre-marks job idx done with a result a journal already holds, so
+// it is never leased. The accepted ballot is recorded too: a stray
+// post-restart result for the job is then judged against it rather than
+// counted as dissent by default.
+func (cp *campaign) restore(idx int, r exp.Result) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	cp.results[idx].Run, cp.results[idx].Wall, cp.results[idx].Resumed = r.Run, r.Wall, true
+	cp.state[idx] = stateDone
+	cp.accepted[idx] = exp.RunSHA(r.Run)
+	cp.done++
+	cp.resumed++
+	if cp.done == len(cp.jobs) && !cp.finishedNow() {
+		close(cp.finished)
+	}
+}
+
+// workerLocked returns (creating if needed) the named worker's state.
+// Callers hold cp.mu.
+func (cp *campaign) workerLocked(name string) *workerState {
+	ws := cp.workers[name]
+	if ws == nil {
+		ws = &workerState{}
+		cp.workers[name] = ws
+	}
+	return ws
+}
+
+// broadcastLocked wakes every lease long-poller. Callers hold cp.mu.
+func (cp *campaign) broadcastLocked() {
+	close(cp.changed)
+	cp.changed = make(chan struct{})
+}
+
+// finishedNow reports whether the campaign has ended (all terminal or
+// aborted).
+func (cp *campaign) finishedNow() bool {
+	select {
+	case <-cp.finished:
+		return true
+	default:
+		return false
+	}
+}
+
+// checkSet refuses a request addressed to a different job set.
+func (cp *campaign) checkSet(setFP string) error {
+	if setFP != cp.setFP {
+		return refusef(refuseStale, "dist: job-set fingerprint %s does not match campaign %s", setFP, cp.setFP)
+	}
+	return nil
+}
+
+// join registers (or refreshes) a worker that passed validateJoin and
+// fixes the campaign identity for its session. cn is the verified
+// client-certificate CommonName, "" without mutual TLS.
+func (cp *campaign) join(req joinRequest, cn string, now time.Time) joinReply {
+	cp.mu.Lock()
+	ws := cp.workerLocked(req.Worker)
+	ws.seen, ws.slots, ws.cn, ws.fleet = now, max(1, req.Slots), cn, req.Fleet
+	nWorkers := len(cp.workers)
+	cp.mu.Unlock()
+	if cn != "" {
+		cp.logf("dist: worker %s joined with client cert CN %q (%d known)", req.Worker, cn, nWorkers)
+	} else {
+		cp.logf("dist: worker %s joined (%d known)", req.Worker, nWorkers)
+	}
+	rep := joinReply{SetFP: cp.setFP, Total: len(cp.jobs), LeaseTTLMS: cp.leaseTTL.Milliseconds()}
+	if len(cp.jobs) > 0 {
+		rep.Probe, rep.ProbeFP = &cp.jobs[0], cp.fps[0]
+	}
+	return rep
+}
+
+// lease answers one lease poll at now. A nil wait channel means the reply
+// is final (a grant, Done, or Drain); otherwise nothing is available to this
+// worker yet and the channel closes at the next state change worth
+// re-asking after — the adapter's long-poll loop. A quarantined worker
+// keeps waiting (so it learns promptly when the campaign finishes, or when
+// its probation ends) but is never granted a lease.
+func (cp *campaign) lease(req leaseRequest, now time.Time) (leaseReply, <-chan struct{}, error) {
+	if err := cp.checkSet(req.SetFP); err != nil {
+		return leaseReply{}, nil, err
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	ws := cp.workerLocked(req.Worker)
+	if cp.finishedNow() {
+		ws.acked++
+		cp.broadcastLocked() // wake the post-completion linger
+		return leaseReply{Done: true}, nil, nil
+	}
+	cp.reclaimLocked(now)
+	ws.seen = now
+	if cp.drains[req.Worker] {
+		return leaseReply{Drain: true}, nil, nil
+	}
+	if !cp.quarantinedLocked(req.Worker, now) {
+		if idx, ok := cp.takeLocked(req.Worker, now); ok {
+			job := cp.jobs[idx]
+			return leaseReply{Index: idx, Job: &job, JobFP: cp.fps[idx]}, nil, nil
+		}
+	}
+	return leaseReply{Wait: true}, cp.changed, nil
+}
+
+// reclaim returns every expired lease to the pending pool.
+func (cp *campaign) reclaim(now time.Time) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	cp.reclaimLocked(now)
+}
+
+// reclaimLocked returns every expired lease to the pending pool and
+// charges the expiry against the holder's health ledger. Callers hold
+// cp.mu.
+func (cp *campaign) reclaimLocked(now time.Time) {
+	woke := false
+	for idx, holders := range cp.leases {
+		for worker, deadline := range holders {
+			if now.Before(deadline) {
+				continue
+			}
+			delete(holders, worker)
+			if cp.state[idx] != stateDone {
+				woke = true
+				cp.logf("dist: lease on job %d (%s) held by %s expired; reassigning", idx, cp.jobs[idx], worker)
+				cp.workerLocked(worker).expiries++
+				cp.strikeLocked(worker, cp.health.WExpiry, fmt.Sprintf("lease expiry on job %d", idx), now)
+			}
+		}
+		if len(holders) == 0 {
+			delete(cp.leases, idx)
+		}
+	}
+	if woke {
+		cp.broadcastLocked()
+	}
+}
+
+// takeLocked leases the lowest eligible job to worker. A job is eligible
+// when it is not done, this worker neither holds it nor has voted on it,
+// and its election still wants more voters than it has leases outstanding.
+// Callers hold cp.mu.
+func (cp *campaign) takeLocked(worker string, now time.Time) (int, bool) {
+	for idx, st := range cp.state {
+		if st == stateDone {
+			continue
+		}
+		holders := cp.leases[idx]
+		if _, held := holders[worker]; held {
+			continue
+		}
+		if cp.replicas == 1 {
+			if len(holders) > 0 {
+				continue
+			}
+		} else {
+			if _, voted := cp.votes[idx][worker]; voted {
+				continue
+			}
+			if len(holders) >= cp.wantLeasesLocked(idx) {
+				continue
+			}
+		}
+		if holders == nil {
+			holders = make(map[string]time.Time)
+			cp.leases[idx] = holders
+		}
+		holders[worker] = now.Add(cp.leaseTTL)
+		return idx, true
+	}
+	return 0, false
+}
+
+// heartbeat extends the deadlines of held leases (only those the worker
+// actually owns), refreshes the worker's last-seen time, and reports
+// whether the worker has been asked to drain.
+func (cp *campaign) heartbeat(req heartbeatRequest, now time.Time) (heartbeatReply, error) {
+	if err := cp.checkSet(req.SetFP); err != nil {
+		return heartbeatReply{}, err
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	cp.workerLocked(req.Worker).seen = now
+	for _, idx := range req.Held {
+		if _, ok := cp.leases[idx][req.Worker]; ok {
+			cp.leases[idx][req.Worker] = now.Add(cp.leaseTTL)
+		}
+	}
+	return heartbeatReply{Drain: cp.drains[req.Worker]}, nil
+}
+
+// drain marks a worker for retirement on a supervisor's behalf; its next
+// lease poll or heartbeat learns about it. The long-pollers are woken so an
+// idle worker drains immediately rather than at the end of its poll window.
+func (cp *campaign) drain(worker string) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if !cp.drains[worker] {
+		cp.drains[worker] = true
+		cp.logf("dist: drain requested for worker %s", worker)
+		cp.broadcastLocked()
+	}
+}
+
+// dropLeaseLocked returns worker's lease on job idx (if it holds one) to
+// the pending pool. Callers hold cp.mu.
+func (cp *campaign) dropLeaseLocked(idx int, worker string) {
+	if _, ok := cp.leases[idx][worker]; ok {
+		delete(cp.leases[idx], worker)
+		cp.broadcastLocked()
+	}
+}
+
+// release is a draining worker's goodbye: every lease the coordinator
+// holds in its name goes back to the pending pool at once instead of after
+// the TTL — including a grant the worker never saw, because its reply was in
+// flight when the drain cut the lease poll short. The worker is marked
+// draining so status reflects it, the linger does not wait for it, and a
+// lease poll of its still unwinding is refused rather than granted.
+func (cp *campaign) release(req releaseRequest) error {
+	if err := cp.checkSet(req.SetFP); err != nil {
+		return err
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	cp.drains[req.Worker] = true
+	released := 0
+	for _, holders := range cp.leases {
+		if _, ok := holders[req.Worker]; ok {
+			delete(holders, req.Worker)
+			released++
+		}
+	}
+	if released > 0 {
+		cp.broadcastLocked()
+		cp.logf("dist: worker %s released %d leases", req.Worker, released)
+	}
+	return nil
+}
+
+// abort ends the campaign early; unfinished jobs become ErrCanceled.
+func (cp *campaign) abort() {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if cp.finishedNow() {
+		return
+	}
+	cp.aborted = true
+	for i := range cp.state {
+		if cp.state[i] != stateDone {
+			cp.results[i].Err = exp.ErrCanceled
+			cp.failed++
+		}
+	}
+	close(cp.finished)
+	cp.broadcastLocked()
+}
+
+// assemble returns the submission-ordered results and campaign metrics.
+func (cp *campaign) assemble(now time.Time) ([]exp.Result, exp.Metrics) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return cp.results, exp.Metrics{
+		Jobs: len(cp.jobs), Failed: cp.failed, Resumed: cp.resumed,
+		Retries: cp.retries, Elapsed: now.Sub(cp.start), JobWall: cp.jobWall,
+	}
+}
+
+// allAcked reports whether every worker worth waiting for — seen within
+// the last lease TTL and not draining (those stop polling once their
+// in-flight work lands) — has been served one Done reply per slot, plus the
+// channel that closes at the next change. The post-completion linger's
+// condition.
+func (cp *campaign) allAcked(now time.Time) (bool, <-chan struct{}) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	for name, ws := range cp.workers {
+		if now.Sub(ws.seen) <= cp.leaseTTL && !cp.drains[name] && ws.acked < ws.slots {
+			return false, cp.changed
+		}
+	}
+	return true, cp.changed
+}
+
+// status assembles the Status snapshot, autoscaling hints included.
+func (cp *campaign) status(now time.Time) Status {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	s := Status{
+		SetFP: cp.setFP, Total: len(cp.jobs),
+		Done: cp.done, Failed: cp.failed, Resumed: cp.resumed,
+		Workers:  len(cp.workers),
+		Finished: cp.finishedNow(),
+	}
+	if cp.replicas > 1 {
+		s.Replicas = cp.replicas
+	}
+	for idx, st := range cp.state {
+		if st == stateDone {
+			continue
+		}
+		if len(cp.leases[idx]) > 0 {
+			s.Leased++
+		} else {
+			s.Pending++
+		}
+	}
+	held := make(map[string]int, len(cp.workers))
+	// active is the lowest-indexed job each worker holds — min over
+	// indexes keeps the label deterministic despite map iteration order.
+	active := make(map[string]int, len(cp.workers))
+	for idx, holders := range cp.leases {
+		for w := range holders {
+			held[w]++
+			if cur, ok := active[w]; !ok || idx < cur {
+				active[w] = idx
+			}
+		}
+	}
+	for name, ws := range cp.workers {
+		quarantined := cp.quarantinedLocked(name, now)
+		draining := cp.drains[name]
+		if draining {
+			s.Draining++
+		}
+		if quarantined {
+			s.Quarantined++
+		} else if now.Sub(ws.seen) <= cp.leaseTTL && !draining {
+			s.Slots += ws.slots
+		}
+		row := WorkerStatus{
+			Name: name, Slots: ws.slots, Held: held[name],
+			Done: ws.done, EWMAMS: ws.ewma.Milliseconds(),
+			CN:          ws.cn,
+			Fleet:       ws.fleet,
+			Draining:    draining,
+			Score:       cp.scoreLocked(ws, now),
+			Quarantined: quarantined,
+			Dissents:    ws.dissents,
+			Integrity:   ws.integrity,
+			Expiries:    ws.expiries,
+		}
+		if ws.ewma > 0 {
+			row.Throughput = float64(time.Second) / float64(ws.ewma)
+		}
+		if idx, ok := active[name]; ok {
+			row.Job = cp.jobs[idx].String()
+		}
+		s.PerWorker = append(s.PerWorker, row)
+	}
+	s.ETAMS = progressETA(cp.done-cp.resumed, cp.done, len(cp.jobs), now.Sub(cp.start)).Milliseconds()
+	s.WantWorkers = cp.wantWorkersLocked()
+	return s
+}
+
+// wantWorkersLocked computes the autoscaling hint: the worker-slot count
+// that would drain the remaining jobs within the scale horizon at the
+// campaign's observed per-job runtime. No observation yet (or nothing
+// left to do) means no hint. Callers hold cp.mu.
+func (cp *campaign) wantWorkersLocked() int {
+	remaining := len(cp.jobs) - cp.done
+	if remaining <= 0 || cp.finishedNow() || cp.ewma <= 0 {
+		return 0
+	}
+	n := int(math.Ceil(float64(remaining) * float64(cp.ewma) / float64(cp.scaleHorizon)))
+	return max(1, min(n, remaining))
+}
+
+// progressETA mirrors the engine's ETA derivation (exp.Metrics.Throughput
+// over executed jobs) for the coordinator's lease-aware progress stream.
+func progressETA(executed, done, total int, elapsed time.Duration) time.Duration {
+	tput := exp.Metrics{Jobs: done, Resumed: done - executed, Elapsed: elapsed}.Throughput()
+	if tput <= 0 || total <= done {
+		return 0
+	}
+	return time.Duration(float64(total-done) / tput * float64(time.Second))
+}

@@ -1,0 +1,549 @@
+package dist
+
+import (
+	"errors"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"ilsim/internal/exp"
+	"ilsim/internal/stats"
+)
+
+// The socket-free campaign suite: every case drives the state machine's
+// methods directly with a pinned clock — no listener, no worker goroutine,
+// no sleep — so lease expiry, elections, quarantine and drains are decided
+// by the arguments alone and the suite is exact under -race -count=N.
+
+// t0 is the suite's epoch; rig.at(d) is t0+d.
+var t0 = time.Unix(1_700_000_000, 0)
+
+// rig is one campaign under test plus shorthand for its protocol calls.
+type rig struct {
+	t  *testing.T
+	cp *campaign
+}
+
+func newRig(t *testing.T, nJobs int, opts Options) *rig {
+	t.Helper()
+	if opts.Logf == nil {
+		opts.Logf = t.Logf
+	}
+	if opts.LeaseTTL == 0 {
+		opts.LeaseTTL = 10 * time.Second
+	}
+	return &rig{t: t, cp: newCampaign(testJobs(t, (nJobs+1)/2)[:nJobs], opts, t0)}
+}
+
+func (r *rig) at(d time.Duration) time.Time { return t0.Add(d) }
+
+// join registers workers with one slot each at t0.
+func (r *rig) join(workers ...string) {
+	for _, w := range workers {
+		r.cp.join(joinRequest{Version: ProtocolVersion, Worker: w, Slots: 1}, "", t0)
+	}
+}
+
+// lease polls once for worker at t0+d and returns the reply (Wait when
+// nothing is available to it).
+func (r *rig) lease(worker string, d time.Duration) leaseReply {
+	r.t.Helper()
+	rep, _, err := r.cp.lease(leaseRequest{Worker: worker, SetFP: r.cp.setFP}, r.at(d))
+	if err != nil {
+		r.t.Fatalf("lease(%s): %v", worker, err)
+	}
+	return rep
+}
+
+// grant is lease that must yield job idx.
+func (r *rig) grant(worker string, d time.Duration, idx int) {
+	r.t.Helper()
+	if rep := r.lease(worker, d); rep.Job == nil || rep.Index != idx {
+		r.t.Fatalf("lease(%s) at +%s = %+v, want a grant of job %d", worker, d, rep, idx)
+	}
+}
+
+// waits is lease that must yield nothing.
+func (r *rig) waits(worker string, d time.Duration) {
+	r.t.Helper()
+	if rep := r.lease(worker, d); !rep.Wait {
+		r.t.Fatalf("lease(%s) at +%s = %+v, want Wait", worker, d, rep)
+	}
+}
+
+// wire fabricates a self-consistent result for job idx. The ballot is a
+// function of cycles alone: two results agree iff their cycles do.
+func (r *rig) wire(idx int, cycles uint64) exp.WireResult {
+	return exp.EncodeResult(idx, r.cp.fps[idx],
+		exp.Result{Run: &stats.Run{Cycles: cycles}, Wall: 10 * time.Millisecond, Attempts: 1})
+}
+
+// report delivers worker's result for job idx at t0+d.
+func (r *rig) report(worker string, d time.Duration, idx int, cycles uint64) error {
+	return r.cp.result(resultRequest{Worker: worker, SetFP: r.cp.setFP, Result: r.wire(idx, cycles)}, r.at(d))
+}
+
+func (r *rig) mustReport(worker string, d time.Duration, idx int, cycles uint64) {
+	r.t.Helper()
+	if err := r.report(worker, d, idx, cycles); err != nil {
+		r.t.Fatalf("result(%s, job %d): %v", worker, idx, err)
+	}
+}
+
+// row returns worker's status row at t0+d.
+func (r *rig) row(worker string, d time.Duration) WorkerStatus {
+	r.t.Helper()
+	for _, ws := range r.cp.status(r.at(d)).PerWorker {
+		if ws.Name == worker {
+			return ws
+		}
+	}
+	r.t.Fatalf("worker %s missing from status", worker)
+	return WorkerStatus{}
+}
+
+// accepted reports job idx's accepted cycles, or false while it is open.
+func (r *rig) accepted(idx int) (uint64, bool) {
+	r.cp.mu.Lock()
+	defer r.cp.mu.Unlock()
+	if r.cp.state[idx] != stateDone {
+		return 0, false
+	}
+	return r.cp.results[idx].Run.Cycles, true
+}
+
+func refusalOf(err error) (refusalKind, bool) {
+	var ref *refusal
+	if errors.As(err, &ref) {
+		return ref.kind, true
+	}
+	return 0, false
+}
+
+// TestCampaignLeaseExpiry: a worker takes a lease and goes silent. The
+// lease survives while heartbeats renew it, lapses one TTL after the last
+// one, is charged to the holder as an expiry strike, and the job goes to the
+// next worker that asks — while a job the silent worker had already reported
+// stays done and is never leased again.
+func TestCampaignLeaseExpiry(t *testing.T) {
+	r := newRig(t, 3, Options{LeaseTTL: 10 * time.Second})
+	r.join("doomed", "healthy")
+	r.grant("doomed", 0, 0)
+	r.mustReport("doomed", time.Second, 0, 100)
+	r.grant("doomed", time.Second, 1)
+	r.grant("healthy", time.Second, 2)
+	r.waits("healthy", 2*time.Second) // everything is held or done
+
+	// A heartbeat at +8s moves job 1's deadline from +11s to +18s; one for
+	// a job the worker does not hold renews nothing.
+	if _, err := r.cp.heartbeat(heartbeatRequest{Worker: "doomed", SetFP: r.cp.setFP, Held: []int{1, 2, 99}}, r.at(8*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	r.mustReport("healthy", 9*time.Second, 2, 300)
+	r.waits("healthy", 17*time.Second)
+	if row := r.row("doomed", 17*time.Second); row.Held != 1 || row.Expiries != 0 {
+		t.Fatalf("before the deadline: %+v", row)
+	}
+
+	// Past the deadline the reclaim sweep frees it, and only it.
+	r.cp.reclaim(r.at(18 * time.Second))
+	row := r.row("doomed", 18*time.Second)
+	if row.Held != 0 || row.Expiries != 1 || row.Score != DefaultHealthPolicy().WExpiry {
+		t.Fatalf("after expiry: %+v, want 0 held, 1 expiry, score %.1f", row, DefaultHealthPolicy().WExpiry)
+	}
+	r.grant("healthy", 18*time.Second, 1)
+	r.mustReport("healthy", 19*time.Second, 1, 200)
+	if rep := r.lease("healthy", 19*time.Second); !rep.Done {
+		t.Fatalf("lease after the last result = %+v, want Done", rep)
+	}
+	for idx, want := range []uint64{100, 200, 300} {
+		if got, ok := r.accepted(idx); !ok || got != want {
+			t.Errorf("job %d accepted %d (%v), want %d", idx, got, ok, want)
+		}
+	}
+	// The straggler's late, agreeing result is acknowledged and harmless.
+	r.mustReport("doomed", 20*time.Second, 1, 200)
+	if row := r.row("doomed", 20*time.Second); row.Dissents != 0 {
+		t.Fatalf("agreeing straggler charged a dissent: %+v", row)
+	}
+}
+
+// TestCampaignRefusals: the typed refusals every method can return, and the
+// ones that double as health events.
+func TestCampaignRefusals(t *testing.T) {
+	r := newRig(t, 2, Options{})
+	r.join("w", "bystander")
+	r.grant("w", 0, 0)
+
+	cases := []struct {
+		name string
+		err  error
+		want refusalKind
+	}{
+		{"stale version", validateJoin(joinRequest{Version: ProtocolVersion - 1, Worker: "old"}), refuseStale},
+		{"nameless join", validateJoin(joinRequest{Version: ProtocolVersion}), refuseMalformed},
+		{"nameless drain", validateDrain(drainRequest{}), refuseMalformed},
+		{"foreign job set", r.cp.release(releaseRequest{Worker: "w", SetFP: "other"}), refuseStale},
+		{"index out of range", r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP,
+			Result: exp.WireResult{Index: 7}}, t0), refuseMalformed},
+		{"drifted job fingerprint", r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP,
+			Result: exp.WireResult{Index: 0, Job: "drifted"}}, t0), refuseStale},
+	}
+	for _, tc := range cases {
+		if kind, ok := refusalOf(tc.err); !ok || kind != tc.want {
+			t.Errorf("%s: %v (kind %v, typed %v), want kind %v", tc.name, tc.err, kind, ok, tc.want)
+		}
+	}
+	if err := validateJoin(joinRequest{Version: ProtocolVersion, Worker: "w"}); err != nil {
+		t.Errorf("current version refused: %v", err)
+	}
+
+	// A payload that fails its integrity hash is refused, struck, and its
+	// lease freed for someone else.
+	tampered := r.wire(0, 100)
+	tampered.Run.Cycles++
+	err := r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP, Result: tampered}, r.at(time.Second))
+	if kind, ok := refusalOf(err); !ok || kind != refuseMalformed {
+		t.Fatalf("tampered result: %v", err)
+	}
+	if row := r.row("w", time.Second); row.Integrity != 1 || row.Held != 0 || row.Score != DefaultHealthPolicy().WIntegrity {
+		t.Fatalf("after the integrity failure: %+v", row)
+	}
+	r.grant("bystander", time.Second, 0)
+
+	// A canceled attempt is not an outcome: acknowledged, lease freed, job
+	// still open.
+	r.grant("w", time.Second, 1)
+	canceled := exp.EncodeResult(1, r.cp.fps[1], exp.Result{Err: exp.ErrCanceled})
+	if err := r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP, Result: canceled}, r.at(2*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, done := r.accepted(1); done {
+		t.Fatal("a canceled attempt closed its job")
+	}
+	r.grant("w", 2*time.Second, 1)
+}
+
+// TestCampaignQuarantine: a quarantined worker keeps
+// polling but is granted nothing, the leases it held re-lease at once, its
+// results are acknowledged but not counted, and when probation ends it is
+// re-admitted.
+func TestCampaignQuarantine(t *testing.T) {
+	pol := DefaultHealthPolicy()
+	r := newRig(t, 2, Options{Health: &pol, LeaseTTL: time.Hour})
+	r.join("suspect", "honest")
+	r.grant("suspect", 0, 0)
+
+	r.cp.mu.Lock()
+	r.cp.strikeLocked("suspect", pol.Threshold, "instant conviction", r.at(time.Second))
+	r.cp.mu.Unlock()
+	if st := r.cp.status(r.at(time.Second)); st.Quarantined != 1 || st.Slots != 1 {
+		t.Fatalf("status after conviction: %d quarantined, %d live slots", st.Quarantined, st.Slots)
+	}
+	r.waits("suspect", 2*time.Second)
+	r.grant("honest", 2*time.Second, 0) // reclaimed by the quarantine, not the TTL
+
+	// The suspect's ballot for the job it was running is dropped: the job
+	// stays open until the honest worker answers.
+	r.mustReport("suspect", 3*time.Second, 0, 666)
+	if _, done := r.accepted(0); done {
+		t.Fatal("a quarantined worker's ballot closed an election")
+	}
+	r.mustReport("honest", 4*time.Second, 0, 100)
+	if got, _ := r.accepted(0); got != 100 {
+		t.Fatalf("job 0 accepted %d, want the honest 100", got)
+	}
+
+	// Probation over: leases flow again, on parole.
+	after := time.Second + pol.Probation
+	r.grant("suspect", after, 1)
+	if row := r.row("suspect", after); row.Quarantined || row.Score != pol.Threshold/2 {
+		t.Fatalf("after probation: %+v, want parole at half the threshold", row)
+	}
+}
+
+// TestCampaignDrainFlag: POST /drain surfaces on whichever the
+// worker sends first — a heartbeat (deep in a job) or a lease poll — wakes
+// long-pollers so an idle worker hears at once, takes the worker out of the
+// live-slot count, and the completion linger stops waiting for it.
+func TestCampaignDrainFlag(t *testing.T) {
+	r := newRig(t, 2, Options{})
+	r.join("busy", "idle", "stays")
+	r.grant("busy", 0, 0)
+	r.grant("stays", 0, 1)
+	_, changed, _ := r.cp.lease(leaseRequest{Worker: "idle", SetFP: r.cp.setFP}, t0)
+
+	hb := func(worker string) heartbeatReply {
+		rep, err := r.cp.heartbeat(heartbeatRequest{Worker: worker, SetFP: r.cp.setFP, Held: []int{0}}, r.at(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	if hb("busy").Drain {
+		t.Fatal("drain flag before any drain was requested")
+	}
+	r.cp.drain("busy")
+	r.cp.drain("idle")
+	select {
+	case <-changed:
+	default:
+		t.Fatal("drain did not wake the idle worker's long-poll")
+	}
+	if !hb("busy").Drain {
+		t.Fatal("heartbeat reply does not carry the drain flag")
+	}
+	if rep := r.lease("idle", time.Second); !rep.Drain {
+		t.Fatalf("lease reply = %+v, want Drain", rep)
+	}
+	if rep := r.lease("busy", time.Second); !rep.Drain {
+		t.Fatalf("a draining worker was offered %+v", rep)
+	}
+	if hb("stays").Drain {
+		t.Fatal("drain flag leaked to another worker")
+	}
+	if st := r.cp.status(r.at(time.Second)); st.Draining != 2 || st.Slots != 1 {
+		t.Fatalf("status: %d draining, %d live slots; want 2 and 1", st.Draining, st.Slots)
+	}
+
+	// In-flight work of a draining worker still counts.
+	r.mustReport("busy", 2*time.Second, 0, 100)
+	r.mustReport("stays", 2*time.Second, 1, 200)
+	if ok, _ := r.cp.allAcked(r.at(2 * time.Second)); ok {
+		t.Fatal("linger would not wait for the live worker's Done")
+	}
+	if rep := r.lease("stays", 2*time.Second); !rep.Done {
+		t.Fatalf("lease after completion = %+v", rep)
+	}
+	if ok, _ := r.cp.allAcked(r.at(2 * time.Second)); !ok {
+		t.Fatal("linger still waiting though only draining workers are un-acked")
+	}
+}
+
+// TestCampaignReleaseUnseenGrant: a drain cuts a lease poll short while its
+// grant is on the wire. The worker knows of no lease, so its goodbye lists
+// nothing — and must still hand the job back now rather than at TTL expiry,
+// mark the worker draining, and leave other workers' leases and finished
+// jobs alone.
+func TestCampaignReleaseUnseenGrant(t *testing.T) {
+	r := newRig(t, 3, Options{LeaseTTL: time.Hour})
+	r.join("drainer", "relief")
+	r.grant("drainer", 0, 0)
+	r.mustReport("drainer", time.Second, 0, 100)
+	r.grant("drainer", time.Second, 1) // the reply the worker never reads
+	r.grant("relief", time.Second, 2)
+	r.waits("relief", time.Second)
+
+	if err := r.cp.release(releaseRequest{Worker: "drainer", SetFP: r.cp.setFP}); err != nil {
+		t.Fatal(err)
+	}
+	if row := r.row("drainer", time.Second); row.Held != 0 || !row.Draining || row.Expiries != 0 {
+		t.Fatalf("after release: %+v", row)
+	}
+	if rep := r.lease("drainer", time.Second); !rep.Drain {
+		t.Fatalf("a released worker's stray poll got %+v", rep)
+	}
+	if row := r.row("relief", time.Second); row.Held != 1 {
+		t.Fatalf("release touched another worker's lease: %+v", row)
+	}
+	r.mustReport("relief", 2*time.Second, 2, 300)
+	r.grant("relief", 2*time.Second, 1) // long before the hour-long TTL
+	if got, _ := r.accepted(0); got != 100 {
+		t.Fatalf("release disturbed a finished job: accepted %d", got)
+	}
+}
+
+// TestCampaignQuorumElection walks Replicas: 3 elections through the state machine:
+// provisioning, majority acceptance, dissent and late-dissent strikes, a
+// three-way split that extends itself one voter at a time, and a duplicate
+// delivery that cannot switch its ballot.
+func TestCampaignQuorumElection(t *testing.T) {
+	pol := DefaultHealthPolicy()
+	pol.Threshold = 1000 // election flow, not conviction
+	r := newRig(t, 2, Options{Replicas: 3, Health: &pol, LeaseTTL: time.Hour})
+	r.join("a", "b", "c", "d", "e")
+
+	// Job 0: three leases up front, never two to one worker, no fourth.
+	r.grant("a", 0, 0)
+	r.grant("a", 0, 1) // a already holds job 0: it gets the next job
+	r.grant("b", 0, 0)
+	r.grant("c", 0, 0)
+	r.grant("d", 0, 1) // job 0 is fully provisioned
+
+	// a lies first; the job stays open. A re-delivery claiming a different
+	// run cannot switch a's ballot (or stuff the box with a second one).
+	r.mustReport("a", time.Second, 0, 666)
+	r.mustReport("a", time.Second, 0, 100)
+	if _, done := r.accepted(0); done {
+		t.Fatal("one ballot of three closed the election")
+	}
+	r.mustReport("b", 2*time.Second, 0, 100)
+	if _, done := r.accepted(0); done {
+		t.Fatal("a 1-1 split closed the election (the duplicate switched ballots?)")
+	}
+	// c agrees with b: majority. a's dissent is charged at acceptance.
+	r.mustReport("c", 3*time.Second, 0, 100)
+	if got, ok := r.accepted(0); !ok || got != 100 {
+		t.Fatalf("job 0 accepted %d (%v), want the majority's 100", got, ok)
+	}
+	if row := r.row("a", 3*time.Second); row.Dissents != 1 || row.Score < pol.WDissent-0.1 {
+		t.Fatalf("dissenter's ledger: %+v", row)
+	}
+	for _, w := range []string{"b", "c"} {
+		if row := r.row(w, 3*time.Second); row.Dissents != 0 || row.Score != 0 {
+			t.Fatalf("majority voter %s charged: %+v", w, row)
+		}
+	}
+
+	// Job 1: a and d hold it; e takes the third lease. All three disagree —
+	// no ballot has a majority, so the election asks for one more voter.
+	r.grant("e", 3*time.Second, 1)
+	r.mustReport("a", 4*time.Second, 1, 201)
+	r.mustReport("d", 4*time.Second, 1, 202)
+	r.mustReport("e", 4*time.Second, 1, 203)
+	if _, done := r.accepted(1); done {
+		t.Fatal("a three-way split closed the election")
+	}
+	r.waits("a", 5*time.Second) // voters are not asked twice
+	r.grant("b", 5*time.Second, 1)
+	r.waits("c", 5*time.Second) // one extension at a time
+	r.mustReport("b", 6*time.Second, 1, 202)
+	if got, ok := r.accepted(1); !ok || got != 202 {
+		t.Fatalf("job 1 accepted %d (%v), want 202 after the extension", got, ok)
+	}
+	if row := r.row("d", 6*time.Second); row.Dissents != 0 {
+		t.Fatalf("the extension's winner was charged: %+v", row)
+	}
+	if row := r.row("e", 6*time.Second); row.Dissents != 1 {
+		t.Fatalf("the split's loser was not charged: %+v", row)
+	}
+
+	// A straggler disagreeing after the fact is a late dissent; one that
+	// agrees is not.
+	if rep := r.lease("c", 6*time.Second); !rep.Done {
+		t.Fatalf("lease after both elections = %+v", rep)
+	}
+	r.mustReport("c", 7*time.Second, 1, 999)
+	if row := r.row("c", 7*time.Second); row.Dissents != 1 {
+		t.Fatalf("late dissent not charged: %+v", row)
+	}
+	if st := r.cp.status(r.at(7 * time.Second)); st.Done != 2 || st.Failed != 0 || st.Replicas != 3 {
+		t.Fatalf("status: %+v", st)
+	}
+}
+
+// TestCampaignJournalFailure: when the journal write for an election's
+// winner fails, the result is refused as retryable, the job stays open, and
+// the worker's retry — arriving as a duplicate ballot — closes
+// the election once the journal works again: accepted exactly once, and
+// durable before it was acknowledged.
+func TestCampaignJournalFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "campaign.jsonl")
+	jobs := testJobs(t, 1)
+	broken, err := exp.OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken.Close() // every Record now fails
+	var progress []exp.Progress
+	r := &rig{t: t, cp: newCampaign(jobs, Options{Journal: broken, Logf: t.Logf,
+		OnProgress: func(p exp.Progress) { progress = append(progress, p) }}, t0)}
+	r.join("w")
+	r.grant("w", 0, 0)
+
+	err = r.report("w", time.Second, 0, 100)
+	if kind, ok := refusalOf(err); !ok || kind != refuseJournal {
+		t.Fatalf("result with a dead journal: %v, want a journal refusal", err)
+	}
+	r.cp.mu.Lock()
+	tallying := r.cp.tallying[0]
+	r.cp.mu.Unlock()
+	if _, done := r.accepted(0); done || tallying || len(progress) != 0 {
+		t.Fatalf("after the failed write: done %v, tallying %v, %d progress events", done, tallying, len(progress))
+	}
+
+	working, err := exp.OpenJournal(path, jobs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer working.Close()
+	r.cp.journal = working
+	r.mustReport("w", 2*time.Second, 0, 100)
+	r.mustReport("w", 3*time.Second, 0, 100) // and a second retry is harmless
+	if got, ok := r.accepted(0); !ok || got != 100 {
+		t.Fatalf("retry did not close the election: %d (%v)", got, ok)
+	}
+	if len(progress) != 1 || progress[0].Worker != "w" || progress[0].Done != 1 {
+		t.Fatalf("progress events: %+v", progress)
+	}
+	if rec, ok := working.Completed(0); !ok || rec.Run.Cycles != 100 {
+		t.Fatalf("journal holds %+v (%v)", rec, ok)
+	}
+	if row := r.row("w", 3*time.Second); row.Done != 1 {
+		t.Fatalf("duplicate deliveries counted as work: %+v", row)
+	}
+}
+
+// TestCampaignResumedJobs: jobs a journal already holds are never
+// leased, count as resumed in status and metrics, a late result for one is
+// judged against the restored ballot, and a fully restored campaign is
+// finished before any worker arrives.
+func TestCampaignResumedJobs(t *testing.T) {
+	r := newRig(t, 3, Options{})
+	r.cp.restore(0, exp.Result{Run: &stats.Run{Cycles: 100}, Wall: time.Second})
+	r.cp.restore(2, exp.Result{Run: &stats.Run{Cycles: 300}, Wall: time.Second})
+	r.join("w", "bystander")
+	if st := r.cp.status(t0); st.Done != 2 || st.Resumed != 2 || st.Pending != 1 || st.Finished {
+		t.Fatalf("status after restore: %+v", st)
+	}
+	r.grant("w", 0, 1) // the only job left
+	r.waits("bystander", 0)
+
+	// A stray pre-restart result: agreeing is free, disagreeing is dissent.
+	r.mustReport("w", time.Second, 0, 100)
+	r.mustReport("bystander", time.Second, 2, 999)
+	if row := r.row("w", time.Second); row.Dissents != 0 {
+		t.Fatalf("agreeing stray charged: %+v", row)
+	}
+	if row := r.row("bystander", time.Second); row.Dissents != 1 {
+		t.Fatalf("disagreeing stray not charged: %+v", row)
+	}
+
+	r.mustReport("w", 2*time.Second, 1, 200)
+	results, m := r.cp.assemble(r.at(3 * time.Second))
+	if m.Jobs != 3 || m.Resumed != 2 || m.Failed != 0 || m.Elapsed != 3*time.Second {
+		t.Fatalf("metrics: %+v", m)
+	}
+	if !results[0].Resumed || results[1].Resumed || !results[2].Resumed || results[2].Run.Cycles != 300 {
+		t.Fatalf("results: %+v", results)
+	}
+
+	full := newRig(t, 2, Options{})
+	full.cp.restore(0, exp.Result{Run: &stats.Run{Cycles: 1}})
+	full.cp.restore(1, exp.Result{Run: &stats.Run{Cycles: 2}})
+	if !full.cp.finishedNow() {
+		t.Fatal("a fully restored campaign is not finished")
+	}
+	if rep := full.lease("late", 0); !rep.Done {
+		t.Fatalf("lease on a fully restored campaign = %+v", rep)
+	}
+}
+
+// TestCampaignAbort: an aborted campaign reports unfinished jobs as
+// canceled, keeps the finished ones, and tells every poller it is over.
+func TestCampaignAbort(t *testing.T) {
+	r := newRig(t, 2, Options{})
+	r.join("w")
+	r.grant("w", 0, 0)
+	r.mustReport("w", time.Second, 0, 100)
+	r.grant("w", time.Second, 1)
+	r.cp.abort()
+	r.mustReport("w", 2*time.Second, 1, 200) // too late: acknowledged, ignored
+	results, m := r.cp.assemble(r.at(2 * time.Second))
+	if m.Failed != 1 || results[0].Err != nil || !errors.Is(results[1].Err, exp.ErrCanceled) {
+		t.Fatalf("after abort: metrics %+v, errs %v / %v", m, results[0].Err, results[1].Err)
+	}
+	if rep := r.lease("w", 2*time.Second); !rep.Done {
+		t.Fatalf("lease after abort = %+v", rep)
+	}
+}

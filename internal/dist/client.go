@@ -111,8 +111,7 @@ func (co ClientOptions) authorize(req *http.Request) {
 }
 
 // StatusErrKind classifies why a status fetch failed, so every consumer
-// of the feed — ilsim-sweep -watch, ilsim-workerd -status-poll, the fleet
-// supervisor — shares one retry/give-up policy instead of each matching
+// of the feed — ilsim-sweep -watch, the fleet supervisor — shares one retry/give-up policy instead of each matching
 // error strings.
 type StatusErrKind int
 
@@ -212,8 +211,7 @@ func (t *StatusTracker) Observe(err error) error {
 
 // FetchStatus retrieves one GET /status snapshot from the coordinator at
 // addr (host:port, or a full http(s):// base URL) — the autoscaling feed
-// behind ilsim-sweep -watch, ilsim-workerd -status-poll and the fleet
-// supervisor. Failures come back as *StatusError so callers can share
+// behind ilsim-sweep -watch and the fleet supervisor. Failures come back as *StatusError so callers can share
 // one retry/give-up policy (see StatusTracker).
 func FetchStatus(ctx context.Context, addr string, co ClientOptions) (Status, error) {
 	statusErr := func(kind StatusErrKind, err error) error {
@@ -251,10 +249,10 @@ func FetchStatus(ctx context.Context, addr string, co ClientOptions) (Status, er
 
 // RequestDrain asks the coordinator at addr to retire the named worker:
 // the worker's next lease poll or heartbeat carries the drain flag, it
-// finishes in-flight work, releases unstarted leases, and exits its run
-// loop. This is the loss-free scale-down path the fleet supervisor uses —
-// no job is lost, because the worker hands its remainder back before it
-// goes.
+// finishes in-flight work, takes no more, and exits its run loop. This is
+// the loss-free scale-down path the fleet supervisor uses — no job is lost,
+// because every lease the worker took is either reported or handed back
+// before it goes.
 func RequestDrain(ctx context.Context, addr, worker string, co ClientOptions) error {
 	client, err := co.client()
 	if err != nil {

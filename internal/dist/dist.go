@@ -8,22 +8,26 @@
 // apply per job on the worker, while the coordinator only re-leases jobs
 // whose worker went silent (heartbeats stop, lease deadline passes).
 //
-// Leases carry *bundles* of jobs, not single jobs: the coordinator sizes
-// each bundle from an EWMA of the worker's observed per-job runtime so
-// every lease round-trip amortizes over roughly Options.BundleTarget of
-// work. Results still stream back one at a time, so partial-bundle
-// progress survives worker death — lease expiry reassigns only the
-// un-acked remainder of a bundle, never work already reported.
+// A lease carries exactly one job; a worker with N slots holds up to N
+// leases at once, one per slot.
 //
 // The protocol is seven JSON-over-HTTP endpoints:
 //
 //	POST /join       version + probe-fingerprint handshake; stale binaries refused
-//	POST /lease      long-poll for a bundle of jobs (index, job, fingerprint each)
+//	POST /lease      long-poll for one job (index, job, fingerprint)
 //	POST /result     stream back one exp.WireResult (integrity-hashed)
 //	POST /heartbeat  keep held leases alive
-//	POST /release    hand unstarted leases back (graceful drain)
+//	POST /release    hand every held lease back (a draining worker's goodbye)
 //	POST /drain      ask the coordinator to retire one worker (fleet scale-down)
 //	GET  /status     campaign counters plus autoscaling + health
+//
+// The code is split along one seam. campaign.go is the protocol as a pure
+// state machine: join, lease, result, release, heartbeat, drain and status
+// are methods that take plain values and the current time and return
+// replies or typed refusals — no sockets, so lease expiry, elections and
+// quarantine are tested with a fake clock. handlers.go is the HTTP adapter
+// (authenticate, decode, call, map refusals to status codes, encode) and
+// coordinator.go the listener, TLS set-up and campaign lifecycle.
 //
 // Workers are not trusted. Every result is integrity-hash checked at
 // decode; with Options.Replicas > 1 each job is leased to that many
@@ -66,27 +70,21 @@ import (
 // POST /release (graceful drain), quorum re-execution (multi-worker
 // leases per job), health/quarantine fields in Status; 4 = fleet labels
 // in the join handshake and Status, coordinator-mediated drain (POST
-// /drain, drain flags on lease and heartbeat replies).
-const ProtocolVersion = 4
+// /drain, drain flags on lease and heartbeat replies); 5 = single-job
+// leases again (leaseReply carries one job, leaseRequest no bundle
+// target, /release hands back everything the worker holds, Status drops
+// its lease/bundle counters).
+const ProtocolVersion = 5
 
 // Defaults for the lease lifecycle. LeaseTTL bounds how long a silent
-// worker keeps a bundle before its un-acked jobs are reassigned; workers
-// heartbeat at a third of the TTL, so one lost heartbeat does not forfeit
-// a lease. BundleTarget is how much estimated work one lease round-trip
-// should amortize over; ScaleHorizon is the drain time the WantWorkers
-// hint aims for.
+// worker keeps a job before it is reassigned; workers heartbeat at a third
+// of the TTL, so one lost heartbeat does not forfeit a lease. ScaleHorizon
+// is the drain time the WantWorkers hint aims for.
 const (
 	DefaultLeaseTTL     = 30 * time.Second
 	DefaultLongPoll     = 10 * time.Second
-	DefaultBundleTarget = 3 * time.Second
 	DefaultScaleHorizon = time.Minute
 )
-
-// maxBundleJobs caps one lease's bundle regardless of how short the jobs
-// look: a crashed worker forfeits at most this much un-acked work per
-// slot, and the EWMA stays honest because estimates refresh at least this
-// often.
-const maxBundleJobs = 64
 
 // joinRequest opens a worker's session with the coordinator. Slots is the
 // worker's concurrent lease-poll count: after the campaign completes, the
@@ -116,38 +114,29 @@ type joinReply struct {
 	ProbeFP    string   `json:"probeFp,omitempty"`
 }
 
-// leaseRequest asks for a bundle of jobs, long-polling up to WaitMS when
-// none is available. BundleMS is the worker's preferred bundle target; a
-// positive value below the coordinator's own target shrinks the bundle
-// (a worker never grows it — the coordinator's target is the ceiling).
+// leaseRequest asks for a job, long-polling up to WaitMS when none is
+// available.
 type leaseRequest struct {
-	Worker   string `json:"worker"`
-	SetFP    string `json:"setFp"`
-	WaitMS   int64  `json:"waitMs"`
-	BundleMS int64  `json:"bundleMs,omitempty"`
+	Worker string `json:"worker"`
+	SetFP  string `json:"setFp"`
+	WaitMS int64  `json:"waitMs"`
 }
 
-// leasedJob is one job of a bundle: its submission index, the job itself,
-// and the coordinator's fingerprint for it (re-verified by the worker).
-type leasedJob struct {
-	Index int      `json:"index"`
-	Job   *exp.Job `json:"job"`
-	JobFP string   `json:"jobFp"`
-}
-
-// leaseReply grants a bundle of jobs, asks the worker to poll again
-// (Wait), ends the session (Done — the campaign is complete), or tells
-// the worker to drain (Drain — a supervisor asked the coordinator to
-// retire it; finish in-flight work, release the rest, exit cleanly).
+// leaseReply grants one job — its submission index, the job itself, and
+// the coordinator's fingerprint for it (re-verified by the worker) — or asks
+// the worker to poll again (Wait), ends the session (Done — the campaign is
+// complete), or tells the worker to drain (Drain — a supervisor asked the
+// coordinator to retire it; finish in-flight work and exit cleanly).
 type leaseReply struct {
-	Done  bool        `json:"done,omitempty"`
-	Wait  bool        `json:"wait,omitempty"`
-	Drain bool        `json:"drain,omitempty"`
-	Jobs  []leasedJob `json:"jobs,omitempty"`
+	Done  bool     `json:"done,omitempty"`
+	Wait  bool     `json:"wait,omitempty"`
+	Drain bool     `json:"drain,omitempty"`
+	Index int      `json:"index,omitempty"`
+	Job   *exp.Job `json:"job,omitempty"`
+	JobFP string   `json:"jobFp,omitempty"`
 }
 
-// resultRequest streams one finished job back. Bundles report job by job,
-// so a worker that dies mid-bundle loses only its un-acked remainder.
+// resultRequest streams one finished job back.
 type resultRequest struct {
 	Worker string         `json:"worker"`
 	SetFP  string         `json:"setFp"`
@@ -162,7 +151,7 @@ type heartbeatRequest struct {
 }
 
 // heartbeatReply piggybacks the drain flag on the renewal: a worker deep
-// in a long bundle learns it is being retired within one heartbeat period
+// in a long job learns it is being retired within one heartbeat period
 // instead of at its next lease poll.
 type heartbeatReply struct {
 	Drain bool `json:"drain,omitempty"`
@@ -170,25 +159,21 @@ type heartbeatReply struct {
 
 // drainRequest asks the coordinator to retire one worker (POST /drain):
 // the worker's next lease poll or heartbeat carries the drain flag, it
-// finishes in-flight work, hands unstarted leases back via /release, and
-// exits its run loop — the loss-free scale-down contract ilsim-fleetd's
+// finishes in-flight work, says goodbye via /release, and exits its run
+// loop — the loss-free scale-down contract ilsim-fleetd's
 // supervisor relies on.
 type drainRequest struct {
 	Worker string `json:"worker"`
 }
 
-// releaseRequest hands leases back without results — a draining worker's
-// goodbye, so the coordinator re-leases immediately instead of waiting
-// out the TTL.
+// releaseRequest is a drained worker's last word, sent once nothing is
+// executing: every lease the coordinator still holds in its name goes back
+// to the pending pool now instead of at TTL expiry. That covers the grant
+// the worker never saw — its reply was in flight when the drain cut the
+// lease poll short.
 type releaseRequest struct {
-	Worker  string `json:"worker"`
-	SetFP   string `json:"setFp"`
-	Indexes []int  `json:"indexes"`
-	// All hands back every lease the coordinator holds for the worker,
-	// listed or not: a drained worker's last word, sent once nothing is
-	// executing. It covers a grant the worker never saw — its reply was
-	// in flight when the drain cut the lease poll short.
-	All bool `json:"all,omitempty"`
+	Worker string `json:"worker"`
+	SetFP  string `json:"setFp"`
 }
 
 // WorkerStatus is one worker's row in the Status snapshot.
@@ -196,18 +181,17 @@ type WorkerStatus struct {
 	Name string `json:"name"`
 	// Slots is the concurrency the worker declared at join.
 	Slots int `json:"slots"`
-	// Held counts the leases the worker currently holds — the size of its
-	// in-flight bundle.
+	// Held counts the leases the worker currently holds (at most one per
+	// slot).
 	Held int `json:"held"`
-	// Job labels the lowest-indexed job the worker currently holds (its
-	// active work, since workers execute bundles in lease order); empty
+	// Job labels the lowest-indexed job the worker currently holds; empty
 	// when the worker holds nothing.
 	Job string `json:"job,omitempty"`
 	// Done counts results the coordinator accepted from this worker.
 	Done int `json:"done"`
 	// EWMAMS is the exponentially weighted moving average of the worker's
-	// observed per-job runtime, in milliseconds — the estimate bundle
-	// sizing runs on.
+	// observed per-job runtime, in milliseconds — the estimate behind
+	// Throughput and the WantWorkers hint.
 	EWMAMS int64 `json:"ewmaMs"`
 	// Throughput is the worker's estimated rate in jobs per second
 	// (1/EWMA; 0 until a first result establishes an estimate).
@@ -235,8 +219,7 @@ type WorkerStatus struct {
 
 // Status is the GET /status snapshot: campaign counters plus the
 // autoscaling signals an operator (or supervisor script) needs to size
-// the fleet. ilsim-sweep -watch prints it one-shot; ilsim-workerd
-// -status-poll logs Summary lines periodically.
+// the fleet. ilsim-sweep -watch prints it, one-shot or as a live board.
 type Status struct {
 	SetFP   string `json:"setFp"`
 	Total   int    `json:"total"`
@@ -252,10 +235,6 @@ type Status struct {
 	// fleet's capacity).
 	Workers int `json:"workers"`
 	Slots   int `json:"slots"`
-	// Leases counts bundle grants so far and MaxBundle the largest bundle
-	// granted — together they show how well round-trips amortize.
-	Leases    int `json:"leases"`
-	MaxBundle int `json:"maxBundle"`
 	// ETAMS estimates the time to drain the remaining jobs at the
 	// campaign's observed throughput (0 until a rate is established).
 	ETAMS int64 `json:"etaMs"`
@@ -280,8 +259,8 @@ type Status struct {
 	PerWorker []WorkerStatus `json:"perWorker,omitempty"`
 }
 
-// Summary renders the one-line form of the snapshot, the shape
-// ilsim-workerd -status-poll logs.
+// Summary renders the one-line form of the snapshot (ilsim-fleetd -status
+// logs it).
 func (s Status) Summary() string {
 	line := fmt.Sprintf("dist: %d/%d done (%d failed, %d resumed), %d pending, %d leased, %d workers/%d slots",
 		s.Done, s.Total, s.Failed, s.Resumed, s.Pending, s.Leased, s.Workers, s.Slots)
@@ -315,9 +294,6 @@ func (s Status) Table() string {
 	var b strings.Builder
 	b.WriteString(s.Summary())
 	b.WriteByte('\n')
-	if s.Leases > 0 {
-		fmt.Fprintf(&b, "dist: %d leases granted, largest bundle %d jobs\n", s.Leases, s.MaxBundle)
-	}
 	rows := append([]WorkerStatus(nil), s.PerWorker...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
 	for _, ws := range rows {
@@ -329,14 +305,11 @@ func (s Status) Table() string {
 		if fleet == "" {
 			fleet = "manual"
 		}
-		fmt.Fprintf(&b, "  %-24s %-10s slots %-3d bundle %-3d done %-4d ewma %-8s %.2f jobs/s",
+		fmt.Fprintf(&b, "  %-24s %-10s slots %-3d held %-3d done %-4d ewma %-8s %.2f jobs/s",
 			name, fleet, ws.Slots, ws.Held, ws.Done,
 			(time.Duration(ws.EWMAMS) * time.Millisecond).Round(time.Millisecond), ws.Throughput)
 		if ws.Job != "" {
 			fmt.Fprintf(&b, "  on %s", ws.Job)
-			if ws.Held > 1 {
-				fmt.Fprintf(&b, " (+%d queued)", ws.Held-1)
-			}
 		}
 		if ws.Draining {
 			b.WriteString("  DRAINING")

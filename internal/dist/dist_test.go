@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -139,11 +140,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 		t.Fatalf("metrics %+v", oc.metrics)
 	}
 	// Both workers joined; the campaign was actually distributed.
-	cp := waitCampaign(t, c)
-	cp.mu.Lock()
-	workers := len(cp.workers)
-	cp.mu.Unlock()
-	if workers != 2 {
+	if workers := waitCampaign(t, c).status(time.Now()).Workers; workers != 2 {
 		t.Fatalf("%d workers joined, want 2", workers)
 	}
 }
@@ -329,29 +326,45 @@ func TestPermanentFailureReported(t *testing.T) {
 }
 
 // TestJoinVersionMismatch proves the handshake refuses a worker speaking a
-// different protocol version.
+// different protocol version with the fatal 409 — before a campaign is
+// installed as well as after, because the check needs none: a stale binary
+// that dials a coordinator still loading its job set must not be told 503
+// and retry for its whole outage window. Socket-free against the adapter's
+// handler, so there is no window for the POST to race the install.
 func TestJoinVersionMismatch(t *testing.T) {
-	jobs := testJobs(t, 1)
-	ctx := context.Background()
-	c, out := startCampaign(t, ctx, Options{}, jobs)
+	c := NewCoordinator(Options{})
+	join := func(req joinRequest) int {
+		body, _ := json.Marshal(req)
+		rec := httptest.NewRecorder()
+		c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/join", bytes.NewReader(body)))
+		return rec.Code
+	}
+	stale := joinRequest{Version: ProtocolVersion + 1, Worker: "old"}
+	current := joinRequest{Version: ProtocolVersion, Worker: "new"}
 
-	body, _ := json.Marshal(joinRequest{Version: ProtocolVersion + 1, Worker: "old"})
-	resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if code := join(stale); code != http.StatusConflict {
+		t.Fatalf("stale-version join before the campaign installs got %d, want %d", code, http.StatusConflict)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("stale-version join got %d, want %d", resp.StatusCode, http.StatusConflict)
+	if code := join(joinRequest{Version: ProtocolVersion}); code != http.StatusBadRequest {
+		t.Fatalf("nameless join before the campaign installs got %d, want %d", code, http.StatusBadRequest)
+	}
+	if code := join(current); code != http.StatusServiceUnavailable {
+		t.Fatalf("current-version join before the campaign installs got %d, want the retryable %d", code, http.StatusServiceUnavailable)
 	}
 
-	// A current worker still completes the campaign.
-	w := &Worker{Coordinator: c.Addr(), Name: "new"}
-	if err := w.Run(ctx); err != nil {
-		t.Fatal(err)
+	cp := newCampaign(testJobs(t, 1), Options{}, time.Now())
+	c.mu.Lock()
+	c.camp = cp
+	c.mu.Unlock()
+	if code := join(stale); code != http.StatusConflict {
+		t.Fatalf("stale-version join got %d, want %d", code, http.StatusConflict)
 	}
-	if oc := <-out; oc.err != nil || oc.metrics.Failed != 0 {
-		t.Fatalf("campaign after refused join: %+v, %v", oc.metrics, oc.err)
+	// The refused worker left no trace; a current one joins.
+	if code := join(current); code != http.StatusOK {
+		t.Fatalf("current-version join got %d", code)
+	}
+	if st := cp.status(time.Now()); st.Workers != 1 || st.PerWorker[0].Name != "new" {
+		t.Fatalf("workers after one refused and one accepted join: %+v", st.PerWorker)
 	}
 }
 

@@ -9,30 +9,28 @@ import (
 	"ilsim/internal/exp"
 )
 
-// TestGracefulDrain drains a worker mid-bundle: the job executing when
-// Drain fires must finish and report, the unstarted remainder must come
-// back via POST /release (proven structurally — the lease TTL is 60s, far
-// past the test's patience, so only an explicit release can free the
-// jobs), and a second worker must then finish the campaign with results
-// byte-identical to a local run.
+// TestGracefulDrain drains a two-slot worker mid-campaign: the jobs
+// executing when Drain fires must finish and report, no further lease may be
+// taken, nothing may stay leased to the drained worker once its Run returns
+// (proven structurally — the lease TTL is 60s, far past the test's patience,
+// so a lease stranded by the drain would stall the campaign), and a second
+// worker must then finish the campaign with results byte-identical to a
+// local run.
 func TestGracefulDrain(t *testing.T) {
 	jobs := testJobs(t, 4) // 8 jobs: each point pairs into HSAIL + GCN3
 	want := localFingerprints(t, jobs)
 
-	// Slow jobs give the first worker a measurable EWMA, so its second
-	// lease is a multi-job bundle — the thing a drain has to hand back.
 	ctx := context.Background()
-	w1 := &Worker{Name: "drainer", Slots: 1, Engine: slowEngine(jobs, 20*time.Millisecond)}
+	w1 := &Worker{Name: "drainer", Slots: 2, Engine: slowEngine(jobs, 20*time.Millisecond)}
 	var once sync.Once
 	drained := make(chan struct{})
 	c, out := startCampaign(t, ctx, Options{
-		LongPoll:     100 * time.Millisecond,
-		LeaseTTL:     60 * time.Second,
-		BundleTarget: time.Hour, // bundle everything the EWMA allows
-		Logf:         t.Logf,
+		LongPoll: 100 * time.Millisecond,
+		LeaseTTL: 60 * time.Second,
+		Logf:     t.Logf,
 		OnProgress: func(p exp.Progress) {
-			// Second completion = first job of the second (bundled) lease:
-			// drain while the rest of the bundle is still unstarted.
+			// Second completion: both slots are about to lease again (or
+			// already executing their next job) — drain mid-campaign.
 			if p.Done >= 2 {
 				once.Do(func() {
 					w1.Drain()
@@ -53,32 +51,27 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("worker does not report Draining after Drain")
 	}
 
-	// The drained worker's leases are gone NOW — not in 60 seconds. The
-	// released jobs are pending again and nothing is left leased to it.
+	// The drained worker's leases are gone NOW — not in 60 seconds — and
+	// the jobs it did not get to are pending for the relief worker.
 	cp := waitCampaign(t, c)
 	cp.mu.Lock()
-	released := 0
+	left := 0
 	for idx, holders := range cp.leases {
 		if _, held := holders["drainer"]; held {
 			t.Errorf("job %d still leased to the drained worker", idx)
 		}
-		_ = idx
 	}
 	doneSoFar := cp.done
-	maxBundle := cp.maxBundle
 	for _, st := range cp.state {
 		if st != stateDone {
-			released++
+			left++
 		}
 	}
 	cp.mu.Unlock()
-	if maxBundle < 2 {
-		t.Fatalf("largest bundle was %d jobs; the drain never had a remainder to release", maxBundle)
-	}
 	if doneSoFar == 0 || doneSoFar == len(jobs) {
 		t.Fatalf("drain landed after %d of %d jobs; want a mid-campaign drain", doneSoFar, len(jobs))
 	}
-	if released == 0 {
+	if left == 0 {
 		t.Fatal("no jobs left for the relief worker")
 	}
 
@@ -96,7 +89,7 @@ func TestGracefulDrain(t *testing.T) {
 			t.Fatalf("metrics after drain: %+v", oc.metrics)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("campaign did not finish: the drained leases were never released (TTL would take 60s)")
+		t.Fatal("campaign did not finish: the drained worker left a lease behind (TTL would take 60s)")
 	}
 	if err := <-w2Done; err != nil {
 		t.Fatalf("relief worker: %v", err)
@@ -105,9 +98,9 @@ func TestGracefulDrain(t *testing.T) {
 
 // TestCoordinatorMediatedDrain exercises the fleet scale-down contract
 // end to end: POST /drain marks a worker on the coordinator, the drain
-// flag reaches the worker over its heartbeat while it is deep inside a
-// bundle, the worker finishes its in-flight job, releases the unstarted
-// remainder and exits its run loop — and a relief worker completes the
+// flag reaches the worker on its next lease poll or heartbeat, the worker
+// finishes its in-flight job, says goodbye via /release and exits its run
+// loop — and a relief worker completes the
 // campaign byte-identical to a local run, proving the drain lost
 // nothing. The draining worker's fleet label and Draining flag are
 // visible in the status feed throughout.
@@ -122,15 +115,14 @@ func TestCoordinatorMediatedDrain(t *testing.T) {
 	drained := make(chan struct{})
 	c, out := startCampaign(t, ctx, Options{
 		LongPoll: 100 * time.Millisecond,
-		// A short lease TTL makes heartbeats (TTL/3 = 100ms) frequent
-		// enough to deliver the drain mid-bundle; the slow engine keeps
-		// the bundle running long past several heartbeat periods.
-		LeaseTTL:     300 * time.Millisecond,
-		BundleTarget: time.Hour, // bundle everything the EWMA allows
-		Logf:         t.Logf,
+		// A short lease TTL makes heartbeats (TTL/3 = 100ms) about as
+		// frequent as the slow engine's lease polls, so either carrier may
+		// deliver the flag.
+		LeaseTTL: 300 * time.Millisecond,
+		Logf:     t.Logf,
 		OnProgress: func(p exp.Progress) {
-			// Second completion = the worker is inside its second (bundled)
-			// lease: drain it through the coordinator, not locally.
+			// Second completion = mid-campaign: drain the worker through
+			// the coordinator, not locally.
 			if p.Done >= 2 {
 				once.Do(func() { close(drained) })
 			}
@@ -235,11 +227,11 @@ func TestDrainBeforeRun(t *testing.T) {
 }
 
 // TestDrainReleasesUnseenGrant covers the grant a draining worker never
-// sees: its lease poll was in flight when the drain cut it short, the
-// coordinator granted a bundle into the closed connection, and the worker —
-// holding nothing it knows of — has nothing to list in a /release. Its
-// last word hands back everything the coordinator holds in its name, so
-// the jobs are pending again at once instead of after the 60 s lease TTL.
+// sees: its lease polls were in flight when the drain cut them short, the
+// coordinator granted jobs into the closed connections, and the worker
+// holds nothing it knows of. Its last word hands back everything the
+// coordinator holds in its name, so the jobs are pending again at once
+// instead of after the 60 s lease TTL.
 func TestDrainReleasesUnseenGrant(t *testing.T) {
 	jobs := testJobs(t, 2) // 4 jobs
 	want := localFingerprints(t, jobs)
@@ -251,12 +243,12 @@ func TestDrainReleasesUnseenGrant(t *testing.T) {
 	}, jobs)
 	cp := waitCampaign(t, c)
 
-	// The lost grant, as handleLease leaves it behind.
-	cp.mu.Lock()
-	granted := cp.takeLocked("drainer", time.Now(), 3)
-	cp.mu.Unlock()
-	if len(granted) != 3 {
-		t.Fatalf("granted %v, want 3 jobs", granted)
+	// The lost grants, as lease polls answered into closed connections
+	// leave them behind.
+	for range 3 {
+		if rep, _, err := cp.lease(leaseRequest{Worker: "drainer", SetFP: cp.setFP}, time.Now()); err != nil || rep.Job == nil {
+			t.Fatalf("lease = %+v, %v; want a grant", rep, err)
+		}
 	}
 
 	w1 := &Worker{Coordinator: c.Addr(), Name: "drainer", Slots: 2, Logf: t.Logf}

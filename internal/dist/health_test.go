@@ -15,7 +15,7 @@ func healthCampaign(t *testing.T, pol HealthPolicy, bystander bool, now time.Tim
 		LeaseTTL: time.Minute,
 		Health:   &pol,
 		Logf:     t.Logf,
-	})
+	}, now)
 	if bystander {
 		cp.workerLocked("bystander").seen = now
 	}
@@ -181,13 +181,15 @@ func TestHealthQuarantineReclaimsLeases(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
 	pol := DefaultHealthPolicy()
 	jobs := testJobs(t, 2)
-	cp := newCampaign(jobs, Options{LeaseTTL: time.Minute, Health: &pol, Logf: t.Logf})
+	cp := newCampaign(jobs, Options{LeaseTTL: time.Minute, Health: &pol, Logf: t.Logf}, base)
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.workerLocked("bystander").seen = base
 	cp.workerLocked("suspect").seen = base
-	if got := cp.takeLocked("suspect", base, 2); len(got) != 2 {
-		t.Fatalf("takeLocked leased %v, want both jobs", got)
+	for range 2 {
+		if _, ok := cp.takeLocked("suspect", base); !ok {
+			t.Fatal("takeLocked did not lease both jobs")
+		}
 	}
 	cp.strikeLocked("suspect", pol.Threshold, "instant conviction", base)
 	for idx, holders := range cp.leases {
@@ -196,7 +198,9 @@ func TestHealthQuarantineReclaimsLeases(t *testing.T) {
 		}
 	}
 	// The bystander can lease the reclaimed jobs at once.
-	if got := cp.takeLocked("bystander", base, 2); len(got) != 2 {
-		t.Fatalf("bystander leased %v after reclaim, want both jobs", got)
+	for range 2 {
+		if _, ok := cp.takeLocked("bystander", base); !ok {
+			t.Fatal("bystander could not lease both jobs after the reclaim")
+		}
 	}
 }

@@ -62,17 +62,12 @@ func TestQuorumDetectsLyingWorker(t *testing.T) {
 		Logf:     t.Logf,
 	}, jobs)
 
-	// The liar gets three slots and an instant engine so it votes first on
-	// every job; the honest pair is slowed slightly so each election still
-	// has the lying ballot in it when the honest majority closes it.
+	// The liar runs alone first and casts the first ballot in every
+	// election (one vote of three closes nothing); only then do the honest
+	// pair join and outvote it job by job. Sequenced, not raced: every
+	// election has the lying ballot in it when the honest majority closes it.
 	var wg sync.WaitGroup
-	liar := &Worker{Coordinator: c.Addr(), Name: "liar", Slots: 3, Engine: lyingEngine(jobs)}
-	honest := []*Worker{
-		{Coordinator: c.Addr(), Name: "honest-1", Slots: 1, Engine: slowEngine(jobs, 20*time.Millisecond)},
-		{Coordinator: c.Addr(), Name: "honest-2", Slots: 1, Engine: slowEngine(jobs, 20*time.Millisecond)},
-	}
-	for _, w := range append(honest, liar) {
-		w := w
+	run := func(w *Worker) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -81,6 +76,19 @@ func TestQuorumDetectsLyingWorker(t *testing.T) {
 			}
 		}()
 	}
+	run(&Worker{Coordinator: c.Addr(), Name: "liar", Slots: 3, Engine: lyingEngine(jobs)})
+	cp := waitCampaign(t, c)
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		st := cp.status(time.Now())
+		if len(st.PerWorker) == 1 && st.PerWorker[0].Done == len(jobs) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the liar never voted on every job: %+v", st)
+		}
+	}
+	run(&Worker{Coordinator: c.Addr(), Name: "honest-1", Slots: 1})
+	run(&Worker{Coordinator: c.Addr(), Name: "honest-2", Slots: 1})
 
 	oc := <-out
 	wg.Wait()

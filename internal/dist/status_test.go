@@ -11,17 +11,16 @@ import (
 )
 
 // TestStatusTableGolden pins the exact rendering of the operator board:
-// summary counters, the lease line, and one row per worker — sorted by
-// name, fleet column ("manual" for hand-launched workers), CN suffix,
-// per-worker bundle size with the active job label ("+N queued" for
-// multi-job bundles), DRAINING and QUARANTINED markers. A conscious
+// summary counters and one row per worker — sorted by name, fleet column
+// ("manual" for hand-launched workers), CN suffix, held-lease count with
+// the active job label, DRAINING and QUARANTINED markers. A conscious
 // golden test: the table is an interface to operators and to the -watch
 // board, and accidental reformatting should fail loudly.
 func TestStatusTableGolden(t *testing.T) {
 	s := Status{
 		SetFP: "abc", Total: 16, Done: 6, Failed: 1, Resumed: 2,
 		Pending: 5, Leased: 4, Workers: 3, Slots: 4,
-		Leases: 7, MaxBundle: 5, ETAMS: 12_300, WantWorkers: 6,
+		ETAMS: 12_300, WantWorkers: 6,
 		Quarantined: 1, Draining: 1, RejectedCNs: 2,
 		PerWorker: []WorkerStatus{
 			{Name: "manual-1", Slots: 2, Held: 3, Done: 4, EWMAMS: 250, Throughput: 4,
@@ -35,10 +34,9 @@ func TestStatusTableGolden(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		"dist: 6/16 done (1 failed, 2 resumed), 5 pending, 4 leased, 3 workers/4 slots, eta 12.3s, want 6 slots, 1 quarantined, 1 draining, 2 CN-rejected",
-		"dist: 7 leases granted, largest bundle 5 jobs",
-		"  auto-1 (lab-client)      gcn3       slots 1   bundle 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2  QUARANTINED (score 6.5, 1 dissents, 2 integrity, 3 expiries)",
-		"  auto-2                   gcn3       slots 1   bundle 0   done 0    ewma 0s       0.00 jobs/s  DRAINING",
-		"  manual-1                 manual     slots 2   bundle 3   done 4    ewma 250ms    4.00 jobs/s  on banks=16 MD/GCN3@2 (+2 queued)",
+		"  auto-1 (lab-client)      gcn3       slots 1   held 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2  QUARANTINED (score 6.5, 1 dissents, 2 integrity, 3 expiries)",
+		"  auto-2                   gcn3       slots 1   held 0   done 0    ewma 0s       0.00 jobs/s  DRAINING",
+		"  manual-1                 manual     slots 2   held 3   done 4    ewma 250ms    4.00 jobs/s  on banks=16 MD/GCN3@2",
 		"",
 	}, "\n")
 	if got := s.Table(); got != want {

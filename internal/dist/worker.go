@@ -23,10 +23,8 @@ import (
 // the worker exactly as it would locally; the coordinator never retries a
 // reported failure, it only re-leases jobs whose worker went silent.
 //
-// Leases arrive as bundles (sized by the coordinator from this worker's
-// observed throughput); the worker executes a bundle's jobs in order and
-// reports each result individually, so a crash mid-bundle forfeits only
-// the un-acked remainder.
+// A lease carries one job; each of the worker's slots leases, executes and
+// reports independently, so a crash forfeits only the jobs in flight.
 type Worker struct {
 	// Coordinator is the coordinator's address (host:port, or a full
 	// http(s):// base URL).
@@ -38,17 +36,13 @@ type Worker struct {
 	// hand-launched workers); announced at join and shown in the
 	// coordinator's status table.
 	Fleet string
-	// Slots is the number of bundles leased and executed concurrently
+	// Slots is the number of jobs leased and executed concurrently
 	// (default 1).
 	Slots int
 	// Engine runs the leased jobs; nil uses a default engine. The
 	// engine's Journal must stay nil — durability is the coordinator's
 	// job.
 	Engine *exp.Engine
-	// BundleTarget, when positive, asks the coordinator to cap this
-	// worker's bundles at roughly this much estimated work per lease; it
-	// can only shrink bundles below the coordinator's own target.
-	BundleTarget time.Duration
 	// Client configures transport hardening: the shared auth token and
 	// how to trust a TLS coordinator.
 	Client ClientOptions
@@ -80,12 +74,11 @@ type Worker struct {
 var errStale = errors.New("dist: worker binary is stale")
 
 // Drain asks the worker to stop gracefully: the job currently executing
-// in each slot finishes and reports, the unstarted remainder of each
-// bundle is handed back via POST /release (so the coordinator re-leases
-// immediately instead of waiting out the TTL), a last /release hands back
-// whatever else the coordinator holds in the worker's name, and Run returns
-// nil. Safe to call from any goroutine, any number of times, before or
-// during Run.
+// in each slot finishes and reports, no further lease is taken, a closing
+// POST /release hands back whatever the coordinator still holds in the
+// worker's name (a grant that crossed the drain on the wire re-leases at once
+// instead of waiting out the TTL), and Run returns nil. Safe to call from any
+// goroutine, any number of times, before or during Run.
 func (w *Worker) Drain() {
 	w.drainMu.Lock()
 	defer w.drainMu.Unlock()
@@ -195,7 +188,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		}
 	}
 	if first == nil && ctx.Err() == nil && w.Draining() {
-		w.release(ctx, nil, true)
+		w.release(ctx)
 	}
 	return first
 }
@@ -250,7 +243,7 @@ func verifyProbe(rep joinReply) error {
 	return nil
 }
 
-// slotLoop is one concurrent execution slot: lease a bundle, execute it,
+// slotLoop is one concurrent execution slot: lease a job, execute it,
 // repeat until the coordinator says the campaign is done or the worker
 // drains. Lease polls run on leaseCtx so Drain cuts them short.
 func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
@@ -260,8 +253,7 @@ func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
 		}
 		var rep leaseReply
 		err := w.postRetry(leaseCtx, "/lease",
-			leaseRequest{Worker: w.Name, SetFP: w.setFP,
-				WaitMS: w.LongPoll.Milliseconds(), BundleMS: w.BundleTarget.Milliseconds()}, &rep)
+			leaseRequest{Worker: w.Name, SetFP: w.setFP, WaitMS: w.LongPoll.Milliseconds()}, &rep)
 		if err != nil {
 			if ctx.Err() != nil || w.Draining() {
 				return nil
@@ -274,121 +266,71 @@ func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
 		if rep.Drain {
 			// The coordinator is retiring this worker on a supervisor's
 			// behalf: same exit as a local Drain call. Other slots learn
-			// via Draining() at their next poll or bundle boundary.
+			// via Draining() at their next poll.
 			w.Logf("dist: %s asked to drain by the coordinator", w.Name)
 			w.Drain()
 			return nil
 		}
-		if rep.Wait || len(rep.Jobs) == 0 {
+		if rep.Job == nil {
 			continue
 		}
-		if err := w.runBundle(ctx, rep.Jobs); err != nil {
+		if err := w.runJob(ctx, rep); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// runBundle executes one leased bundle in order, streaming each result
-// back as it finishes. Cancellation mid-bundle abandons the un-acked
-// remainder — those leases expire on the coordinator and are re-leased to
-// live workers, while the jobs already reported stay done.
-func (w *Worker) runBundle(ctx context.Context, bundle []leasedJob) error {
-	// Re-verify every fingerprint before executing anything: one drifted
-	// job encoding means the whole binary cannot be trusted.
-	idxs := make([]int, len(bundle))
-	for i, lj := range bundle {
-		if lj.Job == nil {
-			return fmt.Errorf("dist: lease carried no job for index %d", lj.Index)
-		}
-		if got := lj.Job.Fingerprint(); got != lj.JobFP {
-			return fmt.Errorf("%w: leased job %d fingerprints as %s here, %s on the coordinator", errStale, lj.Index, got, lj.JobFP)
-		}
-		idxs[i] = lj.Index
+// runJob executes one leased job and streams its result back. A canceled
+// attempt is abandoned, not reported: the lease expires on the coordinator
+// and the job is re-leased to a live worker, exactly as if this worker had
+// died.
+func (w *Worker) runJob(ctx context.Context, lease leaseReply) error {
+	idx := lease.Index
+	// Re-verify the fingerprint before executing: a drifted job encoding
+	// means the whole binary cannot be trusted.
+	if got := lease.Job.Fingerprint(); got != lease.JobFP {
+		return fmt.Errorf("%w: leased job %d fingerprints as %s here, %s on the coordinator", errStale, idx, got, lease.JobFP)
 	}
-	// Hold the whole bundle from the start so heartbeats renew jobs still
-	// queued behind the one executing; drop whatever is left on any exit
-	// (acked jobs are removed one by one as they report).
-	w.addHeld(idxs)
-	defer w.dropHeld(idxs)
-	if len(bundle) > 1 {
-		w.Logf("dist: %s leased a bundle of %d jobs", w.Name, len(bundle))
+	w.setHeld(idx, true)
+	defer w.setHeld(idx, false)
+	res := w.execute(ctx, idx, *lease.Job)
+	if ctx.Err() != nil || (res.Err != nil && exp.Classify(res.Err) == exp.ClassCanceled) {
+		return nil
 	}
-	for i, lj := range bundle {
+	wire := exp.EncodeResult(idx, lease.JobFP, res)
+	if err := w.postRetry(ctx, "/result", resultRequest{Worker: w.Name, SetFP: w.setFP, Result: wire}, &struct{}{}); err != nil {
 		if ctx.Err() != nil {
 			return nil
 		}
-		// Draining: hand the unstarted remainder back so it re-leases
-		// immediately (jobs already reported stay done; the job that was
-		// executing when Drain fired has finished by the time we get
-		// here).
-		if w.Draining() {
-			w.releaseRemainder(ctx, idxs[i:])
-			return nil
-		}
-		res := w.execute(ctx, lj.Index, *lj.Job)
-		// A canceled attempt is abandoned, not reported: the lease expires
-		// and the coordinator re-leases the job — and the rest of this
-		// bundle — to a live worker, exactly as if this worker had died.
-		if ctx.Err() != nil || (res.Err != nil && exp.Classify(res.Err) == exp.ClassCanceled) {
-			return nil
-		}
-		wire := exp.EncodeResult(lj.Index, lj.JobFP, res)
-		if err := w.postRetry(ctx, "/result", resultRequest{Worker: w.Name, SetFP: w.setFP, Result: wire}, &struct{}{}); err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			return err
-		}
-		w.dropHeld([]int{lj.Index})
-		w.Logf("dist: %s finished job %d (%s)", w.Name, lj.Index, lj.Job)
+		return err
 	}
+	w.Logf("dist: %s finished job %d (%s)", w.Name, idx, lease.Job)
 	return nil
 }
 
-// releaseRemainder posts the unstarted leases of a draining bundle back
-// to the coordinator.
-func (w *Worker) releaseRemainder(ctx context.Context, idxs []int) {
-	if len(idxs) == 0 {
-		return
-	}
-	w.dropHeld(idxs)
-	w.release(ctx, idxs, false)
-}
-
-// release hands leases back to the coordinator: the ones listed, or with
-// all — a drained worker's last word, once every slot has stopped — every
-// lease the coordinator holds for this worker, including one granted to a
-// lease poll the drain had already abandoned. Best effort with a short
-// timeout; on failure the coordinator reclaims them at lease-TTL expiry
-// anyway.
-func (w *Worker) release(ctx context.Context, idxs []int, all bool) {
+// release is a drained worker's last word, once every slot has stopped:
+// every lease the coordinator holds for this worker — including one granted
+// to a lease poll the drain had already abandoned — goes back at once. Best
+// effort with a short timeout; on failure the coordinator reclaims them at
+// lease-TTL expiry anyway.
+func (w *Worker) release(ctx context.Context) {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	if err := w.post(rctx, "/release", releaseRequest{Worker: w.Name, SetFP: w.setFP, Indexes: idxs, All: all}, &struct{}{}); err != nil {
+	if err := w.post(rctx, "/release", releaseRequest{Worker: w.Name, SetFP: w.setFP}, &struct{}{}); err != nil {
 		w.Logf("dist: %s could not release its leases (%v); coordinator reclaims them at TTL", w.Name, err)
-		return
-	}
-	if len(idxs) > 0 {
-		w.Logf("dist: %s released %d unstarted leases while draining", w.Name, len(idxs))
 	}
 }
 
-// addHeld and dropHeld maintain the lease set the heartbeat loop renews.
-func (w *Worker) addHeld(idxs []int) {
+// setHeld maintains the lease set the heartbeat loop renews.
+func (w *Worker) setHeld(idx int, held bool) {
 	w.heldMu.Lock()
-	for _, idx := range idxs {
+	defer w.heldMu.Unlock()
+	if held {
 		w.held[idx] = true
-	}
-	w.heldMu.Unlock()
-}
-
-func (w *Worker) dropHeld(idxs []int) {
-	w.heldMu.Lock()
-	for _, idx := range idxs {
+	} else {
 		delete(w.held, idx)
 	}
-	w.heldMu.Unlock()
 }
 
 // execute runs one leased job through the local engine (a one-job set:
@@ -429,9 +371,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 				continue
 			}
 			if rep.Drain && !w.Draining() {
-				// Retirement reaches a worker deep in a long bundle here,
-				// one heartbeat period after the supervisor asked: the job
-				// executing finishes, the rest of the bundle is released.
+				// Retirement reaches a worker deep in a long job here, one
+				// heartbeat period after the supervisor asked: the job
+				// executing finishes, no further lease is taken.
 				w.Logf("dist: %s asked to drain by the coordinator (via heartbeat)", w.Name)
 				w.Drain()
 			}

@@ -227,9 +227,7 @@ type Engine struct {
 	// CUParallelism overrides every job's core.RunOptions.CUParallelism —
 	// it is a property of the executing host, not of the job (and is
 	// excluded from job fingerprints for the same reason). 0 keeps the
-	// jobs' own settings, which normally auto-resolve against this
-	// engine's worker count so the two parallelism levels share the
-	// machine instead of oversubscribing it.
+	// jobs' own settings (where 0 means serial).
 	CUParallelism int
 
 	// MemParallelism is the same host-level override for the phase-2
@@ -457,16 +455,9 @@ func (e *Engine) runJob(ctx context.Context, job Job, attempt int) (run *stats.R
 	if e.CUParallelism != 0 {
 		// Host-level override (results are identical at every setting).
 		opts.CUParallelism = e.CUParallelism
-	} else if opts.CUParallelism <= 0 {
-		// Auto: budget the host's cores across this engine's concurrent
-		// jobs, so -j and intra-simulation parallelism multiply to
-		// roughly GOMAXPROCS instead of compounding.
-		opts.CUParallelism = core.ResolveCUParallelism(0, job.Config.NumCUs, e.workers())
 	}
 	if e.MemParallelism != 0 {
 		opts.MemParallelism = e.MemParallelism
-	} else if opts.MemParallelism <= 0 {
-		opts.MemParallelism = core.ResolveMemParallelism(0, job.Config.DrainWidth(), e.workers())
 	}
 	run, m, err := sim.RunContext(ctx, job.Abs, job.Workload, inst.Setup, opts)
 	if err != nil {

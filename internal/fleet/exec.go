@@ -50,9 +50,7 @@ func (l *ExecLauncher) Launch(ctx context.Context, spec Spec) (Instance, error) 
 	return inst, nil
 }
 
-// procInstance adapts a started command (worker child, or a rendered
-// shell template) to the Instance interface. Shared by ExecLauncher and
-// CmdTemplateLauncher.
+// procInstance adapts a started worker child to the Instance interface.
 type procInstance struct {
 	name string
 	done chan struct{}

@@ -8,17 +8,15 @@
 // The pieces compose top-down:
 //
 //	Supervisor  reconciliation loop: status → Decider → launch/drain/reap
-//	Decider     pure policy math (deadband, cooldowns, min/max, step caps)
-//	Launcher    how replicas come to exist — three implementations:
-//	  ExecLauncher         local ilsim-workerd child processes
-//	  CmdTemplateLauncher  user shell templates (ssh, cloud CLIs, k8s)
-//	  LocalLauncher        in-process dist.Worker goroutines (-fleet N)
+//	Decider     pure policy math (deadband, cooldowns, min/max)
+//	Launcher    how replicas come to exist — two implementations:
+//	  ExecLauncher   local ilsim-workerd child processes
+//	  LocalLauncher  in-process dist.Worker goroutines (-fleet N)
 //
 // Scale-down is coordinator-mediated and loss-free: the supervisor POSTs
 // /drain for each victim, the coordinator flags the worker's next lease
-// poll or heartbeat, the worker finishes its in-flight job, hands the
-// unstarted remainder back via POST /release, and exits its run loop —
-// only then does the supervisor reap the process. Victims are chosen to
+// poll or heartbeat, the worker finishes its in-flight job, says goodbye
+// via POST /release, and exits its run loop — only then does the supervisor reap the process. Victims are chosen to
 // minimize disruption: lineages still waiting out a crash backoff go
 // first (free), then quarantined workers, then idle ones, then the
 // slowest.
@@ -50,8 +48,7 @@ type Instance interface {
 	// Name returns the worker name from the Spec.
 	Name() string
 	// Stop asks the replica to shut down gracefully: SIGTERM for a child
-	// process (ilsim-workerd's drain signal), the terminate template for
-	// CmdTemplateLauncher, Worker.Drain in-process. Safe to call more
+	// process (ilsim-workerd's drain signal), Worker.Drain in-process. Safe to call more
 	// than once. The supervisor uses this as the fallback when a
 	// coordinator-mediated drain goes unanswered.
 	Stop()

@@ -91,63 +91,3 @@ while :; do sleep 0.05; done`)
 		t.Error("killed child reported a clean exit")
 	}
 }
-
-// TestCmdTemplateLauncher covers the template launcher: the launch
-// command renders the Spec fields and stays in the foreground, Stop runs
-// the terminate template (which here flips the file the launch loop
-// watches), and the instance exits clean.
-func TestCmdTemplateLauncher(t *testing.T) {
-	dir := t.TempDir()
-	l, err := NewCmdTemplateLauncher(
-		`echo "{{.Name}} {{.Fleet}} {{.Coordinator}}" > `+dir+`/seen-{{.Name}}
-while [ ! -f `+dir+`/stop-{{.Name}} ]; do sleep 0.02; done`,
-		`touch `+dir+`/stop-{{.Name}}`,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Logf = t.Logf
-
-	spec := Spec{Name: "tmpl-1", Fleet: "lab", Coordinator: "coord:8080"}
-	inst, err := l.Launch(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The launch template rendered every Spec field.
-	seen := filepath.Join(dir, "seen-tmpl-1")
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if b, err := os.ReadFile(seen); err == nil && len(b) > 0 {
-			if got := string(b); got != "tmpl-1 lab coord:8080\n" {
-				t.Errorf("rendered launch saw %q", got)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("launch command never ran")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Stop runs the terminate template; the launch loop notices and ends.
-	inst.Stop()
-	waitDone(t, inst, "after terminate")
-	if inst.Err() != nil {
-		t.Errorf("terminated launch command: %v", inst.Err())
-	}
-}
-
-// TestCmdTemplateLauncherValidation: empty and unparsable templates are
-// rejected at construction, not at launch time.
-func TestCmdTemplateLauncherValidation(t *testing.T) {
-	if _, err := NewCmdTemplateLauncher("", ""); err == nil {
-		t.Error("empty launch template accepted")
-	}
-	if _, err := NewCmdTemplateLauncher("{{.Name", ""); err == nil {
-		t.Error("unparsable launch template accepted")
-	}
-	if _, err := NewCmdTemplateLauncher("echo ok", "{{.Oops"); err == nil {
-		t.Error("unparsable terminate template accepted")
-	}
-}

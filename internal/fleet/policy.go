@@ -5,8 +5,8 @@ import "time"
 // Policy bounds how aggressively a supervisor chases the coordinator's
 // autoscaling hint. The hint is noisy — it swings with every EWMA update
 // and every queue refill — so raw tracking would thrash processes up and
-// down; the deadband, cooldowns and step caps here turn it into calm,
-// bounded fleet moves.
+// down; the deadband and cooldowns here turn it into calm fleet moves,
+// and Max bounds how far one move can go.
 type Policy struct {
 	// Min and Max clamp the replica count. Min also bootstraps the fleet:
 	// with zero workers the coordinator never observes a runtime and the
@@ -25,14 +25,10 @@ type Policy struct {
 	// down slowly (killing a worker you need back in ten seconds costs a
 	// relaunch and a re-lease). Min/Max violations bypass cooldowns.
 	UpCooldown, DownCooldown time.Duration
-	// StepUp and StepDown cap how many replicas one decision may add or
-	// remove (0 = uncapped), so a wild hint cannot double the fleet in
-	// one tick.
-	StepUp, StepDown int
 }
 
-// withDefaults fills the zero values with the stock policy: no deadband
-// or step caps, grow after 5s of quiet, shrink after 30s.
+// withDefaults fills the zero values with the stock policy: no deadband,
+// grow after 5s of quiet, shrink after 30s.
 func (p Policy) withDefaults() Policy {
 	if p.UpCooldown <= 0 {
 		p.UpCooldown = 5 * time.Second
@@ -92,17 +88,11 @@ func (d *Decider) Decide(now time.Time, current, want int) (int, string) {
 		if !violation && !d.last.IsZero() && now.Sub(d.last) < p.UpCooldown {
 			return current, "up-cooldown"
 		}
-		if p.StepUp > 0 && target-current > p.StepUp {
-			target = current + p.StepUp
-		}
 		d.last = now
 		return target, "up"
 	}
 	if !violation && !d.last.IsZero() && now.Sub(d.last) < p.DownCooldown {
 		return current, "down-cooldown"
-	}
-	if p.StepDown > 0 && current-target > p.StepDown {
-		target = current - p.StepDown
 	}
 	d.last = now
 	return target, "down"

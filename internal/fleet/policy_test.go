@@ -89,18 +89,6 @@ func TestDeciderClampViolations(t *testing.T) {
 	})
 }
 
-// TestDeciderStepCaps: one decision may not move the fleet by more than
-// the step caps, so a wild hint ramps instead of doubling.
-func TestDeciderStepCaps(t *testing.T) {
-	p := Policy{Min: 1, Max: 16, StepUp: 2, StepDown: 3,
-		UpCooldown: time.Second, DownCooldown: time.Second}
-	runSteps(t, p, []step{
-		{0, 2, 16, 4, "up"},
-		{5 * time.Second, 4, 16, 6, "up"},
-		{5 * time.Second, 16, 1, 13, "down"},
-	})
-}
-
 // TestPolicyDefaults: the zero policy gets the stock cooldowns and a
 // Max floored at Min.
 func TestPolicyDefaults(t *testing.T) {

@@ -136,15 +136,19 @@ func TestSupervisorAutoscaleChaos(t *testing.T) {
 	c := dist.NewCoordinator(dist.Options{
 		Addr:     "127.0.0.1:0",
 		LongPoll: 50 * time.Millisecond,
-		// A long TTL means a drained worker's unstarted remainder comes
-		// back quickly only through the explicit POST /release path — if a
+		// A long TTL means a lease a drained worker left behind comes back
+		// quickly only through the explicit POST /release path — if a
 		// drain lost jobs, the campaign would stall far past this test's
 		// patience waiting for lease expiry.
 		LeaseTTL: 60 * time.Second,
 		// A tight horizon makes the hint demand several workers while the
 		// queue is deep, then decay as it drains: the test sees both a
-		// scale-up and a loss-free scale-down in one campaign.
-		ScaleHorizon: 150 * time.Millisecond,
+		// scale-up and a loss-free scale-down in one campaign. At ~50ms a
+		// job the hint falls under the fleet's four with 15 jobs left,
+		// some ten reconcile ticks before the queue is empty — one-job
+		// leases keep all four workers busy to the end, so the window for
+		// the scale-down is the queue's tail, not a straggler's bundle.
+		ScaleHorizon: 300 * time.Millisecond,
 		Logf:         t.Logf,
 	})
 	if err := c.Start(); err != nil {
@@ -171,7 +175,7 @@ func TestSupervisorAutoscaleChaos(t *testing.T) {
 			Client: chaosClient(t, "seed=7,drop=0.05,delay=5ms:0.1"),
 			Slots:  1,
 			NewEngine: func() *exp.Engine {
-				return slowEngine(jobs, 25*time.Millisecond)
+				return slowEngine(jobs, 50*time.Millisecond)
 			},
 		},
 		Policy: Policy{Min: 1, Max: 4,
@@ -211,7 +215,7 @@ sampling:
 	}
 
 	// Convergence: the hint wanted several slots for a 30-job queue at
-	// ~25ms/job against a 150ms horizon; the fleet must have grown to the
+	// ~50ms/job against a 300ms horizon; the fleet must have grown to the
 	// policy ceiling, and the decay must have drained someone.
 	if maxRunning != 4 {
 		t.Errorf("fleet peaked at %d replicas, want the Max of 4", maxRunning)

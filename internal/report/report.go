@@ -432,8 +432,9 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString("`-cu-par` shards each simulation's compute-unit ticks across goroutines,\n")
 	b.WriteString("and `-mem-par` shards its memory drain's bank waves (statistics are\n")
 	b.WriteString("byte-identical at every setting — README \"Parallel timing\"). The\n")
-	b.WriteString("defaults (`-cu-par 0` / `-mem-par 0`) auto-budget GOMAXPROCS/`-j` cores\n")
-	b.WriteString("per job so the product lands at roughly one goroutine per core; the two\n")
+	b.WriteString("defaults (`-cu-par 0` / `-mem-par 0`) mean serial, like 1: the two\n")
+	b.WriteString("intra-simulation levels are opt-in, because no host measured so far\n")
+	b.WriteString("has run a simulation faster with them than without. The two\n")
 	b.WriteString("intra-simulation knobs share one pool and never overlap, so a job's\n")
 	b.WriteString("peak concurrency is their max, not their sum. Prefer raising `-j` while\n")
 	b.WriteString("the queue is deeper than the host — job-level parallelism carries no\n")
