@@ -1,9 +1,12 @@
 # Developer entry points. `make check` is the tier-1 gate; `make race` runs
-# the concurrency-sensitive packages under the race detector — the
-# experiment engine's determinism tests and the full distributed suite
-# (the socket-free campaign state machine, TLS/token auth, quorum voting,
-# chaos fault injection, drains, fleet supervision) included, so coordinator
-# and worker locking is exercised under contention on every run.
+# the packages that start goroutines under the race detector — the
+# experiment engine (whose -j workers share prepared workload instances), its
+# determinism tests and the full distributed suite (the socket-free campaign
+# state machine, TLS/token auth, quorum voting, chaos fault injection,
+# drains, fleet supervision), so coordinator and worker locking is exercised
+# under contention on every run. A simulation itself runs on one goroutine:
+# timing, mem, emu and stats are left out, and TestSimulationIsSingleThreaded
+# fails if one of them imports sync or starts a goroutine.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
 # the race detector — the flake detector for lease/election/drain timing.
 # `make fuzz` gives the wire codec, the cache model and the whole-wave
@@ -32,8 +35,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
-		./internal/fleet/... ./internal/core/... ./internal/timing/... \
-		./internal/mem/... ./internal/emu/... ./internal/stats/... ./cmd/...
+		./internal/fleet/... ./internal/core/... ./cmd/...
 
 # dist-soak: ~10 s per repeat on two cores, so the default is about half an
 # hour; the timeout is per package and replaces go test's 10-minute default.

@@ -113,8 +113,6 @@ func run(args []string, out, errw io.Writer) error {
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	debugPprof := fs.Bool("pprof", false, "with -serve: expose net/http/pprof handlers on the coordinator's status mux")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 or 1 = serial, the default; capped at NumCUs; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 or 1 = serial, the default; capped at the drain width; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -245,11 +243,6 @@ func run(args []string, out, errw io.Writer) error {
 		eng.Retry = exp.RetryPolicy{MaxRetries: *retries}
 		eng.Journal = journal
 		eng.OnProgress = onProgress
-		eng.CUParallelism = *cuPar
-		eng.MemParallelism = *memPar
-		if msg := core.OversubscriptionWarning(*workers, *cuPar, *memPar); msg != "" {
-			fmt.Fprintln(errw, "ilsim-sweep:", msg)
-		}
 		runner = eng
 	}
 	results, metrics, err := runner.Run(jobs)

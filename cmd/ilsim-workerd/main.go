@@ -57,7 +57,6 @@ import (
 	"time"
 
 	"ilsim/internal/chaos"
-	"ilsim/internal/core"
 	"ilsim/internal/dist"
 	"ilsim/internal/exp"
 )
@@ -78,8 +77,6 @@ func run(args []string, out, errw io.Writer) error {
 	name := fs.String("name", "", "worker name in leases and logs (default hostname-pid)")
 	fleetLabel := fs.String("fleet", "", "fleet label announced at join (set by ilsim-fleetd; empty = hand-launched)")
 	slots := fs.Int("j", 0, "concurrent execution slots (0 = GOMAXPROCS)")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 or 1 = serial, the default; capped at NumCUs; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 or 1 = serial, the default; capped at the drain width; results identical)")
 	retries := fs.Int("retries", 0, "local retries per transiently failing job")
 	window := fs.Duration("window", 2*time.Minute, "how long to retry an unreachable coordinator before giving up")
 	token := fs.String("token", "", "shared auth token for a coordinator started with -token")
@@ -131,11 +128,6 @@ func run(args []string, out, errw io.Writer) error {
 	}
 	eng := exp.New(0)
 	eng.Retry = exp.RetryPolicy{MaxRetries: *retries}
-	eng.CUParallelism = *cuPar
-	eng.MemParallelism = *memPar
-	if msg := core.OversubscriptionWarning(*slots, *cuPar, *memPar); msg != "" {
-		fmt.Fprintln(errw, "ilsim-workerd:", msg)
-	}
 	w := &dist.Worker{
 		Coordinator: *connect,
 		Name:        *name,

@@ -61,8 +61,6 @@ func run(args []string, out, errw io.Writer) error {
 	blockProfile := fs.String("blockprofile", "", "write a goroutine blocking profile to this file on exit")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 	noSkip := fs.Bool("noskip", false, "disable cycle skipping (tick every cycle; identical results, for verification)")
-	cuPar := fs.Int("cu-par", 0, "goroutines per simulation for CU ticking (0 or 1 = serial, the default; capped at NumCUs; results identical)")
-	memPar := fs.Int("mem-par", 0, "goroutines per simulation for the memory drain's bank waves (0 or 1 = serial, the default; capped at the drain width; results identical)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -91,6 +89,9 @@ func run(args []string, out, errw io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *asJSON && len(names) > 1 {
+		return fmt.Errorf("-json reports a single workload, got %d (%s)", len(names), strings.Join(names, ","))
+	}
 
 	cfg := core.DefaultConfig()
 	if *cus > 0 {
@@ -106,9 +107,7 @@ func run(args []string, out, errw io.Writer) error {
 		cfg.L1ISize = *l1iKB << 10
 	}
 	opts := core.RunOptions{TrackValues: *values, ValueSampleEvery: 4, TrackReuse: *reuse,
-		MaxCycles: *maxCycles, DisableCycleSkipping: *noSkip,
-		CUParallelism: *cuPar, MemParallelism: *memPar}
-	warnOversubscription(errw, *workers, *cuPar, *memPar)
+		MaxCycles: *maxCycles, DisableCycleSkipping: *noSkip}
 
 	var targets []core.Abstraction
 	switch *abs {
@@ -130,8 +129,6 @@ func run(args []string, out, errw io.Writer) error {
 		}
 	}
 	eng := exp.New(*workers)
-	eng.CUParallelism = *cuPar
-	eng.MemParallelism = *memPar
 	if *verbose {
 		eng.OnProgress = func(p exp.Progress) { fmt.Fprintln(errw, p.Line()) }
 	}
@@ -305,16 +302,6 @@ func jsonReport(runs []*stats.Run, scale int) map[string]any {
 		out[r.Abstraction] = j
 	}
 	return out
-}
-
-// warnOversubscription tells the user when an explicit -cu-par or -mem-par
-// setting multiplied by the job-level pool exceeds the host's cores. The
-// settings are still honored (results are identical, only wall-clock
-// suffers).
-func warnOversubscription(errw io.Writer, workers, cuPar, memPar int) {
-	if msg := core.OversubscriptionWarning(workers, cuPar, memPar); msg != "" {
-		fmt.Fprintln(errw, "ilsim:", msg)
-	}
 }
 
 func ratio(a, b uint64) float64 {

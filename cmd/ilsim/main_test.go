@@ -89,6 +89,20 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
+// TestJSONRejectsWorkloadList: -json describes one workload; with a list it
+// used to be dropped silently in favour of the text table. It must fail
+// before any job runs (-v would log the first finished job to stderr).
+func TestJSONRejectsWorkloadList(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run([]string{"-workload", "ArrayBW,MD", "-scale", "1", "-json", "-v"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "-json") {
+		t.Fatalf("-json with two workloads: err = %v, want a -json error", err)
+	}
+	if out.Len() != 0 || errw.Len() != 0 {
+		t.Fatalf("output before the rejection:\nstdout: %s\nstderr: %s", out.String(), errw.String())
+	}
+}
+
 // TestUnknownWorkload must fail cleanly before any simulation runs.
 func TestUnknownWorkload(t *testing.T) {
 	var out, errw bytes.Buffer

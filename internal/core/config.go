@@ -40,8 +40,7 @@ type Config struct {
 	L2Size int
 	L2Ways int
 	// L2Banks set-interleaves the L2 into independent banks, each with its
-	// own request port; with DRAM channels they are the units the phase-2
-	// drain can service in parallel (-mem-par).
+	// own request port.
 	L2Banks int
 	// DRAMChannels / DRAMLatency / DRAMOccupancy: memory channels and
 	// per-access timing in GPU cycles.
@@ -99,22 +98,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative L2 bank count")
 	}
 	return nil
-}
-
-// DrainWidth returns the widest phase-2 drain wave this configuration
-// produces — level-1 cache banks (per-CU L1Ds plus the per-4-CU I- and
-// scalar caches), L2 banks, or DRAM channels — which is the useful upper
-// bound on -mem-par.
-func (c Config) DrainWidth() int {
-	nShared := (c.NumCUs + 3) / 4
-	w := c.NumCUs + 2*nShared
-	if c.L2Banks > w {
-		w = c.L2Banks
-	}
-	if c.DRAMChannels > w {
-		w = c.DRAMChannels
-	}
-	return w
 }
 
 // String summarizes the configuration in a Table 4-like block.

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"ilsim/internal/stats"
 	"ilsim/internal/timing"
@@ -24,20 +23,9 @@ type RunOptions struct {
 	// TrackReuse enables register reuse-distance tracking (Fig 7).
 	TrackReuse bool
 
-	// CUParallelism shards each cycle's compute-unit ticks across this
-	// many goroutines (the paper-visible statistics are byte-identical at
-	// every setting). 0 and 1 both mean the serial loop; larger values are
-	// clamped to NumCUs (ResolveCUParallelism).
+	// CUParallelism is inert (a simulation is one goroutine); it stays only because frozen bench/ sets it.
 	CUParallelism int
-
-	// MemParallelism shards the phase-2 memory drain's bank waves — L1
-	// banks, then L2 banks, then DRAM channels — across this many pool
-	// goroutines (statistics stay byte-identical at every setting; the
-	// determinism suite pins it). 0 and 1 both mean the serial drain; larger
-	// values are clamped to Config.DrainWidth(). The pool is
-	// shared with CU ticking and the phases never overlap, so a
-	// simulation's peak concurrency is max(CUParallelism, MemParallelism),
-	// not their sum.
+	// MemParallelism is inert; it stays only because frozen bench/ sets it.
 	MemParallelism int
 
 	// MaxCycles bounds the run's total simulated cycles (0 = unlimited);
@@ -58,46 +46,6 @@ type RunOptions struct {
 	// debugging/verification knob (the determinism regression test runs
 	// both and compares fingerprints).
 	DisableCycleSkipping bool
-}
-
-// ResolveCUParallelism clamps a requested per-simulation CU-parallelism
-// setting to [1, numCUs]: an explicit request is honored up to the CU count
-// — even if it oversubscribes the host; CLIs warn about that but defer to
-// the user — and 0 (or less) means the serial loop. Parallel timing has not
-// yet beaten serial on any measured host (EXPERIMENTS.md), so it is opt-in.
-func ResolveCUParallelism(requested, numCUs int) int {
-	return max(1, min(requested, numCUs))
-}
-
-// ResolveMemParallelism clamps a requested drain-parallelism setting to
-// [1, width] (the configuration's DrainWidth — the widest bank wave, beyond
-// which extra workers can never find a task); 0 means the serial drain.
-func ResolveMemParallelism(requested, width int) int {
-	return max(1, min(requested, width))
-}
-
-// OversubscriptionWarning returns a human-readable warning when an explicit
-// intra-simulation parallelism request multiplied by the job-level worker
-// pool exceeds the host's cores, or "" when the combination is fine. A simulation's peak concurrency is max(cuPar, memPar) —
-// the phase-1 tick and phase-2 drain share one pool and never overlap.
-// jobWorkers <= 0 means GOMAXPROCS, matching the sweep engines' -j default.
-func OversubscriptionWarning(jobWorkers, cuPar, memPar int) string {
-	intra := cuPar
-	if memPar > intra {
-		intra = memPar
-	}
-	if intra <= 1 {
-		return ""
-	}
-	if jobWorkers <= 0 {
-		jobWorkers = runtime.GOMAXPROCS(0)
-	}
-	cores := runtime.GOMAXPROCS(0)
-	if total := jobWorkers * intra; total > cores {
-		return fmt.Sprintf("-j %d x max(-cu-par %d, -mem-par %d) = %d goroutines oversubscribes %d cores; results are identical but wall-clock may suffer",
-			jobWorkers, cuPar, memPar, total, cores)
-	}
-	return ""
 }
 
 // Simulator runs workloads on the timed GPU model under either abstraction.
@@ -154,10 +102,6 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 		return nil, nil, fmt.Errorf("core: %s/%s setup: %w", workload, abs, err)
 	}
 	gpu := timing.NewGPU(s.params(), run)
-	gpu.Mem = m.Ctx.Mem
-	gpu.Parallelism = ResolveCUParallelism(opts.CUParallelism, s.Cfg.NumCUs)
-	gpu.MemParallelism = ResolveMemParallelism(opts.MemParallelism, s.Cfg.DrainWidth())
-	defer gpu.Stop()
 	wd := timing.Watchdog{
 		MaxCycles:  int64(opts.MaxCycles),
 		MaxInsts:   opts.MaxInsts,

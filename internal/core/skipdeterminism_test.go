@@ -77,3 +77,36 @@ func TestCycleSkippingDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelismFieldsInert: RunOptions.CUParallelism and MemParallelism
+// survive only because the frozen benchmark sets them (its mix_par workload
+// and three ladder rungs), which relies on their changing nothing.
+func TestParallelismFieldsInert(t *testing.T) {
+	sim, err := core.NewSimulator(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"MD", "SpMV"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Prepare(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+			var fps [2][]byte
+			for i, o := range []core.RunOptions{{}, {CUParallelism: 8, MemParallelism: 44}} {
+				run, _, err := sim.Run(abs, name, inst.Setup, o)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", name, abs, err)
+				}
+				fps[i] = run.Fingerprint()
+			}
+			if !bytes.Equal(fps[0], fps[1]) {
+				t.Errorf("%s/%s: fingerprint moves with CUParallelism/MemParallelism set", name, abs)
+			}
+		}
+	}
+}

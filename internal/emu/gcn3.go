@@ -35,13 +35,8 @@ type GCN3Engine struct {
 	// share it, and the pre-broadcast constants it points to).
 	uops []gcn3Uop
 
-	// scratch is Execute's working state. It makes Execute non-reentrant:
-	// concurrent compute units need per-CU clones (Fork).
+	// scratch is Execute's working state; every clone owns its own (Fork).
 	scratch laneUnit
-
-	// sharedAtomics records whether the kernel touches shared memory with
-	// read-modify-write operations (computed once at load).
-	sharedAtomics bool
 }
 
 var _ Forker = (*GCN3Engine)(nil)
@@ -59,32 +54,17 @@ func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, d *hsa.Dispatch, base 
 		e.infos[i] = e.decodeInfo(i)
 		e.uops[i] = e.lower(i, consts)
 	}
-	for i := range e.prog.Insts {
-		if e.prog.Insts[i].Op == gcn3.OpFlatAtomicAdd {
-			e.sharedAtomics = true
-			break
-		}
-	}
 	return e
 }
 
 // Fork returns an execution clone for one compute unit: shared decode state
 // (program, scheduling metadata, micro-ops and their constants), private
-// lane scratch (the struct copy), a private collector targeting run, and a
-// private memory view when mv is non-nil.
-func (e *GCN3Engine) Fork(run *stats.Run, mv *mem.Memory) Engine {
+// lane scratch (the struct copy) and a private collector targeting run.
+func (e *GCN3Engine) Fork(run *stats.Run) Engine {
 	f := *e
 	f.Col = e.Col.Fork(run)
-	if mv != nil {
-		ctx := *e.Ctx
-		ctx.Mem = mv
-		f.Ctx = &ctx
-	}
 	return &f
 }
-
-// SharedAtomics reports read-modify-write use of shared (non-LDS) memory.
-func (e *GCN3Engine) SharedAtomics() bool { return e.sharedAtomics }
 
 // Abstraction identifies the engine.
 func (e *GCN3Engine) Abstraction() string { return "GCN3" }

@@ -41,13 +41,8 @@ type HSAILEngine struct {
 	// the pre-broadcast constants it points to).
 	uops []hsailUop
 
-	// scratch is Execute's working state. It makes Execute non-reentrant:
-	// concurrent compute units need per-CU clones (Fork).
+	// scratch is Execute's working state; every clone owns its own (Fork).
 	scratch laneUnit
-
-	// sharedAtomics records whether the kernel touches shared memory with
-	// read-modify-write operations (computed once at load).
-	sharedAtomics bool
 }
 
 var _ Forker = (*HSAILEngine)(nil)
@@ -70,32 +65,18 @@ func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, d *hsa.D
 		e.infos[i] = e.decodeInfo(i)
 		e.uops[i] = e.lower(i, consts)
 	}
-	for _, in := range e.flat {
-		if in.Op == hsail.OpAtomicAdd && in.Seg != hsail.SegGroup {
-			e.sharedAtomics = true
-			break
-		}
-	}
 	return e
 }
 
 // Fork returns an execution clone for one compute unit: shared decode state
 // (instructions, scheduling metadata, micro-ops and their constants),
-// private lane scratch (the struct copy), a private collector targeting
-// run, and a private memory view when mv is non-nil.
-func (e *HSAILEngine) Fork(run *stats.Run, mv *mem.Memory) Engine {
+// private lane scratch (the struct copy) and a private collector targeting
+// run.
+func (e *HSAILEngine) Fork(run *stats.Run) Engine {
 	f := *e
 	f.Col = e.Col.Fork(run)
-	if mv != nil {
-		ctx := *e.Ctx
-		ctx.Mem = mv
-		f.Ctx = &ctx
-	}
 	return &f
 }
-
-// SharedAtomics reports read-modify-write use of shared (non-LDS) memory.
-func (e *HSAILEngine) SharedAtomics() bool { return e.sharedAtomics }
 
 // Abstraction identifies the engine.
 func (e *HSAILEngine) Abstraction() string { return "HSAIL" }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"ilsim/internal/core"
@@ -16,7 +15,6 @@ import (
 	"ilsim/internal/isa"
 	"ilsim/internal/kernel"
 	"ilsim/internal/kernel/randkernel"
-	"ilsim/internal/mem"
 	"ilsim/internal/stats"
 	"ilsim/internal/workloads"
 )
@@ -330,20 +328,11 @@ func (c *cuRunner) step() (bool, error) {
 }
 
 // TestForkClonesInterleaved runs every workload once on the engine as
-// loaded and twice on two Fork clones that split the workgroups like two
-// compute units: first advancing alternately, one instruction each, on one
-// goroutine; then concurrently, each clone on its own goroutine with its
-// own memory view. Clones share micro-ops and pre-broadcast constants and
-// own their scratch: state leaking between clones shows up as a wrong
-// output or statistic in the first mode and as a data race (under -race)
-// in the second.
+// loaded and once on two Fork clones that split the workgroups like two
+// compute units, advancing alternately, one instruction each. Clones share
+// micro-ops and pre-broadcast constants and own their scratch: state leaking
+// between clones shows up as a wrong output or statistic.
 func TestForkClonesInterleaved(t *testing.T) {
-	for _, concurrent := range []bool{false, true} {
-		testForkClones(t, concurrent)
-	}
-}
-
-func testForkClones(t *testing.T, concurrent bool) {
 	tr := tracking{values: true, every: 1, reuse: true}
 	for _, w := range workloads.All() {
 		inst, err := w.Prepare(1)
@@ -351,7 +340,7 @@ func testForkClones(t *testing.T, concurrent bool) {
 			t.Fatalf("%s: Prepare: %v", w.Name, err)
 		}
 		for _, abs := range bothAbstractions {
-			what := fmt.Sprintf("%s/%s/concurrent=%v", w.Name, abs, concurrent)
+			what := fmt.Sprintf("%s/%s", w.Name, abs)
 			plain, forked := newMachine(abs, tr), newMachine(abs, tr)
 			for _, m := range []*core.Machine{plain, forked} {
 				if err := inst.Setup(m); err != nil {
@@ -370,55 +359,22 @@ func testForkClones(t *testing.T, concurrent bool) {
 					break
 				}
 				fk := eng.(emu.Forker)
-				if fk.SharedAtomics() {
-					// Order-dependent across workgroups: not forkable.
-					if err := emu.RunFunctional(eng, d); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					forked.CompleteDispatch(d)
-					continue
-				}
 				var cus [2]cuRunner
 				var shards [2]stats.Run
-				var views [2]*mem.Memory
 				for i := range cus {
-					if concurrent {
-						views[i] = forked.Ctx.Mem.Fork()
-					}
-					cus[i] = cuRunner{eng: fk.Fork(&shards[i], views[i]), d: d}
+					cus[i] = cuRunner{eng: fk.Fork(&shards[i]), d: d}
 				}
 				for wi := range d.Workgroups {
 					cus[wi%2].wgs = append(cus[wi%2].wgs, wi)
 				}
-				if concurrent {
-					var wg sync.WaitGroup
-					var errs [2]error
+				for busy := true; busy; {
+					busy = false
 					for i := range cus {
-						wg.Add(1)
-						go func(i int) {
-							defer wg.Done()
-							for ran := true; ran && errs[i] == nil; {
-								ran, errs[i] = cus[i].step()
-							}
-						}(i)
-					}
-					wg.Wait()
-					for i, err := range errs {
+						ran, err := cus[i].step()
 						if err != nil {
 							t.Fatalf("%s: cu %d: %v", what, i, err)
 						}
-						forked.Ctx.Mem.AbsorbFootprint(views[i])
-					}
-				} else {
-					for busy := true; busy; {
-						busy = false
-						for i := range cus {
-							ran, err := cus[i].step()
-							if err != nil {
-								t.Fatalf("%s: cu %d: %v", what, i, err)
-							}
-							busy = busy || ran
-						}
+						busy = busy || ran
 					}
 				}
 				forked.Col.Run.Merge(&shards[0])

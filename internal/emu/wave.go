@@ -3,7 +3,6 @@ package emu
 import (
 	"ilsim/internal/hsa"
 	"ilsim/internal/isa"
-	"ilsim/internal/mem"
 	"ilsim/internal/stats"
 )
 
@@ -175,10 +174,9 @@ type Collector struct {
 }
 
 // Fork returns a collector with the same tracking settings but targeting
-// run. The parallel timing core forks one collector per compute unit so
-// the sampling counter (order-dependent state) advances per-CU: sampling
-// decisions then depend only on that CU's own access sequence, which is
-// identical at every host parallelism level.
+// run. The timing core forks one collector per compute unit so the
+// sampling counter (order-dependent state) advances per-CU: sampling
+// decisions then depend only on that CU's own access sequence.
 func (c *Collector) Fork(run *stats.Run) *Collector {
 	f := &Collector{Run: run}
 	if c != nil {
@@ -276,23 +274,15 @@ type Engine interface {
 	RegDemand() (int, int)
 }
 
-// Forker is implemented by engines whose Execute can be sharded across
-// compute units: Fork produces an execution clone that shares the
-// immutable decode state (flattened program, per-PC scheduling metadata)
-// but owns every piece of mutable per-execution state — the lane scratch
-// buffers, a private statistics collector targeting run, and (when mv is
-// non-nil) a private functional-memory view. Clones may then Execute
-// concurrently, one per goroutine, as long as their waves do not write the
-// same bytes within one timing epoch.
+// Forker is implemented by engines that can hand each compute unit its own
+// execution clone: Fork produces one that shares the immutable decode state
+// (flattened program, per-PC scheduling metadata) but owns every piece of
+// mutable per-execution state — the lane scratch buffers and a private
+// statistics collector targeting run — so collector sampling advances per
+// compute unit.
 type Forker interface {
 	Engine
-	// Fork returns the clone. run receives the clone's statistics
-	// (merge shards back with stats.Run.Merge); mv, when non-nil,
-	// replaces the clone's memory view (obtain one with mem.Memory.Fork).
-	Fork(run *stats.Run, mv *mem.Memory) Engine
-	// SharedAtomics reports whether the kernel performs read-modify-write
-	// accesses against shared (non-LDS) memory. Such kernels are only
-	// correct under the serial interleaving: the timing core must not run
-	// their compute units concurrently.
-	SharedAtomics() bool
+	// Fork returns the clone. run receives the clone's statistics (merge
+	// shards back with stats.Run.Merge).
+	Fork(run *stats.Run) Engine
 }

@@ -417,6 +417,25 @@ func TestJobFingerprint(t *testing.T) {
 	}
 }
 
+// TestJobFingerprintPinned pins the journal identity of one literal job.
+// Fingerprint hashes %+v of core.Config and core.RunOptions, so renaming,
+// removing or reordering a field of either orphans every -resume journal and
+// fails every distributed campaign's job-set check; if this literal has to
+// change, that is what the change does. The inert parallelism fields must
+// not move it.
+func TestJobFingerprintPinned(t *testing.T) {
+	const pinned = "27eadb242342c622a5563a04"
+	job := Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
+		Config: core.DefaultConfig(), Opts: core.RunOptions{MaxCycles: 7}}
+	if fp := job.Fingerprint(); fp != pinned {
+		t.Fatalf("fingerprint %s, want %s: existing journals no longer resume", fp, pinned)
+	}
+	job.Opts.CUParallelism, job.Opts.MemParallelism = 8, 44
+	if fp := job.Fingerprint(); fp != pinned {
+		t.Fatalf("fingerprint %s with CUParallelism/MemParallelism set, want %s", fp, pinned)
+	}
+}
+
 // TestWriteFailureSummary checks the stderr failure report the CLIs share.
 func TestWriteFailureSummary(t *testing.T) {
 	results := []Result{

@@ -12,7 +12,7 @@ type Level interface {
 
 // Banked is a hierarchy level whose state is partitioned into independent
 // banks: requests to different banks touch disjoint port/LRU/counter state,
-// so the drain pipeline may service banks concurrently. Cache (set
+// so the drain replays each bank's requests as one sequence. Cache (set
 // interleaving) and DRAM (channel interleaving) both implement it.
 type Banked interface {
 	NumBanks() int

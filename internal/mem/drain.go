@@ -5,24 +5,10 @@ import (
 	"slices"
 )
 
-// Executor runs n independent tasks, indexed 0..n-1, and returns when all
-// have finished. The timing layer injects its worker pool through this so
-// the drain can shard bank waves without depending on package timing; nil
-// means run serially in index order. Tasks within one wave touch disjoint
-// state, so any execution order (or interleaving) produces identical
-// results — the executor choice affects wall clock only.
-type Executor func(n int, run func(int))
-
-func serialExec(n int, run func(int)) {
-	for i := 0; i < n; i++ {
-		run(i)
-	}
-}
-
 // downJob is one access descending into a lower level: enqueued by an upper
 // bank's wave into the lower bank's input bucket instead of calling through,
-// which is what turns the drain into a pipeline of bank waves. done is
-// written by the level that services the job.
+// which is what makes the replay level-ordered. done is written by the level
+// that services the job.
 type downJob struct {
 	addr  uint64
 	write bool
@@ -45,9 +31,7 @@ type pendFill struct {
 	victimWB   bool
 }
 
-// drainTask is one bank of one level: the unit of phase-2 parallelism.
-// Exactly one worker runs a task per wave, so everything here is private to
-// that worker for the wave's duration. A task's inputs (srcs or jobs) are
+// drainTask is one bank of one level. A task's inputs (srcs or jobs) are
 // wired per flush from the buckets that actually hold work, and every
 // per-flush field is empty between flushes.
 type drainTask struct {
@@ -74,39 +58,33 @@ type DrainSource struct {
 	Complete func(tag int, ready int64)
 }
 
-// drainWave is one level's share of a flush: the tasks that have input
-// (active, in ascending task order once wired) and the task body, bound once
-// for the executor: run(i) processes task active[i].
+// drainWave is one level's share of a flush: its tasks, and the ones that
+// have input (active, in ascending task order once wired).
 type drainWave struct {
 	tasks  []drainTask
 	active []int32
-	run    func(int)
-}
-
-func (w *drainWave) bind(proc func(*drainTask)) {
-	w.run = func(i int) { proc(&w.tasks[w.active[i]]) }
 }
 
 // Drain replays deferred cache accesses through a banked two-level
-// hierarchy as a pipeline of bank waves:
+// hierarchy in level order, one wave per level:
 //
 //	wave 1 — every level-1 (per-CU L1D, shared L1I/sL1) bank replays its
-//	         bucketed requests in (source, append) order against private
-//	         bank state, depositing misses and posted writes into
-//	         per-L2-bank output buckets;
-//	wave 2 — every L2 bank replays its deposited jobs in (level-1 task,
-//	         append) order, depositing misses into per-DRAM-channel
-//	         buckets;
+//	         bucketed requests in (source, append) order, depositing
+//	         misses and posted writes into per-L2-bank output buckets;
+//	wave 2 — every L2 bank, in ascending order, replays its deposited jobs
+//	         in (level-1 task, append) order, depositing misses into
+//	         per-DRAM-channel buckets;
 //	wave 3 — every DRAM channel replays its jobs.
 //
-// A barrier separates the waves; within a wave, tasks touch disjoint bank
-// state and write completions only into their own inputs, so the waves may
-// run on any number of workers with byte-identical results. After the
-// waves, two serial finalize passes (L2 first, then level 1) resolve miss
+// After the waves, two finalize passes (L2 first, then level 1) resolve miss
 // completions upward, charge miss latency, and apply dirty-victim
-// write-backs; a final serial reduction folds per-line completions into
+// write-backs; a final reduction folds per-line completions into
 // per-request ready cycles and invokes each source's completion callback in
-// (source, request) order.
+// (source, request) order. This order — an L2 bank sees a cycle's L1D misses
+// of every source before any L1I/sL1 miss, and victim write-backs reach the
+// level below after all of the cycle's fills — is not the order a
+// call-through hierarchy would produce; it is the memory model's semantics,
+// pinned by TestDrainLevel1ReplayOrder and TestDrainVictimWriteBackOrder.
 //
 // The waves are sparse: a flush visits only banks that received work. Each
 // request buffer and each task lists the buckets it made non-empty, a wave's
@@ -123,7 +101,6 @@ type Drain struct {
 	// behind that source's destination handle.
 	l1Base                 [][]int32
 	waveL1, waveL2, waveDR drainWave
-	now                    int64
 }
 
 // NewDrain wires the pipeline. l1s lists every level-1 cache in replay
@@ -168,26 +145,7 @@ func NewDrain(l1s []*Cache, srcs []DrainSource, l2 *Cache, dram *DRAM) *Drain {
 	for ch := 0; ch < dram.NumBanks(); ch++ {
 		d.waveDR.tasks = append(d.waveDR.tasks, drainTask{bank: ch})
 	}
-	d.waveL1.bind(d.procCache)
-	d.waveL2.bind(d.procCache)
-	d.waveDR.bind(d.procDRAM)
 	return d
-}
-
-// MaxWave returns the widest wave's task count — the useful upper bound on
-// drain parallelism.
-func (d *Drain) MaxWave() int {
-	return max(len(d.waveL1.tasks), len(d.waveL2.tasks), len(d.waveDR.tasks))
-}
-
-// Pending returns the number of routed line accesses waiting across all
-// sources.
-func (d *Drain) Pending() int {
-	n := 0
-	for _, s := range d.srcs {
-		n += s.Buf.lines
-	}
-	return n
 }
 
 // activate returns task i for the caller to wire an input to, putting it on
@@ -227,18 +185,6 @@ func wireJobs(upper, lower *drainWave) {
 	slices.Sort(lower.active)
 }
 
-// exec runs the wave's active tasks: nothing for an empty wave, inline for
-// a single task (no barrier to pay for), on the executor otherwise.
-func (w *drainWave) exec(exec Executor) {
-	switch n := len(w.active); n {
-	case 0:
-	case 1:
-		w.run(0)
-	default:
-		exec(n, w.run)
-	}
-}
-
 // clear empties everything the flush touched on the wave's active tasks.
 // Idle tasks hold nothing, so the next flush finds every bucket empty
 // whichever tasks it wakes.
@@ -256,25 +202,29 @@ func (w *drainWave) clear() {
 	w.active = w.active[:0]
 }
 
-// procCache replays one cache bank's inputs: level-1 buckets first (only
-// level-1 tasks have any), then lower-level job buckets, both in wiring
-// order. Misses and posted writes are deposited into the lower bank's
-// bucket; completions that are already known land immediately.
-func (d *Drain) procCache(t *drainTask) {
-	c := t.cache
-	b := &c.banks[t.bank]
-	for _, sp := range t.srcs {
-		src := *sp
-		for j := range src {
-			lr := &src[j]
-			t.apply(c, b, lr.line, lr.write, d.now, &lr.done)
+// runCaches replays the inputs of every active cache bank of the wave, in
+// ascending task order: level-1 buckets first (only level-1 tasks have any),
+// then lower-level job buckets, both in wiring order. Misses and posted
+// writes are deposited into the lower bank's bucket; completions that are
+// already known land immediately.
+func (w *drainWave) runCaches(now int64) {
+	for _, i := range w.active {
+		t := &w.tasks[i]
+		c := t.cache
+		b := &c.banks[t.bank]
+		for _, sp := range t.srcs {
+			src := *sp
+			for j := range src {
+				lr := &src[j]
+				t.apply(c, b, lr.line, lr.write, now, &lr.done)
+			}
 		}
-	}
-	for _, jp := range t.jobs {
-		js := *jp
-		for j := range js {
-			jb := &js[j]
-			t.apply(c, b, jb.addr, jb.write, jb.at, &jb.done)
+		for _, jp := range t.jobs {
+			js := *jp
+			for j := range js {
+				jb := &js[j]
+				t.apply(c, b, jb.addr, jb.write, jb.at, &jb.done)
+			}
 		}
 	}
 }
@@ -303,12 +253,16 @@ func (t *drainTask) apply(c *Cache, b *cacheBank, addr uint64, write bool, at in
 	}
 }
 
-func (d *Drain) procDRAM(t *drainTask) {
-	for _, jp := range t.jobs {
-		js := *jp
-		for j := range js {
-			jb := &js[j]
-			jb.done = d.dram.bankAccess(t.bank, jb.write, jb.at)
+// runDRAM services the jobs of every active channel of the DRAM wave.
+func (w *drainWave) runDRAM(dram *DRAM) {
+	for _, i := range w.active {
+		t := &w.tasks[i]
+		for _, jp := range t.jobs {
+			js := *jp
+			for j := range js {
+				jb := &js[j]
+				jb.done = dram.bankAccess(t.bank, jb.write, jb.at)
+			}
 		}
 	}
 }
@@ -316,7 +270,7 @@ func (d *Drain) procDRAM(t *drainTask) {
 // finalize resolves the wave's pending fills after the lower waves ran:
 // copy each fill's completion into its sink, charge the miss latency to the
 // bank shard, and apply dirty-victim write-backs (posted at the fill's
-// completion, replayed here serially in ascending task, then pend, order).
+// completion, replayed here in ascending task, then pend, order).
 func (w *drainWave) finalize() {
 	for _, i := range w.active {
 		t := &w.tasks[i]
@@ -335,14 +289,14 @@ func (w *drainWave) finalize() {
 // reduce folds per-line completions back into per-request ready cycles and
 // invokes each source's completion callback in (source, request) order,
 // then resets the buffers.
-func (d *Drain) reduce() {
+func (d *Drain) reduce(now int64) {
 	for _, s := range d.srcs {
 		buf := s.Buf
 		if len(buf.reqs) == 0 {
 			continue
 		}
 		for i := range buf.reqs {
-			buf.reqs[i].ready = d.now
+			buf.reqs[i].ready = now
 		}
 		for _, r := range buf.touched {
 			bucket := buf.dests[r.dest].buckets[r.bank]
@@ -360,11 +314,11 @@ func (d *Drain) reduce() {
 	}
 }
 
-// Flush drains every pending request at cycle now: three bank waves
-// (level 1, L2, DRAM) on exec, then the serial finalize and reduction
-// passes. exec == nil runs the waves serially; results are byte-identical
-// either way.
-func (d *Drain) Flush(now int64, exec Executor) {
+// Flush drains every pending request at cycle now: three level waves
+// (level 1, L2, DRAM), then the finalize and reduction passes. The second
+// parameter is ignored; it is kept only because frozen bench/ladder.go
+// passes nil for the executor it once selected.
+func (d *Drain) Flush(now int64, _ any) {
 	nreq := 0
 	for _, s := range d.srcs {
 		nreq += len(s.Buf.reqs)
@@ -372,19 +326,15 @@ func (d *Drain) Flush(now int64, exec Executor) {
 	if nreq == 0 {
 		return
 	}
-	d.now = now
-	if exec == nil {
-		exec = serialExec
-	}
 	d.wireSources()
-	d.waveL1.exec(exec)
+	d.waveL1.runCaches(now)
 	wireJobs(&d.waveL1, &d.waveL2)
-	d.waveL2.exec(exec)
+	d.waveL2.runCaches(now)
 	wireJobs(&d.waveL2, &d.waveDR)
-	d.waveDR.exec(exec)
+	d.waveDR.runDRAM(d.dram)
 	d.waveL2.finalize()
 	d.waveL1.finalize()
-	d.reduce()
+	d.reduce(now)
 	d.waveL1.clear()
 	d.waveL2.clear()
 	d.waveDR.clear()

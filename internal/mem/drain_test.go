@@ -2,7 +2,6 @@ package mem
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -350,53 +349,6 @@ func TestDrainVictimWriteBackOrder(t *testing.T) {
 	sameHier(t, "mirrored sources", a, b)
 	if a.ready[0][1] == a.ready[1][1] {
 		t.Fatal("scenario drifted: the two fills completed together, so order cannot show")
-	}
-}
-
-// TestDrainExecutorInvariance: the drain's results must not depend on how
-// wave tasks are scheduled — serial, reversed, or genuinely concurrent
-// (the latter also puts the wave structure under the race detector) —
-// across dense flushes that wake every bank and sparse ones that wake a
-// few, so active lists, wiring and clearing all change from flush to flush.
-func TestDrainExecutorInvariance(t *testing.T) {
-	reversed := func(n int, run func(int)) {
-		for i := n - 1; i >= 0; i-- {
-			run(i)
-		}
-	}
-	concurrent := func(n int, run func(int)) {
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) { defer wg.Done(); run(i) }(i)
-		}
-		wg.Wait()
-	}
-	var base *hier
-	for name, exec := range map[string]Executor{
-		"serial": nil, "reversed": reversed, "concurrent": concurrent,
-	} {
-		h := buildHier(3, 4, 4)
-		rng := rand.New(rand.NewSource(9))
-		for cycle := 0; cycle < 90; cycle++ {
-			if cycle%3 == 0 {
-				genRequests(h, int64(cycle), 10)
-			} else {
-				// Sparse flushes between the dense ones: one source, one or
-				// two lines from four times the L2 (dirty L2 victims
-				// included), every other task and bank idle.
-				buf := h.bufs[rng.Intn(len(h.bufs))]
-				for k := 0; k <= rng.Intn(2); k++ {
-					buf.AppendLine(0, uint64(rng.Intn(512))*64, rng.Intn(3) == 0, cycle)
-				}
-			}
-			h.drain.Flush(int64(100*cycle), exec)
-		}
-		if base == nil {
-			base = h
-			continue
-		}
-		sameHier(t, name, h, base)
 	}
 }
 

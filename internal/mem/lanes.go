@@ -30,7 +30,7 @@ type laneAccess struct {
 
 func (m *Memory) laneAccess() laneAccess {
 	a := laneAccess{m: m, base: ^uint64(0)}
-	a.track, a.exclLo, a.exclHi = m.footprintPolicy()
+	a.track, a.exclLo, a.exclHi = m.trackFootprint, m.exclLo, m.exclHi
 	return a
 }
 

@@ -41,98 +41,86 @@ func laneScenario(rng *rand.Rand, base uint64, size int) (addrs [isa.WavefrontSi
 
 // TestLaneAccessMatchesPerLaneCalls: the wave forms leave memory, the
 // returned data and the touched-line footprint exactly as the per-lane
-// ReadU32/ReadU64/WriteU32/WriteU64/AtomicAddU32 calls they replace, on the
-// root view and on a forked one.
+// ReadU32/ReadU64/WriteU32/WriteU64/AtomicAddU32 calls they replace.
 func TestLaneAccessMatchesPerLaneCalls(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	const base = 0x1000_0000
-	for _, forked := range []bool{false, true} {
-		wave, lane := NewMemory(), NewMemory()
-		for _, m := range []*Memory{wave, lane} {
-			m.ExcludeFromFootprint(0x7000_0000, 0x7000_0040)
-			for i := uint64(0); i < 1<<16; i += 8 {
-				m.WriteU64(base+i, i*0x9E3779B97F4A7C15)
-			}
-			m.ResetFootprint()
+	wave, lane := NewMemory(), NewMemory()
+	for _, m := range []*Memory{wave, lane} {
+		m.ExcludeFromFootprint(0x7000_0000, 0x7000_0040)
+		for i := uint64(0); i < 1<<16; i += 8 {
+			m.WriteU64(base+i, i*0x9E3779B97F4A7C15)
 		}
-		wv, lv := wave, lane
-		if forked {
-			wv, lv = wave.Fork(), lane.Fork()
+		m.ResetFootprint()
+	}
+	for round := 0; round < 300; round++ {
+		size := 4 + 4*rng.Intn(2)
+		addrs, active := laneScenario(rng, base, size)
+		var lo, hi, wantLo, wantHi [isa.WavefrontSize]uint32
+		for l := range lo {
+			lo[l], hi[l] = rng.Uint32(), rng.Uint32()
 		}
-		for round := 0; round < 300; round++ {
-			size := 4 + 4*rng.Intn(2)
-			addrs, active := laneScenario(rng, base, size)
-			var lo, hi, wantLo, wantHi [isa.WavefrontSize]uint32
-			for l := range lo {
-				lo[l], hi[l] = rng.Uint32(), rng.Uint32()
+		wantLo, wantHi = lo, hi
+		op := rng.Intn(3)
+		if op == 2 {
+			size = 4
+		}
+		for l := 0; l < isa.WavefrontSize; l++ {
+			if !active.Bit(l) {
+				continue
 			}
-			wantLo, wantHi = lo, hi
-			op := rng.Intn(3)
-			if op == 2 {
-				size = 4
-			}
-			for l := 0; l < isa.WavefrontSize; l++ {
-				if !active.Bit(l) {
-					continue
-				}
-				switch {
-				case op == 0 && size == 8:
-					v := lv.ReadU64(addrs[l])
-					wantLo[l], wantHi[l] = uint32(v), uint32(v>>32)
-				case op == 0:
-					wantLo[l] = lv.ReadU32(addrs[l])
-				case op == 1 && size == 8:
-					lv.WriteU64(addrs[l], uint64(lo[l])|uint64(hi[l])<<32)
-				case op == 1:
-					lv.WriteU32(addrs[l], lo[l])
-				default:
-					wantLo[l] = lv.AtomicAddU32(addrs[l], lo[l])
-				}
-			}
-			switch op {
-			case 0:
-				wv.LoadLanes(&addrs, active, size, &lo, &hi)
-			case 1:
-				wv.StoreLanes(&addrs, active, size, &lo, &hi)
+			switch {
+			case op == 0 && size == 8:
+				v := lane.ReadU64(addrs[l])
+				wantLo[l], wantHi[l] = uint32(v), uint32(v>>32)
+			case op == 0:
+				wantLo[l] = lane.ReadU32(addrs[l])
+			case op == 1 && size == 8:
+				lane.WriteU64(addrs[l], uint64(lo[l])|uint64(hi[l])<<32)
+			case op == 1:
+				lane.WriteU32(addrs[l], lo[l])
 			default:
-				wv.AtomicAddLanes(&addrs, active, &lo, &lo) // ret aliases val
-			}
-			if lo != wantLo || hi != wantHi {
-				t.Fatalf("forked=%v round %d op %d size %d: lane data differs", forked, round, op, size)
-			}
-			if round%50 == 49 {
-				// Toggling tracking and resetting must keep both in step.
-				wave.SetFootprintTracking(round%100 == 49)
-				lane.SetFootprintTracking(round%100 == 49)
+				wantLo[l] = lane.AtomicAddU32(addrs[l], lo[l])
 			}
 		}
-		if forked {
-			wave.AbsorbFootprint(wv)
-			lane.AbsorbFootprint(lv)
+		switch op {
+		case 0:
+			wave.LoadLanes(&addrs, active, size, &lo, &hi)
+		case 1:
+			wave.StoreLanes(&addrs, active, size, &lo, &hi)
+		default:
+			wave.AtomicAddLanes(&addrs, active, &lo, &lo) // ret aliases val
 		}
-		if !reflect.DeepEqual(wave.touched, lane.touched) {
-			t.Fatalf("forked=%v: footprints differ: %d lines vs %d", forked, len(wave.touched), len(lane.touched))
+		if lo != wantLo || hi != wantHi {
+			t.Fatalf("round %d op %d size %d: lane data differs", round, op, size)
 		}
-		if len(wave.touched) == 0 {
-			t.Fatal("no footprint recorded")
+		if round%50 == 49 {
+			// Toggling tracking and resetting must keep both in step.
+			wave.SetFootprintTracking(round%100 == 49)
+			lane.SetFootprintTracking(round%100 == 49)
 		}
-		for i := uint64(0); i < 1<<16+2*PageSize; i += 4 {
-			if a, b := wave.ReadU32(base+i), lane.ReadU32(base+i); a != b {
-				t.Fatalf("forked=%v: memory differs at %#x: %#x != %#x", forked, base+i, a, b)
-			}
+	}
+	if !reflect.DeepEqual(wave.touched, lane.touched) {
+		t.Fatalf("footprints differ: %d lines vs %d", len(wave.touched), len(lane.touched))
+	}
+	if len(wave.touched) == 0 {
+		t.Fatal("no footprint recorded")
+	}
+	for i := uint64(0); i < 1<<16+2*PageSize; i += 4 {
+		if a, b := wave.ReadU32(base+i), lane.ReadU32(base+i); a != b {
+			t.Fatalf("memory differs at %#x: %#x != %#x", base+i, a, b)
 		}
 	}
 }
 
 // TestFootprintFilterIsExact: the direct-mapped filter in front of the
-// touched set never hides a line — not across aliasing slots, a reset, or a
-// fork's absorb.
+// touched set never hides a line — not across aliasing slots or a reset.
 func TestFootprintFilterIsExact(t *testing.T) {
 	m := NewMemory()
 	want := map[uint64]struct{}{}
 	rng := rand.New(rand.NewSource(3))
-	touch := func(v *Memory, addr uint64, n int) {
-		v.Read(addr, make([]byte, n))
+	touch := func(addr uint64, n int) {
+		m.Read(addr, make([]byte, n))
 		for l := addr / LineSize; l <= (addr+uint64(n)-1)/LineSize; l++ {
 			want[l] = struct{}{}
 		}
@@ -140,23 +128,16 @@ func TestFootprintFilterIsExact(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		// Lines recentLines apart share a filter slot.
 		addr := uint64(rng.Intn(8))*recentLines*LineSize + uint64(rng.Intn(4096))
-		touch(m, addr, 1+rng.Intn(200))
+		touch(addr, 1+rng.Intn(200))
 	}
 	if !reflect.DeepEqual(m.touched, want) {
 		t.Fatalf("footprint has %d lines, want %d", len(m.touched), len(want))
 	}
 	m.ResetFootprint()
 	clear(want)
-	touch(m, 64, 4) // was in the filter before the reset
-	f := m.Fork()
-	touch(f, 64, 4)
-	touch(f, 4096, 4)
-	m.AbsorbFootprint(f)
+	touch(64, 4) // was in the filter before the reset
+	touch(4096, 4)
 	if !reflect.DeepEqual(m.touched, want) {
-		t.Fatalf("after reset+absorb: footprint %v, want %v", m.touched, want)
-	}
-	touch(f, 4096, 4) // the fork's set was cleared: this must be recorded again
-	if _, ok := f.touched[4096/LineSize]; !ok {
-		t.Fatal("fork's filter survived AbsorbFootprint: re-touched line not recorded")
+		t.Fatalf("after reset: footprint %v, want %v", m.touched, want)
 	}
 }

@@ -15,7 +15,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // PageBits is the log2 of the sparse page size.
@@ -27,37 +26,19 @@ const PageSize = 1 << PageBits
 // LineSize is the cache-line size used throughout the hierarchy (Table 4).
 const LineSize = 64
 
-// recentLines is the size of a view's touched-line filter.
+// recentLines is the size of the touched-line filter.
 const recentLines = 1024
-
-// pageTable is the page store shared by a Memory and all of its forked
-// views. Until the first Fork the owning Memory is the only user and the
-// mutex is bypassed; once shared, first-touch page allocation takes the
-// write lock while lookups take the read lock. Page slices are never
-// replaced or freed, so a resolved page may be cached and used lock-free
-// forever.
-type pageTable struct {
-	mu     sync.RWMutex
-	pages  map[uint64][]byte
-	shared bool
-}
 
 // Memory is a sparse 64-bit byte-addressed functional memory image.
 // It also tracks the set of touched cache lines, which is how the data
 // footprint statistic (Table 6) is measured.
 //
-// A Memory is not safe for concurrent use, but Fork returns additional
-// views over the same page store that may each be used from their own
-// goroutine (the parallel timing core gives one to each compute unit).
-// Views share data — a write through one view is seen by all — while
-// every piece of per-view mutable bookkeeping (page/line caches, the
-// touched-line set) stays private.
+// A Memory is not safe for concurrent use: a simulation runs on one
+// goroutine.
 type Memory struct {
-	pt *pageTable
-	// parent is the root view this one was forked from (nil on the root).
-	// Footprint-tracking policy lives on the root so toggles between
-	// dispatches govern every view.
-	parent  *Memory
+	// pages is the sparse page store. Page slices are never replaced or
+	// freed, so a resolved page may be cached and used forever.
+	pages   map[uint64][]byte
 	touched map[uint64]struct{}
 	// lastBase/lastPage cache the most recently resolved page: simulated
 	// accesses are heavily page-local, so most lookups skip the map.
@@ -65,7 +46,7 @@ type Memory struct {
 	lastPage []byte
 	// recent is a direct-mapped filter in front of touched: recent[i]
 	// holding l+1 means line l is already in the set, so re-touching a
-	// line the view touched lately — consecutive lanes of one access, the
+	// line touched lately — consecutive lanes of one access, the
 	// same gather table every iteration — skips the map insert. It only
 	// ever claims membership of lines that were inserted, so the set stays
 	// exact; it is cleared whenever the set shrinks.
@@ -80,63 +61,20 @@ type Memory struct {
 // NewMemory returns an empty memory image with footprint tracking enabled.
 func NewMemory() *Memory {
 	return &Memory{
-		pt:             &pageTable{pages: make(map[uint64][]byte)},
+		pages:          make(map[uint64][]byte),
 		touched:        make(map[uint64]struct{}),
 		trackFootprint: true,
 	}
 }
 
-// Fork returns a new view over the same page store, safe to use from
-// another goroutine concurrently with the root and with other forks (as
-// long as they do not write the same bytes in the same phase — the timing
-// core's epoch barriers order everything coarser than that). The fork
-// records its own touched lines; fold them back with AbsorbFootprint.
-// Forking marks the page store shared, which routes first-touch page
-// allocation through a lock on every view from then on.
-func (m *Memory) Fork() *Memory {
-	root := m
-	if m.parent != nil {
-		root = m.parent
-	}
-	root.pt.shared = true
-	return &Memory{
-		pt:      root.pt,
-		parent:  root,
-		touched: make(map[uint64]struct{}),
-	}
-}
-
-// AbsorbFootprint folds a forked view's touched-line set into m and clears
-// the fork's set. Line-set union is commutative, so absorbing forks in any
-// order yields the same footprint a single view would have recorded.
-func (m *Memory) AbsorbFootprint(f *Memory) {
-	if f == nil || f == m {
-		return
-	}
-	for l := range f.touched {
-		m.touched[l] = struct{}{}
-	}
-	clear(f.touched)
-	f.recent = [recentLines]uint64{}
-}
-
 // SetFootprintTracking toggles touched-line recording (loaders disable it so
-// code and packet setup do not count as application data footprint). On a
-// forked view it toggles the root policy, which governs every view.
+// code and packet setup do not count as application data footprint).
 func (m *Memory) SetFootprintTracking(on bool) {
-	if m.parent != nil {
-		m.parent.trackFootprint = on
-		return
-	}
 	m.trackFootprint = on
 }
 
 // ExcludeFromFootprint removes [lo, hi) from footprint accounting.
 func (m *Memory) ExcludeFromFootprint(lo, hi uint64) {
-	if m.parent != nil {
-		m.parent.exclLo, m.parent.exclHi = lo, hi
-		return
-	}
 	m.exclLo, m.exclHi = lo, hi
 }
 
@@ -156,46 +94,17 @@ func (m *Memory) page(addr uint64) []byte {
 	if m.lastPage != nil && base == m.lastBase {
 		return m.lastPage
 	}
-	pt := m.pt
-	if !pt.shared {
-		p, ok := pt.pages[base]
-		if !ok {
-			p = make([]byte, PageSize)
-			pt.pages[base] = p
-		}
-		m.lastBase, m.lastPage = base, p
-		return p
-	}
-	pt.mu.RLock()
-	p, ok := pt.pages[base]
-	pt.mu.RUnlock()
+	p, ok := m.pages[base]
 	if !ok {
-		pt.mu.Lock()
-		if p, ok = pt.pages[base]; !ok {
-			p = make([]byte, PageSize)
-			pt.pages[base] = p
-		}
-		pt.mu.Unlock()
+		p = make([]byte, PageSize)
+		m.pages[base] = p
 	}
 	m.lastBase, m.lastPage = base, p
 	return p
 }
 
-// footprintPolicy returns whether touched lines are being recorded and the
-// address range excluded from the record. The policy lives on the root
-// view; writes to it happen only between parallel phases, so forks may read
-// it without locking.
-func (m *Memory) footprintPolicy() (track bool, exclLo, exclHi uint64) {
-	pol := m
-	if m.parent != nil {
-		pol = m.parent
-	}
-	return pol.trackFootprint, pol.exclLo, pol.exclHi
-}
-
 func (m *Memory) touch(addr uint64, n int) {
-	track, exclLo, exclHi := m.footprintPolicy()
-	if !track || n <= 0 || (addr >= exclLo && addr < exclHi) {
+	if !m.trackFootprint || n <= 0 || (addr >= m.exclLo && addr < m.exclHi) {
 		return
 	}
 	m.touchLines(addr, n)

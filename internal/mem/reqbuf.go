@@ -11,8 +11,8 @@ type lineReq struct {
 }
 
 // dest is one cache a buffer routes into: per-bank buckets so that routing
-// happens at append time, inside the parallel phase, and the drain can hand
-// each bank its inputs without any further sorting.
+// happens at append time and the drain can hand each bank its inputs without
+// any further sorting.
 type dest struct {
 	cache   *Cache
 	buckets [][]lineReq
@@ -31,13 +31,11 @@ type request struct {
 }
 
 // RequestBuffer is an append-only, replayable queue of deferred cache
-// accesses, routed to destination banks as it is appended. The parallel
-// timing core gives each compute unit one buffer: phase 1 appends requests
-// in the exact order the serial model would have issued them, bucketing each
-// line by (destination cache, bank); phase 2 (Drain.Flush) replays every
-// bank's bucket sequence in (CU index, append order), so each bank's
-// port/LRU/miss-counter state evolves deterministically regardless of which
-// goroutine services it. The buffer lists the buckets it made non-empty
+// accesses, routed to destination banks as it is appended. The timing core
+// gives each compute unit one buffer: phase 1 of a cycle appends the CU's
+// requests in issue order, bucketing each line by (destination cache, bank);
+// phase 2 (Drain.Flush) replays every bank's bucket sequence in (CU index,
+// append order). The buffer lists the buckets it made non-empty
 // (touched), so the drain and Reset visit only those: an idle destination
 // costs nothing. Reset keeps capacity, so a steady-state tick/drain cycle
 // allocates nothing.
@@ -49,7 +47,6 @@ type RequestBuffer struct {
 	reqs  []request
 	// touched lists the non-empty buckets in first-append order.
 	touched []bucketRef
-	lines   int
 }
 
 // Register adds a destination cache and returns its handle for AppendLine/
@@ -78,7 +75,6 @@ func (b *RequestBuffer) route(d int, line uint64, write bool, ri int32) {
 func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
 	b.route(d, line, write, int32(len(b.reqs)))
 	b.reqs = append(b.reqs, request{tag: tag})
-	b.lines++
 }
 
 // Append defers a multi-line access to destination d. Lines are copied into
@@ -91,14 +87,10 @@ func (b *RequestBuffer) Append(d int, lines []uint64, write bool, tag int) {
 		b.route(d, line, write, ri)
 	}
 	b.reqs = append(b.reqs, request{tag: tag})
-	b.lines += len(lines)
 }
 
 // Len returns the number of deferred requests.
 func (b *RequestBuffer) Len() int { return len(b.reqs) }
-
-// Lines returns the number of routed line accesses.
-func (b *RequestBuffer) Lines() int { return b.lines }
 
 // Reset empties the buffer, keeping its capacity.
 func (b *RequestBuffer) Reset() {
@@ -108,5 +100,4 @@ func (b *RequestBuffer) Reset() {
 		*bucket = (*bucket)[:0]
 	}
 	b.touched = b.touched[:0]
-	b.lines = 0
 }

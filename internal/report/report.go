@@ -428,20 +428,10 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString("and resuming the coordinator re-leases only unfinished jobs, no matter\n")
 	b.WriteString("which machine ran the rest. Results assemble in submission order, making\n")
 	b.WriteString("the figures byte-identical to a single-machine run.\n\n")
-	b.WriteString("Three levels of parallelism stack: `-j` runs whole jobs concurrently,\n")
-	b.WriteString("`-cu-par` shards each simulation's compute-unit ticks across goroutines,\n")
-	b.WriteString("and `-mem-par` shards its memory drain's bank waves (statistics are\n")
-	b.WriteString("byte-identical at every setting — README \"Parallel timing\"). The\n")
-	b.WriteString("defaults (`-cu-par 0` / `-mem-par 0`) mean serial, like 1: the two\n")
-	b.WriteString("intra-simulation levels are opt-in, because no host measured so far\n")
-	b.WriteString("has run a simulation faster with them than without. The two\n")
-	b.WriteString("intra-simulation knobs share one pool and never overlap, so a job's\n")
-	b.WriteString("peak concurrency is their max, not their sum. Prefer raising `-j` while\n")
-	b.WriteString("the queue is deeper than the host — job-level parallelism carries no\n")
-	b.WriteString("barrier overhead — and spend `-cu-par`/`-mem-par` when jobs no longer\n")
-	b.WriteString("outnumber cores: the tail of a campaign, or one big simulation. Asking\n")
-	b.WriteString("for `-j x max(-cu-par, -mem-par)` beyond the core count is honored but\n")
-	b.WriteString("warned about.\n\n")
+	b.WriteString("There is one level of parallelism: `-j` runs whole jobs concurrently.\n")
+	b.WriteString("A simulation itself runs on one goroutine, in the one canonical order\n")
+	b.WriteString("that defines its statistics (DESIGN.md \"Two-phase cycle and banked\n")
+	b.WriteString("memory\").\n\n")
 	fmt.Fprintf(&b, "Input scale: %d. Simulated configuration (Table 4):\n\n```\n%s\n```\n", r.Scale, cfg.String())
 	b.WriteString(r.PaperComparison())
 	b.WriteString(r.Fig1())
@@ -490,23 +480,21 @@ numbers, as the reproducible quantity.
 
 Host speed is now measured by one benchmark, ` + "`bench/`" + ` (declared by
 BENCHMARK.json, described in bench/README.md): ` + "`make bench`" + ` runs its five
-workloads — serial MD and SpMV, MD+SpMV at ` + "`-cu-par`" + ` = ` + "`-mem-par`" + ` = P, the
-20-run suite on the parallel engine, a loopback distributed campaign — and
+workloads — MD and SpMV, MD then SpMV (` + "`mix_par`" + `, once the intra-simulation
+parallel path and now the same code as the first two), the 20-run suite on
+the ` + "`-j`" + ` engine, a loopback distributed campaign — and
 reports siminsts/s, wall and set-up time for each, with a traced per-layer
 ladder under ` + "`-layers`" + `. Numbers from different hosts do not compare; a
 speed claim is a same-host A/B, ` + "`make bench-ab REF=<commit>`" + `: both
 commits built from source, at least ten interleaved pairs, judged by
-` + "`bench -compare`" + `. The intra-simulation parallel paths need a multi-core
-host to beat serial; on a single core the pool is pure overhead and the
-automatic serial fallback (` + "`-cu-par 0`" + ` / ` + "`-mem-par 0`" + ` resolve to 1) is
-the right setting. The CI bench-smoke job runs the benchmark at smoke-test
+` + "`bench -compare`" + `. The CI bench-smoke job runs the benchmark at smoke-test
 sizes per commit and additionally gates on TestCycleSkippingDeterminism
-(skip-on vs skip-off fingerprint identity), TestParallelTimingDeterminism
-(every -cu-par setting must fingerprint identically to serial),
-TestBankedMemoryDeterminism (every -cu-par x -mem-par combination must
-fingerprint identically to the serial drain) and
-TestIssueStageNoAllocs/TestDrainRoutingNoAllocs (zero allocations in the
-steady-state two-phase cycle, bank routing and sparse drains included).
+(skip-on vs skip-off fingerprint identity), the sleep-bound shadow oracle
+(TestSleepBoundsShadow, TestNoSkipTicksEverything),
+TestSimulationIsSingleThreaded (no sync import or go statement in timing,
+mem, emu or stats) and TestIssueStageNoAllocs/TestDrainRoutingNoAllocs
+(zero allocations in the steady-state two-phase cycle, bank routing and
+sparse drains included).
 `
 
 func abs(v float64) float64 {

@@ -69,8 +69,8 @@ type Run struct {
 	FetchStallCycles uint64
 }
 
-// Merge folds a shard's counters into r. The parallel timing core gives
-// each compute unit a private Run so per-CU statistics never contend; at
+// Merge folds a shard's counters into r. The timing core gives each compute
+// unit a private Run (with a private collector, see emu.Collector.Fork); at
 // run end the shards merge back into the root in CU-index order. Every
 // field is a sum (or a histogram count union), so the merged totals equal
 // what a single shared Run would have accumulated, regardless of how the

@@ -107,7 +107,7 @@ type pendReq struct {
 
 // cu is one compute unit.
 //
-// Each tick is split into two phases so CUs can tick concurrently:
+// Each cycle is split into two phases:
 //
 //	phase 1 (tick)  — fetch scheduling, issue, execute and every
 //	                  CU-private state transition, touching only this
@@ -116,10 +116,9 @@ type pendReq struct {
 //	                  hierarchy are routed into reqs' per-bank buckets
 //	                  instead of applied.
 //	phase 2 (drain) — the GPU's drain replays every bank's bucketed
-//	                  requests in (CU index, append order) as level
-//	                  waves (mem.Drain), so shared port/LRU state
-//	                  evolves deterministically at every parallelism
-//	                  level.
+//	                  requests in (CU index, append order), level by
+//	                  level (mem.Drain), and completes them through
+//	                  complete.
 type cu struct {
 	g  *GPU
 	id int
@@ -134,11 +133,9 @@ type cu struct {
 
 	// run is the CU's private statistics shard (merged into the GPU's
 	// root run at Finalize); eng is the per-CU engine clone for the
-	// current dispatch; mview is the CU's functional-memory view (nil
-	// until the GPU runs parallel).
-	run   *stats.Run
-	eng   emu.Engine
-	mview *mem.Memory
+	// current dispatch.
+	run *stats.Run
+	eng emu.Engine
 
 	// reqs/pend hold the tick's deferred shared-cache accesses;
 	// completeFn is the drain callback, bound once so draining does not
@@ -146,10 +143,6 @@ type cu struct {
 	reqs       mem.RequestBuffer
 	pend       []pendReq
 	completeFn func(tag int, ready int64)
-
-	// finWGs/tickErr carry tick's results across the phase barrier.
-	finWGs  int
-	tickErr error
 
 	// waves is kept permanently ordered by seq: place appends waves with
 	// monotonically increasing seq and releaseWG compacts stably, so the

@@ -264,12 +264,11 @@ func warm(tb testing.TB, c *cu) (now int64) {
 	return now
 }
 
-// TestIssueStageNoAllocs pins the allocation invariant the parallel timing
-// core inherits from the serial one: once a CU is in steady state, a full
-// two-phase cycle — tick (fetch + issue + execute + retire into the request
-// buffer) plus drain (deferred cache accesses) — allocates nothing. This is
-// exactly the per-worker scratch contract: every buffer involved (order
-// scratch, request buffer, pending metadata) is CU-owned and reused. The
+// TestIssueStageNoAllocs pins the timing core's allocation invariant: once
+// a CU is in steady state, a full two-phase cycle — tick (fetch + issue +
+// execute + retire into the request buffer) plus drain (deferred cache
+// accesses) — allocates nothing: every buffer involved (order scratch,
+// request buffer, pending metadata) is CU-owned and reused. The
 // contract covers every shape a tick takes: all waves issuing, most waves
 // asleep and waking as their loads land (park, wake, re-park), and a CU
 // asleep as a whole.

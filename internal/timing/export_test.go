@@ -2,8 +2,6 @@ package timing
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -13,17 +11,16 @@ import (
 // (refWave: what a tick-everything run would do with that wave that cycle)
 // and records a failure if the wave could have acted or would have charged
 // FetchStallCycles differently from what the sleeper charged for it. It
-// also tallies what the real ticks did. Safe under Parallelism > 1.
+// also tallies what the real ticks did.
 type Shadow struct {
 	// WavesAsleep counts wave visits skipped inside real ticks,
 	// CUCyclesAsleep CU ticks skipped (one per CU per cycle slept).
-	WavesAsleep, CUCyclesAsleep atomic.Int64
+	WavesAsleep, CUCyclesAsleep int64
 	// Ticks counts real CU ticks; Resident sums the waves resident at each,
 	// Visited the waves its pass visited, Checked those that went through
 	// the issue stage's eligibility checks.
-	Ticks, Resident, Visited, Checked atomic.Int64
+	Ticks, Resident, Visited, Checked int64
 
-	mu       sync.Mutex
 	failures []string
 	nFailed  int
 }
@@ -39,28 +36,24 @@ func InstallShadow(t testing.TB) *Shadow {
 
 // Failures returns how many checks failed and the first few messages.
 func (s *Shadow) Failures() (int, []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.nFailed, s.failures
 }
 
 func (s *Shadow) failf(format string, args ...any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.nFailed++; len(s.failures) < 8 {
 		s.failures = append(s.failures, fmt.Sprintf(format, args...))
 	}
 }
 
 func (s *Shadow) ticked(c *cu, visited, checked int) {
-	s.Ticks.Add(1)
-	s.Resident.Add(int64(len(c.waves)))
-	s.Visited.Add(int64(visited))
-	s.Checked.Add(int64(checked))
+	s.Ticks++
+	s.Resident += int64(len(c.waves))
+	s.Visited += int64(visited)
+	s.Checked += int64(checked)
 }
 
 func (s *Shadow) waveAsleep(c *cu, wv *waveCtx, now int64) {
-	s.WavesAsleep.Add(1)
+	s.WavesAsleep++
 	o, err := refWave(c, wv, now)
 	switch {
 	case err != nil:
@@ -73,7 +66,7 @@ func (s *Shadow) waveAsleep(c *cu, wv *waveCtx, now int64) {
 }
 
 func (s *Shadow) cuAsleep(c *cu, now int64) {
-	s.CUCyclesAsleep.Add(1)
+	s.CUCyclesAsleep++
 	stallers := 0
 	for _, wv := range c.waves {
 		o, err := refWave(c, wv, now)

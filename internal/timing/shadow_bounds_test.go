@@ -51,7 +51,7 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 		if n, msgs := sh.Failures(); n != 0 {
 			t.Fatalf("unperturbed run refuted %d times: %v", n, msgs)
 		}
-		if sh.WavesAsleep.Load() == 0 {
+		if sh.WavesAsleep == 0 {
 			t.Fatal("nothing slept")
 		}
 	})

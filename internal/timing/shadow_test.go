@@ -37,8 +37,8 @@ func requireClean(t *testing.T, sh *timing.Shadow) {
 // wave and every CU cycle the timing core skips is re-checked against the
 // unabridged fetch/issue rules, and none may have been able to act or have
 // been charged a different FetchStallCycles. Every workload of the suite
-// under both abstractions, serial and pooled, plus random structured kernels
-// on machines small enough that workgroups queue behind occupied slots.
+// under both abstractions, plus random structured kernels on machines small
+// enough that workgroups queue behind occupied slots.
 func TestSleepBoundsShadow(t *testing.T) {
 	names := suiteNames
 	if testing.Short() {
@@ -51,28 +51,26 @@ func TestSleepBoundsShadow(t *testing.T) {
 		}
 		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 			t.Run(name+"/"+abs.String(), func(t *testing.T) {
-				for _, par := range []int{1, 2} {
-					sh := timing.InstallShadow(t)
-					inst, err := w.Prepare(1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sim, err := core.NewSimulator(core.DefaultConfig())
-					if err != nil {
-						t.Fatal(err)
-					}
-					_, m, err := sim.Run(abs, name, inst.Setup, core.RunOptions{CUParallelism: par})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := inst.Check(m); err != nil {
-						t.Fatal(err)
-					}
-					requireClean(t, sh)
-					if sh.WavesAsleep.Load() == 0 || sh.CUCyclesAsleep.Load() == 0 {
-						t.Errorf("cu-par=%d: nothing slept (waves %d, CU cycles %d): the oracle checked nothing",
-							par, sh.WavesAsleep.Load(), sh.CUCyclesAsleep.Load())
-					}
+				sh := timing.InstallShadow(t)
+				inst, err := w.Prepare(1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim, err := core.NewSimulator(core.DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, m, err := sim.Run(abs, name, inst.Setup, core.RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := inst.Check(m); err != nil {
+					t.Fatal(err)
+				}
+				requireClean(t, sh)
+				if sh.WavesAsleep == 0 || sh.CUCyclesAsleep == 0 {
+					t.Errorf("nothing slept (waves %d, CU cycles %d): the oracle checked nothing",
+						sh.WavesAsleep, sh.CUCyclesAsleep)
 				}
 			})
 		}
@@ -119,7 +117,7 @@ func TestSleepBoundsShadow(t *testing.T) {
 			}
 		}
 		requireClean(t, sh)
-		if sh.WavesAsleep.Load() == 0 || sh.CUCyclesAsleep.Load() == 0 {
+		if sh.WavesAsleep == 0 || sh.CUCyclesAsleep == 0 {
 			t.Error("nothing slept: the oracle checked nothing")
 		}
 	})
@@ -211,8 +209,8 @@ func TestNoSkipTicksEverything(t *testing.T) {
 					requireClean(t, sh)
 					fps[i] = run.Fingerprint()
 					everyTick := int64(tc.cfg.NumCUs) * int64(run.Cycles)
-					ticks, resident, visited := sh.Ticks.Load(), sh.Resident.Load(), sh.Visited.Load()
-					asleep := sh.WavesAsleep.Load() + sh.CUCyclesAsleep.Load()
+					ticks, resident, visited := sh.Ticks, sh.Resident, sh.Visited
+					asleep := sh.WavesAsleep + sh.CUCyclesAsleep
 					if noskip {
 						if ticks != everyTick || visited != resident || asleep != 0 || resident == 0 {
 							t.Errorf("noskip: %d ticks (want %d CUs x cycles), %d of %d resident waves visited, %d skips",
@@ -258,9 +256,9 @@ func TestVisitsPerIssue(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireClean(t, sh)
-	perIssue := float64(sh.Checked.Load()) / float64(run.TotalInsts())
+	perIssue := float64(sh.Checked) / float64(run.TotalInsts())
 	t.Logf("SpMV@16/HSAIL: %d eligibility checks for %d instructions (%.2f per issue); %d wave visits skipped",
-		sh.Checked.Load(), run.TotalInsts(), perIssue, sh.WavesAsleep.Load())
+		sh.Checked, run.TotalInsts(), perIssue, sh.WavesAsleep)
 	if perIssue >= 10 {
 		t.Errorf("%.1f eligibility checks per issued instruction, want < 10", perIssue)
 	}
@@ -310,4 +308,29 @@ func TestDispatchLaunchesEveryWorkgroup(t *testing.T) {
 			}
 		}
 	}
+}
+
+// diffLines returns the fingerprint lines that differ, keeping failure
+// output readable (fingerprints run to hundreds of lines).
+func diffLines(want, got []byte) string {
+	w := bytes.Split(want, []byte("\n"))
+	g := bytes.Split(got, []byte("\n"))
+	var out bytes.Buffer
+	n := len(w)
+	if len(g) > n {
+		n = len(g)
+	}
+	for i := 0; i < n; i++ {
+		var wl, gl []byte
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if !bytes.Equal(wl, gl) {
+			fmt.Fprintf(&out, "-%s\n+%s\n", wl, gl)
+		}
+	}
+	return out.String()
 }

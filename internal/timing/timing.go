@@ -121,8 +121,8 @@ type Params struct {
 	ScalarL1Size, ScalarL1Ways int
 	L2Size, L2Ways             int
 	// L2Banks set-interleaves the shared L2 into independent banks, each
-	// with its own request port — the unit of phase-2 drain parallelism
-	// (DRAM channels are banks of their own already).
+	// with its own request port (DRAM channels are banks of their own
+	// already).
 	L2Banks          int
 	L1HitLatency     int64
 	L2HitLatency     int64
@@ -164,20 +164,6 @@ type GPU struct {
 	// either way (the determinism tests assert it); the flag exists for
 	// debugging and as those tests' oracle.
 	NoSkip bool
-	// Parallelism is the number of goroutines phase-1 CU ticks shard
-	// across (core.ResolveCUParallelism computes the usual value; <=1
-	// means serial). Results are byte-identical at every setting. Set it
-	// before the first RunDispatch.
-	Parallelism int
-	// MemParallelism is the number of goroutines the phase-2 drain's bank
-	// waves shard across (core.ResolveMemParallelism computes the usual
-	// value; <=1 means serial). Results are byte-identical at every
-	// setting. Set it before the first RunDispatch.
-	MemParallelism int
-	// Mem is the dispatch's functional memory. Parallel runs fork one
-	// view per CU from it so page-table caches and footprint tracking
-	// stay goroutine-private; leaving it nil forces serial ticking.
-	Mem *mem.Memory
 
 	cus  []*cu
 	l2   *mem.Cache
@@ -187,18 +173,13 @@ type GPU struct {
 	sCaches []*mem.Cache
 
 	// drain replays the CUs' deferred cache accesses through the banked
-	// hierarchy as level waves (see mem.Drain); taskExec adapts the worker
-	// pool to the drain's executor interface, bound once.
-	drain    *mem.Drain
-	taskExec mem.Executor
+	// hierarchy in level order (see mem.Drain).
+	drain *mem.Drain
 
 	now int64
 	// wdTick counts cycles toward the next watchdog check; it persists
 	// across dispatches so short kernels cannot starve the watchdog.
 	wdTick int64
-	// pool is the lazily started worker pool shared by phase-1 ticks and
-	// phase-2 bank waves (nil until first needed; Stop shuts it down).
-	pool *pool
 	// shadow is the sleep-bound oracle NewGPU found installed (tests only).
 	shadow *shadowHooks
 }
@@ -207,8 +188,7 @@ type GPU struct {
 // installs one, so each call site costs a nil check; the tests do
 // (export_test.go), and are then told of every wave a tick skips as asleep
 // and every cycle a CU sleeps through — to re-run the unabridged fetch and
-// issue checks against — and of what each real tick visited. With
-// Parallelism > 1 the hooks run on the pool's goroutines.
+// issue checks against — and of what each real tick visited.
 type shadowHooks struct {
 	waveAsleep func(c *cu, wv *waveCtx, now int64)
 	cuAsleep   func(c *cu, now int64)
@@ -244,8 +224,8 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 		g.cus = append(g.cus, c)
 	}
 	// Wire the drain: level-1 caches in replay order (per-CU L1Ds, then the
-	// shared I- and scalar caches), sources in CU-index order. This order —
-	// not goroutine scheduling — defines each bank's replay sequence.
+	// shared I- and scalar caches), sources in CU-index order. This order
+	// defines each bank's replay sequence.
 	l1s := make([]*mem.Cache, 0, p.NumCUs+2*nShared)
 	srcs := make([]mem.DrainSource, 0, p.NumCUs)
 	for _, c := range g.cus {
@@ -261,60 +241,11 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 // Now returns the current cycle.
 func (g *GPU) Now() int64 { return g.now }
 
-// parallelism returns the effective phase-1 worker count.
-func (g *GPU) parallelism() int {
-	p := g.Parallelism
-	if p < 1 {
-		p = 1
-	}
-	if p > len(g.cus) {
-		p = len(g.cus)
-	}
-	return p
-}
-
-// memParallelism returns the effective phase-2 worker count, capped at the
-// widest bank wave (more workers than banks would idle).
-func (g *GPU) memParallelism() int {
-	p := g.MemParallelism
-	if p < 1 {
-		p = 1
-	}
-	if w := g.drain.MaxWave(); p > w {
-		p = w
-	}
-	return p
-}
-
-// ensurePool starts the worker pool, sized for both phase-1 ticks and
-// phase-2 bank waves, and binds the drain executor once.
-func (g *GPU) ensurePool() {
-	if g.pool != nil {
-		return
-	}
-	g.pool = newPool(g.cus, g.parallelism(), g.memParallelism())
-	if g.taskExec == nil {
-		g.taskExec = func(n int, fn func(int)) { g.pool.runTasks(n, fn, g.memParallelism()) }
-	}
-}
-
-// drainParallelMin is the minimum number of routed line accesses a cycle
-// must have deferred before the drain's bank waves go to the pool: below
-// it, the three epoch barriers cost more than the work they spread.
-// Serial and pooled drains are byte-identical, so this is purely a
-// wall-clock heuristic.
-const drainParallelMin = 64
-
 // drainFlush replays the cycle's deferred cache accesses through the
 // banked hierarchy (see mem.Drain) and clears the CUs' pending-request
 // metadata the completion callbacks indexed into.
 func (g *GPU) drainFlush(now int64) {
-	var exec mem.Executor
-	if g.memParallelism() > 1 && g.drain.Pending() >= drainParallelMin {
-		g.ensurePool()
-		exec = g.taskExec
-	}
-	g.drain.Flush(now, exec)
+	g.drain.Flush(now, nil)
 	for _, c := range g.cus {
 		c.pend = c.pend[:0]
 	}
@@ -342,68 +273,31 @@ func (g *GPU) wdInsts() uint64 {
 	return g.totalInsts()
 }
 
-// runnable counts the CUs whose tick this cycle has a wave to visit: they
-// hold at least one wavefront slot and are not asleep.
-func (g *GPU) runnable() int {
-	n := 0
-	for _, c := range g.cus {
-		if c.awake(g.now) {
-			n++
-		}
-	}
-	return n
-}
-
-// awake reports whether the CU's tick at cycle now has a wave to visit.
-func (c *cu) awake(now int64) bool {
-	return len(c.waves) > 0 && (c.g.NoSkip || c.nextEvent <= now)
-}
-
 // prepareEngines binds each CU's execution engine for the coming dispatch.
 // Forkable engines get one clone per CU feeding that CU's stat shard, so
-// collector sampling state (an order-dependent counter) advances per-CU and
-// results stop depending on the host parallelism level. Memory views are
-// forked only when the dispatch may actually tick in parallel: a view routes
-// page lookups through the shared page-table lock, an overhead serial runs
-// need not pay. The return value reports whether parallel phase-1 ticking is
-// allowed (it never is for non-forkable engines or kernels with shared
-// atomics, whose semantics require the serial interleaving).
-func (g *GPU) prepareEngines(eng emu.Engine) bool {
+// collector sampling state (an order-dependent counter) advances per CU.
+func (g *GPU) prepareEngines(eng emu.Engine) {
 	fk, ok := eng.(emu.Forker)
-	if !ok {
-		for _, c := range g.cus {
+	for _, c := range g.cus {
+		if ok {
+			c.eng = fk.Fork(c.run)
+		} else {
 			c.eng = eng
 		}
-		return false
 	}
-	par := g.parallelism() > 1 && g.Mem != nil && !fk.SharedAtomics()
-	for _, c := range g.cus {
-		var mv *mem.Memory
-		if par {
-			if c.mview == nil {
-				c.mview = g.Mem.Fork()
-			}
-			mv = c.mview
-		}
-		c.eng = fk.Fork(c.run, mv)
-	}
-	return par
 }
 
 // RunDispatch executes one dispatch to completion on the timed model and
 // returns the cycles it took.
 //
-// Each cycle is two phases. Phase 1 ticks every CU — fetch scheduling,
-// issue, functional execution — touching only that CU's private state and
-// routing deferred shared-cache accesses into per-bank buckets of its
-// request buffer; with Parallelism > 1 the ticks shard across the worker
-// pool. Phase 2 drains the buckets as bank waves (L1 level, then L2 banks,
-// then DRAM channels — see mem.Drain): each bank replays its requests in
-// (CU index, append order), so its port/LRU/counter state evolves
-// identically whether the waves run serially or across MemParallelism
-// workers. Shared state therefore evolves byte-identically at every
-// (Parallelism, MemParallelism) setting, which TestParallelTimingDeterminism
-// and TestBankedMemoryDeterminism assert via run fingerprints.
+// Each cycle is two phases. Phase 1 ticks the CUs in index order — fetch
+// scheduling, issue, functional execution — touching only that CU's private
+// state and routing its accesses to the shared cache hierarchy into the
+// per-bank buckets of its request buffer instead of applying them: no CU
+// consumes a cache result in the cycle that requested it. Phase 2 replays
+// the buckets level by level (L1 caches, then L2 banks in ascending order,
+// then DRAM channels, then the cycle's dirty-victim write-backs — see
+// mem.Drain); that order is the memory model's semantics.
 //
 // A cycle costs what the waves that can act in it cost: a wave sleeps until
 // its wakeAt, a CU until the earliest of its waves' (cu.tick), and when every
@@ -419,7 +313,7 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	start := g.now
 	g.now += g.P.LaunchOverhead
 
-	parallel := g.prepareEngines(eng)
+	g.prepareEngines(eng)
 
 	// Occupancy: waves per CU limited by WF slots and register files.
 	vregs, sregs := eng.RegDemand()
@@ -473,29 +367,14 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	}
 
 	for active > 0 {
-		// Phase 1: tick CUs against private state. The pool path and the
-		// inline path run the same per-CU code; the pool only pays off when
-		// at least two CUs have a wave to visit (drain tails and sleeping
-		// CUs often leave one).
-		if parallel && g.runnable() > 1 {
-			g.ensurePool()
-			g.pool.run(g.now)
-		} else {
-			for _, c := range g.cus {
-				c.finWGs, c.tickErr = c.tick(g.now)
-			}
-		}
-		// Phase 2. Surface the lowest-index CU's error first (the serial
-		// loop would have hit it first), then drain the deferred cache
-		// accesses: requests were routed to their destination banks during
-		// phase 1, so the drain replays bank waves — concurrently when
-		// MemParallelism > 1 and enough work is pending, byte-identically
-		// either way.
+		// Phase 1: tick CUs against private state; phase 2: replay the
+		// cache accesses they deferred.
 		for _, c := range g.cus {
-			if c.tickErr != nil {
-				return 0, c.tickErr
+			fin, err := c.tick(g.now)
+			if err != nil {
+				return 0, err
 			}
-			active -= c.finWGs
+			active -= fin
 		}
 		g.drainFlush(g.now)
 		g.now++
@@ -554,16 +433,6 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 			}
 		}
 	}
-	// Fold forked footprint views back into the root memory so
-	// between-dispatch footprint reads and policy toggles on the root see
-	// everything this dispatch touched.
-	if g.Mem != nil {
-		for _, c := range g.cus {
-			if c.mview != nil {
-				g.Mem.AbsorbFootprint(c.mview)
-			}
-		}
-	}
 	return g.now - start, nil
 }
 
@@ -603,15 +472,6 @@ func (g *GPU) Finalize() {
 	for _, c := range g.cus {
 		g.Run.Merge(c.run)
 		*c.run = stats.Run{}
-	}
-}
-
-// Stop shuts down the phase-1 worker pool if one was started. The GPU stays
-// usable; a later parallel dispatch starts a fresh pool.
-func (g *GPU) Stop() {
-	if g.pool != nil {
-		g.pool.stop()
-		g.pool = nil
 	}
 }
 
