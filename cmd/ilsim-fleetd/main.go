@@ -14,24 +14,23 @@
 // crash loop trips a breaker that abandons the lineage instead of
 // respawning it forever.
 //
-// Scale-down never loses work: the supervisor asks the coordinator to
-// drain the victim (POST /drain), the worker finishes its in-flight job,
-// says goodbye via POST /release, and exits — only then is the process
-// reaped. Victims are the cheapest first: crashed
-// lineages waiting out a backoff, then quarantined workers, then idle
-// ones, then the slowest.
+// Scale-down never loses work: the supervisor sends the victim SIGTERM,
+// which is ilsim-workerd's own drain — the worker finishes its in-flight
+// job, says goodbye to the coordinator via POST /release, and exits 0 —
+// and reaps the process, killing it only if it is still up -drain-grace
+// later. Victims are the cheapest first: crashed lineages waiting out a
+// backoff, then quarantined workers, then idle ones, then the slowest.
 //
-// -status logs the supervisor's own fleet view (replicas, states, the
-// current target and why) alongside the coordinator's campaign line at a
-// fixed interval. SIGINT/SIGTERM stops supervising and kills the fleet;
-// held leases lapse via their TTL and re-lease to surviving workers.
+// -v narrates every launch, drain, crash and target change; the campaign's
+// status board is `ilsim-sweep -watch`. SIGINT/SIGTERM stops supervising
+// and kills the fleet; held leases lapse via their TTL and re-lease to
+// surviving workers.
 //
 // Usage:
 //
 //	ilsim-fleetd -connect host:9666 -max 8                 # local fleet, up to 8 workers
 //	ilsim-fleetd -connect host:9666 -min 2 -max 16 -j 4    # 4 slots per worker
 //	ilsim-fleetd -connect host:9666 -max 8 -token s3cret -tls-ca coord.pem
-//	ilsim-fleetd -connect host:9666 -max 4 -status 10s
 package main
 
 import (
@@ -45,7 +44,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strconv"
-	"sync"
 	"syscall"
 	"time"
 
@@ -73,7 +71,7 @@ func run(args []string, out, errw io.Writer) error {
 	upCd := fs.Duration("up-cooldown", 5*time.Second, "quiet time required after any fleet change before growing")
 	downCd := fs.Duration("down-cooldown", 30*time.Second, "quiet time required after any fleet change before shrinking")
 	poll := fs.Duration("poll", 2*time.Second, "status poll and reconcile interval")
-	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a drained worker may linger before Stop, twice before Kill")
+	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a worker may take to drain after SIGTERM before it is killed")
 	breaker := fs.Int("breaker", 5, "consecutive crashes that abandon a worker lineage")
 	slots := fs.Int("j", 1, "execution slots per launched worker (passed to ilsim-workerd as -j)")
 	workerBin := fs.String("worker-bin", "", "ilsim-workerd binary to launch (default: found next to this binary, then $PATH)")
@@ -83,7 +81,6 @@ func run(args []string, out, errw io.Writer) error {
 	tlsCert := fs.String("tls-cert", "", "client certificate for mutual TLS (passed through to workers; needs -tls-key)")
 	tlsKey := fs.String("tls-key", "", "private key for -tls-cert")
 	chaosSpec := fs.String("chaos", "", "chaos spec passed through to the launched workers (dev/test harness)")
-	statusEvery := fs.Duration("status", 0, "log the supervisor's fleet view and the coordinator's campaign line at this interval (0 = off)")
 	verbose := fs.Bool("v", false, "log supervisor lifecycle events to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -160,38 +157,7 @@ func run(args []string, out, errw io.Writer) error {
 		}
 	}()
 
-	stopStatus := func() {}
-	if *statusEvery > 0 {
-		stop := make(chan struct{})
-		done := make(chan struct{})
-		var once sync.Once
-		stopStatus = func() {
-			once.Do(func() { close(stop) })
-			<-done
-		}
-		go func() {
-			defer close(done)
-			t := time.NewTicker(*statusEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-stop:
-					return
-				case <-t.C:
-					fmt.Fprintln(errw, sup.Snapshot().Summary())
-					if st, err := dist.FetchStatus(ctx, *connect, clientOpts); err == nil {
-						fmt.Fprintln(errw, st.Summary())
-					}
-				}
-			}
-		}()
-	}
-
-	err = sup.Run(ctx)
-	stopStatus()
-	if err != nil {
+	if err := sup.Run(ctx); err != nil {
 		return err
 	}
 	fmt.Fprintln(out, "campaign complete; fleet drained")

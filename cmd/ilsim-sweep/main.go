@@ -15,17 +15,13 @@
 // assembles their streamed results in design-point order, byte-identical
 // to a local run. The endpoints optionally require TLS
 // (-tls-cert/-tls-key), client certificates (-tls-client-ca, mutual TLS)
-// and a shared token (-token), and -watch prints a status snapshot —
-// queue depth, per-worker
-// throughput, health/quarantine state, fleet labels and the WantWorkers
-// autoscaling hint — from a running coordinator (one-shot, or redrawn
-// continuously with -interval, where a sparkline tracks recent fleet
-// throughput). -allow-cn pins the client-certificate CommonNames a
-// mutual-TLS coordinator admits; anything else is refused with 403 and
-// counted in the status. -fleet N self-supervises a local in-process
-// worker fleet that grows and shrinks with the coordinator's autoscaling
-// hint — the one-process taste of what ilsim-fleetd does with real
-// worker processes.
+// and a shared token (-token), and -watch prints one status snapshot —
+// queue depth, per-worker throughput, health/quarantine state, fleet labels
+// and the WantWorkers autoscaling hint — from a running coordinator (for a
+// live board, run it under watch(1)). -allow-cn pins the client-certificate
+// CommonNames a mutual-TLS coordinator admits; anything else is refused with
+// 403 and counted in the status. ilsim-fleetd grows and shrinks a fleet of
+// ilsim-workerd processes with that hint.
 //
 // Untrusted fleets replicate: -replicas K leases every job to K distinct
 // workers and accepts only the majority result (votes are stats.Run
@@ -46,9 +42,8 @@
 //	ilsim-sweep -param banks -serve :9666         # coordinate remote workers
 //	ilsim-sweep -param banks -serve :9666 -token s3cret
 //	ilsim-sweep -param banks -serve :9666 -replicas 3   # quorum over untrusted workers
-//	ilsim-sweep -param banks -serve :9666 -fleet 4      # self-supervised local fleet
-//	ilsim-sweep -watch host:9666                  # one-shot campaign status
-//	ilsim-sweep -watch host:9666 -interval 2s     # live status board
+//	ilsim-sweep -watch host:9666                  # campaign status snapshot
+//	watch -n2 ilsim-sweep -watch host:9666        # live status board
 //	ilsim-sweep -journal s.jsonl -journal-compact # drop superseded journal entries
 package main
 
@@ -60,12 +55,10 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"ilsim/internal/core"
 	"ilsim/internal/dist"
 	"ilsim/internal/exp"
-	"ilsim/internal/fleet"
 	"ilsim/internal/prof"
 )
 
@@ -96,9 +89,7 @@ func run(args []string, out, errw io.Writer) error {
 	resume := fs.Bool("resume", false, "reuse an existing -journal file, re-running only unfinished jobs")
 	serve := fs.String("serve", "", "coordinate the sweep over HTTP on this address instead of running it locally")
 	watch := fs.String("watch", "", "print a status snapshot (autoscaling and health included) from the coordinator at this address, then exit")
-	interval := fs.Duration("interval", 0, "with -watch: redraw the status continuously at this period instead of one snapshot")
 	replicas := fs.Int("replicas", 1, "with -serve: lease every job to this many distinct workers and accept the majority result (quorum over untrusted workers)")
-	fleetN := fs.Int("fleet", 0, "with -serve: self-supervise an in-process fleet of up to N single-slot workers that tracks the autoscaling hint (0 = off)")
 	allowCN := fs.String("allow-cn", "", "with -serve: comma-separated client-certificate CommonNames admitted past mutual TLS (needs -tls-client-ca); others get 403")
 	scaleHorizon := fs.Duration("scale-horizon", 0, "with -serve: drain window the WantWorkers autoscaling hint aims for (0 = default 1m)")
 	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries and vote records), then exit")
@@ -150,12 +141,16 @@ func run(args []string, out, errw io.Writer) error {
 		return nil
 	}
 	if *watch != "" {
-		// Status mode: a snapshot for operators and autoscaling scripts —
-		// one-shot by default, a live board with -interval. Here
-		// -tls-cert/-tls-key are this process's client certificate for a
-		// mutual-TLS coordinator.
-		return watchStatus(*watch, dist.ClientOptions{AuthToken: *token, TLSCACert: *tlsCA,
-			TLSSkipVerify: *tlsInsecure, TLSCert: *tlsCert, TLSKey: *tlsKey}, *interval, out)
+		// Status mode: one snapshot for operators and autoscaling scripts.
+		// Here -tls-cert/-tls-key are this process's client certificate for
+		// a mutual-TLS coordinator.
+		st, err := dist.FetchStatus(context.Background(), *watch, dist.ClientOptions{AuthToken: *token,
+			TLSCACert: *tlsCA, TLSSkipVerify: *tlsInsecure, TLSCert: *tlsCert, TLSKey: *tlsKey})
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(out, st.Table())
+		return nil
 	}
 
 	pts, err := exp.SweepPoints(*param)
@@ -224,18 +219,8 @@ func run(args []string, out, errw io.Writer) error {
 		defer c.Close()
 		fmt.Fprintf(errw, "coordinating %d jobs on %s — attach workers with: ilsim-workerd -connect %s\n",
 			len(jobs), c.Addr(), c.Addr())
-		if *fleetN > 0 {
-			wait, err := startLocalFleet(c.Addr(), *fleetN, *retries, *token, *tlsCert != "", *tlsClientCA != "", *verbose, errw)
-			if err != nil {
-				return err
-			}
-			defer wait()
-		}
 		runner = c
 	} else {
-		if *fleetN > 0 {
-			return errors.New("-fleet requires -serve (it supervises workers for a coordinator)")
-		}
 		eng := exp.New(*workers)
 		if *failFast {
 			eng.Mode = exp.FailFast
@@ -283,182 +268,4 @@ func run(args []string, out, errw io.Writer) error {
 		return fmt.Errorf("%d of %d jobs failed", failed, len(results))
 	}
 	return nil
-}
-
-// startLocalFleet runs a fleet.Supervisor with in-process workers
-// against the coordinator at addr — the -fleet N convenience. The
-// returned wait function blocks until the supervisor winds down after
-// the campaign (bounded; stragglers are killed), so the process never
-// exits with workers mid-flight.
-func startLocalFleet(addr string, n, retries int, token string, tlsServe, mutualTLS, verbose bool, errw io.Writer) (wait func(), err error) {
-	if mutualTLS {
-		// Embedded workers have no client certificates to present; a
-		// mutual-TLS coordinator would refuse every one of them.
-		return nil, errors.New("-fleet cannot serve a mutual-TLS coordinator (-tls-client-ca); run ilsim-fleetd with worker certificates instead")
-	}
-	client := dist.ClientOptions{AuthToken: token}
-	if tlsServe {
-		// Dialing our own in-process listener: encrypted, and trust is
-		// moot — it is this very process.
-		client.TLSSkipVerify = true
-	}
-	var logf func(format string, args ...any)
-	if verbose {
-		logf = func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) }
-	}
-	sup := &fleet.Supervisor{
-		Coordinator: addr,
-		Client:      client,
-		Fleet:       "local",
-		Launcher: &fleet.LocalLauncher{
-			Client: client,
-			Slots:  1,
-			NewEngine: func() *exp.Engine {
-				eng := exp.New(1)
-				eng.Retry = exp.RetryPolicy{MaxRetries: retries}
-				return eng
-			},
-			Logf: logf,
-		},
-		// Snappier than the daemon's defaults: a self-supervised local
-		// fleet answers to a human watching one terminal.
-		Policy:     fleet.Policy{Min: 1, Max: n, UpCooldown: time.Second, DownCooldown: 5 * time.Second},
-		Poll:       500 * time.Millisecond,
-		DrainGrace: 10 * time.Second,
-		Logf:       logf,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(ctx) }()
-	fmt.Fprintf(errw, "fleet: self-supervising up to %d local workers\n", n)
-	wait = func() {
-		defer cancel()
-		select {
-		case err := <-done:
-			if err != nil && !errors.Is(err, context.Canceled) {
-				fmt.Fprintf(errw, "fleet: %v\n", err)
-			}
-		case <-time.After(30 * time.Second):
-			cancel()
-			<-done
-		}
-	}
-	return wait, nil
-}
-
-// watchStatus renders coordinator status to out: one snapshot when
-// interval is zero, otherwise a continuously redrawn board — clearing
-// the screen between frames when out is a TTY, plain appended frames
-// otherwise (pipes, logs). The retry/give-up policy is the shared
-// dist.StatusTracker: startup noise is tolerated, rejected credentials
-// abort immediately, and a coordinator that stays gone after first
-// contact ends the watch. Each live frame appends a sparkline of the
-// fleet's recent throughput from a client-side ring of samples.
-func watchStatus(addr string, co dist.ClientOptions, interval time.Duration, out io.Writer) error {
-	ctx := context.Background()
-	if interval <= 0 {
-		st, err := dist.FetchStatus(ctx, addr, co)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(out, st.Table())
-		return nil
-	}
-	clearScreen := isTTY(out)
-	var tracker dist.StatusTracker
-	spark := &sparkline{}
-	for {
-		st, err := dist.FetchStatus(ctx, addr, co)
-		if terr := tracker.Observe(err); terr != nil {
-			return fmt.Errorf("watch %s: %w", addr, terr)
-		}
-		if err != nil {
-			fmt.Fprintf(out, "watch %s: %v\n", addr, err)
-		} else {
-			spark.observe(st, time.Now())
-			if clearScreen {
-				fmt.Fprint(out, "\x1b[H\x1b[2J")
-			}
-			fmt.Fprint(out, st.Table())
-			if line := spark.line(); line != "" {
-				fmt.Fprintln(out, line)
-			}
-			if st.Finished {
-				return nil
-			}
-		}
-		time.Sleep(interval)
-	}
-}
-
-// sparkRunes are the eight-level bar glyphs, lowest to highest.
-var sparkRunes = []rune("▁▂▃▄▅▆▇█")
-
-// sparklineWindow is how many recent samples the throughput sparkline
-// keeps — one screen-width's worth of history at typical intervals.
-const sparklineWindow = 32
-
-// sparkline folds successive Status samples into an observed-throughput
-// history: each pair of samples yields (done delta)/(time delta), the
-// fleet's actual completion rate over that interval — measured, not the
-// per-worker EWMA estimates the coordinator publishes.
-type sparkline struct {
-	rates    []float64
-	lastDone int
-	lastAt   time.Time
-	primed   bool
-}
-
-// observe folds one status sample in.
-func (s *sparkline) observe(st dist.Status, now time.Time) {
-	if s.primed {
-		if dt := now.Sub(s.lastAt).Seconds(); dt > 0 {
-			rate := float64(st.Done-s.lastDone) / dt
-			if rate < 0 {
-				rate = 0
-			}
-			s.rates = append(s.rates, rate)
-			if len(s.rates) > sparklineWindow {
-				s.rates = s.rates[len(s.rates)-sparklineWindow:]
-			}
-		}
-	}
-	s.primed, s.lastDone, s.lastAt = true, st.Done, now
-}
-
-// line renders the history, or "" before two samples exist.
-func (s *sparkline) line() string {
-	if len(s.rates) == 0 {
-		return ""
-	}
-	peak := 0.0
-	for _, r := range s.rates {
-		if r > peak {
-			peak = r
-		}
-	}
-	var b strings.Builder
-	b.WriteString("dist: throughput ")
-	for _, r := range s.rates {
-		lvl := 0
-		if peak > 0 {
-			if lvl = int(r / peak * float64(len(sparkRunes)-1)); lvl >= len(sparkRunes) {
-				lvl = len(sparkRunes) - 1
-			}
-		}
-		b.WriteRune(sparkRunes[lvl])
-	}
-	fmt.Fprintf(&b, " %.2f jobs/s (peak %.2f)", s.rates[len(s.rates)-1], peak)
-	return b.String()
-}
-
-// isTTY reports whether w is a character device (an interactive
-// terminal), the signal that in-place ANSI redraws are appropriate.
-func isTTY(w io.Writer) bool {
-	f, ok := w.(*os.File)
-	if !ok {
-		return false
-	}
-	st, err := f.Stat()
-	return err == nil && st.Mode()&os.ModeCharDevice != 0
 }

@@ -2,15 +2,12 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
-	"ilsim/internal/core"
 	"ilsim/internal/dist"
-	"ilsim/internal/exp"
 )
 
 // startServe launches a -serve sweep in a goroutine and returns the bound
@@ -109,94 +106,11 @@ func TestSweepServeReplicas(t *testing.T) {
 	}
 }
 
-// TestSweepWatchInterval drives -watch -interval against an in-process
-// coordinator: the loop redraws until the status reports the campaign
-// finished, then exits nil on its own. The sink is a plain buffer, not a
-// TTY, so frames must append without ANSI clear sequences.
-func TestSweepWatchInterval(t *testing.T) {
-	pts, err := exp.SweepPoints("banks")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := exp.PairJobs("ArrayBW", 1, pts[:2], core.RunOptions{})
-
-	c := dist.NewCoordinator(dist.Options{Addr: "127.0.0.1:0", LongPoll: 50 * time.Millisecond})
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	// Closed at the end, not deferred into the race: the finished campaign
-	// stays queryable until then, so the watch loop always gets to observe
-	// the terminal status.
-	campDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.Run(jobs)
-		campDone <- err
-	}()
-	w := &dist.Worker{Coordinator: c.Addr(), Name: "watched", Slots: 1}
-	wDone := make(chan error, 1)
-	go func() { wDone <- w.Run(context.Background()) }()
-
-	var out, errw bytes.Buffer
-	if err := run([]string{"-watch", c.Addr(), "-interval", "2ms"}, &out, &errw); err != nil {
-		t.Fatalf("interval watch: %v\noutput: %s", err, out.String())
-	}
-	if err := <-wDone; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-campDone; err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-
-	frames := out.String()
-	if !strings.Contains(frames, "4/4 done") {
-		t.Fatalf("watch exited without a finished frame:\n%s", frames)
-	}
-	if strings.Contains(frames, "\x1b[") {
-		t.Fatalf("ANSI escape written to a non-TTY sink:\n%q", frames)
-	}
-}
-
 // TestSweepWatchExclusive rejects -watch combined with -serve.
 func TestSweepWatchExclusive(t *testing.T) {
 	var out, errw bytes.Buffer
 	err := run([]string{"-watch", "x:1", "-serve", ":0"}, &out, &errw)
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-// TestSparkline pins the throughput ring's math and rendering: the first
-// sample only primes, each later sample contributes (done delta)/(time
-// delta), bars scale to the window's peak, the latest and peak rates are
-// printed, and the ring never outgrows its window.
-func TestSparkline(t *testing.T) {
-	var s sparkline
-	t0 := time.Unix(100, 0)
-	if s.observe(dist.Status{Done: 0}, t0); s.line() != "" {
-		t.Fatalf("sparkline rendered before two samples: %q", s.line())
-	}
-	s.observe(dist.Status{Done: 4}, t0.Add(time.Second))   // 4 jobs/s
-	s.observe(dist.Status{Done: 6}, t0.Add(2*time.Second)) // 2 jobs/s
-	s.observe(dist.Status{Done: 6}, t0.Add(3*time.Second)) // idle
-	got := s.line()
-	want := "dist: throughput █▄▁ 0.00 jobs/s (peak 4.00)"
-	if got != want {
-		t.Errorf("sparkline = %q, want %q", got, want)
-	}
-
-	// A resumed campaign can report a lower Done than the last sample;
-	// the rate clamps at zero instead of going negative.
-	s.observe(dist.Status{Done: 2}, t0.Add(4*time.Second))
-	if !strings.HasSuffix(s.line(), "0.00 jobs/s (peak 4.00)") {
-		t.Errorf("negative delta not clamped: %q", s.line())
-	}
-
-	// The ring is bounded by the window.
-	for i := 0; i < 3*sparklineWindow; i++ {
-		s.observe(dist.Status{Done: 10 + i}, t0.Add(time.Duration(5+i)*time.Second))
-	}
-	if len(s.rates) != sparklineWindow {
-		t.Errorf("ring grew to %d samples, window is %d", len(s.rates), sparklineWindow)
 	}
 }

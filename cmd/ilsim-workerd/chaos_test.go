@@ -62,10 +62,11 @@ func TestWorkerdChaosSmoke(t *testing.T) {
 		done <- err
 	}()
 
-	var out, errw bytes.Buffer
+	var out bytes.Buffer
+	errw := &syncBuffer{} // both slots log through -v
 	args := []string{"-connect", c.Addr(), "-j", "2",
 		"-chaos", "seed=3,delay=1ms:0.5,dup=0.2", "-v"}
-	if err := run(args, &out, &errw); err != nil {
+	if err := run(args, &out, errw); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
 	}
 	if err := <-done; err != nil {

@@ -26,7 +26,7 @@
 // their TTL.
 //
 // -chaos injects deterministic, seeded network faults (drops, delays,
-// duplicates, corrupted and truncated responses, timed partitions) into
+// duplicates, corrupted and truncated responses) into
 // this worker's coordinator connection — a development harness for
 // rehearsing the retry, integrity-hash and re-lease machinery against a
 // reproducible hostile network. See package ilsim/internal/chaos for the
@@ -172,8 +172,8 @@ func run(args []string, out, errw io.Writer) error {
 	}
 	if chaosT != nil {
 		s := chaosT.Stats()
-		fmt.Fprintf(errw, "chaos: %d requests: %d dropped, %d delayed, %d duplicated, %d truncated, %d corrupted, %d partitioned\n",
-			s.Requests, s.Drops, s.Delays, s.Dups, s.Truncates, s.Corrupts, s.Partitioned)
+		fmt.Fprintf(errw, "chaos: %d requests: %d dropped, %d delayed, %d duplicated, %d truncated, %d corrupted\n",
+			s.Requests, s.Drops, s.Delays, s.Dups, s.Truncates, s.Corrupts)
 	}
 	if w.Draining() {
 		fmt.Fprintln(out, "drained")

@@ -34,8 +34,9 @@ func TestWorkerdSmoke(t *testing.T) {
 		done <- err
 	}()
 
-	var out, errw bytes.Buffer
-	if err := run([]string{"-connect", c.Addr(), "-j", "2", "-v"}, &out, &errw); err != nil {
+	var out bytes.Buffer
+	errw := &syncBuffer{} // both slots log through -v
+	if err := run([]string{"-connect", c.Addr(), "-j", "2", "-v"}, &out, errw); err != nil {
 		t.Fatalf("run: %v\nstderr: %s", err, errw.String())
 	}
 	if err := <-done; err != nil {

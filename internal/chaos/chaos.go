@@ -2,10 +2,10 @@
 // http.RoundTripper — the distributed-sweep counterpart of exp.FaultPlan.
 // Where FaultPlan misbehaves inside a job's execution, a chaos.Plan
 // misbehaves on the wire between worker and coordinator: dropped and
-// duplicated requests, delays, truncated and corrupted response bodies,
-// and timed partitions. Schedules are reproducible (a Seed drives every
-// probabilistic choice; Every-based rules are exactly periodic), so a
-// campaign run under a given plan either survives byte-identically or
+// duplicated requests, delays, truncated and corrupted response bodies.
+// Schedules are reproducible (a Seed drives every probabilistic choice;
+// Every-based rules are exactly periodic; nothing reads the wall clock), so
+// a campaign run under a given plan either survives byte-identically or
 // fails the same way every time — which is what makes the recovery paths
 // testable at all.
 //
@@ -65,16 +65,6 @@ type Rule struct {
 	Fault
 }
 
-// Partition blackholes matching requests during a time window, measured
-// from the transport's first use — the scheduled network split.
-type Partition struct {
-	// Path matches the request URL path exactly; empty matches all.
-	Path string
-	// After is when the partition starts, relative to transport start;
-	// For is how long it lasts.
-	After, For time.Duration
-}
-
 // Plan is a reproducible fault schedule. Build one (or ParsePlan a spec
 // string), then wrap a transport with Transport.
 type Plan struct {
@@ -83,20 +73,17 @@ type Plan struct {
 	Seed int64
 	// Rules are checked in order per request; the first that fires wins.
 	Rules []Rule
-	// Partitions are timed blackhole windows, all checked per request.
-	Partitions []Partition
 }
 
 // Stats counts what a Transport actually injected — assert on these in
 // tests to prove the chaos happened rather than silently matching nothing.
 type Stats struct {
-	Requests    int
-	Drops       int
-	Delays      int
-	Dups        int
-	Truncates   int
-	Corrupts    int
-	Partitioned int
+	Requests  int
+	Drops     int
+	Delays    int
+	Dups      int
+	Truncates int
+	Corrupts  int
 }
 
 // Transport is the fault-injecting http.RoundTripper a Plan produces.
@@ -106,11 +93,10 @@ type Transport struct {
 	inner http.RoundTripper
 	plan  Plan
 
-	mu      sync.Mutex
-	rng     *rand.Rand
-	counts  []int // per-rule matching-request counters (Every)
-	started time.Time
-	stats   Stats
+	mu     sync.Mutex
+	rng    *rand.Rand
+	counts []int // per-rule matching-request counters (Every)
+	stats  Stats
 }
 
 // Transport wraps inner (nil = http.DefaultTransport) with the plan's
@@ -145,21 +131,7 @@ func (e errDropped) Error() string { return "chaos: request to " + e.path + " dr
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	path := req.URL.Path
 	t.mu.Lock()
-	if t.started.IsZero() {
-		t.started = time.Now()
-	}
-	elapsed := time.Since(t.started)
 	t.stats.Requests++
-	for _, pt := range t.plan.Partitions {
-		if pt.Path != "" && pt.Path != path {
-			continue
-		}
-		if elapsed >= pt.After && elapsed < pt.After+pt.For {
-			t.stats.Partitioned++
-			t.mu.Unlock()
-			return nil, fmt.Errorf("chaos: %s partitioned (window %s+%s)", path, pt.After, pt.For)
-		}
-	}
 	var fault Fault
 	var fired bool
 	for i, r := range t.plan.Rules {
@@ -301,9 +273,8 @@ func sleepContext(ctx context.Context, d time.Duration) bool {
 //	corrupt=P         corrupt each response body with probability P
 //	truncate=P        truncate each response body with probability P
 //	delay=DUR:P       delay each request by DUR with probability P
-//	partition=AFTER+FOR  blackhole window (repeatable)
 //
-// Example: "seed=7,drop=0.1,delay=50ms:0.2,partition=2s+1s".
+// Example: "seed=7,drop=0.1,delay=50ms:0.2".
 func ParsePlan(spec string) (Plan, error) {
 	plan := Plan{Seed: 1}
 	if strings.TrimSpace(spec) == "" {
@@ -344,20 +315,6 @@ func ParsePlan(spec string) (Plan, error) {
 				return plan, fmt.Errorf("chaos: bad delay probability %q: %v", probStr, err)
 			}
 			plan.Rules = append(plan.Rules, Rule{Prob: p, Fault: Fault{Delay: d}})
-		case "partition":
-			afterStr, forStr, ok := strings.Cut(val, "+")
-			if !ok {
-				return plan, fmt.Errorf("chaos: bad partition %q (want AFTER+FOR)", val)
-			}
-			after, err := time.ParseDuration(afterStr)
-			if err != nil || after < 0 {
-				return plan, fmt.Errorf("chaos: bad partition start %q", afterStr)
-			}
-			dur, err := time.ParseDuration(forStr)
-			if err != nil || dur <= 0 {
-				return plan, fmt.Errorf("chaos: bad partition duration %q", forStr)
-			}
-			plan.Partitions = append(plan.Partitions, Partition{After: after, For: dur})
 		default:
 			return plan, fmt.Errorf("chaos: unknown spec key %q", key)
 		}

@@ -160,37 +160,6 @@ func TestDupDeliversTwice(t *testing.T) {
 	}
 }
 
-func TestPartitionWindow(t *testing.T) {
-	srv := echoServer(t, nil)
-	plan := Plan{Partitions: []Partition{{After: 60 * time.Millisecond, For: 80 * time.Millisecond}}}
-	tr := plan.Transport(nil)
-	probe := func() error {
-		resp, err := get(t, tr, srv.URL)
-		if err != nil {
-			return err
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return nil
-	}
-	if err := probe(); err != nil { // t=0: before the window
-		t.Fatalf("pre-partition request failed: %v", err)
-	}
-	time.Sleep(90 * time.Millisecond) // t≈90ms: inside [60ms, 140ms)
-	if err := probe(); err == nil {
-		t.Fatal("request inside the partition window succeeded")
-	} else if !strings.Contains(err.Error(), "partitioned") {
-		t.Fatalf("partition error = %v, want mention of partitioned", err)
-	}
-	time.Sleep(120 * time.Millisecond) // t≈210ms: after the window
-	if err := probe(); err != nil {
-		t.Fatalf("post-partition request failed: %v", err)
-	}
-	if st := tr.Stats(); st.Partitioned != 1 {
-		t.Fatalf("stats = %+v, want 1 partitioned", st)
-	}
-}
-
 func TestPathScoping(t *testing.T) {
 	srv := echoServer(t, nil)
 	plan := Plan{Seed: 1, Rules: []Rule{{Path: "/lease", Every: 1, Fault: Fault{Drop: true}}}}
@@ -226,7 +195,7 @@ func TestDelayIsApplied(t *testing.T) {
 }
 
 func TestParsePlan(t *testing.T) {
-	plan, err := ParsePlan("seed=7,drop=0.1,dup=0.05,corrupt=0.2,truncate=0.1,delay=50ms:0.3,partition=2s+1s,partition=5s+500ms")
+	plan, err := ParsePlan("seed=7,drop=0.1,dup=0.05,corrupt=0.2,truncate=0.1,delay=50ms:0.3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,16 +211,10 @@ func TestParsePlan(t *testing.T) {
 	if plan.Rules[4].Delay != 50*time.Millisecond || plan.Rules[4].Prob != 0.3 {
 		t.Fatalf("rule 4 = %+v, want 50ms delay@0.3", plan.Rules[4])
 	}
-	if len(plan.Partitions) != 2 {
-		t.Fatalf("got %d partitions, want 2", len(plan.Partitions))
-	}
-	if plan.Partitions[1].After != 5*time.Second || plan.Partitions[1].For != 500*time.Millisecond {
-		t.Fatalf("partition 1 = %+v", plan.Partitions[1])
-	}
 
 	for _, bad := range []string{
 		"", "bogus", "drop=2", "drop=-0.5", "delay=50ms", "delay=x:0.5",
-		"partition=2s", "partition=-1s+1s", "wat=1", "seed=abc",
+		"partition=2s+1s", "wat=1", "seed=abc",
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted a bad spec", bad)

@@ -10,22 +10,26 @@ import (
 )
 
 // TestStaleProtocolV1Refused pins the version gate over a real socket: a
-// worker speaking protocol version 1 is refused at join with 409 — whether
-// or not the campaign has installed yet, since the version check needs none —
-// and the campaign still completes on a current worker.
+// worker speaking an older protocol — version 1, or the version 5 whose
+// workers still expect drain flags on their lease and heartbeat replies — is
+// refused at join with 409, whether or not the campaign has installed yet,
+// since the version check needs none, and the campaign still completes on a
+// current worker.
 func TestStaleProtocolV1Refused(t *testing.T) {
 	jobs := testJobs(t, 1)
 	ctx := context.Background()
 	c, out := startCampaign(t, ctx, Options{}, jobs)
 
-	body, _ := json.Marshal(joinRequest{Version: 1, Worker: "v1-relic"})
-	resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("v1 join got %d, want %d", resp.StatusCode, http.StatusConflict)
+	for _, version := range []int{1, 5} {
+		body, _ := json.Marshal(joinRequest{Version: version, Worker: "relic"})
+		resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("v%d join got %d, want %d", version, resp.StatusCode, http.StatusConflict)
+		}
 	}
 
 	w := &Worker{Coordinator: c.Addr(), Name: "current"}
@@ -33,7 +37,7 @@ func TestStaleProtocolV1Refused(t *testing.T) {
 		t.Fatal(err)
 	}
 	if oc := <-out; oc.err != nil || oc.metrics.Failed != 0 {
-		t.Fatalf("campaign after refused v1 join: %+v, %v", oc.metrics, oc.err)
+		t.Fatalf("campaign after the refused joins: %+v, %v", oc.metrics, oc.err)
 	}
 }
 

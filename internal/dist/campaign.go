@@ -61,14 +61,6 @@ func validateJoin(req joinRequest) error {
 	return nil
 }
 
-// validateDrain likewise needs no campaign.
-func validateDrain(req drainRequest) error {
-	if req.Worker == "" {
-		return refusef(refuseMalformed, "dist: drain without a worker name")
-	}
-	return nil
-}
-
 // ewmaAlpha weights the newest observation in the per-worker runtime
 // average the status table, ETA and WantWorkers hint run on: high enough to
 // track a workload change within a few jobs, low enough that one outlier
@@ -80,12 +72,12 @@ const ewmaAlpha = 0.3
 // hints, and the health ledger behind quarantine.
 type workerState struct {
 	seen time.Time
-	// slots is the worker's declared lease-poll concurrency; acked counts
-	// the Done replies served to it. The coordinator lingers after
-	// completion until every live worker's acked count reaches its slots,
-	// so every polling slot learns the campaign is over.
-	slots int
-	acked int
+	// slots is the worker's declared lease-poll concurrency. released
+	// records the worker's /release goodbye — it drained, or it read a Done
+	// reply: it takes no further lease, and the post-completion linger,
+	// which waits for every live worker's goodbye, is through with it.
+	slots    int
+	released bool
 	// done counts results reported by this worker; ewma tracks its
 	// observed per-job runtime.
 	done int
@@ -121,10 +113,6 @@ type campaign struct {
 	state   []jobState
 	leases  map[int]map[string]time.Time
 	workers map[string]*workerState
-	// drains marks workers asked to retire: their next lease poll or
-	// heartbeat carries the drain flag, and the post-completion linger
-	// does not wait for them. A worker that posts /release marks itself.
-	drains map[string]bool
 
 	// replicas is the quorum width; health the ledger policy.
 	replicas int
@@ -185,7 +173,6 @@ func newCampaign(jobs []exp.Job, opts Options, now time.Time) *campaign {
 		state:        make([]jobState, len(jobs)),
 		leases:       make(map[int]map[string]time.Time),
 		workers:      make(map[string]*workerState),
-		drains:       make(map[string]bool),
 		replicas:     opts.Replicas,
 		health:       *opts.Health,
 		votes:        make([]map[string]string, len(jobs)),
@@ -263,11 +250,12 @@ func (cp *campaign) checkSet(setFP string) error {
 
 // join registers (or refreshes) a worker that passed validateJoin and
 // fixes the campaign identity for its session. cn is the verified
-// client-certificate CommonName, "" without mutual TLS.
+// client-certificate CommonName, "" without mutual TLS. A name that drained
+// earlier and joins again is live again.
 func (cp *campaign) join(req joinRequest, cn string, now time.Time) joinReply {
 	cp.mu.Lock()
 	ws := cp.workerLocked(req.Worker)
-	ws.seen, ws.slots, ws.cn, ws.fleet = now, max(1, req.Slots), cn, req.Fleet
+	ws.seen, ws.slots, ws.cn, ws.fleet, ws.released = now, max(1, req.Slots), cn, req.Fleet, false
 	nWorkers := len(cp.workers)
 	cp.mu.Unlock()
 	if cn != "" {
@@ -283,29 +271,25 @@ func (cp *campaign) join(req joinRequest, cn string, now time.Time) joinReply {
 }
 
 // lease answers one lease poll at now. A nil wait channel means the reply
-// is final (a grant, Done, or Drain); otherwise nothing is available to this
+// is final (a grant or Done); otherwise nothing is available to this
 // worker yet and the channel closes at the next state change worth
 // re-asking after — the adapter's long-poll loop. A quarantined worker
 // keeps waiting (so it learns promptly when the campaign finishes, or when
-// its probation ends) but is never granted a lease.
+// its probation ends) but is never granted a lease; neither is a stray poll
+// of a worker that already said goodbye.
 func (cp *campaign) lease(req leaseRequest, now time.Time) (leaseReply, <-chan struct{}, error) {
 	if err := cp.checkSet(req.SetFP); err != nil {
 		return leaseReply{}, nil, err
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	ws := cp.workerLocked(req.Worker)
 	if cp.finishedNow() {
-		ws.acked++
-		cp.broadcastLocked() // wake the post-completion linger
 		return leaseReply{Done: true}, nil, nil
 	}
 	cp.reclaimLocked(now)
+	ws := cp.workerLocked(req.Worker)
 	ws.seen = now
-	if cp.drains[req.Worker] {
-		return leaseReply{Drain: true}, nil, nil
-	}
-	if !cp.quarantinedLocked(req.Worker, now) {
+	if !ws.released && !cp.quarantinedLocked(req.Worker, now) {
 		if idx, ok := cp.takeLocked(req.Worker, now); ok {
 			job := cp.jobs[idx]
 			return leaseReply{Index: idx, Job: &job, JobFP: cp.fps[idx]}, nil, nil
@@ -384,11 +368,10 @@ func (cp *campaign) takeLocked(worker string, now time.Time) (int, bool) {
 }
 
 // heartbeat extends the deadlines of held leases (only those the worker
-// actually owns), refreshes the worker's last-seen time, and reports
-// whether the worker has been asked to drain.
-func (cp *campaign) heartbeat(req heartbeatRequest, now time.Time) (heartbeatReply, error) {
+// actually owns) and refreshes the worker's last-seen time.
+func (cp *campaign) heartbeat(req heartbeatRequest, now time.Time) error {
 	if err := cp.checkSet(req.SetFP); err != nil {
-		return heartbeatReply{}, err
+		return err
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -398,20 +381,7 @@ func (cp *campaign) heartbeat(req heartbeatRequest, now time.Time) (heartbeatRep
 			cp.leases[idx][req.Worker] = now.Add(cp.leaseTTL)
 		}
 	}
-	return heartbeatReply{Drain: cp.drains[req.Worker]}, nil
-}
-
-// drain marks a worker for retirement on a supervisor's behalf; its next
-// lease poll or heartbeat learns about it. The long-pollers are woken so an
-// idle worker drains immediately rather than at the end of its poll window.
-func (cp *campaign) drain(worker string) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if !cp.drains[worker] {
-		cp.drains[worker] = true
-		cp.logf("dist: drain requested for worker %s", worker)
-		cp.broadcastLocked()
-	}
+	return nil
 }
 
 // dropLeaseLocked returns worker's lease on job idx (if it holds one) to
@@ -423,19 +393,20 @@ func (cp *campaign) dropLeaseLocked(idx int, worker string) {
 	}
 }
 
-// release is a draining worker's goodbye: every lease the coordinator
-// holds in its name goes back to the pending pool at once instead of after
-// the TTL — including a grant the worker never saw, because its reply was in
-// flight when the drain cut the lease poll short. The worker is marked
-// draining so status reflects it, the linger does not wait for it, and a
-// lease poll of its still unwinding is refused rather than granted.
+// release is a departing worker's goodbye, after a drain or after reading
+// a Done reply: every lease the coordinator holds in its name goes back to
+// the pending pool at once instead of after the TTL — including a grant the
+// worker never saw, because its reply was in flight when the drain cut the
+// lease poll short. The worker is marked released so status shows it
+// draining and drops its slots, the linger is through with it, and a lease
+// poll of its still unwinding is not granted.
 func (cp *campaign) release(req releaseRequest) error {
 	if err := cp.checkSet(req.SetFP); err != nil {
 		return err
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	cp.drains[req.Worker] = true
+	cp.workerLocked(req.Worker).released = true
 	released := 0
 	for _, holders := range cp.leases {
 		if _, ok := holders[req.Worker]; ok {
@@ -443,8 +414,8 @@ func (cp *campaign) release(req releaseRequest) error {
 			released++
 		}
 	}
+	cp.broadcastLocked() // pending jobs for the pollers, a goodbye for the linger
 	if released > 0 {
-		cp.broadcastLocked()
 		cp.logf("dist: worker %s released %d leases", req.Worker, released)
 	}
 	return nil
@@ -479,15 +450,15 @@ func (cp *campaign) assemble(now time.Time) ([]exp.Result, exp.Metrics) {
 }
 
 // allAcked reports whether every worker worth waiting for — seen within
-// the last lease TTL and not draining (those stop polling once their
-// in-flight work lands) — has been served one Done reply per slot, plus the
-// channel that closes at the next change. The post-completion linger's
-// condition.
+// the last lease TTL — has said goodbye, plus the channel that closes at
+// the next change. The post-completion linger's condition: a Done reply
+// merely served proves nothing (it may die on the wire, and then the worker
+// polls again), the /release a worker sends after reading one does.
 func (cp *campaign) allAcked(now time.Time) (bool, <-chan struct{}) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	for name, ws := range cp.workers {
-		if now.Sub(ws.seen) <= cp.leaseTTL && !cp.drains[name] && ws.acked < ws.slots {
+	for _, ws := range cp.workers {
+		if now.Sub(ws.seen) <= cp.leaseTTL && !ws.released {
 			return false, cp.changed
 		}
 	}
@@ -531,13 +502,12 @@ func (cp *campaign) status(now time.Time) Status {
 	}
 	for name, ws := range cp.workers {
 		quarantined := cp.quarantinedLocked(name, now)
-		draining := cp.drains[name]
-		if draining {
+		if ws.released {
 			s.Draining++
 		}
 		if quarantined {
 			s.Quarantined++
-		} else if now.Sub(ws.seen) <= cp.leaseTTL && !draining {
+		} else if now.Sub(ws.seen) <= cp.leaseTTL && !ws.released {
 			s.Slots += ws.slots
 		}
 		row := WorkerStatus{
@@ -545,7 +515,7 @@ func (cp *campaign) status(now time.Time) Status {
 			Done: ws.done, EWMAMS: ws.ewma.Milliseconds(),
 			CN:          ws.cn,
 			Fleet:       ws.fleet,
-			Draining:    draining,
+			Draining:    ws.released,
 			Score:       cp.scoreLocked(ws, now),
 			Quarantined: quarantined,
 			Dissents:    ws.dissents,
@@ -560,7 +530,7 @@ func (cp *campaign) status(now time.Time) Status {
 		}
 		s.PerWorker = append(s.PerWorker, row)
 	}
-	s.ETAMS = progressETA(cp.done-cp.resumed, cp.done, len(cp.jobs), now.Sub(cp.start)).Milliseconds()
+	s.ETAMS = exp.ProgressETA(cp.done-cp.resumed, cp.done, len(cp.jobs), now.Sub(cp.start)).Milliseconds()
 	s.WantWorkers = cp.wantWorkersLocked()
 	return s
 }
@@ -576,14 +546,4 @@ func (cp *campaign) wantWorkersLocked() int {
 	}
 	n := int(math.Ceil(float64(remaining) * float64(cp.ewma) / float64(cp.scaleHorizon)))
 	return max(1, min(n, remaining))
-}
-
-// progressETA mirrors the engine's ETA derivation (exp.Metrics.Throughput
-// over executed jobs) for the coordinator's lease-aware progress stream.
-func progressETA(executed, done, total int, elapsed time.Duration) time.Duration {
-	tput := exp.Metrics{Jobs: done, Resumed: done - executed, Elapsed: elapsed}.Throughput()
-	if tput <= 0 || total <= done {
-		return 0
-	}
-	return time.Duration(float64(total-done) / tput * float64(time.Second))
 }

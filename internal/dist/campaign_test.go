@@ -136,7 +136,7 @@ func TestCampaignLeaseExpiry(t *testing.T) {
 
 	// A heartbeat at +8s moves job 1's deadline from +11s to +18s; one for
 	// a job the worker does not hold renews nothing.
-	if _, err := r.cp.heartbeat(heartbeatRequest{Worker: "doomed", SetFP: r.cp.setFP, Held: []int{1, 2, 99}}, r.at(8*time.Second)); err != nil {
+	if err := r.cp.heartbeat(heartbeatRequest{Worker: "doomed", SetFP: r.cp.setFP, Held: []int{1, 2, 99}}, r.at(8*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	r.mustReport("healthy", 9*time.Second, 2, 300)
@@ -182,7 +182,6 @@ func TestCampaignRefusals(t *testing.T) {
 	}{
 		{"stale version", validateJoin(joinRequest{Version: ProtocolVersion - 1, Worker: "old"}), refuseStale},
 		{"nameless join", validateJoin(joinRequest{Version: ProtocolVersion}), refuseMalformed},
-		{"nameless drain", validateDrain(drainRequest{}), refuseMalformed},
 		{"foreign job set", r.cp.release(releaseRequest{Worker: "w", SetFP: "other"}), refuseStale},
 		{"index out of range", r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP,
 			Result: exp.WireResult{Index: 7}}, t0), refuseMalformed},
@@ -262,68 +261,114 @@ func TestCampaignQuarantine(t *testing.T) {
 	}
 }
 
-// TestCampaignDrainFlag: POST /drain surfaces on whichever the
-// worker sends first — a heartbeat (deep in a job) or a lease poll — wakes
-// long-pollers so an idle worker hears at once, takes the worker out of the
-// live-slot count, and the completion linger stops waiting for it.
+// TestCampaignDrainFlag: the coordinator learns of a drain at the worker's
+// /release goodbye and records it as the released mark — the worker shows as
+// draining, its slots leave the live count, the completion linger stops
+// waiting for it, its in-flight result still counts, and joining again under
+// the same name clears the mark.
 func TestCampaignDrainFlag(t *testing.T) {
 	r := newRig(t, 2, Options{})
 	r.join("busy", "idle", "stays")
 	r.grant("busy", 0, 0)
 	r.grant("stays", 0, 1)
-	_, changed, _ := r.cp.lease(leaseRequest{Worker: "idle", SetFP: r.cp.setFP}, t0)
-
-	hb := func(worker string) heartbeatReply {
-		rep, err := r.cp.heartbeat(heartbeatRequest{Worker: worker, SetFP: r.cp.setFP, Held: []int{0}}, r.at(time.Second))
-		if err != nil {
+	if st := r.cp.status(r.at(time.Second)); st.Draining != 0 || st.Slots != 3 {
+		t.Fatalf("status before any drain: %d draining, %d live slots; want 0 and 3", st.Draining, st.Slots)
+	}
+	for _, w := range []string{"busy", "idle"} {
+		if err := r.cp.release(releaseRequest{Worker: w, SetFP: r.cp.setFP}); err != nil {
 			t.Fatal(err)
 		}
-		return rep
 	}
-	if hb("busy").Drain {
-		t.Fatal("drain flag before any drain was requested")
+	// busy's lease went back with its goodbye, and neither drained worker is
+	// offered the job.
+	if st := r.cp.status(r.at(time.Second)); st.Draining != 2 || st.Slots != 1 || st.Pending != 1 {
+		t.Fatalf("status: %d draining, %d live slots, %d pending; want 2, 1 and 1", st.Draining, st.Slots, st.Pending)
 	}
-	r.cp.drain("busy")
-	r.cp.drain("idle")
-	select {
-	case <-changed:
-	default:
-		t.Fatal("drain did not wake the idle worker's long-poll")
+	if row := r.row("stays", time.Second); row.Draining || row.Held != 1 {
+		t.Fatalf("the drains leaked to another worker: %+v", row)
 	}
-	if !hb("busy").Drain {
-		t.Fatal("heartbeat reply does not carry the drain flag")
-	}
-	if rep := r.lease("idle", time.Second); !rep.Drain {
-		t.Fatalf("lease reply = %+v, want Drain", rep)
-	}
-	if rep := r.lease("busy", time.Second); !rep.Drain {
-		t.Fatalf("a draining worker was offered %+v", rep)
-	}
-	if hb("stays").Drain {
-		t.Fatal("drain flag leaked to another worker")
-	}
-	if st := r.cp.status(r.at(time.Second)); st.Draining != 2 || st.Slots != 1 {
-		t.Fatalf("status: %d draining, %d live slots; want 2 and 1", st.Draining, st.Slots)
-	}
+	r.waits("busy", time.Second)
+	r.waits("idle", time.Second)
 
-	// In-flight work of a draining worker still counts.
+	// A result that was already on the wire when the worker said goodbye
+	// still counts.
 	r.mustReport("busy", 2*time.Second, 0, 100)
 	r.mustReport("stays", 2*time.Second, 1, 200)
 	if ok, _ := r.cp.allAcked(r.at(2 * time.Second)); ok {
-		t.Fatal("linger would not wait for the live worker's Done")
+		t.Fatal("linger would not wait for the live worker")
 	}
 	if rep := r.lease("stays", 2*time.Second); !rep.Done {
 		t.Fatalf("lease after completion = %+v", rep)
 	}
+	if err := r.cp.release(releaseRequest{Worker: "stays", SetFP: r.cp.setFP}); err != nil {
+		t.Fatal(err)
+	}
 	if ok, _ := r.cp.allAcked(r.at(2 * time.Second)); !ok {
-		t.Fatal("linger still waiting though only draining workers are un-acked")
+		t.Fatal("linger still waiting though every worker has said goodbye")
+	}
+
+	// The same name joining again is a live worker again.
+	r.join("busy")
+	if row := r.row("busy", 2*time.Second); row.Draining {
+		t.Fatalf("a rejoined worker still shows as drained: %+v", row)
+	}
+	if ok, _ := r.cp.allAcked(r.at(2 * time.Second)); ok {
+		t.Fatal("linger ignores the rejoined worker")
+	}
+}
+
+// TestCampaignOneAckPerWorker: the completion handshake is one goodbye per
+// worker, however many slots it declared, and it is the goodbye that counts.
+// A Done reply merely served proves nothing — it can die between the
+// campaign counting it and the worker reading it, and then the worker polls
+// again — so the linger waits for the /release a worker posts after reading
+// one, and serves Done to every poll until then.
+func TestCampaignOneAckPerWorker(t *testing.T) {
+	r := newRig(t, 1, Options{})
+	r.cp.join(joinRequest{Version: ProtocolVersion, Worker: "wide", Slots: 2}, "", t0)
+	r.join("narrow")
+	r.grant("wide", 0, 0)
+	r.mustReport("wide", time.Second, 0, 100)
+	for _, w := range []string{"wide", "wide", "narrow"} { // every slot that polls hears Done
+		if rep := r.lease(w, time.Second); !rep.Done {
+			t.Fatalf("lease(%s) after completion = %+v", w, rep)
+		}
+	}
+	if ok, _ := r.cp.allAcked(r.at(time.Second)); ok {
+		t.Fatal("linger over on Done replies served, before any worker said it read one")
+	}
+	_, changed := r.cp.allAcked(r.at(time.Second))
+	if err := r.cp.release(releaseRequest{Worker: "narrow", SetFP: r.cp.setFP}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-changed:
+	default:
+		t.Fatal("a goodbye did not wake the linger")
+	}
+	if ok, _ := r.cp.allAcked(r.at(time.Second)); ok {
+		t.Fatal("linger over though the two-slot worker has not said goodbye")
+	}
+	if err := r.cp.release(releaseRequest{Worker: "wide", SetFP: r.cp.setFP}); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _ := r.cp.allAcked(r.at(time.Second)); !ok {
+		t.Fatal("linger waits for a second goodbye from the two-slot worker")
+	}
+	// A worker that never says goodbye is waited for only while it is live.
+	r.join("silent")
+	if ok, _ := r.cp.allAcked(r.at(time.Second)); ok {
+		t.Fatal("linger ignores a live worker")
+	}
+	if ok, _ := r.cp.allAcked(r.at(time.Hour)); !ok {
+		t.Fatal("linger waits for a worker silent for a whole lease TTL")
 	}
 }
 
 // TestCampaignReleaseUnseenGrant: a drain cuts a lease poll short while its
 // grant is on the wire. The worker knows of no lease, so its goodbye lists
 // nothing — and must still hand the job back now rather than at TTL expiry,
-// mark the worker draining, and leave other workers' leases and finished
+// mark the worker drained, and leave other workers' leases and finished
 // jobs alone.
 func TestCampaignReleaseUnseenGrant(t *testing.T) {
 	r := newRig(t, 3, Options{LeaseTTL: time.Hour})
@@ -340,9 +385,7 @@ func TestCampaignReleaseUnseenGrant(t *testing.T) {
 	if row := r.row("drainer", time.Second); row.Held != 0 || !row.Draining || row.Expiries != 0 {
 		t.Fatalf("after release: %+v", row)
 	}
-	if rep := r.lease("drainer", time.Second); !rep.Drain {
-		t.Fatalf("a released worker's stray poll got %+v", rep)
-	}
+	r.waits("drainer", time.Second) // a stray poll is held, never granted
 	if row := r.row("relief", time.Second); row.Held != 1 {
 		t.Fatalf("release touched another worker's lease: %+v", row)
 	}

@@ -13,8 +13,8 @@ import (
 // TestChaosCampaignMatchesLocal is the chaos-hardening acceptance test: a
 // full campaign runs with every worker's coordinator connection behind a
 // seeded fault-injecting transport — dropped, delayed and duplicated
-// requests, corrupted and truncated responses, and a timed partition —
-// and the final result set must still be byte-identical to a local run.
+// requests, corrupted and truncated responses — and the final result set
+// must still be byte-identical to a local run.
 // The transports' stats prove the chaos actually fired rather than
 // matching nothing.
 func TestChaosCampaignMatchesLocal(t *testing.T) {
@@ -35,8 +35,7 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 	}, jobs)
 
 	// Every-based rules are exactly periodic, so with enough requests each
-	// fault class is guaranteed to fire; the partition window opens almost
-	// immediately and blackholes everything for 150ms.
+	// fault class is guaranteed to fire.
 	plan := chaos.Plan{
 		Seed: 7,
 		Rules: []chaos.Rule{
@@ -46,7 +45,6 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 			{Every: 11, Fault: chaos.Fault{Truncate: true}},
 			{Every: 4, Fault: chaos.Fault{Delay: 5 * time.Millisecond}},
 		},
-		Partitions: []chaos.Partition{{After: 30 * time.Millisecond, For: 150 * time.Millisecond}},
 	}
 
 	var mu sync.Mutex
@@ -93,7 +91,6 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 		total.Dups += s.Dups
 		total.Truncates += s.Truncates
 		total.Corrupts += s.Corrupts
-		total.Partitioned += s.Partitioned
 	}
 	mu.Unlock()
 	t.Logf("chaos totals: %+v", total)
@@ -105,7 +102,7 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 	if total.Delays == 0 || total.Drops == 0 {
 		t.Fatalf("expected deterministic delay and drop faults to fire: %+v", total)
 	}
-	if faults := total.Drops + total.Dups + total.Truncates + total.Corrupts + total.Partitioned; faults < 3 {
+	if faults := total.Drops + total.Dups + total.Truncates + total.Corrupts; faults < 3 {
 		t.Fatalf("only %d faults injected: %+v", faults, total)
 	}
 }

@@ -1,14 +1,12 @@
 package dist
 
 import (
-	"bytes"
 	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -66,8 +64,11 @@ func (co ClientOptions) baseURL(addr string) string {
 	return base
 }
 
-// client builds the HTTP client the options describe.
-func (co ClientOptions) client() (*http.Client, error) {
+// Client builds the HTTP client the options describe (HTTPClient itself when
+// set). TLS options get a fresh transport, with its own connection pool, on
+// every call: a poll loop calls Client once and keeps the result in
+// HTTPClient, or every poll opens — and strands — a new connection.
+func (co ClientOptions) Client() (*http.Client, error) {
 	if co.HTTPClient != nil {
 		return co.HTTPClient, nil
 	}
@@ -111,8 +112,8 @@ func (co ClientOptions) authorize(req *http.Request) {
 }
 
 // StatusErrKind classifies why a status fetch failed, so every consumer
-// of the feed — ilsim-sweep -watch, the fleet supervisor — shares one retry/give-up policy instead of each matching
-// error strings.
+// of the feed — ilsim-sweep -watch, the fleet supervisor — shares one
+// classification instead of each matching error strings.
 type StatusErrKind int
 
 const (
@@ -167,7 +168,7 @@ func StatusKindOf(err error) (StatusErrKind, bool) {
 	return StatusProtocol, false
 }
 
-// StatusTracker is the shared give-up policy over a status poll loop.
+// StatusTracker is the give-up policy over a status poll loop.
 // Denied errors are fatal immediately (wrong credentials never fix
 // themselves); anything else before the first success is startup noise
 // (the endpoint answers 503 until the campaign installs); after the first
@@ -211,13 +212,14 @@ func (t *StatusTracker) Observe(err error) error {
 
 // FetchStatus retrieves one GET /status snapshot from the coordinator at
 // addr (host:port, or a full http(s):// base URL) — the autoscaling feed
-// behind ilsim-sweep -watch and the fleet supervisor. Failures come back as *StatusError so callers can share
-// one retry/give-up policy (see StatusTracker).
+// behind ilsim-sweep -watch and the fleet supervisor. Failures come back as
+// *StatusError so a poll loop can apply one retry/give-up policy (see
+// StatusTracker).
 func FetchStatus(ctx context.Context, addr string, co ClientOptions) (Status, error) {
 	statusErr := func(kind StatusErrKind, err error) error {
 		return &StatusError{Addr: addr, Kind: kind, Err: err}
 	}
-	client, err := co.client()
+	client, err := co.Client()
 	if err != nil {
 		return Status{}, statusErr(StatusProtocol, err)
 	}
@@ -245,37 +247,4 @@ func FetchStatus(ctx context.Context, addr string, co ClientOptions) (Status, er
 		return Status{}, statusErr(StatusProtocol, fmt.Errorf("decode: %w", err))
 	}
 	return s, nil
-}
-
-// RequestDrain asks the coordinator at addr to retire the named worker:
-// the worker's next lease poll or heartbeat carries the drain flag, it
-// finishes in-flight work, takes no more, and exits its run loop. This is
-// the loss-free scale-down path the fleet supervisor uses — no job is lost,
-// because every lease the worker took is either reported or handed back
-// before it goes.
-func RequestDrain(ctx context.Context, addr, worker string, co ClientOptions) error {
-	client, err := co.client()
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(drainRequest{Worker: worker})
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, co.baseURL(addr)+"/drain", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	co.authorize(req)
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("dist: drain %s on %s: %s: %s", worker, addr, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
 }

@@ -193,9 +193,18 @@ func (c *Coordinator) Addr() string {
 	return c.ln.Addr().String()
 }
 
-// Close stops serving. The campaign journal (if any) stays resumable.
+// Close stops serving: no new connection is accepted, replies in flight get
+// up to two seconds to reach their clients — one cut off mid-write leaves
+// its worker retrying a closed listener for a whole RetryWindow — and
+// whatever is still open then is closed under it. The campaign journal (if
+// any) stays resumable.
 func (c *Coordinator) Close() error {
 	if c.srv == nil {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if c.srv.Shutdown(ctx) == nil {
 		return nil
 	}
 	return c.srv.Close()
@@ -265,8 +274,8 @@ func (c *Coordinator) RunContext(ctx context.Context, jobs []exp.Job) ([]exp.Res
 	return results, metrics, nil
 }
 
-// linger blocks until every worker seen within the last lease TTL has been
-// told the campaign is done, capped by a grace period of two long-poll
+// linger blocks until every worker seen within the last lease TTL has read
+// a Done reply and said goodbye, capped by a grace period of two long-poll
 // windows — a silent worker is presumed dead, not waited for.
 func (c *Coordinator) linger(ctx context.Context, cp *campaign) {
 	grace := 2 * c.opts.LongPoll

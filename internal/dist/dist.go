@@ -11,18 +11,17 @@
 // A lease carries exactly one job; a worker with N slots holds up to N
 // leases at once, one per slot.
 //
-// The protocol is seven JSON-over-HTTP endpoints:
+// The protocol is six JSON-over-HTTP endpoints:
 //
 //	POST /join       version + probe-fingerprint handshake; stale binaries refused
 //	POST /lease      long-poll for one job (index, job, fingerprint)
 //	POST /result     stream back one exp.WireResult (integrity-hashed)
 //	POST /heartbeat  keep held leases alive
-//	POST /release    hand every held lease back (a draining worker's goodbye)
-//	POST /drain      ask the coordinator to retire one worker (fleet scale-down)
+//	POST /release    a departing worker's goodbye: hands every held lease back
 //	GET  /status     campaign counters plus autoscaling + health
 //
 // The code is split along one seam. campaign.go is the protocol as a pure
-// state machine: join, lease, result, release, heartbeat, drain and status
+// state machine: join, lease, result, release, heartbeat and status
 // are methods that take plain values and the current time and return
 // replies or typed refusals — no sockets, so lease expiry, elections and
 // quarantine are tested with a fake clock. handlers.go is the HTTP adapter
@@ -73,8 +72,12 @@ import (
 // /drain, drain flags on lease and heartbeat replies); 5 = single-job
 // leases again (leaseReply carries one job, leaseRequest no bundle
 // target, /release hands back everything the worker holds, Status drops
-// its lease/bundle counters).
-const ProtocolVersion = 5
+// its lease/bundle counters); 6 = one drain path (POST /drain and the
+// drain flags on lease and heartbeat replies are gone — a supervisor
+// stops the worker it launched, and /heartbeat answers the empty ack),
+// and one completion handshake per worker, not per slot: the worker that
+// reads a Done reply stops all its slots and posts /release.
+const ProtocolVersion = 6
 
 // Defaults for the lease lifecycle. LeaseTTL bounds how long a silent
 // worker keeps a job before it is reassigned; workers heartbeat at a third
@@ -87,9 +90,7 @@ const (
 )
 
 // joinRequest opens a worker's session with the coordinator. Slots is the
-// worker's concurrent lease-poll count: after the campaign completes, the
-// coordinator stays up until each live worker has received that many Done
-// replies (one per slot), so no slot is left dialing a vanished server.
+// worker's concurrent lease-poll count, the capacity Status.Slots sums.
 type joinRequest struct {
 	Version int    `json:"version"`
 	Worker  string `json:"worker"`
@@ -124,13 +125,12 @@ type leaseRequest struct {
 
 // leaseReply grants one job — its submission index, the job itself, and
 // the coordinator's fingerprint for it (re-verified by the worker) — or asks
-// the worker to poll again (Wait), ends the session (Done — the campaign is
-// complete), or tells the worker to drain (Drain — a supervisor asked the
-// coordinator to retire it; finish in-flight work and exit cleanly).
+// the worker to poll again (Wait), or ends the session (Done — the campaign
+// is complete; the worker that reads one stops all its slots and posts
+// /release).
 type leaseReply struct {
 	Done  bool     `json:"done,omitempty"`
 	Wait  bool     `json:"wait,omitempty"`
-	Drain bool     `json:"drain,omitempty"`
 	Index int      `json:"index,omitempty"`
 	Job   *exp.Job `json:"job,omitempty"`
 	JobFP string   `json:"jobFp,omitempty"`
@@ -150,27 +150,11 @@ type heartbeatRequest struct {
 	Held   []int  `json:"held"`
 }
 
-// heartbeatReply piggybacks the drain flag on the renewal: a worker deep
-// in a long job learns it is being retired within one heartbeat period
-// instead of at its next lease poll.
-type heartbeatReply struct {
-	Drain bool `json:"drain,omitempty"`
-}
-
-// drainRequest asks the coordinator to retire one worker (POST /drain):
-// the worker's next lease poll or heartbeat carries the drain flag, it
-// finishes in-flight work, says goodbye via /release, and exits its run
-// loop — the loss-free scale-down contract ilsim-fleetd's
-// supervisor relies on.
-type drainRequest struct {
-	Worker string `json:"worker"`
-}
-
-// releaseRequest is a drained worker's last word, sent once nothing is
-// executing: every lease the coordinator still holds in its name goes back
-// to the pending pool now instead of at TTL expiry. That covers the grant
-// the worker never saw — its reply was in flight when the drain cut the
-// lease poll short.
+// releaseRequest is a departing worker's last word, sent once nothing is
+// executing — after a drain, or after reading a Done reply: every lease the
+// coordinator still holds in its name goes back to the pending pool now
+// instead of at TTL expiry. That covers the grant the worker never saw —
+// its reply was in flight when the drain cut the lease poll short.
 type releaseRequest struct {
 	Worker string `json:"worker"`
 	SetFP  string `json:"setFp"`
@@ -202,9 +186,8 @@ type WorkerStatus struct {
 	// Fleet is the supervisor label the worker announced at join; empty
 	// for hand-launched (manual) workers.
 	Fleet string `json:"fleet,omitempty"`
-	// Draining reports that the worker has been asked to retire — by a
-	// supervisor via POST /drain, or by handing leases back itself — and
-	// will take no further leases.
+	// Draining reports that the worker said goodbye via POST /release — it
+	// drained, or the campaign finished — and takes no further leases.
 	Draining bool `json:"draining,omitempty"`
 	// Score is the worker's current health-ledger score (decayed);
 	// Quarantined reports whether it is currently refused leases.
@@ -219,7 +202,7 @@ type WorkerStatus struct {
 
 // Status is the GET /status snapshot: campaign counters plus the
 // autoscaling signals an operator (or supervisor script) needs to size
-// the fleet. ilsim-sweep -watch prints it, one-shot or as a live board.
+// the fleet. ilsim-sweep -watch prints it.
 type Status struct {
 	SetFP   string `json:"setFp"`
 	Total   int    `json:"total"`
@@ -248,8 +231,8 @@ type Status struct {
 	// Quarantined counts workers currently refused leases.
 	Replicas    int `json:"replicas,omitempty"`
 	Quarantined int `json:"quarantined,omitempty"`
-	// Draining counts workers currently being retired (drain requested,
-	// not yet gone); their slots are excluded from Slots.
+	// Draining counts workers that said goodbye (posted /release); their
+	// slots are excluded from Slots.
 	Draining int `json:"draining,omitempty"`
 	// RejectedCNs counts requests refused by the certificate ACL
 	// (Options.AllowedCNs) since the coordinator started.
@@ -259,8 +242,8 @@ type Status struct {
 	PerWorker []WorkerStatus `json:"perWorker,omitempty"`
 }
 
-// Summary renders the one-line form of the snapshot (ilsim-fleetd -status
-// logs it).
+// Summary renders the one-line form of the snapshot, the first line of
+// Table.
 func (s Status) Summary() string {
 	line := fmt.Sprintf("dist: %d/%d done (%d failed, %d resumed), %d pending, %d leased, %d workers/%d slots",
 		s.Done, s.Total, s.Failed, s.Resumed, s.Pending, s.Leased, s.Workers, s.Slots)

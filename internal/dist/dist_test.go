@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -419,4 +420,95 @@ func TestResultIntegrityRejected(t *testing.T) {
 		t.Fatal(oc.err)
 	}
 	checkFingerprints(t, oc.results, want)
+}
+
+// TestDoneStopsSiblingSlots: the completion handshake is per worker. A
+// two-slot worker faces a coordinator that serves exactly one Done reply and
+// then is gone — its listener closed, the other lease poll cut off without an
+// answer — which is what a coordinator closing behind its finished campaign
+// looks like to a slot that was between requests or sleeping out a retry
+// backoff. The slot that reads the Done must stop the other one; left to
+// itself it retries for the whole RetryWindow and fails the worker with
+// "coordinator unreachable".
+func TestDoneStopsSiblingSlots(t *testing.T) {
+	var served atomic.Bool
+	var ts *httptest.Server
+	ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == "/join":
+			reply(w, joinReply{SetFP: "set", LeaseTTLMS: 1000})
+		case r.URL.Path == "/lease" && served.CompareAndSwap(false, true):
+			ts.Listener.Close()
+			reply(w, leaseReply{Done: true})
+		case r.URL.Path == "/lease":
+			if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+				conn.Close()
+			}
+		default:
+			reply(w, ack{})
+		}
+	}))
+	defer ts.Close()
+
+	w := &Worker{Coordinator: ts.URL, Name: "wide", Slots: 2, RetryWindow: 5 * time.Second, Logf: t.Logf}
+	start := time.Now()
+	if err := w.Run(context.Background()); err != nil {
+		t.Fatalf("worker after one Done reply: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("worker took %s to stop after the Done reply; the sibling slot waited out a backoff", elapsed)
+	}
+}
+
+// TestCloseDeliversInFlightReply: Close lets a reply that a handler is still
+// producing reach its client before the connections go. campaign.lease counts
+// a worker's Done as served before the adapter has written it, the linger
+// returns on that count, and every caller then closes the coordinator — so a
+// Close that killed active connections would cut exactly that reply off.
+// Here the reply in flight is a held lease poll.
+func TestCloseDeliversInFlightReply(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	jobs := testJobs(t, 1)
+	c, _ := startCampaign(t, ctx, Options{LongPoll: 200 * time.Millisecond}, jobs)
+	cp := waitCampaign(t, c)
+	for range jobs { // nothing left for the poll below to take
+		if rep, _, err := cp.lease(leaseRequest{Worker: "holder", SetFP: cp.setFP}, time.Now()); err != nil || rep.Job == nil {
+			t.Fatalf("lease = %+v, %v; want a grant", rep, err)
+		}
+	}
+
+	type outcome struct {
+		rep leaseReply
+		err error
+	}
+	polled := make(chan outcome, 1)
+	go func() {
+		var oc outcome
+		body, _ := json.Marshal(leaseRequest{Worker: "poller", SetFP: cp.setFP, WaitMS: 200})
+		resp, err := http.Post("http://"+c.Addr()+"/lease", "application/json", bytes.NewReader(body))
+		if err == nil {
+			oc.err = json.NewDecoder(resp.Body).Decode(&oc.rep)
+			resp.Body.Close()
+		} else {
+			oc.err = err
+		}
+		polled <- oc
+	}()
+	// The poll is inside its handler once the campaign knows the poller.
+	deadline := time.Now().Add(10 * time.Second)
+	for known := false; !known; {
+		cp.mu.Lock()
+		_, known = cp.workers["poller"]
+		cp.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatal("the lease poll never reached the campaign")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	c.Close()
+	if oc := <-polled; oc.err != nil || !oc.rep.Wait {
+		t.Fatalf("poll in flight across Close = %+v, %v; want its Wait reply", oc.rep, oc.err)
+	}
 }

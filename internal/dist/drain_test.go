@@ -13,15 +13,16 @@ import (
 // executing when Drain fires must finish and report, no further lease may be
 // taken, nothing may stay leased to the drained worker once its Run returns
 // (proven structurally — the lease TTL is 60s, far past the test's patience,
-// so a lease stranded by the drain would stall the campaign), and a second
-// worker must then finish the campaign with results byte-identical to a
-// local run.
+// so a lease stranded by the drain would stall the campaign), the status feed
+// must show the worker drained under its fleet label with its slots out of
+// the live count, and a second worker must then finish the campaign with
+// results byte-identical to a local run.
 func TestGracefulDrain(t *testing.T) {
 	jobs := testJobs(t, 4) // 8 jobs: each point pairs into HSAIL + GCN3
 	want := localFingerprints(t, jobs)
 
 	ctx := context.Background()
-	w1 := &Worker{Name: "drainer", Slots: 2, Engine: slowEngine(jobs, 20*time.Millisecond)}
+	w1 := &Worker{Name: "drainer", Fleet: "testfleet", Slots: 2, Engine: slowEngine(jobs, 20*time.Millisecond)}
 	var once sync.Once
 	drained := make(chan struct{})
 	c, out := startCampaign(t, ctx, Options{
@@ -75,6 +76,20 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("no jobs left for the relief worker")
 	}
 
+	st, err := FetchStatus(ctx, c.Addr(), ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Draining != 1 || st.Slots != 0 || len(st.PerWorker) != 1 {
+		t.Fatalf("status after the drain: %d draining, %d live slots, %d rows; want 1, 0, 1", st.Draining, st.Slots, len(st.PerWorker))
+	}
+	if row := st.PerWorker[0]; row.Name != "drainer" || row.Fleet != "testfleet" || !row.Draining {
+		t.Fatalf("drained worker's row: %+v", row)
+	}
+	if tbl := st.Table(); !contains(tbl, "testfleet") || !contains(tbl, "DRAINING") {
+		t.Fatalf("status table missing fleet/drain columns:\n%s", tbl)
+	}
+
 	// A relief worker finishes the campaign well inside the lease TTL.
 	w2 := &Worker{Coordinator: c.Addr(), Name: "relief", Slots: 2}
 	w2Done := make(chan error, 1)
@@ -90,113 +105,6 @@ func TestGracefulDrain(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("campaign did not finish: the drained worker left a lease behind (TTL would take 60s)")
-	}
-	if err := <-w2Done; err != nil {
-		t.Fatalf("relief worker: %v", err)
-	}
-}
-
-// TestCoordinatorMediatedDrain exercises the fleet scale-down contract
-// end to end: POST /drain marks a worker on the coordinator, the drain
-// flag reaches the worker on its next lease poll or heartbeat, the worker
-// finishes its in-flight job, says goodbye via /release and exits its run
-// loop — and a relief worker completes the
-// campaign byte-identical to a local run, proving the drain lost
-// nothing. The draining worker's fleet label and Draining flag are
-// visible in the status feed throughout.
-func TestCoordinatorMediatedDrain(t *testing.T) {
-	jobs := testJobs(t, 4) // 8 jobs: each point pairs into HSAIL + GCN3
-	want := localFingerprints(t, jobs)
-
-	ctx := context.Background()
-	w1 := &Worker{Name: "auto-1", Fleet: "testfleet", Slots: 1,
-		Engine: slowEngine(jobs, 60*time.Millisecond), Logf: t.Logf}
-	var once sync.Once
-	drained := make(chan struct{})
-	c, out := startCampaign(t, ctx, Options{
-		LongPoll: 100 * time.Millisecond,
-		// A short lease TTL makes heartbeats (TTL/3 = 100ms) about as
-		// frequent as the slow engine's lease polls, so either carrier may
-		// deliver the flag.
-		LeaseTTL: 300 * time.Millisecond,
-		Logf:     t.Logf,
-		OnProgress: func(p exp.Progress) {
-			// Second completion = mid-campaign: drain the worker through
-			// the coordinator, not locally.
-			if p.Done >= 2 {
-				once.Do(func() { close(drained) })
-			}
-		},
-	}, jobs)
-	w1.Coordinator = c.Addr()
-
-	w1Done := make(chan error, 1)
-	go func() { w1Done <- w1.Run(ctx) }()
-	<-drained
-	if err := RequestDrain(ctx, c.Addr(), "auto-1", ClientOptions{}); err != nil {
-		t.Fatalf("RequestDrain: %v", err)
-	}
-
-	// The drain flag must reach the worker (lease poll or heartbeat) and
-	// end its Run loop without an error.
-	select {
-	case err := <-w1Done:
-		if err != nil {
-			t.Fatalf("drained worker: %v", err)
-		}
-	case <-time.After(20 * time.Second):
-		t.Fatal("worker never drained after POST /drain")
-	}
-	if !w1.Draining() {
-		t.Fatal("worker does not report Draining after a coordinator-mediated drain")
-	}
-
-	// Mid-campaign: some jobs done, some handed back for the relief.
-	cp := waitCampaign(t, c)
-	cp.mu.Lock()
-	doneSoFar := cp.done
-	cp.mu.Unlock()
-	if doneSoFar == 0 || doneSoFar == len(jobs) {
-		t.Fatalf("drain landed after %d of %d jobs; want a mid-campaign drain", doneSoFar, len(jobs))
-	}
-
-	// The status feed shows the retired worker's fleet label and drain
-	// state, and excludes its slots from the live capacity gauge.
-	st, err := FetchStatus(ctx, c.Addr(), ClientOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Draining != 1 {
-		t.Fatalf("status.Draining = %d, want 1", st.Draining)
-	}
-	found := false
-	for _, ws := range st.PerWorker {
-		if ws.Name == "auto-1" {
-			found = true
-			if ws.Fleet != "testfleet" || !ws.Draining {
-				t.Fatalf("worker row: fleet %q draining %v, want testfleet/true", ws.Fleet, ws.Draining)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("auto-1 missing from status")
-	}
-	if tbl := st.Table(); !contains(tbl, "testfleet") || !contains(tbl, "DRAINING") {
-		t.Fatalf("status table missing fleet/drain columns:\n%s", tbl)
-	}
-
-	// A relief worker finishes the campaign; fingerprints match a local
-	// run exactly — the drain lost nothing.
-	w2 := &Worker{Coordinator: c.Addr(), Name: "relief", Slots: 2}
-	w2Done := make(chan error, 1)
-	go func() { w2Done <- w2.Run(ctx) }()
-	oc := <-out
-	if oc.err != nil {
-		t.Fatal(oc.err)
-	}
-	checkFingerprints(t, oc.results, want)
-	if oc.metrics.Failed != 0 {
-		t.Fatalf("metrics after drain: %+v", oc.metrics)
 	}
 	if err := <-w2Done; err != nil {
 		t.Fatalf("relief worker: %v", err)
@@ -262,10 +170,10 @@ func TestDrainReleasesUnseenGrant(t *testing.T) {
 			t.Errorf("job %d still leased to the drained worker", idx)
 		}
 	}
-	draining := cp.drains["drainer"]
+	released := cp.workers["drainer"].released
 	cp.mu.Unlock()
-	if !draining {
-		t.Error("coordinator does not list the drained worker as draining")
+	if !released {
+		t.Error("coordinator does not list the drained worker as drained")
 	}
 
 	w2 := &Worker{Coordinator: c.Addr(), Name: "relief", Slots: 2}

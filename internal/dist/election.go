@@ -196,7 +196,7 @@ func (cp *campaign) vote(idx int, res exp.Result, worker, key string, now time.T
 			Executed: done - resumed,
 			Job:      r.Job, Err: r.Err,
 			Wall: r.Wall, Elapsed: elapsed,
-			ETA:    progressETA(done-resumed, done, total, elapsed),
+			ETA:    exp.ProgressETA(done-resumed, done, total, elapsed),
 			Worker: winner.worker,
 		})
 		cp.progressMu.Unlock()

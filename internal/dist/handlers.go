@@ -26,7 +26,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("POST /result", c.handleResult)
 	mux.HandleFunc("POST /heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /release", c.handleRelease)
-	mux.HandleFunc("POST /drain", c.handleDrain)
 	mux.HandleFunc("GET /status", c.handleStatus)
 	if c.opts.DebugPprof {
 		registerPprof(mux)
@@ -198,21 +197,14 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	serve(c, w, r, nil, func(cp *campaign, req heartbeatRequest) (heartbeatReply, error) {
-		return cp.heartbeat(req, time.Now())
+	serve(c, w, r, nil, func(cp *campaign, req heartbeatRequest) (ack, error) {
+		return ack{}, cp.heartbeat(req, time.Now())
 	})
 }
 
 func (c *Coordinator) handleRelease(w http.ResponseWriter, r *http.Request) {
 	serve(c, w, r, nil, func(cp *campaign, req releaseRequest) (ack, error) {
 		return ack{}, cp.release(req)
-	})
-}
-
-func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
-	serve(c, w, r, validateDrain, func(cp *campaign, req drainRequest) (ack, error) {
-		cp.drain(req.Worker)
-		return ack{}, nil
 	})
 }
 

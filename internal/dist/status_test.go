@@ -158,21 +158,3 @@ func TestStatusTracker(t *testing.T) {
 		t.Errorf("terminal error dropped the cause: %v", terminal)
 	}
 }
-
-// TestRequestDrainValidation covers the endpoint's refusals: an empty
-// worker name is a 400, and before any campaign installs the drain gets
-// the same 503 every other endpoint gives.
-func TestRequestDrainValidation(t *testing.T) {
-	ctx := context.Background()
-	c := NewCoordinator(Options{Addr: "127.0.0.1:0"})
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := RequestDrain(ctx, c.Addr(), "", ClientOptions{}); err == nil || !strings.Contains(err.Error(), "400") {
-		t.Fatalf("empty-name drain: %v", err)
-	}
-	if err := RequestDrain(ctx, c.Addr(), "ghost", ClientOptions{}); err == nil || !strings.Contains(err.Error(), "503") {
-		t.Fatalf("pre-campaign drain: %v", err)
-	}
-}

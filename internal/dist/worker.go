@@ -73,6 +73,12 @@ type Worker struct {
 // fingerprint skew between worker and coordinator binaries.
 var errStale = errors.New("dist: worker binary is stale")
 
+// errDone is how the slot that reads the coordinator's Done reply ends the
+// whole worker: it travels the path a fatal error does, so sibling slots stop
+// wherever they are — mid-poll, sleeping out a retry backoff, or executing a
+// job whose result no longer matters — and Run says goodbye and returns nil.
+var errDone = errors.New("dist: campaign complete")
+
 // Drain asks the worker to stop gracefully: the job currently executing
 // in each slot finishes and reports, no further lease is taken, a closing
 // POST /release hands back whatever the coordinator still holds in the
@@ -114,8 +120,9 @@ func (w *Worker) drainChLocked() chan struct{} {
 var workerSeq uint64
 
 // Run joins the coordinator and executes leased jobs until the campaign
-// completes (nil), the context ends (ctx.Err()), or the coordinator stays
-// unreachable past the retry window.
+// completes or the worker drains (nil, after a closing POST /release), the
+// context ends (ctx.Err()), or the coordinator stays unreachable past the
+// retry window.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Coordinator == "" {
 		return errors.New("dist: worker needs a coordinator address")
@@ -147,7 +154,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.Logf == nil {
 		w.Logf = func(string, ...any) {}
 	}
-	client, err := w.Client.client()
+	client, err := w.Client.Client()
 	if err != nil {
 		return err
 	}
@@ -159,14 +166,14 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	w.Logf("dist: %s joined %s (lease ttl %s)", w.Name, w.base, w.leaseTTL)
 
-	ctx, cancel := context.WithCancel(ctx)
+	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	go w.heartbeatLoop(ctx)
+	go w.heartbeatLoop(runCtx)
 
 	// leaseCtx dies when Drain fires: it cuts short lease long-polls (and
 	// their retry backoffs) without interrupting job execution, which
-	// keeps running on ctx until the in-flight work is reported.
-	leaseCtx, leaseCancel := context.WithCancel(ctx)
+	// keeps running on runCtx until the in-flight work is reported.
+	leaseCtx, leaseCancel := context.WithCancel(runCtx)
 	defer leaseCancel()
 	go func() {
 		select {
@@ -178,16 +185,20 @@ func (w *Worker) Run(ctx context.Context) error {
 
 	errc := make(chan error, w.Slots)
 	for s := 0; s < w.Slots; s++ {
-		go func() { errc <- w.slotLoop(ctx, leaseCtx) }()
+		go func() { errc <- w.slotLoop(runCtx, leaseCtx) }()
 	}
 	var first error
 	for s := 0; s < w.Slots; s++ {
 		if err := <-errc; err != nil && first == nil {
 			first = err
-			cancel() // one slot failing fatally stops the rest
+			cancel() // the campaign ending, or one slot failing fatally, stops the rest
 		}
 	}
-	if first == nil && ctx.Err() == nil && w.Draining() {
+	done := first == errDone
+	if done {
+		first = nil
+	}
+	if first == nil && ctx.Err() == nil && (done || w.Draining()) {
 		w.release(ctx)
 	}
 	return first
@@ -197,35 +208,20 @@ func (w *Worker) Run(ctx context.Context) error {
 // retry window closes. A version or probe-fingerprint mismatch is fatal
 // immediately: the binaries disagree and no amount of retrying helps.
 func (w *Worker) join(ctx context.Context) error {
-	deadline := time.Now().Add(w.RetryWindow)
-	backoff := 250 * time.Millisecond
-	for {
-		var rep joinReply
-		err := w.post(ctx, "/join", joinRequest{Version: ProtocolVersion, Worker: w.Name, Slots: w.Slots, Fleet: w.Fleet}, &rep)
-		switch {
-		case err == nil:
-			if err := verifyProbe(rep); err != nil {
-				return err
-			}
-			w.setFP = rep.SetFP
-			w.leaseTTL = time.Duration(rep.LeaseTTLMS) * time.Millisecond
-			if w.leaseTTL <= 0 {
-				w.leaseTTL = DefaultLeaseTTL
-			}
-			return nil
-		case isFatal(err):
-			return err
-		case time.Now().After(deadline):
-			return fmt.Errorf("dist: coordinator %s unreachable for %s: %w", w.base, w.RetryWindow, err)
-		}
-		w.Logf("dist: join %s: %v (retrying)", w.base, err)
-		if !sleepCtx(ctx, backoff) {
-			return ctx.Err()
-		}
-		if backoff *= 2; backoff > 2*time.Second {
-			backoff = 2 * time.Second
-		}
+	var rep joinReply
+	err := w.postRetry(ctx, "/join", joinRequest{Version: ProtocolVersion, Worker: w.Name, Slots: w.Slots, Fleet: w.Fleet}, &rep)
+	if err != nil {
+		return err
 	}
+	if err := verifyProbe(rep); err != nil {
+		return err
+	}
+	w.setFP = rep.SetFP
+	w.leaseTTL = time.Duration(rep.LeaseTTLMS) * time.Millisecond
+	if w.leaseTTL <= 0 {
+		w.leaseTTL = DefaultLeaseTTL
+	}
+	return nil
 }
 
 // verifyProbe recomputes the probe job's fingerprint — the stale-binary
@@ -244,8 +240,8 @@ func verifyProbe(rep joinReply) error {
 }
 
 // slotLoop is one concurrent execution slot: lease a job, execute it,
-// repeat until the coordinator says the campaign is done or the worker
-// drains. Lease polls run on leaseCtx so Drain cuts them short.
+// repeat until the coordinator says the campaign is done (errDone) or the
+// worker drains (nil). Lease polls run on leaseCtx so Drain cuts them short.
 func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
 	for ctx.Err() == nil {
 		if w.Draining() {
@@ -261,15 +257,7 @@ func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
 			return err
 		}
 		if rep.Done {
-			return nil
-		}
-		if rep.Drain {
-			// The coordinator is retiring this worker on a supervisor's
-			// behalf: same exit as a local Drain call. Other slots learn
-			// via Draining() at their next poll.
-			w.Logf("dist: %s asked to drain by the coordinator", w.Name)
-			w.Drain()
-			return nil
+			return errDone
 		}
 		if rep.Job == nil {
 			continue
@@ -309,16 +297,19 @@ func (w *Worker) runJob(ctx context.Context, lease leaseReply) error {
 	return nil
 }
 
-// release is a drained worker's last word, once every slot has stopped:
-// every lease the coordinator holds for this worker — including one granted
-// to a lease poll the drain had already abandoned — goes back at once. Best
-// effort with a short timeout; on failure the coordinator reclaims them at
-// lease-TTL expiry anyway.
+// release is a departing worker's last word, once every slot has stopped.
+// After a drain it hands back every lease the coordinator holds for this
+// worker — including one granted to a lease poll the drain had already
+// abandoned — at once; after a Done reply it is the acknowledgement the
+// coordinator's post-completion linger waits for, sent only once a Done has
+// actually been read. Best effort with a short timeout: unheard, the
+// coordinator reclaims the leases at TTL expiry and stops lingering at its
+// grace.
 func (w *Worker) release(ctx context.Context) {
 	rctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
 	if err := w.post(rctx, "/release", releaseRequest{Worker: w.Name, SetFP: w.setFP}, &struct{}{}); err != nil {
-		w.Logf("dist: %s could not release its leases (%v); coordinator reclaims them at TTL", w.Name, err)
+		w.Logf("dist: %s could not say goodbye (%v); the coordinator times it out", w.Name, err)
 	}
 }
 
@@ -366,17 +357,7 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 			}
 			w.heldMu.Unlock()
 			// Best effort: a missed heartbeat only narrows the lease.
-			var rep heartbeatReply
-			if err := w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, SetFP: w.setFP, Held: held}, &rep); err != nil {
-				continue
-			}
-			if rep.Drain && !w.Draining() {
-				// Retirement reaches a worker deep in a long job here, one
-				// heartbeat period after the supervisor asked: the job
-				// executing finishes, no further lease is taken.
-				w.Logf("dist: %s asked to drain by the coordinator (via heartbeat)", w.Name)
-				w.Drain()
-			}
+			_ = w.post(ctx, "/heartbeat", heartbeatRequest{Worker: w.Name, SetFP: w.setFP, Held: held}, &struct{}{})
 		}
 	}
 }

@@ -129,11 +129,12 @@ func (p Progress) Line() string {
 	return s
 }
 
-// progressETA estimates the time to finish total-done jobs given that
+// ProgressETA estimates the time to finish total-done jobs given that
 // executed of the done jobs ran in elapsed wall time. It derives the rate
-// through Metrics.Throughput so the progress line and the end-of-run
-// summary can never disagree about what "jobs per second" means.
-func progressETA(executed, done, total int, elapsed time.Duration) time.Duration {
+// through Metrics.Throughput so the progress line, the coordinator's status
+// feed and the end-of-run summary can never disagree about what "jobs per
+// second" means.
+func ProgressETA(executed, done, total int, elapsed time.Duration) time.Duration {
 	tput := Metrics{Jobs: done, Resumed: done - executed, Elapsed: elapsed}.Throughput()
 	if tput <= 0 || total <= done {
 		return 0
@@ -359,7 +360,7 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 						Executed: done - resumed,
 						Job:      jobs[i], Err: r.Err,
 						Wall: r.Wall, Elapsed: elapsed,
-						ETA: progressETA(done-resumed, done, len(jobs), elapsed),
+						ETA: ProgressETA(done-resumed, done, len(jobs), elapsed),
 					})
 				}
 				mu.Unlock()

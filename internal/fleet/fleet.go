@@ -1,25 +1,27 @@
 // Package fleet closes the autoscaling loop the coordinator's /status
 // hints open: a Supervisor polls dist.FetchStatus, converts the
 // WantWorkers slot target into a desired replica count through a
-// hysteresis/cooldown Policy, and drives a pluggable Launcher to make the
-// live fleet match — growing by launching replicas, shrinking by asking
-// the coordinator to drain victims so not one leased job is lost.
+// hysteresis/cooldown Policy, and drives a Launcher to make the live fleet
+// match — growing by launching replicas, shrinking by stopping victims
+// through the handle their launch returned, so not one leased job is lost.
 //
 // The pieces compose top-down:
 //
-//	Supervisor  reconciliation loop: status → Decider → launch/drain/reap
+//	Supervisor  reconciliation loop: status → Decider → launch/stop/reap
 //	Decider     pure policy math (deadband, cooldowns, min/max)
-//	Launcher    how replicas come to exist — two implementations:
-//	  ExecLauncher   local ilsim-workerd child processes
-//	  LocalLauncher  in-process dist.Worker goroutines (-fleet N)
+//	Launcher    how replicas come to exist; ExecLauncher (local
+//	            ilsim-workerd child processes) is the one in production,
+//	            the tests substitute in-process workers and fakes
 //
-// Scale-down is coordinator-mediated and loss-free: the supervisor POSTs
-// /drain for each victim, the coordinator flags the worker's next lease
-// poll or heartbeat, the worker finishes its in-flight job, says goodbye
-// via POST /release, and exits its run loop — only then does the supervisor reap the process. Victims are chosen to
-// minimize disruption: lineages still waiting out a crash backoff go
-// first (free), then quarantined workers, then idle ones, then the
-// slowest.
+// Scale-down is loss-free and needs nothing from the coordinator:
+// Instance.Stop is the worker's own drain (SIGTERM to ilsim-workerd) — the
+// in-flight job finishes and reports, POST /release hands back whatever
+// else the coordinator holds in its name, the process exits 0 — and the
+// supervisor reaps it, or kills it if it is still up DrainGrace later. The
+// only request the supervisor itself ever makes is GET /status. Victims
+// are chosen to minimize disruption: lineages still waiting out a crash
+// backoff go first (free), then quarantined workers, then idle ones, then
+// the slowest.
 //
 // Crashes are survived, crash loops are not: a replica that exits while
 // the campaign is still running relaunches under the same name with
@@ -47,13 +49,13 @@ type Spec struct {
 type Instance interface {
 	// Name returns the worker name from the Spec.
 	Name() string
-	// Stop asks the replica to shut down gracefully: SIGTERM for a child
-	// process (ilsim-workerd's drain signal), Worker.Drain in-process. Safe to call more
-	// than once. The supervisor uses this as the fallback when a
-	// coordinator-mediated drain goes unanswered.
+	// Stop asks the replica to drain: finish in-flight jobs, report them,
+	// hand back the rest, exit cleanly — SIGTERM for an ilsim-workerd child
+	// process. It must not block, and is safe to call more than once. This
+	// is the supervisor's scale-down.
 	Stop()
 	// Kill terminates the replica immediately; held leases lapse via
-	// their TTL. Safe to call more than once.
+	// their TTL. It must not block, and is safe to call more than once.
 	Kill()
 	// Done is closed once the replica has fully exited.
 	Done() <-chan struct{}

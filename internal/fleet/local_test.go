@@ -7,9 +7,9 @@ import (
 	"ilsim/internal/exp"
 )
 
-// LocalLauncher runs replicas as dist.Worker goroutines inside the
-// supervisor's own process — the engine behind `ilsim-sweep -fleet N`
-// (self-supervised local fleets) and the unit tests' fleet-in-a-box.
+// LocalLauncher runs replicas as dist.Worker goroutines inside the test
+// process — the suite's fleet-in-a-box, whose Stop is Worker.Drain exactly
+// as ExecLauncher's is SIGTERM to ilsim-workerd.
 type LocalLauncher struct {
 	// Client configures the workers' transport to the coordinator.
 	Client dist.ClientOptions

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -20,8 +19,8 @@ import (
 type Supervisor struct {
 	// Coordinator is the coordinator address replicas should join.
 	Coordinator string
-	// Client is the supervisor's own transport to the coordinator
-	// (status polls and drain requests); launchers configure the
+	// Client is the supervisor's own transport to the coordinator (status
+	// polls — the only requests it makes); launchers configure the
 	// replicas' transport themselves.
 	Client dist.ClientOptions
 	// Fleet is the label replicas announce at join and the prefix of
@@ -37,8 +36,10 @@ type Supervisor struct {
 	SlotsPerWorker int
 	// Poll is the status poll and reconcile interval (default 2s).
 	Poll time.Duration
-	// DrainGrace bounds how long a drained replica may linger: past it
-	// the replica is Stopped, past twice it is Killed (default 30s).
+	// DrainGrace bounds how long a replica may take over its drain: one
+	// still up this long after it was Stopped is Killed. After the
+	// campaign finishes, replicas get the same grace to leave on their own
+	// before they are Stopped (default 30s).
 	DrainGrace time.Duration
 	// BackoffMin and BackoffMax bound the exponential relaunch backoff
 	// after a crash (defaults 500ms and 30s).
@@ -97,9 +98,8 @@ type replica struct {
 	inst         Instance // nil while waiting out a backoff
 	crashes      int      // consecutive; reset by a clean drain, never by time
 	backoffUntil time.Time
-	drainAt      time.Time
-	stopped      bool // Stop escalation fired
-	killed       bool // Kill escalation fired
+	drainAt      time.Time // when Stop was called (state is stateDraining)
+	killed       bool      // Kill escalation fired
 }
 
 // Run reconciles until the campaign completes (nil), the context ends
@@ -111,6 +111,13 @@ func (s *Supervisor) Run(ctx context.Context) error {
 	if s.Coordinator == "" {
 		return errors.New("fleet: supervisor needs a coordinator address")
 	}
+	// One client for every status poll: built per poll, TLS options would
+	// open a connection each time and strand it idle on both ends.
+	client, err := s.Client.Client()
+	if err != nil {
+		return err
+	}
+	s.Client.HTTPClient = client
 	// Snapshot may run concurrently from the first launch on; defaults
 	// and shared state are installed under the same lock it takes.
 	s.mu.Lock()
@@ -219,15 +226,14 @@ func (s *Supervisor) launchLocked(ctx context.Context, r *replica) error {
 	if err != nil {
 		return err
 	}
-	r.inst, r.state = inst, stateRunning
-	r.stopped, r.killed = false, false
+	r.inst, r.state, r.killed = inst, stateRunning, false
 	s.watch(ctx, inst)
 	return nil
 }
 
 // reap folds replica exits back into the ledger: clean drains disappear,
 // crashes schedule a backoff relaunch or trip the breaker, expired
-// backoffs relaunch, and overdue drains escalate Stop then Kill.
+// backoffs relaunch, and a drain overdue by DrainGrace is killed.
 func (s *Supervisor) reap(ctx context.Context, now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -273,18 +279,21 @@ func (s *Supervisor) reap(ctx context.Context, now time.Time) {
 			}
 			continue
 		}
-		if r.state == stateDraining && r.inst != nil {
-			if !r.stopped && now.Sub(r.drainAt) >= s.DrainGrace {
-				s.logf("fleet: %s ignored its drain for %s; stopping it", name, s.DrainGrace)
-				r.inst.Stop()
-				r.stopped = true
-			} else if !r.killed && now.Sub(r.drainAt) >= 2*s.DrainGrace {
-				s.logf("fleet: %s still up %s after its drain; killing it", name, 2*s.DrainGrace)
-				r.inst.Kill()
-				r.killed = true
-			}
+		if r.state == stateDraining && !r.killed && now.Sub(r.drainAt) >= s.DrainGrace {
+			s.logf("fleet: %s still up %s after it was stopped; killing it", name, s.DrainGrace)
+			r.inst.Kill()
+			r.killed = true
 		}
 	}
+}
+
+// stopLocked retires a live replica: Stop is the worker's own loss-free
+// drain — in-flight jobs finish and report, /release hands back the rest,
+// the replica exits 0 — and reap kills it should it still be up DrainGrace
+// from now. Callers hold mu.
+func (s *Supervisor) stopLocked(r *replica, now time.Time) {
+	r.state, r.drainAt = stateDraining, now
+	r.inst.Stop()
 }
 
 // crashLocked records one crash (or failed launch) for a lineage:
@@ -325,27 +334,32 @@ func (s *Supervisor) effectiveMaxLocked() int {
 }
 
 // reconcile computes the replica target from the latest status and acts
-// on the difference: launching fresh lineages to grow, draining victims
+// on the difference: launching fresh lineages to grow, stopping victims
 // to shrink.
 func (s *Supervisor) reconcile(ctx context.Context, now time.Time) {
 	s.mu.Lock()
-	current, running := 0, 0
+	defer s.mu.Unlock()
+	current, live := 0, 0
 	for _, r := range s.replicas {
 		switch r.state {
 		case stateRunning:
 			current++
-			running++
+			live++
 		case stateBackoff:
 			current++
+		case stateDraining:
+			live++
 		}
 	}
 	// Convert the slot hint into replicas, discounting slots we do not
 	// manage (manual workers, other fleets): the coordinator's Slots
 	// gauge counts the whole live fleet, ours included, so the foreign
-	// share is what remains after our running replicas' slots.
+	// share is what remains after our live replicas' slots — the running
+	// ones and those still draining, which the coordinator keeps counting
+	// until their /release goodbye.
 	want := current
 	if s.haveStatus && s.status.WantWorkers > 0 {
-		foreign := s.status.Slots - running*s.SlotsPerWorker
+		foreign := s.status.Slots - live*s.SlotsPerWorker
 		if foreign < 0 {
 			foreign = 0
 		}
@@ -373,11 +387,8 @@ func (s *Supervisor) reconcile(ctx context.Context, now time.Time) {
 			s.replicas[r.name] = r
 			s.logf("fleet: launched %s", r.name)
 		}
-		s.mu.Unlock()
 	case target < current:
-		victims := s.pickVictimsLocked(current - target)
-		var drains []string
-		for _, r := range victims {
+		for _, r := range s.pickVictimsLocked(current - target) {
 			if r.state == stateBackoff {
 				// Never launched its replacement yet: dropping the
 				// lineage is a free scale-down.
@@ -385,24 +396,9 @@ func (s *Supervisor) reconcile(ctx context.Context, now time.Time) {
 				s.logf("fleet: dropped backed-off lineage %s (scale-down)", r.name)
 				continue
 			}
-			r.state, r.drainAt = stateDraining, now
-			drains = append(drains, r.name)
+			s.stopLocked(r, now)
+			s.logf("fleet: draining %s (scale-down %d -> %d)", r.name, current, target)
 		}
-		s.mu.Unlock()
-		for _, name := range drains {
-			if err := dist.RequestDrain(ctx, s.Coordinator, name, s.Client); err != nil {
-				s.logf("fleet: drain request for %s failed: %v (retrying next tick)", name, err)
-				s.mu.Lock()
-				if r := s.replicas[name]; r != nil && r.state == stateDraining {
-					r.state = stateRunning
-				}
-				s.mu.Unlock()
-				continue
-			}
-			s.logf("fleet: draining %s (scale-down %d -> %d)", name, current, target)
-		}
-	default:
-		s.mu.Unlock()
 	}
 }
 
@@ -453,30 +449,21 @@ func (s *Supervisor) pickVictimsLocked(n int) []*replica {
 }
 
 // windDown runs the post-campaign exit: workers leave on their own once
-// the coordinator hands each slot a Done reply, backed-off lineages are
-// dropped, and stragglers escalate Stop then Kill on the DrainGrace
-// clock. Reports whether the fleet is empty.
+// the coordinator hands them a Done reply, backed-off lineages are
+// dropped, and a straggler still up DrainGrace after the finish is stopped
+// like a scale-down victim (reap kills it after as long again). Reports
+// whether the fleet is empty.
 func (s *Supervisor) windDown(now time.Time) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for name, r := range s.replicas {
-		if r.state == stateBackoff && r.inst == nil {
-			delete(s.replicas, name)
-			continue
-		}
 		if r.inst == nil {
 			delete(s.replicas, name)
 			continue
 		}
-		age := now.Sub(s.finishedAt)
-		if !r.stopped && age >= s.DrainGrace {
+		if r.state != stateDraining && now.Sub(s.finishedAt) >= s.DrainGrace {
 			s.logf("fleet: %s still up %s after the campaign finished; stopping it", name, s.DrainGrace)
-			r.inst.Stop()
-			r.stopped = true
-		} else if !r.killed && age >= 2*s.DrainGrace {
-			s.logf("fleet: %s ignored its stop; killing it", name)
-			r.inst.Kill()
-			r.killed = true
+			s.stopLocked(r, now)
 		}
 	}
 	return len(s.replicas) == 0
@@ -516,8 +503,8 @@ type ReplicaStatus struct {
 	Crashes int
 }
 
-// Snapshot is the supervisor's own status view — what ilsim-fleetd
-// serves and logs alongside the coordinator's campaign status.
+// Snapshot is the supervisor's own status view, for programs embedding it
+// (its -v log narrates the same events for people).
 type Snapshot struct {
 	Fleet     string
 	Running   int
@@ -555,24 +542,4 @@ func (s *Supervisor) Snapshot() Snapshot {
 	}
 	sort.Slice(snap.Replicas, func(i, j int) bool { return snap.Replicas[i].Name < snap.Replicas[j].Name })
 	return snap
-}
-
-// Summary renders the one-line form of a Snapshot.
-func (snap Snapshot) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "fleet %q: %d running", snap.Fleet, snap.Running)
-	if snap.Backoff > 0 {
-		fmt.Fprintf(&b, ", %d in backoff", snap.Backoff)
-	}
-	if snap.Draining > 0 {
-		fmt.Fprintf(&b, ", %d draining", snap.Draining)
-	}
-	if snap.Broken > 0 {
-		fmt.Fprintf(&b, ", %d broken", snap.Broken)
-	}
-	fmt.Fprintf(&b, "; target %d (%s)", snap.Target, snap.Reason)
-	if snap.WantSlots > 0 {
-		fmt.Fprintf(&b, ", coordinator wants %d slots", snap.WantSlots)
-	}
-	return b.String()
 }

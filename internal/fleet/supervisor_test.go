@@ -123,7 +123,7 @@ func (l *logRecorder) count(substr string) int {
 // a seeded chaos transport (dropped and delayed requests on both the
 // workers' and the supervisor's clients), the supervisor grows the fleet
 // to the coordinator's WantWorkers hint, shrinks it as the queue drains
-// — losing zero jobs to the coordinator-mediated drains — winds the
+// — losing zero jobs to the drains it stops its victims with — winds the
 // fleet down when the campaign finishes, and the results are
 // byte-identical to a local run.
 func TestSupervisorAutoscaleChaos(t *testing.T) {
@@ -240,26 +240,6 @@ sampling:
 	}
 }
 
-// exitInstance is a replica that is already dead when Launch returns —
-// the crash-loop simulator.
-type exitInstance struct {
-	name string
-	err  error
-	done chan struct{}
-}
-
-func newExitInstance(name string, err error) *exitInstance {
-	done := make(chan struct{})
-	close(done)
-	return &exitInstance{name: name, err: err, done: done}
-}
-
-func (i *exitInstance) Name() string          { return i.name }
-func (i *exitInstance) Stop()                 {}
-func (i *exitInstance) Kill()                 {}
-func (i *exitInstance) Done() <-chan struct{} { return i.done }
-func (i *exitInstance) Err() error            { return i.err }
-
 // crashyLauncher crashes one lineage on every launch — relaunches reuse
 // the lineage name, so the victim keeps crashing until the breaker gives
 // up on it — and delegates everything else.
@@ -275,7 +255,9 @@ func (l *crashyLauncher) Launch(ctx context.Context, spec Spec) (Instance, error
 		l.mu.Lock()
 		l.launches++
 		l.mu.Unlock()
-		return newExitInstance(spec.Name, errors.New("simulated crash")), nil
+		inst := &fakeInstance{name: spec.Name, done: make(chan struct{})}
+		inst.exit(errors.New("simulated crash")) // dead on arrival
+		return inst, nil
 	}
 	return l.inner.Launch(ctx, spec)
 }
@@ -353,9 +335,6 @@ func TestSupervisorBreaker(t *testing.T) {
 	snap := sup.Snapshot()
 	if snap.Broken != 1 {
 		t.Errorf("snapshot.Broken = %d, want 1", snap.Broken)
-	}
-	if !strings.Contains(snap.Summary(), "1 broken") {
-		t.Errorf("summary does not surface the broken lineage: %s", snap.Summary())
 	}
 
 	// The campaign still finished, correctly.
