@@ -9,8 +9,8 @@
 # fails if one of them imports sync or starts a goroutine.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
 # the race detector — the flake detector for lease/election/drain timing.
-# `make fuzz` gives the wire codec, the cache model and the whole-wave
-# kernels a short coverage-guided beating.
+# `make fuzz` gives the wire codec, the cache model, the memory drain and the
+# whole-wave kernels a short coverage-guided beating.
 
 GO ?= go
 
@@ -44,12 +44,14 @@ dist-soak:
 	$(GO) test -race -count=$(COUNT) -timeout 2h ./internal/dist ./internal/fleet
 
 # fuzz runs the journal/distributed-result codec fuzzer, the cache-vs-
-# reference-LRU fuzzer and the kernel-vs-scalar-ALU fuzzer for a bounded time
-# each (FUZZTIME to taste); CI runs the same things for 10s on every push.
+# reference-LRU fuzzer, the drain-vs-level-wave-reference fuzzer and the
+# kernel-vs-scalar-ALU fuzzer for a bounded time each (FUZZTIME to taste); CI
+# runs the same things for 10s on every push.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzWireResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzCacheAccess -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
+	$(GO) test -fuzz=FuzzDrainReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
 	$(GO) test -fuzz=FuzzLaneKernels -fuzztime $(FUZZTIME) -run '^$$' ./internal/emu
 
 # bench runs the repository's one benchmark (bench/, declared by

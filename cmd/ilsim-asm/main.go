@@ -46,11 +46,7 @@ func run(args []string, out, errw io.Writer) error {
 	case *tables:
 		return showTables(out)
 	case *workload != "":
-		w, err := workloads.ByName(*workload)
-		if err != nil {
-			return err
-		}
-		inst, err := w.Prepare(*scale)
+		inst, err := workloads.Prepare(*workload, *scale)
 		if err != nil {
 			return err
 		}

@@ -46,3 +46,15 @@ func TestAsmNoArgs(t *testing.T) {
 		t.Fatal("argument-free invocation accepted")
 	}
 }
+
+// TestAsmScaleBelowOne: -scale 0 and -scale -1 are refused with an error that
+// names the scale, not discovered by a generator.
+func TestAsmScaleBelowOne(t *testing.T) {
+	for _, scale := range []string{"0", "-1"} {
+		var out, errw bytes.Buffer
+		err := run([]string{"-workload", "SpMV", "-scale", scale}, &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), "scale "+scale+" is below 1") {
+			t.Fatalf("-scale %s: error %v, want the scale refused", scale, err)
+		}
+	}
+}

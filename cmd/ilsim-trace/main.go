@@ -41,11 +41,7 @@ func run(args []string, out, errw io.Writer) error {
 		return err
 	}
 
-	w, err := workloads.ByName(*name)
-	if err != nil {
-		return err
-	}
-	inst, err := w.Prepare(1)
+	inst, err := workloads.Prepare(*name, 1)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,11 @@
 // figures report.
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"ilsim/internal/mem"
+)
 
 // Config is the simulated system configuration. Defaults reproduce the
 // paper's Table 4.
@@ -96,6 +100,14 @@ func (c Config) Validate() error {
 	}
 	if c.L2Banks < 0 {
 		return fmt.Errorf("core: negative L2 bank count")
+	}
+	for _, cache := range []struct {
+		name string
+		size int
+	}{{"L1D", c.L1DSize}, {"L1I", c.L1ISize}, {"scalar L1", c.ScalarL1Size}, {"L2", c.L2Size}} {
+		if cache.size < mem.LineSize {
+			return fmt.Errorf("core: %s of %d bytes holds no %d-byte line", cache.name, cache.size, mem.LineSize)
+		}
 	}
 	return nil
 }

@@ -1,0 +1,54 @@
+package core
+
+import (
+	"strings"
+	"testing"
+
+	"ilsim/internal/mem"
+)
+
+// TestValidateRejectsCacheBelowOneLine: a cache smaller than one line has no
+// sets for mem.NewCache to build (it divided by zero inside the job); such a
+// Config — which in a distributed campaign arrives off the wire — must fail
+// Validate, and so NewSimulator, with an error naming the cache.
+func TestValidateRejectsCacheBelowOneLine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		size func(c *Config) *int
+	}{
+		{"L1D", func(c *Config) *int { return &c.L1DSize }},
+		{"L1I", func(c *Config) *int { return &c.L1ISize }},
+		{"scalar L1", func(c *Config) *int { return &c.ScalarL1Size }},
+		{"L2", func(c *Config) *int { return &c.L2Size }},
+	} {
+		for _, bytes := range []int{mem.LineSize - 1, 32, 0, -mem.LineSize} {
+			cfg := DefaultConfig()
+			*tc.size(&cfg) = bytes
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.name+" of") {
+				t.Errorf("%s = %d bytes: Validate = %v, want an error naming the cache", tc.name, bytes, err)
+			}
+			if _, err := NewSimulator(cfg); err == nil {
+				t.Errorf("%s = %d bytes: NewSimulator accepted the config", tc.name, bytes)
+			}
+		}
+	}
+
+	// One line is the smallest cache mem.NewCache can build: that passes, and
+	// a machine made of four such caches runs.
+	cfg := DefaultConfig()
+	cfg.L1DSize, cfg.L1ISize, cfg.ScalarL1Size, cfg.L2Size = mem.LineSize, mem.LineSize, mem.LineSize, mem.LineSize
+	sim, err := NewSimulator(cfg)
+	if err != nil {
+		t.Fatalf("one-line caches: %v", err)
+	}
+	ks := buildStreamKernel(t)
+	const n = 128
+	run, _, err := sim.Run(AbsGCN3, "stream", func(m *Machine) error {
+		return m.Submit(Launch{Kernel: ks, Grid: [3]uint32{n, 1, 1}, WG: [3]uint16{64, 1, 1},
+			Args: []uint64{m.Ctx.AllocBuffer(4 * n), m.Ctx.AllocBuffer(4 * n), 1}})
+	}, RunOptions{})
+	if err != nil || run.Cycles == 0 {
+		t.Fatalf("one-line caches: run = %v, %v", run, err)
+	}
+}

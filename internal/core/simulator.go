@@ -134,17 +134,3 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 	run.DataFootprintBytes = m.Ctx.Mem.FootprintBytes()
 	return run, m, nil
 }
-
-// RunBoth executes the same workload under both abstractions with identical
-// inputs and returns (HSAIL run, GCN3 run).
-func (s *Simulator) RunBoth(workload string, setup func(m *Machine) error, opts RunOptions) (*stats.Run, *stats.Run, error) {
-	h, _, err := s.Run(AbsHSAIL, workload, setup, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	g, _, err := s.Run(AbsGCN3, workload, setup, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, g, nil
-}

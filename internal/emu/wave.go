@@ -157,9 +157,6 @@ type RSEntry struct {
 	Mask isa.ExecMask
 }
 
-// LaneActive reports whether a lane executes under the current mask.
-func (w *Wave) LaneActive(lane int) bool { return w.Exec.Bit(lane) }
-
 // Collector receives statistics callbacks from engines. All fields are
 // optional; nil Run disables collection.
 type Collector struct {

@@ -7,17 +7,10 @@ import (
 )
 
 // PrepareFunc prepares a workload instance at a scale. The default
-// implementation resolves the workload registry; tests substitute counters
-// or failure injectors.
+// implementation is workloads.Prepare (the registry; an unknown name or a
+// scale below 1 is a permanent-class error); tests substitute counters or
+// failure injectors.
 type PrepareFunc func(workload string, scale int) (*workloads.Instance, error)
-
-func registryPrepare(workload string, scale int) (*workloads.Instance, error) {
-	w, err := workloads.ByName(workload)
-	if err != nil {
-		return nil, err
-	}
-	return w.Prepare(scale)
-}
 
 // instanceKey identifies one cached preparation.
 type instanceKey struct {
@@ -47,7 +40,7 @@ type InstanceCache struct {
 
 // NewInstanceCache builds a cache over the workload registry.
 func NewInstanceCache() *InstanceCache {
-	return NewInstanceCacheFunc(registryPrepare)
+	return NewInstanceCacheFunc(workloads.Prepare)
 }
 
 // NewInstanceCacheFunc builds a cache with a custom preparation function

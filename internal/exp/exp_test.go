@@ -2,6 +2,7 @@ package exp
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -140,7 +141,7 @@ func TestEngineSharesPreparationAcrossJobs(t *testing.T) {
 	eng := New(4)
 	eng.cache = NewInstanceCacheFunc(func(workload string, scale int) (*workloads.Instance, error) {
 		prepares.Add(1)
-		return registryPrepare(workload, scale)
+		return workloads.Prepare(workload, scale)
 	})
 	jobs := tinyJobs(t, 2) // 4 jobs, one (workload, scale)
 	if _, _, err := eng.Run(jobs); err != nil {
@@ -155,6 +156,31 @@ func TestEngineSharesPreparationAcrossJobs(t *testing.T) {
 	}
 	if n := prepares.Load(); n != 1 {
 		t.Fatalf("second Run re-prepared (total %d), want cache hit", n)
+	}
+}
+
+// TestScaleBelowOneIsPermanent: a job whose scale is below 1 fails with one
+// clear error where it enters the suite — for every workload, not as whatever
+// its generator trips over first (SpMV at -1 panicked in makeslice, which a
+// coordinator scores against the worker's health; at 0 it was an empty grid).
+func TestScaleBelowOneIsPermanent(t *testing.T) {
+	var jobs []Job
+	for _, w := range workloads.All() {
+		for _, scale := range []int{0, -1} {
+			jobs = append(jobs, Job{Workload: w.Name, Scale: scale, Abs: core.AbsGCN3, Config: core.DefaultConfig()})
+		}
+	}
+	results, _, err := New(2).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if r.Err == nil || !strings.Contains(r.Err.Error(), "is below 1") {
+			t.Errorf("%v: error %v, want the scale named", r.Job, r.Err)
+		}
+		if c := Classify(r.Err); c != ClassPermanent {
+			t.Errorf("%v: class %v, want %v (%v)", r.Job, c, ClassPermanent, r.Err)
+		}
 	}
 }
 

@@ -63,9 +63,6 @@ func (o Operand) IsReg() bool {
 	return o.Kind == OperVGPR || o.Kind == OperSGPR || o.Kind == OperVCC || o.Kind == OperEXEC || o.Kind == OperSCC
 }
 
-// IsConst reports whether the operand is a constant.
-func (o Operand) IsConst() bool { return o.Kind == OperInline || o.Kind == OperLit }
-
 // Inst is one GCN3 machine instruction.
 type Inst struct {
 	Op      Op

@@ -5,10 +5,10 @@ import (
 	"slices"
 )
 
-// downJob is one access descending into a lower level: enqueued by an upper
-// bank's wave into the lower bank's input bucket instead of calling through,
-// which is what makes the replay level-ordered. done is written by the level
-// that services the job.
+// downJob is one access descending into a lower level: appended to the lower
+// bank's input queue instead of calling through, which is what makes the
+// replay level-ordered. done starts at the arrival cycle and is raised to the
+// completion cycle by the level that services the job.
 type downJob struct {
 	addr  uint64
 	write bool
@@ -16,39 +16,41 @@ type downJob struct {
 	done  int64
 }
 
-// pendFill is an upper bank's bookkeeping for one miss it sent below:
-// where the fill's completion lands (sink), which down bucket holds the
-// fill's job (bank/idx — indices, not pointers, because the bucket may
-// still grow while this level's wave runs), the request's arrival cycle
-// (for latency accounting) and a dirty victim to write back once the fill
-// completes.
+// pendFill is a cache level's bookkeeping for one miss it sent below: the
+// bank that missed (its shard is charged the latency), where the fill's
+// completion lands (sink), which lower queue holds the fill's job (queue/idx
+// — indices, not a pointer, because the queue may still grow while this
+// level replays), the request's arrival cycle and a dirty victim to write
+// back once the fill completes.
 type pendFill struct {
 	sink       *int64
-	bank       int32
+	bank       *cacheBank
+	queue      int32
 	idx        int32
 	at         int64
 	victimAddr uint64
 	victimWB   bool
 }
 
-// drainTask is one bank of one level. A task's inputs (srcs or jobs) are
-// wired per flush from the buckets that actually hold work, and every
-// per-flush field is empty between flushes.
-type drainTask struct {
-	cache *Cache // nil for DRAM-channel tasks
-	bank  int
-	lower Banked
-	// srcs are level-1 inputs: the non-empty request-buffer buckets for
-	// (cache, bank), in source order (CU order).
-	srcs []*[]lineReq
-	// jobs are lower-level inputs: the non-empty down buckets upper tasks
-	// filled for this bank, in upper-task order.
-	jobs []*[]downJob
-	// down holds this task's per-lower-bank output buckets; touched lists
-	// the ones this flush made non-empty, in first-deposit order.
-	down    [][]downJob
-	touched []int32
-	pend    []pendFill
+// drainLevel is one cache level's share of a flush: the input queues it
+// fills for the level below, one per lower bank (active lists the non-empty
+// ones, in first-append order), and the fills it is waiting on, in the order
+// it issued them.
+type drainLevel struct {
+	lower interface {
+		Level
+		Banked
+	}
+	down   [][]downJob
+	active []int32
+	pend   []pendFill
+}
+
+// feed is one source's line list for one level-1 cache.
+type feed struct {
+	cache *Cache
+	buf   *RequestBuffer
+	dest  int
 }
 
 // DrainSource is one request producer (a CU): its routed buffer and the
@@ -58,266 +60,135 @@ type DrainSource struct {
 	Complete func(tag int, ready int64)
 }
 
-// drainWave is one level's share of a flush: its tasks, and the ones that
-// have input (active, in ascending task order once wired).
-type drainWave struct {
-	tasks  []drainTask
-	active []int32
-}
-
-// Drain replays deferred cache accesses through a banked two-level
-// hierarchy in level order, one wave per level:
+// Drain replays deferred cache accesses through a two-level hierarchy in
+// level order, in one serial pass:
 //
-//	wave 1 — every level-1 (per-CU L1D, shared L1I/sL1) bank replays its
-//	         bucketed requests in (source, append) order, depositing
-//	         misses and posted writes into per-L2-bank output buckets;
-//	wave 2 — every L2 bank, in ascending order, replays its deposited jobs
-//	         in (level-1 task, append) order, depositing misses into
-//	         per-DRAM-channel buckets;
-//	wave 3 — every DRAM channel replays its jobs.
+//	level 1 — every level-1 cache (per-CU L1D, shared L1I/sL1), in NewDrain
+//	          order, replays the lines routed to it in (source, append)
+//	          order, appending misses and posted writes to the input queue
+//	          of the L2 bank they map to;
+//	L2      — every L2 bank that received work, in ascending order, replays
+//	          its queue, appending misses to per-DRAM-channel queues;
+//	DRAM    — every channel that received work services its queue.
 //
-// After the waves, two finalize passes (L2 first, then level 1) resolve miss
-// completions upward, charge miss latency, and apply dirty-victim
-// write-backs; a final reduction folds per-line completions into
-// per-request ready cycles and invokes each source's completion callback in
+// Then two finalize passes (L2 first, then level 1) resolve miss completions
+// upward in the order the fills were issued, charge miss latency and apply
+// dirty-victim write-backs, and each source's completion callback fires in
 // (source, request) order. This order — an L2 bank sees a cycle's L1D misses
 // of every source before any L1I/sL1 miss, and victim write-backs reach the
 // level below after all of the cycle's fills — is not the order a
 // call-through hierarchy would produce; it is the memory model's semantics,
 // pinned by TestDrainLevel1ReplayOrder and TestDrainVictimWriteBackOrder.
 //
-// The waves are sparse: a flush visits only banks that received work. Each
-// request buffer and each task lists the buckets it made non-empty, a wave's
-// active list is built from the lists of the wave above and sorted into
-// ascending task order — the order lower banks replay their inputs in and
-// finalize issues victim write-backs in, so results do not depend on which
-// banks happened to be idle — and the end of the flush empties exactly what
-// was touched. A steady-state Flush allocates nothing once the buckets have
-// grown to their working size.
+// One goroutine replays the caches of a level one after another, so a queue
+// that is only appended to while the level above runs is already in the
+// pinned order, and so is a level's pending-fill list: nothing is wired per
+// flush, and the one thing sorted is the list of L2 banks that received work.
+// The invariant that pays for this is that every queue, active list,
+// pending-fill list and buffer is empty between flushes
+// (TestDrainMatchesReference holds the whole replay against the level-wave
+// drain it replaced). A steady-state Flush allocates nothing once the queues
+// have grown to their working size.
 type Drain struct {
+	l2   *Cache
 	dram *DRAM
 	srcs []DrainSource
-	// l1Base[src][dest] is the level-1 task index of bank 0 of the cache
-	// behind that source's destination handle.
-	l1Base                 [][]int32
-	waveL1, waveL2, waveDR drainWave
+	// feeds lists every (level-1 cache, source) pair with a route between
+	// them, level-1 caches in replay order, sources in order within a cache.
+	feeds []feed
+	// up is the level-1 caches' share of a flush (its queues are the L2
+	// banks' inputs), lo the L2's (the DRAM channels' inputs).
+	up, lo drainLevel
 }
 
 // NewDrain wires the pipeline. l1s lists every level-1 cache in replay
-// order (this order, with source order within a bank, defines the
+// order (this order, with source order within a cache, defines the
 // deterministic L2 replay order); srcs lists the request producers in
-// completion order (CU index order). Every l1 must sit directly above l2,
-// and l2 directly above dram; every destination registered in a source
-// buffer must appear in l1s. Buffers must have all destinations registered
-// before NewDrain (the drain captures bucket pointers).
+// completion order (CU index order). Every l1 must be single-banked and sit
+// directly above l2, and l2 directly above dram; every destination
+// registered in a source buffer must appear in l1s. Buffers must have all
+// destinations registered before NewDrain.
 func NewDrain(l1s []*Cache, srcs []DrainSource, l2 *Cache, dram *DRAM) *Drain {
 	if l2.lower != Level(dram) {
 		panic("mem: NewDrain: l2 is not directly above dram")
 	}
-	d := &Drain{dram: dram, srcs: srcs}
-	base := make(map[*Cache]int32, len(l1s))
+	d := &Drain{l2: l2, dram: dram, srcs: srcs,
+		up: drainLevel{lower: l2, down: make([][]downJob, l2.NumBanks())},
+		lo: drainLevel{lower: dram, down: make([][]downJob, dram.NumBanks())}}
+	for _, s := range srcs {
+		for _, dst := range s.Buf.dests {
+			if !slices.Contains(l1s, dst.cache) {
+				panic(fmt.Sprintf("mem: NewDrain: destination %s not in level-1 list", dst.cache.Name))
+			}
+		}
+	}
 	for _, c := range l1s {
 		if c.lower != Level(l2) {
 			panic(fmt.Sprintf("mem: NewDrain: %s is not directly above %s", c.Name, l2.Name))
 		}
-		base[c] = int32(len(d.waveL1.tasks))
-		for bank := 0; bank < c.NumBanks(); bank++ {
-			d.waveL1.tasks = append(d.waveL1.tasks, drainTask{cache: c, bank: bank, lower: l2,
-				down: make([][]downJob, l2.NumBanks())})
+		if c.NumBanks() != 1 {
+			panic(fmt.Sprintf("mem: NewDrain: level-1 cache %s is banked", c.Name))
 		}
-	}
-	for _, s := range srcs {
-		bases := make([]int32, len(s.Buf.dests))
-		for di := range s.Buf.dests {
-			c := s.Buf.dests[di].cache
-			b, ok := base[c]
-			if !ok {
-				panic(fmt.Sprintf("mem: NewDrain: destination %s not in level-1 list", c.Name))
+		for _, s := range srcs {
+			for di := range s.Buf.dests {
+				if s.Buf.dests[di].cache == c {
+					d.feeds = append(d.feeds, feed{cache: c, buf: s.Buf, dest: di})
+				}
 			}
-			bases[di] = b
 		}
-		d.l1Base = append(d.l1Base, bases)
-	}
-	for bank := 0; bank < l2.NumBanks(); bank++ {
-		d.waveL2.tasks = append(d.waveL2.tasks, drainTask{cache: l2, bank: bank, lower: dram,
-			down: make([][]downJob, dram.NumBanks())})
-	}
-	for ch := 0; ch < dram.NumBanks(); ch++ {
-		d.waveDR.tasks = append(d.waveDR.tasks, drainTask{bank: ch})
 	}
 	return d
 }
 
-// activate returns task i for the caller to wire an input to, putting it on
-// the wave's list if this is its first input of the flush.
-func (w *drainWave) activate(i int32) *drainTask {
-	t := &w.tasks[i]
-	if len(t.srcs)+len(t.jobs) == 0 {
-		w.active = append(w.active, i)
-	}
-	return t
-}
-
-// wireSources builds wave 1's inputs from the buckets the sources filled:
-// sources in order, so each task's srcs end up in source order.
-func (d *Drain) wireSources() {
-	for si, s := range d.srcs {
-		buf := s.Buf
-		for _, r := range buf.touched {
-			t := d.waveL1.activate(d.l1Base[si][r.dest] + r.bank)
-			t.srcs = append(t.srcs, &buf.dests[r.dest].buckets[r.bank])
-		}
-	}
-	slices.Sort(d.waveL1.active)
-}
-
-// wireJobs builds the lower wave's inputs from the down buckets the upper
-// wave filled: upper tasks in ascending order, so each lower task's jobs
-// end up in upper-task order.
-func wireJobs(upper, lower *drainWave) {
-	for _, ui := range upper.active {
-		ut := &upper.tasks[ui]
-		for _, lb := range ut.touched {
-			lt := lower.activate(lb)
-			lt.jobs = append(lt.jobs, &ut.down[lb])
-		}
-	}
-	slices.Sort(lower.active)
-}
-
-// clear empties everything the flush touched on the wave's active tasks.
-// Idle tasks hold nothing, so the next flush finds every bucket empty
-// whichever tasks it wakes.
-func (w *drainWave) clear() {
-	for _, i := range w.active {
-		t := &w.tasks[i]
-		for _, lb := range t.touched {
-			t.down[lb] = t.down[lb][:0]
-		}
-		t.touched = t.touched[:0]
-		t.pend = t.pend[:0]
-		t.srcs = t.srcs[:0]
-		t.jobs = t.jobs[:0]
-	}
-	w.active = w.active[:0]
-}
-
-// runCaches replays the inputs of every active cache bank of the wave, in
-// ascending task order: level-1 buckets first (only level-1 tasks have any),
-// then lower-level job buckets, both in wiring order. Misses and posted
-// writes are deposited into the lower bank's bucket; completions that are
-// already known land immediately.
-func (w *drainWave) runCaches(now int64) {
-	for _, i := range w.active {
-		t := &w.tasks[i]
-		c := t.cache
-		b := &c.banks[t.bank]
-		for _, sp := range t.srcs {
-			src := *sp
-			for j := range src {
-				lr := &src[j]
-				t.apply(c, b, lr.line, lr.write, now, &lr.done)
-			}
-		}
-		for _, jp := range t.jobs {
-			js := *jp
-			for j := range js {
-				jb := &js[j]
-				t.apply(c, b, jb.addr, jb.write, jb.at, &jb.done)
-			}
-		}
-	}
-}
-
-// deposit queues a job for the lower level and returns its (bank, index).
-func (t *drainTask) deposit(j downJob) (int32, int32) {
-	lb := int32(t.lower.BankOf(j.addr))
-	if len(t.down[lb]) == 0 {
-		t.touched = append(t.touched, lb)
-	}
-	t.down[lb] = append(t.down[lb], j)
-	return lb, int32(len(t.down[lb]) - 1)
-}
-
-func (t *drainTask) apply(c *Cache, b *cacheBank, addr uint64, write bool, at int64, sink *int64) {
+// apply replays one access on bank b of cache c. A completion that is
+// already known is max-reduced into sink; a miss is queued for the level
+// below and remembered in pend, a posted write only queued. A sink starts no
+// later than any completion it can receive — a request's ready at zero (cycles
+// are non-negative: a port is free from cycle 0), a job's done at its arrival
+// cycle — so it ends at the latest one.
+func (lv *drainLevel) apply(c *Cache, b *cacheBank, addr uint64, write bool, at int64, sink *int64) {
 	a := c.bankAccess(b, addr, write, at)
+	if !a.fill {
+		*sink = max(*sink, a.done)
+		if !a.post {
+			return
+		}
+	}
+	q := lv.lower.BankOf(a.downAddr)
+	if len(lv.down[q]) == 0 {
+		lv.active = append(lv.active, int32(q))
+	}
 	if a.fill {
-		lb, idx := t.deposit(downJob{addr: a.downAddr, at: a.downAt})
-		t.pend = append(t.pend, pendFill{sink: sink, bank: lb, idx: idx, at: at,
-			victimAddr: a.victimAddr, victimWB: a.victimWB})
-		return
+		lv.pend = append(lv.pend, pendFill{sink: sink, bank: b, queue: int32(q), idx: int32(len(lv.down[q])),
+			at: at, victimAddr: a.victimAddr, victimWB: a.victimWB})
 	}
-	*sink = a.done
-	if a.post {
-		t.deposit(downJob{addr: a.downAddr, write: true, at: a.downAt, done: a.downAt})
-	}
+	lv.down[q] = append(lv.down[q], downJob{addr: a.downAddr, write: a.post, at: a.downAt, done: a.downAt})
 }
 
-// runDRAM services the jobs of every active channel of the DRAM wave.
-func (w *drainWave) runDRAM(dram *DRAM) {
-	for _, i := range w.active {
-		t := &w.tasks[i]
-		for _, jp := range t.jobs {
-			js := *jp
-			for j := range js {
-				jb := &js[j]
-				jb.done = dram.bankAccess(t.bank, jb.write, jb.at)
-			}
+// finalize resolves the level's pending fills after the levels below ran, in
+// issue order — ascending (cache or bank, fill): max-reduce each fill's
+// completion into its sink, charge the miss latency to the bank's shard and
+// write a dirty victim back (posted at the fill's completion) — then empties
+// the level's queues.
+func (lv *drainLevel) finalize() {
+	for _, p := range lv.pend {
+		done := lv.down[p.queue][p.idx].done
+		p.bank.stats.LatencySum += uint64(done - p.at)
+		*p.sink = max(*p.sink, done)
+		if p.victimWB {
+			lv.lower.Access(p.victimAddr, true, done)
 		}
 	}
-}
-
-// finalize resolves the wave's pending fills after the lower waves ran:
-// copy each fill's completion into its sink, charge the miss latency to the
-// bank shard, and apply dirty-victim write-backs (posted at the fill's
-// completion, replayed here in ascending task, then pend, order).
-func (w *drainWave) finalize() {
-	for _, i := range w.active {
-		t := &w.tasks[i]
-		b := &t.cache.banks[t.bank]
-		for _, p := range t.pend {
-			done := t.down[p.bank][p.idx].done
-			b.stats.LatencySum += uint64(done - p.at)
-			*p.sink = done
-			if p.victimWB {
-				t.cache.lower.Access(p.victimAddr, true, done)
-			}
-		}
+	lv.pend = lv.pend[:0]
+	for _, q := range lv.active {
+		lv.down[q] = lv.down[q][:0]
 	}
+	lv.active = lv.active[:0]
 }
 
-// reduce folds per-line completions back into per-request ready cycles and
-// invokes each source's completion callback in (source, request) order,
-// then resets the buffers.
-func (d *Drain) reduce(now int64) {
-	for _, s := range d.srcs {
-		buf := s.Buf
-		if len(buf.reqs) == 0 {
-			continue
-		}
-		for i := range buf.reqs {
-			buf.reqs[i].ready = now
-		}
-		for _, r := range buf.touched {
-			bucket := buf.dests[r.dest].buckets[r.bank]
-			for j := range bucket {
-				lr := &bucket[j]
-				if q := &buf.reqs[lr.req]; lr.done > q.ready {
-					q.ready = lr.done
-				}
-			}
-		}
-		for i := range buf.reqs {
-			s.Complete(buf.reqs[i].tag, buf.reqs[i].ready)
-		}
-		buf.Reset()
-	}
-}
-
-// Flush drains every pending request at cycle now: three level waves
-// (level 1, L2, DRAM), then the finalize and reduction passes. The second
-// parameter is ignored; it is kept only because frozen bench/ladder.go
-// passes nil for the executor it once selected.
+// Flush drains every pending request at cycle now. The second parameter is
+// ignored; it is kept only because frozen bench/ladder.go passes nil for the
+// executor it once selected.
 func (d *Drain) Flush(now int64, _ any) {
 	nreq := 0
 	for _, s := range d.srcs {
@@ -326,16 +197,39 @@ func (d *Drain) Flush(now int64, _ any) {
 	if nreq == 0 {
 		return
 	}
-	d.wireSources()
-	d.waveL1.runCaches(now)
-	wireJobs(&d.waveL1, &d.waveL2)
-	d.waveL2.runCaches(now)
-	wireJobs(&d.waveL2, &d.waveDR)
-	d.waveDR.runDRAM(d.dram)
-	d.waveL2.finalize()
-	d.waveL1.finalize()
-	d.reduce(now)
-	d.waveL1.clear()
-	d.waveL2.clear()
-	d.waveDR.clear()
+	for _, f := range d.feeds {
+		reqs, b := f.buf.reqs, &f.cache.banks[0]
+		for _, lr := range f.buf.dests[f.dest].lines {
+			d.up.apply(f.cache, b, lr.line, lr.write, now, &reqs[lr.req].ready)
+		}
+	}
+	// L2 banks share the channels' queues and the L2's pending-fill list, so
+	// they run in ascending order; DRAM channels share nothing, so they run
+	// in whatever order they received work.
+	slices.Sort(d.up.active)
+	for _, bank := range d.up.active {
+		jobs, b := d.up.down[bank], &d.l2.banks[bank]
+		for j := range jobs {
+			jb := &jobs[j]
+			d.lo.apply(d.l2, b, jb.addr, jb.write, jb.at, &jb.done)
+		}
+	}
+	for _, ch := range d.lo.active {
+		jobs := d.lo.down[ch]
+		for j := range jobs {
+			jb := &jobs[j]
+			jb.done = d.dram.bankAccess(int(ch), jb.write, jb.at)
+		}
+	}
+	d.lo.finalize()
+	d.up.finalize()
+	for _, s := range d.srcs {
+		if len(s.Buf.reqs) == 0 {
+			continue
+		}
+		for _, q := range s.Buf.reqs {
+			s.Complete(q.tag, max(q.ready, now))
+		}
+		s.Buf.Reset()
+	}
 }

@@ -183,14 +183,12 @@ func syncReplay(h *hier, now int64) {
 	for s, buf := range h.bufs {
 		for i := range buf.reqs {
 			ready := now
-			for _, bucket := range buf.dests[0].buckets {
-				for _, lr := range bucket {
-					if lr.req != int32(i) {
-						continue
-					}
-					if done := h.l1s[s].Access(lr.line, lr.write, now); done > ready {
-						ready = done
-					}
+			for _, lr := range buf.dests[0].lines {
+				if lr.req != int32(i) {
+					continue
+				}
+				if done := h.l1s[s].Access(lr.line, lr.write, now); done > ready {
+					ready = done
 				}
 			}
 			h.ready = append(h.ready, [2]int64{int64(buf.reqs[i].tag), ready})

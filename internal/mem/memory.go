@@ -212,6 +212,3 @@ func (a *Allocator) Alloc(size, align uint64) (uint64, error) {
 	a.next = p + size
 	return p, nil
 }
-
-// Used returns the number of bytes consumed so far.
-func (a *Allocator) Used(base uint64) uint64 { return a.next - base }

@@ -113,9 +113,9 @@ type pendReq struct {
 //	                  CU-private state transition, touching only this
 //	                  CU's waves, its stat shard (run) and its engine
 //	                  clone (eng). Accesses to the shared cache
-//	                  hierarchy are routed into reqs' per-bank buckets
-//	                  instead of applied.
-//	phase 2 (drain) — the GPU's drain replays every bank's bucketed
+//	                  hierarchy are appended to reqs, by destination
+//	                  cache, instead of applied.
+//	phase 2 (drain) — the GPU's drain replays every cache's deferred
 //	                  requests in (CU index, append order), level by
 //	                  level (mem.Drain), and completes them through
 //	                  complete.

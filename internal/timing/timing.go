@@ -292,12 +292,12 @@ func (g *GPU) prepareEngines(eng emu.Engine) {
 //
 // Each cycle is two phases. Phase 1 ticks the CUs in index order — fetch
 // scheduling, issue, functional execution — touching only that CU's private
-// state and routing its accesses to the shared cache hierarchy into the
-// per-bank buckets of its request buffer instead of applying them: no CU
-// consumes a cache result in the cycle that requested it. Phase 2 replays
-// the buckets level by level (L1 caches, then L2 banks in ascending order,
-// then DRAM channels, then the cycle's dirty-victim write-backs — see
-// mem.Drain); that order is the memory model's semantics.
+// state and appending its accesses to the shared cache hierarchy to its
+// request buffer instead of applying them: no CU consumes a cache result in
+// the cycle that requested it. Phase 2 replays the buffers level by level
+// (L1 caches, then L2 banks in ascending order, then DRAM channels, then the
+// cycle's dirty-victim write-backs — see mem.Drain); that order is the
+// memory model's semantics.
 //
 // A cycle costs what the waves that can act in it cost: a wave sleeps until
 // its wakeAt, a CU until the earliest of its waves' (cu.tick), and when every
@@ -366,6 +366,22 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 		return 0, err
 	}
 
+	// advance moves time n cycles on, ticked or jumped alike: the cycle
+	// counters, and the watchdog's poll once a check period has passed.
+	advance := func(n int64) error {
+		g.now += n
+		if g.Run != nil {
+			g.Run.Cycles += uint64(n)
+		}
+		if watched {
+			if g.wdTick += n; g.wdTick >= g.WD.every() {
+				g.wdTick = 0
+				return g.WD.check(g.now, g.wdInsts())
+			}
+		}
+		return nil
+	}
+
 	for active > 0 {
 		// Phase 1: tick CUs against private state; phase 2: replay the
 		// cache accesses they deferred.
@@ -377,20 +393,11 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 			active -= fin
 		}
 		g.drainFlush(g.now)
-		g.now++
 		if err := dispatchMore(); err != nil {
 			return 0, err
 		}
-		if g.Run != nil {
-			g.Run.Cycles++
-		}
-		if watched {
-			if g.wdTick++; g.wdTick >= g.WD.every() {
-				g.wdTick = 0
-				if err := g.WD.check(g.now, g.wdInsts()); err != nil {
-					return 0, err
-				}
-			}
+		if err := advance(1); err != nil {
+			return 0, err
 		}
 
 		// The GPU-wide jump is the CU sleep with every CU asleep at once:
@@ -419,17 +426,8 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 			for _, c := range g.cus {
 				c.idle(g.now, skip)
 			}
-			g.now += skip
-			if g.Run != nil {
-				g.Run.Cycles += uint64(skip)
-			}
-			if watched {
-				if g.wdTick += skip; g.wdTick >= g.WD.every() {
-					g.wdTick = 0
-					if err := g.WD.check(g.now, g.wdInsts()); err != nil {
-						return 0, err
-					}
-				}
+			if err := advance(skip); err != nil {
+				return 0, err
 			}
 		}
 	}

@@ -28,8 +28,6 @@ func (p *perMachine[T]) take(m *core.Machine) (T, error) {
 	return v.(T), nil
 }
 
-func mathFloat32bits(f float32) uint32 { return math.Float32bits(f) }
-
 // Short type names for kernel construction.
 const (
 	u32T = isa.TypeU32

@@ -73,6 +73,21 @@ func ByName(name string) (*Workload, error) {
 	return nil, fmt.Errorf("workloads: unknown workload %q", name)
 }
 
+// Prepare resolves a workload by name and prepares it at scale. It is where
+// jobs and the command lines enter the suite, so a scale below 1 — which the
+// generators would otherwise discover as a negative slice length or an empty
+// grid — is refused here, as an ordinary error.
+func Prepare(name string, scale int) (*Instance, error) {
+	w, err := ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if scale < 1 {
+		return nil, fmt.Errorf("workloads: %s: scale %d is below 1", name, scale)
+	}
+	return w.Prepare(scale)
+}
+
 // rng returns the deterministic generator for a workload/scale pair. The
 // seed is FNV-1a over the name mixed with the scale: the earlier ad-hoc
 // `len*K + scale` + base-31 scheme could collide for short names (two
@@ -84,9 +99,4 @@ func rng(name string, scale int) *rand.Rand {
 	h.Write([]byte(name))
 	seed := h.Sum64()*0x100000001b3 + uint64(scale)
 	return rand.New(rand.NewSource(int64(seed)))
-}
-
-// f32Bits truncates a float64 to float32 storage bits.
-func f32Bits(v float64) uint32 {
-	return mathFloat32bits(float32(v))
 }
