@@ -1,16 +1,19 @@
 # Developer entry points. `make check` is the tier-1 gate; `make race` runs
 # the packages that start goroutines under the race detector — the
 # experiment engine (whose -j workers share prepared workload instances), its
-# determinism tests and the full distributed suite (the socket-free campaign
-# state machine, TLS/token auth, quorum voting, chaos fault injection,
-# drains, fleet supervision), so coordinator and worker locking is exercised
-# under contention on every run. A simulation itself runs on one goroutine:
-# timing, mem, emu and stats are left out, and TestSimulationIsSingleThreaded
-# fails if one of them imports sync or starts a goroutine.
+# determinism tests, the report (whose five ablation runs go concurrently;
+# no -short, so they do) and the full distributed suite (the socket-free
+# campaign state machine, TLS/token auth, quorum voting, chaos fault
+# injection, drains, fleet supervision), so coordinator and worker locking is
+# exercised under contention on every run. A simulation itself runs on one
+# goroutine: timing, mem, emu and stats are left out, and
+# TestSimulationIsSingleThreaded fails if one of them imports sync or starts
+# a goroutine.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
 # the race detector — the flake detector for lease/election/drain timing.
-# `make fuzz` gives the wire codec, the cache model, the memory drain and the
-# whole-wave kernels a short coverage-guided beating.
+# `make fuzz` gives the wire codec, the cache model, the memory drain, the
+# whole-wave kernels and the Fig 10 uniqueness kernel a short coverage-guided
+# beating.
 
 GO ?= go
 
@@ -35,7 +38,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
-		./internal/fleet/... ./internal/core/... ./cmd/...
+		./internal/fleet/... ./internal/core/... ./internal/report/... ./cmd/...
 
 # dist-soak: ~10 s per repeat on two cores, so the default is about half an
 # hour; the timeout is per package and replaces go test's 10-minute default.
@@ -44,15 +47,16 @@ dist-soak:
 	$(GO) test -race -count=$(COUNT) -timeout 2h ./internal/dist ./internal/fleet
 
 # fuzz runs the journal/distributed-result codec fuzzer, the cache-vs-
-# reference-LRU fuzzer, the drain-vs-level-wave-reference fuzzer and the
-# kernel-vs-scalar-ALU fuzzer for a bounded time each (FUZZTIME to taste); CI
-# runs the same things for 10s on every push.
+# reference-LRU fuzzer, the drain-vs-level-wave-reference fuzzer, the
+# kernel-vs-scalar-ALU fuzzer and the UniqueCount-vs-map fuzzer for a bounded
+# time each (FUZZTIME to taste); CI runs the same things for 10s on every push.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzWireResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzCacheAccess -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
 	$(GO) test -fuzz=FuzzDrainReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
 	$(GO) test -fuzz=FuzzLaneKernels -fuzztime $(FUZZTIME) -run '^$$' ./internal/emu
+	$(GO) test -fuzz=FuzzUniqueCount -fuzztime $(FUZZTIME) -run '^$$' ./internal/stats
 
 # bench runs the repository's one benchmark (bench/, declared by
 # BENCHMARK.json): five workloads end to end in host time; see

@@ -2,6 +2,8 @@ package report
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"ilsim/internal/core"
 	"ilsim/internal/finalizer"
@@ -65,8 +67,32 @@ func ablationKernel() (*hsail.Kernel, error) {
 	return b.Finish()
 }
 
+// ablationConfig is one row of the study: a name and the finalizer options
+// that switch one mechanism off.
+type ablationConfig struct {
+	name string
+	opts finalizer.Options
+}
+
+var ablationConfigs = []ablationConfig{
+	{"baseline", finalizer.Options{}},
+	{"no list scheduling", finalizer.Options{DisableScheduling: true}},
+	{"no scalarization", finalizer.Options{DisableScalarization: true}},
+	{"flat kernarg loads", finalizer.Options{UseFlatKernarg: true}},
+	{"VGPR budget 56 (spill)", finalizer.Options{MaxVGPRs: 56}},
+}
+
 // RunAblations produces one row per finalizer configuration.
 func RunAblations(cfg core.Config) ([]AblationRow, error) {
+	return runAblations(cfg, ablationConfigs)
+}
+
+// runAblations finalizes and simulates the ablation kernel once per
+// configuration. The runs share nothing but the read-only kernel and
+// simulator (each builds its own machine), so they go concurrently, at most
+// GOMAXPROCS at a time; rows and errors are placed by index, which makes the
+// table, and the error reported when several fail, those of a serial loop.
+func runAblations(cfg core.Config, configs []ablationConfig) ([]AblationRow, error) {
 	k, err := ablationKernel()
 	if err != nil {
 		return nil, err
@@ -75,53 +101,62 @@ func RunAblations(cfg core.Config) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	configs := []struct {
-		name string
-		opts finalizer.Options
-	}{
-		{"baseline", finalizer.Options{}},
-		{"no list scheduling", finalizer.Options{DisableScheduling: true}},
-		{"no scalarization", finalizer.Options{DisableScalarization: true}},
-		{"flat kernarg loads", finalizer.Options{UseFlatKernarg: true}},
-		{"VGPR budget 56 (spill)", finalizer.Options{MaxVGPRs: 56}},
+	rows := make([]AblationRow, len(configs))
+	errs := make([]error, len(configs))
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i, c := range configs {
+		slots <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-slots }()
+			rows[i], errs[i] = runAblation(sim, k, c)
+		}()
 	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return rows, nil
+}
+
+// runAblation times the kernel as one configuration finalizes it.
+func runAblation(sim *core.Simulator, k *hsail.Kernel, c ablationConfig) (AblationRow, error) {
 	const (
 		grid  = 2048
 		iters = 8
 	)
-	var rows []AblationRow
-	for _, c := range configs {
-		ks, err := core.PrepareKernel(k, c.opts)
-		if err != nil {
-			return nil, fmt.Errorf("report: ablation %q: %w", c.name, err)
-		}
-		var inAddr, outAddr uint64
-		setup := func(m *core.Machine) error {
-			inAddr = m.Ctx.AllocBuffer(8 * grid * iters)
-			outAddr = m.Ctx.AllocBuffer(8 * grid)
-			for i := 0; i < grid*iters; i++ {
-				m.Ctx.Mem.WriteU64(inAddr+uint64(8*i), 4607182418800017408+uint64(i%97)<<32) // ~1.0 + noise
-			}
-			return m.Submit(core.Launch{Kernel: ks,
-				Grid: [3]uint32{grid, 1, 1}, WG: [3]uint16{64, 1, 1},
-				Args: []uint64{inAddr, outAddr, iters}})
-		}
-		run, _, err := sim.Run(core.AbsGCN3, "ablation", setup, core.RunOptions{TrackReuse: true})
-		if err != nil {
-			return nil, fmt.Errorf("report: ablation %q: %w", c.name, err)
-		}
-		rows = append(rows, AblationRow{
-			Name:           c.name,
-			Insts:          run.TotalInsts(),
-			Cycles:         run.Cycles,
-			ConflictsPerKI: run.ConflictsPerKiloInst(),
-			ReuseMedian:    run.Reuse.Median(),
-			ScalarInsts:    run.InstsByCategory[isa.CatSALU] + run.InstsByCategory[isa.CatSMem],
-			NopInsts:       run.InstsByCategory[isa.CatMisc],
-			DataFootprint:  run.DataFootprintBytes,
-		})
+	ks, err := core.PrepareKernel(k, c.opts)
+	if err != nil {
+		return AblationRow{}, fmt.Errorf("report: ablation %q: %w", c.name, err)
 	}
-	return rows, nil
+	setup := func(m *core.Machine) error {
+		inAddr := m.Ctx.AllocBuffer(8 * grid * iters)
+		outAddr := m.Ctx.AllocBuffer(8 * grid)
+		for i := 0; i < grid*iters; i++ {
+			m.Ctx.Mem.WriteU64(inAddr+uint64(8*i), 4607182418800017408+uint64(i%97)<<32) // ~1.0 + noise
+		}
+		return m.Submit(core.Launch{Kernel: ks,
+			Grid: [3]uint32{grid, 1, 1}, WG: [3]uint16{64, 1, 1},
+			Args: []uint64{inAddr, outAddr, iters}})
+	}
+	run, _, err := sim.Run(core.AbsGCN3, "ablation", setup, core.RunOptions{TrackReuse: true})
+	if err != nil {
+		return AblationRow{}, fmt.Errorf("report: ablation %q: %w", c.name, err)
+	}
+	return AblationRow{
+		Name:           c.name,
+		Insts:          run.TotalInsts(),
+		Cycles:         run.Cycles,
+		ConflictsPerKI: run.ConflictsPerKiloInst(),
+		ReuseMedian:    run.Reuse.Median(),
+		ScalarInsts:    run.InstsByCategory[isa.CatSALU] + run.InstsByCategory[isa.CatSMem],
+		NopInsts:       run.InstsByCategory[isa.CatMisc],
+		DataFootprint:  run.DataFootprintBytes,
+	}, nil
 }
 
 // AblationTable renders the study as markdown.

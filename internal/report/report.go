@@ -410,7 +410,7 @@ func (r *Results) Table7() string {
 func (r *Results) Markdown(cfg core.Config) string {
 	var b strings.Builder
 	b.WriteString("# EXPERIMENTS — paper vs measured\n\n")
-	b.WriteString("Regenerated by `go run ./cmd/ilsim-report` (or the benchmarks in bench_test.go).\n")
+	b.WriteString("Regenerated by `go run ./cmd/ilsim-report`.\n")
 	b.WriteString("Every run verifies workload outputs against host-side mirrors before reporting.\n")
 	b.WriteString("Absolute values depend on input scale; the RATIOS and orderings are the\n")
 	b.WriteString("reproduction targets, per the brief's \"shape should hold\" standard. Deviations\n")
@@ -435,9 +435,8 @@ func (r *Results) Markdown(cfg core.Config) string {
 	fmt.Fprintf(&b, "Input scale: %d. Simulated configuration (Table 4):\n\n```\n%s\n```\n", r.Scale, cfg.String())
 	b.WriteString(r.PaperComparison())
 	b.WriteString(r.Fig1())
-	if fig3, err := Fig3(); err == nil {
-		b.WriteString(fig3)
-	}
+	fig3, err := Fig3()
+	writeSection(&b, "Figure 3", fig3, err)
 	b.WriteString(r.Fig5())
 	b.WriteString(r.Fig6())
 	b.WriteString(r.Fig7())
@@ -448,11 +447,21 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString(r.Fig12())
 	b.WriteString(r.Table6())
 	b.WriteString(r.Table7())
-	if rows, err := RunAblations(cfg); err == nil {
-		b.WriteString(AblationTable(rows))
-	}
+	rows, err := RunAblations(cfg)
+	writeSection(&b, "Ablation", AblationTable(rows), err)
 	b.WriteString(throughputSection)
 	return b.String()
+}
+
+// writeSection appends a section that needed a simulation of its own, or,
+// when that failed, a line saying so where the section would have been: a
+// report must not get shorter without a trace.
+func writeSection(b *strings.Builder, name, text string, err error) {
+	if err != nil {
+		fmt.Fprintf(b, "\n**%s failed:** %v\n", name, err)
+		return
+	}
+	b.WriteString(text)
 }
 
 // throughputSection records the simulator's own performance — the host-side

@@ -2,6 +2,9 @@ package report
 
 import (
 	"os"
+	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,12 +99,30 @@ func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	rows, err := RunAblations(core.DefaultConfig())
+	cfg := core.DefaultConfig()
+	// One configuration at a time, then (at least) four at once: the rows
+	// must not know the difference.
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
+	serial, err := RunAblations(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 5 {
-		t.Fatalf("expected 5 ablation rows, got %d", len(rows))
+	runtime.GOMAXPROCS(max(procs, 4))
+	rows, err := RunAblations(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, serial) {
+		t.Errorf("concurrent ablations differ from serial ones:\n%+v\n%+v", rows, serial)
+	}
+	if len(rows) != len(ablationConfigs) {
+		t.Fatalf("expected %d ablation rows, got %d", len(ablationConfigs), len(rows))
+	}
+	for i, c := range ablationConfigs {
+		if rows[i].Name != c.name {
+			t.Errorf("row %d is %q, want %q: rows must come back in configuration order", i, rows[i].Name, c.name)
+		}
 	}
 	base := rows[0]
 	for _, r := range rows[1:] {
@@ -120,6 +141,38 @@ func TestAblationsRun(t *testing.T) {
 	table := AblationTable(rows)
 	if !strings.Contains(table, "baseline") || !strings.Contains(table, "spill") {
 		t.Error("ablation table missing rows")
+	}
+
+	// Two configurations the finalizer rejects (44 VGPRs cannot fit in 8),
+	// run alongside three that succeed: the error is the one a serial loop
+	// would have stopped at, and it names its configuration.
+	configs := slices.Clone(ablationConfigs)
+	configs[2] = ablationConfig{"first to fail", finalizer.Options{MaxVGPRs: 8}}
+	configs[4] = ablationConfig{"second to fail", finalizer.Options{MaxVGPRs: 8}}
+	_, err = runAblations(cfg, configs)
+	if err == nil || !strings.Contains(err.Error(), `ablation "first to fail"`) ||
+		!strings.Contains(err.Error(), "exceeds budget 8") {
+		t.Errorf("error %v does not wrap the first failing configuration's", err)
+	}
+}
+
+// TestMarkdownReportsFailedSections: a section that cannot be produced leaves
+// a line saying why, not a gap (a report that silently loses its ablation
+// table still exits 0).
+func TestMarkdownReportsFailedSections(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.L1DSize = 8 // core.NewSimulator rejects a cache smaller than a line
+	md := (&Results{Scale: 1}).Markdown(cfg)
+	if want := "\n**Ablation failed:** core: L1D of 8 bytes holds no 64-byte line\n"; !strings.Contains(md, want) {
+		t.Errorf("report does not say its ablation section failed; want %q", want)
+	}
+	if strings.Contains(md, "### Ablation") {
+		t.Error("report has an ablation table although the simulator rejected the configuration")
+	}
+	for _, kept := range []string{"### Figure 3", "### Simulator throughput"} {
+		if !strings.Contains(md, kept) {
+			t.Errorf("the failed section took %q with it", kept)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"ilsim/internal/isa"
@@ -403,36 +404,107 @@ func (t *ReuseTracker) Access(slot int, h *Histogram) {
 	t.last[slot] = t.count
 }
 
-// UniqueCount returns the number of distinct values among the first n
-// entries of vals for lanes set in mask. It is the Fig 10 kernel: unique
-// lane values per VRF access.
+// UniqueCount's table: 2^uniqueTableBits one-byte slots (1 KB of stack, at
+// most 1/16 full) indexed by the top bits of value × uniqueHashMul
+// (Fibonacci hashing: 2^32 divided by the golden ratio, odd, so the product
+// is a bijection and an arithmetic sequence of values spreads evenly).
+const (
+	uniqueTableBits = 10
+	uniqueHashMul   = 0x9E3779B1
+)
+
+// UniqueCount returns the number of distinct values among the lanes of vals
+// that are set in mask, and the number of such lanes. It is the Fig 10 kernel:
+// unique lane values per VRF access, called once per sampled operand.
+//
+// The result is exact for every input and mask. The function allocates
+// nothing and its time is linear in the number of active lanes: a uniform
+// or strictly monotonic access (an address, a lane id, a broadcast constant)
+// is settled by one pass of comparisons, and everything else goes through an
+// open-addressed table on the stack whose slots hold lane numbers, not
+// values, so no value needs a sentinel. (Linear in expectation: the table
+// is at most 1/16 full, so a probe rarely takes a second step, but 64 values
+// hashing to one slot would still be counted correctly.)
 func UniqueCount(vals *[isa.WavefrontSize]uint32, mask isa.ExecMask) (unique, lanes int) {
-	var buf [isa.WavefrontSize]uint32
-	n := 0
-	for lane := 0; lane < isa.WavefrontSize; lane++ {
-		if mask.Bit(lane) {
-			buf[n] = vals[lane]
+	const (
+		laneMask  = isa.WavefrontSize - 1
+		tableMask = 1<<uniqueTableBits - 1
+	)
+	lanes = mask.PopCount()
+	if lanes <= 1 {
+		return lanes, lanes
+	}
+	// a[:lanes] holds the active lanes' values in lane order.
+	a := vals
+	if lanes < isa.WavefrontSize {
+		var packed [isa.WavefrontSize]uint32
+		n := 0
+		for m := uint64(mask); m != 0; m &= m - 1 {
+			packed[n&laneMask] = vals[bits.TrailingZeros64(m)&laneMask]
 			n++
 		}
+		a = &packed
 	}
-	if n == 0 {
-		return 0, 0
-	}
-	// Insertion sort: n <= 64 and runs are often nearly uniform.
-	for i := 1; i < n; i++ {
-		v := buf[i]
-		j := i - 1
-		for j >= 0 && buf[j] > v {
-			buf[j+1] = buf[j]
-			j--
+	if uniformOrMonotonic(a[:lanes]) {
+		if a[0] == a[1] {
+			return 1, lanes
 		}
-		buf[j+1] = v
+		return lanes, lanes
 	}
-	unique = 1
-	for i := 1; i < n; i++ {
-		if buf[i] != buf[i-1] {
-			unique++
+	// table[s] is 1 + the latest index into a whose value lives in slot s,
+	// 0 while the slot is empty. Keeping the latest index rather than the
+	// first makes the store independent of the load before it, and the
+	// common path is written without a branch on "seen before?", which is
+	// as good as random for the mostly-distinct accesses that dominate.
+	var table [1 << uniqueTableBits]uint8
+	for i, v := range a[:lanes] {
+		h := v * uniqueHashMul >> (32 - uniqueTableBits)
+		for {
+			s := table[h&tableMask]
+			var empty, differs uint8
+			if s == 0 {
+				empty = 1
+			}
+			if a[(s-1)&laneMask] != v { // reads a[63] for an empty slot; ignored
+				differs = 1
+			}
+			if differs&^empty == 0 {
+				unique += int(empty)
+				break
+			}
+			h++ // the slot belongs to another value: linear probing
+		}
+		table[h&tableMask] = uint8(i + 1)
+	}
+	return unique, lanes
+}
+
+// uniformOrMonotonic reports whether a, of length at least two, is all one
+// value or strictly ascending or strictly descending. It stops at the first
+// element that breaks the shape the first two set.
+func uniformOrMonotonic(a []uint32) bool {
+	prev := a[1]
+	switch rest := a[2:]; {
+	case a[0] == prev:
+		for _, v := range rest {
+			if v != prev {
+				return false
+			}
+		}
+	case a[0] < prev:
+		for _, v := range rest {
+			if v <= prev {
+				return false
+			}
+			prev = v
+		}
+	default:
+		for _, v := range rest {
+			if v >= prev {
+				return false
+			}
+			prev = v
 		}
 	}
-	return unique, n
+	return true
 }

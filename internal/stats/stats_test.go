@@ -108,33 +108,6 @@ func TestGeomean(t *testing.T) {
 	}
 }
 
-func TestUniqueCountAgainstMapOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 500; iter++ {
-		var vals [isa.WavefrontSize]uint32
-		for i := range vals {
-			vals[i] = uint32(rng.Intn(8)) // force collisions
-		}
-		mask := isa.ExecMask(rng.Uint64())
-		unique, lanes := UniqueCount(&vals, mask)
-		set := map[uint32]bool{}
-		n := 0
-		for l := 0; l < isa.WavefrontSize; l++ {
-			if mask.Bit(l) {
-				set[vals[l]] = true
-				n++
-			}
-		}
-		wantUnique := len(set)
-		if n == 0 {
-			wantUnique = 0
-		}
-		if unique != wantUnique || lanes != n {
-			t.Fatalf("iter %d: got (%d,%d), want (%d,%d)", iter, unique, lanes, wantUnique, n)
-		}
-	}
-}
-
 func TestReuseTrackerOracle(t *testing.T) {
 	var h Histogram
 	tr := NewReuseTracker(8)
