@@ -1,8 +1,10 @@
 # Developer entry points. `make check` is the tier-1 gate; `make race` runs
 # the packages that start goroutines under the race detector — the
 # experiment engine (whose -j workers share prepared workload instances), its
-# determinism tests, the report (whose five ablation runs go concurrently;
-# no -short, so they do) and the full distributed suite (the socket-free
+# determinism tests, core (whose free list of timed devices the workers trade
+# through: TestResetMatchesFresh ends on a four-worker engine), the report
+# (whose five ablation runs go concurrently; no -short, so they do) and the
+# full distributed suite (the socket-free
 # campaign state machine, TLS/token auth, quorum voting, chaos fault
 # injection, drains, fleet supervision), so coordinator and worker locking is
 # exercised under contention on every run. A simulation itself runs on one

@@ -40,6 +40,10 @@ type Machine struct {
 	Abs Abstraction
 	Ctx *hsa.Context
 	Col *emu.Collector
+	// Workload belongs to whoever set the machine up: package workloads
+	// keeps a run's buffer handles here between Setup and Check, so they
+	// live exactly as long as the machine. core never reads it.
+	Workload any
 
 	queue     *hsa.Queue
 	codeBase  map[*KernelSource]uint64

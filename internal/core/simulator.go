@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"ilsim/internal/stats"
 	"ilsim/internal/timing"
@@ -81,6 +82,51 @@ func (s *Simulator) params() timing.Params {
 	return p
 }
 
+// devices is the free list of timed devices: the cache banks, CUs and drain
+// wiring of a run, kept for the next one. A campaign is thousands of
+// millisecond runs and building the hierarchy is most of a megabyte of
+// zeroed, page-faulted allocation, so a run takes a device here and re-arms
+// it (timing.GPU.Reset) where it can. It lives in core because core is where
+// runs begin and end and where goroutines meet; a simulation itself (timing,
+// mem, emu, stats) stays free of sync. The list is a plain stack — it never
+// holds more devices than runs were ever in flight at once, and a run that
+// finds one there gets it, on any goroutine and under the race detector,
+// which a sync.Pool (per-P slots, emptied by the collector) does not promise.
+var devices struct {
+	sync.Mutex
+	free []*timing.GPU
+}
+
+// takeDevice returns a timed device armed for a run under p: the one on top
+// of the free list when it has p's storage geometry, else a new one (a device
+// of another geometry is dropped, not put back: sweeps vary the geometry
+// rarely and then for good).
+func takeDevice(p timing.Params, run *stats.Run) *timing.GPU {
+	if g := popDevice(); g != nil && g.Reset(p, run) {
+		return g
+	}
+	return timing.NewGPU(p, run)
+}
+
+func popDevice() *timing.GPU {
+	devices.Lock()
+	defer devices.Unlock()
+	n := len(devices.free)
+	if n == 0 {
+		return nil
+	}
+	g := devices.free[n-1]
+	devices.free[n-1] = nil
+	devices.free = devices.free[:n-1]
+	return g
+}
+
+func putDevice(g *timing.GPU) {
+	devices.Lock()
+	devices.free = append(devices.free, g)
+	devices.Unlock()
+}
+
 // Run executes a workload setup under one abstraction on the timed model.
 // setup prepares kernels and buffers on the machine and submits every
 // launch; Run then drains the queue through the packet processor and GPU.
@@ -101,7 +147,7 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 	if err := setup(m); err != nil {
 		return nil, nil, fmt.Errorf("core: %s/%s setup: %w", workload, abs, err)
 	}
-	gpu := timing.NewGPU(s.params(), run)
+	gpu := takeDevice(s.params(), run)
 	wd := timing.Watchdog{
 		MaxCycles:  int64(opts.MaxCycles),
 		MaxInsts:   opts.MaxInsts,
@@ -131,6 +177,10 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 		m.CompleteDispatch(d)
 	}
 	gpu.Finalize()
+	// Only a run that came all the way here hands its device on: an error
+	// return or a panic above leaves it to the collector, so no state a
+	// failure stopped halfway is ever re-armed.
+	putDevice(gpu)
 	run.DataFootprintBytes = m.Ctx.Mem.FootprintBytes()
 	return run, m, nil
 }

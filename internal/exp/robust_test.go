@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ilsim/internal/core"
+	"ilsim/internal/workloads"
 )
 
 // TestZeroValueEngine proves the zero value degrades gracefully: the
@@ -103,6 +106,54 @@ func TestBudgetKillsRunawayJob(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("job %s harmed by sibling budget kill: %v", r.Job, r.Err)
 		}
+	}
+}
+
+// TestFailedJobsLeaveNothingBehind: a job killed after Setup never reaches
+// Check, and the engine keeps its prepared Instance for its whole life — so
+// nothing of the run may be reachable from the Instance. Fifty budget-killed
+// jobs on one engine: every one of their machines (memory image and all) must
+// be collectable while the engine, and the instance in its cache, are alive.
+func TestFailedJobsLeaveNothingBehind(t *testing.T) {
+	var machines, freed atomic.Int32
+	eng := &Engine{Workers: 2, cache: NewInstanceCacheFunc(func(workload string, scale int) (*workloads.Instance, error) {
+		inst, err := workloads.Prepare(workload, scale)
+		if err != nil {
+			return nil, err
+		}
+		setup := inst.Setup
+		inst.Setup = func(m *core.Machine) error {
+			machines.Add(1)
+			runtime.SetFinalizer(m, func(*core.Machine) { freed.Add(1) })
+			return setup(m)
+		}
+		return inst, nil
+	})}
+	jobs := make([]Job, 50)
+	for i := range jobs {
+		jobs[i] = Job{Label: fmt.Sprintf("killed-%d", i), Workload: "ArrayBW", Scale: 1,
+			Abs: core.Abstraction(i % 2), Config: core.DefaultConfig(),
+			Opts: core.RunOptions{MaxCycles: 2000, CheckEvery: 16}}
+	}
+	results, _, err := eng.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range results {
+		if !errors.Is(r.Err, ErrBudgetExceeded) {
+			t.Fatalf("%s: err = %v, want ErrBudgetExceeded", r.Job, r.Err)
+		}
+	}
+	results = nil
+	for deadline := time.Now().Add(10 * time.Second); freed.Load() < machines.Load() && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got, want := freed.Load(), machines.Load(); want != 50 || got != want {
+		t.Fatalf("%d of %d machines of failed jobs were collected (50 jobs)", got, want)
+	}
+	if eng.instances().Len() != 1 {
+		t.Fatalf("engine holds %d prepared instances, want the one it reused", eng.instances().Len())
 	}
 }
 

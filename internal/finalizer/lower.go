@@ -248,7 +248,13 @@ func (f *finalizer) lowerAll() error {
 	prefixItems := make(map[int][]prefixItem)
 	suffixes := make(map[int][]gcn3.Inst)
 	f.dropBr = make(map[int]bool)
-	for bi, sh := range f.cfg.Shapes {
+	// In block order (Shapes is a map): two constructs appending to one
+	// block's suffix must do so in the same order every time.
+	for bi := range f.k.Blocks {
+		sh, ok := f.cfg.Shapes[bi]
+		if !ok {
+			continue
+		}
 		term := lastInst(f.k.Blocks[bi])
 		if f.cregs[term.Srcs[0].Reg].fused {
 			continue // uniform branch: no exec manipulation

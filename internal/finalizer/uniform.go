@@ -235,8 +235,14 @@ func (f *finalizer) allocate() error {
 		f.cregs[i].sreg = nextS
 		nextS += 2
 	}
-	// Structured-control-flow save registers.
-	for bi, sh := range f.cfg.Shapes {
+	// Structured-control-flow save registers, handed out in block order:
+	// Shapes is a map, and ranging over it gave the same kernel different
+	// register numbers from one finalization to the next.
+	for bi := range f.k.Blocks {
+		sh, ok := f.cfg.Shapes[bi]
+		if !ok {
+			continue
+		}
 		alignS()
 		switch sh.Kind {
 		case kernel.ShapeLoopLatch:

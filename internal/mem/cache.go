@@ -284,6 +284,11 @@ func (c *Cache) Reset() {
 	}
 }
 
+// SetHitLatency changes the hit latency; geometry is fixed at construction,
+// so this is all a reused cache needs besides Reset to model another
+// configuration of the same size.
+func (c *Cache) SetHitLatency(cycles int64) { c.hitLatency = cycles }
+
 // NumBanks returns the set-interleave factor.
 func (c *Cache) NumBanks() int { return c.numBanks }
 

@@ -186,6 +186,21 @@ func (lv *drainLevel) finalize() {
 	lv.active = lv.active[:0]
 }
 
+// Reset empties every queue, list and source buffer, whatever an abandoned
+// flush or an unflushed tick left in them. A Flush that returned leaves them
+// empty already.
+func (d *Drain) Reset() {
+	for _, lv := range []*drainLevel{&d.up, &d.lo} {
+		for q := range lv.down {
+			lv.down[q] = lv.down[q][:0]
+		}
+		lv.active, lv.pend = lv.active[:0], lv.pend[:0]
+	}
+	for _, s := range d.srcs {
+		s.Buf.Reset()
+	}
+}
+
 // Flush drains every pending request at cycle now. The second parameter is
 // ignored; it is kept only because frozen bench/ladder.go passes nil for the
 // executor it once selected.

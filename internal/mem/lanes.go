@@ -19,13 +19,14 @@ import (
 // read or written in place.
 
 // laneAccess is the per-instruction state of a wave access: the footprint
-// policy, looked up once, and the page of the previous lane.
+// policy, looked up once, and the page of the previous lane with its bytes.
 type laneAccess struct {
 	m              *Memory
 	track          bool
 	exclLo, exclHi uint64
 	base           uint64
-	page           []byte
+	page           *page
+	data           *[PageSize]byte
 }
 
 func (m *Memory) laneAccess() laneAccess {
@@ -34,22 +35,25 @@ func (m *Memory) laneAccess() laneAccess {
 	return a
 }
 
-// word records the access in the footprint and returns the page holding
-// addr with the offset of addr in it; ok is false when the size bytes at
-// addr straddle a page (the caller falls back to the byte-copying path,
-// which records the footprint itself).
-func (a *laneAccess) word(addr uint64, size uint64) (page []byte, off uint64, ok bool) {
+// word records the access in the footprint and returns the bytes of the
+// page holding addr with the offset of addr in them; ok is false when the
+// size bytes at addr straddle a page (the caller falls back to the
+// byte-copying path, which records the footprint itself).
+func (a *laneAccess) word(addr uint64, size uint64) (data []byte, off uint64, ok bool) {
 	off = addr & (PageSize - 1)
 	if off+size > PageSize {
 		return nil, 0, false
 	}
-	if a.track && !(addr >= a.exclLo && addr < a.exclHi) {
-		a.m.touchLines(addr, int(size))
-	}
 	if base := addr >> PageBits; base != a.base {
 		a.base, a.page = base, a.m.page(addr)
+		a.data = a.page.data
 	}
-	return a.page, off, true
+	if a.track && !(addr >= a.exclLo && addr < a.exclHi) {
+		// One line, or two when the word is unaligned across a boundary.
+		first, last := off/LineSize, (off+size-1)/LineSize
+		a.m.touchMask(a.page, 1<<first|1<<last)
+	}
+	return a.data[:], off, true
 }
 
 // LoadLanes reads the size-byte (4 or 8) little-endian word at addrs[l]

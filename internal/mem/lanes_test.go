@@ -1,12 +1,30 @@
 package mem
 
 import (
+	"math/bits"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"ilsim/internal/isa"
 )
+
+// touchedLines lists the line numbers in m's footprint, ascending, and checks
+// the running count against the bitmap.
+func touchedLines(t *testing.T, m *Memory) []uint64 {
+	t.Helper()
+	var lines []uint64
+	for base, p := range m.pages {
+		for w := p.touched; w != 0; w &= w - 1 {
+			lines = append(lines, base*(PageSize/LineSize)+uint64(bits.TrailingZeros64(w)))
+		}
+	}
+	slices.Sort(lines)
+	if got := m.FootprintBytes(); got != uint64(len(lines))*LineSize {
+		t.Fatalf("FootprintBytes = %d with %d lines set", got, len(lines))
+	}
+	return lines
+}
 
 // laneScenario is one wave access: per-lane addresses that mix unit-stride
 // runs, repeats (same-address atomics), scattered lines and words that
@@ -100,10 +118,11 @@ func TestLaneAccessMatchesPerLaneCalls(t *testing.T) {
 			lane.SetFootprintTracking(round%100 == 49)
 		}
 	}
-	if !reflect.DeepEqual(wave.touched, lane.touched) {
-		t.Fatalf("footprints differ: %d lines vs %d", len(wave.touched), len(lane.touched))
+	got, want := touchedLines(t, wave), touchedLines(t, lane)
+	if !slices.Equal(got, want) {
+		t.Fatalf("footprints differ: %d lines vs %d", len(got), len(want))
 	}
-	if len(wave.touched) == 0 {
+	if len(got) == 0 {
 		t.Fatal("no footprint recorded")
 	}
 	for i := uint64(0); i < 1<<16+2*PageSize; i += 4 {
@@ -113,9 +132,9 @@ func TestLaneAccessMatchesPerLaneCalls(t *testing.T) {
 	}
 }
 
-// TestFootprintFilterIsExact: the direct-mapped filter in front of the
-// touched set never hides a line — not across aliasing slots or a reset.
-func TestFootprintFilterIsExact(t *testing.T) {
+// TestFootprintBitmapIsExact: the per-page bitmap holds exactly the lines of
+// every tracked access — across page boundaries, re-touches and a reset.
+func TestFootprintBitmapIsExact(t *testing.T) {
 	m := NewMemory()
 	want := map[uint64]struct{}{}
 	rng := rand.New(rand.NewSource(3))
@@ -125,19 +144,27 @@ func TestFootprintFilterIsExact(t *testing.T) {
 			want[l] = struct{}{}
 		}
 	}
+	check := func(when string) {
+		t.Helper()
+		lines := make([]uint64, 0, len(want))
+		for l := range want {
+			lines = append(lines, l)
+		}
+		slices.Sort(lines)
+		if got := touchedLines(t, m); !slices.Equal(got, lines) {
+			t.Fatalf("%s: footprint has %d lines, want %d", when, len(got), len(lines))
+		}
+	}
 	for i := 0; i < 5000; i++ {
-		// Lines recentLines apart share a filter slot.
-		addr := uint64(rng.Intn(8))*recentLines*LineSize + uint64(rng.Intn(4096))
-		touch(addr, 1+rng.Intn(200))
+		// Up to three pages per access, eight page groups far apart.
+		addr := uint64(rng.Intn(8))<<16 + uint64(rng.Intn(4096))
+		touch(addr, 1+rng.Intn(2*PageSize))
 	}
-	if !reflect.DeepEqual(m.touched, want) {
-		t.Fatalf("footprint has %d lines, want %d", len(m.touched), len(want))
-	}
+	check("random ranges")
 	m.ResetFootprint()
 	clear(want)
-	touch(64, 4) // was in the filter before the reset
-	touch(4096, 4)
-	if !reflect.DeepEqual(m.touched, want) {
-		t.Fatalf("after reset: footprint %v, want %v", m.touched, want)
-	}
+	check("after reset")
+	touch(64, 4) // was set before the reset
+	touch(4096-2, 4)
+	check("after reset and two touches")
 }

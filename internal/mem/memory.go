@@ -15,6 +15,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 // PageBits is the log2 of the sparse page size.
@@ -26,8 +27,13 @@ const PageSize = 1 << PageBits
 // LineSize is the cache-line size used throughout the hierarchy (Table 4).
 const LineSize = 64
 
-// recentLines is the size of the touched-line filter.
-const recentLines = 1024
+// page is one sparse page: its bytes and, a page holding exactly 64 lines,
+// one bit per line that is in the data footprint. The bytes are an object of
+// their own: 4,096 bytes is an allocator size class, 4,104 costs 4,864.
+type page struct {
+	data    *[PageSize]byte
+	touched uint64
+}
 
 // Memory is a sparse 64-bit byte-addressed functional memory image.
 // It also tracks the set of touched cache lines, which is how the data
@@ -36,21 +42,15 @@ const recentLines = 1024
 // A Memory is not safe for concurrent use: a simulation runs on one
 // goroutine.
 type Memory struct {
-	// pages is the sparse page store. Page slices are never replaced or
-	// freed, so a resolved page may be cached and used forever.
-	pages   map[uint64][]byte
-	touched map[uint64]struct{}
+	// pages is the sparse page store. Pages are never replaced or freed,
+	// so a resolved page may be cached and used forever.
+	pages map[uint64]*page
 	// lastBase/lastPage cache the most recently resolved page: simulated
 	// accesses are heavily page-local, so most lookups skip the map.
 	lastBase uint64
-	lastPage []byte
-	// recent is a direct-mapped filter in front of touched: recent[i]
-	// holding l+1 means line l is already in the set, so re-touching a
-	// line touched lately — consecutive lanes of one access, the
-	// same gather table every iteration — skips the map insert. It only
-	// ever claims membership of lines that were inserted, so the set stays
-	// exact; it is cleared whenever the set shrinks.
-	recent [recentLines]uint64
+	lastPage *page
+	// lines counts the bits set in the pages' touched words.
+	lines uint64
 	// trackFootprint enables touched-line recording.
 	trackFootprint bool
 	// exclLo/exclHi is an address range excluded from footprint tracking
@@ -60,11 +60,7 @@ type Memory struct {
 
 // NewMemory returns an empty memory image with footprint tracking enabled.
 func NewMemory() *Memory {
-	return &Memory{
-		pages:          make(map[uint64][]byte),
-		touched:        make(map[uint64]struct{}),
-		trackFootprint: true,
-	}
+	return &Memory{pages: make(map[uint64]*page), trackFootprint: true}
 }
 
 // SetFootprintTracking toggles touched-line recording (loaders disable it so
@@ -80,23 +76,25 @@ func (m *Memory) ExcludeFromFootprint(lo, hi uint64) {
 
 // ResetFootprint clears the touched-line set.
 func (m *Memory) ResetFootprint() {
-	m.touched = make(map[uint64]struct{})
-	m.recent = [recentLines]uint64{}
+	for _, p := range m.pages {
+		p.touched = 0
+	}
+	m.lines = 0
 }
 
 // FootprintBytes returns the data footprint: touched lines × line size.
 func (m *Memory) FootprintBytes() uint64 {
-	return uint64(len(m.touched)) * LineSize
+	return m.lines * LineSize
 }
 
-func (m *Memory) page(addr uint64) []byte {
+func (m *Memory) page(addr uint64) *page {
 	base := addr >> PageBits
 	if m.lastPage != nil && base == m.lastBase {
 		return m.lastPage
 	}
 	p, ok := m.pages[base]
 	if !ok {
-		p = make([]byte, PageSize)
+		p = &page{data: new([PageSize]byte)}
 		m.pages[base] = p
 	}
 	m.lastBase, m.lastPage = base, p
@@ -110,45 +108,46 @@ func (m *Memory) touch(addr uint64, n int) {
 	m.touchLines(addr, n)
 }
 
-// touchLines records the lines of [addr, addr+n), n > 0, as touched.
+// touchLines records the lines of [addr, addr+n), n > 0, as touched: one
+// mask per page the range meets.
 func (m *Memory) touchLines(addr uint64, n int) {
-	first := addr / LineSize
-	last := (addr + uint64(n) - 1) / LineSize
-	for l := first; l <= last; l++ {
-		if slot := &m.recent[l%recentLines]; *slot != l+1 {
-			m.touched[l] = struct{}{}
-			*slot = l + 1
-		}
+	first, last := addr/LineSize, (addr+uint64(n)-1)/LineSize
+	for first <= last {
+		end := min(last, first|63) // the range's last line in first's page
+		m.touchMask(m.page(first*LineSize), ^uint64(0)>>(63-(end-first))<<(first&63))
+		first = end + 1
+	}
+}
+
+// touchMask adds the lines of p that mask names to the footprint. Nearly
+// every access re-touches lines, so the common case is a load and a compare.
+func (m *Memory) touchMask(p *page, mask uint64) {
+	if fresh := mask &^ p.touched; fresh != 0 {
+		m.lines += uint64(bits.OnesCount64(fresh))
+		p.touched |= fresh
 	}
 }
 
 // Read copies len(dst) bytes at addr into dst.
 func (m *Memory) Read(addr uint64, dst []byte) {
 	m.touch(addr, len(dst))
-	if off := addr & (PageSize - 1); int(off)+len(dst) <= PageSize {
-		copy(dst, m.page(addr)[off:])
-		return
-	}
 	for n := 0; n < len(dst); {
 		off := (addr + uint64(n)) & (PageSize - 1)
-		p := m.page(addr + uint64(n))
-		c := copy(dst[n:], p[off:])
-		n += c
+		n += copy(dst[n:], m.page(addr + uint64(n)).data[off:])
 	}
 }
 
 // Write copies src into memory at addr.
 func (m *Memory) Write(addr uint64, src []byte) {
 	m.touch(addr, len(src))
-	if off := addr & (PageSize - 1); int(off)+len(src) <= PageSize {
-		copy(m.page(addr)[off:], src)
-		return
-	}
+	m.store(addr, src)
+}
+
+// store is Write without the footprint.
+func (m *Memory) store(addr uint64, src []byte) {
 	for n := 0; n < len(src); {
 		off := (addr + uint64(n)) & (PageSize - 1)
-		p := m.page(addr + uint64(n))
-		c := copy(p[off:], src[n:])
-		n += c
+		n += copy(m.page(addr + uint64(n)).data[off:], src[n:])
 	}
 }
 

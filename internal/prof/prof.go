@@ -21,11 +21,13 @@ type Options struct {
 	// it reflects live memory).
 	MemPath string
 	// BlockPath receives a blocking profile — time goroutines spend
-	// parked on channels, locks and WaitGroups. This is the one that
-	// shows where the parallel timing core's epoch barrier waits.
+	// parked on channels, locks and WaitGroups. A simulation is one
+	// goroutine, so what shows here is the engine's workers waiting for
+	// jobs and the distributed plane waiting on the network.
 	BlockPath string
 	// MutexPath receives a mutex-contention profile (who made others
-	// wait), e.g. contention on a forked memory view's shared page table.
+	// wait), e.g. contention on the engine's progress lock or the
+	// coordinator's campaign state.
 	MutexPath string
 	// BlockRate is the runtime block-profile sampling rate in
 	// nanoseconds-per-sample (0 = 1, every event); only used when

@@ -197,6 +197,26 @@ func TestFig3ExactRedirectCounts(t *testing.T) {
 	}
 }
 
+// TestFig3ListingIsDeterministic: the Figure 3 kernel has two conditional
+// constructs, and the finalizer used to hand out their exec-save registers
+// while ranging over a map, so s[16:17] and s[18:19] traded places between
+// runs. Fifty finalizations, one listing.
+func TestFig3ListingIsDeterministic(t *testing.T) {
+	first, err := Fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		text, err := Fig3()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if text != first {
+			t.Fatalf("finalization %d rendered another listing:\n%s\n--- first:\n%s", i, text, first)
+		}
+	}
+}
+
 // TestFig3KernelCorrectness verifies the hand-built Figure 3 kernel computes
 // 84/90 correctly under both abstractions.
 func TestFig3KernelCorrectness(t *testing.T) {

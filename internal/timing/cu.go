@@ -180,15 +180,39 @@ type cu struct {
 	nextEvent int64
 }
 
-func newCU(g *GPU, id int) *cu {
-	c := &cu{
-		g: g, id: id,
-		run:      &stats.Run{},
-		simdBusy: make([]int64, g.P.SIMDsPerCU),
-		bankFree: make([]int64, g.P.VRFBanks),
+// release drops what the CU holds of the run that ended: its engine clone,
+// and the wave lists and pending-request table cleared to their capacity —
+// the slots past their length still point at the run's waves, and through
+// them at its engine and memory image.
+func (c *cu) release() {
+	c.eng = nil
+	clear(c.pend[:cap(c.pend)])
+	clear(c.waves[:cap(c.waves)])
+	clear(c.order[:cap(c.order)])
+	c.pend, c.waves, c.order = c.pend[:0], c.waves[:0], c.order[:0]
+}
+
+// reset returns the CU's private state (its caches and request buffer are
+// the GPU's to reset) to what a new CU under g.P starts with.
+func (c *cu) reset() {
+	p := &c.g.P
+	c.release()
+	*c.run = stats.Run{}
+	c.usedSlots, c.seq, c.vrfCursor = 0, 0, 0
+	c.simdBusy = zeroed(c.simdBusy, p.SIMDsPerCU)
+	c.bankFree = zeroed(c.bankFree, p.VRFBanks)
+	c.scalarBusy, c.vmemBusy, c.ldsBusy = 0, 0, 0
+	c.stallers, c.nextEvent = 0, 0
+}
+
+// zeroed returns s as n zeros, reusing its storage when that is enough.
+func zeroed(s []int64, n int) []int64 {
+	if cap(s) < n {
+		return make([]int64, n)
 	}
-	c.completeFn = c.complete
-	return c
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // wake lowers the CU's next-event bound to cycle at.

@@ -61,8 +61,8 @@ func benchCU(waves int) *cu {
 }
 
 // cycle runs one CU through a full two-phase cycle: the phase-1 tick plus
-// the phase-2 drain that replays its deferred shared-cache accesses as bank
-// waves.
+// the phase-2 drain that replays its deferred shared-cache accesses level by
+// level.
 func cycle(c *cu, now int64) error {
 	if _, err := c.tick(now); err != nil {
 		return err
@@ -73,8 +73,8 @@ func cycle(c *cu, now int64) error {
 
 // memStubEngine is stubEngine with the functional work swapped for an
 // endless global-load stream over twice the L1D capacity: every data access
-// misses L1 and routes down into the banked L2/DRAM buckets, which makes it
-// the steady-state workload for the drain's routing path.
+// misses L1 and goes down into the L2 banks' and DRAM channels' queues, which
+// makes it the steady-state workload for the drain's replay.
 type memStubEngine struct {
 	stubEngine
 	// region is the span the loads sweep cyclically: twice a cache's
@@ -114,10 +114,10 @@ func benchMemCU(waves int) *cu {
 	return c
 }
 
-// TestDrainRoutingNoAllocs extends the zero-alloc contract to the bucketed
-// routing path: a steady stream of L1-missing global loads — append-time
-// bank routing, L1→L2→DRAM down-bucket traffic, pending-fill bookkeeping,
-// completion reduction — must allocate nothing once the buckets have grown
+// TestDrainRoutingNoAllocs extends the zero-alloc contract to the drain: a
+// steady stream of L1-missing global loads — per-destination line lists, the
+// L2 banks' and DRAM channels' input queues, pending-fill bookkeeping,
+// completion reduction — must allocate nothing once the queues have grown
 // to their working size.
 func TestDrainRoutingNoAllocs(t *testing.T) {
 	c := benchMemCU(8)
@@ -149,8 +149,9 @@ func TestDrainRoutingNoAllocs(t *testing.T) {
 
 	// The sparse steady state of a compute-bound kernel: one or two lines a
 	// flush, from a different source each time, each missing all the way to
-	// DRAM on a different L2 bank and channel. The per-flush active lists,
-	// input wiring and touched-bucket clearing must reuse their storage too.
+	// DRAM on a different L2 bank and channel. The per-flush lists of queues
+	// that received work and the pending-fill lists must reuse their storage
+	// too.
 	p := DefaultParams()
 	dram := mem.NewDRAM(p.DRAMChannels, mem.LineSize, p.DRAMLatency, p.DRAMOccupancy)
 	l2 := mem.NewCache("L2", p.L2Size, mem.LineSize, p.L2Ways, p.L2HitLatency, true, dram, p.L2Banks)

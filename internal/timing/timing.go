@@ -48,8 +48,8 @@ type Watchdog struct {
 	// Ctx, when non-nil, cancels the run: the first check after the
 	// context ends aborts the dispatch with the context's cause.
 	Ctx context.Context
-	// MaxCycles bounds total simulated cycles since GPU creation
-	// (0 = unlimited).
+	// MaxCycles bounds total simulated cycles since the device was built
+	// or last Reset (0 = unlimited).
 	MaxCycles int64
 	// MaxInsts bounds committed wavefront instructions (0 = unlimited).
 	MaxInsts uint64
@@ -200,9 +200,10 @@ type shadowHooks struct {
 // shadow is what NewGPU installs on the GPUs it builds.
 var shadow *shadowHooks
 
-// NewGPU builds the device.
+// NewGPU builds the device: it allocates the storage p sizes — cache banks,
+// DRAM channels, CUs, the drain's wiring — and arms it with Reset.
 func NewGPU(p Params, run *stats.Run) *GPU {
-	g := &GPU{P: p, Run: run, shadow: shadow}
+	g := &GPU{P: p}
 	g.dram = mem.NewDRAM(p.DRAMChannels, mem.LineSize, p.DRAMLatency, p.DRAMOccupancy)
 	g.l2 = mem.NewCache("L2", p.L2Size, mem.LineSize, p.L2Ways, p.L2HitLatency, true, g.dram, p.L2Banks)
 	nShared := (p.NumCUs + 3) / 4
@@ -213,7 +214,8 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 			p.ScalarL1Size, mem.LineSize, p.ScalarL1Ways, p.ScalarHitLatency, false, g.l2, 1))
 	}
 	for i := 0; i < p.NumCUs; i++ {
-		c := newCU(g, i)
+		c := &cu{g: g, id: i, run: &stats.Run{}}
+		c.completeFn = c.complete
 		c.l1d = mem.NewCache(fmt.Sprintf("L1D%d", i),
 			p.L1DSize, mem.LineSize, p.L1DWays, p.L1HitLatency, false, g.l2, 1)
 		c.l1i = g.iCaches[i/4]
@@ -235,7 +237,49 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 	l1s = append(l1s, g.iCaches...)
 	l1s = append(l1s, g.sCaches...)
 	g.drain = mem.NewDrain(l1s, srcs, g.l2, g.dram)
+	g.Reset(p, run)
 	return g
+}
+
+// Reset re-arms the device for a new run under p, collecting into run, and
+// reports whether it could: false, with the device untouched, when p sizes
+// storage differently from what NewGPU allocated (a cache's size or ways, the
+// L2's banks, the DRAM channels, the CU count). Everything else in p — VRF
+// banks, SIMDs, wavefront slots, the instruction buffer, every latency — is
+// rearmed in place. After a true return the device is what NewGPU(p, run)
+// returns, down to the fingerprint of whatever runs on it, and holds nothing
+// of the runs before: it is the only list of the state a run leaves behind
+// (NewGPU arms through it), and TestResetMatchesFresh polices it.
+func (g *GPU) Reset(p Params, run *stats.Run) bool {
+	if o := &g.P; p.NumCUs != o.NumCUs || p.DRAMChannels != o.DRAMChannels ||
+		p.L1DSize != o.L1DSize || p.L1DWays != o.L1DWays ||
+		p.L1ISize != o.L1ISize || p.L1IWays != o.L1IWays ||
+		p.ScalarL1Size != o.ScalarL1Size || p.ScalarL1Ways != o.ScalarL1Ways ||
+		p.L2Size != o.L2Size || p.L2Ways != o.L2Ways || p.L2Banks != o.L2Banks {
+		return false
+	}
+	g.P, g.Run = p, run
+	g.WD, g.NoSkip = Watchdog{}, false
+	g.now, g.wdTick = 0, 0
+	g.shadow = shadow
+
+	g.dram.Reset()
+	g.dram.Latency, g.dram.Occupancy = p.DRAMLatency, p.DRAMOccupancy
+	rearm := func(c *mem.Cache, hitLatency int64) {
+		c.Reset()
+		c.SetHitLatency(hitLatency)
+	}
+	rearm(g.l2, p.L2HitLatency)
+	for i := range g.iCaches {
+		rearm(g.iCaches[i], p.L1HitLatency)
+		rearm(g.sCaches[i], p.ScalarHitLatency)
+	}
+	g.drain.Reset() // the CUs' request buffers included
+	for _, c := range g.cus {
+		rearm(c.l1d, p.L1HitLatency)
+		c.reset()
+	}
+	return true
 }
 
 // Now returns the current cycle.
@@ -459,17 +503,19 @@ func (g *GPU) HarvestCacheStats() {
 	g.Run.L2Misses = l2.Misses
 }
 
-// Finalize folds per-CU state back into the shared run record: hierarchy
-// counters (HarvestCacheStats) and the per-CU stat shards, which are zeroed
-// after merging. Call it once, after the last dispatch.
+// Finalize ends the run: it folds per-CU state back into the shared run
+// record — hierarchy counters (HarvestCacheStats) and the per-CU stat shards,
+// which are zeroed after merging — and lets go of the run's engines and
+// waves, so a device kept for reuse does not keep the run's memory image
+// alive. Call it once, after the last dispatch.
 func (g *GPU) Finalize() {
 	g.HarvestCacheStats()
-	if g.Run == nil {
-		return
-	}
 	for _, c := range g.cus {
-		g.Run.Merge(c.run)
+		if g.Run != nil {
+			g.Run.Merge(c.run)
+		}
 		*c.run = stats.Run{}
+		c.release()
 	}
 }
 

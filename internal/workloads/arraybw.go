@@ -62,7 +62,7 @@ func prepareArrayBW(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ in, out buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{ks}}
 	inst.Setup = func(m *core.Machine) error {
 		s := bufs{in: allocU32(m, input), out: allocU32(m, make([]uint32, grid))}

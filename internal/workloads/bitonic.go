@@ -147,7 +147,7 @@ func prepareBitonic(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ data buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{global, local}}
 	inst.Setup = func(m *core.Machine) error {
 		data := allocU32(m, input)

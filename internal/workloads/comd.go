@@ -108,7 +108,7 @@ func prepareCoMD(scale int) (*Instance, error) {
 	nbrPtr[atoms] = uint32(len(nbrs))
 
 	type bufs struct{ force buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{ks}}
 	inst.Setup = func(m *core.Machine) error {
 		posB := allocF32(m, pos)

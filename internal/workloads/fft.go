@@ -129,7 +129,7 @@ func prepareFFT(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ out buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{ks}}
 	inst.Setup = func(m *core.Machine) error {
 		inB := allocF32(m, input)

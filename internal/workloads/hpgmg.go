@@ -119,7 +119,7 @@ func prepareHPGMG(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ tmp buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{smooth, restr}}
 	inst.Setup = func(m *core.Machine) error {
 		fine := allocF64(m, input)

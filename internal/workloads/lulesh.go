@@ -125,7 +125,7 @@ func prepareLULESH(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ outs []buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: kernels}
 	inst.Setup = func(m *core.Machine) error {
 		aB := allocF64(m, a)

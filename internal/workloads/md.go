@@ -86,7 +86,7 @@ func prepareMD(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ force buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{ks}}
 	inst.Setup = func(m *core.Machine) error {
 		xB, yB, zB, qB := allocF64(m, x), allocF64(m, y), allocF64(m, z), allocF64(m, q)

@@ -78,7 +78,7 @@ func prepareSNAP(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ flux buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{ks}}
 	inst.Setup = func(m *core.Machine) error {
 		muB, wB := allocF64(m, mus), allocF64(m, wts)

@@ -81,7 +81,7 @@ func prepareSpMV(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ y buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{ks}}
 	inst.Setup = func(m *core.Machine) error {
 		rp := allocU32(m, rowPtr)

@@ -3,29 +3,38 @@ package workloads
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"ilsim/internal/core"
 	"ilsim/internal/isa"
 	"ilsim/internal/kernel"
 )
 
-// perMachine associates the buffers an Instance allocated during Setup with
-// the Machine they live on, so one prepared Instance can Setup and Check
-// any number of Machines concurrently (the contract the experiment engine's
-// instance cache depends on). Check consumes the entry so finished Machines
-// can be garbage-collected; call Check at most once per Setup.
-type perMachine[T any] struct{ m sync.Map }
+// runState is where a prepared Instance keeps what its Setup allocated on a
+// Machine until its Check reads it back: on the Machine itself
+// (core.Machine.Workload), tagged with the instance's own runState, so one
+// prepared Instance can Setup and Check any number of Machines concurrently
+// (the contract the experiment engine's instance cache depends on) and a
+// Machine whose run failed before Check takes its buffers with it when it is
+// collected — the Instance holds nothing per run.
+type runState[T any] struct{ _ byte } // sized: distinct instances need distinct addresses
 
-func (p *perMachine[T]) put(m *core.Machine, v T) { p.m.Store(m, v) }
+type heldState[T any] struct {
+	owner *runState[T]
+	v     T
+}
 
-func (p *perMachine[T]) take(m *core.Machine) (T, error) {
-	v, ok := p.m.LoadAndDelete(m)
-	if !ok {
+func (p *runState[T]) put(m *core.Machine, v T) { m.Workload = &heldState[T]{owner: p, v: v} }
+
+// take returns what put left on m and removes it; call Check at most once
+// per Setup.
+func (p *runState[T]) take(m *core.Machine) (T, error) {
+	h, ok := m.Workload.(*heldState[T])
+	if !ok || h.owner != p {
 		var zero T
 		return zero, fmt.Errorf("workloads: Check on a machine this instance did not Setup (or Check ran twice)")
 	}
-	return v.(T), nil
+	m.Workload = nil
+	return h.v, nil
 }
 
 // Short type names for kernel construction.
@@ -47,26 +56,34 @@ type buf struct {
 // allocU32 reserves and fills a u32 buffer.
 func allocU32(m *core.Machine, vals []uint32) buf {
 	b := buf{addr: m.Ctx.AllocBuffer(uint64(4 * len(vals))), n: len(vals)}
-	for i, v := range vals {
-		m.Ctx.Mem.WriteU32(b.addr+uint64(4*i), v)
-	}
+	m.Ctx.Mem.WriteU32s(b.addr, vals)
 	return b
 }
 
-// allocF32 reserves and fills an f32 buffer.
+// allocF32 reserves and fills an f32 buffer, a page of bit patterns at a time.
 func allocF32(m *core.Machine, vals []float32) buf {
 	b := buf{addr: m.Ctx.AllocBuffer(uint64(4 * len(vals))), n: len(vals)}
-	for i, v := range vals {
-		m.Ctx.Mem.WriteU32(b.addr+uint64(4*i), math.Float32bits(v))
+	var words [1024]uint32
+	for i := 0; i < len(vals); i += len(words) {
+		n := min(len(words), len(vals)-i)
+		for j, v := range vals[i : i+n] {
+			words[j] = math.Float32bits(v)
+		}
+		m.Ctx.Mem.WriteU32s(b.addr+uint64(4*i), words[:n])
 	}
 	return b
 }
 
-// allocF64 reserves and fills an f64 buffer.
+// allocF64 reserves and fills an f64 buffer, a page of bit patterns at a time.
 func allocF64(m *core.Machine, vals []float64) buf {
 	b := buf{addr: m.Ctx.AllocBuffer(uint64(8 * len(vals))), n: len(vals)}
-	for i, v := range vals {
-		m.Ctx.Mem.WriteU64(b.addr+uint64(8*i), math.Float64bits(v))
+	var words [512]uint64
+	for i := 0; i < len(vals); i += len(words) {
+		n := min(len(words), len(vals)-i)
+		for j, v := range vals[i : i+n] {
+			words[j] = math.Float64bits(v)
+		}
+		m.Ctx.Mem.WriteU64s(b.addr+uint64(8*i), words[:n])
 	}
 	return b
 }

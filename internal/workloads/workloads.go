@@ -32,7 +32,7 @@ import (
 //
 // One prepared Instance may drive any number of Machines CONCURRENTLY:
 // Setup and Check only read the shared input data and keep all per-run
-// state (buffer addresses) keyed by the Machine. This is the contract the
+// state (buffer addresses) on the Machine. This is the contract the
 // experiment engine's instance cache relies on to prepare each (workload,
 // scale) once per sweep. Check consumes the per-machine state, so call it
 // at most once per Setup on a given machine.

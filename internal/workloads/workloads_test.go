@@ -83,6 +83,40 @@ func TestInstanceConcurrentReuse(t *testing.T) {
 	}
 }
 
+// TestCheckNeedsItsOwnSetup: the per-run buffers ride on the Machine, tagged
+// with the instance that put them there, so Check refuses a machine it did
+// not set up — a fresh one, one another preparation of the same workload set
+// up, and its own a second time.
+func TestCheckNeedsItsOwnSetup(t *testing.T) {
+	a, err := Prepare("ArrayBW", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Prepare("ArrayBW", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := core.NewMachine(core.AbsGCN3, &stats.Run{})
+	if err := a.Check(m); err == nil {
+		t.Fatal("Check passed on a machine nobody set up")
+	}
+	if err := a.Setup(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Check(m); err == nil {
+		t.Fatal("Check passed on another instance's machine")
+	}
+	if err := m.RunFunctional(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Check(m); err != nil {
+		t.Fatalf("Check after Setup and a run: %v", err)
+	}
+	if err := a.Check(m); err == nil {
+		t.Fatal("Check passed twice on one Setup")
+	}
+}
+
 // TestWorkloadsTimed runs the suite on the timed model at unit scale and
 // sanity-checks the headline cross-abstraction shapes per workload.
 func TestWorkloadsTimed(t *testing.T) {

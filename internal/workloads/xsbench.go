@@ -112,7 +112,7 @@ func prepareXSBench(scale int) (*Instance, error) {
 	}
 
 	type bufs struct{ out buf }
-	var state perMachine[bufs]
+	var state runState[bufs]
 	inst := &Instance{Kernels: []*core.KernelSource{ks}}
 	inst.Setup = func(m *core.Machine) error {
 		egB := allocF32(m, eg)
