@@ -4,11 +4,10 @@
 # determinism tests, core (whose free list of timed devices the workers trade
 # through: TestResetMatchesFresh ends on a four-worker engine), the report
 # (whose five ablation runs go concurrently; no -short, so they do) and the
-# full distributed suite (the socket-free
-# campaign state machine, TLS/token auth, quorum voting, chaos fault
-# injection, drains, fleet supervision), so coordinator and worker locking is
-# exercised under contention on every run. A simulation itself runs on one
-# goroutine: timing, mem, emu and stats are left out, and
+# full distributed suite (the socket-free campaign state machine, TLS/token
+# auth, quorum voting, chaos fault injection, drains), so coordinator and
+# worker locking is exercised under contention on every run. A simulation
+# itself runs on one goroutine: timing, mem, emu and stats are left out, and
 # TestSimulationIsSingleThreaded fails if one of them imports sync or starts
 # a goroutine.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
@@ -40,13 +39,13 @@ test:
 
 race:
 	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
-		./internal/fleet/... ./internal/core/... ./internal/report/... ./cmd/...
+		./internal/core/... ./internal/report/... ./cmd/...
 
 # dist-soak: ~10 s per repeat on two cores, so the default is about half an
 # hour; the timeout is per package and replaces go test's 10-minute default.
 COUNT ?= 200
 dist-soak:
-	$(GO) test -race -count=$(COUNT) -timeout 2h ./internal/dist ./internal/fleet
+	$(GO) test -race -count=$(COUNT) -timeout 2h ./internal/dist
 
 # fuzz runs the journal/distributed-result codec fuzzer, the cache-vs-
 # reference-LRU fuzzer, the drain-vs-level-wave-reference fuzzer, the

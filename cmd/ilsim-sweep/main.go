@@ -16,12 +16,12 @@
 // to a local run. The endpoints optionally require TLS
 // (-tls-cert/-tls-key), client certificates (-tls-client-ca, mutual TLS)
 // and a shared token (-token), and -watch prints one status snapshot —
-// queue depth, per-worker throughput, health/quarantine state, fleet labels
-// and the WantWorkers autoscaling hint — from a running coordinator (for a
-// live board, run it under watch(1)). -allow-cn pins the client-certificate
+// queue depth, lease backlog, per-worker throughput, ETA and
+// health/quarantine state — from a running coordinator (for a live board,
+// run it under watch(1)); it is what tells an operator when to start another
+// ilsim-workerd or SIGTERM one. -allow-cn pins the client-certificate
 // CommonNames a mutual-TLS coordinator admits; anything else is refused with
-// 403 and counted in the status. ilsim-fleetd grows and shrinks a fleet of
-// ilsim-workerd processes with that hint.
+// 403 and counted in the status.
 //
 // Untrusted fleets replicate: -replicas K leases every job to K distinct
 // workers and accepts only the majority result (votes are stats.Run
@@ -88,10 +88,9 @@ func run(args []string, out, errw io.Writer) error {
 	journalPath := fs.String("journal", "", "checkpoint completed jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "reuse an existing -journal file, re-running only unfinished jobs")
 	serve := fs.String("serve", "", "coordinate the sweep over HTTP on this address instead of running it locally")
-	watch := fs.String("watch", "", "print a status snapshot (autoscaling and health included) from the coordinator at this address, then exit")
+	watch := fs.String("watch", "", "print a status snapshot (queue depth, per-worker throughput, ETA, health) from the coordinator at this address, then exit")
 	replicas := fs.Int("replicas", 1, "with -serve: lease every job to this many distinct workers and accept the majority result (quorum over untrusted workers)")
 	allowCN := fs.String("allow-cn", "", "with -serve: comma-separated client-certificate CommonNames admitted past mutual TLS (needs -tls-client-ca); others get 403")
-	scaleHorizon := fs.Duration("scale-horizon", 0, "with -serve: drain window the WantWorkers autoscaling hint aims for (0 = default 1m)")
 	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries and vote records), then exit")
 	token := fs.String("token", "", "shared auth token: required of workers with -serve, sent to the coordinator with -watch")
 	tlsCert := fs.String("tls-cert", "", "with -serve: serve the coordinator endpoints over TLS using this PEM certificate. With -watch: present it as the client certificate (mutual TLS)")
@@ -141,7 +140,7 @@ func run(args []string, out, errw io.Writer) error {
 		return nil
 	}
 	if *watch != "" {
-		// Status mode: one snapshot for operators and autoscaling scripts.
+		// Status mode: one snapshot for operators and their scripts.
 		// Here -tls-cert/-tls-key are this process's client certificate for
 		// a mutual-TLS coordinator.
 		st, err := dist.FetchStatus(context.Background(), *watch, dist.ClientOptions{AuthToken: *token,
@@ -200,18 +199,17 @@ func run(args []string, out, errw io.Writer) error {
 			}
 		}
 		c := dist.NewCoordinator(dist.Options{
-			Addr:         *serve,
-			ScaleHorizon: *scaleHorizon,
-			Replicas:     *replicas,
-			AuthToken:    *token,
-			TLSCert:      *tlsCert,
-			TLSKey:       *tlsKey,
-			TLSClientCA:  *tlsClientCA,
-			AllowedCNs:   allowedCNs,
-			Journal:      journal,
-			OnProgress:   onProgress,
-			Logf:         func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) },
-			DebugPprof:   *debugPprof,
+			Addr:        *serve,
+			Replicas:    *replicas,
+			AuthToken:   *token,
+			TLSCert:     *tlsCert,
+			TLSKey:      *tlsKey,
+			TLSClientCA: *tlsClientCA,
+			AllowedCNs:  allowedCNs,
+			Journal:     journal,
+			OnProgress:  onProgress,
+			Logf:        func(format string, a ...any) { fmt.Fprintf(errw, format+"\n", a...) },
+			DebugPprof:  *debugPprof,
 		})
 		if err := c.Start(); err != nil {
 			return err

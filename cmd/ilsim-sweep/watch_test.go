@@ -36,7 +36,7 @@ func startServe(t *testing.T, args []string, out *bytes.Buffer, errw *syncBuffer
 
 // TestSweepWatchAndToken drives the hardened CLI path end to end: a
 // coordinator started with -token, a -watch snapshot that must
-// authenticate and must carry the autoscaling fields, and a worker that
+// authenticate and must carry the queue-depth fields, and a worker that
 // needs the token to drain the campaign.
 func TestSweepWatchAndToken(t *testing.T) {
 	sweep := []string{"-param", "banks", "-workload", "ArrayBW", "-points", "2",

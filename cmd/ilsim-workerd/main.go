@@ -15,15 +15,14 @@
 // -token sends the shared auth token, -tls-ca/-tls-insecure dial https, and
 // -tls-cert/-tls-key present this worker's client certificate to a
 // mutual-TLS coordinator. (The campaign's status board is `ilsim-sweep
-// -watch`, not this daemon.) -fleet labels the worker as
-// supervisor-managed (ilsim-fleetd sets it on the workers it
-// launches); the label shows up in the coordinator's status table and
-// steers scale-down victim selection.
+// -watch`, not this daemon.)
 //
-// The first SIGINT/SIGTERM drains gracefully: in-flight jobs finish and
-// report, no further lease is taken, and the process exits 0. A second
-// signal aborts hard — work in flight cancels and held leases lapse via
-// their TTL.
+// Workers are added and removed by hand: start another ilsim-workerd
+// -connect to grow a campaign's capacity at any time, and signal one to
+// shrink it. The first SIGINT/SIGTERM drains gracefully: in-flight jobs
+// finish and report, no further lease is taken, and the process exits 0 —
+// no job is lost or run twice. A second signal aborts hard — work in flight
+// cancels and held leases lapse via their TTL.
 //
 // -chaos injects deterministic, seeded network faults (drops, delays,
 // duplicates, corrupted and truncated responses) into
@@ -75,7 +74,6 @@ func run(args []string, out, errw io.Writer) error {
 	fs.SetOutput(errw)
 	connect := fs.String("connect", "", "coordinator address (host:port; required)")
 	name := fs.String("name", "", "worker name in leases and logs (default hostname-pid)")
-	fleetLabel := fs.String("fleet", "", "fleet label announced at join (set by ilsim-fleetd; empty = hand-launched)")
 	slots := fs.Int("j", 0, "concurrent execution slots (0 = GOMAXPROCS)")
 	retries := fs.Int("retries", 0, "local retries per transiently failing job")
 	window := fs.Duration("window", 2*time.Minute, "how long to retry an unreachable coordinator before giving up")
@@ -131,7 +129,6 @@ func run(args []string, out, errw io.Writer) error {
 	w := &dist.Worker{
 		Coordinator: *connect,
 		Name:        *name,
-		Fleet:       *fleetLabel,
 		Slots:       *slots,
 		Engine:      eng,
 		Client:      clientOpts,

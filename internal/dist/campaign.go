@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -62,14 +61,13 @@ func validateJoin(req joinRequest) error {
 }
 
 // ewmaAlpha weights the newest observation in the per-worker runtime
-// average the status table, ETA and WantWorkers hint run on: high enough to
-// track a workload change within a few jobs, low enough that one outlier
-// cannot swing the hint.
+// average the status table runs on: high enough to track a workload change
+// within a few jobs, low enough that one outlier cannot swing the estimate.
 const ewmaAlpha = 0.3
 
 // workerState is everything the coordinator tracks per worker: liveness,
-// the completion handshake, the runtime estimate behind the autoscaling
-// hints, and the health ledger behind quarantine.
+// the completion handshake, the runtime estimate behind the status table's
+// throughput column, and the health ledger behind quarantine.
 type workerState struct {
 	seen time.Time
 	// slots is the worker's declared lease-poll concurrency. released
@@ -85,9 +83,6 @@ type workerState struct {
 	// cn is the CommonName of the worker's client certificate under
 	// mutual TLS.
 	cn string
-	// fleet is the supervisor label the worker announced at join; empty
-	// for hand-launched workers.
-	fleet string
 	// Health ledger: score decays exponentially from scoreAt; a non-zero
 	// quarantinedUntil in the future means leases are refused. The
 	// counters feed WorkerStatus.
@@ -131,21 +126,17 @@ type campaign struct {
 	jobWall                        time.Duration
 	start                          time.Time
 	aborted                        bool
-	// ewma is the campaign-wide per-job runtime estimate, the basis of the
-	// WantWorkers hint.
-	ewma time.Duration
 	// changed is closed and replaced on every state transition a lease
 	// long-poller could care about; finished closes once when every job is
 	// terminal (or the campaign aborts).
 	changed  chan struct{}
 	finished chan struct{}
 
-	journal      *exp.Journal
-	onProgress   func(exp.Progress)
-	progressMu   sync.Mutex
-	leaseTTL     time.Duration
-	scaleHorizon time.Duration
-	logf         func(string, ...any)
+	journal    *exp.Journal
+	onProgress func(exp.Progress)
+	progressMu sync.Mutex
+	leaseTTL   time.Duration
+	logf       func(string, ...any)
 }
 
 type jobState uint8
@@ -166,27 +157,26 @@ type voteOutcome struct {
 func newCampaign(jobs []exp.Job, opts Options, now time.Time) *campaign {
 	opts = opts.withDefaults()
 	cp := &campaign{
-		jobs:         jobs,
-		fps:          make([]string, len(jobs)),
-		setFP:        exp.JobSetFingerprint(jobs),
-		results:      make([]exp.Result, len(jobs)),
-		state:        make([]jobState, len(jobs)),
-		leases:       make(map[int]map[string]time.Time),
-		workers:      make(map[string]*workerState),
-		replicas:     opts.Replicas,
-		health:       *opts.Health,
-		votes:        make([]map[string]string, len(jobs)),
-		ballots:      make([]map[string]voteOutcome, len(jobs)),
-		accepted:     make([]string, len(jobs)),
-		tallying:     make([]bool, len(jobs)),
-		start:        now,
-		changed:      make(chan struct{}),
-		finished:     make(chan struct{}),
-		journal:      opts.Journal,
-		onProgress:   opts.OnProgress,
-		leaseTTL:     opts.LeaseTTL,
-		scaleHorizon: opts.ScaleHorizon,
-		logf:         opts.Logf,
+		jobs:       jobs,
+		fps:        make([]string, len(jobs)),
+		setFP:      exp.JobSetFingerprint(jobs),
+		results:    make([]exp.Result, len(jobs)),
+		state:      make([]jobState, len(jobs)),
+		leases:     make(map[int]map[string]time.Time),
+		workers:    make(map[string]*workerState),
+		replicas:   opts.Replicas,
+		health:     *opts.Health,
+		votes:      make([]map[string]string, len(jobs)),
+		ballots:    make([]map[string]voteOutcome, len(jobs)),
+		accepted:   make([]string, len(jobs)),
+		tallying:   make([]bool, len(jobs)),
+		start:      now,
+		changed:    make(chan struct{}),
+		finished:   make(chan struct{}),
+		journal:    opts.Journal,
+		onProgress: opts.OnProgress,
+		leaseTTL:   opts.LeaseTTL,
+		logf:       opts.Logf,
 	}
 	for i, job := range jobs {
 		cp.fps[i] = job.Fingerprint()
@@ -255,7 +245,7 @@ func (cp *campaign) checkSet(setFP string) error {
 func (cp *campaign) join(req joinRequest, cn string, now time.Time) joinReply {
 	cp.mu.Lock()
 	ws := cp.workerLocked(req.Worker)
-	ws.seen, ws.slots, ws.cn, ws.fleet, ws.released = now, max(1, req.Slots), cn, req.Fleet, false
+	ws.seen, ws.slots, ws.cn, ws.released = now, max(1, req.Slots), cn, false
 	nWorkers := len(cp.workers)
 	cp.mu.Unlock()
 	if cn != "" {
@@ -465,7 +455,7 @@ func (cp *campaign) allAcked(now time.Time) (bool, <-chan struct{}) {
 	return true, cp.changed
 }
 
-// status assembles the Status snapshot, autoscaling hints included.
+// status assembles the Status snapshot.
 func (cp *campaign) status(now time.Time) Status {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -514,7 +504,6 @@ func (cp *campaign) status(now time.Time) Status {
 			Name: name, Slots: ws.slots, Held: held[name],
 			Done: ws.done, EWMAMS: ws.ewma.Milliseconds(),
 			CN:          ws.cn,
-			Fleet:       ws.fleet,
 			Draining:    ws.released,
 			Score:       cp.scoreLocked(ws, now),
 			Quarantined: quarantined,
@@ -531,19 +520,5 @@ func (cp *campaign) status(now time.Time) Status {
 		s.PerWorker = append(s.PerWorker, row)
 	}
 	s.ETAMS = exp.ProgressETA(cp.done-cp.resumed, cp.done, len(cp.jobs), now.Sub(cp.start)).Milliseconds()
-	s.WantWorkers = cp.wantWorkersLocked()
 	return s
-}
-
-// wantWorkersLocked computes the autoscaling hint: the worker-slot count
-// that would drain the remaining jobs within the scale horizon at the
-// campaign's observed per-job runtime. No observation yet (or nothing
-// left to do) means no hint. Callers hold cp.mu.
-func (cp *campaign) wantWorkersLocked() int {
-	remaining := len(cp.jobs) - cp.done
-	if remaining <= 0 || cp.finishedNow() || cp.ewma <= 0 {
-		return 0
-	}
-	n := int(math.Ceil(float64(remaining) * float64(cp.ewma) / float64(cp.scaleHorizon)))
-	return max(1, min(n, remaining))
 }

@@ -365,6 +365,26 @@ func TestCampaignOneAckPerWorker(t *testing.T) {
 	}
 }
 
+// TestCampaignFinishesAfterLastProgress: the campaign ends — Done replies
+// served, RunContext released — only once the last job's OnProgress callback
+// has returned, so that no callback runs after Run has.
+func TestCampaignFinishesAfterLastProgress(t *testing.T) {
+	var r *rig
+	finishedInCallback := false
+	r = newRig(t, 1, Options{OnProgress: func(exp.Progress) {
+		finishedInCallback = r.cp.finishedNow()
+	}})
+	r.join("w")
+	r.grant("w", 0, 0)
+	r.mustReport("w", time.Second, 0, 100)
+	if finishedInCallback {
+		t.Fatal("the campaign was finished while its last progress callback was still to run")
+	}
+	if !r.cp.finishedNow() {
+		t.Fatal("the campaign is not finished after its last result")
+	}
+}
+
 // TestCampaignReleaseUnseenGrant: a drain cuts a lease poll short while its
 // grant is on the wire. The worker knows of no lease, so its goodbye lists
 // nothing — and must still hand the job back now rather than at TTL expiry,

@@ -8,31 +8,27 @@ import (
 	"time"
 
 	"ilsim/internal/chaos"
+	"ilsim/internal/exp"
 )
 
 // TestChaosCampaignMatchesLocal is the chaos-hardening acceptance test: a
 // full campaign runs with every worker's coordinator connection behind a
 // seeded fault-injecting transport — dropped, delayed and duplicated
 // requests, corrupted and truncated responses — and the final result set
-// must still be byte-identical to a local run.
+// must still be byte-identical to a local run. In the churn case the fleet
+// also changes under it, the way an operator changes it by hand: the second
+// worker joins only after the first result, and the first drains
+// (Worker.Drain, what SIGTERM does to ilsim-workerd) at half-way.
 // The transports' stats prove the chaos actually fired rather than
 // matching nothing.
 func TestChaosCampaignMatchesLocal(t *testing.T) {
+	t.Run("steady", func(t *testing.T) { chaosCampaign(t, false) })
+	t.Run("churn", func(t *testing.T) { chaosCampaign(t, true) })
+}
+
+func chaosCampaign(t *testing.T, churn bool) {
 	jobs := testJobs(t, 4)
 	want := localFingerprints(t, jobs)
-
-	// Chaos produces lease expiries and integrity rejections by design;
-	// this test is about recovery, not conviction, so the ledger threshold
-	// is parked out of reach.
-	hp := DefaultHealthPolicy()
-	hp.Threshold = 1000
-	ctx := context.Background()
-	c, out := startCampaign(t, ctx, Options{
-		LongPoll: 100 * time.Millisecond,
-		LeaseTTL: 500 * time.Millisecond,
-		Health:   &hp,
-		Logf:     t.Logf,
-	}, jobs)
 
 	// Every-based rules are exactly periodic, so with enough requests each
 	// fault class is guaranteed to fire.
@@ -50,9 +46,10 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 	var mu sync.Mutex
 	var transports []*chaos.Transport
 	var wg sync.WaitGroup
-	for _, name := range []string{"c1", "c2"} {
+	ctx := context.Background()
+	worker := func(name string) *Worker {
 		w := &Worker{
-			Coordinator: c.Addr(), Name: name, Slots: 2,
+			Name: name, Slots: 2,
 			RetryWindow: 30 * time.Second,
 			Client: ClientOptions{Wrap: func(inner http.RoundTripper) http.RoundTripper {
 				tr := plan.Transport(inner)
@@ -62,6 +59,13 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 				return tr
 			}},
 		}
+		if churn {
+			// Slow enough that jobs are left when the second worker joins.
+			w.Engine = slowEngine(jobs, 20*time.Millisecond)
+		}
+		return w
+	}
+	start := func(w *Worker) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -69,6 +73,34 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 				t.Errorf("worker %s: %v", w.Name, err)
 			}
 		}()
+	}
+	c1, c2 := worker("c1"), worker("c2")
+
+	// Chaos produces lease expiries and integrity rejections by design;
+	// this test is about recovery, not conviction, so the ledger threshold
+	// is parked out of reach.
+	hp := DefaultHealthPolicy()
+	hp.Threshold = 1000
+	opts := Options{
+		LongPoll: 100 * time.Millisecond,
+		LeaseTTL: 500 * time.Millisecond,
+		Health:   &hp,
+		Logf:     t.Logf,
+	}
+	var join, leave sync.Once
+	if churn {
+		opts.OnProgress = func(p exp.Progress) {
+			join.Do(func() { start(c2) })
+			if p.Done >= len(jobs)/2 {
+				leave.Do(c1.Drain)
+			}
+		}
+	}
+	c, out := startCampaign(t, ctx, opts, jobs)
+	c1.Coordinator, c2.Coordinator = c.Addr(), c.Addr()
+	start(c1)
+	if !churn {
+		start(c2)
 	}
 
 	oc := <-out
@@ -79,6 +111,9 @@ func TestChaosCampaignMatchesLocal(t *testing.T) {
 	checkFingerprints(t, oc.results, want)
 	if oc.metrics.Failed != 0 {
 		t.Fatalf("metrics under chaos: %+v", oc.metrics)
+	}
+	if churn && !c1.Draining() {
+		t.Fatal("the first worker never drained")
 	}
 
 	var total chaos.Stats

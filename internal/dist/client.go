@@ -111,9 +111,9 @@ func (co ClientOptions) authorize(req *http.Request) {
 	}
 }
 
-// StatusErrKind classifies why a status fetch failed, so every consumer
-// of the feed — ilsim-sweep -watch, the fleet supervisor — shares one
-// classification instead of each matching error strings.
+// StatusErrKind classifies why a status fetch failed, so a consumer of the
+// feed (ilsim-sweep -watch, the benchmark) branches on a kind instead of
+// matching error strings.
 type StatusErrKind int
 
 const (
@@ -168,53 +168,9 @@ func StatusKindOf(err error) (StatusErrKind, bool) {
 	return StatusProtocol, false
 }
 
-// StatusTracker is the give-up policy over a status poll loop.
-// Denied errors are fatal immediately (wrong credentials never fix
-// themselves); anything else before the first success is startup noise
-// (the endpoint answers 503 until the campaign installs); after the first
-// success, MaxMisses consecutive failures mean the coordinator is gone —
-// crashed, or finished and shut down — and polling should stop.
-type StatusTracker struct {
-	// MaxMisses is the consecutive-failure budget after the first
-	// success (default 5).
-	MaxMisses int
-
-	connected bool
-	misses    int
-}
-
-// Connected reports whether at least one fetch has succeeded.
-func (t *StatusTracker) Connected() bool { return t.connected }
-
-// Observe folds one FetchStatus outcome into the tracker: nil means keep
-// polling; a non-nil return is the terminal error the loop should stop
-// with.
-func (t *StatusTracker) Observe(err error) error {
-	if err == nil {
-		t.connected, t.misses = true, 0
-		return nil
-	}
-	if kind, ok := StatusKindOf(err); ok && kind == StatusDenied {
-		return err
-	}
-	if !t.connected {
-		return nil
-	}
-	max := t.MaxMisses
-	if max <= 0 {
-		max = 5
-	}
-	if t.misses++; t.misses >= max {
-		return fmt.Errorf("dist: coordinator gone after %d consecutive status failures: %w", t.misses, err)
-	}
-	return nil
-}
-
 // FetchStatus retrieves one GET /status snapshot from the coordinator at
-// addr (host:port, or a full http(s):// base URL) — the autoscaling feed
-// behind ilsim-sweep -watch and the fleet supervisor. Failures come back as
-// *StatusError so a poll loop can apply one retry/give-up policy (see
-// StatusTracker).
+// addr (host:port, or a full http(s):// base URL) — the feed behind
+// ilsim-sweep -watch. Failures come back as *StatusError, classified.
 func FetchStatus(ctx context.Context, addr string, co ClientOptions) (Status, error) {
 	statusErr := func(kind StatusErrKind, err error) error {
 		return &StatusError{Addr: addr, Kind: kind, Err: err}

@@ -29,10 +29,6 @@ type Options struct {
 	// remains only because the frozen benchmark (bench/ladder.go) still
 	// sets it; the next [benchmark] PR removes both.
 	BundleTarget time.Duration
-	// ScaleHorizon is the drain time the Status.WantWorkers hint aims
-	// for: the hint is the slot count that would finish the remaining
-	// jobs within this window (default DefaultScaleHorizon).
-	ScaleHorizon time.Duration
 	// Replicas leases every job to this many distinct workers and accepts
 	// the majority result (votes are stats.Run integrity hashes — see
 	// package docs). 0 or 1 means no replication: first result wins,
@@ -111,9 +107,6 @@ func (opts Options) withDefaults() Options {
 	}
 	if opts.LongPoll <= 0 {
 		opts.LongPoll = DefaultLongPoll
-	}
-	if opts.ScaleHorizon <= 0 {
-		opts.ScaleHorizon = DefaultScaleHorizon
 	}
 	if opts.Replicas < 1 {
 		opts.Replicas = 1

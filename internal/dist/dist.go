@@ -18,7 +18,7 @@
 //	POST /result     stream back one exp.WireResult (integrity-hashed)
 //	POST /heartbeat  keep held leases alive
 //	POST /release    a departing worker's goodbye: hands every held lease back
-//	GET  /status     campaign counters plus autoscaling + health
+//	GET  /status     campaign counters plus per-worker throughput + health
 //
 // The code is split along one seam. campaign.go is the protocol as a pure
 // state machine: join, lease, result, release, heartbeat and status
@@ -76,17 +76,17 @@ import (
 // drain flags on lease and heartbeat replies are gone — a supervisor
 // stops the worker it launched, and /heartbeat answers the empty ack),
 // and one completion handshake per worker, not per slot: the worker that
-// reads a Done reply stops all its slots and posts /release.
-const ProtocolVersion = 6
+// reads a Done reply stops all its slots and posts /release; 7 = the
+// supervisor is gone: no fleet label in the join handshake or Status, no
+// wanted-slots hint in Status.
+const ProtocolVersion = 7
 
 // Defaults for the lease lifecycle. LeaseTTL bounds how long a silent
 // worker keeps a job before it is reassigned; workers heartbeat at a third
-// of the TTL, so one lost heartbeat does not forfeit a lease. ScaleHorizon
-// is the drain time the WantWorkers hint aims for.
+// of the TTL, so one lost heartbeat does not forfeit a lease.
 const (
-	DefaultLeaseTTL     = 30 * time.Second
-	DefaultLongPoll     = 10 * time.Second
-	DefaultScaleHorizon = time.Minute
+	DefaultLeaseTTL = 30 * time.Second
+	DefaultLongPoll = 10 * time.Second
 )
 
 // joinRequest opens a worker's session with the coordinator. Slots is the
@@ -95,11 +95,6 @@ type joinRequest struct {
 	Version int    `json:"version"`
 	Worker  string `json:"worker"`
 	Slots   int    `json:"slots"`
-	// Fleet names the supervisor managing this worker (ilsim-fleetd's
-	// -fleet label); empty for hand-launched workers. Recorded in
-	// WorkerStatus so operators — and scale-down victim selection — can
-	// tell supervised capacity from manual capacity.
-	Fleet string `json:"fleet,omitempty"`
 }
 
 // joinReply fixes the campaign identity for the session. Probe is one job
@@ -175,7 +170,7 @@ type WorkerStatus struct {
 	Done int `json:"done"`
 	// EWMAMS is the exponentially weighted moving average of the worker's
 	// observed per-job runtime, in milliseconds — the estimate behind
-	// Throughput and the WantWorkers hint.
+	// Throughput.
 	EWMAMS int64 `json:"ewmaMs"`
 	// Throughput is the worker's estimated rate in jobs per second
 	// (1/EWMA; 0 until a first result establishes an estimate).
@@ -183,9 +178,6 @@ type WorkerStatus struct {
 	// CN is the CommonName of the worker's client certificate when the
 	// coordinator runs mutual TLS; empty otherwise.
 	CN string `json:"cn,omitempty"`
-	// Fleet is the supervisor label the worker announced at join; empty
-	// for hand-launched (manual) workers.
-	Fleet string `json:"fleet,omitempty"`
 	// Draining reports that the worker said goodbye via POST /release — it
 	// drained, or the campaign finished — and takes no further leases.
 	Draining bool `json:"draining,omitempty"`
@@ -200,9 +192,9 @@ type WorkerStatus struct {
 	Expiries  int `json:"expiries,omitempty"`
 }
 
-// Status is the GET /status snapshot: campaign counters plus the
-// autoscaling signals an operator (or supervisor script) needs to size
-// the fleet. ilsim-sweep -watch prints it.
+// Status is the GET /status snapshot: campaign counters plus the queue
+// depth, per-worker throughput and ETA an operator needs to decide whether
+// to add or remove a worker. ilsim-sweep -watch prints it.
 type Status struct {
 	SetFP   string `json:"setFp"`
 	Total   int    `json:"total"`
@@ -220,13 +212,8 @@ type Status struct {
 	Slots   int `json:"slots"`
 	// ETAMS estimates the time to drain the remaining jobs at the
 	// campaign's observed throughput (0 until a rate is established).
-	ETAMS int64 `json:"etaMs"`
-	// WantWorkers is the autoscaling hint: the total worker-slot count
-	// that would drain the remaining jobs within the coordinator's scale
-	// horizon (Options.ScaleHorizon). 0 means no hint — the campaign is
-	// finished, or no per-job runtime has been observed yet.
-	WantWorkers int  `json:"wantWorkers"`
-	Finished    bool `json:"finished"`
+	ETAMS    int64 `json:"etaMs"`
+	Finished bool  `json:"finished"`
 	// Replicas is the campaign's quorum width (1 = no replication);
 	// Quarantined counts workers currently refused leases.
 	Replicas    int `json:"replicas,omitempty"`
@@ -249,9 +236,6 @@ func (s Status) Summary() string {
 		s.Done, s.Total, s.Failed, s.Resumed, s.Pending, s.Leased, s.Workers, s.Slots)
 	if s.ETAMS > 0 {
 		line += fmt.Sprintf(", eta %s", (time.Duration(s.ETAMS) * time.Millisecond).Round(100*time.Millisecond))
-	}
-	if s.WantWorkers > 0 {
-		line += fmt.Sprintf(", want %d slots", s.WantWorkers)
 	}
 	if s.Replicas > 1 {
 		line += fmt.Sprintf(", %d replicas", s.Replicas)
@@ -284,12 +268,8 @@ func (s Status) Table() string {
 		if ws.CN != "" && ws.CN != ws.Name {
 			name += " (" + ws.CN + ")"
 		}
-		fleet := ws.Fleet
-		if fleet == "" {
-			fleet = "manual"
-		}
-		fmt.Fprintf(&b, "  %-24s %-10s slots %-3d held %-3d done %-4d ewma %-8s %.2f jobs/s",
-			name, fleet, ws.Slots, ws.Held, ws.Done,
+		fmt.Fprintf(&b, "  %-24s slots %-3d held %-3d done %-4d ewma %-8s %.2f jobs/s",
+			name, ws.Slots, ws.Held, ws.Done,
 			(time.Duration(ws.EWMAMS) * time.Millisecond).Round(time.Millisecond), ws.Throughput)
 		if ws.Job != "" {
 			fmt.Fprintf(&b, "  on %s", ws.Job)

@@ -369,6 +369,41 @@ func TestJoinVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestStaleProtocolV1Refused pins the version gate over a real socket: a
+// worker speaking an older protocol — version 1, or the version 6 whose
+// workers still announce a supervisor label and read a wanted-slots hint —
+// is refused at join with 409 before any lease, and the campaign still
+// completes on a current worker.
+func TestStaleProtocolV1Refused(t *testing.T) {
+	jobs := testJobs(t, 1)
+	ctx := context.Background()
+	c, out := startCampaign(t, ctx, Options{}, jobs)
+	cp := waitCampaign(t, c)
+
+	for _, version := range []int{1, 6} {
+		body, _ := json.Marshal(joinRequest{Version: version, Worker: "relic"})
+		resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("v%d join got %d, want %d", version, resp.StatusCode, http.StatusConflict)
+		}
+	}
+	if st := cp.status(time.Now()); st.Workers != 0 || st.Leased != 0 {
+		t.Fatalf("refused joins left a trace: %d workers, %d leased", st.Workers, st.Leased)
+	}
+
+	w := &Worker{Coordinator: c.Addr(), Name: "current"}
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if oc := <-out; oc.err != nil || oc.metrics.Failed != 0 {
+		t.Fatalf("campaign after the refused joins: %+v, %v", oc.metrics, oc.err)
+	}
+}
+
 // TestVerifyProbeStaleBinary checks the join-time fingerprint handshake: a
 // probe whose fingerprint does not recompute identically (the mark of a
 // worker binary with a drifted job encoding) is fatal, not retried.

@@ -99,7 +99,6 @@ func (cp *campaign) vote(idx int, res exp.Result, worker, key string, now time.T
 		delete(cp.leases[idx], worker)
 		ws.done++
 		ws.ewma = ewma(ws.ewma, res.Wall)
-		cp.ewma = ewma(cp.ewma, res.Wall)
 		if res.Err != nil && exp.Classify(res.Err) == exp.ClassPanic {
 			cp.strikeLocked(worker, cp.health.WPanic, fmt.Sprintf("panic-class result on job %d", idx), now)
 		}
@@ -183,9 +182,6 @@ func (cp *campaign) vote(idx int, res exp.Result, worker, key string, now time.T
 	done, failed, resumed := cp.done, cp.failed, cp.resumed
 	total := len(cp.jobs)
 	elapsed := now.Sub(cp.start)
-	if done == total && !cp.finishedNow() {
-		close(cp.finished)
-	}
 	cp.broadcastLocked()
 	cp.mu.Unlock()
 
@@ -200,6 +196,16 @@ func (cp *campaign) vote(idx int, res exp.Result, worker, key string, now time.T
 			Worker: winner.worker,
 		})
 		cp.progressMu.Unlock()
+	}
+	// The campaign ends only once its last job's progress callback has
+	// returned: no Done is served, and RunContext does not return, before.
+	if done == total {
+		cp.mu.Lock()
+		if !cp.finishedNow() {
+			close(cp.finished)
+			cp.broadcastLocked()
+		}
+		cp.mu.Unlock()
 	}
 	return nil
 }

@@ -8,39 +8,91 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestStatusTableGolden pins the exact rendering of the operator board:
-// summary counters and one row per worker — sorted by name, fleet column
-// ("manual" for hand-launched workers), CN suffix, held-lease count with
-// the active job label, DRAINING and QUARANTINED markers. A conscious
+// summary counters and one row per worker — sorted by name, CN suffix,
+// held-lease count with the active job label, DRAINING and QUARANTINED
+// markers. A conscious
 // golden test: the table is an interface to operators and to the -watch
 // board, and accidental reformatting should fail loudly.
 func TestStatusTableGolden(t *testing.T) {
 	s := Status{
 		SetFP: "abc", Total: 16, Done: 6, Failed: 1, Resumed: 2,
 		Pending: 5, Leased: 4, Workers: 3, Slots: 4,
-		ETAMS: 12_300, WantWorkers: 6,
+		ETAMS:       12_300,
 		Quarantined: 1, Draining: 1, RejectedCNs: 2,
 		PerWorker: []WorkerStatus{
 			{Name: "manual-1", Slots: 2, Held: 3, Done: 4, EWMAMS: 250, Throughput: 4,
 				Job: "banks=16 MD/GCN3@2"},
-			{Name: "auto-2", Slots: 1, Held: 0, Done: 0, Fleet: "gcn3", Draining: true},
+			{Name: "auto-2", Slots: 1, Held: 0, Done: 0, Draining: true},
 			{Name: "auto-1", Slots: 1, Held: 1, Done: 2, EWMAMS: 500, Throughput: 2,
-				Fleet: "gcn3", CN: "lab-client", Quarantined: true, Score: 6.5,
+				CN: "lab-client", Quarantined: true, Score: 6.5,
 				Dissents: 1, Integrity: 2, Expiries: 3,
 				Job: "banks=8 MD/HSAIL@2"},
 		},
 	}
 	want := strings.Join([]string{
-		"dist: 6/16 done (1 failed, 2 resumed), 5 pending, 4 leased, 3 workers/4 slots, eta 12.3s, want 6 slots, 1 quarantined, 1 draining, 2 CN-rejected",
-		"  auto-1 (lab-client)      gcn3       slots 1   held 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2  QUARANTINED (score 6.5, 1 dissents, 2 integrity, 3 expiries)",
-		"  auto-2                   gcn3       slots 1   held 0   done 0    ewma 0s       0.00 jobs/s  DRAINING",
-		"  manual-1                 manual     slots 2   held 3   done 4    ewma 250ms    4.00 jobs/s  on banks=16 MD/GCN3@2",
+		"dist: 6/16 done (1 failed, 2 resumed), 5 pending, 4 leased, 3 workers/4 slots, eta 12.3s, 1 quarantined, 1 draining, 2 CN-rejected",
+		"  auto-1 (lab-client)      slots 1   held 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2  QUARANTINED (score 6.5, 1 dissents, 2 integrity, 3 expiries)",
+		"  auto-2                   slots 1   held 0   done 0    ewma 0s       0.00 jobs/s  DRAINING",
+		"  manual-1                 slots 2   held 3   done 4    ewma 250ms    4.00 jobs/s  on banks=16 MD/GCN3@2",
 		"",
 	}, "\n")
 	if got := s.Table(); got != want {
 		t.Errorf("Table() drifted.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestStatusSnapshot drives a campaign's counters by hand and checks what
+// the /status snapshot tells an operator sizing the fleet by hand: queue
+// depth, lease backlog, live slots, and per-worker held leases, active job
+// and throughput.
+func TestStatusSnapshot(t *testing.T) {
+	jobs := testJobs(t, 4) // 4 sweep points, 8 jobs
+	now := time.Now()
+	cp := newCampaign(jobs, Options{}, now)
+
+	cp.mu.Lock()
+	ws := cp.workerLocked("w1")
+	ws.seen, ws.slots, ws.done, ws.ewma = now, 2, 2, 5*time.Second
+	cp.state[0], cp.state[1] = stateDone, stateDone
+	cp.done = 2
+	cp.takeLocked("w1", now) // leases job 2
+	cp.takeLocked("w1", now) // and job 3
+	cp.mu.Unlock()
+	s := cp.status(now)
+
+	if s.Total != 8 || s.Done != 2 || s.Finished {
+		t.Fatalf("status counters: %+v", s)
+	}
+	if s.Pending != 4 || s.Leased != 2 {
+		t.Fatalf("queue depth %d / backlog %d, want 4 / 2", s.Pending, s.Leased)
+	}
+	if s.Slots != 2 || s.Workers != 1 {
+		t.Fatalf("fleet: %d workers / %d slots, want 1 / 2", s.Workers, s.Slots)
+	}
+	if len(s.PerWorker) != 1 || s.PerWorker[0].Held != 2 || s.PerWorker[0].Done != 2 {
+		t.Fatalf("per-worker rows: %+v", s.PerWorker)
+	}
+	// The active-job label names the lowest-indexed held lease.
+	if want := jobs[2].String(); s.PerWorker[0].Job != want {
+		t.Fatalf("active job %q, want %q", s.PerWorker[0].Job, want)
+	}
+	if tp := s.PerWorker[0].Throughput; tp < 0.19 || tp > 0.21 {
+		t.Fatalf("throughput %v, want ~0.2 jobs/s", tp)
+	}
+	// The rendered forms carry the load-bearing numbers.
+	if sum := s.Summary(); !strings.Contains(sum, "2/8 done") || !strings.Contains(sum, "4 pending") {
+		t.Fatalf("summary line: %q", sum)
+	}
+	if tbl := s.Table(); !strings.Contains(tbl, "w1") || !strings.Contains(tbl, "held 2") {
+		t.Fatalf("table: %q", tbl)
+	}
+	cp.abort()
+	if fin := cp.status(now); !fin.Finished || !strings.Contains(fin.Summary(), "finished") {
+		t.Fatalf("status after abort: %+v", fin)
 	}
 }
 
@@ -98,63 +150,5 @@ func TestStatusErrorKinds(t *testing.T) {
 	}
 	if kind, ok := StatusKindOf(errors.New("plain")); ok || kind != StatusProtocol {
 		t.Errorf("plain error: kind = %v (typed %v)", kind, ok)
-	}
-}
-
-// TestStatusTracker pins the shared retry/give-up policy: startup noise
-// before first contact is endless, Denied aborts immediately even before
-// first contact, and after first contact MaxMisses consecutive failures
-// give up while any success resets the budget.
-func TestStatusTracker(t *testing.T) {
-	unreachable := &StatusError{Addr: "x", Kind: StatusUnreachable, Err: errors.New("refused")}
-	notReady := &StatusError{Addr: "x", Kind: StatusNotReady, Err: errors.New("503")}
-	denied := &StatusError{Addr: "x", Kind: StatusDenied, Err: errors.New("401")}
-
-	// Pre-contact noise never gives up.
-	var tr StatusTracker
-	for i := 0; i < 50; i++ {
-		if err := tr.Observe(notReady); err != nil {
-			t.Fatalf("pre-contact 503 #%d became terminal: %v", i, err)
-		}
-		if err := tr.Observe(unreachable); err != nil {
-			t.Fatalf("pre-contact refusal #%d became terminal: %v", i, err)
-		}
-	}
-	if tr.Connected() {
-		t.Fatal("tracker claims contact before any success")
-	}
-
-	// Denied is fatal immediately, contact or not.
-	var deny StatusTracker
-	if err := deny.Observe(denied); err == nil {
-		t.Fatal("Denied before contact was tolerated")
-	}
-
-	// After contact: misses accumulate, a success resets, the budget
-	// exhausts.
-	tr2 := StatusTracker{MaxMisses: 3}
-	if err := tr2.Observe(nil); err != nil || !tr2.Connected() {
-		t.Fatalf("first success: %v, connected %v", err, tr2.Connected())
-	}
-	for i := 0; i < 2; i++ {
-		if err := tr2.Observe(unreachable); err != nil {
-			t.Fatalf("miss %d within budget became terminal: %v", i+1, err)
-		}
-	}
-	if err := tr2.Observe(nil); err != nil {
-		t.Fatalf("success after misses: %v", err)
-	}
-	var terminal error
-	for i := 0; i < 3; i++ {
-		terminal = tr2.Observe(unreachable)
-	}
-	if terminal == nil {
-		t.Fatal("tracker never gave up after MaxMisses consecutive failures")
-	}
-	if !strings.Contains(terminal.Error(), "coordinator gone") {
-		t.Errorf("terminal error lacks the give-up wording: %v", terminal)
-	}
-	if !errors.Is(terminal, unreachable.Err) && !strings.Contains(terminal.Error(), "refused") {
-		t.Errorf("terminal error dropped the cause: %v", terminal)
 	}
 }

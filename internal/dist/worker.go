@@ -32,10 +32,6 @@ type Worker struct {
 	// Name identifies this worker in leases and logs; defaults to
 	// hostname-pid.
 	Name string
-	// Fleet names the supervisor managing this worker (empty for
-	// hand-launched workers); announced at join and shown in the
-	// coordinator's status table.
-	Fleet string
 	// Slots is the number of jobs leased and executed concurrently
 	// (default 1).
 	Slots int
@@ -136,7 +132,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		// Names must be unique per coordinator — leases, heartbeats and the
 		// completion handshake are all keyed by them — so the default gets a
 		// process-wide sequence number in case one process runs several
-		// workers (tests, embedded fleets).
+		// workers (tests, the benchmark).
 		w.Name = fmt.Sprintf("%s-%d-w%d", host, os.Getpid(), atomic.AddUint64(&workerSeq, 1))
 	}
 	if w.Slots <= 0 {
@@ -209,7 +205,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // immediately: the binaries disagree and no amount of retrying helps.
 func (w *Worker) join(ctx context.Context) error {
 	var rep joinReply
-	err := w.postRetry(ctx, "/join", joinRequest{Version: ProtocolVersion, Worker: w.Name, Slots: w.Slots, Fleet: w.Fleet}, &rep)
+	err := w.postRetry(ctx, "/join", joinRequest{Version: ProtocolVersion, Worker: w.Name, Slots: w.Slots}, &rep)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"sync"
@@ -73,9 +74,23 @@ type Journal struct {
 	path string
 	fps  []string
 
-	mu   sync.Mutex
-	f    *os.File
+	mu sync.Mutex
+	f  journalFile
+	// size is the committed length of the file: the offset just past the
+	// last whole line. Every append starts there, so a torn or failed write
+	// can never fuse with the entry that follows it.
+	size int64
 	done map[int]Result
+}
+
+// journalFile is what the journal needs of its file — an *os.File opened
+// O_APPEND, so that after a Truncate the next Write lands at the new end.
+// Tests substitute one whose writes fail.
+type journalFile interface {
+	Write([]byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // OpenJournal binds a journal file to a job set. When path does not exist
@@ -83,7 +98,8 @@ type Journal struct {
 // resume must be true — refusing to silently clobber a checkpoint — and
 // the file's recorded job set must match jobs exactly, or the open fails
 // with ErrJournalMismatch. A partial trailing line (the mark of a kill
-// mid-write) is tolerated and dropped.
+// mid-write) is tolerated and cut off the file, so the entries appended
+// next start on a line boundary.
 func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
 	j := &Journal{path: path, fps: fingerprints(jobs), done: make(map[int]Result)}
 	switch _, err := os.Stat(path); {
@@ -98,10 +114,14 @@ func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := f.Truncate(j.size); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("exp: journal %s: dropping the partial last line: %w", path, err)
+		}
 		j.f = f
 		return j, nil
 	case errors.Is(err, fs.ErrNotExist):
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE|os.O_EXCL, 0o644)
 		if err != nil {
 			return nil, err
 		}
@@ -117,20 +137,23 @@ func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
 }
 
 // load parses an existing journal: header first, then entries, validating
-// each against the bound job set.
+// each against the bound job set, and leaves in j.size the offset just past
+// the last good line.
 func (j *Journal) load() error {
 	f, err := os.Open(j.path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	if !sc.Scan() {
-		return fmt.Errorf("exp: journal %s: empty or unreadable header: %w", j.path, sc.Err())
+	rd := bufio.NewReaderSize(f, 1<<20)
+	b, err := rd.ReadBytes('\n')
+	if len(b) == 0 || (err != nil && err != io.EOF) {
+		return fmt.Errorf("exp: journal %s: empty or unreadable header: %w", j.path, err)
 	}
 	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Type != "header" {
+	// err is io.EOF here for a header cut short of its newline: torn, even
+	// if what is there parses.
+	if jerr := json.Unmarshal(b, &hdr); jerr != nil || hdr.Type != "header" || err != nil {
 		return fmt.Errorf("exp: journal %s: bad header line", j.path)
 	}
 	if hdr.Version != journalVersion {
@@ -139,31 +162,48 @@ func (j *Journal) load() error {
 	if err := matchFingerprints(hdr.Jobs, j.fps); err != nil {
 		return fmt.Errorf("%w (%s: %v)", ErrJournalMismatch, j.path, err)
 	}
+	j.size = int64(len(b))
 	line := 1
 	var pendingErr error
-	for sc.Scan() {
-		line++
-		// A parse failure is fatal only if more lines follow: the last
-		// line may be a partial write from a killed process.
-		if pendingErr != nil {
-			return pendingErr
+	for {
+		b, err := rd.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return fmt.Errorf("exp: journal %s: %w", j.path, err)
 		}
-		var e journalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			pendingErr = fmt.Errorf("exp: journal %s:%d: corrupt entry: %v", j.path, line, err)
-			continue
+		if len(b) > 0 {
+			line++
+			// A bad line is fatal only if more lines follow: the last line
+			// may be a partial write from a killed process.
+			if pendingErr != nil {
+				return pendingErr
+			}
+			if lerr := j.loadLine(b, err == nil); lerr != nil {
+				pendingErr = fmt.Errorf("exp: journal %s:%d: %w", j.path, line, lerr)
+			} else {
+				j.size += int64(len(b))
+			}
 		}
-		if e.Type == "vote" {
-			continue // audit record, not campaign state
-		}
-		if err := j.admit(e); err != nil {
-			pendingErr = fmt.Errorf("exp: journal %s:%d: %w", j.path, line, err)
+		if err == io.EOF {
+			return nil
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("exp: journal %s: %w", j.path, err)
+}
+
+// loadLine admits one entry line; whole reports whether it ended in a
+// newline (a line cut short of it is torn even when what is there parses:
+// the next append would fuse with it).
+func (j *Journal) loadLine(b []byte, whole bool) error {
+	if !whole {
+		return errors.New("corrupt entry: no newline")
 	}
-	return nil
+	var e journalEntry
+	if err := json.Unmarshal(b, &e); err != nil {
+		return fmt.Errorf("corrupt entry: %v", err)
+	}
+	if e.Type == "vote" {
+		return nil // audit record, not campaign state
+	}
+	return j.admit(e)
 }
 
 // admit validates one loaded entry and, for successes, stores it as
@@ -248,6 +288,8 @@ func (j *Journal) RecordVote(index int, worker, vote, accepted string) error {
 // append marshals v as one JSONL line, writes and fsyncs it. Jobs complete
 // at sweep granularity (seconds, not microseconds), so per-entry durability
 // is cheap relative to what it buys: a kill -9 loses only in-flight jobs.
+// A failed or short write (a full disk) is cut back off the file, best
+// effort, so that only this entry is lost and not the next one with it.
 func (j *Journal) append(v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -259,9 +301,17 @@ func (j *Journal) append(v any) error {
 	if j.f == nil {
 		return fmt.Errorf("exp: journal %s is closed", j.path)
 	}
-	if _, err := j.f.Write(b); err != nil {
+	n, err := j.f.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		if n > 0 {
+			_ = j.f.Truncate(j.size) // best effort: the write's error is the one to report
+		}
 		return err
 	}
+	j.size += int64(len(b))
 	return j.f.Sync()
 }
 

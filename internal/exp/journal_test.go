@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -214,6 +215,123 @@ func TestJournalToleratesPartialTrailingLine(t *testing.T) {
 	defer j2.Close()
 	if n := j2.Resumable(); n != 2 {
 		t.Fatalf("journal resumes %d jobs after truncation, want 2", n)
+	}
+}
+
+// TestJournalTornTailSurvivesTwoResumes: a kill mid-write, a resume that
+// finishes the campaign, and a second resume of the now complete journal.
+// The entries the first resume appends must start on a line boundary — not
+// directly after the fragment, which would fuse the first of them with it
+// into one corrupt interior line, losing that result and bricking the
+// checkpoint. A fragment that happens to be a whole entry short of only its
+// newline is torn all the same.
+func TestJournalTornTailSurvivesTwoResumes(t *testing.T) {
+	jobs := tinyJobs(t, 2) // 4 jobs
+	results, _, err := New(2).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := json.Marshal(journalEntry{Type: "result", WireResult: EncodeResult(2, jobs[2].Fingerprint(), results[2])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, fragment := range map[string][]byte{"half an entry": whole[:len(whole)/2], "all but the newline": whole} {
+		path := journalPath(t)
+		j, err := OpenJournal(path, jobs, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := j.Record(i, results[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(fragment); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		j2, err := OpenJournal(path, jobs, true)
+		if err != nil {
+			t.Fatalf("%s: first resume: %v", name, err)
+		}
+		if n := j2.Resumable(); n != 2 {
+			t.Fatalf("%s: first resume holds %d results, want 2", name, n)
+		}
+		eng := New(2)
+		eng.Journal = j2
+		if _, m, err := eng.Run(jobs); err != nil || m.Resumed != 2 || m.Failed != 0 {
+			t.Fatalf("%s: resumed run: %+v, %v", name, m, err)
+		}
+		j2.Close()
+
+		j3, err := OpenJournal(path, jobs, true)
+		if err != nil {
+			t.Fatalf("%s: second resume: %v", name, err)
+		}
+		if n := j3.Resumable(); n != len(jobs) {
+			t.Errorf("%s: second resume holds %d results, want %d", name, n, len(jobs))
+		}
+		j3.Close()
+	}
+}
+
+// shortWriteFile is a journal file on a disk that fills up: write number
+// failAt gets half its bytes out and fails with ENOSPC; the others pass.
+type shortWriteFile struct {
+	*os.File
+	failAt, writes int
+}
+
+func (f *shortWriteFile) Write(b []byte) (int, error) {
+	f.writes++
+	if f.writes == f.failAt {
+		n, _ := f.File.Write(b[:len(b)/2])
+		return n, syscall.ENOSPC
+	}
+	return f.File.Write(b)
+}
+
+// TestJournalShortWriteLosesOnlyThatEntry: an entry cut short by a full
+// disk is reported to the caller and cut back off the file, so the entries
+// recorded once space returns do not fuse with its fragment.
+func TestJournalShortWriteLosesOnlyThatEntry(t *testing.T) {
+	jobs := tinyJobs(t, 2) // 4 jobs
+	results, _, err := New(2).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := journalPath(t)
+	j, err := OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.f = &shortWriteFile{File: j.f.(*os.File), failAt: 2}
+	for i := range jobs {
+		err := j.Record(i, results[i])
+		if lost := i == 1; lost != errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("Record(%d) returned %v", i, err)
+		}
+	}
+	if _, ok := j.Completed(1); ok {
+		t.Error("the entry that was never written counts as completed")
+	}
+	j.Close()
+
+	j2, err := OpenJournal(path, jobs, true)
+	if err != nil {
+		t.Fatalf("journal unloadable after a short write: %v", err)
+	}
+	defer j2.Close()
+	for i := range jobs {
+		if _, ok := j2.Completed(i); ok != (i != 1) {
+			t.Errorf("after reload, job %d completed = %v", i, ok)
+		}
 	}
 }
 

@@ -415,23 +415,6 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString("Absolute values depend on input scale; the RATIOS and orderings are the\n")
 	b.WriteString("reproduction targets, per the brief's \"shape should hold\" standard. Deviations\n")
 	b.WriteString("are annotated inline and discussed in DESIGN.md §8.\n\n")
-	b.WriteString("The suite is the repository's longest campaign; `ilsim-report -journal\n")
-	b.WriteString("report.jsonl` checkpoints every completed job (fsynced JSONL keyed by job\n")
-	b.WriteString("fingerprint, result integrity-hashed) and `-resume` continues a killed\n")
-	b.WriteString("regeneration, re-running only unfinished jobs. Failures classify as\n")
-	b.WriteString("transient/permanent/canceled/timeout/budget-exceeded/panic (see README\n")
-	b.WriteString("\"Robust campaigns\").\n\n")
-	b.WriteString("The suite also distributes: `ilsim-report -serve :9666` leases the same\n")
-	b.WriteString("job set to `ilsim-workerd` processes on other machines. The journal stays\n")
-	b.WriteString("on the coordinator — workers are stateless and need no shared filesystem —\n")
-	b.WriteString("and every accepted result is fsynced before it is acknowledged, so killing\n")
-	b.WriteString("and resuming the coordinator re-leases only unfinished jobs, no matter\n")
-	b.WriteString("which machine ran the rest. Results assemble in submission order, making\n")
-	b.WriteString("the figures byte-identical to a single-machine run.\n\n")
-	b.WriteString("There is one level of parallelism: `-j` runs whole jobs concurrently.\n")
-	b.WriteString("A simulation itself runs on one goroutine, in the one canonical order\n")
-	b.WriteString("that defines its statistics (DESIGN.md \"Two-phase cycle and banked\n")
-	b.WriteString("memory\").\n\n")
 	fmt.Fprintf(&b, "Input scale: %d. Simulated configuration (Table 4):\n\n```\n%s\n```\n", r.Scale, cfg.String())
 	b.WriteString(r.PaperComparison())
 	b.WriteString(r.Fig1())

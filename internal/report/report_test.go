@@ -95,6 +95,43 @@ func TestReportEndToEnd(t *testing.T) {
 	}
 }
 
+// TestExperimentsFileIsCurrent holds the committed paper tables to the code:
+// EXPERIMENTS.md must be, byte for byte, what ilsim-report writes at its
+// default scale (2) with the hardware oracle on. A change that moves a
+// simulated number regenerates the file in the same commit and says so.
+func TestExperimentsFileIsCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite collection is slow")
+	}
+	const path = "../../EXPERIMENTS.md"
+	committed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	res, err := Collect(cfg, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(res.Markdown(cfg), "\n")
+	got := strings.Split(string(committed), "\n")
+	line := 0
+	for line < len(got) && line < len(want) && got[line] == want[line] {
+		line++
+	}
+	if line == len(got) && line == len(want) {
+		return
+	}
+	at := func(lines []string) string {
+		if line < len(lines) {
+			return lines[line]
+		}
+		return "<end of file>"
+	}
+	t.Fatalf("EXPERIMENTS.md is stale, first at line %d:\n  committed: %s\n  rendered:  %s\nregenerate with: go run ./cmd/ilsim-report -o EXPERIMENTS.md",
+		line+1, at(got), at(want))
+}
+
 func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")

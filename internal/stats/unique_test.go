@@ -247,7 +247,7 @@ func FuzzUniqueCount(f *testing.F) {
 }
 
 // BenchmarkUniqueCount times the kernel on the operand shapes a suite run
-// feeds it (EXPERIMENTS.md "Fig 10's kernel and the report's tail" has the
+// feeds it (docs/host-speed-log.md "Fig 10's kernel and the report's tail" has the
 // census): about a third of sampled accesses are uniform, a twelfth
 // ascending, a sixth all distinct in no order, under half mostly distinct,
 // a fortieth few-valued; nine in ten under a full mask. Each shape cycles
