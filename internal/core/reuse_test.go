@@ -239,7 +239,8 @@ func TestFailedRunIsNotReused(t *testing.T) {
 // TestKeptDeviceHoldsNoImage: a device on the free list keeps nothing of the
 // run it served — the run's memory image is collectable while the device is
 // alive (it used to be reachable through the CUs' engine clones and the
-// spare capacity of their wave lists).
+// spare capacity of their wave lists; the device's pending-request table
+// reaches the run's waves the same way).
 func TestKeptDeviceHoldsNoImage(t *testing.T) {
 	emptyDevices()
 	inst := instances{}.get(t, "ArrayBW", 1)

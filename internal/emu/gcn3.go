@@ -31,15 +31,13 @@ type GCN3Engine struct {
 	infos []InstInfo
 
 	// uops is the decode-once form of the program: one micro-op per
-	// instruction, lowered at load and immutable afterwards (Fork clones
-	// share it, and the pre-broadcast constants it points to).
+	// instruction, lowered at load and immutable afterwards, as are the
+	// pre-broadcast constants it points to.
 	uops []gcn3Uop
 
-	// scratch is Execute's working state; every clone owns its own (Fork).
+	// scratch is Execute's working state.
 	scratch laneUnit
 }
-
-var _ Forker = (*GCN3Engine)(nil)
 
 // NewGCN3Engine prepares a loaded code object for execution.
 func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, d *hsa.Dispatch, base uint64, col *Collector) *GCN3Engine {
@@ -55,15 +53,6 @@ func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, d *hsa.Dispatch, base 
 		e.uops[i] = e.lower(i, consts)
 	}
 	return e
-}
-
-// Fork returns an execution clone for one compute unit: shared decode state
-// (program, scheduling metadata, micro-ops and their constants), private
-// lane scratch (the struct copy) and a private collector targeting run.
-func (e *GCN3Engine) Fork(run *stats.Run) Engine {
-	f := *e
-	f.Col = e.Col.Fork(run)
-	return &f
 }
 
 // Abstraction identifies the engine.
@@ -586,7 +575,7 @@ func (e *GCN3Engine) Execute(w *Wave) (ExecResult, error) {
 	if u.err != nil {
 		return ExecResult{}, u.err
 	}
-	// The result is built in the clone's scratch: a local handed to an
+	// The result is built in the engine's scratch: a local handed to an
 	// indirect call would escape to the heap on every instruction.
 	res := &e.scratch.res
 	*res = ExecResult{ActiveLanes: w.Exec.PopCount()}

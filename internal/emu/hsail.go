@@ -37,15 +37,13 @@ type HSAILEngine struct {
 	infos []InstInfo
 
 	// uops is the decode-once form of flat: one micro-op per instruction,
-	// lowered at load and immutable afterwards (Fork clones share it, and
-	// the pre-broadcast constants it points to).
+	// lowered at load and immutable afterwards, as are the pre-broadcast
+	// constants it points to.
 	uops []hsailUop
 
-	// scratch is Execute's working state; every clone owns its own (Fork).
+	// scratch is Execute's working state.
 	scratch laneUnit
 }
-
-var _ Forker = (*HSAILEngine)(nil)
 
 // NewHSAILEngine loads a kernel for a dispatch. base is the code address the
 // loader assigned (each instruction occupies hsail.InstBytes there).
@@ -66,16 +64,6 @@ func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, d *hsa.D
 		e.uops[i] = e.lower(i, consts)
 	}
 	return e
-}
-
-// Fork returns an execution clone for one compute unit: shared decode state
-// (instructions, scheduling metadata, micro-ops and their constants),
-// private lane scratch (the struct copy) and a private collector targeting
-// run.
-func (e *HSAILEngine) Fork(run *stats.Run) Engine {
-	f := *e
-	f.Col = e.Col.Fork(run)
-	return &f
 }
 
 // Abstraction identifies the engine.
@@ -440,7 +428,7 @@ func (e *HSAILEngine) Execute(w *Wave) (ExecResult, error) {
 	if u.err != nil {
 		return ExecResult{}, u.err
 	}
-	// The result is built in the clone's scratch: a local handed to an
+	// The result is built in the engine's scratch: a local handed to an
 	// indirect call would escape to the heap on every instruction.
 	res := &e.scratch.res
 	*res = ExecResult{ActiveLanes: w.Exec.PopCount()}

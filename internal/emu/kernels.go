@@ -114,9 +114,8 @@ func cvtKernelFor(dt, st isa.DataType) laneKernel {
 var zeroLanes lanes
 
 // constLanes is a 64-bit value replicated across the wavefront: a constant
-// operand broadcast once at load (immutable from then on, shared by Fork
-// clones), or a clone's scratch for a scalar operand broadcast per
-// execution.
+// operand broadcast once at load (immutable from then on), or the engine's
+// scratch for a scalar operand broadcast per execution.
 type constLanes struct{ lo, hi lanes }
 
 // newConstLanes broadcasts v into a fresh constant.

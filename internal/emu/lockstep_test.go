@@ -274,16 +274,19 @@ func TestLockstepRandomKernels(t *testing.T) {
 	})
 }
 
-// cuRunner steps the workgroups assigned to one forked engine, one
-// instruction per call, the way a compute unit's share of a dispatch
-// advances between the other units' instructions.
+// cuRunner steps the workgroups assigned to one compute unit on a shared
+// engine, one instruction per call, the way a compute unit's share of a
+// dispatch advances between the other units' instructions. Its waves count
+// value samples on the runner's own counter, as the timing model's do on
+// their CU's.
 type cuRunner struct {
-	eng       emu.Engine
-	d         *hsa.Dispatch
-	wgs       []int // workgroup indexes still to run
-	waves     []*emu.Wave
-	atBarrier []bool
-	next      int
+	eng          emu.Engine
+	d            *hsa.Dispatch
+	wgs          []int // workgroup indexes still to run
+	waves        []*emu.Wave
+	atBarrier    []bool
+	next         int
+	valueCounter int
 }
 
 // step executes one instruction; it returns false when the runner is out
@@ -300,6 +303,7 @@ func (c *cuRunner) step() (bool, error) {
 			c.waves = make([]*emu.Wave, info.NumWaves)
 			for i := range c.waves {
 				c.waves[i] = c.eng.NewWave(wg, i)
+				c.waves[i].ValueCounter = &c.valueCounter
 			}
 			c.atBarrier = make([]bool, len(c.waves))
 		}
@@ -327,12 +331,13 @@ func (c *cuRunner) step() (bool, error) {
 	}
 }
 
-// TestForkClonesInterleaved runs every workload once on the engine as
-// loaded and once on two Fork clones that split the workgroups like two
-// compute units, advancing alternately, one instruction each. Clones share
-// micro-ops and pre-broadcast constants and own their scratch: state leaking
-// between clones shows up as a wrong output or statistic.
-func TestForkClonesInterleaved(t *testing.T) {
+// TestSharedEngineInterleaved runs every workload once on its own and once as
+// two compute units of the timing model do: on the one engine as loaded,
+// splitting the workgroups and advancing alternately, one instruction each,
+// each unit's waves on their own value-sampling counter. The engine's
+// scratch is shared by both: state carried from one unit's instruction into
+// the other's shows up as a wrong output or statistic.
+func TestSharedEngineInterleaved(t *testing.T) {
 	tr := tracking{values: true, every: 1, reuse: true}
 	for _, w := range workloads.All() {
 		inst, err := w.Prepare(1)
@@ -341,8 +346,8 @@ func TestForkClonesInterleaved(t *testing.T) {
 		}
 		for _, abs := range bothAbstractions {
 			what := fmt.Sprintf("%s/%s", w.Name, abs)
-			plain, forked := newMachine(abs, tr), newMachine(abs, tr)
-			for _, m := range []*core.Machine{plain, forked} {
+			plain, split := newMachine(abs, tr), newMachine(abs, tr)
+			for _, m := range []*core.Machine{plain, split} {
 				if err := inst.Setup(m); err != nil {
 					t.Fatalf("%s: Setup: %v", what, err)
 				}
@@ -351,18 +356,16 @@ func TestForkClonesInterleaved(t *testing.T) {
 				t.Fatalf("%s: %v", what, err)
 			}
 			for {
-				d, eng, err := forked.NextDispatch()
+				d, eng, err := split.NextDispatch()
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				if d == nil {
 					break
 				}
-				fk := eng.(emu.Forker)
 				var cus [2]cuRunner
-				var shards [2]stats.Run
 				for i := range cus {
-					cus[i] = cuRunner{eng: fk.Fork(&shards[i]), d: d}
+					cus[i] = cuRunner{eng: eng, d: d}
 				}
 				for wi := range d.Workgroups {
 					cus[wi%2].wgs = append(cus[wi%2].wgs, wi)
@@ -377,17 +380,15 @@ func TestForkClonesInterleaved(t *testing.T) {
 						busy = busy || ran
 					}
 				}
-				forked.Col.Run.Merge(&shards[0])
-				forked.Col.Run.Merge(&shards[1])
-				forked.CompleteDispatch(d)
+				split.CompleteDispatch(d)
 			}
-			if err := inst.Check(forked); err != nil {
-				t.Fatalf("%s: forked output check: %v", what, err)
+			if err := inst.Check(split); err != nil {
+				t.Fatalf("%s: interleaved output check: %v", what, err)
 			}
-			if !reflect.DeepEqual(plain.Col.Run, forked.Col.Run) {
-				t.Fatalf("%s: statistics differ:\nunforked %+v\nforked   %+v", what, plain.Col.Run, forked.Col.Run)
+			if !reflect.DeepEqual(plain.Col.Run, split.Col.Run) {
+				t.Fatalf("%s: statistics differ:\nplain       %+v\ninterleaved %+v", what, plain.Col.Run, split.Col.Run)
 			}
-			if a, b := plain.Ctx.Mem.FootprintBytes(), forked.Ctx.Mem.FootprintBytes(); a != b {
+			if a, b := plain.Ctx.Mem.FootprintBytes(), split.Ctx.Mem.FootprintBytes(); a != b {
 				t.Fatalf("%s: data footprint %d != %d", what, a, b)
 			}
 		}

@@ -50,11 +50,11 @@ func (e *refHSAILEngine) readSrc(w *Wave, o hsail.Operand, t isa.DataType, vals 
 	case hsail.OperReg:
 		slot := int(o.Reg)
 		lo := &w.VRegs[slot]
-		e.Col.OnVRFValue(false, lo, w.Exec)
+		e.Col.OnVRFValue(w, false, lo)
 		e.Col.OnVRFSlot(w, slot)
 		if t.Regs() == 2 {
 			hi := &w.VRegs[slot+1]
-			e.Col.OnVRFValue(false, hi, w.Exec)
+			e.Col.OnVRFValue(w, false, hi)
 			e.Col.OnVRFSlot(w, slot+1)
 			for lane := 0; lane < isa.WavefrontSize; lane++ {
 				vals[lane] = uint64(lo[lane]) | uint64(hi[lane])<<32
@@ -82,7 +82,7 @@ func (e *refHSAILEngine) writeDst(w *Wave, o hsail.Operand, t isa.DataType, vals
 			lo[lane] = uint32(vals[lane])
 		}
 	}
-	e.Col.OnVRFValue(true, lo, w.Exec)
+	e.Col.OnVRFValue(w, true, lo)
 	e.Col.OnVRFSlot(w, slot)
 	if t.Regs() == 2 {
 		hi := &w.VRegs[slot+1]
@@ -91,7 +91,7 @@ func (e *refHSAILEngine) writeDst(w *Wave, o hsail.Operand, t isa.DataType, vals
 				hi[lane] = uint32(vals[lane] >> 32)
 			}
 		}
-		e.Col.OnVRFValue(true, hi, w.Exec)
+		e.Col.OnVRFValue(w, true, hi)
 		e.Col.OnVRFSlot(w, slot+1)
 	}
 }
@@ -505,11 +505,11 @@ func (e *refGCN3Engine) readVecSrc(w *Wave, o gcn3.Operand, width int, t isa.Dat
 	switch o.Kind {
 	case gcn3.OperVGPR:
 		lo := &w.VGPR[o.Index]
-		e.Col.OnVRFValue(false, lo, w.Exec)
+		e.Col.OnVRFValue(w, false, lo)
 		e.Col.OnVRFSlot(w, int(o.Index))
 		if width == 2 {
 			hi := &w.VGPR[o.Index+1]
-			e.Col.OnVRFValue(false, hi, w.Exec)
+			e.Col.OnVRFValue(w, false, hi)
 			e.Col.OnVRFSlot(w, int(o.Index)+1)
 			for lane := 0; lane < isa.WavefrontSize; lane++ {
 				vals[lane] = uint64(lo[lane]) | uint64(hi[lane])<<32
@@ -546,7 +546,7 @@ func (e *refGCN3Engine) writeVecDst(w *Wave, o gcn3.Operand, width int, vals *[i
 			lo[lane] = uint32(vals[lane])
 		}
 	}
-	e.Col.OnVRFValue(true, lo, w.Exec)
+	e.Col.OnVRFValue(w, true, lo)
 	e.Col.OnVRFSlot(w, int(o.Index))
 	if width == 2 {
 		hi := &w.VGPR[o.Index+1]
@@ -555,7 +555,7 @@ func (e *refGCN3Engine) writeVecDst(w *Wave, o gcn3.Operand, width int, vals *[i
 				hi[lane] = uint32(vals[lane] >> 32)
 			}
 		}
-		e.Col.OnVRFValue(true, hi, w.Exec)
+		e.Col.OnVRFValue(w, true, hi)
 		e.Col.OnVRFSlot(w, int(o.Index)+1)
 	}
 }

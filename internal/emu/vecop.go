@@ -15,7 +15,7 @@ const (
 	// srcConst is a constant broadcast once, when the engine was loaded.
 	srcConst
 	// srcScalar is GCN3 scalar state (SGPR, VCC, EXEC, SCC), broadcast into
-	// the clone's scratch each time the instruction executes.
+	// the engine's scratch each time the instruction executes.
 	srcScalar
 )
 
@@ -88,11 +88,11 @@ type vecOp struct {
 	maskOut maskRef
 }
 
-// laneUnit is an engine clone's mutable execution scratch (everything else
-// an engine holds after load is immutable and shared across Fork): the
-// kernel argument block, one broadcast buffer per source position, the
-// per-lane addresses of the memory instruction in flight, and the result
-// under construction.
+// laneUnit is an engine's mutable execution scratch (everything else an
+// engine holds after load is immutable): the kernel argument block, one
+// broadcast buffer per source position, the per-lane addresses of the memory
+// instruction in flight, and the result under construction. Nothing in it
+// outlives one Execute, so every compute unit of a device shares it.
 type laneUnit struct {
 	x     laneArgs
 	bc    [3]constLanes
@@ -111,10 +111,10 @@ func (c *Collector) tracksVRF() bool {
 // statistics: sources in operand order before the kernel runs (so they
 // observe pre-write values), the destination after.
 func (c *Collector) vrfAccess(w *Wave, write bool, p lanePair, slot uint16, wide bool) {
-	c.OnVRFValue(write, p.lo, w.Exec)
+	c.OnVRFValue(w, write, p.lo)
 	c.OnVRFSlot(w, int(slot))
 	if wide {
-		c.OnVRFValue(write, p.hi, w.Exec)
+		c.OnVRFValue(w, write, p.hi)
 		c.OnVRFSlot(w, int(slot)+1)
 	}
 }

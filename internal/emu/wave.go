@@ -140,6 +140,11 @@ type Wave struct {
 
 	// Reuse tracks vector-register reuse distances when enabled.
 	Reuse *stats.ReuseTracker
+	// ValueCounter, when set, is the value-sampling counter this wave's VRF
+	// accesses advance instead of the collector's own: the timing model
+	// points every wave of a compute unit at that unit's counter, so the
+	// sampling cadence is per compute unit and restarts at every dispatch.
+	ValueCounter *int
 
 	// linesBuf is the wave's reusable coalescing scratch. Execute
 	// overwrites it on every memory instruction and hands it out as
@@ -165,23 +170,11 @@ type Collector struct {
 	TrackValues bool
 	// ValueSampleEvery samples one in N VRF accesses (1 = all).
 	ValueSampleEvery int
-	valueCounter     int
+	// valueCounter is the sampling counter of waves without their own
+	// (Wave.ValueCounter): functional runs and tests.
+	valueCounter int
 	// TrackReuse enables reuse-distance tracking (Fig 7).
 	TrackReuse bool
-}
-
-// Fork returns a collector with the same tracking settings but targeting
-// run. The timing core forks one collector per compute unit so the
-// sampling counter (order-dependent state) advances per-CU: sampling
-// decisions then depend only on that CU's own access sequence.
-func (c *Collector) Fork(run *stats.Run) *Collector {
-	f := &Collector{Run: run}
-	if c != nil {
-		f.TrackValues = c.TrackValues
-		f.ValueSampleEvery = c.ValueSampleEvery
-		f.TrackReuse = c.TrackReuse
-	}
-	return f
 }
 
 // OnCommit counts one committed instruction.
@@ -196,8 +189,10 @@ func (c *Collector) OnCommit(cat isa.Category, activeLanes int) {
 	}
 }
 
-// sampleValue reports whether this VRF access should be value-sampled.
-func (c *Collector) sampleValue() bool {
+// sampleValue reports whether this VRF access of w's should be
+// value-sampled, advancing w's sampling counter (the collector's when w has
+// none).
+func (c *Collector) sampleValue(w *Wave) bool {
 	if c == nil || c.Run == nil || !c.TrackValues {
 		return false
 	}
@@ -205,21 +200,24 @@ func (c *Collector) sampleValue() bool {
 	if n <= 1 {
 		return true
 	}
-	c.valueCounter++
-	if c.valueCounter >= n {
-		c.valueCounter = 0
+	ctr := w.ValueCounter
+	if ctr == nil {
+		ctr = &c.valueCounter
+	}
+	if *ctr++; *ctr >= n {
+		*ctr = 0
 		return true
 	}
 	return false
 }
 
 // OnVRFValue records a lane-value uniqueness observation for one vector
-// operand access.
-func (c *Collector) OnVRFValue(write bool, vals *[isa.WavefrontSize]uint32, mask isa.ExecMask) {
-	if !c.sampleValue() {
+// operand access of w's: vals under w's execution mask.
+func (c *Collector) OnVRFValue(w *Wave, write bool, vals *[isa.WavefrontSize]uint32) {
+	if !c.sampleValue(w) {
 		return
 	}
-	unique, lanes := stats.UniqueCount(vals, mask)
+	unique, lanes := stats.UniqueCount(vals, w.Exec)
 	if write {
 		c.Run.WriteUnique += uint64(unique)
 		c.Run.WriteLanes += uint64(lanes)
@@ -269,17 +267,4 @@ type Engine interface {
 	// RegDemand returns (vector slots, scalar regs) per wavefront, used by
 	// the dispatcher for occupancy accounting.
 	RegDemand() (int, int)
-}
-
-// Forker is implemented by engines that can hand each compute unit its own
-// execution clone: Fork produces one that shares the immutable decode state
-// (flattened program, per-PC scheduling metadata) but owns every piece of
-// mutable per-execution state — the lane scratch buffers and a private
-// statistics collector targeting run — so collector sampling advances per
-// compute unit.
-type Forker interface {
-	Engine
-	// Fork returns the clone. run receives the clone's statistics (merge
-	// shards back with stats.Run.Merge).
-	Fork(run *stats.Run) Engine
 }

@@ -251,9 +251,6 @@ func (j *Journal) Resumable() int {
 	return len(j.done)
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Record appends one completed result and syncs it to disk. Successful
 // results also become resumable in-process, so repeated Run calls on the
 // same engine observe them.

@@ -38,22 +38,6 @@ func (s *CacheStats) Merge(o *CacheStats) {
 	s.LatencySum += o.LatencySum
 }
 
-// MissRate returns misses/accesses.
-func (s *CacheStats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
-// MeanLatency returns the average access latency in cycles.
-func (s *CacheStats) MeanLatency() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.LatencySum) / float64(s.Accesses)
-}
-
 // cacheWay is one line slot. Slots are laid out flat per bank, local set s
 // owning slots [s*ways, (s+1)*ways); prev/next thread the set's resident
 // lines into a recency list (slot indices, noSlot ends it).

@@ -53,8 +53,9 @@ type feed struct {
 	dest  int
 }
 
-// DrainSource is one request producer (a CU): its routed buffer and the
-// callback that receives each request's (tag, ready) completion.
+// DrainSource is one request producer (the timing core has one, its device's
+// buffer): its routed buffer and the callback that receives each request's
+// (tag, ready) completion.
 type DrainSource struct {
 	Buf      *RequestBuffer
 	Complete func(tag int, ready int64)
@@ -104,7 +105,7 @@ type Drain struct {
 // NewDrain wires the pipeline. l1s lists every level-1 cache in replay
 // order (this order, with source order within a cache, defines the
 // deterministic L2 replay order); srcs lists the request producers in
-// completion order (CU index order). Every l1 must be single-banked and sit
+// completion order. Every l1 must be single-banked and sit
 // directly above l2, and l2 directly above dram; every destination
 // registered in a source buffer must appear in l1s. Buffers must have all
 // destinations registered before NewDrain.

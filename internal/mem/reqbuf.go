@@ -25,10 +25,10 @@ type request struct {
 
 // RequestBuffer is an append-only, replayable queue of deferred cache
 // accesses, split by destination cache as it is appended. The timing core
-// gives each compute unit one buffer: phase 1 of a cycle appends the CU's
-// requests in issue order; phase 2 (Drain.Flush) replays every level-1
-// cache's lines in (CU index, append order) and resets the buffer. Reset
-// keeps capacity, so a steady-state tick/drain cycle allocates nothing.
+// gives the device one buffer: phase 1 of a cycle appends every CU's
+// requests, CU by CU in issue order; phase 2 (Drain.Flush) replays every
+// level-1 cache's lines in append order and resets the buffer. Reset keeps
+// capacity, so a steady-state tick/drain cycle allocates nothing.
 //
 // All Register calls must precede Drain construction (the drain records
 // which buffers feed which cache).

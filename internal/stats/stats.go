@@ -70,14 +70,11 @@ type Run struct {
 	FetchStallCycles uint64
 }
 
-// Merge folds a shard's counters into r. The timing core gives each compute
-// unit a private Run (with a private collector, see emu.Collector.Fork); at
-// run end the shards merge back into the root in CU-index order. Every
-// field is a sum (or a histogram count union), so the merged totals equal
-// what a single shared Run would have accumulated, regardless of how the
-// work was sharded. Identity fields (Workload, Abstraction) and the root's
-// KernelCycles are left untouched; a shard's KernelCycles (always empty in
-// the sharded-timing use) are appended.
+// Merge folds o's counters into r: every field is a sum (or a histogram
+// count union); identity fields (Workload, Abstraction) are left untouched
+// and o's KernelCycles are appended. The simulator no longer calls it (a
+// device commits to one Run); it stays only because frozen bench/ladder.go
+// times it as the stats.merge_ns rung.
 func (r *Run) Merge(o *Run) {
 	if o == nil {
 		return
@@ -206,10 +203,9 @@ func (h *Histogram) Add(v uint32) {
 	h.n++
 }
 
-// Merge folds another histogram's observations into h. Count union is
-// commutative and associative, so merging per-shard histograms in any
-// order yields the distribution a single shared histogram would have
-// accumulated; Items()/Percentile on the merged result are identical.
+// Merge folds another histogram's observations into h (Run.Merge's share).
+// Count union is commutative and associative, so merging in any order
+// yields the distribution a single shared histogram would have accumulated.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.n == 0 {
 		return

@@ -6,7 +6,6 @@ import (
 	"ilsim/internal/emu"
 	"ilsim/internal/isa"
 	"ilsim/internal/mem"
-	"ilsim/internal/stats"
 )
 
 // noEvent marks "no future cycle at which this CU's state can change on its
@@ -96,11 +95,12 @@ type wgRun struct {
 	remaining int
 }
 
-// pendReq is the CU-side metadata of one deferred cache access (the line
-// set itself lives in the request buffer): which wave to complete and, for
+// pendReq is the metadata of one deferred cache access (the line set itself
+// lives in the GPU's request buffer): which CU and wave to complete and, for
 // data accesses, the instruction whose dependency state the completion
 // feeds. A nil info marks an instruction-fetch fill.
 type pendReq struct {
+	c    *cu
 	wv   *waveCtx
 	info *emu.InstInfo
 }
@@ -111,14 +111,14 @@ type pendReq struct {
 //
 //	phase 1 (tick)  — fetch scheduling, issue, execute and every
 //	                  CU-private state transition, touching only this
-//	                  CU's waves, its stat shard (run) and its engine
-//	                  clone (eng). Accesses to the shared cache
-//	                  hierarchy are appended to reqs, by destination
-//	                  cache, instead of applied.
+//	                  CU's waves and units; statistics go to the GPU's
+//	                  run. Accesses to the shared cache hierarchy are
+//	                  appended to the GPU's request buffer, by
+//	                  destination cache, instead of applied.
 //	phase 2 (drain) — the GPU's drain replays every cache's deferred
 //	                  requests in (CU index, append order), level by
 //	                  level (mem.Drain), and completes them through
-//	                  complete.
+//	                  GPU.complete.
 type cu struct {
 	g  *GPU
 	id int
@@ -126,23 +126,15 @@ type cu struct {
 	l1d *mem.Cache
 	l1i *mem.Cache
 	sl1 *mem.Cache
-	// Destination handles of the three caches in reqs (mem routing).
+	// Destination handles of the three caches in the GPU's request buffer
+	// (mem routing).
 	l1dDest int
 	l1iDest int
 	sl1Dest int
 
-	// run is the CU's private statistics shard (merged into the GPU's
-	// root run at Finalize); eng is the per-CU engine clone for the
-	// current dispatch.
-	run *stats.Run
-	eng emu.Engine
-
-	// reqs/pend hold the tick's deferred shared-cache accesses;
-	// completeFn is the drain callback, bound once so draining does not
-	// allocate.
-	reqs       mem.RequestBuffer
-	pend       []pendReq
-	completeFn func(tag int, ready int64)
+	// valueCounter is the value-sampling counter of the CU's waves
+	// (emu.Wave.ValueCounter), zeroed at every dispatch.
+	valueCounter int
 
 	// waves is kept permanently ordered by seq: place appends waves with
 	// monotonically increasing seq and releaseWG compacts stably, so the
@@ -180,24 +172,19 @@ type cu struct {
 	nextEvent int64
 }
 
-// release drops what the CU holds of the run that ended: its engine clone,
-// and the wave lists and pending-request table cleared to their capacity —
-// the slots past their length still point at the run's waves, and through
-// them at its engine and memory image.
+// release clears the CU's wave lists to their capacity (see GPU.release).
 func (c *cu) release() {
-	c.eng = nil
-	clear(c.pend[:cap(c.pend)])
 	clear(c.waves[:cap(c.waves)])
 	clear(c.order[:cap(c.order)])
-	c.pend, c.waves, c.order = c.pend[:0], c.waves[:0], c.order[:0]
+	c.waves, c.order = c.waves[:0], c.order[:0]
 }
 
-// reset returns the CU's private state (its caches and request buffer are
-// the GPU's to reset) to what a new CU under g.P starts with.
+// reset returns the CU's private state (its caches are the GPU's to reset,
+// its wave lists the GPU's to release) to what a new CU under g.P starts
+// with.
 func (c *cu) reset() {
 	p := &c.g.P
-	c.release()
-	*c.run = stats.Run{}
+	c.valueCounter = 0
 	c.usedSlots, c.seq, c.vrfCursor = 0, 0, 0
 	c.simdBusy = zeroed(c.simdBusy, p.SIMDsPerCU)
 	c.bankFree = zeroed(c.bankFree, p.VRFBanks)
@@ -240,6 +227,7 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 	}
 	for i := 0; i < wg.Info.NumWaves; i++ {
 		w := eng.NewWave(wg, i)
+		w.ValueCounter = &c.valueCounter
 		ctx := &waveCtx{
 			w: w, eng: eng, wg: run,
 			seq:     c.seq,
@@ -316,8 +304,7 @@ func (c *cu) tick(now int64) (int, error) {
 			wv.fetchDone = noEvent
 			wv.fetchBytes = int(line + mem.LineSize - addr)
 			wv.fetchInEpoch = wv.fetchEpoch
-			c.pend = append(c.pend, pendReq{wv: wv})
-			c.reqs.AppendLine(c.l1iDest, line, false, len(c.pend)-1)
+			c.g.reqs.AppendLine(c.l1iDest, line, false, c.tag(wv, nil))
 			started++
 		}
 		if wv.done || wv.barrier {
@@ -329,7 +316,7 @@ func (c *cu) tick(now int64) (int, error) {
 	c.order = order
 	c.wake(firstWake)
 	c.stallers = sleepers
-	c.run.FetchStallCycles += uint64(sleepers)
+	c.g.Run.FetchStallCycles += uint64(sleepers)
 	if sh != nil {
 		sh.ticked(c, visited, len(order))
 	}
@@ -365,7 +352,7 @@ func (c *cu) park(wv *waveCtx, at, now int64) {
 // of its waves can act before nextEvent, so all its ticks would have done is
 // charge FetchStallCycles once per stalled wave per cycle.
 func (c *cu) idle(from, n int64) {
-	c.run.FetchStallCycles += uint64(c.stallers) * uint64(n)
+	c.g.Run.FetchStallCycles += uint64(c.stallers) * uint64(n)
 	if sh := c.g.shadow; sh != nil {
 		for t := from; t < from+n; t++ {
 			sh.cuAsleep(c, t)
@@ -373,20 +360,29 @@ func (c *cu) idle(from, n int64) {
 	}
 }
 
-// complete is the drain callback: it lands one deferred access's
-// completion cycle. Fetch fills (nil info) record the fill time and wake
-// the wave and the CU then. Data accesses feed the wave's dependency state.
-func (c *cu) complete(tag int, ready int64) {
-	p := &c.pend[tag]
+// tag enters an access of wv's that the CU defers to the drain in the GPU's
+// pending-request table — with info, the instruction its completion feeds
+// (nil for an instruction fetch) — and returns the access's tag there.
+func (c *cu) tag(wv *waveCtx, info *emu.InstInfo) int {
+	g := c.g
+	g.pend = append(g.pend, pendReq{c: c, wv: wv, info: info})
+	return len(g.pend) - 1
+}
+
+// complete is the drain callback: it lands one deferred access's completion
+// cycle. Fetch fills (nil info) record the fill time and wake the wave and
+// its CU then. Data accesses feed the wave's dependency state.
+func (g *GPU) complete(tag int, ready int64) {
+	p := &g.pend[tag]
 	if p.info == nil {
 		p.wv.fetchDone = ready
 		if ready < p.wv.wakeAt {
 			p.wv.wakeAt = ready
 		}
-		c.wake(ready)
+		p.c.wake(ready)
 		return
 	}
-	c.finishMem(p.wv, p.info, ready)
+	p.c.finishMem(p.wv, p.info, ready)
 }
 
 // issueStage picks ready wavefronts oldest-first from c.order and issues at
@@ -394,7 +390,7 @@ func (c *cu) complete(tag int, ready int64) {
 // until the exact cycle its blocking condition can next change.
 func (c *cu) issueStage(now int64) (int, error) {
 	finished := 0
-	run := c.run
+	run := c.g.Run
 	for _, wv := range c.order {
 		if now < wv.nextIssue {
 			c.park(wv, wv.nextIssue, now)
@@ -547,11 +543,9 @@ func (c *cu) retire(wv *waveCtx, info *emu.InstInfo, res *emu.ExecResult, now in
 	case res.MemKind == emu.MemGlobal && len(res.Lines) > 0:
 		// res.Lines is the wave's coalescing scratch; Append routes and
 		// copies the lines, so the scratch may be reused immediately.
-		c.pend = append(c.pend, pendReq{wv: wv, info: info})
-		c.reqs.Append(c.l1dDest, res.Lines, res.MemWrite, len(c.pend)-1)
+		c.g.reqs.Append(c.l1dDest, res.Lines, res.MemWrite, c.tag(wv, info))
 	case res.MemKind == emu.MemScalar && len(res.Lines) > 0:
-		c.pend = append(c.pend, pendReq{wv: wv, info: info})
-		c.reqs.Append(c.sl1Dest, res.Lines, false, len(c.pend)-1)
+		c.g.reqs.Append(c.sl1Dest, res.Lines, false, c.tag(wv, info))
 	case res.MemKind == emu.MemGlobal || res.MemKind == emu.MemScalar:
 		// Fully masked access: no lines, completes immediately.
 		c.finishMem(wv, info, now)
@@ -580,9 +574,9 @@ func (c *cu) retire(wv *waveCtx, info *emu.InstInfo, res *emu.ExecResult, now in
 	}
 
 	if res.Redirected {
-		c.run.Redirects++
+		c.g.Run.Redirects++
 		if wv.ibBytes > 0 || wv.fetchBusy {
-			c.run.IBFlushes++
+			c.g.Run.IBFlushes++
 		}
 		wv.ibBytes = 0
 		wv.fetchEpoch++ // cancel any in-flight fill

@@ -268,8 +268,8 @@ func warm(tb testing.TB, c *cu) (now int64) {
 // TestIssueStageNoAllocs pins the timing core's allocation invariant: once
 // a CU is in steady state, a full two-phase cycle — tick (fetch + issue +
 // execute + retire into the request buffer) plus drain (deferred cache
-// accesses) — allocates nothing: every buffer involved (order scratch,
-// request buffer, pending metadata) is CU-owned and reused. The
+// accesses) — allocates nothing: every buffer involved (the CU's order
+// scratch, the device's request buffer and pending table) is reused. The
 // contract covers every shape a tick takes: all waves issuing, most waves
 // asleep and waking as their loads land (park, wake, re-park), and a CU
 // asleep as a whole.
@@ -284,9 +284,9 @@ func TestIssueStageNoAllocs(t *testing.T) {
 	} {
 		c := shape.c
 		now := warm(t, c)
-		// The stub engines commit nothing to the stats shard; operand
-		// traffic counts issues and the L1D counts the loads among them.
-		issues, loads := c.run.VRFAccesses, c.l1d.Stats().Accesses
+		// The stub engines commit nothing to the run; operand traffic
+		// counts issues and the L1D counts the loads among them.
+		issues, loads := c.g.Run.VRFAccesses, c.l1d.Stats().Accesses
 		avg := testing.AllocsPerRun(4000, func() {
 			if err := cycle(c, now); err != nil {
 				t.Fatal(err)
@@ -297,7 +297,7 @@ func TestIssueStageNoAllocs(t *testing.T) {
 			t.Errorf("%s: steady-state cycle allocates: %v allocs/op, want 0", shape.name, avg)
 		}
 		// Sanity: the shape is what its name says.
-		issued, loaded := c.run.VRFAccesses > issues, c.l1d.Stats().Accesses > loads
+		issued, loaded := c.g.Run.VRFAccesses > issues, c.l1d.Stats().Accesses > loads
 		switch shape.name {
 		case "inert":
 			if issued || c.nextEvent != 1<<40 {

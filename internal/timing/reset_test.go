@@ -105,15 +105,16 @@ func TestResetLeavesADeviceLikeNew(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g.WD, g.NoSkip = Watchdog{Ctx: ctx, MaxCycles: 1 << 40}, true
-	g.prepareEngines(newStubEngine())
 	for ; g.now < 300; g.now++ {
 		if err := cycle(c, g.now); err != nil {
 			t.Fatal(err)
 		}
 		g.wdTick++
 	}
-	c.reqs.AppendLine(c.l1dDest, 0x40, false, 0) // a tick the drain never saw
-	c.run.VRFAccesses++
+	// A tick the drain never saw: a pending entry and its request.
+	g.reqs.AppendLine(c.l1dDest, 0x40, false, c.tag(c.waves[0], nil))
+	c.valueCounter = 3
+	g.Run.VRFAccesses++
 	c.simdBusy[1] = g.now + 3 // the stub streams loads only
 	if g.l2.Stats().Accesses == 0 || len(c.waves) == 0 {
 		t.Fatal("the device saw no work")
@@ -149,8 +150,7 @@ func TestResetLeavesADeviceLikeNew(t *testing.T) {
 	// emptied pending table), and the latencies arrived: one L1I miss costs
 	// the new L1 + L2 + DRAM path.
 	g.drainFlush(0)
-	g.cus[0].pend = append(g.cus[0].pend, pendReq{wv: &waveCtx{}})
-	g.cus[0].reqs.AppendLine(g.cus[0].l1iDest, 0x1000, false, 0)
+	g.reqs.AppendLine(g.cus[0].l1iDest, 0x1000, false, g.cus[0].tag(&waveCtx{}, nil))
 	g.drainFlush(0)
 	if got, want := g.iCaches[0].Stats().LatencySum, uint64(p.L1HitLatency+p.L2HitLatency+p.DRAMLatency); got != want {
 		t.Errorf("a miss to DRAM after Reset took %d cycles, want %d", got, want)

@@ -89,8 +89,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 		if n, msgs := sh.Failures(); n != 0 {
 			t.Fatalf("early bounds refuted %d times: %v", n, msgs)
 		}
-		if !reflect.DeepEqual(c.run, twin.run) || c.l1d.Stats() != twin.l1d.Stats() {
-			t.Fatalf("early bounds changed the run:\n%+v\n%+v", c.run, twin.run)
+		if !reflect.DeepEqual(c.g.Run, twin.g.Run) || c.l1d.Stats() != twin.l1d.Stats() {
+			t.Fatalf("early bounds changed the run:\n%+v\n%+v", c.g.Run, twin.g.Run)
 		}
 	})
 

@@ -172,8 +172,13 @@ type GPU struct {
 	iCaches []*mem.Cache
 	sCaches []*mem.Cache
 
-	// drain replays the CUs' deferred cache accesses through the banked
-	// hierarchy in level order (see mem.Drain).
+	// reqs/pend hold the cycle's deferred shared-cache accesses of every CU,
+	// in tick order: the lines, routed by level-1 cache, and per request
+	// what its completion feeds (indexed by the request's tag). drain
+	// replays them through the banked hierarchy in level order (see
+	// mem.Drain) and completes them through complete.
+	reqs  mem.RequestBuffer
+	pend  []pendReq
 	drain *mem.Drain
 
 	now int64
@@ -214,42 +219,40 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 			p.ScalarL1Size, mem.LineSize, p.ScalarL1Ways, p.ScalarHitLatency, false, g.l2, 1))
 	}
 	for i := 0; i < p.NumCUs; i++ {
-		c := &cu{g: g, id: i, run: &stats.Run{}}
-		c.completeFn = c.complete
+		c := &cu{g: g, id: i}
 		c.l1d = mem.NewCache(fmt.Sprintf("L1D%d", i),
 			p.L1DSize, mem.LineSize, p.L1DWays, p.L1HitLatency, false, g.l2, 1)
 		c.l1i = g.iCaches[i/4]
 		c.sl1 = g.sCaches[i/4]
-		c.l1dDest = c.reqs.Register(c.l1d)
-		c.l1iDest = c.reqs.Register(c.l1i)
-		c.sl1Dest = c.reqs.Register(c.sl1)
+		c.l1dDest = g.reqs.Register(c.l1d)
+		c.l1iDest = g.reqs.Register(c.l1i)
+		c.sl1Dest = g.reqs.Register(c.sl1)
 		g.cus = append(g.cus, c)
 	}
 	// Wire the drain: level-1 caches in replay order (per-CU L1Ds, then the
-	// shared I- and scalar caches), sources in CU-index order. This order
-	// defines each bank's replay sequence.
+	// shared I- and scalar caches). This order, and the CUs ticking in index
+	// order, define each bank's replay sequence.
 	l1s := make([]*mem.Cache, 0, p.NumCUs+2*nShared)
-	srcs := make([]mem.DrainSource, 0, p.NumCUs)
 	for _, c := range g.cus {
 		l1s = append(l1s, c.l1d)
-		srcs = append(srcs, mem.DrainSource{Buf: &c.reqs, Complete: c.completeFn})
 	}
 	l1s = append(l1s, g.iCaches...)
 	l1s = append(l1s, g.sCaches...)
-	g.drain = mem.NewDrain(l1s, srcs, g.l2, g.dram)
+	g.drain = mem.NewDrain(l1s, []mem.DrainSource{{Buf: &g.reqs, Complete: g.complete}}, g.l2, g.dram)
 	g.Reset(p, run)
 	return g
 }
 
-// Reset re-arms the device for a new run under p, collecting into run, and
-// reports whether it could: false, with the device untouched, when p sizes
-// storage differently from what NewGPU allocated (a cache's size or ways, the
-// L2's banks, the DRAM channels, the CU count). Everything else in p — VRF
-// banks, SIMDs, wavefront slots, the instruction buffer, every latency — is
-// rearmed in place. After a true return the device is what NewGPU(p, run)
-// returns, down to the fingerprint of whatever runs on it, and holds nothing
-// of the runs before: it is the only list of the state a run leaves behind
-// (NewGPU arms through it), and TestResetMatchesFresh polices it.
+// Reset re-arms the device for a new run under p, collecting into run (a
+// private record when run is nil), and reports whether it could: false, with
+// the device untouched, when p sizes storage differently from what NewGPU
+// allocated (a cache's size or ways, the L2's banks, the DRAM channels, the
+// CU count). Everything else in p — VRF banks, SIMDs, wavefront slots, the
+// instruction buffer, every latency — is rearmed in place. After a true
+// return the device is what NewGPU(p, run) returns, down to the fingerprint
+// of whatever runs on it, and holds nothing of the runs before: it is the
+// only list of the state a run leaves behind (NewGPU arms through it), and
+// TestResetMatchesFresh polices it.
 func (g *GPU) Reset(p Params, run *stats.Run) bool {
 	if o := &g.P; p.NumCUs != o.NumCUs || p.DRAMChannels != o.DRAMChannels ||
 		p.L1DSize != o.L1DSize || p.L1DWays != o.L1DWays ||
@@ -257,6 +260,9 @@ func (g *GPU) Reset(p Params, run *stats.Run) bool {
 		p.ScalarL1Size != o.ScalarL1Size || p.ScalarL1Ways != o.ScalarL1Ways ||
 		p.L2Size != o.L2Size || p.L2Ways != o.L2Ways || p.L2Banks != o.L2Banks {
 		return false
+	}
+	if run == nil {
+		run = &stats.Run{}
 	}
 	g.P, g.Run = p, run
 	g.WD, g.NoSkip = Watchdog{}, false
@@ -274,7 +280,8 @@ func (g *GPU) Reset(p Params, run *stats.Run) bool {
 		rearm(g.iCaches[i], p.L1HitLatency)
 		rearm(g.sCaches[i], p.ScalarHitLatency)
 	}
-	g.drain.Reset() // the CUs' request buffers included
+	g.drain.Reset() // the request buffer included
+	g.release()
 	for _, c := range g.cus {
 		rearm(c.l1d, p.L1HitLatency)
 		c.reset()
@@ -282,66 +289,49 @@ func (g *GPU) Reset(p Params, run *stats.Run) bool {
 	return true
 }
 
+// release drops what the device holds of the run that ended: the
+// pending-request table and the CUs' wave lists, cleared to their capacity —
+// the slots past their length still point at the run's waves, and through
+// them at its engine and memory image.
+func (g *GPU) release() {
+	clear(g.pend[:cap(g.pend)])
+	g.pend = g.pend[:0]
+	for _, c := range g.cus {
+		c.release()
+	}
+}
+
 // Now returns the current cycle.
 func (g *GPU) Now() int64 { return g.now }
 
 // drainFlush replays the cycle's deferred cache accesses through the
-// banked hierarchy (see mem.Drain) and clears the CUs' pending-request
-// metadata the completion callbacks indexed into.
+// banked hierarchy (see mem.Drain) and empties the pending-request table
+// the completions indexed into.
 func (g *GPU) drainFlush(now int64) {
 	g.drain.Flush(now, nil)
-	for _, c := range g.cus {
-		c.pend = c.pend[:0]
-	}
-}
-
-// totalInsts sums committed instructions across the root run and every CU
-// shard (shards hold a dispatch's counts until Finalize merges them).
-func (g *GPU) totalInsts() uint64 {
-	var n uint64
-	if g.Run != nil {
-		n = g.Run.TotalInsts()
-	}
-	for _, c := range g.cus {
-		n += c.run.TotalInsts()
-	}
-	return n
+	g.pend = g.pend[:0]
 }
 
 // wdInsts returns the instruction total for a watchdog check, skipping the
-// shard scan when no instruction budget is set.
+// count when no instruction budget is set.
 func (g *GPU) wdInsts() uint64 {
 	if g.WD.MaxInsts == 0 {
 		return 0
 	}
-	return g.totalInsts()
-}
-
-// prepareEngines binds each CU's execution engine for the coming dispatch.
-// Forkable engines get one clone per CU feeding that CU's stat shard, so
-// collector sampling state (an order-dependent counter) advances per CU.
-func (g *GPU) prepareEngines(eng emu.Engine) {
-	fk, ok := eng.(emu.Forker)
-	for _, c := range g.cus {
-		if ok {
-			c.eng = fk.Fork(c.run)
-		} else {
-			c.eng = eng
-		}
-	}
+	return g.Run.TotalInsts()
 }
 
 // RunDispatch executes one dispatch to completion on the timed model and
 // returns the cycles it took.
 //
 // Each cycle is two phases. Phase 1 ticks the CUs in index order — fetch
-// scheduling, issue, functional execution — touching only that CU's private
-// state and appending its accesses to the shared cache hierarchy to its
-// request buffer instead of applying them: no CU consumes a cache result in
-// the cycle that requested it. Phase 2 replays the buffers level by level
-// (L1 caches, then L2 banks in ascending order, then DRAM channels, then the
-// cycle's dirty-victim write-backs — see mem.Drain); that order is the
-// memory model's semantics.
+// scheduling, issue, functional execution on eng — each CU appending its
+// accesses to the shared cache hierarchy to the device's request buffer
+// instead of applying them: no CU consumes a cache result in the cycle that
+// requested it. Phase 2 replays the buffer level by level (L1 caches, then
+// L2 banks in ascending order, then DRAM channels, then the cycle's
+// dirty-victim write-backs — see mem.Drain); that order is the memory
+// model's semantics.
 //
 // A cycle costs what the waves that can act in it cost: a wave sleeps until
 // its wakeAt, a CU until the earliest of its waves' (cu.tick), and when every
@@ -357,7 +347,12 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	start := g.now
 	g.now += g.P.LaunchOverhead
 
-	g.prepareEngines(eng)
+	// Fig 10's value sampling counts each CU's VRF accesses from zero at
+	// every dispatch (the waves cu.place creates point at their CU's
+	// counter).
+	for _, c := range g.cus {
+		c.valueCounter = 0
+	}
 
 	// Occupancy: waves per CU limited by WF slots and register files.
 	vregs, sregs := eng.RegDemand()
@@ -390,7 +385,7 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 			placed := false
 			for _, c := range g.cus {
 				if c.canPlace(wg, maxWaves) {
-					c.place(wg, c.eng)
+					c.place(wg, eng)
 					next++
 					active++
 					placed = true
@@ -414,9 +409,7 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	// counters, and the watchdog's poll once a check period has passed.
 	advance := func(n int64) error {
 		g.now += n
-		if g.Run != nil {
-			g.Run.Cycles += uint64(n)
-		}
+		g.Run.Cycles += uint64(n)
 		if watched {
 			if g.wdTick += n; g.wdTick >= g.WD.every() {
 				g.wdTick = 0
@@ -480,9 +473,6 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 
 // HarvestCacheStats copies hierarchy counters into the run record.
 func (g *GPU) HarvestCacheStats() {
-	if g.Run == nil {
-		return
-	}
 	for _, c := range g.cus {
 		st := c.l1d.Stats()
 		g.Run.L1DAccesses += st.Accesses
@@ -503,20 +493,13 @@ func (g *GPU) HarvestCacheStats() {
 	g.Run.L2Misses = l2.Misses
 }
 
-// Finalize ends the run: it folds per-CU state back into the shared run
-// record — hierarchy counters (HarvestCacheStats) and the per-CU stat shards,
-// which are zeroed after merging — and lets go of the run's engines and
-// waves, so a device kept for reuse does not keep the run's memory image
-// alive. Call it once, after the last dispatch.
+// Finalize ends the run: it copies the hierarchy counters into the run
+// record (HarvestCacheStats) and lets go of the run's waves, so a device kept
+// for reuse does not keep the run's memory image alive. Call it once, after
+// the last dispatch.
 func (g *GPU) Finalize() {
 	g.HarvestCacheStats()
-	for _, c := range g.cus {
-		if g.Run != nil {
-			g.Run.Merge(c.run)
-		}
-		*c.run = stats.Run{}
-		c.release()
-	}
+	g.release()
 }
 
 func min3(a, b, c int) int {
