@@ -15,8 +15,19 @@ import (
 //
 // The dedup is a linear scan rather than a map: a wavefront's accesses
 // coalesce to at most 2×WavefrontSize lines and usually to a handful, and
-// consecutive lanes overwhelmingly touch the line just inserted.
+// consecutive lanes overwhelmingly touch the line just inserted. An access
+// that passes the whole-wave stride test (waveRun: one word, or consecutive
+// words, in one page) covers one range of lines, which first-touch order
+// lists in ascending order.
 func CoalesceInto(buf []uint64, addrs *[isa.WavefrontSize]uint64, accessBytes int, active isa.ExecMask) []uint64 {
+	if first, last, _, ok := waveRun(addrs, active, accessBytes); ok {
+		for l := first &^ (LineSize - 1); l <= last; l += LineSize {
+			if !containsLine(buf, l) {
+				buf = append(buf, l)
+			}
+		}
+		return buf
+	}
 	for m := uint64(active); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m) & 63
 		first := addrs[lane] &^ (LineSize - 1)

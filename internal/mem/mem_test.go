@@ -2,7 +2,9 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -171,8 +173,31 @@ func TestDRAMChannelContention(t *testing.T) {
 	}
 }
 
+// TestCoalesceAgainstBruteForce: the coalesced lines are every line an active
+// lane's word touches, once each, in first-touch order — for random
+// addresses near one base, and for the lane-access tests' scenarios, whose
+// whole-wave shapes take CoalesceInto's stride path.
 func TestCoalesceAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
+	check := func(what string, addrs *[isa.WavefrontSize]uint64, size int, mask isa.ExecMask) {
+		t.Helper()
+		var want []uint64
+		seen := map[uint64]bool{}
+		for l := 0; l < isa.WavefrontSize; l++ {
+			if !mask.Bit(l) {
+				continue
+			}
+			for a := addrs[l] &^ 63; a <= (addrs[l]+uint64(size)-1)&^63; a += 64 {
+				if !seen[a] {
+					seen[a] = true
+					want = append(want, a)
+				}
+			}
+		}
+		if got := Coalesce(addrs, size, mask); !slices.Equal(got, want) {
+			t.Fatalf("%s: lines %#x, want %#x", what, got, want)
+		}
+	}
 	for iter := 0; iter < 300; iter++ {
 		var addrs [isa.WavefrontSize]uint64
 		mask := isa.ExecMask(rng.Uint64())
@@ -181,26 +206,12 @@ func TestCoalesceAgainstBruteForce(t *testing.T) {
 		for l := range addrs {
 			addrs[l] = base + uint64(rng.Intn(512))
 		}
-		got := Coalesce(&addrs, size, mask)
-		want := map[uint64]bool{}
-		for l := 0; l < isa.WavefrontSize; l++ {
-			if !mask.Bit(l) {
-				continue
-			}
-			for a := addrs[l] &^ 63; a <= (addrs[l]+uint64(size)-1)&^63; a += 64 {
-				want[a] = true
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: %d lines, want %d", iter, len(got), len(want))
-		}
-		seen := map[uint64]bool{}
-		for _, g := range got {
-			if !want[g] || seen[g] {
-				t.Fatalf("iter %d: unexpected or duplicate line %#x", iter, g)
-			}
-			seen[g] = true
-		}
+		check(fmt.Sprintf("random %d", iter), &addrs, size, mask)
+	}
+	for iter := 0; iter < 600; iter++ {
+		size := []int{4, 8}[rng.Intn(2)]
+		addrs, mask := laneScenario(rng, 0x1000_0000, size)
+		check(fmt.Sprintf("scenario %d", iter), &addrs, size, mask)
 	}
 }
 

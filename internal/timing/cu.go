@@ -162,14 +162,17 @@ type cu struct {
 	order []*waveCtx
 
 	// Sleep bookkeeping, left behind by the last real tick:
-	//   nextEvent — the minimum of the waves' wakeAt: the CU's ticks before
-	//               it are inert and are skipped (idle), and the GPU jumps
-	//               to the minimum over CUs. place resets it to wake the CU
-	//               for an incoming workgroup.
-	//   stallers  — waves that charged FetchStallCycles in that tick and
-	//               would charge it again in every cycle slept through.
-	stallers  int
-	nextEvent int64
+	//   nextEvent  — the minimum of the waves' wakeAt: the CU's ticks before
+	//                it are inert and are skipped (step), and the GPU jumps
+	//                to the minimum over CUs. place resets it to wake the CU
+	//                for an incoming workgroup.
+	//   stallers   — waves that charged FetchStallCycles in that tick and
+	//                would charge it again in every cycle slept through.
+	//   asleepFrom — the first cycle since then whose charge settle has not
+	//                taken yet.
+	stallers   int
+	nextEvent  int64
+	asleepFrom int64
 }
 
 // release clears the CU's wave lists to their capacity (see GPU.release).
@@ -189,7 +192,7 @@ func (c *cu) reset() {
 	c.simdBusy = zeroed(c.simdBusy, p.SIMDsPerCU)
 	c.bankFree = zeroed(c.bankFree, p.VRFBanks)
 	c.scalarBusy, c.vmemBusy, c.ldsBusy = 0, 0, 0
-	c.stallers, c.nextEvent = 0, 0
+	c.stallers, c.nextEvent, c.asleepFrom = 0, 0, 0
 }
 
 // zeroed returns s as n zeros, reusing its storage when that is enough.
@@ -218,8 +221,11 @@ func (c *cu) canPlace(wg *emu.WGState, maxWaves int) bool {
 	return c.usedSlots+wg.Info.NumWaves <= cap
 }
 
-// place creates the workgroup's wavefronts in this CU and wakes it.
+// place creates the workgroup's wavefronts in this CU and wakes it. The
+// cycles the CU slept through so far are settled first, against the waves
+// that slept through them.
 func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
+	c.settle(c.g.now)
 	run := &wgRun{wg: wg, remaining: wg.Info.NumWaves}
 	vregs, _ := eng.RegDemand()
 	if vregs < 1 {
@@ -247,22 +253,51 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 	c.nextEvent = 0
 }
 
+// step is the CU's share of cycle now, in RunDispatch and in the tests
+// alike; it returns how many workgroups finished. A CU whose nextEvent lies
+// ahead sleeps: the cycle costs it one compare, and what its tick would have
+// charged is taken in bulk when it next ticks (settle). GPU.NoSkip ticks it
+// every cycle. (Written to stay under the inliner's budget, so a sleeping
+// CU costs RunDispatch no call.)
+func (c *cu) step(now int64) (finished int, err error) {
+	if now >= c.nextEvent || c.g.NoSkip {
+		finished, err = c.tick(now)
+	}
+	return
+}
+
+// settle charges the cycles from asleepFrom up to until that the CU slept
+// through with what each of their ticks would have charged: FetchStallCycles
+// once per stalled wave. One product is exact because stallers changes only
+// in a real tick.
+func (c *cu) settle(until int64) {
+	n := until - c.asleepFrom
+	if n <= 0 {
+		return
+	}
+	c.g.Run.FetchStallCycles += uint64(c.stallers) * uint64(n)
+	if sh := c.g.shadow; sh != nil {
+		for t := c.asleepFrom; t < until; t++ {
+			sh.cuAsleep(c, t)
+		}
+	}
+	c.asleepFrom = until
+}
+
 // tick advances the CU one cycle; it returns how many workgroups finished.
 //
 // A tick costs what the waves that can act cost. One pass over c.waves skips
 // every wave still asleep (now < wakeAt: one compare), completes and starts
 // instruction-buffer fills for the rest, and collects those that may issue;
 // the issue stage then visits only them. Every visited wave leaves with a
-// new wakeAt (park), their minimum is c.nextEvent, and a CU whose nextEvent
-// lies ahead skips its ticks whole (idle). GPU.NoSkip switches both levels
-// off: every tick then visits every wave, which is the oracle the skipping
-// runs are compared against.
+// new wakeAt (park), and their minimum is c.nextEvent, before which the CU
+// is not ticked at all (step). GPU.NoSkip switches both levels off: every
+// tick then visits every wave, which is the oracle the skipping runs are
+// compared against.
 func (c *cu) tick(now int64) (int, error) {
+	c.settle(now)
+	c.asleepFrom = now + 1
 	skip := !c.g.NoSkip
-	if skip && now < c.nextEvent {
-		c.idle(now, 1)
-		return 0, nil
-	}
 	c.nextEvent = noEvent
 	p := &c.g.P
 	sh := c.g.shadow
@@ -329,7 +364,8 @@ func (c *cu) tick(now int64) (int, error) {
 // then changes nothing and parks the wave again — but never late, and that
 // is exact: a wave's instruction buffer and dependency state change only
 // through its own issue, its own fill landing, or the drain completing its
-// own requests in the cycle it issued them, and unit-busy times only grow.
+// own requests in the cycle it issued them (which can only delay a bound
+// taken at issue, before the drain), and unit-busy times only grow.
 func (c *cu) park(wv *waveCtx, at, now int64) {
 	if !wv.done {
 		if wv.fetchBusy {
@@ -346,18 +382,6 @@ func (c *cu) park(wv *waveCtx, at, now int64) {
 	wv.wakeAt = at
 	wv.stalled = false
 	c.wake(at)
-}
-
-// idle accounts for n cycles from cycle from that the CU sleeps through: none
-// of its waves can act before nextEvent, so all its ticks would have done is
-// charge FetchStallCycles once per stalled wave per cycle.
-func (c *cu) idle(from, n int64) {
-	c.g.Run.FetchStallCycles += uint64(c.stallers) * uint64(n)
-	if sh := c.g.shadow; sh != nil {
-		for t := from; t < from+n; t++ {
-			sh.cuAsleep(c, t)
-		}
-	}
 }
 
 // tag enters an access of wv's that the CU defers to the drain in the GPU's
@@ -406,7 +430,7 @@ func (c *cu) issueStage(now int64) (int, error) {
 		info := wv.info
 		if wv.ibBytes < info.SizeBytes {
 			// The stall repeats every cycle until a fill lands, asleep or
-			// awake; idle bulk-charges it across cycles the CU sleeps
+			// awake; settle bulk-charges it across cycles the CU sleeps
 			// through.
 			run.FetchStallCycles++
 			c.stallers++
@@ -485,13 +509,39 @@ func (c *cu) issueStage(now int64) (int, error) {
 				finished++
 			}
 		}
-		at := wv.nextIssue
-		if wv.done || wv.barrier {
-			at = noEvent
+		at := noEvent
+		if !wv.done && !wv.barrier {
+			at = c.issueBound(wv)
 		}
 		c.park(wv, at, now)
 	}
 	return finished, nil
+}
+
+// issueBound is where a wave that has just issued parks: the first cycle its
+// next instruction can issue, as far as the CU can tell now. That is
+// nextIssue, or later while the instruction's unit is busy or, under HSAIL,
+// its registers are pending. It stays nextIssue when the instruction buffer
+// does not hold the instruction yet — its fetch stall is charged per cycle
+// from that visit on — and when Peek fails, whose error that visit reports.
+// Waitcnt bounds are not used: a request issued this cycle learns its
+// completion cycle only in the drain. The bound may be early, never late
+// (see park).
+func (c *cu) issueBound(wv *waveCtx) int64 {
+	at := wv.nextIssue
+	info, err := wv.eng.Peek(wv.w)
+	if err != nil {
+		return at
+	}
+	wv.info = info
+	if wv.ibBytes < info.SizeBytes {
+		return at
+	}
+	if wv.vregReady != nil {
+		at = max(at, scoreboardReadyAt(wv, info))
+	}
+	busy, _ := c.unit(wv, info)
+	return max(at, *busy)
 }
 
 // unit returns the execution unit an instruction issues to — the cycle it

@@ -60,11 +60,11 @@ func benchCU(waves int) *cu {
 	return c
 }
 
-// cycle runs one CU through a full two-phase cycle: the phase-1 tick plus
-// the phase-2 drain that replays its deferred shared-cache accesses level by
-// level.
+// cycle runs one CU through a full two-phase cycle: the phase-1 step
+// RunDispatch takes (a tick, or nothing for a sleeping CU) plus the phase-2
+// drain that replays its deferred shared-cache accesses level by level.
 func cycle(c *cu, now int64) error {
-	if _, err := c.tick(now); err != nil {
+	if _, err := c.step(now); err != nil {
 		return err
 	}
 	c.g.drainFlush(now)

@@ -3,15 +3,21 @@ package timing
 import (
 	"reflect"
 	"testing"
+
+	"ilsim/internal/emu"
+	"ilsim/internal/hsa"
+	"ilsim/internal/isa"
 )
 
-// run advances c by n cycles from now.
+// run advances c by n cycles from now and, as RunDispatch does on its way
+// out, settles the cycles it slept through.
 func run(tb testing.TB, c *cu, now, n int64) int64 {
 	for end := now + n; now < end; now++ {
 		if err := cycle(c, now); err != nil {
 			tb.Fatal(err)
 		}
 	}
+	c.settle(now)
 	return now
 }
 
@@ -94,6 +100,33 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 		}
 	})
 
+	t.Run("issue bound late", func(t *testing.T) {
+		// A wave that issued in the cycle just run has nextIssue == now;
+		// parked later than that, it is asleep on the issue-time bound (its
+		// next instruction's SIMD is busy), and waking it a cycle late must
+		// be refuted.
+		sh := InstallShadow(t)
+		c := benchCU(8)
+		now := warm(t, c)
+		pushed := 0
+		for i := 0; i < 256; i++ {
+			for _, wv := range c.waves {
+				if wv.nextIssue == now && wv.wakeAt > now && wv.wakeAt != noEvent {
+					wv.wakeAt++
+					pushed++
+				}
+			}
+			c.nextEvent = 0 // keep the CU awake: this case is about the waves
+			now = run(t, c, now, 1)
+		}
+		if pushed == 0 {
+			t.Fatal("no wave that issued was parked past its nextIssue")
+		}
+		if failures(sh) == 0 {
+			t.Fatalf("%d issue-time bounds pushed a cycle late and the oracle saw nothing", pushed)
+		}
+	})
+
 	t.Run("CU bound late", func(t *testing.T) {
 		sh := InstallShadow(t)
 		c := benchBlockedCU(0)
@@ -139,4 +172,29 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 			t.Fatal("a sleeping CU undercharged its stallers and the oracle saw nothing")
 		}
 	})
+}
+
+// TestPlacementSettlesFirst: a workgroup placed on a CU that has slept since
+// its last tick settles those cycles before its waves arrive, so they are
+// charged and checked against the waves that slept through them — not
+// against the newcomers, which could have fetched had they been there.
+func TestPlacementSettlesFirst(t *testing.T) {
+	sh := InstallShadow(t)
+	c := benchInertCU()
+	now := warm(t, c)
+	for end := now + 16; now < end; now++ {
+		if err := cycle(c, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.asleepFrom >= now {
+		t.Fatal("the CU did not sleep")
+	}
+	c.g.now = now
+	d := &hsa.Dispatch{Workgroups: []hsa.WorkgroupInfo{{Size: isa.WavefrontSize, NumWaves: 1}}}
+	c.place(emu.NewWGState(d, &d.Workgroups[0], 0), c.waves[0].eng)
+	run(t, c, now, 64)
+	if n, msgs := sh.Failures(); n != 0 {
+		t.Fatalf("placement into a sleeping CU refuted %d times: %v", n, msgs)
+	}
 }

@@ -334,9 +334,11 @@ func (g *GPU) wdInsts() uint64 {
 // model's semantics.
 //
 // A cycle costs what the waves that can act in it cost: a wave sleeps until
-// its wakeAt, a CU until the earliest of its waves' (cu.tick), and when every
+// its wakeAt, a CU until the earliest of its waves' (cu.step), and when every
 // CU is asleep the loop jumps to the earliest of theirs (below). NoSkip turns
-// all three off.
+// all three off. A sleeping CU's stall charge is taken in bulk when it next
+// ticks or receives a workgroup, and for every CU on every way out of here,
+// errors included (cu.settle).
 func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	watched := g.WD.enabled()
 	if watched {
@@ -352,7 +354,13 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	// counter).
 	for _, c := range g.cus {
 		c.valueCounter = 0
+		c.asleepFrom = g.now
 	}
+	defer func() {
+		for _, c := range g.cus {
+			c.settle(g.now)
+		}
+	}()
 
 	// Occupancy: waves per CU limited by WF slots and register files.
 	vregs, sregs := eng.RegDemand()
@@ -422,28 +430,34 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	for active > 0 {
 		// Phase 1: tick CUs against private state; phase 2: replay the
 		// cache accesses they deferred.
-		for _, c := range g.cus {
-			fin, err := c.tick(g.now)
+		for i, c := range g.cus {
+			fin, err := c.step(g.now)
 			if err != nil {
+				// The CUs before c are through this cycle.
+				for _, b := range g.cus[:i] {
+					b.settle(g.now + 1)
+				}
 				return 0, err
 			}
 			active -= fin
 		}
 		g.drainFlush(g.now)
-		if err := dispatchMore(); err != nil {
+		// Placement follows the move to the next cycle: a CU that slept
+		// through this one settles it before its new waves arrive.
+		if err := advance(1); err != nil {
 			return 0, err
 		}
-		if err := advance(1); err != nil {
+		if err := dispatchMore(); err != nil {
 			return 0, err
 		}
 
 		// The GPU-wide jump is the CU sleep with every CU asleep at once:
 		// no CU can act before the earliest nextEvent (fill completions
 		// lowered the bounds during the drain, placements reset them), so
-		// advance now straight there, each CU accounting for the span as
-		// for a single slept cycle (idle). Jumps are capped at the
-		// watchdog's next check boundary so budget and cancellation polls
-		// fire at the same cycles a ticked run polls.
+		// advance now straight there; each CU settles the span when it
+		// next ticks. Jumps are capped at the watchdog's next check
+		// boundary so budget and cancellation polls fire at the same
+		// cycles a ticked run polls.
 		if g.NoSkip || active == 0 {
 			continue
 		}
@@ -459,9 +473,6 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 				if room := g.WD.every() - g.wdTick; skip > room {
 					skip = room
 				}
-			}
-			for _, c := range g.cus {
-				c.idle(g.now, skip)
 			}
 			if err := advance(skip); err != nil {
 				return 0, err

@@ -1,6 +1,8 @@
 package timing_test
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -56,6 +58,54 @@ func TestTimingDeterminism(t *testing.T) {
 	b := runWorkload(t, "SpMV", core.AbsGCN3)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nondeterministic timing:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestWatchdogAbortIsExact: a dispatch the cycle budget stops part-way — the
+// watchdog polling every few cycles — leaves the same statistics with
+// skipping on and off. A sleeping CU's fetch-stall charge is taken in bulk
+// when it next ticks, so this holds only if every way out of RunDispatch,
+// an abort included, takes what is still owed.
+func TestWatchdogAbortIsExact(t *testing.T) {
+	for _, name := range []string{"LULESH", "MD"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := w.Prepare(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+			for _, budget := range []int64{1601, 1789, 2311} {
+				var runs [2]*stats.Run
+				for i, noskip := range []bool{false, true} {
+					runs[i] = &stats.Run{}
+					m := core.NewMachine(abs, runs[i])
+					if err := inst.Setup(m); err != nil {
+						t.Fatal(err)
+					}
+					d, eng, err := m.NextDispatch()
+					if err != nil {
+						t.Fatal(err)
+					}
+					g := timing.NewGPU(timing.DefaultParams(), runs[i])
+					g.NoSkip = noskip
+					g.WD = timing.Watchdog{MaxCycles: budget, CheckEvery: 7}
+					if _, err := g.RunDispatch(eng, d); !errors.Is(err, timing.ErrBudgetExceeded) {
+						t.Fatalf("%s/%s budget %d: err = %v, want the budget exceeded", name, abs, budget, err)
+					}
+					g.HarvestCacheStats()
+				}
+				if a, b := runs[0].Fingerprint(), runs[1].Fingerprint(); !bytes.Equal(a, b) {
+					t.Errorf("%s/%s stopped at %d cycles: skipped and ticked runs differ:\n%s",
+						name, abs, budget, diffLines(b, a))
+				}
+				if runs[0].FetchStallCycles == 0 {
+					t.Errorf("%s/%s stopped at %d cycles: no fetch stall charged, nothing to settle", name, abs, budget)
+				}
+			}
+		}
 	}
 }
 
