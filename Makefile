@@ -2,14 +2,15 @@
 # the packages that start goroutines under the race detector — the
 # experiment engine (whose -j workers share prepared workload instances), its
 # determinism tests, core (whose free list of timed devices the workers trade
-# through: TestResetMatchesFresh ends on a four-worker engine), the report
-# (whose five ablation runs go concurrently; no -short, so they do) and the
-# full distributed suite (the socket-free campaign state machine, TLS/token
-# auth, quorum voting, chaos fault injection, drains), so coordinator and
-# worker locking is exercised under contention on every run. A simulation
-# itself runs on one goroutine: timing, mem, emu and stats are left out, and
+# through: TestResetMatchesFresh ends on a four-worker engine) and the full
+# distributed suite (the socket-free campaign state machine, TLS/token auth,
+# quorum voting, chaos fault injection, drains), so coordinator and worker
+# locking is exercised under contention on every run. A simulation itself
+# runs on one goroutine: timing, mem, emu and stats are left out, and
 # TestSimulationIsSingleThreaded fails if one of them imports sync or starts
-# a goroutine.
+# a goroutine. The report is left out too: every run it prints is an exp job,
+# and TestReportSimulatesNothing fails if it imports sync or starts a
+# goroutine of its own.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
 # the race detector — the flake detector for lease/election/drain timing.
 # `make fuzz` gives the wire codec, the cache model, the memory drain, the
@@ -39,7 +40,7 @@ test:
 
 race:
 	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
-		./internal/core/... ./internal/report/... ./cmd/...
+		./internal/core/... ./cmd/...
 
 # dist-soak: ~10 s per repeat on two cores, so the default is about half an
 # hour; the timeout is per package and replaces go test's 10-minute default.

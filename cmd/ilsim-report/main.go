@@ -105,7 +105,7 @@ func main() {
 	case "fig1":
 		text = res.Fig1()
 	case "fig3":
-		text, err = report.Fig3()
+		text, err = res.Fig3()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ilsim-report:", err)
 			os.Exit(1)
@@ -131,12 +131,7 @@ func main() {
 	case "table7":
 		text = res.Table7()
 	case "ablation":
-		rows, err := report.RunAblations(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ilsim-report:", err)
-			os.Exit(1)
-		}
-		text = report.AblationTable(rows)
+		text = res.AblationTable()
 	default:
 		fmt.Fprintf(os.Stderr, "ilsim-report: unknown experiment %q\n", *expName)
 		os.Exit(2)

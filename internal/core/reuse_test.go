@@ -8,6 +8,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -118,7 +119,11 @@ func otherConfigs(t *testing.T) (cfgs []core.Config, sameStorage []bool) {
 func TestResetMatchesFresh(t *testing.T) {
 	golden := goldens(t)
 	insts := instances{}
-	jobs := report.SuiteJobs(core.DefaultConfig(), 1, false)
+	// The suite jobs with a golden: the report's Fig 3 and ablation extras
+	// have none.
+	jobs := slices.DeleteFunc(report.SuiteJobs(core.DefaultConfig(), 1, false), func(j exp.Job) bool {
+		return golden[j.Workload+"/"+j.Abs.String()] == ""
+	})
 	rand.New(rand.NewSource(22)).Shuffle(len(jobs), func(i, j int) { jobs[i], jobs[j] = jobs[j], jobs[i] })
 	cfgs, sameStorage := otherConfigs(t)
 	// before[i] is what runs just before jobs[i]: another suite job under

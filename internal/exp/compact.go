@@ -2,8 +2,6 @@ package exp
 
 import (
 	"bufio"
-	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
@@ -18,64 +16,29 @@ import (
 // same directory is fully written and fsynced, then atomically renamed
 // over the original. Returns how many entries were kept and dropped.
 func CompactJournal(path string) (kept, dropped int, err error) {
-	f, err := os.Open(path)
+	// Entries are checked as a resume checks them, against the header's own
+	// job set; the latest raw line per job index is kept verbatim, so
+	// compaction cannot perturb what a resume decodes.
+	j := &Journal{path: path, done: make(map[int]Result)}
+	var headerLine []byte
+	latest := make(map[int][]byte)
+	_, lines, err := readJournal(path, func(hdr journalHeader, raw []byte) error {
+		j.fps, headerLine = hdr.Jobs, raw
+		return nil
+	}, func(e journalEntry, raw []byte) error {
+		if e.Type == "vote" {
+			return nil
+		}
+		if err := j.admit(e); err != nil {
+			return err
+		}
+		latest[e.Index] = raw
+		return nil
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	if !sc.Scan() {
-		return 0, 0, fmt.Errorf("exp: journal %s: empty or unreadable header: %w", path, sc.Err())
-	}
-	var hdr journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil || hdr.Type != "header" {
-		return 0, 0, fmt.Errorf("exp: journal %s: bad header line", path)
-	}
-	if hdr.Version != journalVersion {
-		return 0, 0, fmt.Errorf("exp: journal %s: version %d, want %d", path, hdr.Version, journalVersion)
-	}
-	headerLine := append([]byte(nil), sc.Bytes()...)
-
-	// Latest raw result line per job index; later lines supersede earlier
-	// ones for the same job. Raw bytes are kept verbatim so compaction
-	// cannot perturb what a resume decodes.
-	latest := make(map[int][]byte)
-	line := 1
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		// Like Journal.load: a parse failure is fatal only if more lines
-		// follow — the final line may be a partial write from a kill.
-		if pendingErr != nil {
-			return 0, 0, pendingErr
-		}
-		var e journalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			pendingErr = fmt.Errorf("exp: journal %s:%d: corrupt entry: %v", path, line, err)
-			continue
-		}
-		switch e.Type {
-		case "vote":
-			dropped++
-		case "result":
-			if e.Index < 0 || e.Index >= len(hdr.Jobs) || e.Job != hdr.Jobs[e.Index] {
-				return 0, 0, fmt.Errorf("exp: journal %s:%d: entry does not match header job set", path, line)
-			}
-			if _, seen := latest[e.Index]; seen {
-				dropped++
-			}
-			latest[e.Index] = append([]byte(nil), sc.Bytes()...)
-		default:
-			return 0, 0, fmt.Errorf("exp: journal %s:%d: unknown entry type %q", path, line, e.Type)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, 0, fmt.Errorf("exp: journal %s: %w", path, err)
-	}
-	if pendingErr != nil {
-		dropped++ // partial trailing line: dropped, like load would
-	}
+	dropped = lines - len(latest)
 
 	indexes := make([]int, 0, len(latest))
 	for i := range latest {
@@ -96,10 +59,8 @@ func CompactJournal(path string) (kept, dropped int, err error) {
 	}()
 	w := bufio.NewWriter(tmp)
 	w.Write(headerLine)
-	w.WriteByte('\n')
 	for _, i := range indexes {
 		w.Write(latest[i])
-		w.WriteByte('\n')
 		kept++
 	}
 	if err := w.Flush(); err != nil {

@@ -181,6 +181,55 @@ func TestCompactJournalToleratesPartialTrailingLine(t *testing.T) {
 	}
 }
 
+// TestCompactJournalDropsEntryMissingItsNewline: a final entry that parses
+// but lost its newline is torn to a resume (the next append would fuse with
+// it), so compaction drops it too — the compacted journal resumes the same
+// jobs as the original, not one more.
+func TestCompactJournalDropsEntryMissingItsNewline(t *testing.T) {
+	jobs := tinyJobs(t, 1)
+	path := journalPath(t)
+	j, err := OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(2)
+	eng.Journal = j
+	if _, _, err := eng.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(raw, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumable := func() int {
+		t.Helper()
+		j, err := OpenJournal(path, jobs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		return j.Resumable()
+	}
+	before := resumable()
+	if before != len(jobs)-1 {
+		t.Fatalf("the torn journal resumes %d jobs, want %d", before, len(jobs)-1)
+	}
+	// The resume above cut the torn line off; put it back for compaction.
+	if err := os.WriteFile(path, bytes.TrimSuffix(raw, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := CompactJournal(path); err != nil {
+		t.Fatal(err)
+	}
+	if after := resumable(); after != before {
+		t.Fatalf("the compacted journal resumes %d jobs, the original %d", after, before)
+	}
+}
+
 // TestCompactJournalRejectsInteriorCorruption: garbage before the end is a
 // hard error, and the original file is left untouched.
 func TestCompactJournalRejectsInteriorCorruption(t *testing.T) {

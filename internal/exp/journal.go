@@ -136,74 +136,90 @@ func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
 	}
 }
 
-// load parses an existing journal: header first, then entries, validating
-// each against the bound job set, and leaves in j.size the offset just past
-// the last good line.
+// load parses an existing journal, validating every entry against the bound
+// job set, and leaves in j.size the offset just past the last good line.
 func (j *Journal) load() error {
-	f, err := os.Open(j.path)
+	size, _, err := readJournal(j.path, func(hdr journalHeader, _ []byte) error {
+		if err := matchFingerprints(hdr.Jobs, j.fps); err != nil {
+			return fmt.Errorf("%w (%s: %v)", ErrJournalMismatch, j.path, err)
+		}
+		return nil
+	}, func(e journalEntry, _ []byte) error {
+		if e.Type == "vote" {
+			return nil // audit record, not campaign state
+		}
+		return j.admit(e)
+	})
+	j.size = size
+	return err
+}
+
+// readJournal reads the journal at path line by line. Resume (Journal.load)
+// and compaction (CompactJournal) both read through it, so they cannot
+// disagree about which lines a journal holds. The header line must be whole
+// and of this version; header sees it, raw bytes included, before any entry.
+// Every later line goes to entry, parsed, with its raw bytes (which the
+// callback may keep). A line cut short of its newline (the next append would
+// fuse with it, even when what is there parses), a line that does not parse
+// and a line entry refuses are fatal only when more lines follow: the last
+// line may be a partial write from a killed process, and is then left out.
+// readJournal returns the offset just past the last line it kept and how many
+// entry lines it read, kept or not.
+func readJournal(path string, header func(hdr journalHeader, raw []byte) error,
+	entry func(e journalEntry, raw []byte) error) (size int64, lines int, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
 	defer f.Close()
 	rd := bufio.NewReaderSize(f, 1<<20)
 	b, err := rd.ReadBytes('\n')
 	if len(b) == 0 || (err != nil && err != io.EOF) {
-		return fmt.Errorf("exp: journal %s: empty or unreadable header: %w", j.path, err)
+		return 0, 0, fmt.Errorf("exp: journal %s: empty or unreadable header: %w", path, err)
 	}
 	var hdr journalHeader
 	// err is io.EOF here for a header cut short of its newline: torn, even
 	// if what is there parses.
 	if jerr := json.Unmarshal(b, &hdr); jerr != nil || hdr.Type != "header" || err != nil {
-		return fmt.Errorf("exp: journal %s: bad header line", j.path)
+		return 0, 0, fmt.Errorf("exp: journal %s: bad header line", path)
 	}
 	if hdr.Version != journalVersion {
-		return fmt.Errorf("exp: journal %s: version %d, want %d", j.path, hdr.Version, journalVersion)
+		return 0, 0, fmt.Errorf("exp: journal %s: version %d, want %d", path, hdr.Version, journalVersion)
 	}
-	if err := matchFingerprints(hdr.Jobs, j.fps); err != nil {
-		return fmt.Errorf("%w (%s: %v)", ErrJournalMismatch, j.path, err)
+	if err := header(hdr, b); err != nil {
+		return 0, 0, err
 	}
-	j.size = int64(len(b))
-	line := 1
+	size = int64(len(b))
 	var pendingErr error
 	for {
 		b, err := rd.ReadBytes('\n')
 		if err != nil && err != io.EOF {
-			return fmt.Errorf("exp: journal %s: %w", j.path, err)
+			return 0, 0, fmt.Errorf("exp: journal %s: %w", path, err)
 		}
 		if len(b) > 0 {
-			line++
-			// A bad line is fatal only if more lines follow: the last line
-			// may be a partial write from a killed process.
+			lines++
 			if pendingErr != nil {
-				return pendingErr
+				return 0, 0, pendingErr
 			}
-			if lerr := j.loadLine(b, err == nil); lerr != nil {
-				pendingErr = fmt.Errorf("exp: journal %s:%d: %w", j.path, line, lerr)
+			var e journalEntry
+			var lerr error
+			if err != nil {
+				lerr = errors.New("corrupt entry: no newline")
+			} else if jerr := json.Unmarshal(b, &e); jerr != nil {
+				lerr = fmt.Errorf("corrupt entry: %v", jerr)
 			} else {
-				j.size += int64(len(b))
+				lerr = entry(e, b)
+			}
+			if lerr != nil {
+				pendingErr = fmt.Errorf("exp: journal %s:%d: %w", path, lines+1, lerr)
+			} else {
+				size += int64(len(b))
 			}
 		}
 		if err == io.EOF {
-			return nil
+			return size, lines, nil
 		}
 	}
-}
-
-// loadLine admits one entry line; whole reports whether it ended in a
-// newline (a line cut short of it is torn even when what is there parses:
-// the next append would fuse with it).
-func (j *Journal) loadLine(b []byte, whole bool) error {
-	if !whole {
-		return errors.New("corrupt entry: no newline")
-	}
-	var e journalEntry
-	if err := json.Unmarshal(b, &e); err != nil {
-		return fmt.Errorf("corrupt entry: %v", err)
-	}
-	if e.Type == "vote" {
-		return nil // audit record, not campaign state
-	}
-	return j.admit(e)
 }
 
 // admit validates one loaded entry and, for successes, stores it as

@@ -2,165 +2,15 @@ package report
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
-	"ilsim/internal/core"
-	"ilsim/internal/finalizer"
-	"ilsim/internal/hsail"
 	"ilsim/internal/isa"
-	"ilsim/internal/kernel"
+	"ilsim/internal/workloads"
 )
 
-// Ablations quantifies the finalizer design choices the paper credits for
-// GCN3's behavior, by re-finalizing one representative kernel with each
-// mechanism disabled and timing it on the same machine:
-//
-//   - list scheduling      → register reuse distance, s_nop padding (Fig 7)
-//   - scalarization        → VRF bank conflicts, scalar-pipe usage (Fig 6)
-//   - scalar kernarg loads → the Table 2 flat-load path
-//   - register budget      → finalizer spill traffic (Table 6 narrative)
-type AblationRow struct {
-	Name           string
-	Insts          uint64
-	Cycles         uint64
-	ConflictsPerKI float64
-	ReuseMedian    uint32
-	ScalarInsts    uint64
-	NopInsts       uint64
-	DataFootprint  uint64
-}
-
-// ablationKernel builds the representative kernel: streaming loads, uniform
-// loop, f64 divide, register pressure — every mechanism has work to do.
-func ablationKernel() (*hsail.Kernel, error) {
-	b := kernel.NewBuilder("ablation")
-	inArg := b.ArgPtr("in")
-	outArg := b.ArgPtr("out")
-	nArg := b.ArgU32("iters")
-	gid := b.WorkItemAbsID(isa.DimX)
-	off := b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, gid), b.Int(isa.TypeU64, 3))
-	cur := b.Add(isa.TypeU64, b.LoadArg(inArg), off)
-	stride := b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, b.GridSize(isa.DimX)), b.Int(isa.TypeU64, 3))
-	n := b.LoadArg(nArg)
-	acc := b.Mov(isa.TypeF64, b.F64(1))
-	// Long-lived per-lane state: keeps vector register pressure high so the
-	// spill ablation engages.
-	var live []kernel.Val
-	for p := 0; p < 12; p++ {
-		live = append(live, b.Fma(isa.TypeF64, b.Cvt(isa.TypeF64, gid), b.F64(float64(p)+0.5), b.F64(1)))
-	}
-	i := b.Mov(isa.TypeU32, b.Int(isa.TypeU32, 0))
-	b.WhileCmp(isa.CmpLt, isa.TypeU32, i, n, func() {
-		v := b.Load(hsail.SegGlobal, isa.TypeF64, cur, 0)
-		q := b.Div(isa.TypeF64, v, b.Add(isa.TypeF64, acc, b.F64(2)))
-		b.MovTo(acc, b.Fma(isa.TypeF64, q, b.F64(0.5), acc))
-		b.BinaryTo(hsail.OpAdd, cur, cur, stride)
-		b.BinaryTo(hsail.OpAdd, i, i, b.Int(isa.TypeU32, 1))
-	})
-	for _, lv := range live {
-		acc = b.Add(isa.TypeF64, acc, lv)
-	}
-	outAddr := b.Add(isa.TypeU64, b.LoadArg(outArg), off)
-	b.Store(hsail.SegGlobal, acc, outAddr, 0)
-	b.Ret()
-	return b.Finish()
-}
-
-// ablationConfig is one row of the study: a name and the finalizer options
-// that switch one mechanism off.
-type ablationConfig struct {
-	name string
-	opts finalizer.Options
-}
-
-var ablationConfigs = []ablationConfig{
-	{"baseline", finalizer.Options{}},
-	{"no list scheduling", finalizer.Options{DisableScheduling: true}},
-	{"no scalarization", finalizer.Options{DisableScalarization: true}},
-	{"flat kernarg loads", finalizer.Options{UseFlatKernarg: true}},
-	{"VGPR budget 56 (spill)", finalizer.Options{MaxVGPRs: 56}},
-}
-
-// RunAblations produces one row per finalizer configuration.
-func RunAblations(cfg core.Config) ([]AblationRow, error) {
-	return runAblations(cfg, ablationConfigs)
-}
-
-// runAblations finalizes and simulates the ablation kernel once per
-// configuration. The runs share nothing but the read-only kernel and
-// simulator (each builds its own machine), so they go concurrently, at most
-// GOMAXPROCS at a time; rows and errors are placed by index, which makes the
-// table, and the error reported when several fail, those of a serial loop.
-func runAblations(cfg core.Config, configs []ablationConfig) ([]AblationRow, error) {
-	k, err := ablationKernel()
-	if err != nil {
-		return nil, err
-	}
-	sim, err := core.NewSimulator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]AblationRow, len(configs))
-	errs := make([]error, len(configs))
-	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, c := range configs {
-		slots <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() { <-slots }()
-			rows[i], errs[i] = runAblation(sim, k, c)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
-}
-
-// runAblation times the kernel as one configuration finalizes it.
-func runAblation(sim *core.Simulator, k *hsail.Kernel, c ablationConfig) (AblationRow, error) {
-	const (
-		grid  = 2048
-		iters = 8
-	)
-	ks, err := core.PrepareKernel(k, c.opts)
-	if err != nil {
-		return AblationRow{}, fmt.Errorf("report: ablation %q: %w", c.name, err)
-	}
-	setup := func(m *core.Machine) error {
-		inAddr := m.Ctx.AllocBuffer(8 * grid * iters)
-		outAddr := m.Ctx.AllocBuffer(8 * grid)
-		for i := 0; i < grid*iters; i++ {
-			m.Ctx.Mem.WriteU64(inAddr+uint64(8*i), 4607182418800017408+uint64(i%97)<<32) // ~1.0 + noise
-		}
-		return m.Submit(core.Launch{Kernel: ks,
-			Grid: [3]uint32{grid, 1, 1}, WG: [3]uint16{64, 1, 1},
-			Args: []uint64{inAddr, outAddr, iters}})
-	}
-	run, _, err := sim.Run(core.AbsGCN3, "ablation", setup, core.RunOptions{TrackReuse: true})
-	if err != nil {
-		return AblationRow{}, fmt.Errorf("report: ablation %q: %w", c.name, err)
-	}
-	return AblationRow{
-		Name:           c.name,
-		Insts:          run.TotalInsts(),
-		Cycles:         run.Cycles,
-		ConflictsPerKI: run.ConflictsPerKiloInst(),
-		ReuseMedian:    run.Reuse.Median(),
-		ScalarInsts:    run.InstsByCategory[isa.CatSALU] + run.InstsByCategory[isa.CatSMem],
-		NopInsts:       run.InstsByCategory[isa.CatMisc],
-		DataFootprint:  run.DataFootprintBytes,
-	}, nil
-}
-
-// AblationTable renders the study as markdown.
-func AblationTable(rows []AblationRow) string {
+// AblationTable renders the finalizer ablation study (workloads.Ablations):
+// one GCN3 run of the ablation kernel per finalizer configuration, in
+// configuration order.
+func (r *Results) AblationTable() string {
 	t := &table{}
 	t.title("Ablation — finalizer design choices (GCN3 runs of the ablation kernel)")
 	t.note("Each row disables one mechanism the paper credits for machine-ISA behavior; compare against the baseline. " +
@@ -168,15 +18,16 @@ func AblationTable(rows []AblationRow) string {
 		"and on this all-uniform-control kernel, disabling scalar kernarg loads divergence-poisons the loop bounds and converges with full de-scalarization.")
 	t.row("Configuration", "insts", "cycles", "conflicts/KI", "reuse median", "scalar insts", "misc (nop/…)", "data footprint")
 	t.sep(8)
-	for _, r := range rows {
-		t.row(r.Name,
-			fmt.Sprintf("%d", r.Insts),
-			fmt.Sprintf("%d", r.Cycles),
-			f2(r.ConflictsPerKI),
-			fmt.Sprintf("%d", r.ReuseMedian),
-			fmt.Sprintf("%d", r.ScalarInsts),
-			fmt.Sprintf("%d", r.NopInsts),
-			kb(r.DataFootprint))
+	for _, w := range workloads.Ablations() {
+		run := r.Runs[w.Name].GCN3
+		t.row(w.Description,
+			fmt.Sprintf("%d", run.TotalInsts()),
+			fmt.Sprintf("%d", run.Cycles),
+			f2(run.ConflictsPerKiloInst()),
+			fmt.Sprintf("%d", run.Reuse.Median()),
+			fmt.Sprintf("%d", run.InstsByCategory[isa.CatSALU]+run.InstsByCategory[isa.CatSMem]),
+			fmt.Sprintf("%d", run.InstsByCategory[isa.CatMisc]),
+			kb(run.DataFootprintBytes))
 	}
 	return t.String()
 }

@@ -3,126 +3,22 @@ package report
 import (
 	"fmt"
 
-	"ilsim/internal/core"
-	"ilsim/internal/emu"
-	"ilsim/internal/finalizer"
-	"ilsim/internal/hsail"
-	"ilsim/internal/isa"
-	"ilsim/internal/stats"
+	"ilsim/internal/workloads"
 )
 
-// fig3Kernel hand-builds the paper's exact Figure 3a/3b CFG — an if-else-if
-// whose two branches share the reconvergence point BB4 (the builder's
-// structured helpers would nest distinct joins, which costs extra redirects;
-// the paper's compiler emits the flat five-block form):
-//
-//	BB0: x = in[gid]; res = 84; cbr (x >= 10) -> BB2
-//	BB1: res = 84; br BB4          (then path)
-//	BB2: cbr (x < 20) -> BB4       (branch straight to the RPC: no flush)
-//	BB3: res = 90                  (else-if body)
-//	BB4: out[gid] = res; ret
-func fig3Kernel() *hsail.Kernel {
-	k := &hsail.Kernel{
-		Name:        "fig3_example",
-		NumRegSlots: 16,
-		NumCRegs:    2,
-		Args: []hsail.ArgInfo{
-			{Name: "in", Size: 8, Offset: 0},
-			{Name: "out", Size: 8, Offset: 8},
-		},
-		KernargSize: 16,
-	}
-	const (
-		rGid  = 0 // u32
-		rOff  = 2 // u64 pair
-		rAddr = 4 // u64 pair
-		rX    = 6 // u32
-		rRes  = 7 // u32
-		rOut  = 8 // u64 pair
-	)
-	u32 := isa.TypeU32
-	u64 := isa.TypeU64
-	k.Blocks = []*hsail.Block{
-		{ID: 0, Insts: []hsail.Inst{
-			{Op: hsail.OpWorkItemAbsId, Type: u32, Dim: isa.DimX, Dst: hsail.Reg(rGid)},
-			{Op: hsail.OpCvt, Type: u64, SrcType: u32, Dst: hsail.Reg(rOff), Srcs: [3]hsail.Operand{hsail.Reg(rGid)}, NSrc: 1},
-			{Op: hsail.OpShl, Type: u64, Dst: hsail.Reg(rOff), Srcs: [3]hsail.Operand{hsail.Reg(rOff), hsail.Imm(2)}, NSrc: 2},
-			{Op: hsail.OpLd, Type: u64, Seg: hsail.SegKernarg, Dst: hsail.Reg(rAddr), Addr: hsail.MemAddr{Base: hsail.ArgSym(0)}},
-			{Op: hsail.OpAdd, Type: u64, Dst: hsail.Reg(rAddr), Srcs: [3]hsail.Operand{hsail.Reg(rAddr), hsail.Reg(rOff)}, NSrc: 2},
-			{Op: hsail.OpLd, Type: u32, Seg: hsail.SegGlobal, Dst: hsail.Reg(rX), Addr: hsail.MemAddr{Base: hsail.Reg(rAddr)}},
-			{Op: hsail.OpMov, Type: u32, Dst: hsail.Reg(rRes), Srcs: [3]hsail.Operand{hsail.Imm(84)}, NSrc: 1},
-			{Op: hsail.OpLd, Type: u64, Seg: hsail.SegKernarg, Dst: hsail.Reg(rOut), Addr: hsail.MemAddr{Base: hsail.ArgSym(1)}},
-			{Op: hsail.OpAdd, Type: u64, Dst: hsail.Reg(rOut), Srcs: [3]hsail.Operand{hsail.Reg(rOut), hsail.Reg(rOff)}, NSrc: 2},
-			{Op: hsail.OpCmp, SrcType: u32, Cmp: isa.CmpGe, Dst: hsail.CReg(0), Srcs: [3]hsail.Operand{hsail.Reg(rX), hsail.Imm(10)}, NSrc: 2},
-			{Op: hsail.OpCBr, Srcs: [3]hsail.Operand{hsail.CReg(0)}, NSrc: 1, Target: 2},
-		}},
-		{ID: 1, Insts: []hsail.Inst{
-			{Op: hsail.OpMov, Type: u32, Dst: hsail.Reg(rRes), Srcs: [3]hsail.Operand{hsail.Imm(84)}, NSrc: 1},
-			{Op: hsail.OpBr, Target: 4},
-		}},
-		{ID: 2, Insts: []hsail.Inst{
-			{Op: hsail.OpCmp, SrcType: u32, Cmp: isa.CmpLt, Dst: hsail.CReg(1), Srcs: [3]hsail.Operand{hsail.Reg(rX), hsail.Imm(20)}, NSrc: 2},
-			{Op: hsail.OpCBr, Srcs: [3]hsail.Operand{hsail.CReg(1)}, NSrc: 1, Target: 4},
-		}},
-		{ID: 3, Insts: []hsail.Inst{
-			{Op: hsail.OpMov, Type: u32, Dst: hsail.Reg(rRes), Srcs: [3]hsail.Operand{hsail.Imm(90)}, NSrc: 1},
-		}},
-		{ID: 4, Insts: []hsail.Inst{
-			{Op: hsail.OpSt, Type: u32, Seg: hsail.SegGlobal, Srcs: [3]hsail.Operand{hsail.Reg(rRes)}, NSrc: 1, Addr: hsail.MemAddr{Base: hsail.Reg(rOut)}},
-			{Op: hsail.OpRet},
-		}},
-	}
-	return k
-}
-
-// Fig3 reproduces the paper's Figure 3 walkthrough: the if-else-if kernel
-// whose HSAIL execution needs exactly three reconvergence-stack redirects
-// (IB flushes) while the predicated GCN3 code runs the whole construct with
-// none. It renders both codes and the measured redirect counts.
-func Fig3() (string, error) {
-	ks, err := core.PrepareKernel(fig3Kernel(), finalizer.Options{})
+// Fig3 renders the paper's Figure 3 walkthrough from the suite's two
+// workloads.Fig3 runs: the if-else-if kernel whose HSAIL execution needs
+// exactly three reconvergence-stack redirects while the predicated GCN3 code
+// runs the whole construct with none. The listings come from finalizing the
+// kernel again, which is why it can fail.
+func (r *Results) Fig3() (string, error) {
+	w := workloads.Fig3()
+	inst, err := w.Prepare(r.Scale)
 	if err != nil {
 		return "", err
 	}
-
-	redirects := func(abs core.Abstraction) (int, error) {
-		m := core.NewMachine(abs, &stats.Run{})
-		in := m.Ctx.AllocBuffer(4 * 64)
-		out := m.Ctx.AllocBuffer(4 * 64)
-		for i := 0; i < 64; i++ {
-			// Mixed outcomes: some lanes take each of the three paths.
-			m.Ctx.Mem.WriteU32(in+uint64(4*i), uint32(i%30))
-		}
-		if err := m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{64, 1, 1},
-			WG: [3]uint16{64, 1, 1}, Args: []uint64{in, out}}); err != nil {
-			return 0, err
-		}
-		d, eng, err := m.NextDispatch()
-		if err != nil {
-			return 0, err
-		}
-		wg := emu.NewWGState(d, &d.Workgroups[0], eng.LDSBytes())
-		wv := eng.NewWave(wg, 0)
-		n := 0
-		for !wv.Done {
-			r, err := eng.Execute(wv)
-			if err != nil {
-				return 0, err
-			}
-			if r.Redirected {
-				n++
-			}
-		}
-		return n, nil
-	}
-	hsailN, err := redirects(core.AbsHSAIL)
-	if err != nil {
-		return "", err
-	}
-	gcn3N, err := redirects(core.AbsGCN3)
-	if err != nil {
-		return "", err
-	}
+	ks := inst.Kernels[0]
+	p := r.Runs[w.Name]
 
 	var s string
 	s += "\n### Figure 3 — Managing control flow (HSAIL vs GCN3)\n\n"
@@ -132,7 +28,7 @@ func Fig3() (string, error) {
 		"path, the pop to the divergent path, and the final pop to the "+
 		"reconvergence point; the branch straight to the RPC in BB2 costs "+
 		"none), **GCN3 %d** (predication; both bypass branches fall "+
-		"through).\n\n", hsailN, gcn3N)
+		"through).\n\n", p.HSAIL.Redirects, p.GCN3.Redirects)
 	s += "HSAIL (reconvergence stack drives control flow):\n\n```\n" + ks.HSAIL.Disassemble() + "```\n"
 	s += "\nGCN3 (EXEC-mask flips; branches only bypass empty paths):\n\n```\n" + ks.GCN3.Program.Disassemble() + "```\n"
 	return s, nil

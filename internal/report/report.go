@@ -1,7 +1,9 @@
 // Package report regenerates every table and figure of the paper's
-// evaluation: it runs the Table 5 suite under both abstractions on the
-// Table 4 machine, collects the statistics each figure plots, and renders
-// them as markdown for EXPERIMENTS.md and the ilsim-report tool.
+// evaluation: it builds one job set — the Table 5 suite under both
+// abstractions on the Table 4 machine, plus the Figure 3 and finalizer
+// ablation runs — hands it to an experiment runner, and renders the
+// statistics each figure plots as markdown for EXPERIMENTS.md and the
+// ilsim-report tool. It simulates nothing itself.
 package report
 
 import (
@@ -25,6 +27,8 @@ type Pair struct {
 
 // Results carries everything the figures need.
 type Results struct {
+	// Order lists the Table 5 workloads; Runs also holds Fig 3's pair and
+	// each ablation configuration's GCN3 run (see Assemble).
 	Order []string
 	Runs  map[string]*Pair
 	// HW maps workload → per-kernel oracle runtimes (Table 7).
@@ -40,18 +44,26 @@ func Collect(cfg core.Config, scale int, withHW bool) (*Results, error) {
 	return CollectParallel(exp.New(0), cfg, scale, withHW)
 }
 
-// SuiteJobs builds the report's flat job set: per workload, HSAIL and GCN3
-// runs on cfg plus (optionally) the hardware oracle's silicon-configured
-// run. It is exported so callers can bind a checkpoint journal
-// (exp.OpenJournal) to exactly the set CollectParallel will run.
+// SuiteJobs builds the report's flat job set: first the finalizer ablation
+// study (one GCN3 run per workloads.Ablations configuration) and the Figure 3
+// kernel under both abstractions, so the long spill run starts with the
+// suite; then, per Table 5 workload, HSAIL and GCN3 runs on cfg plus
+// (optionally) the hardware oracle's silicon-configured run. It is exported
+// so callers can bind a checkpoint journal (exp.OpenJournal) to exactly the
+// set CollectParallel will run.
 func SuiteJobs(cfg core.Config, scale int, withHW bool) []exp.Job {
-	opts := core.RunOptions{TrackValues: true, ValueSampleEvery: 4, TrackReuse: true}
+	abl := workloads.Ablations()
 	all := workloads.All()
-	perWL := 2
-	if withHW {
-		perWL = 3
+	jobs := make([]exp.Job, 0, len(abl)+2+perWorkload(withHW)*len(all))
+	for _, w := range abl {
+		jobs = append(jobs, exp.Job{Workload: w.Name, Scale: scale, Abs: core.AbsGCN3, Config: cfg,
+			Opts: core.RunOptions{TrackReuse: true}})
 	}
-	jobs := make([]exp.Job, 0, perWL*len(all))
+	fig3 := workloads.Fig3().Name
+	jobs = append(jobs,
+		exp.Job{Workload: fig3, Scale: scale, Abs: core.AbsHSAIL, Config: cfg},
+		exp.Job{Workload: fig3, Scale: scale, Abs: core.AbsGCN3, Config: cfg})
+	opts := core.RunOptions{TrackValues: true, ValueSampleEvery: 4, TrackReuse: true}
 	for _, w := range all {
 		jobs = append(jobs,
 			exp.Job{Workload: w.Name, Scale: scale, Abs: core.AbsHSAIL, Config: cfg, Opts: opts},
@@ -62,6 +74,14 @@ func SuiteJobs(cfg core.Config, scale int, withHW bool) []exp.Job {
 		}
 	}
 	return jobs
+}
+
+// perWorkload is how many jobs SuiteJobs gives each Table 5 workload.
+func perWorkload(withHW bool) int {
+	if withHW {
+		return 3
+	}
+	return 2
 }
 
 // CollectParallel runs the whole suite through the given runner — a local
@@ -90,21 +110,25 @@ func Assemble(results []exp.Result, scale int, withHW bool) (*Results, error) {
 		return nil, fmt.Errorf("report: %d of %d jobs failed:\n%w",
 			len(errs), len(results), errors.Join(errs...))
 	}
+	abl := workloads.Ablations()
 	all := workloads.All()
-	perWL := 2
-	if withHW {
-		perWL = 3
-	}
-	if len(results) != perWL*len(all) {
-		return nil, fmt.Errorf("report: %d results for a %d-job suite", len(results), perWL*len(all))
+	perWL := perWorkload(withHW)
+	if want := len(abl) + 2 + perWL*len(all); len(results) != want {
+		return nil, fmt.Errorf("report: %d results for a %d-job suite", len(results), want)
 	}
 	res := &Results{Runs: make(map[string]*Pair), HW: make(map[string][]float64), Scale: scale}
+	for i, w := range abl {
+		res.Runs[w.Name] = &Pair{GCN3: results[i].Run}
+	}
+	fig3 := results[len(abl):]
+	res.Runs[workloads.Fig3().Name] = &Pair{HSAIL: fig3[0].Run, GCN3: fig3[1].Run}
+	suite := fig3[2:]
 	for i, w := range all {
 		base := i * perWL
 		res.Order = append(res.Order, w.Name)
-		res.Runs[w.Name] = &Pair{HSAIL: results[base].Run, GCN3: results[base+1].Run}
+		res.Runs[w.Name] = &Pair{HSAIL: suite[base].Run, GCN3: suite[base+1].Run}
 		if withHW {
-			res.HW[w.Name] = hwmodel.PerturbedRuntimes(w.Name, results[base+2].Run.KernelCycles)
+			res.HW[w.Name] = hwmodel.PerturbedRuntimes(w.Name, suite[base+2].Run.KernelCycles)
 		}
 	}
 	return res, nil
@@ -418,8 +442,11 @@ func (r *Results) Markdown(cfg core.Config) string {
 	fmt.Fprintf(&b, "Input scale: %d. Simulated configuration (Table 4):\n\n```\n%s\n```\n", r.Scale, cfg.String())
 	b.WriteString(r.PaperComparison())
 	b.WriteString(r.Fig1())
-	fig3, err := Fig3()
-	writeSection(&b, "Figure 3", fig3, err)
+	if fig3, err := r.Fig3(); err != nil {
+		fmt.Fprintf(&b, "\n**Figure 3 failed:** %v\n", err)
+	} else {
+		b.WriteString(fig3)
+	}
 	b.WriteString(r.Fig5())
 	b.WriteString(r.Fig6())
 	b.WriteString(r.Fig7())
@@ -430,64 +457,9 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString(r.Fig12())
 	b.WriteString(r.Table6())
 	b.WriteString(r.Table7())
-	rows, err := RunAblations(cfg)
-	writeSection(&b, "Ablation", AblationTable(rows), err)
-	b.WriteString(throughputSection)
+	b.WriteString(r.AblationTable())
 	return b.String()
 }
-
-// writeSection appends a section that needed a simulation of its own, or,
-// when that failed, a line saying so where the section would have been: a
-// report must not get shorter without a trace.
-func writeSection(b *strings.Builder, name, text string, err error) {
-	if err != nil {
-		fmt.Fprintf(b, "\n**%s failed:** %v\n", name, err)
-		return
-	}
-	b.WriteString(text)
-}
-
-// throughputSection records the simulator's own performance — the host-side
-// cost of producing everything above. The table is a historical record from
-// the event-driven-core optimization pass (Intel Xeon @ 2.70GHz dev box, MD
-// scale 1, ±30% machine noise observed between runs); current numbers come
-// from the repository's benchmark, `make bench`.
-const throughputSection = `
-### Simulator throughput (host-side cost of the suite)
-
-Simulated instructions per wall-second, end to end (MD, scale 1, full
-statistics). The event-driven timing core — deterministic cycle skipping,
-per-PC decode caches, O(1) PC lookup, allocation-free issue loop,
-engine-owned lane scratch (DESIGN.md §4) — delivered these gains with
-byte-identical statistics fingerprints across the whole suite:
-
-| Abstraction | before (siminsts/s) | after (siminsts/s) | speedup | allocs/op |
-|---|---|---|---|---|
-| HSAIL | 379,916 | 1,173,159 | 3.1x | 262k -> 4.6k |
-| GCN3 | 562,432 | 1,940,039 | 3.4x | 262k -> 4.7k |
-
-Measured on a shared Intel Xeon @ 2.70GHz dev machine; run-to-run noise of
-+-30% was observed under load, so treat the speedup, not the absolute
-numbers, as the reproducible quantity.
-
-Host speed is now measured by one benchmark, ` + "`bench/`" + ` (declared by
-BENCHMARK.json, described in bench/README.md): ` + "`make bench`" + ` runs its five
-workloads — MD and SpMV, MD then SpMV (` + "`mix_par`" + `, once the intra-simulation
-parallel path and now the same code as the first two), the 20-run suite on
-the ` + "`-j`" + ` engine, a loopback distributed campaign — and
-reports siminsts/s, wall and set-up time for each, with a traced per-layer
-ladder under ` + "`-layers`" + `. Numbers from different hosts do not compare; a
-speed claim is a same-host A/B, ` + "`make bench-ab REF=<commit>`" + `: both
-commits built from source, at least ten interleaved pairs, judged by
-` + "`bench -compare`" + `. The CI bench-smoke job runs the benchmark at smoke-test
-sizes per commit and additionally gates on TestCycleSkippingDeterminism
-(skip-on vs skip-off fingerprint identity), the sleep-bound shadow oracle
-(TestSleepBoundsShadow, TestNoSkipTicksEverything),
-TestSimulationIsSingleThreaded (no sync import or go statement in timing,
-mem, emu or stats) and TestIssueStageNoAllocs/TestDrainRoutingNoAllocs
-(zero allocations in the steady-state two-phase cycle, bank routing and
-sparse drains included).
-`
 
 func abs(v float64) float64 {
 	if v < 0 {

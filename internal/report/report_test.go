@@ -1,18 +1,15 @@
 package report
 
 import (
+	"errors"
 	"os"
-	"reflect"
-	"runtime"
-	"slices"
 	"strings"
 	"testing"
 
 	"ilsim/internal/core"
-	"ilsim/internal/finalizer"
+	"ilsim/internal/exp"
+	"ilsim/internal/workloads"
 )
-
-func finalizerOptionsNone() finalizer.Options { return finalizer.Options{} }
 
 // TestReportEndToEnd runs the full collection once (with the hardware
 // oracle) and checks every section renders with the expected structure and
@@ -132,92 +129,95 @@ func TestExperimentsFileIsCurrent(t *testing.T) {
 		line+1, at(got), at(want))
 }
 
+// TestAblationsRun: the ablation study's five runs are suite jobs like any
+// other, their rows come back in configuration order, and the spill
+// configuration shows its scratch traffic.
 func TestAblationsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
 	}
-	cfg := core.DefaultConfig()
-	// One configuration at a time, then (at least) four at once: the rows
-	// must not know the difference.
-	procs := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(procs)
-	serial, err := RunAblations(cfg)
+	res, err := Collect(core.DefaultConfig(), 1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.GOMAXPROCS(max(procs, 4))
-	rows, err := RunAblations(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows, serial) {
-		t.Errorf("concurrent ablations differ from serial ones:\n%+v\n%+v", rows, serial)
-	}
-	if len(rows) != len(ablationConfigs) {
-		t.Fatalf("expected %d ablation rows, got %d", len(ablationConfigs), len(rows))
-	}
-	for i, c := range ablationConfigs {
-		if rows[i].Name != c.name {
-			t.Errorf("row %d is %q, want %q: rows must come back in configuration order", i, rows[i].Name, c.name)
+	abl := workloads.Ablations()
+	var rows []string
+	for _, line := range strings.Split(res.AblationTable(), "\n") {
+		for _, w := range abl {
+			if strings.HasPrefix(line, "| "+w.Description+" |") {
+				rows = append(rows, w.Description)
+			}
 		}
 	}
-	base := rows[0]
-	for _, r := range rows[1:] {
-		if r.Cycles == 0 || r.Insts == 0 {
-			t.Fatalf("%s: empty run", r.Name)
+	for i, w := range abl {
+		if i >= len(rows) || rows[i] != w.Description {
+			t.Fatalf("table rows %q, want the configurations in order", rows)
+		}
+		if run := res.Runs[w.Name].GCN3; run.Cycles == 0 || run.TotalInsts() == 0 {
+			t.Fatalf("%s: empty run", w.Description)
 		}
 	}
-	// The spill configuration must show scratch traffic.
-	spill := rows[len(rows)-1]
-	if spill.DataFootprint <= base.DataFootprint {
+	base, spill := res.Runs[abl[0].Name].GCN3, res.Runs[abl[len(abl)-1].Name].GCN3
+	if spill.DataFootprintBytes <= base.DataFootprintBytes {
 		t.Error("spill ablation shows no scratch footprint growth")
 	}
-	if spill.Insts <= base.Insts {
+	if spill.TotalInsts() <= base.TotalInsts() {
 		t.Error("spill ablation shows no instruction growth")
-	}
-	table := AblationTable(rows)
-	if !strings.Contains(table, "baseline") || !strings.Contains(table, "spill") {
-		t.Error("ablation table missing rows")
-	}
-
-	// Two configurations the finalizer rejects (44 VGPRs cannot fit in 8),
-	// run alongside three that succeed: the error is the one a serial loop
-	// would have stopped at, and it names its configuration.
-	configs := slices.Clone(ablationConfigs)
-	configs[2] = ablationConfig{"first to fail", finalizer.Options{MaxVGPRs: 8}}
-	configs[4] = ablationConfig{"second to fail", finalizer.Options{MaxVGPRs: 8}}
-	_, err = runAblations(cfg, configs)
-	if err == nil || !strings.Contains(err.Error(), `ablation "first to fail"`) ||
-		!strings.Contains(err.Error(), "exceeds budget 8") {
-		t.Errorf("error %v does not wrap the first failing configuration's", err)
 	}
 }
 
-// TestMarkdownReportsFailedSections: a section that cannot be produced leaves
-// a line saying why, not a gap (a report that silently loses its ablation
-// table still exits 0).
-func TestMarkdownReportsFailedSections(t *testing.T) {
+// TestFailedExtraJobFailsCollection: a Fig 3 or ablation job that fails
+// fails the collection like a Table 5 job, and the error names it — the
+// report does not come out a section short.
+func TestFailedExtraJobFailsCollection(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.L1DSize = 8 // core.NewSimulator rejects a cache smaller than a line
-	md := (&Results{Scale: 1}).Markdown(cfg)
-	if want := "\n**Ablation failed:** core: L1D of 8 bytes holds no 64-byte line\n"; !strings.Contains(md, want) {
-		t.Errorf("report does not say its ablation section failed; want %q", want)
+	spill := exp.Job{Workload: "AblationSpill", Scale: 1, Abs: core.AbsGCN3}.String()
+	eng := exp.New(0)
+	eng.Faults = exp.NewFaultPlan()
+	eng.Faults.Set(spill, exp.Fault{FailAttempts: 1, Err: errors.New("injected")})
+	res, err := CollectParallel(eng, cfg, 1, false)
+	if res != nil || err == nil {
+		t.Fatal("the collection survived a failed ablation job")
 	}
-	if strings.Contains(md, "### Ablation") {
-		t.Error("report has an ablation table although the simulator rejected the configuration")
+	if want := "1 of 27 jobs failed"; !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), spill) {
+		t.Errorf("error %q does not say %q and name %s", err, want, spill)
 	}
-	for _, kept := range []string{"### Figure 3", "### Simulator throughput"} {
-		if !strings.Contains(md, kept) {
-			t.Errorf("the failed section took %q with it", kept)
+}
+
+// fig3Results runs the suite's two Figure 3 jobs on an experiment engine,
+// which checks every lane of their outputs.
+func fig3Results(t *testing.T) *Results {
+	t.Helper()
+	var jobs []exp.Job
+	for _, j := range SuiteJobs(core.DefaultConfig(), 1, false) {
+		if j.Workload == workloads.Fig3().Name {
+			jobs = append(jobs, j)
 		}
 	}
+	results, _, err := exp.New(0).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Pair{}
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Job, r.Err)
+		}
+		if r.Job.Abs == core.AbsHSAIL {
+			p.HSAIL = r.Run
+		} else {
+			p.GCN3 = r.Run
+		}
+	}
+	return &Results{Runs: map[string]*Pair{workloads.Fig3().Name: p}, Scale: 1}
 }
 
 // TestFig3ExactRedirectCounts pins the paper's Figure 3 walkthrough: the
 // flat if-else-if costs HSAIL exactly three front-end redirects and GCN3
-// exactly zero — and both compute the right answers.
+// exactly zero, in the timed runs whose outputs the workload's check read.
 func TestFig3ExactRedirectCounts(t *testing.T) {
-	text, err := Fig3()
+	res := fig3Results(t)
+	text, err := res.Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,51 +239,18 @@ func TestFig3ExactRedirectCounts(t *testing.T) {
 // while ranging over a map, so s[16:17] and s[18:19] traded places between
 // runs. Fifty finalizations, one listing.
 func TestFig3ListingIsDeterministic(t *testing.T) {
-	first, err := Fig3()
+	res := fig3Results(t)
+	first, err := res.Fig3()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 50; i++ {
-		text, err := Fig3()
+		text, err := res.Fig3()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if text != first {
 			t.Fatalf("finalization %d rendered another listing:\n%s\n--- first:\n%s", i, text, first)
-		}
-	}
-}
-
-// TestFig3KernelCorrectness verifies the hand-built Figure 3 kernel computes
-// 84/90 correctly under both abstractions.
-func TestFig3KernelCorrectness(t *testing.T) {
-	ks, err := core.PrepareKernel(fig3Kernel(), finalizerOptionsNone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
-		m := core.NewMachine(abs, nil)
-		in := m.Ctx.AllocBuffer(4 * 64)
-		out := m.Ctx.AllocBuffer(4 * 64)
-		for i := 0; i < 64; i++ {
-			m.Ctx.Mem.WriteU32(in+uint64(4*i), uint32(i%30))
-		}
-		if err := m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{64, 1, 1},
-			WG: [3]uint16{64, 1, 1}, Args: []uint64{in, out}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.RunFunctional(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 64; i++ {
-			x := uint32(i % 30)
-			want := uint32(84)
-			if x >= 20 {
-				want = 90
-			}
-			if got := m.Ctx.Mem.ReadU32(out + uint64(4*i)); got != want {
-				t.Fatalf("%s: lane %d (x=%d): got %d want %d", abs, i, x, got, want)
-			}
 		}
 	}
 }

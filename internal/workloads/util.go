@@ -53,6 +53,9 @@ type buf struct {
 	n    int // element count
 }
 
+// inOut is the run state of a kernel with one input and one output buffer.
+type inOut struct{ in, out buf }
+
 // allocU32 reserves and fills a u32 buffer.
 func allocU32(m *core.Machine, vals []uint32) buf {
 	b := buf{addr: m.Ctx.AllocBuffer(uint64(4 * len(vals))), n: len(vals)}

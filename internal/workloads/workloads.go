@@ -14,6 +14,10 @@
 //	SpMV        CSR row loops with data-dependent (divergent) trip counts
 //	XSBench     randomized binary-search table lookups with divergent gathers
 //
+// Beside the suite, Fig3 and Ablations register the kernels behind the
+// report's Figure 3 walkthrough and its finalizer ablation study. ByName and
+// Prepare resolve them; All does not list them.
+//
 // Inputs are deterministic per scale so both abstractions execute identical
 // data, and every workload carries a host-side output checker.
 package workloads
@@ -63,9 +67,15 @@ func All() []*Workload {
 	}
 }
 
-// ByName finds a workload.
+// extras are the workloads outside Table 5 that the report runs beside the
+// suite: the Figure 3 walkthrough and the finalizer ablation study.
+func extras() []*Workload {
+	return append([]*Workload{Fig3()}, Ablations()...)
+}
+
+// ByName finds a workload, in Table 5 or among the report's extras.
 func ByName(name string) (*Workload, error) {
-	for _, w := range All() {
+	for _, w := range append(All(), extras()...) {
 		if w.Name == name {
 			return w, nil
 		}

@@ -8,11 +8,12 @@ import (
 	"ilsim/internal/stats"
 )
 
-// TestAllWorkloadsFunctional runs every workload at unit scale under BOTH
-// abstractions with the untimed reference executor and verifies outputs:
-// the end-to-end semantic-equivalence gate for the whole toolchain.
+// TestAllWorkloadsFunctional runs every workload, the report's extras
+// included, at unit scale under BOTH abstractions with the untimed reference
+// executor and verifies outputs: the end-to-end semantic-equivalence gate for
+// the whole toolchain.
 func TestAllWorkloadsFunctional(t *testing.T) {
-	for _, w := range All() {
+	for _, w := range append(All(), extras()...) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			inst, err := w.Prepare(1)
@@ -45,7 +46,7 @@ func TestAllWorkloadsFunctional(t *testing.T) {
 // cross-talk. Run under -race this is the reuse-safety gate for every
 // registered workload.
 func TestInstanceConcurrentReuse(t *testing.T) {
-	for _, w := range All() {
+	for _, w := range append(All(), extras()...) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			inst, err := w.Prepare(1)
@@ -114,6 +115,30 @@ func TestCheckNeedsItsOwnSetup(t *testing.T) {
 	}
 	if err := a.Check(m); err == nil {
 		t.Fatal("Check passed twice on one Setup")
+	}
+}
+
+// TestExtraChecksReadTheOutputs: the report's extras check what their
+// kernels wrote — zeroing one 8-byte word of the output after a correct run
+// fails the check.
+func TestExtraChecksReadTheOutputs(t *testing.T) {
+	for _, w := range extras() {
+		inst, err := w.Prepare(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := core.NewMachine(core.AbsGCN3, &stats.Run{})
+		if err := inst.Setup(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RunFunctional(); err != nil {
+			t.Fatal(err)
+		}
+		out := m.Workload.(*heldState[inOut]).v.out
+		m.Ctx.Mem.WriteU64(out.addr+8*3, 0)
+		if err := inst.Check(m); err == nil {
+			t.Errorf("%s: Check passed a zeroed output word", w.Name)
+		}
 	}
 }
 
