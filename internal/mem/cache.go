@@ -63,6 +63,13 @@ type indexEntry struct {
 
 const noSlot = -1
 
+// scanWays is the widest set a bank searches by scanning its slots; a bank
+// with wider sets keeps an index instead. In BenchmarkBankAccess a scan
+// beats the index on misses up to 16 ways and loses on hits from 8 ways;
+// the 16-way L2 serves mostly misses, and on spmv_serial scanning it beats
+// indexing it (DESIGN.md, "Banked structures").
+const scanWays = 16
+
 // portOccupancy is the cycles one request holds a bank's port. It must stay
 // >= 1: each request then starts strictly later than the previous one on its
 // bank, so per-bank use times never tie and a set's recency list is exactly
@@ -72,34 +79,41 @@ const portOccupancy = 1
 
 // cacheBank is one set-interleaved partition of a cache: it owns the lines
 // of every set s with s % numBanks == bank, a private request port and a
-// private statistics shard, so two banks never share mutable state. Probe,
-// LRU update and victim choice are O(1) at any associativity: an
-// open-addressed index (linear probing, at most half full) maps a resident
-// line to its slot, and each set keeps its slots on an intrusive recency
-// list.
+// private statistics shard, so two banks never share mutable state. Each set
+// keeps its slots on an intrusive recency list, so LRU update and victim
+// choice are O(1). How a line is found depends on the set's width: a bank of
+// at most scanWays ways scans the set's filled slots and holds no index; a
+// wider one (Table 4's fully-associative L1D) probes an open-addressed index
+// (linear probing, at most a quarter full) that maps a resident line to its
+// slot.
 type cacheBank struct {
 	stats CacheStats
 	// nextFree models the bank's single request port.
 	nextFree int64
 	// sets[local] is global set local*numBanks + bank.
-	sets  []cacheSet
-	ways  []cacheWay
+	sets []cacheSet
+	ways []cacheWay
+	// index is nil on a scanning bank.
 	index []indexEntry
 	// shift turns a 64-bit line hash into an index position.
 	shift uint
 }
 
-func newCacheBank(nSets, ways int) cacheBank {
+// newCacheBank builds a bank of nSets sets of ways ways; indexed chooses the
+// lookup (NewCache: ways > scanWays).
+func newCacheBank(nSets, ways int, indexed bool) cacheBank {
 	b := cacheBank{
 		sets: make([]cacheSet, nSets),
 		ways: make([]cacheWay, nSets*ways),
 	}
-	bits := uint(1)
-	for 1<<bits < 2*len(b.ways) {
-		bits++
+	if indexed {
+		bits := uint(1)
+		for 1<<bits < 4*len(b.ways) {
+			bits++
+		}
+		b.index = make([]indexEntry, 1<<bits)
+		b.shift = 64 - bits
 	}
-	b.index = make([]indexEntry, 1<<bits)
-	b.shift = 64 - bits
 	b.reset()
 	return b
 }
@@ -121,25 +135,29 @@ func (b *cacheBank) home(line uint64) int {
 	return int(line * 0x9E3779B97F4A7C15 >> b.shift)
 }
 
-// find returns the slot holding line, or noSlot.
-func (b *cacheBank) find(line uint64) int32 {
+// scan returns the slot of set slots [base, base+used) holding line, or
+// noSlot.
+func (b *cacheBank) scan(line uint64, base, used int32) int32 {
+	ws := b.ways[base : base+used]
+	for i := range ws {
+		if ws[i].line == line {
+			return base + int32(i)
+		}
+	}
+	return noSlot
+}
+
+// find returns the slot the index maps line to and the cell holding it, or
+// noSlot and the empty cell where the probe stopped — where line belongs if
+// it is written before anything else changes the table.
+func (b *cacheBank) find(line uint64) (int32, int) {
 	mask := len(b.index) - 1
 	for i := b.home(line); ; i = (i + 1) & mask {
 		e := &b.index[i]
 		if e.slot == noSlot || e.line == line {
-			return e.slot
+			return e.slot, i
 		}
 	}
-}
-
-// insert records line→slot; line must not be present.
-func (b *cacheBank) insert(line uint64, slot int32) {
-	mask := len(b.index) - 1
-	i := b.home(line)
-	for b.index[i].slot != noSlot {
-		i = (i + 1) & mask
-	}
-	b.index[i] = indexEntry{line: line, slot: slot}
 }
 
 // remove deletes line (which must be present) by backward shift: every
@@ -203,11 +221,11 @@ func (b *cacheBank) pushMRU(s *cacheSet, slot int32) {
 // written back (posted) at the fill's completion cycle.
 type access struct {
 	done       int64
-	fill       bool
-	post       bool
 	downAddr   uint64
 	downAt     int64
 	victimAddr uint64
+	fill       bool
+	post       bool
 	victimWB   bool
 }
 
@@ -226,6 +244,11 @@ type Cache struct {
 	writeBack  bool
 	lower      Level
 	banks      []cacheBank
+	// pow2 says the set and bank counts are both powers of two (every
+	// Table 4 cache), so route masks and shifts instead of dividing.
+	pow2      bool
+	setMask   uint64
+	bankShift uint
 }
 
 // NewCache builds a cache model. sizeBytes/lineSize/ways determine geometry;
@@ -254,9 +277,15 @@ func NewCache(name string, sizeBytes, lineSize, ways int, hitLatency int64, writ
 		Name: name, sets: sets, ways: ways, numBanks: banks, lineBits: lineBits,
 		hitLatency: hitLatency, writeBack: writeBack, lower: lower,
 	}
+	if sets&(sets-1) == 0 && banks&(banks-1) == 0 {
+		c.pow2, c.setMask = true, uint64(sets-1)
+		for 1<<c.bankShift < banks {
+			c.bankShift++
+		}
+	}
 	c.banks = make([]cacheBank, banks)
 	for b := range c.banks {
-		c.banks[b] = newCacheBank((sets-b+banks-1)/banks, ways)
+		c.banks[b] = newCacheBank((sets-b+banks-1)/banks, ways, ways > scanWays)
 	}
 	return c
 }
@@ -278,8 +307,19 @@ func (c *Cache) NumBanks() int { return c.numBanks }
 
 // BankOf returns the bank servicing addr.
 func (c *Cache) BankOf(addr uint64) int {
-	setIdx, _ := c.setAndTag(addr)
-	return setIdx % c.numBanks
+	bank, _ := c.route(addr >> c.lineBits)
+	return bank
+}
+
+// route returns the bank holding line's set and the set's index within
+// that bank.
+func (c *Cache) route(line uint64) (bank, local int) {
+	if c.pow2 {
+		set := line & c.setMask
+		return int(set) & (c.numBanks - 1), int(set >> c.bankShift)
+	}
+	set := int(line % uint64(c.sets))
+	return set % c.numBanks, set / c.numBanks
 }
 
 // Stats returns the cache's counters, merged across bank shards.
@@ -294,17 +334,14 @@ func (c *Cache) Stats() CacheStats {
 // BankStats returns one bank's statistics shard.
 func (c *Cache) BankStats(b int) CacheStats { return c.banks[b].stats }
 
-func (c *Cache) setAndTag(addr uint64) (int, uint64) {
-	line := addr >> c.lineBits
-	return int(line % uint64(c.sets)), line / uint64(c.sets)
-}
-
 // bankAccess services the bank-local part of one request on bank b: port
 // arbitration, tag probe, LRU update, fill bookkeeping and victim selection.
-// It never calls into the lower level; the outcome tells the caller what
-// lower-level traffic to issue, which is what lets the drain pipeline defer
-// that traffic into the lower bank's own queue.
-func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) access {
+// It never calls into the lower level; the outcome, written to out, tells the
+// caller what lower-level traffic to issue, which is what lets the drain
+// pipeline defer that traffic into the lower bank's own queue. out belongs to
+// the caller and is overwritten whole, so the caller reads single fields of
+// it instead of copying a returned struct.
+func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64, out *access) {
 	b.stats.Accesses++
 	// Port occupancy: requests serialize through the bank's port.
 	start := now
@@ -314,9 +351,17 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 	b.nextFree = start + portOccupancy
 
 	line := addr >> c.lineBits
-	local := int(line%uint64(c.sets)) / c.numBanks // set index within the bank
+	_, local := c.route(line)
 	set := &b.sets[local]
-	if slot := b.find(line); slot != noSlot {
+	base := int32(local * c.ways)
+	var slot int32
+	var cell int
+	if b.index == nil {
+		slot = b.scan(line, base, set.used)
+	} else {
+		slot, cell = b.find(line)
+	}
+	if slot != noSlot {
 		b.stats.Hits++
 		b.touch(set, slot)
 		done := start + c.hitLatency
@@ -324,12 +369,14 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 		if write && !c.writeBack && c.lower != nil {
 			// Write-through: forward the write but do not stall the
 			// core on the lower level (posted write).
-			return access{done: done, post: true, downAddr: addr, downAt: start + c.hitLatency}
+			*out = access{done: done, post: true, downAddr: addr, downAt: start + c.hitLatency}
+			return
 		}
 		if write && c.writeBack {
 			b.ways[slot].dirty = true
 		}
-		return access{done: done}
+		*out = access{done: done}
+		return
 	}
 	b.stats.Misses++
 	if write && !c.writeBack {
@@ -337,21 +384,27 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 		done := start + c.hitLatency
 		b.stats.LatencySum += uint64(done - now)
 		if c.lower != nil {
-			return access{done: done, post: true, downAddr: addr, downAt: start}
+			*out = access{done: done, post: true, downAddr: addr, downAt: start}
+			return
 		}
-		return access{done: done}
+		*out = access{done: done}
+		return
 	}
 	// Miss: fetch from below and fill. The line is inserted now (victim
 	// selection included); its availability is the fill's completion.
-	out := access{fill: true, downAddr: addr, downAt: start + c.hitLatency}
-	var slot int32
-	if int(set.used) < c.ways {
-		slot = int32(local*c.ways) + set.used
-		set.used++
-		b.pushMRU(set, slot)
-	} else {
+	*out = access{fill: true, downAddr: addr, downAt: start + c.hitLatency}
+	full := int(set.used) == c.ways
+	slot = base + set.used
+	if full {
 		// Full set: the victim is the least recently used line.
 		slot = set.lru
+	}
+	if b.index != nil {
+		// Into the cell find stopped at, before the victim's removal
+		// shifts any entry: line's probe run is still unbroken up to it.
+		b.index[cell] = indexEntry{line: line, slot: slot}
+	}
+	if full {
 		v := &b.ways[slot]
 		b.stats.Evictions++
 		if v.dirty && c.lower != nil {
@@ -359,12 +412,16 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 			out.victimAddr = v.line << c.lineBits
 			out.victimWB = true
 		}
-		b.remove(v.line)
+		if b.index != nil {
+			b.remove(v.line)
+		}
 		b.touch(set, slot)
+	} else {
+		set.used++
+		b.pushMRU(set, slot)
 	}
 	b.ways[slot].line = line
 	b.ways[slot].dirty = write && c.writeBack
-	b.insert(line, slot)
 	if c.lower == nil {
 		// Nothing below: the "fill" completes at the hit latency.
 		out.fill = false
@@ -372,7 +429,6 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 		out.victimWB = false
 		b.stats.LatencySum += uint64(out.done - now)
 	}
-	return out
 }
 
 // Access services a line request synchronously and returns its completion
@@ -381,7 +437,8 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64) acc
 // pre-banking timing unchanged.
 func (c *Cache) Access(addr uint64, write bool, now int64) int64 {
 	b := &c.banks[c.BankOf(addr)]
-	a := c.bankAccess(b, addr, write, now)
+	var a access
+	c.bankAccess(b, addr, write, now, &a)
 	if a.fill {
 		fillDone := c.lower.Access(a.downAddr, false, a.downAt)
 		b.stats.LatencySum += uint64(fillDone - now)

@@ -221,7 +221,8 @@ func checkAgainstReference(t *testing.T, g cacheGeom, ops []cacheOp) {
 		if rb := br.BankOf(op.addr); bank != rb {
 			t.Fatalf("%v: op %d: addr %#x routed to bank %d, reference %d", g, i, op.addr, bank, rb)
 		}
-		got := bc.bankAccess(&bc.banks[bank], op.addr, op.write, op.now)
+		var got access
+		bc.bankAccess(&bc.banks[bank], op.addr, op.write, op.now, &got)
 		want := br.bankAccess(&br.banks[bank], op.addr, op.write, op.now)
 		if got != want {
 			t.Fatalf("%v: op %d (%#x write=%v now=%d): outcome %+v, reference %+v",
@@ -270,19 +271,22 @@ func randomCacheOps(rng *rand.Rand, lines, n int) []cacheOp {
 	return ops
 }
 
-// TestCacheMatchesReferenceLRU pins the exactness of the O(1) bank: over
-// seeded random streams on direct-mapped, 8-way, 16-way x 8 banks and
-// fully-associative 256-line geometries, write-through and write-back, every
-// access outcome, every per-bank counter and every completion cycle must
-// equal the scan-based reference's.
+// TestCacheMatchesReferenceLRU pins the exactness of the bank, under both
+// lookups: over seeded random streams on direct-mapped, 8-way, 16-way x 8
+// banks, scanWays-way, 2*scanWays-way and fully-associative 256-line
+// geometries, write-through and write-back, every access outcome, every
+// per-bank counter and every completion cycle must equal the scan-based
+// reference's.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
 	for _, g := range []cacheGeom{
 		{lines: 64, ways: 1, banks: 1},
 		{lines: 64, ways: 1, banks: 4},
 		{lines: 64, ways: 8, banks: 1},
 		{lines: 1024, ways: 16, banks: 8},
-		{lines: 256, ways: 0, banks: 1}, // Table 4's fully-associative L1D
-		{lines: 96, ways: 4, banks: 5},  // non-power-of-two sets and banks
+		{lines: 8 * scanWays, ways: scanWays, banks: 2},     // the widest scanned set
+		{lines: 8 * scanWays, ways: 2 * scanWays, banks: 2}, // indexed, just past it
+		{lines: 256, ways: 0, banks: 1},                     // Table 4's fully-associative L1D
+		{lines: 96, ways: 4, banks: 5},                      // non-power-of-two sets and banks
 	} {
 		for _, wb := range []bool{false, true} {
 			g.writeBack = wb
@@ -296,13 +300,19 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 
 // FuzzCacheAccess lets the fuzzer pick the geometry and the stream: three
 // bytes per op — two select the line, the third carries the write flag, the
-// arrival-cycle step and (0xFF) a Reset.
+// arrival-cycle step and (0xFF) a Reset. Set widths run from 1 to
+// 2*scanWays, so both lookups are always in range.
 func FuzzCacheAccess(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint8(0), false, []byte{1, 0, 0, 1, 0, 4, 2, 0, 1})
 	f.Add(uint8(7), uint8(3), uint8(1), true, []byte{0, 0, 0, 9, 0, 0, 0xFF, 0xFF, 0xFF, 0, 0, 1})
 	f.Add(uint8(255), uint8(0), uint8(0), true, []byte("a fully associative set under churn"))
+	churn := make([]byte, 0, 3*200) // 200 reads over 102 lines, each set evicting
+	for i := 0; i < 200; i++ {
+		churn = append(churn, byte(i*37), 0, 5)
+	}
+	f.Add(uint8(scanWays), uint8(1), uint8(1), false, churn) // the narrowest indexed set
 	f.Fuzz(func(t *testing.T, ways, sets, banks uint8, writeBack bool, data []byte) {
-		g := cacheGeom{ways: 1 + int(ways)%32, banks: 1 + int(banks)%8, writeBack: writeBack}
+		g := cacheGeom{ways: 1 + int(ways)%(2*scanWays), banks: 1 + int(banks)%8, writeBack: writeBack}
 		g.lines = g.ways * (1 + int(sets)%16)
 		var ops []cacheOp
 		now := int64(0)
@@ -344,7 +354,8 @@ func TestBankPortMonotone(t *testing.T) {
 		addr := uint64(rng.Intn(200)) * 64
 		bi := c.BankOf(addr)
 		b := &c.banks[bi]
-		a := c.bankAccess(b, addr, rng.Intn(3) == 0, int64(rng.Intn(400)))
+		var a access
+		c.bankAccess(b, addr, rng.Intn(3) == 0, int64(rng.Intn(400)), &a)
 		start := a.done - c.hitLatency
 		if a.fill {
 			start = a.downAt - c.hitLatency

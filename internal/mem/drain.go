@@ -44,6 +44,8 @@ type drainLevel struct {
 	down   [][]downJob
 	active []int32
 	pend   []pendFill
+	// out receives each replayed access's outcome.
+	out access
 }
 
 // feed is one source's line list for one level-1 cache.
@@ -148,7 +150,8 @@ func NewDrain(l1s []*Cache, srcs []DrainSource, l2 *Cache, dram *DRAM) *Drain {
 // are non-negative: a port is free from cycle 0), a job's done at its arrival
 // cycle — so it ends at the latest one.
 func (lv *drainLevel) apply(c *Cache, b *cacheBank, addr uint64, write bool, at int64, sink *int64) {
-	a := c.bankAccess(b, addr, write, at)
+	a := &lv.out
+	c.bankAccess(b, addr, write, at, a)
 	if !a.fill {
 		*sink = max(*sink, a.done)
 		if !a.post {

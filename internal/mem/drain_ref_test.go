@@ -349,7 +349,8 @@ func (t *refDrainTask) deposit(j refDownJob) (int32, int32) {
 }
 
 func (t *refDrainTask) apply(c *Cache, b *cacheBank, addr uint64, write bool, at int64, sink *int64) {
-	a := c.bankAccess(b, addr, write, at)
+	var a access
+	c.bankAccess(b, addr, write, at, &a)
 	if a.fill {
 		lb, idx := t.deposit(refDownJob{addr: a.downAddr, at: a.downAt})
 		t.pend = append(t.pend, refPendFill{sink: sink, bank: lb, idx: idx, at: at,

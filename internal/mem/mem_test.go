@@ -94,6 +94,23 @@ func TestAllocatorAlignmentAndExhaustion(t *testing.T) {
 	if _, err := a.Alloc(1000, 1); err == nil {
 		t.Fatal("expected exhaustion error")
 	}
+
+	// A size or an alignment that would carry the end past 2^64 is
+	// exhaustion too, and leaves the region as it was.
+	a = NewAllocator(0x1000, 0x1000)
+	if p, err := a.Alloc(^uint64(0)-0xfff, 64); err == nil {
+		t.Fatalf("wrapping size: got %#x, want exhaustion", p)
+	}
+	if p, err := a.Alloc(64, 1<<63); err == nil {
+		t.Fatalf("alignment past the region: got %#x, want exhaustion", p)
+	}
+	if p, err := a.Alloc(64, 64); err != nil || p != 0x1000 {
+		t.Fatalf("after refused requests: p=%#x err=%v, want 0x1000", p, err)
+	}
+	top := NewAllocator(^uint64(0)-0xff, 0x80)
+	if p, err := top.Alloc(1, 1<<63); err == nil {
+		t.Fatalf("wrapping alignment: got %#x, want exhaustion", p)
+	}
 }
 
 func TestCacheHitMissBasics(t *testing.T) {

@@ -199,13 +199,15 @@ func NewAllocator(base, size uint64) *Allocator {
 	return &Allocator{next: base, end: base + size}
 }
 
-// Alloc reserves size bytes aligned to align (a power of two).
+// Alloc reserves size bytes aligned to align (a power of two). A request
+// that does not fit, including one whose size or alignment would carry an
+// address past 2^64, fails and leaves the allocator as it was.
 func (a *Allocator) Alloc(size, align uint64) (uint64, error) {
 	if align == 0 {
 		align = 1
 	}
 	p := (a.next + align - 1) &^ (align - 1)
-	if p+size > a.end {
+	if p < a.next || p > a.end || size > a.end-p {
 		return 0, fmt.Errorf("mem: allocator exhausted (%d bytes requested)", size)
 	}
 	a.next = p + size
