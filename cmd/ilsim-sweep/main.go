@@ -6,9 +6,9 @@
 // completion order.
 //
 // Long campaigns are fault-tolerant: per-job timeouts and cycle budgets
-// kill runaways, transient failures retry with backoff, and -journal
-// checkpoints every completed job so an interrupted sweep resumes with
-// -resume instead of restarting.
+// kill runaways, a failed point is reported without stopping the others,
+// and -journal checkpoints every completed job so an interrupted sweep
+// resumes with -resume instead of restarting.
 //
 // Sweeps also distribute: -serve turns the process into a coordinator that
 // leases the same job set, one job per lease, to ilsim-workerd workers and
@@ -84,7 +84,6 @@ func run(args []string, out, errw io.Writer) error {
 	verbose := fs.Bool("v", false, "print per-job progress to stderr")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 	maxCycles := fs.Uint64("maxcycles", 0, "per-job simulated-cycle budget (0 = unlimited)")
-	retries := fs.Int("retries", 0, "retries per transiently failing job (exponential backoff)")
 	journalPath := fs.String("journal", "", "checkpoint completed jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "reuse an existing -journal file, re-running only unfinished jobs")
 	serve := fs.String("serve", "", "coordinate the sweep over HTTP on this address instead of running it locally")
@@ -223,7 +222,6 @@ func run(args []string, out, errw io.Writer) error {
 		if *failFast {
 			eng.Mode = exp.FailFast
 		}
-		eng.Retry = exp.RetryPolicy{MaxRetries: *retries}
 		eng.Journal = journal
 		eng.OnProgress = onProgress
 		runner = eng
@@ -255,9 +253,6 @@ func run(args []string, out, errw io.Writer) error {
 		metrics.Jobs, metrics.Elapsed.Seconds(), metrics.Throughput(), metrics.Speedup())
 	if metrics.Resumed > 0 {
 		fmt.Fprintf(out, "; %d resumed from journal", metrics.Resumed)
-	}
-	if metrics.Retries > 0 {
-		fmt.Fprintf(out, "; %d retries", metrics.Retries)
 	}
 	fmt.Fprintln(out, ")")
 	fmt.Fprintln(out, "\nNote how the HSAIL/GCN3 gap itself moves with the design point —")

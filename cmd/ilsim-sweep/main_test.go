@@ -68,6 +68,15 @@ func TestSweepUnknownParam(t *testing.T) {
 	}
 }
 
+// TestSweepRetriesFlagGone: a job runs once, so there is no -retries.
+func TestSweepRetriesFlagGone(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run([]string{"-param", "banks", "-points", "1", "-retries", "2"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -retries") {
+		t.Fatalf("-retries: err %v", err)
+	}
+}
+
 // TestSweepCUs exercises the machine-scaling sweep end to end on the two
 // smallest machines.
 func TestSweepCUs(t *testing.T) {

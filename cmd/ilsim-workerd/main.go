@@ -1,9 +1,9 @@
 // Command ilsim-workerd is the distributed-sweep worker daemon: it joins a
 // coordinator (ilsim-sweep -serve, or any dist.Coordinator), long-polls
-// for job leases, executes them on a local experiment engine — watchdog
-// budgets, panic isolation and transient retries all apply per job, as
-// they would locally — and streams integrity-hashed results back. It
-// exits 0 when the coordinator reports the campaign complete.
+// for job leases, executes each once on a local experiment engine — watchdog
+// budgets and panic isolation apply per job, as they would locally — and
+// streams integrity-hashed results back. It exits 0 when the coordinator
+// reports the campaign complete.
 //
 // The join handshake refuses stale binaries: protocol versions must match
 // and the worker must recompute the coordinator's job fingerprints
@@ -35,7 +35,6 @@
 //
 //	ilsim-workerd -connect host:9666              # one execution slot
 //	ilsim-workerd -connect host:9666 -j 8 -v      # 8 slots, lifecycle logs
-//	ilsim-workerd -connect host:9666 -retries 2   # local transient retries
 //	ilsim-workerd -connect host:9666 -token s3cret -tls-ca coord.pem
 //	ilsim-workerd -connect host:9666 -tls-ca ca.pem -tls-cert w.pem -tls-key w.key
 //	ilsim-workerd -connect host:9666 -chaos 'seed=7,drop=0.05,delay=20ms:0.2'
@@ -57,7 +56,6 @@ import (
 
 	"ilsim/internal/chaos"
 	"ilsim/internal/dist"
-	"ilsim/internal/exp"
 )
 
 func main() {
@@ -75,7 +73,6 @@ func run(args []string, out, errw io.Writer) error {
 	connect := fs.String("connect", "", "coordinator address (host:port; required)")
 	name := fs.String("name", "", "worker name in leases and logs (default hostname-pid)")
 	slots := fs.Int("j", 0, "concurrent execution slots (0 = GOMAXPROCS)")
-	retries := fs.Int("retries", 0, "local retries per transiently failing job")
 	window := fs.Duration("window", 2*time.Minute, "how long to retry an unreachable coordinator before giving up")
 	token := fs.String("token", "", "shared auth token for a coordinator started with -token")
 	tlsCA := fs.String("tls-ca", "", "trust this PEM certificate (e.g. a self-signed coordinator cert) and dial https")
@@ -124,13 +121,10 @@ func run(args []string, out, errw io.Writer) error {
 		}
 		fmt.Fprintf(errw, "chaos: injecting faults (%s)\n", *chaosSpec)
 	}
-	eng := exp.New(0)
-	eng.Retry = exp.RetryPolicy{MaxRetries: *retries}
 	w := &dist.Worker{
 		Coordinator: *connect,
 		Name:        *name,
 		Slots:       *slots,
-		Engine:      eng,
 		Client:      clientOpts,
 		RetryWindow: *window,
 	}

@@ -59,6 +59,15 @@ func TestWorkerdRequiresConnect(t *testing.T) {
 	}
 }
 
+// TestWorkerdRetriesFlagGone: a job runs once, so there is no -retries.
+func TestWorkerdRetriesFlagGone(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run([]string{"-connect", "127.0.0.1:1", "-retries", "2"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -retries") {
+		t.Fatalf("-retries: err %v", err)
+	}
+}
+
 // TestWorkerdUnreachableCoordinator bounds the give-up time with -window.
 func TestWorkerdUnreachableCoordinator(t *testing.T) {
 	var out, errw bytes.Buffer

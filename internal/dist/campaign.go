@@ -111,7 +111,7 @@ type campaign struct {
 
 	// replicas is the quorum width; health the ledger policy.
 	replicas int
-	health   HealthPolicy
+	health   healthPolicy
 	// votes[idx] maps voter → ballot key; ballots[idx] maps ballot key →
 	// the first result that cast it; accepted[idx] is the winning key
 	// once the job is done ("" for resumed failures and pre-quorum
@@ -122,10 +122,10 @@ type campaign struct {
 	accepted []string
 	tallying []bool
 
-	done, resumed, failed, retries int
-	jobWall                        time.Duration
-	start                          time.Time
-	aborted                        bool
+	done, resumed, failed int
+	jobWall               time.Duration
+	start                 time.Time
+	aborted               bool
 	// changed is closed and replaced on every state transition a lease
 	// long-poller could care about; finished closes once when every job is
 	// terminal (or the campaign aborts).
@@ -165,7 +165,7 @@ func newCampaign(jobs []exp.Job, opts Options, now time.Time) *campaign {
 		leases:     make(map[int]map[string]time.Time),
 		workers:    make(map[string]*workerState),
 		replicas:   opts.Replicas,
-		health:     *opts.Health,
+		health:     defaultHealthPolicy(),
 		votes:      make([]map[string]string, len(jobs)),
 		ballots:    make([]map[string]voteOutcome, len(jobs)),
 		accepted:   make([]string, len(jobs)),
@@ -435,7 +435,7 @@ func (cp *campaign) assemble(now time.Time) ([]exp.Result, exp.Metrics) {
 	defer cp.mu.Unlock()
 	return cp.results, exp.Metrics{
 		Jobs: len(cp.jobs), Failed: cp.failed, Resumed: cp.resumed,
-		Retries: cp.retries, Elapsed: now.Sub(cp.start), JobWall: cp.jobWall,
+		Elapsed: now.Sub(cp.start), JobWall: cp.jobWall,
 	}
 }
 

@@ -75,7 +75,7 @@ func (r *rig) waits(worker string, d time.Duration) {
 // function of cycles alone: two results agree iff their cycles do.
 func (r *rig) wire(idx int, cycles uint64) exp.WireResult {
 	return exp.EncodeResult(idx, r.cp.fps[idx],
-		exp.Result{Run: &stats.Run{Cycles: cycles}, Wall: 10 * time.Millisecond, Attempts: 1})
+		exp.Result{Run: &stats.Run{Cycles: cycles}, Wall: 10 * time.Millisecond})
 }
 
 // report delivers worker's result for job idx at t0+d.
@@ -148,8 +148,8 @@ func TestCampaignLeaseExpiry(t *testing.T) {
 	// Past the deadline the reclaim sweep frees it, and only it.
 	r.cp.reclaim(r.at(18 * time.Second))
 	row := r.row("doomed", 18*time.Second)
-	if row.Held != 0 || row.Expiries != 1 || row.Score != DefaultHealthPolicy().WExpiry {
-		t.Fatalf("after expiry: %+v, want 0 held, 1 expiry, score %.1f", row, DefaultHealthPolicy().WExpiry)
+	if row.Held != 0 || row.Expiries != 1 || row.Score != defaultHealthPolicy().WExpiry {
+		t.Fatalf("after expiry: %+v, want 0 held, 1 expiry, score %.1f", row, defaultHealthPolicy().WExpiry)
 	}
 	r.grant("healthy", 18*time.Second, 1)
 	r.mustReport("healthy", 19*time.Second, 1, 200)
@@ -205,7 +205,7 @@ func TestCampaignRefusals(t *testing.T) {
 	if kind, ok := refusalOf(err); !ok || kind != refuseMalformed {
 		t.Fatalf("tampered result: %v", err)
 	}
-	if row := r.row("w", time.Second); row.Integrity != 1 || row.Held != 0 || row.Score != DefaultHealthPolicy().WIntegrity {
+	if row := r.row("w", time.Second); row.Integrity != 1 || row.Held != 0 || row.Score != defaultHealthPolicy().WIntegrity {
 		t.Fatalf("after the integrity failure: %+v", row)
 	}
 	r.grant("bystander", time.Second, 0)
@@ -228,8 +228,8 @@ func TestCampaignRefusals(t *testing.T) {
 // results are acknowledged but not counted, and when probation ends it is
 // re-admitted.
 func TestCampaignQuarantine(t *testing.T) {
-	pol := DefaultHealthPolicy()
-	r := newRig(t, 2, Options{Health: &pol, LeaseTTL: time.Hour})
+	pol := defaultHealthPolicy()
+	r := newRig(t, 2, Options{LeaseTTL: time.Hour})
 	r.join("suspect", "honest")
 	r.grant("suspect", 0, 0)
 
@@ -421,9 +421,9 @@ func TestCampaignReleaseUnseenGrant(t *testing.T) {
 // three-way split that extends itself one voter at a time, and a duplicate
 // delivery that cannot switch its ballot.
 func TestCampaignQuorumElection(t *testing.T) {
-	pol := DefaultHealthPolicy()
-	pol.Threshold = 1000 // election flow, not conviction
-	r := newRig(t, 2, Options{Replicas: 3, Health: &pol, LeaseTTL: time.Hour})
+	pol := defaultHealthPolicy()
+	r := newRig(t, 2, Options{Replicas: 3, LeaseTTL: time.Hour})
+	r.cp.health.Threshold = 1000 // election flow, not conviction
 	r.join("a", "b", "c", "d", "e")
 
 	// Job 0: three leases up front, never two to one worker, no fourth.

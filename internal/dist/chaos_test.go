@@ -76,15 +76,9 @@ func chaosCampaign(t *testing.T, churn bool) {
 	}
 	c1, c2 := worker("c1"), worker("c2")
 
-	// Chaos produces lease expiries and integrity rejections by design;
-	// this test is about recovery, not conviction, so the ledger threshold
-	// is parked out of reach.
-	hp := DefaultHealthPolicy()
-	hp.Threshold = 1000
 	opts := Options{
 		LongPoll: 100 * time.Millisecond,
 		LeaseTTL: 500 * time.Millisecond,
-		Health:   &hp,
 		Logf:     t.Logf,
 	}
 	var join, leave sync.Once
@@ -97,6 +91,9 @@ func chaosCampaign(t *testing.T, churn bool) {
 		}
 	}
 	c, out := startCampaign(t, ctx, opts, jobs)
+	// Chaos produces lease expiries and integrity rejections by design;
+	// this test is about recovery, not conviction.
+	parkHealth(t, c)
 	c1.Coordinator, c2.Coordinator = c.Addr(), c.Addr()
 	start(c1)
 	if !churn {
@@ -155,15 +152,13 @@ func TestChaosCampaignSeededReplay(t *testing.T) {
 			{Every: 3, Fault: chaos.Fault{Delay: 2 * time.Millisecond}},
 		},
 	}
-	hp := DefaultHealthPolicy()
-	hp.Threshold = 1000
 	for round := 0; round < 2; round++ {
 		ctx := context.Background()
 		c, out := startCampaign(t, ctx, Options{
 			LongPoll: 50 * time.Millisecond,
 			LeaseTTL: 400 * time.Millisecond,
-			Health:   &hp,
 		}, jobs)
+		parkHealth(t, c)
 		w := &Worker{
 			Coordinator: c.Addr(), Name: "replay", Slots: 1,
 			RetryWindow: 30 * time.Second,

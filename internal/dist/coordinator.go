@@ -36,9 +36,6 @@ type Options struct {
 	// even values work but buy no extra fault tolerance over the next
 	// odd value down.
 	Replicas int
-	// Health tunes the worker health ledger and quarantine thresholds
-	// (nil = DefaultHealthPolicy).
-	Health *HealthPolicy
 	// TLSCert and TLSKey are PEM file paths; when both are set the
 	// coordinator serves its endpoints over TLS. Self-signed pairs work —
 	// point workers at the certificate via ClientOptions.TLSCACert.
@@ -110,10 +107,6 @@ func (opts Options) withDefaults() Options {
 	}
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
-	}
-	if opts.Health == nil {
-		hp := DefaultHealthPolicy()
-		opts.Health = &hp
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}

@@ -4,9 +4,11 @@
 // assembles the streamed-back results in submission order — so a
 // distributed campaign is byte-identical, fingerprint for fingerprint, to
 // the same job set run in one process. Workers wrap an ordinary
-// exp.Engine: watchdog budgets, panic isolation and transient retries all
-// apply per job on the worker, while the coordinator only re-leases jobs
-// whose worker went silent (heartbeats stop, lease deadline passes).
+// exp.Engine: watchdog budgets and panic isolation apply per job on the
+// worker, which runs each leased job once and reports whatever it ended in.
+// The coordinator never re-runs a reported failure — the simulator is
+// deterministic — it only re-leases jobs whose worker went silent
+// (heartbeats stop, lease deadline passes).
 //
 // A lease carries exactly one job; a worker with N slots holds up to N
 // leases at once, one per slot.
@@ -78,8 +80,9 @@ import (
 // and one completion handshake per worker, not per slot: the worker that
 // reads a Done reply stops all its slots and posts /release; 7 = the
 // supervisor is gone: no fleet label in the join handshake or Status, no
-// wanted-slots hint in Status.
-const ProtocolVersion = 7
+// wanted-slots hint in Status; 8 = a job runs once: exp.WireResult drops
+// its attempts count.
+const ProtocolVersion = 8
 
 // Defaults for the lease lifecycle. LeaseTTL bounds how long a silent
 // worker keeps a job before it is reassigned; workers heartbeat at a third

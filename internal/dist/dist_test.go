@@ -109,6 +109,17 @@ func waitCampaign(t *testing.T, c *Coordinator) *campaign {
 	}
 }
 
+// parkHealth raises the installed campaign's quarantine threshold out of
+// reach, for tests about recovery or election flow rather than conviction.
+// Call it before any worker joins.
+func parkHealth(t *testing.T, c *Coordinator) {
+	t.Helper()
+	cp := waitCampaign(t, c)
+	cp.mu.Lock()
+	cp.health.Threshold = 1000
+	cp.mu.Unlock()
+}
+
 // TestDistributedMatchesLocal is the subsystem's acceptance criterion: a
 // campaign run by a coordinator and two loopback workers produces
 // stats.Run fingerprints byte-identical to the same job set run locally.
@@ -302,7 +313,13 @@ func TestPermanentFailureReported(t *testing.T) {
 
 	eng := exp.New(2)
 	eng.Faults = exp.NewFaultPlan()
-	eng.Faults.Set(jobs[1].String(), exp.Fault{FailAttempts: 99, Err: fmt.Errorf("broken config")})
+	eng.Faults.Set(jobs[1].String(), exp.Fault{Err: fmt.Errorf("broken config")})
+	var runs atomic.Int32
+	eng.OnProgress = func(p exp.Progress) {
+		if p.Job.String() == jobs[1].String() {
+			runs.Add(1)
+		}
+	}
 	w := &Worker{Coordinator: c.Addr(), Name: "w", Slots: 2, Engine: eng}
 	if err := w.Run(ctx); err != nil {
 		t.Fatal(err)
@@ -321,8 +338,8 @@ func TestPermanentFailureReported(t *testing.T) {
 	if exp.Classify(r.Err) != exp.ClassPermanent {
 		t.Fatalf("failure class %s survived the wire wrong", exp.Classify(r.Err))
 	}
-	if r.Attempts != 1 {
-		t.Fatalf("permanent failure executed %d times", r.Attempts)
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("permanent failure executed %d times", n)
 	}
 }
 

@@ -168,9 +168,6 @@ func (cp *campaign) vote(idx int, res exp.Result, worker, key string, now time.T
 	if r.Err != nil {
 		cp.failed++
 	}
-	if r.Attempts > 1 {
-		cp.retries += r.Attempts - 1
-	}
 	cp.jobWall += r.Wall
 	for w, k := range voters {
 		if k != bestKey {

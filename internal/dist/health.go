@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// HealthPolicy tunes the per-worker health ledger. Every suspicious event
+// healthPolicy tunes the per-worker health ledger. Every suspicious event
 // adds its weight to the worker's score; the score decays exponentially
 // with HalfLife, and crossing Threshold quarantines the worker — leases
 // refused, in-flight jobs re-leased — until Probation elapses, after
@@ -16,7 +16,7 @@ import (
 // lost quorum vote is direct evidence of wrong results (two of either
 // quarantine), a recovered panic is a worker in a bad state, and a lease
 // expiry is only weak evidence (slow network, long job) so it takes many.
-type HealthPolicy struct {
+type healthPolicy struct {
 	// Threshold is the score at which a worker is quarantined.
 	Threshold float64
 	// Probation is how long a quarantine lasts.
@@ -31,13 +31,14 @@ type HealthPolicy struct {
 	WPanic     float64 // reported a panic-class failure
 }
 
-// DefaultHealthPolicy returns the weights described on HealthPolicy. The
-// threshold sits just below two serious strikes (2×4), not at it: scores
-// decay continuously, so a pair of weight-4 events any time apart sums to
+// defaultHealthPolicy returns the weights described on healthPolicy, the
+// policy every campaign runs under (campaign.health). The threshold sits
+// just below two serious strikes (2×4), not at it: scores decay
+// continuously, so a pair of weight-4 events any time apart sums to
 // strictly less than 8 — 7.5 makes "two integrity failures or lost votes
 // within a half-life" actually convict.
-func DefaultHealthPolicy() HealthPolicy {
-	return HealthPolicy{
+func defaultHealthPolicy() healthPolicy {
+	return healthPolicy{
 		Threshold:  7.5,
 		Probation:  5 * time.Minute,
 		HalfLife:   10 * time.Minute,

@@ -9,13 +9,9 @@ import (
 // directly, with a "bystander" worker kept alive so the last-live-worker
 // quarantine guard does not interfere (cases that test the guard itself
 // skip the bystander).
-func healthCampaign(t *testing.T, pol HealthPolicy, bystander bool, now time.Time) *campaign {
+func healthCampaign(t *testing.T, bystander bool, now time.Time) *campaign {
 	t.Helper()
-	cp := newCampaign(nil, Options{
-		LeaseTTL: time.Minute,
-		Health:   &pol,
-		Logf:     t.Logf,
-	}, now)
+	cp := newCampaign(nil, Options{LeaseTTL: time.Minute, Logf: t.Logf}, now)
 	if bystander {
 		cp.workerLocked("bystander").seen = now
 	}
@@ -27,7 +23,7 @@ func healthCampaign(t *testing.T, pol HealthPolicy, bystander bool, now time.Tim
 // forgetting, the threshold, and the probation-with-parole re-admission.
 func TestHealthLedger(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
-	pol := DefaultHealthPolicy() // threshold 7.5, probation 5m, half-life 10m
+	pol := defaultHealthPolicy() // threshold 7.5, probation 5m, half-life 10m
 	type strike struct {
 		at     time.Duration
 		weight float64
@@ -108,7 +104,7 @@ func TestHealthLedger(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cp := healthCampaign(t, pol, tc.bystander, base)
+			cp := healthCampaign(t, tc.bystander, base)
 			cp.mu.Lock()
 			defer cp.mu.Unlock()
 			cp.workerLocked("suspect").seen = base
@@ -133,8 +129,8 @@ func TestHealthLedger(t *testing.T) {
 // strike.
 func TestHealthProbationAndParole(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
-	pol := DefaultHealthPolicy()
-	cp := healthCampaign(t, pol, true, base)
+	pol := defaultHealthPolicy()
+	cp := healthCampaign(t, true, base)
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.workerLocked("suspect").seen = base
@@ -179,9 +175,9 @@ func TestHealthProbationAndParole(t *testing.T) {
 // lease the worker holds back to the pending pool immediately.
 func TestHealthQuarantineReclaimsLeases(t *testing.T) {
 	base := time.Unix(1_700_000_000, 0)
-	pol := DefaultHealthPolicy()
+	pol := defaultHealthPolicy()
 	jobs := testJobs(t, 2)
-	cp := newCampaign(jobs, Options{LeaseTTL: time.Minute, Health: &pol, Logf: t.Logf}, base)
+	cp := newCampaign(jobs, Options{LeaseTTL: time.Minute, Logf: t.Logf}, base)
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.workerLocked("bystander").seen = base

@@ -179,17 +179,15 @@ func TestQuorumDetectsLyingWorker(t *testing.T) {
 func TestQuorumSplitElectionExtends(t *testing.T) {
 	jobs := testJobs(t, 2)
 	want := localFingerprints(t, jobs)
-	// Health off (huge threshold): this test is about election flow, not
-	// conviction — with replicas=2 every split charges both sides.
-	hp := DefaultHealthPolicy()
-	hp.Threshold = 1000
 	ctx := context.Background()
 	c, out := startCampaign(t, ctx, Options{
 		Replicas: 2,
-		Health:   &hp,
 		LongPoll: 50 * time.Millisecond,
 		Logf:     t.Logf,
 	}, jobs)
+	// Health off: this test is about election flow, not conviction — with
+	// replicas=2 every split charges both sides.
+	parkHealth(t, c)
 
 	var wg sync.WaitGroup
 	workers := []*Worker{

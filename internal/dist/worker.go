@@ -19,9 +19,9 @@ import (
 
 // Worker executes leased jobs on a local exp.Engine and streams the
 // results back to a coordinator. Every per-job defense the engine has —
-// watchdog budgets, panic isolation, transient-retry policy — applies on
-// the worker exactly as it would locally; the coordinator never retries a
-// reported failure, it only re-leases jobs whose worker went silent.
+// watchdog budgets, panic isolation — applies on the worker exactly as it
+// would locally; the coordinator never re-runs a reported failure, it only
+// re-leases jobs whose worker went silent.
 //
 // A lease carries one job; each of the worker's slots leases, executes and
 // reports independently, so a crash forfeits only the jobs in flight.
@@ -321,8 +321,8 @@ func (w *Worker) setHeld(idx int, held bool) {
 }
 
 // execute runs one leased job through the local engine (a one-job set:
-// the engine applies its timeout, retry, fault-injection and panic
-// machinery per job anyway, and slots provide the concurrency).
+// the engine applies its timeout, fault-injection and panic machinery per
+// job anyway, and slots provide the concurrency).
 func (w *Worker) execute(ctx context.Context, idx int, job exp.Job) exp.Result {
 	results, _, err := w.Engine.RunContext(ctx, []exp.Job{job})
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 // failures). Entries are rewritten in job-index order, byte-for-byte as
 // they were appended, so a compacted journal resumes to exactly the same
 // state as the original. The rewrite is crash-safe: a temp file in the
-// same directory is fully written and fsynced, then atomically renamed
-// over the original. Returns how many entries were kept and dropped.
+// same directory is fully written and fsynced with the original's
+// permissions, then atomically renamed over it. Returns how many entries
+// were kept and dropped.
 func CompactJournal(path string) (kept, dropped int, err error) {
 	// Entries are checked as a resume checks them, against the header's own
 	// job set; the latest raw line per job index is kept verbatim, so
@@ -38,6 +39,10 @@ func CompactJournal(path string) (kept, dropped int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return 0, 0, err
+	}
 	dropped = lines - len(latest)
 
 	indexes := make([]int, 0, len(latest))
@@ -57,6 +62,11 @@ func CompactJournal(path string) (kept, dropped int, err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
+	// CreateTemp makes the file 0600; the rename must not change the
+	// journal's permissions.
+	if err := tmp.Chmod(fi.Mode().Perm()); err != nil {
+		return 0, 0, err
+	}
 	w := bufio.NewWriter(tmp)
 	w.Write(headerLine)
 	for _, i := range indexes {

@@ -263,3 +263,30 @@ func TestCompactJournalRejectsInteriorCorruption(t *testing.T) {
 		t.Fatal("failed compaction modified the journal")
 	}
 }
+
+// TestCompactJournalKeepsPermissions: the rewritten journal keeps the mode
+// of the file it replaces, not the 0600 of a fresh temp file.
+func TestCompactJournalKeepsPermissions(t *testing.T) {
+	jobs := tinyJobs(t, 1)
+	path := journalPath(t)
+	j, err := OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	for _, mode := range []os.FileMode{0o644, 0o640} {
+		if err := os.Chmod(path, mode); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := CompactJournal(path); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != mode {
+			t.Errorf("compaction changed the journal's mode from %v to %v", mode, got)
+		}
+	}
+}

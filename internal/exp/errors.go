@@ -14,19 +14,15 @@ import (
 var ErrBudgetExceeded = core.ErrBudgetExceeded
 
 // Class is the engine's error taxonomy. Every job failure classifies into
-// exactly one class; the retry policy uses it to decide what is worth
-// re-executing, the journal records it, and the CLIs print it next to each
-// failed job.
+// exactly one class; the journal records it, the distributed coordinator
+// scores workers by it, and the CLIs print it next to each failed job.
 type Class int
 
 const (
 	// ClassOK is the classification of a nil error.
 	ClassOK Class = iota
-	// ClassTransient marks failures worth retrying (explicitly wrapped
-	// with Transient, or implementing `Transient() bool`).
-	ClassTransient
 	// ClassPermanent marks deterministic failures: bad configs, unknown
-	// workloads, output-check mismatches. Retrying cannot help.
+	// workloads, output-check mismatches. Re-running cannot help.
 	ClassPermanent
 	// ClassCanceled marks jobs stopped by cancellation: fail-fast
 	// shedding, a canceled RunContext, or ctrl-C.
@@ -50,8 +46,6 @@ func (c Class) String() string {
 	switch c {
 	case ClassOK:
 		return "ok"
-	case ClassTransient:
-		return "transient"
 	case ClassPermanent:
 		return "permanent"
 	case ClassCanceled:
@@ -68,20 +62,10 @@ func (c Class) String() string {
 	return fmt.Sprintf("Class(%d)", int(c))
 }
 
-// transienter is the duck-typed transient marker (satisfied by
-// TransientError and by callers' own error types).
-type transienter interface{ Transient() bool }
-
-// Classify maps a job error onto the taxonomy. An explicit transient
-// wrapper wins over everything else so callers can force a retry class
-// onto, say, a timeout they know to be load-induced.
+// Classify maps a job error onto the taxonomy.
 func Classify(err error) Class {
 	if err == nil {
 		return ClassOK
-	}
-	var tr transienter
-	if errors.As(err, &tr) && tr.Transient() {
-		return ClassTransient
 	}
 	// A deserialized failure carries its original class across the wire.
 	var re *RemoteError
@@ -107,24 +91,6 @@ func Classify(err error) Class {
 	}
 	return ClassPermanent
 }
-
-// IsTransient reports whether err classifies as retryable.
-func IsTransient(err error) bool { return Classify(err) == ClassTransient }
-
-// TransientError marks a failure as retryable. Construct with Transient.
-type TransientError struct{ Err error }
-
-// Transient wraps err as retryable (nil stays nil).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-func (e *TransientError) Error() string   { return "transient: " + e.Err.Error() }
-func (e *TransientError) Unwrap() error   { return e.Err }
-func (e *TransientError) Transient() bool { return true }
 
 // PanicError is a panic recovered inside a worker, converted into an
 // ordinary job failure so one crashing job cannot take down the sweep. It

@@ -7,17 +7,21 @@ import (
 	"testing"
 )
 
-// flaggedErr implements the duck-typed transient marker with a switchable
-// flag, standing in for callers' own error types.
-type flaggedErr struct{ transient bool }
+// flaggedErr has the `Transient() bool` method older builds treated as a
+// retry marker, standing in for callers' own error types; it may wrap an
+// inner error.
+type flaggedErr struct {
+	transient bool
+	inner     error
+}
 
 func (e *flaggedErr) Error() string   { return "flagged" }
+func (e *flaggedErr) Unwrap() error   { return e.inner }
 func (e *flaggedErr) Transient() bool { return e.transient }
 
 // TestClassifyWrappedChains pins the taxonomy against realistic error
 // chains: every class must survive arbitrary fmt.Errorf("%w") nesting —
-// the engine wraps job errors with context before they reach Classify —
-// and explicit transient markers must win over whatever they wrap.
+// the engine wraps job errors with context before they reach Classify.
 func TestClassifyWrappedChains(t *testing.T) {
 	panicErr := &PanicError{Job: "job", Value: "boom"}
 	cases := []struct {
@@ -51,19 +55,17 @@ func TestClassifyWrappedChains(t *testing.T) {
 		// Deserialized failures carry their original class across the wire
 		// even when the receiver wraps them again.
 		{"remote budget", fmt.Errorf("via worker: %w", &RemoteError{Msg: "x", Class: ClassBudget}), ClassBudget},
-		{"remote transient", fmt.Errorf("via worker: %w", &RemoteError{Msg: "x", Class: ClassTransient}), ClassTransient},
 		{"remote panic", &RemoteError{Msg: "x", Class: ClassPanic}, ClassPanic},
 
-		// Explicit transient wrappers win over everything they wrap — a
-		// caller can force a retry class onto a known load-induced timeout.
-		{"transient", Transient(errors.New("flaky")), ClassTransient},
-		{"wrapped transient", fmt.Errorf("attempt 1: %w", Transient(errors.New("flaky"))), ClassTransient},
-		{"transient over deadline", Transient(context.DeadlineExceeded), ClassTransient},
-		{"transient over panic", Transient(fmt.Errorf("w: %w", panicErr)), ClassTransient},
-		{"duck-typed transient", fmt.Errorf("io: %w", &flaggedErr{transient: true}), ClassTransient},
-
-		// A Transient() bool that answers false is not a transient marker;
-		// classification falls through to the rest of the chain.
+		// There is no transient class. A failure an older build recorded as
+		// "transient" decodes as permanent, and a Transient() bool method is
+		// no marker: it neither outranks nor hides the chain it wraps.
+		{"transient", &RemoteError{Msg: "transient: flaky", Class: ParseClass("transient")}, ClassPermanent},
+		{"remote transient", fmt.Errorf("via worker: %w", &RemoteError{Msg: "x", Class: ParseClass("transient")}), ClassPermanent},
+		{"wrapped transient", fmt.Errorf("attempt 1: %w", &flaggedErr{transient: true}), ClassPermanent},
+		{"transient over deadline", &flaggedErr{transient: true, inner: context.DeadlineExceeded}, ClassTimeout},
+		{"transient over panic", &flaggedErr{transient: true, inner: fmt.Errorf("w: %w", panicErr)}, ClassPanic},
+		{"duck-typed transient", &flaggedErr{transient: true}, ClassPermanent},
 		{"flag off", &flaggedErr{transient: false}, ClassPermanent},
 		{"flag off over deadline", fmt.Errorf("%w: %w", &flaggedErr{transient: false}, context.DeadlineExceeded), ClassTimeout},
 	}
@@ -72,21 +74,6 @@ func TestClassifyWrappedChains(t *testing.T) {
 			if got := Classify(tc.err); got != tc.want {
 				t.Errorf("Classify(%v) = %s, want %s", tc.err, got, tc.want)
 			}
-			if want := tc.want == ClassTransient; IsTransient(tc.err) != want {
-				t.Errorf("IsTransient(%v) = %v, want %v", tc.err, !want, want)
-			}
 		})
-	}
-}
-
-// TestTransientNilStaysNil pins the wrapper's nil passthrough — retry
-// helpers wrap unconditionally and must not invent failures.
-func TestTransientNilStaysNil(t *testing.T) {
-	if err := Transient(nil); err != nil {
-		t.Fatalf("Transient(nil) = %v", err)
-	}
-	inner := errors.New("flaky")
-	if !errors.Is(Transient(inner), inner) {
-		t.Fatal("Transient hides the wrapped error from errors.Is")
 	}
 }

@@ -78,9 +78,6 @@ type Result struct {
 	Run  *stats.Run
 	Err  error
 	Wall time.Duration
-	// Attempts counts executions this run, > 1 after transient retries
-	// (0 for resumed results, which did not execute at all).
-	Attempts int
 	// Resumed marks a result restored from the engine's journal instead
 	// of executed.
 	Resumed bool
@@ -148,8 +145,6 @@ type Metrics struct {
 	Failed int
 	// Resumed counts jobs restored from the journal instead of executed.
 	Resumed int
-	// Retries counts extra executions spent on transient failures.
-	Retries int
 	// Elapsed is the wall time of the whole Run call; JobWall is the sum
 	// of per-job wall times for jobs executed this run (resumed results
 	// are excluded so Speedup reflects work actually done).
@@ -201,11 +196,12 @@ type Runner interface {
 	RunContext(ctx context.Context, jobs []Job) ([]Result, Metrics, error)
 }
 
-// Engine executes job sets. The zero value is usable (CollectAll mode,
-// GOMAXPROCS workers, no retries); New is a convenience for setting the
-// pool size. An engine may run many job sets; its instance cache persists
-// across Run calls, so sweeps over the same workload reuse prepared
-// kernels.
+// Engine executes job sets, each job exactly once: the simulator is
+// deterministic, so a job that failed would fail the same way again. The
+// zero value is usable (CollectAll mode, GOMAXPROCS workers); New is a
+// convenience for setting the pool size. An engine may run many job sets;
+// its instance cache persists across Run calls, so sweeps over the same
+// workload reuse prepared kernels.
 type Engine struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -214,9 +210,6 @@ type Engine struct {
 	// OnProgress, when non-nil, observes every job completion. Calls are
 	// serialized; keep the hook cheap (it is on the completion path).
 	OnProgress func(Progress)
-	// Retry governs re-execution of transiently failing jobs; the zero
-	// value never retries.
-	Retry RetryPolicy
 	// Journal, when non-nil, records every completed result and pre-fills
 	// results the journal already holds, so an interrupted campaign
 	// resumes instead of restarting (see OpenJournal).
@@ -310,7 +303,6 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 		mu         sync.Mutex // guards counters, firstErr, hook calls
 		done       = resumed
 		failed     int
-		retries    int
 		firstErr   error
 		journalErr error
 	)
@@ -333,9 +325,6 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 				}
 				mu.Lock()
 				done++
-				if r.Attempts > 1 {
-					retries += r.Attempts - 1
-				}
 				if r.Err != nil {
 					failed++
 					if firstErr == nil && !errors.Is(r.Err, ErrCanceled) {
@@ -373,8 +362,7 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 	close(next)
 	wg.Wait()
 
-	m := Metrics{Jobs: len(jobs), Failed: failed, Resumed: resumed,
-		Retries: retries, Elapsed: time.Since(start)}
+	m := Metrics{Jobs: len(jobs), Failed: failed, Resumed: resumed, Elapsed: time.Since(start)}
 	for i := range results {
 		if !results[i].Resumed {
 			m.JobWall += results[i].Wall
@@ -389,47 +377,30 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 	return results, m, nil
 }
 
-// execute runs one job to its final outcome: attempts, per-attempt timeout
-// contexts, and backoff between transient failures. Wall covers the whole
-// effort, retries and backoff included.
+// execute runs one job under its wall-clock timeout (if any) and times it.
 func (e *Engine) execute(ctx context.Context, job Job, r *Result) {
-	jobStart := time.Now()
-	defer func() { r.Wall = time.Since(jobStart) }()
-	for attempt := 1; ; attempt++ {
-		r.Attempts = attempt
-		jctx, cancelJob := jobContext(ctx, job)
-		r.Run, r.Err = e.runJob(jctx, job, attempt)
-		cancelJob()
-		if r.Err == nil || ctx.Err() != nil || !e.Retry.ShouldRetry(attempt, r.Err) {
-			return
-		}
-		if !sleepContext(ctx, e.Retry.Backoff(attempt)) {
-			return
-		}
-	}
-}
-
-// jobContext derives the per-attempt context: the job's wall-clock timeout
-// under the engine context.
-func jobContext(ctx context.Context, job Job) (context.Context, context.CancelFunc) {
+	start := time.Now()
 	if job.Timeout > 0 {
-		return context.WithTimeout(ctx, job.Timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, job.Timeout)
+		defer cancel()
 	}
-	return ctx, func() {}
+	r.Run, r.Err = e.runJob(ctx, job)
+	r.Wall = time.Since(start)
 }
 
-// runJob executes one job attempt: inject faults, prepare (via the cache),
+// runJob executes one job: inject faults, prepare (via the cache),
 // simulate under ctx, verify. A panic anywhere inside — a workload bug, a
 // simulator bug, an injected fault — is recovered into a PanicError so it
 // fails only this job, not the whole sweep.
-func (e *Engine) runJob(ctx context.Context, job Job, attempt int) (run *stats.Run, err error) {
+func (e *Engine) runJob(ctx context.Context, job Job) (run *stats.Run, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = &PanicError{Job: job.String(), Value: p, Stack: debug.Stack()}
 		}
 	}()
 	if e.Faults != nil {
-		if err := e.Faults.apply(ctx, job, attempt); err != nil {
+		if err := e.Faults.apply(ctx, job); err != nil {
 			return nil, err
 		}
 	}

@@ -15,13 +15,9 @@ import (
 type Fault struct {
 	// Delay sleeps before the job body; the job's context cuts it short.
 	Delay time.Duration
-	// Panic, when non-nil, panics with this value on every attempt.
+	// Panic, when non-nil, panics with this value.
 	Panic any
-	// FailAttempts fails the first N attempts with Err, then lets the job
-	// run normally — the transient-then-success schedule.
-	FailAttempts int
-	// Err is the error FailAttempts injects (wrap with Transient to make
-	// the retry policy bite).
+	// Err, when non-nil, fails the job with this error.
 	Err error
 	// Hang blocks until the job's context ends and returns its cause — a
 	// stand-in for a livelocked simulation that only a watchdog can stop.
@@ -37,8 +33,7 @@ type Fault struct {
 // FaultPlan schedules deterministic per-job faults on an engine — the test
 // instrumentation behind the fault-tolerance suite. Faults are keyed by
 // Job.String(); jobs without an entry run untouched. A plan is safe for
-// concurrent use and tracks attempts per job so FailAttempts schedules are
-// exact even under retries.
+// concurrent use.
 type FaultPlan struct {
 	mu     sync.Mutex
 	faults map[string]Fault
@@ -57,10 +52,10 @@ func (p *FaultPlan) Set(key string, f Fault) {
 	p.faults[key] = f
 }
 
-// apply runs the fault scheduled for job (if any) at the given 1-based
-// attempt. It returns the injected error, panics with the injected value,
-// or returns nil to let the job body run.
-func (p *FaultPlan) apply(ctx context.Context, job Job, attempt int) error {
+// apply runs the fault scheduled for job (if any). It returns the injected
+// error, panics with the injected value, or returns nil to let the job body
+// run.
+func (p *FaultPlan) apply(ctx context.Context, job Job) error {
 	p.mu.Lock()
 	f, ok := p.faults[job.String()]
 	p.mu.Unlock()
@@ -73,11 +68,8 @@ func (p *FaultPlan) apply(ctx context.Context, job Job, attempt int) error {
 	if f.Panic != nil {
 		panic(f.Panic)
 	}
-	if f.FailAttempts > 0 && attempt <= f.FailAttempts {
-		if f.Err != nil {
-			return f.Err
-		}
-		return fmt.Errorf("exp: injected fault on %s (attempt %d)", job, attempt)
+	if f.Err != nil {
+		return f.Err
 	}
 	if f.Hang {
 		<-ctx.Done()

@@ -35,7 +35,7 @@ func FuzzWireResult(f *testing.F) {
 	if err := j.Record(0, results[0]); err != nil {
 		f.Fatal(err)
 	}
-	fail := Result{Job: jobs[1], Err: Transient(errors.New("flaky link")), Attempts: 2}
+	fail := Result{Job: jobs[1], Err: errors.New("flaky link")}
 	if err := j.Record(1, fail); err != nil {
 		f.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func FuzzWireResult(f *testing.F) {
 		ErrBudgetExceeded,
 		&PanicError{Job: jobs[0].String(), Value: "boom"},
 	} {
-		b, err := json.Marshal(EncodeResult(0, jobs[0].Fingerprint(), Result{Job: jobs[0], Err: werr, Attempts: 1}))
+		b, err := json.Marshal(EncodeResult(0, jobs[0].Fingerprint(), Result{Job: jobs[0], Err: werr}))
 		if err != nil {
 			f.Fatal(err)
 		}

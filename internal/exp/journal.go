@@ -36,8 +36,7 @@ type journalHeader struct {
 // WireResult encoding (the same bytes a distributed worker streams to its
 // coordinator). Successes carry the full stats.Run plus a hash of its
 // fingerprint so corruption is detected at load; failures carry the error
-// text and its class for the record (they are re-executed on resume — a
-// crash or transient deserves another chance).
+// text and its class for the record (they are re-executed on resume).
 type journalEntry struct {
 	Type string `json:"type"` // "result"
 	WireResult

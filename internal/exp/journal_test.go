@@ -80,9 +80,6 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 		if r.Resumed != wantResumed {
 			t.Errorf("job %d: Resumed = %t, want %t", i, r.Resumed, wantResumed)
 		}
-		if wantResumed && r.Attempts != 0 {
-			t.Errorf("job %d resumed but counts %d attempts", i, r.Attempts)
-		}
 		if r.Run == nil {
 			t.Fatalf("job %d has no run", i)
 		}
@@ -422,7 +419,7 @@ func TestJournalDoesNotResumeFailures(t *testing.T) {
 	eng := New(2)
 	eng.Journal = j
 	eng.Faults = NewFaultPlan()
-	eng.Faults.Set(jobs[1].String(), Fault{FailAttempts: 99, Err: errors.New("bad run")})
+	eng.Faults.Set(jobs[1].String(), Fault{Err: errors.New("bad run")})
 	if _, m, err := eng.Run(jobs); err != nil || m.Failed != 1 {
 		t.Fatalf("first flight: err %v, %d failed", err, m.Failed)
 	}
@@ -460,7 +457,7 @@ func TestJournalSkipsCanceledJobs(t *testing.T) {
 	eng.Mode = FailFast
 	eng.Journal = j
 	eng.Faults = NewFaultPlan()
-	eng.Faults.Set(jobs[0].String(), Fault{FailAttempts: 99, Err: errors.New("fatal")})
+	eng.Faults.Set(jobs[0].String(), Fault{Err: errors.New("fatal")})
 	if _, _, err := eng.Run(jobs); err == nil {
 		t.Fatal("FailFast run returned nil error")
 	}
@@ -477,6 +474,76 @@ func TestJournalSkipsCanceledJobs(t *testing.T) {
 		}
 		if e.ErrClass == ClassCanceled.String() {
 			t.Fatalf("canceled job journaled: %s", line)
+		}
+	}
+}
+
+// TestJournalResumesEntriesWithAttempts: journals written before jobs ran
+// exactly once carry an "attempts" count on every entry. Decoding ignores
+// the field, so such a journal still resumes, and a failure recorded with
+// the "transient" class those builds had loads as permanent and is
+// re-executed like any recorded failure.
+func TestJournalResumesEntriesWithAttempts(t *testing.T) {
+	jobs := tinyJobs(t, 1) // 2 jobs
+	results, _, err := New(2).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := journalPath(t)
+	j, err := OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	ok, err := json.Marshal(journalEntry{Type: "result", WireResult: EncodeResult(0, jobs[0].Fingerprint(), results[0])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok = bytes.Replace(ok, []byte(`"wallNs":`), []byte(`"attempts":1,"wallNs":`), 1)
+	if !bytes.Contains(ok, []byte(`"jobName":"`+jobs[0].String()+`","attempts":1,"wallNs":`)) {
+		t.Fatalf("entry does not read as the older format:\n%s", ok)
+	}
+	failed := `{"type":"result","index":1,"job":"` + jobs[1].Fingerprint() + `","jobName":"` + jobs[1].String() +
+		`","attempts":3,"wallNs":1000,"err":"transient: flaky link","errClass":"transient"}`
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(append(ok, '\n'), failed+"\n"...)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var w WireResult
+	if err := json.Unmarshal([]byte(failed), &w); err != nil {
+		t.Fatal(err)
+	}
+	if r, err := w.Decode(); err != nil || Classify(r.Err) != ClassPermanent {
+		t.Fatalf("transient-class entry decodes to %v (class %s), want a permanent failure", err, Classify(r.Err))
+	}
+
+	j2, err := OpenJournal(path, jobs, true)
+	if err != nil {
+		t.Fatalf("journal with attempts counts refused: %v", err)
+	}
+	defer j2.Close()
+	if n := j2.Resumable(); n != 1 {
+		t.Fatalf("journal resumes %d jobs, want the one success", n)
+	}
+	eng := New(2)
+	eng.Journal = j2
+	eng.Faults = NewFaultPlan()
+	eng.Faults.Set(jobs[0].String(), Fault{Panic: "resumed job re-executed"})
+	got, m, err := eng.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Resumed != 1 || m.Failed != 0 || !got[0].Resumed || got[1].Resumed {
+		t.Fatalf("resume: %+v; job 0 resumed %t, job 1 resumed %t", m, got[0].Resumed, got[1].Resumed)
+	}
+	for i := range jobs {
+		if !bytes.Equal(got[i].Run.Fingerprint(), results[i].Run.Fingerprint()) {
+			t.Errorf("job %d differs from a fresh run", i)
 		}
 	}
 }

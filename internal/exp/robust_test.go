@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -214,79 +213,6 @@ func TestTimeoutKillsHangingJob(t *testing.T) {
 	}
 }
 
-// TestRetryTransientThenSuccess fails a job's first two attempts with a
-// transient error; with retries enabled the third attempt succeeds and the
-// metrics account for the extra executions.
-func TestRetryTransientThenSuccess(t *testing.T) {
-	jobs := tinyJobs(t, 1)
-	eng := New(2)
-	// A seeded jitter source keeps the backoff schedule reproducible run
-	// to run, so timing-sensitive fault schedules cannot flake.
-	eng.Retry = RetryPolicy{MaxRetries: 3, BaseDelay: time.Microsecond,
-		Rand: rand.New(rand.NewSource(42))}
-	eng.Faults = NewFaultPlan()
-	eng.Faults.Set(jobs[0].String(), Fault{FailAttempts: 2, Err: Transient(errors.New("flaky prep"))})
-
-	results, m, err := eng.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err != nil {
-		t.Fatalf("job did not recover: %v", results[0].Err)
-	}
-	if results[0].Attempts != 3 {
-		t.Fatalf("job took %d attempts, want 3", results[0].Attempts)
-	}
-	if results[0].Run == nil {
-		t.Fatal("recovered job has no run")
-	}
-	if m.Retries != 2 || m.Failed != 0 {
-		t.Fatalf("metrics %+v, want 2 retries, 0 failed", m)
-	}
-}
-
-// TestRetrySkipsPermanentErrors proves the taxonomy gates the retry
-// policy: a permanent failure executes exactly once even with retries on.
-func TestRetrySkipsPermanentErrors(t *testing.T) {
-	jobs := tinyJobs(t, 1)
-	eng := New(1)
-	eng.Retry = RetryPolicy{MaxRetries: 5, BaseDelay: time.Microsecond}
-	eng.Faults = NewFaultPlan()
-	eng.Faults.Set(jobs[0].String(), Fault{FailAttempts: 99, Err: errors.New("deterministic failure")})
-
-	results, m, err := eng.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Err == nil || results[0].Attempts != 1 {
-		t.Fatalf("permanent error retried: attempts %d, err %v", results[0].Attempts, results[0].Err)
-	}
-	if m.Retries != 0 {
-		t.Fatalf("metrics count %d retries, want 0", m.Retries)
-	}
-}
-
-// TestRetryGivesUpAtMaxRetries bounds the retry loop.
-func TestRetryGivesUpAtMaxRetries(t *testing.T) {
-	jobs := tinyJobs(t, 1)
-	eng := New(1)
-	eng.Retry = RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond,
-		Rand: rand.New(rand.NewSource(7))}
-	eng.Faults = NewFaultPlan()
-	eng.Faults.Set(jobs[0].String(), Fault{FailAttempts: 99, Err: Transient(errors.New("always flaky"))})
-
-	results, _, err := eng.Run(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if results[0].Attempts != 3 { // 1 attempt + 2 retries
-		t.Fatalf("job took %d attempts, want 3", results[0].Attempts)
-	}
-	if !IsTransient(results[0].Err) {
-		t.Fatalf("final error lost its class: %v", results[0].Err)
-	}
-}
-
 // TestFailFastCancelsHangingJobMidFlight is the mid-job cancellation
 // proof: a hanging job (livelock stand-in, no timeout of its own) is
 // released by the fail-fast cancellation triggered by a sibling failure —
@@ -297,8 +223,7 @@ func TestFailFastCancelsHangingJobMidFlight(t *testing.T) {
 	eng.Mode = FailFast
 	eng.Faults = NewFaultPlan()
 	eng.Faults.Set(jobs[0].String(), Fault{Hang: true})
-	eng.Faults.Set(jobs[1].String(), Fault{Delay: 5 * time.Millisecond,
-		FailAttempts: 99, Err: errors.New("fatal config")})
+	eng.Faults.Set(jobs[1].String(), Fault{Delay: 5 * time.Millisecond, Err: errors.New("fatal config")})
 
 	done := make(chan struct{})
 	var results []Result
@@ -398,46 +323,16 @@ func TestClassify(t *testing.T) {
 	}{
 		{nil, ClassOK},
 		{errors.New("boom"), ClassPermanent},
-		{Transient(errors.New("boom")), ClassTransient},
-		{fmt.Errorf("wrapped: %w", Transient(errors.New("boom"))), ClassTransient},
 		{ErrCanceled, ClassCanceled},
 		{context.Canceled, ClassCanceled},
 		{fmt.Errorf("run canceled: %w", context.DeadlineExceeded), ClassTimeout},
 		{fmt.Errorf("job: %w", ErrBudgetExceeded), ClassBudget},
 		{&PanicError{Job: "x", Value: "v"}, ClassPanic},
-		// An explicit transient wrapper outranks the inner class.
-		{Transient(fmt.Errorf("t: %w", context.DeadlineExceeded)), ClassTransient},
 	}
 	for _, c := range cases {
 		if got := Classify(c.err); got != c.want {
 			t.Errorf("Classify(%v) = %s, want %s", c.err, got, c.want)
 		}
-	}
-}
-
-// TestRetryPolicyBackoffBounds checks growth, cap and jitter range.
-func TestRetryPolicyBackoffBounds(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond,
-		Multiplier: 2, Jitter: 0.5}
-	for attempt := 1; attempt <= 6; attempt++ {
-		ideal := float64(10*time.Millisecond) * float64(int(1)<<(attempt-1))
-		if ideal > float64(80*time.Millisecond) {
-			ideal = float64(80 * time.Millisecond)
-		}
-		for i := 0; i < 20; i++ {
-			d := float64(p.Backoff(attempt))
-			if d < ideal*0.49 || d > ideal*1.51 {
-				t.Fatalf("attempt %d: backoff %v outside [%v, %v]",
-					attempt, time.Duration(d), time.Duration(ideal*0.5), time.Duration(ideal*1.5))
-			}
-		}
-	}
-	nj := RetryPolicy{BaseDelay: time.Millisecond, Jitter: -1}
-	if d := nj.Backoff(1); d != time.Millisecond {
-		t.Fatalf("jitter-free backoff = %v, want 1ms", d)
-	}
-	if d := nj.Backoff(3); d != 4*time.Millisecond {
-		t.Fatalf("jitter-free attempt-3 backoff = %v, want 4ms", d)
 	}
 }
 

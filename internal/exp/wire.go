@@ -24,10 +24,9 @@ type WireResult struct {
 	// against its own job set before accepting the result.
 	Job string `json:"job"`
 	// JobName is the job's String(), kept for human-readable records.
-	JobName  string `json:"jobName,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	WallNS   int64  `json:"wallNs,omitempty"`
-	// Err and ErrClass record a failure (the job is not retried by the
+	JobName string `json:"jobName,omitempty"`
+	WallNS  int64  `json:"wallNs,omitempty"`
+	// Err and ErrClass record a failure (the job is not re-run by the
 	// receiver; the taxonomy class survives the wire via RemoteError).
 	Err      string `json:"err,omitempty"`
 	ErrClass string `json:"errClass,omitempty"`
@@ -39,10 +38,7 @@ type WireResult struct {
 // EncodeResult serializes one result for index i of a job set whose i-th
 // fingerprint is fp.
 func EncodeResult(i int, fp string, r Result) WireResult {
-	w := WireResult{
-		Index: i, Job: fp, JobName: r.Job.String(),
-		Attempts: r.Attempts, WallNS: int64(r.Wall),
-	}
+	w := WireResult{Index: i, Job: fp, JobName: r.Job.String(), WallNS: int64(r.Wall)}
 	if r.Err != nil {
 		w.Err = r.Err.Error()
 		w.ErrClass = Classify(r.Err).String()
@@ -58,7 +54,7 @@ func EncodeResult(i int, fp string, r Result) WireResult {
 // their integrity hash and rejected (with a non-nil second return) when
 // the run does not hash to RunSHA.
 func (w WireResult) Decode() (Result, error) {
-	r := Result{Attempts: w.Attempts, Wall: time.Duration(w.WallNS)}
+	r := Result{Wall: time.Duration(w.WallNS)}
 	if w.Err != "" {
 		r.Err = &RemoteError{Msg: w.Err, Class: ParseClass(w.ErrClass)}
 		return r, nil
@@ -75,8 +71,8 @@ func (w WireResult) Decode() (Result, error) {
 
 // RemoteError is a job failure that crossed a serialization boundary (the
 // journal or the distributed-worker wire). The original error value is
-// gone; its text and taxonomy class survive, so Classify and the retry
-// policy keep working on the receiving side.
+// gone; its text and taxonomy class survive, so Classify keeps working on
+// the receiving side.
 type RemoteError struct {
 	// Msg is the original error text.
 	Msg string
@@ -104,11 +100,11 @@ func (e *IntegrityError) Error() string {
 		e.Index, e.Want, e.Got)
 }
 
-// ParseClass is the inverse of Class.String. Unknown names parse as
-// ClassPermanent — the conservative reading: never retry what we cannot
-// classify.
+// ParseClass is the inverse of Class.String. Unknown names — among them
+// "transient", a class older journals may hold — parse as ClassPermanent,
+// the conservative reading.
 func ParseClass(s string) Class {
-	for _, c := range []Class{ClassOK, ClassTransient, ClassPermanent,
+	for _, c := range []Class{ClassOK, ClassPermanent,
 		ClassCanceled, ClassTimeout, ClassBudget, ClassPanic, ClassIntegrity} {
 		if c.String() == s {
 			return c

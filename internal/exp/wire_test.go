@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -45,8 +44,8 @@ func TestWireResultRoundTrip(t *testing.T) {
 	if string(r.Run.Fingerprint()) != string(w.Run.Fingerprint()) {
 		t.Fatal("run fingerprint changed across the wire")
 	}
-	if r.Wall != time.Duration(w.WallNS) || r.Attempts != w.Attempts {
-		t.Fatalf("wall/attempts lost: %v/%d", r.Wall, r.Attempts)
+	if r.Wall != time.Duration(w.WallNS) {
+		t.Fatalf("wall lost: %v", r.Wall)
 	}
 }
 
@@ -66,14 +65,12 @@ func TestWireResultIntegrity(t *testing.T) {
 
 // TestWireResultErrorClassSurvives encodes each failure class and checks
 // Classify agrees on the decoded side, so remote failures keep their
-// retry/report semantics.
+// report semantics.
 func TestWireResultErrorClassSurvives(t *testing.T) {
 	job := tinyJobs(t, 1)[0]
-	for _, class := range []Class{ClassTransient, ClassPermanent, ClassTimeout, ClassBudget, ClassPanic} {
+	for _, class := range []Class{ClassPermanent, ClassTimeout, ClassBudget, ClassPanic} {
 		var err error
 		switch class {
-		case ClassTransient:
-			err = Transient(errors.New("flaky"))
 		case ClassPermanent:
 			err = errors.New("deterministic")
 		case ClassTimeout:
@@ -83,7 +80,7 @@ func TestWireResultErrorClassSurvives(t *testing.T) {
 		case ClassPanic:
 			err = &PanicError{Job: job.String(), Value: "boom"}
 		}
-		w := EncodeResult(0, job.Fingerprint(), Result{Job: job, Err: err, Attempts: 1})
+		w := EncodeResult(0, job.Fingerprint(), Result{Job: job, Err: err})
 		r, derr := w.Decode()
 		if derr != nil {
 			t.Fatalf("%s: decode: %v", class, derr)
@@ -95,16 +92,18 @@ func TestWireResultErrorClassSurvives(t *testing.T) {
 }
 
 // TestParseClassRoundTrip checks every class name parses back, and unknown
-// names land on the conservative ClassPermanent.
+// names — "transient" among them — land on the conservative ClassPermanent.
 func TestParseClassRoundTrip(t *testing.T) {
-	for _, c := range []Class{ClassOK, ClassTransient, ClassPermanent,
-		ClassCanceled, ClassTimeout, ClassBudget, ClassPanic} {
+	for _, c := range []Class{ClassOK, ClassPermanent,
+		ClassCanceled, ClassTimeout, ClassBudget, ClassPanic, ClassIntegrity} {
 		if got := ParseClass(c.String()); got != c {
 			t.Errorf("ParseClass(%q) = %s", c.String(), got)
 		}
 	}
-	if got := ParseClass("martian"); got != ClassPermanent {
-		t.Errorf("unknown class parsed as %s", got)
+	for _, name := range []string{"martian", "transient"} {
+		if got := ParseClass(name); got != ClassPermanent {
+			t.Errorf("unknown class %q parsed as %s", name, got)
+		}
 	}
 }
 
@@ -123,36 +122,5 @@ func TestJobSetFingerprint(t *testing.T) {
 	changed[0].Scale++
 	if JobSetFingerprint(jobs) == JobSetFingerprint(changed) {
 		t.Fatal("fingerprint ignores job content")
-	}
-}
-
-// TestRetryBackoffSeededReproducible is the fault-injection suite's
-// reproducibility contract: two policies with equally seeded sources
-// produce identical backoff sequences; differently seeded ones diverge.
-func TestRetryBackoffSeededReproducible(t *testing.T) {
-	mk := func(seed int64) []time.Duration {
-		p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: time.Second,
-			Jitter: 0.5, Rand: rand.New(rand.NewSource(seed))}
-		var ds []time.Duration
-		for a := 1; a <= 6; a++ {
-			ds = append(ds, p.Backoff(a))
-		}
-		return ds
-	}
-	a, b := mk(1), mk(1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at attempt %d: %v vs %v", i+1, a[i], b[i])
-		}
-	}
-	c := mk(2)
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical jitter")
 	}
 }

@@ -261,6 +261,15 @@ func DecodeInst(data []byte) (*Inst, int, error) {
 			in.Dst = Operand{Kind: OperVGPR, Index: uint16(w1 >> 16 & 0xFF)}
 		}
 	}
+	// Refuse what EncodeInst cannot emit: it picks the format from the
+	// instruction (a 64-bit v_max is VOP3, never VOP2; a v_cmp into VCC is
+	// VOPC, never VOP3) and allows one literal, in 4-byte formats only.
+	if got := in.Format(); got != f {
+		return nil, 0, fmt.Errorf("gcn3: %s in %s encoding, which encodes only as %s", in.Mnemonic(), f, got)
+	}
+	if n := in.NumLiterals(); n > 1 || n == 1 && !f.AllowsLiteral() {
+		return nil, 0, fmt.Errorf("gcn3: %s with %d literals in %s encoding", in.Mnemonic(), n, f)
+	}
 	return in, litOff, nil
 }
 

@@ -174,7 +174,7 @@ func TestFailedExtraJobFailsCollection(t *testing.T) {
 	spill := exp.Job{Workload: "AblationSpill", Scale: 1, Abs: core.AbsGCN3}.String()
 	eng := exp.New(0)
 	eng.Faults = exp.NewFaultPlan()
-	eng.Faults.Set(spill, exp.Fault{FailAttempts: 1, Err: errors.New("injected")})
+	eng.Faults.Set(spill, exp.Fault{Err: errors.New("injected")})
 	res, err := CollectParallel(eng, cfg, 1, false)
 	if res != nil || err == nil {
 		t.Fatal("the collection survived a failed ablation job")
