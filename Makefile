@@ -4,7 +4,7 @@
 # determinism tests, core (whose free list of timed devices the workers trade
 # through: TestResetMatchesFresh ends on a four-worker engine) and the full
 # distributed suite (the socket-free campaign state machine, TLS/token auth,
-# quorum voting, chaos fault injection, drains), so coordinator and worker
+# lease expiry, chaos fault injection, drains), so coordinator and worker
 # locking is exercised under contention on every run. A simulation itself
 # runs on one goroutine: timing, mem, emu and stats are left out, and
 # TestSimulationIsSingleThreaded fails if one of them imports sync or starts
@@ -12,7 +12,7 @@
 # and TestReportSimulatesNothing fails if it imports sync or starts a
 # goroutine of its own.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
-# the race detector — the flake detector for lease/election/drain timing.
+# the race detector — the flake detector for lease/result/drain timing.
 # `make fuzz` gives the wire codec, the GCN3 instruction decoder, the cache
 # model, the memory drain, the whole-wave memory accesses, the whole-wave
 # kernels and the Fig 10 uniqueness kernel a short coverage-guided beating.

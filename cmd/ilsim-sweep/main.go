@@ -16,18 +16,16 @@
 // to a local run. The endpoints optionally require TLS
 // (-tls-cert/-tls-key), client certificates (-tls-client-ca, mutual TLS)
 // and a shared token (-token), and -watch prints one status snapshot —
-// queue depth, lease backlog, per-worker throughput, ETA and
-// health/quarantine state — from a running coordinator (for a live board,
-// run it under watch(1)); it is what tells an operator when to start another
-// ilsim-workerd or SIGTERM one. -allow-cn pins the client-certificate
-// CommonNames a mutual-TLS coordinator admits; anything else is refused with
-// 403 and counted in the status.
+// queue depth, lease backlog, per-worker throughput and ETA — from a
+// running coordinator (for a live board, run it under watch(1)); it is what
+// tells an operator when to start another ilsim-workerd or SIGTERM one.
+// -allow-cn pins the client-certificate CommonNames a mutual-TLS
+// coordinator admits; anything else is refused with 403 and counted in the
+// status. Build the coordinator and its workers from one commit: a worker
+// whose simulator computes differently is not detected.
 //
-// Untrusted fleets replicate: -replicas K leases every job to K distinct
-// workers and accepts only the majority result (votes are stats.Run
-// fingerprints); dissenting workers are scored and quarantined. Journals
-// grow one line per result plus vote audit records; -journal-compact
-// rewrites one in place keeping only the latest entry per job.
+// Journals grow one line per result; -journal-compact rewrites one in place
+// keeping only the latest entry per job.
 //
 // Usage:
 //
@@ -41,7 +39,6 @@
 //	ilsim-sweep -param banks -journal s.jsonl -resume   # continue after a kill
 //	ilsim-sweep -param banks -serve :9666         # coordinate remote workers
 //	ilsim-sweep -param banks -serve :9666 -token s3cret
-//	ilsim-sweep -param banks -serve :9666 -replicas 3   # quorum over untrusted workers
 //	ilsim-sweep -watch host:9666                  # campaign status snapshot
 //	watch -n2 ilsim-sweep -watch host:9666        # live status board
 //	ilsim-sweep -journal s.jsonl -journal-compact # drop superseded journal entries
@@ -87,10 +84,9 @@ func run(args []string, out, errw io.Writer) error {
 	journalPath := fs.String("journal", "", "checkpoint completed jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "reuse an existing -journal file, re-running only unfinished jobs")
 	serve := fs.String("serve", "", "coordinate the sweep over HTTP on this address instead of running it locally")
-	watch := fs.String("watch", "", "print a status snapshot (queue depth, per-worker throughput, ETA, health) from the coordinator at this address, then exit")
-	replicas := fs.Int("replicas", 1, "with -serve: lease every job to this many distinct workers and accept the majority result (quorum over untrusted workers)")
+	watch := fs.String("watch", "", "print a status snapshot (queue depth, per-worker throughput, ETA) from the coordinator at this address, then exit")
 	allowCN := fs.String("allow-cn", "", "with -serve: comma-separated client-certificate CommonNames admitted past mutual TLS (needs -tls-client-ca); others get 403")
-	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries and vote records), then exit")
+	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries), then exit")
 	token := fs.String("token", "", "shared auth token: required of workers with -serve, sent to the coordinator with -watch")
 	tlsCert := fs.String("tls-cert", "", "with -serve: serve the coordinator endpoints over TLS using this PEM certificate. With -watch: present it as the client certificate (mutual TLS)")
 	tlsKey := fs.String("tls-key", "", "the PEM key matching -tls-cert")
@@ -199,7 +195,6 @@ func run(args []string, out, errw io.Writer) error {
 		}
 		c := dist.NewCoordinator(dist.Options{
 			Addr:        *serve,
-			Replicas:    *replicas,
 			AuthToken:   *token,
 			TLSCert:     *tlsCert,
 			TLSKey:      *tlsKey,

@@ -84,25 +84,13 @@ func TestSweepWatchAndToken(t *testing.T) {
 	}
 }
 
-// TestSweepServeReplicas drives the quorum flag end to end: with
-// -replicas 2 every job needs matching ballots from two distinct workers
-// before it is accepted, so the campaign only completes once both
-// workers have executed the whole job set — and the sweep table still
-// prints normally.
-func TestSweepServeReplicas(t *testing.T) {
-	sweep := []string{"-param", "banks", "-workload", "ArrayBW", "-points", "2",
-		"-serve", "127.0.0.1:0", "-replicas", "2"}
-	var serveOut bytes.Buffer
-	serveErr := &syncBuffer{}
-	addr, serveDone := startServe(t, sweep, &serveOut, serveErr)
-
-	wait := runWorkers(t, addr, 2, dist.ClientOptions{})
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve run: %v\nstderr: %s", err, serveErr.String())
-	}
-	wait()
-	if !strings.Contains(serveOut.String(), "sweep banks") {
-		t.Fatalf("coordinator produced no sweep table:\n%s", serveOut.String())
+// TestSweepReplicasFlagGone: a job has one lease, so there is no quorum
+// width to set.
+func TestSweepReplicasFlagGone(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run([]string{"-param", "banks", "-points", "1", "-serve", "127.0.0.1:0", "-replicas", "2"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -replicas") {
+		t.Fatalf("-replicas: err %v", err)
 	}
 }
 

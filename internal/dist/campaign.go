@@ -9,8 +9,8 @@ import (
 )
 
 // The campaign state machine (see the package doc): this file holds the
-// type and the lease table, election.go the ballot box, health.go the
-// quarantine ledger. None of the three may import net, net/http or crypto/*.
+// type and the lease table, result.go the path a reported result takes to
+// acceptance. Neither may import net, net/http or crypto/*.
 
 // refusalKind classifies a protocol refusal; the HTTP adapter maps it to a
 // status code and the worker's isFatal maps that back to retry-or-give-up.
@@ -66,8 +66,8 @@ func validateJoin(req joinRequest) error {
 const ewmaAlpha = 0.3
 
 // workerState is everything the coordinator tracks per worker: liveness,
-// the completion handshake, the runtime estimate behind the status table's
-// throughput column, and the health ledger behind quarantine.
+// the completion handshake and the runtime estimate behind the status
+// table's throughput column.
 type workerState struct {
 	seen time.Time
 	// slots is the worker's declared lease-poll concurrency. released
@@ -83,44 +83,22 @@ type workerState struct {
 	// cn is the CommonName of the worker's client certificate under
 	// mutual TLS.
 	cn string
-	// Health ledger: score decays exponentially from scoreAt; a non-zero
-	// quarantinedUntil in the future means leases are refused. The
-	// counters feed WorkerStatus.
-	score            float64
-	scoreAt          time.Time
-	quarantinedUntil time.Time
-	quarantines      int
-	integrity        int
-	dissents         int
-	expiries         int
 }
 
-// campaign is the lease table, ballot box and result store of one job
-// set. A lease covers one job; with replicas > 1 a job may be leased to
-// several workers at once: leases maps job index → holder → deadline, and
-// votes/ballots/accepted run the per-job election over result fingerprints.
+// campaign is the lease table and result store of one job set. A lease
+// covers one job and a job has at most one lease: holder[idx] is the worker
+// holding job idx ("" for none) and deadline[idx] the time it lapses
+// without a heartbeat. The first valid result for a job is accepted.
 type campaign struct {
-	mu      sync.Mutex
-	jobs    []exp.Job
-	fps     []string
-	setFP   string
-	results []exp.Result
-	state   []jobState
-	leases  map[int]map[string]time.Time
-	workers map[string]*workerState
-
-	// replicas is the quorum width; health the ledger policy.
-	replicas int
-	health   healthPolicy
-	// votes[idx] maps voter → ballot key; ballots[idx] maps ballot key →
-	// the first result that cast it; accepted[idx] is the winning key
-	// once the job is done ("" for resumed failures and pre-quorum
-	// campaigns); tallying[idx] guards the unlock-journal-relock window
-	// so one election is only journaled once.
-	votes    []map[string]string
-	ballots  []map[string]voteOutcome
-	accepted []string
-	tallying []bool
+	mu       sync.Mutex
+	jobs     []exp.Job
+	fps      []string
+	setFP    string
+	results  []exp.Result
+	state    []jobState
+	holder   []string
+	deadline []time.Time
+	workers  map[string]*workerState
 
 	done, resumed, failed int
 	jobWall               time.Duration
@@ -143,15 +121,12 @@ type jobState uint8
 
 const (
 	statePending jobState = iota
+	// stateRecording: the job's first result is being journaled, with cp.mu
+	// released. No lease is granted for it and no second result is taken,
+	// so a job is journaled once.
+	stateRecording
 	stateDone
 )
-
-// voteOutcome is one ballot's evidence: the first result that cast it and
-// the worker it came from (the worker credited on acceptance).
-type voteOutcome struct {
-	res    exp.Result
-	worker string
-}
 
 // newCampaign builds the state machine for jobs, started at now.
 func newCampaign(jobs []exp.Job, opts Options, now time.Time) *campaign {
@@ -162,14 +137,9 @@ func newCampaign(jobs []exp.Job, opts Options, now time.Time) *campaign {
 		setFP:      exp.JobSetFingerprint(jobs),
 		results:    make([]exp.Result, len(jobs)),
 		state:      make([]jobState, len(jobs)),
-		leases:     make(map[int]map[string]time.Time),
+		holder:     make([]string, len(jobs)),
+		deadline:   make([]time.Time, len(jobs)),
 		workers:    make(map[string]*workerState),
-		replicas:   opts.Replicas,
-		health:     defaultHealthPolicy(),
-		votes:      make([]map[string]string, len(jobs)),
-		ballots:    make([]map[string]voteOutcome, len(jobs)),
-		accepted:   make([]string, len(jobs)),
-		tallying:   make([]bool, len(jobs)),
 		start:      now,
 		changed:    make(chan struct{}),
 		finished:   make(chan struct{}),
@@ -186,15 +156,12 @@ func newCampaign(jobs []exp.Job, opts Options, now time.Time) *campaign {
 }
 
 // restore pre-marks job idx done with a result a journal already holds, so
-// it is never leased. The accepted ballot is recorded too: a stray
-// post-restart result for the job is then judged against it rather than
-// counted as dissent by default.
+// it is never leased.
 func (cp *campaign) restore(idx int, r exp.Result) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.results[idx].Run, cp.results[idx].Wall, cp.results[idx].Resumed = r.Run, r.Wall, true
 	cp.state[idx] = stateDone
-	cp.accepted[idx] = exp.RunSHA(r.Run)
 	cp.done++
 	cp.resumed++
 	if cp.done == len(cp.jobs) && !cp.finishedNow() {
@@ -263,10 +230,8 @@ func (cp *campaign) join(req joinRequest, cn string, now time.Time) joinReply {
 // lease answers one lease poll at now. A nil wait channel means the reply
 // is final (a grant or Done); otherwise nothing is available to this
 // worker yet and the channel closes at the next state change worth
-// re-asking after — the adapter's long-poll loop. A quarantined worker
-// keeps waiting (so it learns promptly when the campaign finishes, or when
-// its probation ends) but is never granted a lease; neither is a stray poll
-// of a worker that already said goodbye.
+// re-asking after — the adapter's long-poll loop. A stray poll of a worker
+// that already said goodbye keeps waiting and is never granted a lease.
 func (cp *campaign) lease(req leaseRequest, now time.Time) (leaseReply, <-chan struct{}, error) {
 	if err := cp.checkSet(req.SetFP); err != nil {
 		return leaseReply{}, nil, err
@@ -279,7 +244,7 @@ func (cp *campaign) lease(req leaseRequest, now time.Time) (leaseReply, <-chan s
 	cp.reclaimLocked(now)
 	ws := cp.workerLocked(req.Worker)
 	ws.seen = now
-	if !ws.released && !cp.quarantinedLocked(req.Worker, now) {
+	if !ws.released {
 		if idx, ok := cp.takeLocked(req.Worker, now); ok {
 			job := cp.jobs[idx]
 			return leaseReply{Index: idx, Job: &job, JobFP: cp.fps[idx]}, nil, nil
@@ -295,64 +260,31 @@ func (cp *campaign) reclaim(now time.Time) {
 	cp.reclaimLocked(now)
 }
 
-// reclaimLocked returns every expired lease to the pending pool and
-// charges the expiry against the holder's health ledger. Callers hold
-// cp.mu.
+// reclaimLocked returns every expired lease to the pending pool. Callers
+// hold cp.mu.
 func (cp *campaign) reclaimLocked(now time.Time) {
 	woke := false
-	for idx, holders := range cp.leases {
-		for worker, deadline := range holders {
-			if now.Before(deadline) {
-				continue
-			}
-			delete(holders, worker)
-			if cp.state[idx] != stateDone {
-				woke = true
-				cp.logf("dist: lease on job %d (%s) held by %s expired; reassigning", idx, cp.jobs[idx], worker)
-				cp.workerLocked(worker).expiries++
-				cp.strikeLocked(worker, cp.health.WExpiry, fmt.Sprintf("lease expiry on job %d", idx), now)
-			}
+	for idx, worker := range cp.holder {
+		if worker == "" || now.Before(cp.deadline[idx]) {
+			continue
 		}
-		if len(holders) == 0 {
-			delete(cp.leases, idx)
-		}
+		cp.holder[idx] = ""
+		woke = true
+		cp.logf("dist: lease on job %d (%s) held by %s expired; reassigning", idx, cp.jobs[idx], worker)
 	}
 	if woke {
 		cp.broadcastLocked()
 	}
 }
 
-// takeLocked leases the lowest eligible job to worker. A job is eligible
-// when it is not done, this worker neither holds it nor has voted on it,
-// and its election still wants more voters than it has leases outstanding.
-// Callers hold cp.mu.
+// takeLocked leases the lowest pending, unheld job to worker. Callers hold
+// cp.mu.
 func (cp *campaign) takeLocked(worker string, now time.Time) (int, bool) {
 	for idx, st := range cp.state {
-		if st == stateDone {
-			continue
+		if st == statePending && cp.holder[idx] == "" {
+			cp.holder[idx], cp.deadline[idx] = worker, now.Add(cp.leaseTTL)
+			return idx, true
 		}
-		holders := cp.leases[idx]
-		if _, held := holders[worker]; held {
-			continue
-		}
-		if cp.replicas == 1 {
-			if len(holders) > 0 {
-				continue
-			}
-		} else {
-			if _, voted := cp.votes[idx][worker]; voted {
-				continue
-			}
-			if len(holders) >= cp.wantLeasesLocked(idx) {
-				continue
-			}
-		}
-		if holders == nil {
-			holders = make(map[string]time.Time)
-			cp.leases[idx] = holders
-		}
-		holders[worker] = now.Add(cp.leaseTTL)
-		return idx, true
 	}
 	return 0, false
 }
@@ -367,8 +299,8 @@ func (cp *campaign) heartbeat(req heartbeatRequest, now time.Time) error {
 	defer cp.mu.Unlock()
 	cp.workerLocked(req.Worker).seen = now
 	for _, idx := range req.Held {
-		if _, ok := cp.leases[idx][req.Worker]; ok {
-			cp.leases[idx][req.Worker] = now.Add(cp.leaseTTL)
+		if idx >= 0 && idx < len(cp.holder) && cp.holder[idx] == req.Worker {
+			cp.deadline[idx] = now.Add(cp.leaseTTL)
 		}
 	}
 	return nil
@@ -377,8 +309,8 @@ func (cp *campaign) heartbeat(req heartbeatRequest, now time.Time) error {
 // dropLeaseLocked returns worker's lease on job idx (if it holds one) to
 // the pending pool. Callers hold cp.mu.
 func (cp *campaign) dropLeaseLocked(idx int, worker string) {
-	if _, ok := cp.leases[idx][worker]; ok {
-		delete(cp.leases[idx], worker)
+	if cp.holder[idx] == worker {
+		cp.holder[idx] = ""
 		cp.broadcastLocked()
 	}
 }
@@ -398,9 +330,9 @@ func (cp *campaign) release(req releaseRequest) error {
 	defer cp.mu.Unlock()
 	cp.workerLocked(req.Worker).released = true
 	released := 0
-	for _, holders := range cp.leases {
-		if _, ok := holders[req.Worker]; ok {
-			delete(holders, req.Worker)
+	for idx, worker := range cp.holder {
+		if worker == req.Worker {
+			cp.holder[idx] = ""
 			released++
 		}
 	}
@@ -465,51 +397,36 @@ func (cp *campaign) status(now time.Time) Status {
 		Workers:  len(cp.workers),
 		Finished: cp.finishedNow(),
 	}
-	if cp.replicas > 1 {
-		s.Replicas = cp.replicas
-	}
-	for idx, st := range cp.state {
-		if st == stateDone {
-			continue
-		}
-		if len(cp.leases[idx]) > 0 {
-			s.Leased++
-		} else {
-			s.Pending++
-		}
-	}
 	held := make(map[string]int, len(cp.workers))
-	// active is the lowest-indexed job each worker holds — min over
-	// indexes keeps the label deterministic despite map iteration order.
+	// active is the lowest-indexed job each worker holds.
 	active := make(map[string]int, len(cp.workers))
-	for idx, holders := range cp.leases {
-		for w := range holders {
+	for idx, st := range cp.state {
+		w := cp.holder[idx]
+		switch {
+		case st == stateDone:
+		case st == statePending && w == "":
+			s.Pending++
+		default: // held, or its result is being journaled
+			s.Leased++
+		}
+		if w != "" {
 			held[w]++
-			if cur, ok := active[w]; !ok || idx < cur {
+			if _, ok := active[w]; !ok {
 				active[w] = idx
 			}
 		}
 	}
 	for name, ws := range cp.workers {
-		quarantined := cp.quarantinedLocked(name, now)
 		if ws.released {
 			s.Draining++
-		}
-		if quarantined {
-			s.Quarantined++
-		} else if now.Sub(ws.seen) <= cp.leaseTTL && !ws.released {
+		} else if now.Sub(ws.seen) <= cp.leaseTTL {
 			s.Slots += ws.slots
 		}
 		row := WorkerStatus{
 			Name: name, Slots: ws.slots, Held: held[name],
 			Done: ws.done, EWMAMS: ws.ewma.Milliseconds(),
-			CN:          ws.cn,
-			Draining:    ws.released,
-			Score:       cp.scoreLocked(ws, now),
-			Quarantined: quarantined,
-			Dissents:    ws.dissents,
-			Integrity:   ws.integrity,
-			Expiries:    ws.expiries,
+			CN:       ws.cn,
+			Draining: ws.released,
 		}
 		if ws.ewma > 0 {
 			row.Throughput = float64(time.Second) / float64(ws.ewma)

@@ -12,8 +12,8 @@ import (
 
 // The socket-free campaign suite: every case drives the state machine's
 // methods directly with a pinned clock — no listener, no worker goroutine,
-// no sleep — so lease expiry, elections, quarantine and drains are decided
-// by the arguments alone and the suite is exact under -race -count=N.
+// no sleep — so lease expiry, reassignment, acceptance and drains are
+// decided by the arguments alone and the suite is exact under -race -count=N.
 
 // t0 is the suite's epoch; rig.at(d) is t0+d.
 var t0 = time.Unix(1_700_000_000, 0)
@@ -71,8 +71,8 @@ func (r *rig) waits(worker string, d time.Duration) {
 	}
 }
 
-// wire fabricates a self-consistent result for job idx. The ballot is a
-// function of cycles alone: two results agree iff their cycles do.
+// wire fabricates a self-consistent result for job idx. Results differ in
+// cycles alone, which tells a test whose result a job accepted.
 func (r *rig) wire(idx int, cycles uint64) exp.WireResult {
 	return exp.EncodeResult(idx, r.cp.fps[idx],
 		exp.Result{Run: &stats.Run{Cycles: cycles}, Wall: 10 * time.Millisecond})
@@ -122,9 +122,8 @@ func refusalOf(err error) (refusalKind, bool) {
 
 // TestCampaignLeaseExpiry: a worker takes a lease and goes silent. The
 // lease survives while heartbeats renew it, lapses one TTL after the last
-// one, is charged to the holder as an expiry strike, and the job goes to the
-// next worker that asks — while a job the silent worker had already reported
-// stays done and is never leased again.
+// one, and the job goes to the next worker that asks — while a job the
+// silent worker had already reported stays done and is never leased again.
 func TestCampaignLeaseExpiry(t *testing.T) {
 	r := newRig(t, 3, Options{LeaseTTL: 10 * time.Second})
 	r.join("doomed", "healthy")
@@ -141,15 +140,14 @@ func TestCampaignLeaseExpiry(t *testing.T) {
 	}
 	r.mustReport("healthy", 9*time.Second, 2, 300)
 	r.waits("healthy", 17*time.Second)
-	if row := r.row("doomed", 17*time.Second); row.Held != 1 || row.Expiries != 0 {
+	if row := r.row("doomed", 17*time.Second); row.Held != 1 {
 		t.Fatalf("before the deadline: %+v", row)
 	}
 
 	// Past the deadline the reclaim sweep frees it, and only it.
 	r.cp.reclaim(r.at(18 * time.Second))
-	row := r.row("doomed", 18*time.Second)
-	if row.Held != 0 || row.Expiries != 1 || row.Score != defaultHealthPolicy().WExpiry {
-		t.Fatalf("after expiry: %+v, want 0 held, 1 expiry, score %.1f", row, defaultHealthPolicy().WExpiry)
+	if row := r.row("doomed", 18*time.Second); row.Held != 0 {
+		t.Fatalf("after expiry: %+v, want 0 held", row)
 	}
 	r.grant("healthy", 18*time.Second, 1)
 	r.mustReport("healthy", 19*time.Second, 1, 200)
@@ -161,15 +159,17 @@ func TestCampaignLeaseExpiry(t *testing.T) {
 			t.Errorf("job %d accepted %d (%v), want %d", idx, got, ok, want)
 		}
 	}
-	// The straggler's late, agreeing result is acknowledged and harmless.
-	r.mustReport("doomed", 20*time.Second, 1, 200)
-	if row := r.row("doomed", 20*time.Second); row.Dissents != 0 {
-		t.Fatalf("agreeing straggler charged a dissent: %+v", row)
+	// The straggler's late result is acknowledged and changes nothing.
+	r.mustReport("doomed", 20*time.Second, 1, 201)
+	if got, _ := r.accepted(1); got != 200 {
+		t.Fatalf("a straggler replaced job 1's result: %d", got)
+	}
+	if row := r.row("doomed", 20*time.Second); row.Done != 1 {
+		t.Fatalf("a dropped straggler counted as work: %+v", row)
 	}
 }
 
-// TestCampaignRefusals: the typed refusals every method can return, and the
-// ones that double as health events.
+// TestCampaignRefusals: the typed refusals every method can return.
 func TestCampaignRefusals(t *testing.T) {
 	r := newRig(t, 2, Options{})
 	r.join("w", "bystander")
@@ -197,15 +197,15 @@ func TestCampaignRefusals(t *testing.T) {
 		t.Errorf("current version refused: %v", err)
 	}
 
-	// A payload that fails its integrity hash is refused, struck, and its
-	// lease freed for someone else.
+	// A payload that fails its integrity hash is refused and its lease
+	// freed for someone else.
 	tampered := r.wire(0, 100)
 	tampered.Run.Cycles++
 	err := r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP, Result: tampered}, r.at(time.Second))
 	if kind, ok := refusalOf(err); !ok || kind != refuseMalformed {
 		t.Fatalf("tampered result: %v", err)
 	}
-	if row := r.row("w", time.Second); row.Integrity != 1 || row.Held != 0 || row.Score != defaultHealthPolicy().WIntegrity {
+	if row := r.row("w", time.Second); row.Held != 0 {
 		t.Fatalf("after the integrity failure: %+v", row)
 	}
 	r.grant("bystander", time.Second, 0)
@@ -223,42 +223,28 @@ func TestCampaignRefusals(t *testing.T) {
 	r.grant("w", 2*time.Second, 1)
 }
 
-// TestCampaignQuarantine: a quarantined worker keeps
-// polling but is granted nothing, the leases it held re-lease at once, its
-// results are acknowledged but not counted, and when probation ends it is
-// re-admitted.
-func TestCampaignQuarantine(t *testing.T) {
-	pol := defaultHealthPolicy()
-	r := newRig(t, 2, Options{LeaseTTL: time.Hour})
-	r.join("suspect", "honest")
-	r.grant("suspect", 0, 0)
-
-	r.cp.mu.Lock()
-	r.cp.strikeLocked("suspect", pol.Threshold, "instant conviction", r.at(time.Second))
-	r.cp.mu.Unlock()
-	if st := r.cp.status(r.at(time.Second)); st.Quarantined != 1 || st.Slots != 1 {
-		t.Fatalf("status after conviction: %d quarantined, %d live slots", st.Quarantined, st.Slots)
+// TestCampaignPanickingJobsConvictNobody: the simulator is deterministic, so
+// a job that panics panics on every worker — the worker that reports it has
+// found a broken sweep point, not shown itself broken. Four panic-class
+// results (two points × two abstractions) are accepted as failures like any
+// other, and with a live bystander the reporting worker's next poll is still
+// granted the next job.
+func TestCampaignPanickingJobsConvictNobody(t *testing.T) {
+	r := newRig(t, 5, Options{})
+	r.join("carrier", "bystander")
+	for idx := 0; idx < 4; idx++ {
+		d := time.Duration(idx) * time.Second
+		r.grant("carrier", d, idx)
+		panicked := exp.EncodeResult(idx, r.cp.fps[idx],
+			exp.Result{Err: &exp.PanicError{Job: r.cp.jobs[idx].String(), Value: "index out of range"}})
+		if err := r.cp.result(resultRequest{Worker: "carrier", SetFP: r.cp.setFP, Result: panicked}, r.at(d)); err != nil {
+			t.Fatalf("panic result for job %d: %v", idx, err)
+		}
 	}
-	r.waits("suspect", 2*time.Second)
-	r.grant("honest", 2*time.Second, 0) // reclaimed by the quarantine, not the TTL
-
-	// The suspect's ballot for the job it was running is dropped: the job
-	// stays open until the honest worker answers.
-	r.mustReport("suspect", 3*time.Second, 0, 666)
-	if _, done := r.accepted(0); done {
-		t.Fatal("a quarantined worker's ballot closed an election")
+	if st := r.cp.status(r.at(4 * time.Second)); st.Done != 4 || st.Failed != 4 {
+		t.Fatalf("after four panics: %d done, %d failed; want 4 and 4", st.Done, st.Failed)
 	}
-	r.mustReport("honest", 4*time.Second, 0, 100)
-	if got, _ := r.accepted(0); got != 100 {
-		t.Fatalf("job 0 accepted %d, want the honest 100", got)
-	}
-
-	// Probation over: leases flow again, on parole.
-	after := time.Second + pol.Probation
-	r.grant("suspect", after, 1)
-	if row := r.row("suspect", after); row.Quarantined || row.Score != pol.Threshold/2 {
-		t.Fatalf("after probation: %+v, want parole at half the threshold", row)
-	}
+	r.grant("carrier", 4*time.Second, 4)
 }
 
 // TestCampaignDrainFlag: the coordinator learns of a drain at the worker's
@@ -402,7 +388,7 @@ func TestCampaignReleaseUnseenGrant(t *testing.T) {
 	if err := r.cp.release(releaseRequest{Worker: "drainer", SetFP: r.cp.setFP}); err != nil {
 		t.Fatal(err)
 	}
-	if row := r.row("drainer", time.Second); row.Held != 0 || !row.Draining || row.Expiries != 0 {
+	if row := r.row("drainer", time.Second); row.Held != 0 || !row.Draining {
 		t.Fatalf("after release: %+v", row)
 	}
 	r.waits("drainer", time.Second) // a stray poll is held, never granted
@@ -416,90 +402,10 @@ func TestCampaignReleaseUnseenGrant(t *testing.T) {
 	}
 }
 
-// TestCampaignQuorumElection walks Replicas: 3 elections through the state machine:
-// provisioning, majority acceptance, dissent and late-dissent strikes, a
-// three-way split that extends itself one voter at a time, and a duplicate
-// delivery that cannot switch its ballot.
-func TestCampaignQuorumElection(t *testing.T) {
-	pol := defaultHealthPolicy()
-	r := newRig(t, 2, Options{Replicas: 3, LeaseTTL: time.Hour})
-	r.cp.health.Threshold = 1000 // election flow, not conviction
-	r.join("a", "b", "c", "d", "e")
-
-	// Job 0: three leases up front, never two to one worker, no fourth.
-	r.grant("a", 0, 0)
-	r.grant("a", 0, 1) // a already holds job 0: it gets the next job
-	r.grant("b", 0, 0)
-	r.grant("c", 0, 0)
-	r.grant("d", 0, 1) // job 0 is fully provisioned
-
-	// a lies first; the job stays open. A re-delivery claiming a different
-	// run cannot switch a's ballot (or stuff the box with a second one).
-	r.mustReport("a", time.Second, 0, 666)
-	r.mustReport("a", time.Second, 0, 100)
-	if _, done := r.accepted(0); done {
-		t.Fatal("one ballot of three closed the election")
-	}
-	r.mustReport("b", 2*time.Second, 0, 100)
-	if _, done := r.accepted(0); done {
-		t.Fatal("a 1-1 split closed the election (the duplicate switched ballots?)")
-	}
-	// c agrees with b: majority. a's dissent is charged at acceptance.
-	r.mustReport("c", 3*time.Second, 0, 100)
-	if got, ok := r.accepted(0); !ok || got != 100 {
-		t.Fatalf("job 0 accepted %d (%v), want the majority's 100", got, ok)
-	}
-	if row := r.row("a", 3*time.Second); row.Dissents != 1 || row.Score < pol.WDissent-0.1 {
-		t.Fatalf("dissenter's ledger: %+v", row)
-	}
-	for _, w := range []string{"b", "c"} {
-		if row := r.row(w, 3*time.Second); row.Dissents != 0 || row.Score != 0 {
-			t.Fatalf("majority voter %s charged: %+v", w, row)
-		}
-	}
-
-	// Job 1: a and d hold it; e takes the third lease. All three disagree —
-	// no ballot has a majority, so the election asks for one more voter.
-	r.grant("e", 3*time.Second, 1)
-	r.mustReport("a", 4*time.Second, 1, 201)
-	r.mustReport("d", 4*time.Second, 1, 202)
-	r.mustReport("e", 4*time.Second, 1, 203)
-	if _, done := r.accepted(1); done {
-		t.Fatal("a three-way split closed the election")
-	}
-	r.waits("a", 5*time.Second) // voters are not asked twice
-	r.grant("b", 5*time.Second, 1)
-	r.waits("c", 5*time.Second) // one extension at a time
-	r.mustReport("b", 6*time.Second, 1, 202)
-	if got, ok := r.accepted(1); !ok || got != 202 {
-		t.Fatalf("job 1 accepted %d (%v), want 202 after the extension", got, ok)
-	}
-	if row := r.row("d", 6*time.Second); row.Dissents != 0 {
-		t.Fatalf("the extension's winner was charged: %+v", row)
-	}
-	if row := r.row("e", 6*time.Second); row.Dissents != 1 {
-		t.Fatalf("the split's loser was not charged: %+v", row)
-	}
-
-	// A straggler disagreeing after the fact is a late dissent; one that
-	// agrees is not.
-	if rep := r.lease("c", 6*time.Second); !rep.Done {
-		t.Fatalf("lease after both elections = %+v", rep)
-	}
-	r.mustReport("c", 7*time.Second, 1, 999)
-	if row := r.row("c", 7*time.Second); row.Dissents != 1 {
-		t.Fatalf("late dissent not charged: %+v", row)
-	}
-	if st := r.cp.status(r.at(7 * time.Second)); st.Done != 2 || st.Failed != 0 || st.Replicas != 3 {
-		t.Fatalf("status: %+v", st)
-	}
-}
-
-// TestCampaignJournalFailure: when the journal write for an election's
-// winner fails, the result is refused as retryable, the job stays open, and
-// the worker's retry — arriving as a duplicate ballot — closes
-// the election once the journal works again: accepted exactly once, and
-// durable before it was acknowledged.
+// TestCampaignJournalFailure: when the journal write for a job's result
+// fails, the result is refused as retryable, the job goes back to pending,
+// and the worker's retry closes the job once the journal works again:
+// accepted exactly once, and durable before it was acknowledged.
 func TestCampaignJournalFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "campaign.jsonl")
 	jobs := testJobs(t, 1)
@@ -519,10 +425,10 @@ func TestCampaignJournalFailure(t *testing.T) {
 		t.Fatalf("result with a dead journal: %v, want a journal refusal", err)
 	}
 	r.cp.mu.Lock()
-	tallying := r.cp.tallying[0]
+	state := r.cp.state[0]
 	r.cp.mu.Unlock()
-	if _, done := r.accepted(0); done || tallying || len(progress) != 0 {
-		t.Fatalf("after the failed write: done %v, tallying %v, %d progress events", done, tallying, len(progress))
+	if state != statePending || len(progress) != 0 {
+		t.Fatalf("after the failed write: state %d, %d progress events; want pending and none", state, len(progress))
 	}
 
 	working, err := exp.OpenJournal(path, jobs, true)
@@ -534,7 +440,7 @@ func TestCampaignJournalFailure(t *testing.T) {
 	r.mustReport("w", 2*time.Second, 0, 100)
 	r.mustReport("w", 3*time.Second, 0, 100) // and a second retry is harmless
 	if got, ok := r.accepted(0); !ok || got != 100 {
-		t.Fatalf("retry did not close the election: %d (%v)", got, ok)
+		t.Fatalf("retry did not close the job: %d (%v)", got, ok)
 	}
 	if len(progress) != 1 || progress[0].Worker != "w" || progress[0].Done != 1 {
 		t.Fatalf("progress events: %+v", progress)
@@ -548,9 +454,9 @@ func TestCampaignJournalFailure(t *testing.T) {
 }
 
 // TestCampaignResumedJobs: jobs a journal already holds are never
-// leased, count as resumed in status and metrics, a late result for one is
-// judged against the restored ballot, and a fully restored campaign is
-// finished before any worker arrives.
+// leased, count as resumed in status and metrics, a stray result for one is
+// acknowledged and dropped, and a fully restored campaign is finished before
+// any worker arrives.
 func TestCampaignResumedJobs(t *testing.T) {
 	r := newRig(t, 3, Options{})
 	r.cp.restore(0, exp.Result{Run: &stats.Run{Cycles: 100}, Wall: time.Second})
@@ -562,14 +468,10 @@ func TestCampaignResumedJobs(t *testing.T) {
 	r.grant("w", 0, 1) // the only job left
 	r.waits("bystander", 0)
 
-	// A stray pre-restart result: agreeing is free, disagreeing is dissent.
-	r.mustReport("w", time.Second, 0, 100)
+	// A stray pre-restart result leaves the restored one in place.
 	r.mustReport("bystander", time.Second, 2, 999)
-	if row := r.row("w", time.Second); row.Dissents != 0 {
-		t.Fatalf("agreeing stray charged: %+v", row)
-	}
-	if row := r.row("bystander", time.Second); row.Dissents != 1 {
-		t.Fatalf("disagreeing stray not charged: %+v", row)
+	if row := r.row("bystander", time.Second); row.Done != 0 {
+		t.Fatalf("a stray result counted as work: %+v", row)
 	}
 
 	r.mustReport("w", 2*time.Second, 1, 200)

@@ -91,9 +91,6 @@ func chaosCampaign(t *testing.T, churn bool) {
 		}
 	}
 	c, out := startCampaign(t, ctx, opts, jobs)
-	// Chaos produces lease expiries and integrity rejections by design;
-	// this test is about recovery, not conviction.
-	parkHealth(t, c)
 	c1.Coordinator, c2.Coordinator = c.Addr(), c.Addr()
 	start(c1)
 	if !churn {
@@ -158,7 +155,6 @@ func TestChaosCampaignSeededReplay(t *testing.T) {
 			LongPoll: 50 * time.Millisecond,
 			LeaseTTL: 400 * time.Millisecond,
 		}, jobs)
-		parkHealth(t, c)
 		w := &Worker{
 			Coordinator: c.Addr(), Name: "replay", Slots: 1,
 			RetryWindow: 30 * time.Second,

@@ -29,13 +29,6 @@ type Options struct {
 	// remains only because the frozen benchmark (bench/ladder.go) still
 	// sets it; the next [benchmark] PR removes both.
 	BundleTarget time.Duration
-	// Replicas leases every job to this many distinct workers and accepts
-	// the majority result (votes are stats.Run integrity hashes — see
-	// package docs). 0 or 1 means no replication: first result wins,
-	// exactly the pre-quorum behavior. Use 3 when workers are untrusted;
-	// even values work but buy no extra fault tolerance over the next
-	// odd value down.
-	Replicas int
 	// TLSCert and TLSKey are PEM file paths; when both are set the
 	// coordinator serves its endpoints over TLS. Self-signed pairs work —
 	// point workers at the certificate via ClientOptions.TLSCACert.
@@ -104,9 +97,6 @@ func (opts Options) withDefaults() Options {
 	}
 	if opts.LongPoll <= 0 {
 		opts.LongPoll = DefaultLongPoll
-	}
-	if opts.Replicas < 1 {
-		opts.Replicas = 1
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}

@@ -10,8 +10,10 @@
 // deterministic — it only re-leases jobs whose worker went silent
 // (heartbeats stop, lease deadline passes).
 //
-// A lease carries exactly one job; a worker with N slots holds up to N
-// leases at once, one per slot.
+// A lease carries exactly one job and a job has at most one lease; a worker
+// with N slots holds up to N leases at once, one per slot. The first valid
+// result for a job is accepted and journaled; a later one is acknowledged
+// and dropped.
 //
 // The protocol is six JSON-over-HTTP endpoints:
 //
@@ -20,26 +22,26 @@
 //	POST /result     stream back one exp.WireResult (integrity-hashed)
 //	POST /heartbeat  keep held leases alive
 //	POST /release    a departing worker's goodbye: hands every held lease back
-//	GET  /status     campaign counters plus per-worker throughput + health
+//	GET  /status     campaign counters plus per-worker throughput
 //
-// The code is split along one seam. campaign.go is the protocol as a pure
-// state machine: join, lease, result, release, heartbeat and status
-// are methods that take plain values and the current time and return
-// replies or typed refusals — no sockets, so lease expiry, elections and
-// quarantine are tested with a fake clock. handlers.go is the HTTP adapter
+// The code is split along one seam. campaign.go and result.go are the
+// protocol as a pure state machine: join, lease, result, release, heartbeat
+// and status are methods that take plain values and the current time and
+// return replies or typed refusals — no sockets, so lease expiry and
+// reassignment are tested with a fake clock. handlers.go is the HTTP adapter
 // (authenticate, decode, call, map refusals to status codes, encode) and
 // coordinator.go the listener, TLS set-up and campaign lifecycle.
 //
-// Workers are not trusted. Every result is integrity-hash checked at
-// decode; with Options.Replicas > 1 each job is leased to that many
-// distinct workers and the coordinator votes on stats.Run fingerprints,
-// accepting only the majority result (a lying worker whose results are
-// internally consistent is caught by disagreement, not by hashing). A
-// per-worker health ledger scores integrity failures, quorum dissent,
-// lease expiries and panic-class results; past a threshold the worker is
-// quarantined — leases refused, in-flight jobs re-leased — with timed
-// probation re-admission. internal/chaos supplies the matching offense:
-// a deterministic fault-injecting transport for exercising all of this.
+// Each defence answers a fault that happens. Every result is integrity-hash
+// checked at decode, and a payload that fails is refused and its lease
+// freed; the protocol version, the join probe and every lease's job
+// fingerprint refuse a stale binary; a silent worker's lease expires and
+// its job is reassigned. A worker that computes a different stats.Run from
+// the same job — bad hardware, or a build from another commit — is not
+// detected, any more than a bad host running the local engine is: build the
+// coordinator and the workers from one commit. internal/chaos supplies a
+// deterministic fault-injecting transport that exercises the worker's side
+// of all of this.
 //
 // Transport hardening is opt-in: Options.TLSCert/TLSKey serve the
 // endpoints over TLS (self-signed works — point workers at the cert with
@@ -69,7 +71,7 @@ import (
 // History: 1 = single-job leases; 2 = bundled leases (leaseReply.Jobs),
 // bundle targets in leaseRequest, autoscaling fields in Status; 3 =
 // POST /release (graceful drain), quorum re-execution (multi-worker
-// leases per job), health/quarantine fields in Status; 4 = fleet labels
+// leases per job), worker-health fields in Status; 4 = fleet labels
 // in the join handshake and Status, coordinator-mediated drain (POST
 // /drain, drain flags on lease and heartbeat replies); 5 = single-job
 // leases again (leaseReply carries one job, leaseRequest no bundle
@@ -81,8 +83,10 @@ import (
 // reads a Done reply stops all its slots and posts /release; 7 = the
 // supervisor is gone: no fleet label in the join handshake or Status, no
 // wanted-slots hint in Status; 8 = a job runs once: exp.WireResult drops
-// its attempts count.
-const ProtocolVersion = 8
+// its attempts count; 9 = one lease per job: quorum re-execution and the
+// worker health ledger are gone, and with them their fields in Status and
+// WorkerStatus.
+const ProtocolVersion = 9
 
 // Defaults for the lease lifecycle. LeaseTTL bounds how long a silent
 // worker keeps a job before it is reassigned; workers heartbeat at a third
@@ -184,15 +188,6 @@ type WorkerStatus struct {
 	// Draining reports that the worker said goodbye via POST /release — it
 	// drained, or the campaign finished — and takes no further leases.
 	Draining bool `json:"draining,omitempty"`
-	// Score is the worker's current health-ledger score (decayed);
-	// Quarantined reports whether it is currently refused leases.
-	Score       float64 `json:"score,omitempty"`
-	Quarantined bool    `json:"quarantined,omitempty"`
-	// Dissents counts quorum votes this worker lost, Integrity its
-	// integrity-hash failures, Expiries its expired leases.
-	Dissents  int `json:"dissents,omitempty"`
-	Integrity int `json:"integrity,omitempty"`
-	Expiries  int `json:"expiries,omitempty"`
 }
 
 // Status is the GET /status snapshot: campaign counters plus the queue
@@ -217,10 +212,6 @@ type Status struct {
 	// campaign's observed throughput (0 until a rate is established).
 	ETAMS    int64 `json:"etaMs"`
 	Finished bool  `json:"finished"`
-	// Replicas is the campaign's quorum width (1 = no replication);
-	// Quarantined counts workers currently refused leases.
-	Replicas    int `json:"replicas,omitempty"`
-	Quarantined int `json:"quarantined,omitempty"`
 	// Draining counts workers that said goodbye (posted /release); their
 	// slots are excluded from Slots.
 	Draining int `json:"draining,omitempty"`
@@ -239,12 +230,6 @@ func (s Status) Summary() string {
 		s.Done, s.Total, s.Failed, s.Resumed, s.Pending, s.Leased, s.Workers, s.Slots)
 	if s.ETAMS > 0 {
 		line += fmt.Sprintf(", eta %s", (time.Duration(s.ETAMS) * time.Millisecond).Round(100*time.Millisecond))
-	}
-	if s.Replicas > 1 {
-		line += fmt.Sprintf(", %d replicas", s.Replicas)
-	}
-	if s.Quarantined > 0 {
-		line += fmt.Sprintf(", %d quarantined", s.Quarantined)
 	}
 	if s.Draining > 0 {
 		line += fmt.Sprintf(", %d draining", s.Draining)
@@ -279,12 +264,6 @@ func (s Status) Table() string {
 		}
 		if ws.Draining {
 			b.WriteString("  DRAINING")
-		}
-		if ws.Quarantined {
-			fmt.Fprintf(&b, "  QUARANTINED (score %.1f, %d dissents, %d integrity, %d expiries)",
-				ws.Score, ws.Dissents, ws.Integrity, ws.Expiries)
-		} else if ws.Score > 0 {
-			fmt.Fprintf(&b, "  score %.1f", ws.Score)
 		}
 		b.WriteByte('\n')
 	}

@@ -109,15 +109,15 @@ func waitCampaign(t *testing.T, c *Coordinator) *campaign {
 	}
 }
 
-// parkHealth raises the installed campaign's quarantine threshold out of
-// reach, for tests about recovery or election flow rather than conviction.
-// Call it before any worker joins.
-func parkHealth(t *testing.T, c *Coordinator) {
-	t.Helper()
-	cp := waitCampaign(t, c)
-	cp.mu.Lock()
-	cp.health.Threshold = 1000
-	cp.mu.Unlock()
+// slowEngine builds an engine whose jobs each sleep d before running, so
+// a campaign lasts long enough for the fleet to change under it.
+func slowEngine(jobs []exp.Job, d time.Duration) *exp.Engine {
+	eng := exp.New(0)
+	eng.Faults = exp.NewFaultPlan()
+	for _, job := range jobs {
+		eng.Faults.Set(job.String(), exp.Fault{Delay: d})
+	}
+	return eng
 }
 
 // TestDistributedMatchesLocal is the subsystem's acceptance criterion: a
@@ -196,7 +196,7 @@ func TestLeaseExpiryReassignment(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		cp.mu.Lock()
-		_, byDoomed := cp.leases[0]["doomed"]
+		byDoomed := cp.holder[0] == "doomed"
 		cp.mu.Unlock()
 		if byDoomed {
 			break
@@ -387,9 +387,10 @@ func TestJoinVersionMismatch(t *testing.T) {
 }
 
 // TestStaleProtocolV1Refused pins the version gate over a real socket: a
-// worker speaking an older protocol — version 1, or the version 6 whose
-// workers still announce a supervisor label and read a wanted-slots hint —
-// is refused at join with 409 before any lease, and the campaign still
+// worker speaking an older protocol — version 1, the version 6 whose
+// workers still announce a supervisor label and read a wanted-slots hint,
+// or the version 8 whose status carried quorum and health fields — is
+// refused at join with 409 before any lease, and the campaign still
 // completes on a current worker.
 func TestStaleProtocolV1Refused(t *testing.T) {
 	jobs := testJobs(t, 1)
@@ -397,7 +398,7 @@ func TestStaleProtocolV1Refused(t *testing.T) {
 	c, out := startCampaign(t, ctx, Options{}, jobs)
 	cp := waitCampaign(t, c)
 
-	for _, version := range []int{1, 6} {
+	for _, version := range []int{1, 6, 8} {
 		body, _ := json.Marshal(joinRequest{Version: version, Worker: "relic"})
 		resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
 		if err != nil {

@@ -58,8 +58,8 @@ func TestGracefulDrain(t *testing.T) {
 	cp := waitCampaign(t, c)
 	cp.mu.Lock()
 	left := 0
-	for idx, holders := range cp.leases {
-		if _, held := holders["drainer"]; held {
+	for idx, holder := range cp.holder {
+		if holder == "drainer" {
 			t.Errorf("job %d still leased to the drained worker", idx)
 		}
 	}
@@ -166,8 +166,8 @@ func TestDrainReleasesUnseenGrant(t *testing.T) {
 		t.Fatalf("draining worker: %v", err)
 	}
 	cp.mu.Lock()
-	for idx, holders := range cp.leases {
-		if _, held := holders["drainer"]; held {
+	for idx, holder := range cp.holder {
+		if holder == "drainer" {
 			t.Errorf("job %d still leased to the drained worker", idx)
 		}
 	}

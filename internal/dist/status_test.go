@@ -13,29 +13,27 @@ import (
 
 // TestStatusTableGolden pins the exact rendering of the operator board:
 // summary counters and one row per worker — sorted by name, CN suffix,
-// held-lease count with the active job label, DRAINING and QUARANTINED
-// markers. A conscious
+// held-lease count with the active job label, the DRAINING marker. A
+// conscious
 // golden test: the table is an interface to operators and to the -watch
 // board, and accidental reformatting should fail loudly.
 func TestStatusTableGolden(t *testing.T) {
 	s := Status{
 		SetFP: "abc", Total: 16, Done: 6, Failed: 1, Resumed: 2,
 		Pending: 5, Leased: 4, Workers: 3, Slots: 4,
-		ETAMS:       12_300,
-		Quarantined: 1, Draining: 1, RejectedCNs: 2,
+		ETAMS:    12_300,
+		Draining: 1, RejectedCNs: 2,
 		PerWorker: []WorkerStatus{
 			{Name: "manual-1", Slots: 2, Held: 3, Done: 4, EWMAMS: 250, Throughput: 4,
 				Job: "banks=16 MD/GCN3@2"},
 			{Name: "auto-2", Slots: 1, Held: 0, Done: 0, Draining: true},
 			{Name: "auto-1", Slots: 1, Held: 1, Done: 2, EWMAMS: 500, Throughput: 2,
-				CN: "lab-client", Quarantined: true, Score: 6.5,
-				Dissents: 1, Integrity: 2, Expiries: 3,
-				Job: "banks=8 MD/HSAIL@2"},
+				CN: "lab-client", Job: "banks=8 MD/HSAIL@2"},
 		},
 	}
 	want := strings.Join([]string{
-		"dist: 6/16 done (1 failed, 2 resumed), 5 pending, 4 leased, 3 workers/4 slots, eta 12.3s, 1 quarantined, 1 draining, 2 CN-rejected",
-		"  auto-1 (lab-client)      slots 1   held 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2  QUARANTINED (score 6.5, 1 dissents, 2 integrity, 3 expiries)",
+		"dist: 6/16 done (1 failed, 2 resumed), 5 pending, 4 leased, 3 workers/4 slots, eta 12.3s, 1 draining, 2 CN-rejected",
+		"  auto-1 (lab-client)      slots 1   held 1   done 2    ewma 500ms    2.00 jobs/s  on banks=8 MD/HSAIL@2",
 		"  auto-2                   slots 1   held 0   done 0    ewma 0s       0.00 jobs/s  DRAINING",
 		"  manual-1                 slots 2   held 3   done 4    ewma 250ms    4.00 jobs/s  on banks=16 MD/GCN3@2",
 		"",

@@ -27,7 +27,7 @@ func CompactJournal(path string) (kept, dropped int, err error) {
 		j.fps, headerLine = hdr.Jobs, raw
 		return nil
 	}, func(e journalEntry, raw []byte) error {
-		if e.Type == "vote" {
+		if e.Type == voteType {
 			return nil
 		}
 		if err := j.admit(e); err != nil {

@@ -2,18 +2,21 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // TestCompactJournalRoundTrip is the compaction acceptance test: a journal
-// holding superseded entries (a failure later replaced by a success) and
-// quorum vote records is compacted to one entry per job, and a resume from
-// the compacted file produces results fingerprint-identical to a resume
-// from the original.
+// holding superseded entries (a failure later replaced by a success) and the
+// quorum-vote audit lines replicated campaigns used to write is compacted to
+// one entry per job, and a resume restores the same runs from the compacted
+// file as from the original, identical to an uninterrupted run.
 func TestCompactJournalRoundTrip(t *testing.T) {
 	jobs := tinyJobs(t, 2) // 4 jobs
 	path := journalPath(t)
@@ -28,15 +31,13 @@ func TestCompactJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Job 1's history: two recorded failures, then the success that
-	// supersedes them. Jobs 0, 2, 3 are recorded once. Interleave vote
-	// audit records like a replicated coordinator would.
+	// supersedes them. Jobs 0, 2, 3 are recorded once. Vote lines follow
+	// their results, as a replicated coordinator appended them.
 	fail := Result{Err: errors.New("flaky board")}
 	if err := j.Record(1, fail); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.RecordVote(1, "w1", "err:permanent", "err:permanent"); err != nil {
-		t.Fatal(err)
-	}
+	appendVote(t, j, 1, "err:permanent")
 	for i, r := range clean {
 		if i == 1 {
 			if err := j.Record(1, fail); err != nil {
@@ -46,12 +47,34 @@ func TestCompactJournalRoundTrip(t *testing.T) {
 		if err := j.Record(i, Result{Run: r.Run, Wall: 5 * time.Millisecond}); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.RecordVote(i, "w1", RunSHA(r.Run), RunSHA(r.Run)); err != nil {
-			t.Fatal(err)
-		}
+		appendVote(t, j, i, RunSHA(r.Run))
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// resumed is what a resume of the journal restores: each job's run
+	// hash, "" for a job it would re-execute.
+	resumed := func() []string {
+		t.Helper()
+		j, err := OpenJournal(path, jobs, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		shas := make([]string, len(jobs))
+		for i := range jobs {
+			if r, ok := j.Completed(i); ok {
+				shas[i] = RunSHA(r.Run)
+			}
+		}
+		return shas
+	}
+	before := resumed()
+	for i, r := range clean {
+		if before[i] != RunSHA(r.Run) {
+			t.Fatalf("job %d: the journal with vote lines resumes %q, want the uninterrupted run", i, before[i])
+		}
 	}
 
 	// 4 result lines survive; 2 superseded failures + 5 votes drop.
@@ -72,16 +95,16 @@ func TestCompactJournalRoundTrip(t *testing.T) {
 	if strings.Contains(string(raw), `"type":"vote"`) {
 		t.Fatal("vote records survived compaction")
 	}
+	if after := resumed(); !slices.Equal(after, before) {
+		t.Fatalf("the compacted journal resumes %q, the original %q", after, before)
+	}
 
-	// The compacted journal resumes every job with identical fingerprints.
+	// An engine resuming the compacted journal executes nothing.
 	j2, err := OpenJournal(path, jobs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if n := j2.Resumable(); n != len(jobs) {
-		t.Fatalf("compacted journal resumes %d jobs, want %d", n, len(jobs))
-	}
 	eng := New(4)
 	eng.Journal = j2
 	eng.Faults = NewFaultPlan()
@@ -97,6 +120,17 @@ func TestCompactJournalRoundTrip(t *testing.T) {
 		if r.Run == nil || !bytes.Equal(r.Run.Fingerprint(), clean[i].Run.Fingerprint()) {
 			t.Fatalf("job %d: compacted resume differs from uninterrupted run", i)
 		}
+	}
+}
+
+// appendVote appends a quorum-vote audit line for job idx in the format
+// replicated campaigns wrote before quorum re-execution was removed.
+func appendVote(t *testing.T, j *Journal, idx int, vote string) {
+	t.Helper()
+	line := fmt.Sprintf(`{"type":"vote","index":%d,"job":%q,"worker":"w1","vote":%q,"accepted":%q,"agree":true}`,
+		idx, j.fps[idx], vote, vote)
+	if err := j.append(json.RawMessage(line)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -421,9 +421,6 @@ func (e *Engine) runJob(ctx context.Context, job Job) (run *stats.Run, err error
 			return nil, fmt.Errorf("output check: %w", err)
 		}
 	}
-	if e.Faults != nil {
-		e.Faults.mutate(job, run)
-	}
 	return run, nil
 }
 

@@ -161,8 +161,8 @@ func TestEngineSharesPreparationAcrossJobs(t *testing.T) {
 
 // TestScaleBelowOneIsPermanent: a job whose scale is below 1 fails with one
 // clear error where it enters the suite — for every workload, not as whatever
-// its generator trips over first (SpMV at -1 panicked in makeslice, which a
-// coordinator scores against the worker's health; at 0 it was an empty grid).
+// its generator trips over first (SpMV at -1 panicked in makeslice; at 0 it
+// was an empty grid).
 func TestScaleBelowOneIsPermanent(t *testing.T) {
 	var jobs []Job
 	for _, w := range workloads.All() {

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"ilsim/internal/stats"
 )
 
 // Fault is one injected misbehavior, applied at the start of every matching
@@ -22,12 +20,6 @@ type Fault struct {
 	// Hang blocks until the job's context ends and returns its cause — a
 	// stand-in for a livelocked simulation that only a watchdog can stop.
 	Hang bool
-	// Mutate, when non-nil, rewrites the finished run AFTER the output
-	// check passes — the model of a lying worker. The mutated run is what
-	// gets integrity-hashed and shipped, so it is internally consistent
-	// on the wire; only cross-worker comparison (quorum voting) can catch
-	// it, which is exactly the threat the voting layer exists for.
-	Mutate func(run *stats.Run)
 }
 
 // FaultPlan schedules deterministic per-job faults on an engine — the test
@@ -76,18 +68,6 @@ func (p *FaultPlan) apply(ctx context.Context, job Job) error {
 		return fmt.Errorf("exp: fault hang interrupted: %w", context.Cause(ctx))
 	}
 	return nil
-}
-
-// mutate applies the Mutate fault scheduled for job (if any) to its
-// finished run. Called after the output check so the lie survives local
-// validation.
-func (p *FaultPlan) mutate(job Job, run *stats.Run) {
-	p.mu.Lock()
-	f, ok := p.faults[job.String()]
-	p.mu.Unlock()
-	if ok && f.Mutate != nil && run != nil {
-		f.Mutate(run)
-	}
 }
 
 // sleepContext sleeps for d or until ctx ends, reporting whether the full

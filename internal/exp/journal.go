@@ -42,25 +42,10 @@ type journalEntry struct {
 	WireResult
 }
 
-// journalVote is an audit record of one quorum vote in a replicated
-// distributed campaign: which worker voted which way on which job, and
-// whether its vote agreed with the accepted result. Votes are evidence,
-// not state — the loader skips them, so a journal with votes resumes
-// exactly like one without.
-type journalVote struct {
-	Type string `json:"type"` // "vote"
-	// Index and Job identify the voted-on job (Job is its fingerprint).
-	Index int    `json:"index"`
-	Job   string `json:"job"`
-	// Worker is the voter; Vote is its ballot — the run's integrity hash
-	// for successes, "err:<class>" for failures.
-	Worker string `json:"worker"`
-	Vote   string `json:"vote"`
-	// Accepted is the winning ballot; Agree records whether this vote
-	// matched it.
-	Accepted string `json:"accepted"`
-	Agree    bool   `json:"agree"`
-}
+// voteType is the type of the quorum-vote audit lines a replicated
+// distributed campaign used to append. Nothing writes them any more; resume
+// and compaction skip them, so such a journal still resumes and compacts.
+const voteType = "vote"
 
 // Journal persists completed results of one job set as JSONL, one fsynced
 // line per job, so a killed campaign loses at most the jobs in flight.
@@ -144,7 +129,7 @@ func (j *Journal) load() error {
 		}
 		return nil
 	}, func(e journalEntry, _ []byte) error {
-		if e.Type == "vote" {
+		if e.Type == voteType {
 			return nil // audit record, not campaign state
 		}
 		return j.admit(e)
@@ -285,18 +270,6 @@ func (j *Journal) Record(index int, r Result) error {
 	return nil
 }
 
-// RecordVote appends one quorum-vote audit record. Votes never affect
-// resume; they exist so a journal documents who agreed with what.
-func (j *Journal) RecordVote(index int, worker, vote, accepted string) error {
-	if index < 0 || index >= len(j.fps) {
-		return fmt.Errorf("exp: journal: index %d out of range", index)
-	}
-	return j.append(journalVote{
-		Type: "vote", Index: index, Job: j.fps[index],
-		Worker: worker, Vote: vote, Accepted: accepted, Agree: vote == accepted,
-	})
-}
-
 // append marshals v as one JSONL line, writes and fsyncs it. Jobs complete
 // at sweep granularity (seconds, not microseconds), so per-entry durability
 // is cheap relative to what it buys: a kill -9 loses only in-flight jobs.
@@ -367,6 +340,6 @@ func runSHA(run *stats.Run) string {
 	return hex.EncodeToString(sum[:16])
 }
 
-// RunSHA exposes the integrity hash of a run — the quantity quorum
-// voting compares and WireResult.RunSHA carries.
+// RunSHA exposes the integrity hash of a run — the quantity
+// WireResult.RunSHA carries.
 func RunSHA(run *stats.Run) string { return runSHA(run) }

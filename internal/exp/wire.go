@@ -85,8 +85,8 @@ func (e *RemoteError) Error() string { return e.Msg }
 // IntegrityError is a payload whose content does not hash to its declared
 // integrity hash — corruption on disk or in flight, or a sender computing
 // hashes over different bytes than it shipped. Classifies as
-// ClassIntegrity; a distributed coordinator treats it as a strike against
-// the sending worker's health score.
+// ClassIntegrity; a distributed coordinator refuses the result and frees
+// the sender's lease on the job.
 type IntegrityError struct {
 	// Index is the job index the payload claimed to answer.
 	Index int
