@@ -13,9 +13,10 @@
 # goroutine of its own.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
 # the race detector — the flake detector for lease/result/drain timing.
-# `make fuzz` gives the wire codec, the GCN3 instruction decoder, the cache
-# model, the memory drain, the whole-wave memory accesses, the whole-wave
-# kernels and the Fig 10 uniqueness kernel a short coverage-guided beating.
+# `make fuzz` gives the wire codec, the BRIG container decoder, the GCN3
+# instruction decoder, the cache model, the memory drain, the whole-wave
+# memory accesses, the whole-wave kernels and the Fig 10 uniqueness kernel a
+# short coverage-guided beating.
 
 GO ?= go
 
@@ -48,8 +49,8 @@ COUNT ?= 200
 dist-soak:
 	$(GO) test -race -count=$(COUNT) -timeout 2h ./internal/dist
 
-# fuzz runs the journal/distributed-result codec fuzzer, the GCN3
-# decode-what-encodes fuzzer, the cache-vs-reference-LRU fuzzer, the
+# fuzz runs the journal/distributed-result codec fuzzer, the BRIG and GCN3
+# decode-what-encodes fuzzers, the cache-vs-reference-LRU fuzzer, the
 # drain-vs-level-wave-reference fuzzer, the wave-access-vs-per-lane-calls
 # fuzzer, the kernel-vs-scalar-ALU fuzzer and the UniqueCount-vs-map fuzzer
 # for a bounded time each (FUZZTIME to taste);
@@ -57,6 +58,7 @@ dist-soak:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz=FuzzWireResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/exp
+	$(GO) test -fuzz=FuzzDecodeBRIG -fuzztime $(FUZZTIME) -run '^$$' ./internal/hsail
 	$(GO) test -fuzz=FuzzDecodeInst -fuzztime $(FUZZTIME) -run '^$$' ./internal/gcn3
 	$(GO) test -fuzz=FuzzCacheAccess -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
 	$(GO) test -fuzz=FuzzDrainReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem

@@ -7,7 +7,7 @@
 //
 // Long campaigns are fault-tolerant: per-job timeouts and cycle budgets
 // kill runaways, a failed point is reported without stopping the others,
-// and -journal checkpoints every completed job so an interrupted sweep
+// and -journal checkpoints every successful job so an interrupted sweep
 // resumes with -resume instead of restarting.
 //
 // Sweeps also distribute: -serve turns the process into a coordinator that
@@ -24,8 +24,8 @@
 // status. Build the coordinator and its workers from one commit: a worker
 // whose simulator computes differently is not detected.
 //
-// Journals grow one line per result; -journal-compact rewrites one in place
-// keeping only the latest entry per job.
+// A journal holds one line per successful job; a failed job is not written
+// and runs again on -resume.
 //
 // Usage:
 //
@@ -35,13 +35,12 @@
 //	ilsim-sweep -param l1i    -workload LULESH    # I-cache size
 //	ilsim-sweep -param cus    -workload SpMV      # machine scaling (CU count)
 //	ilsim-sweep -param banks -j 8 -v              # 8 workers, progress on stderr
-//	ilsim-sweep -param banks -journal s.jsonl     # checkpoint completed jobs
+//	ilsim-sweep -param banks -journal s.jsonl     # checkpoint successful jobs
 //	ilsim-sweep -param banks -journal s.jsonl -resume   # continue after a kill
 //	ilsim-sweep -param banks -serve :9666         # coordinate remote workers
 //	ilsim-sweep -param banks -serve :9666 -token s3cret
 //	ilsim-sweep -watch host:9666                  # campaign status snapshot
 //	watch -n2 ilsim-sweep -watch host:9666        # live status board
-//	ilsim-sweep -journal s.jsonl -journal-compact # drop superseded journal entries
 package main
 
 import (
@@ -77,16 +76,14 @@ func run(args []string, out, errw io.Writer) error {
 	scale := fs.Int("scale", 1, "input scale")
 	workers := fs.Int("j", 0, "max parallel jobs (0 = GOMAXPROCS)")
 	points := fs.Int("points", 0, "limit the sweep to its first N points (0 = all)")
-	failFast := fs.Bool("failfast", false, "abort the sweep on the first failed point (default: collect all)")
 	verbose := fs.Bool("v", false, "print per-job progress to stderr")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 	maxCycles := fs.Uint64("maxcycles", 0, "per-job simulated-cycle budget (0 = unlimited)")
-	journalPath := fs.String("journal", "", "checkpoint completed jobs to this JSONL file")
+	journalPath := fs.String("journal", "", "checkpoint successful jobs to this JSONL file")
 	resume := fs.Bool("resume", false, "reuse an existing -journal file, re-running only unfinished jobs")
 	serve := fs.String("serve", "", "coordinate the sweep over HTTP on this address instead of running it locally")
 	watch := fs.String("watch", "", "print a status snapshot (queue depth, per-worker throughput, ETA) from the coordinator at this address, then exit")
 	allowCN := fs.String("allow-cn", "", "with -serve: comma-separated client-certificate CommonNames admitted past mutual TLS (needs -tls-client-ca); others get 403")
-	compact := fs.Bool("journal-compact", false, "rewrite -journal in place keeping only the latest entry per job (drops superseded entries), then exit")
 	token := fs.String("token", "", "shared auth token: required of workers with -serve, sent to the coordinator with -watch")
 	tlsCert := fs.String("tls-cert", "", "with -serve: serve the coordinator endpoints over TLS using this PEM certificate. With -watch: present it as the client certificate (mutual TLS)")
 	tlsKey := fs.String("tls-key", "", "the PEM key matching -tls-cert")
@@ -119,20 +116,6 @@ func run(args []string, out, errw io.Writer) error {
 	}
 	if *serve != "" && *watch != "" {
 		return errors.New("-serve and -watch are mutually exclusive")
-	}
-	if *compact {
-		if *journalPath == "" {
-			return errors.New("-journal-compact requires -journal")
-		}
-		if *serve != "" || *watch != "" {
-			return errors.New("-journal-compact runs standalone (no -serve/-watch)")
-		}
-		kept, dropped, err := exp.CompactJournal(*journalPath)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "compacted %s: kept %d entries, dropped %d\n", *journalPath, kept, dropped)
-		return nil
 	}
 	if *watch != "" {
 		// Status mode: one snapshot for operators and their scripts.
@@ -182,9 +165,6 @@ func run(args []string, out, errw io.Writer) error {
 	if *serve != "" {
 		// Coordinator mode: the same job set, leased to workers instead of
 		// a local pool; results assemble in the same submission order.
-		if *failFast {
-			return errors.New("-failfast applies to the local engine; with -serve, failures are collected")
-		}
 		var allowedCNs []string
 		if *allowCN != "" {
 			for _, cn := range strings.Split(*allowCN, ",") {
@@ -214,9 +194,6 @@ func run(args []string, out, errw io.Writer) error {
 		runner = c
 	} else {
 		eng := exp.New(*workers)
-		if *failFast {
-			eng.Mode = exp.FailFast
-		}
 		eng.Journal = journal
 		eng.OnProgress = onProgress
 		runner = eng

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -41,6 +42,52 @@ func TestSweepJournalResume(t *testing.T) {
 	}
 	if !strings.Contains(out2.String(), "4 resumed from journal") {
 		t.Fatalf("footer does not report resumption:\n%s", out2.String())
+	}
+	r1, r2 := sweepRows(out1.String()), sweepRows(out2.String())
+	if len(r1) != 2 || len(r2) != 2 {
+		t.Fatalf("row counts %d/%d, want 2/2", len(r1), len(r2))
+	}
+	for i := range r1 {
+		if r1[i] != r2[i] {
+			t.Fatalf("resumed row differs:\n%q\n%q", r1[i], r2[i])
+		}
+	}
+}
+
+// TestSweepJournalCompact: a journaled sweep writes its journal compact — a
+// header plus one line per job — and a resume from it reproduces the
+// original table rows byte for byte.
+func TestSweepJournalCompact(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	args := []string{"-param", "banks", "-workload", "ArrayBW",
+		"-scale", "1", "-points", "2", "-journal", journal}
+
+	var out1, err1 bytes.Buffer
+	if err := run(args, &out1, &err1); err != nil {
+		t.Fatalf("first run: %v\nstderr: %s", err, err1.String())
+	}
+	raw, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2 points × 2 abstractions.
+	if n := bytes.Count(raw, []byte("\n")); n != 5 || !bytes.HasSuffix(raw, []byte("\n")) {
+		t.Fatalf("journal has %d lines, want the header + 4:\n%s", n, raw)
+	}
+
+	var out2, err2 bytes.Buffer
+	if err := run(append(args, "-resume"), &out2, &err2); err != nil {
+		t.Fatalf("resume: %v\nstderr: %s", err, err2.String())
+	}
+	if !strings.Contains(out2.String(), "4 resumed from journal") {
+		t.Fatalf("journal did not resume all jobs:\n%s", out2.String())
+	}
+	after, err := os.ReadFile(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, after) {
+		t.Fatal("a fully resumed sweep changed its journal")
 	}
 	r1, r2 := sweepRows(out1.String()), sweepRows(out2.String())
 	if len(r1) != 2 || len(r2) != 2 {
@@ -97,5 +144,26 @@ func TestSweepBudgetFailureExitsNonZero(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "error [budget-exceeded]") {
 		t.Fatalf("table does not mark the failed point:\n%s", out.String())
+	}
+}
+
+// TestSweepJournalCompactFlagGone: a journal holds only successes, one line
+// per job, so there is nothing to compact.
+func TestSweepJournalCompactFlagGone(t *testing.T) {
+	var out, errw bytes.Buffer
+	journal := filepath.Join(t.TempDir(), "sweep.jsonl")
+	err := run([]string{"-journal", journal, "-journal-compact"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -journal-compact") {
+		t.Fatalf("-journal-compact: err %v", err)
+	}
+}
+
+// TestSweepFailfastFlagGone: a sweep always runs every point, so there is
+// no second error policy to select.
+func TestSweepFailfastFlagGone(t *testing.T) {
+	var out, errw bytes.Buffer
+	err := run([]string{"-param", "banks", "-points", "1", "-failfast"}, &out, &errw)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -failfast") {
+		t.Fatalf("-failfast: err %v", err)
 	}
 }

@@ -132,28 +132,25 @@ func run(args []string, out, errw io.Writer) error {
 	if *verbose {
 		eng.OnProgress = func(p exp.Progress) { fmt.Fprintln(errw, p.Line()) }
 	}
-	if len(names) == 1 {
-		// Single workload: the detailed view needs every run, so abort on
-		// the first failure.
-		eng.Mode = exp.FailFast
-	}
 	results, _, err := eng.Run(jobs)
 	if err != nil {
 		return err
 	}
 
 	if len(names) > 1 {
-		// Suite table: collect-all, so one broken workload cannot take
-		// down the comparison — but a run with failures must still be
-		// loudly distinguishable from a clean one.
+		// Suite table: one broken workload cannot take down the
+		// comparison; its row says it failed.
 		printTable(out, names, targets, results)
-		if failed := exp.WriteFailureSummary(errw, results); failed > 0 {
-			return fmt.Errorf("%d of %d jobs failed", failed, len(jobs))
-		}
+	}
+	// A run with failures must be loudly distinguishable from a clean one.
+	if failed := exp.WriteFailureSummary(errw, results); failed > 0 {
+		return fmt.Errorf("%d of %d jobs failed", failed, len(jobs))
+	}
+	if len(names) > 1 {
 		return nil
 	}
 
-	// Single workload: the classic detailed view.
+	// Single workload: the classic detailed view, of runs that all succeeded.
 	runs := make([]*stats.Run, len(results))
 	for i, r := range results {
 		runs[i] = r.Run

@@ -29,13 +29,20 @@ func TestTableModeBudgetFailureExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestSingleWorkloadBudgetFailure: the detailed single-workload view runs
-// fail-fast — a budget kill surfaces as the command's error.
+// TestSingleWorkloadBudgetFailure: the detailed single-workload view reports
+// a budget kill the way the table does — a classified FAILED summary on
+// stderr and a non-nil error, so main exits 1 — and prints no statistics.
 func TestSingleWorkloadBudgetFailure(t *testing.T) {
 	var out, errw bytes.Buffer
-	err := run([]string{"-workload", "ArrayBW", "-scale", "1",
-		"-maxcycles", "10"}, &out, &errw)
-	if err == nil || !strings.Contains(err.Error(), "budget") {
+	err := run([]string{"-workload", "ArrayBW", "-maxcycles", "100"}, &out, &errw)
+	if err == nil || err.Error() != "2 of 2 jobs failed" {
 		t.Fatalf("single-workload budget kill returned %v", err)
+	}
+	if n := strings.Count(errw.String(), "FAILED"); n != 2 ||
+		strings.Count(errw.String(), "[budget-exceeded]") != 2 {
+		t.Fatalf("stderr lacks one classified FAILED line per abstraction:\n%s", errw.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a failed single-workload run printed statistics:\n%s", out.String())
 	}
 }

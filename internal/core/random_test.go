@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ilsim/internal/finalizer"
@@ -25,8 +26,10 @@ import (
 // tests elsewhere.
 
 // runRandom executes a kernel functionally under one abstraction, returning
-// its output buffer.
-func runRandom(t *testing.T, k *hsail.Kernel, abs Abstraction, seed int64, grid int) []uint32 {
+// its output buffer. The input buffer is followed by a guard of one word per
+// work-item holding poison, which a kernel that stays in its buffer never
+// reads.
+func runRandom(t *testing.T, k *hsail.Kernel, abs Abstraction, seed int64, grid int, poison uint32) []uint32 {
 	t.Helper()
 	ks, err := PrepareKernel(k, finalizer.Options{})
 	if err != nil {
@@ -35,9 +38,13 @@ func runRandom(t *testing.T, k *hsail.Kernel, abs Abstraction, seed int64, grid 
 	m := NewMachine(abs, &stats.Run{})
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
 	in := m.Ctx.AllocBuffer(4 * randkernel.BufWords)
+	guard := m.Ctx.AllocBuffer(uint64(4 * grid))
 	out := m.Ctx.AllocBuffer(uint64(4 * grid))
 	for i := 0; i < randkernel.BufWords; i++ {
 		m.Ctx.Mem.WriteU32(in+uint64(4*i), rng.Uint32())
+	}
+	for i := 0; i < grid; i++ {
+		m.Ctx.Mem.WriteU32(guard+uint64(4*i), poison)
 	}
 	err = m.Submit(Launch{Kernel: ks, Grid: [3]uint32{uint32(grid), 1, 1},
 		WG: [3]uint16{64, 1, 1}, Args: []uint64{in, out}})
@@ -55,8 +62,15 @@ func runRandom(t *testing.T, k *hsail.Kernel, abs Abstraction, seed int64, grid 
 }
 
 // TestRandomKernelTripleEquivalence is the toolchain's main property test.
+// The larger grid has four work-items per input word, and a rerun with the
+// guard poisoned proves that every load stays in the input buffer.
 func TestRandomKernelTripleEquivalence(t *testing.T) {
-	const grid = 128
+	for _, grid := range []int{128, 4 * randkernel.BufWords} {
+		tripleEquivalence(t, grid)
+	}
+}
+
+func tripleEquivalence(t *testing.T, grid int) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 10
@@ -73,17 +87,20 @@ func TestRandomKernelTripleEquivalence(t *testing.T) {
 		if alloc.NumRegSlots > raw.NumRegSlots {
 			t.Fatalf("seed %d: allocation grew registers: %d > %d", seed, alloc.NumRegSlots, raw.NumRegSlots)
 		}
-		ref := runRandom(t, raw, AbsHSAIL, seed, grid)
-		hsailAlloc := runRandom(t, alloc, AbsHSAIL, seed, grid)
-		gcn3Alloc := runRandom(t, alloc, AbsGCN3, seed, grid)
+		ref := runRandom(t, raw, AbsHSAIL, seed, grid, 0)
+		hsailAlloc := runRandom(t, alloc, AbsHSAIL, seed, grid, 0)
+		gcn3Alloc := runRandom(t, alloc, AbsGCN3, seed, grid, 0)
+		if poisoned := runRandom(t, alloc, AbsGCN3, seed, grid, 0xdeadbeef); !slices.Equal(poisoned, gcn3Alloc) {
+			t.Fatalf("seed %d grid %d: the kernel reads past its input buffer\n%s", seed, grid, alloc.Disassemble())
+		}
 		for i := 0; i < grid; i++ {
 			if hsailAlloc[i] != ref[i] {
-				t.Fatalf("seed %d: register allocation changed semantics at lane %d: %#x != %#x\n%s",
-					seed, i, hsailAlloc[i], ref[i], alloc.Disassemble())
+				t.Fatalf("seed %d grid %d: register allocation changed semantics at lane %d: %#x != %#x\n%s",
+					seed, grid, i, hsailAlloc[i], ref[i], alloc.Disassemble())
 			}
 			if gcn3Alloc[i] != ref[i] {
-				t.Fatalf("seed %d: finalization changed semantics at lane %d: %#x != %#x\n%s",
-					seed, i, gcn3Alloc[i], ref[i], alloc.Disassemble())
+				t.Fatalf("seed %d grid %d: finalization changed semantics at lane %d: %#x != %#x\n%s",
+					seed, grid, i, gcn3Alloc[i], ref[i], alloc.Disassemble())
 			}
 		}
 	}

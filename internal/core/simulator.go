@@ -136,7 +136,7 @@ func (s *Simulator) Run(abs Abstraction, workload string, setup func(m *Machine)
 
 // RunContext is Run with cooperative cancellation: the timing loop polls
 // ctx (and the opts budgets) every opts.CheckEvery cycles, so canceling the
-// context — a per-job timeout, a ctrl-C, a fail-fast sweep — stops a
+// context — a per-job timeout, a ctrl-C, a failed journal write — stops a
 // simulation mid-kernel instead of only between jobs.
 func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload string, setup func(m *Machine) error, opts RunOptions) (*stats.Run, *Machine, error) {
 	run := &stats.Run{Workload: workload, Abstraction: abs.String()}

@@ -193,12 +193,12 @@ func (c *Coordinator) Run(jobs []exp.Job) ([]exp.Result, exp.Metrics, error) {
 
 // RunContext installs jobs as the active campaign and blocks until every
 // job has a terminal result or ctx ends. Results come back in submission
-// order with the same semantics as the local engine's CollectAll mode:
-// per-job errors live in the results (reported permanent failures are not
-// re-leased), and jobs still unfinished at cancellation carry
-// exp.ErrCanceled. With a Journal attached, journaled completions are
-// restored instead of re-leased and every accepted result is persisted
-// before it is acknowledged to its worker.
+// order with the same semantics as the local engine's: per-job errors live
+// in the results (reported permanent failures are not re-leased), and jobs
+// still unfinished at cancellation carry exp.ErrCanceled. With a Journal
+// attached, journaled successes are restored instead of re-leased, and every
+// accepted success is persisted before it is acknowledged to its worker; an
+// accepted failure is not journaled, so a resumed campaign leases it again.
 func (c *Coordinator) RunContext(ctx context.Context, jobs []exp.Job) ([]exp.Result, exp.Metrics, error) {
 	if err := c.Start(); err != nil {
 		return nil, exp.Metrics{}, err

@@ -326,8 +326,8 @@ func (w *Worker) setHeld(idx int, held bool) {
 func (w *Worker) execute(ctx context.Context, idx int, job exp.Job) exp.Result {
 	results, _, err := w.Engine.RunContext(ctx, []exp.Job{job})
 	if err != nil {
-		// FailFast engines surface the job error here too; the per-result
-		// error below carries the same value.
+		// Only a journal write fails a Run, and a worker's engine has no
+		// journal; the job's own error is in its result.
 		w.Logf("dist: %s job %d: %v", w.Name, idx, err)
 	}
 	return results[0]

@@ -83,7 +83,7 @@ func TestDeterminismRepeatedParallelRuns(t *testing.T) {
 
 // TestCollectAllSurvivesMidSweepError plants a failing job in the middle of
 // a sweep and requires every other job to complete with results — the
-// collect-all contract: a failed point must not abort the sweep.
+// engine's contract: a failed point must not abort the sweep.
 func TestCollectAllSurvivesMidSweepError(t *testing.T) {
 	jobs := determinismJobs(t)
 	bad := Job{Label: "bad", Workload: "NoSuchWorkload", Scale: 1,
@@ -91,10 +91,10 @@ func TestCollectAllSurvivesMidSweepError(t *testing.T) {
 	mid := len(jobs) / 2
 	jobs = append(jobs[:mid:mid], append([]Job{bad}, jobs[mid:]...)...)
 
-	eng := New(4) // CollectAll is the default mode
+	eng := New(4)
 	results, m, err := eng.Run(jobs)
 	if err != nil {
-		t.Fatalf("CollectAll returned error: %v", err)
+		t.Fatalf("Run returned error: %v", err)
 	}
 	if m.Failed != 1 {
 		t.Fatalf("metrics count %d failed, want 1", m.Failed)

@@ -24,8 +24,8 @@ const (
 	// ClassPermanent marks deterministic failures: bad configs, unknown
 	// workloads, output-check mismatches. Re-running cannot help.
 	ClassPermanent
-	// ClassCanceled marks jobs stopped by cancellation: fail-fast
-	// shedding, a canceled RunContext, or ctrl-C.
+	// ClassCanceled marks jobs stopped by cancellation: a canceled
+	// RunContext, a failed journal write, or ctrl-C.
 	ClassCanceled
 	// ClassTimeout marks jobs killed by their wall-clock Timeout.
 	ClassTimeout

@@ -170,21 +170,9 @@ func (m Metrics) Speedup() float64 {
 	return m.JobWall.Seconds() / m.Elapsed.Seconds()
 }
 
-// Mode selects the engine's error handling.
-type Mode int
-
-const (
-	// CollectAll runs every job to completion; failures are recorded in
-	// the failing job's Result and do not abort the sweep.
-	CollectAll Mode = iota
-	// FailFast cancels outstanding jobs after the first failure; jobs that
-	// never started carry ErrCanceled.
-	FailFast
-)
-
-// ErrCanceled marks jobs skipped because a FailFast engine saw an earlier
-// failure or the Run context ended before they started.
-var ErrCanceled = errors.New("exp: job canceled after earlier failure")
+// ErrCanceled marks jobs shed unstarted because the Run context ended or a
+// journal write failed.
+var ErrCanceled = errors.New("exp: job canceled before it started")
 
 // Runner executes a job set and returns one Result per job in submission
 // order plus aggregate metrics — the contract every campaign consumer
@@ -197,20 +185,18 @@ type Runner interface {
 }
 
 // Engine executes job sets, each job exactly once: the simulator is
-// deterministic, so a job that failed would fail the same way again. The
-// zero value is usable (CollectAll mode, GOMAXPROCS workers); New is a
-// convenience for setting the pool size. An engine may run many job sets;
-// its instance cache persists across Run calls, so sweeps over the same
-// workload reuse prepared kernels.
+// deterministic, so a job that failed would fail the same way again. A
+// failure lives in its own Result and stops no other job. The zero value is
+// usable (GOMAXPROCS workers); New is a convenience for setting the pool
+// size. An engine may run many job sets; its instance cache persists across
+// Run calls, so sweeps over the same workload reuse prepared kernels.
 type Engine struct {
 	// Workers bounds the worker pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// Mode selects CollectAll (default) or FailFast error handling.
-	Mode Mode
 	// OnProgress, when non-nil, observes every job completion. Calls are
 	// serialized; keep the hook cheap (it is on the completion path).
 	OnProgress func(Progress)
-	// Journal, when non-nil, records every completed result and pre-fills
+	// Journal, when non-nil, records every successful result and pre-fills
 	// results the journal already holds, so an interrupted campaign
 	// resumes instead of restarting (see OpenJournal).
 	Journal *Journal
@@ -250,18 +236,18 @@ func (e *Engine) instances() *InstanceCache {
 }
 
 // Run executes the job set and returns one Result per job in submission
-// order, regardless of completion order, plus aggregate metrics. In
-// CollectAll mode the returned error is always nil and per-job errors live
-// in the Results; in FailFast mode the first job error is also returned.
+// order, regardless of completion order, plus aggregate metrics. Per-job
+// errors live in the Results; the returned error reports only a journal
+// that could not be bound or written.
 func (e *Engine) Run(jobs []Job) ([]Result, Metrics, error) {
 	return e.RunContext(context.Background(), jobs)
 }
 
 // RunContext is Run under a context: canceling parent stops the sweep —
 // in-flight simulations die at their next watchdog check, unstarted jobs
-// come back as ErrCanceled — regardless of Mode. With a Journal attached,
-// jobs the journal records as successfully completed are restored instead
-// of executed and every newly completed job is appended to it.
+// come back as ErrCanceled. With a Journal attached, jobs the journal
+// records are restored instead of executed and every new success is
+// appended to it; a failed append ends the sweep the same way.
 func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metrics, error) {
 	start := time.Now()
 	results := make([]Result, len(jobs))
@@ -300,10 +286,9 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 	defer cancel()
 
 	var (
-		mu         sync.Mutex // guards counters, firstErr, hook calls
+		mu         sync.Mutex // guards counters, journalErr, hook calls
 		done       = resumed
 		failed     int
-		firstErr   error
 		journalErr error
 	)
 	next := make(chan int)
@@ -318,7 +303,7 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 			defer wg.Done()
 			for i := range next {
 				r := &results[i]
-				if parent.Err() != nil || (e.Mode == FailFast && ctx.Err() != nil) {
+				if ctx.Err() != nil {
 					r.Err = ErrCanceled
 				} else {
 					e.execute(ctx, jobs[i], r)
@@ -327,16 +312,8 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 				done++
 				if r.Err != nil {
 					failed++
-					if firstErr == nil && !errors.Is(r.Err, ErrCanceled) {
-						firstErr = fmt.Errorf("exp: job %s: %w", jobs[i], r.Err)
-						if e.Mode == FailFast {
-							cancel()
-						}
-					}
 				}
-				// Canceled jobs never completed; leave them out of the
-				// journal so a resume re-runs them.
-				if e.Journal != nil && !errors.Is(r.Err, ErrCanceled) {
+				if e.Journal != nil {
 					if err := e.Journal.Record(i, *r); err != nil && journalErr == nil {
 						journalErr = err
 						cancel()
@@ -370,9 +347,6 @@ func (e *Engine) RunContext(parent context.Context, jobs []Job) ([]Result, Metri
 	}
 	if journalErr != nil {
 		return results, m, fmt.Errorf("exp: journal: %w", journalErr)
-	}
-	if e.Mode == FailFast {
-		return results, m, firstErr
 	}
 	return results, m, nil
 }
@@ -426,7 +400,7 @@ func (e *Engine) runJob(ctx context.Context, job Job) (run *stats.Run, err error
 
 // WriteFailureSummary writes one line per failed result — job, error
 // class, error — and returns the number of failures. The CLIs print it to
-// stderr so a collect-all campaign with failures is visibly (and, via the
+// stderr so a campaign with failures is visibly (and, via the
 // exit code, programmatically) distinguishable from a clean one.
 func WriteFailureSummary(w io.Writer, results []Result) int {
 	n := 0

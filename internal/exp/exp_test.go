@@ -184,34 +184,6 @@ func TestScaleBelowOneIsPermanent(t *testing.T) {
 	}
 }
 
-func TestFailFastCancelsRemainingJobs(t *testing.T) {
-	// One bad job leading a long tail; a single worker guarantees the
-	// failure is seen before the tail starts.
-	jobs := []Job{{Workload: "NoSuchWorkload", Scale: 1, Abs: core.AbsHSAIL, Config: core.DefaultConfig()}}
-	jobs = append(jobs, tinyJobs(t, 2)...)
-	eng := New(1)
-	eng.Mode = FailFast
-	results, m, err := eng.Run(jobs)
-	if err == nil {
-		t.Fatal("FailFast returned nil error for a failing job set")
-	}
-	if results[0].Err == nil {
-		t.Fatal("failing job carries no error")
-	}
-	canceled := 0
-	for _, r := range results[1:] {
-		if errors.Is(r.Err, ErrCanceled) {
-			canceled++
-		}
-	}
-	if canceled != len(results)-1 {
-		t.Fatalf("%d of %d tail jobs canceled, want all", canceled, len(results)-1)
-	}
-	if m.Failed != len(jobs) {
-		t.Fatalf("metrics count %d failed, want %d", m.Failed, len(jobs))
-	}
-}
-
 func TestSweepPoints(t *testing.T) {
 	for _, param := range SweepParams() {
 		pts, err := SweepPoints(param)

@@ -25,18 +25,15 @@ func FuzzWireResult(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	// Golden journal lines: run a journaled campaign with one success and
-	// one recorded failure, then seed every JSONL line the file holds.
+	// Golden journal lines: run a journaled campaign with one success, then
+	// seed every JSONL line the file holds, plus the failure line journals
+	// held before only successes were journaled.
 	path := filepath.Join(f.TempDir(), "seed.jsonl")
 	j, err := OpenJournal(path, jobs, false)
 	if err != nil {
 		f.Fatal(err)
 	}
 	if err := j.Record(0, results[0]); err != nil {
-		f.Fatal(err)
-	}
-	fail := Result{Job: jobs[1], Err: errors.New("flaky link")}
-	if err := j.Record(1, fail); err != nil {
 		f.Fatal(err)
 	}
 	j.Close()
@@ -47,6 +44,12 @@ func FuzzWireResult(f *testing.F) {
 	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
 		f.Add([]byte(line))
 	}
+	fail := Result{Job: jobs[1], Err: errors.New("flaky link")}
+	fb, err := json.Marshal(journalEntry{Type: "result", WireResult: EncodeResult(1, jobs[1].Fingerprint(), fail)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fb)
 
 	// Failure variants for every taxonomy class, plus broken payloads:
 	// a flipped integrity hash, a truncated run, and raw garbage.

@@ -32,11 +32,12 @@ type journalHeader struct {
 	Jobs    []string `json:"jobs"`
 }
 
-// journalEntry is one completed job, success or failure, in the shared
-// WireResult encoding (the same bytes a distributed worker streams to its
-// coordinator). Successes carry the full stats.Run plus a hash of its
-// fingerprint so corruption is detected at load; failures carry the error
-// text and its class for the record (they are re-executed on resume).
+// journalEntry is one successfully completed job in the shared WireResult
+// encoding (the same bytes a distributed worker streams to its coordinator):
+// the full stats.Run plus a hash of its fingerprint, so corruption is
+// detected at load. Journals written before failures were left out may also
+// hold failure entries, carrying the error text and its class; resume
+// re-executes those jobs.
 type journalEntry struct {
 	Type string `json:"type"` // "result"
 	WireResult
@@ -44,16 +45,17 @@ type journalEntry struct {
 
 // voteType is the type of the quorum-vote audit lines a replicated
 // distributed campaign used to append. Nothing writes them any more; resume
-// and compaction skip them, so such a journal still resumes and compacts.
+// skips them, so such a journal still resumes.
 const voteType = "vote"
 
-// Journal persists completed results of one job set as JSONL, one fsynced
-// line per job, so a killed campaign loses at most the jobs in flight.
-// Attach it to an Engine (Engine.Journal); the next Run skips every job the
-// journal records as successfully completed and appends the rest as they
-// finish. The file is self-describing: a header line fixes the job set
-// (ordered job fingerprints) and every entry is validated against it on
-// load.
+// Journal persists the successful results of one job set as JSONL, one
+// fsynced line per job, so a killed campaign loses at most the jobs in
+// flight. A failure is not written: the simulator is deterministic, so a
+// resume re-executes the job, and a journal is a header plus at most one
+// line per job. Attach it to an Engine (Engine.Journal); the next Run skips
+// every job the journal records and appends the rest as they succeed. The
+// file is self-describing: a header line fixes the job set (ordered job
+// fingerprints) and every entry is validated against it on load.
 type Journal struct {
 	path string
 	fps  []string
@@ -120,70 +122,46 @@ func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
 	}
 }
 
-// load parses an existing journal, validating every entry against the bound
-// job set, and leaves in j.size the offset just past the last good line.
+// load parses an existing journal line by line, validating every entry
+// against the bound job set, and leaves in j.size the offset just past the
+// last good line. The header line must be whole, of this version and for this
+// job set. A later line cut short of its newline (the next append would fuse
+// with it, even when what is there parses), a line that does not parse and a
+// line admit refuses are fatal only when more lines follow: the last line may
+// be a partial write from a killed process, and is then left out.
 func (j *Journal) load() error {
-	size, _, err := readJournal(j.path, func(hdr journalHeader, _ []byte) error {
-		if err := matchFingerprints(hdr.Jobs, j.fps); err != nil {
-			return fmt.Errorf("%w (%s: %v)", ErrJournalMismatch, j.path, err)
-		}
-		return nil
-	}, func(e journalEntry, _ []byte) error {
-		if e.Type == voteType {
-			return nil // audit record, not campaign state
-		}
-		return j.admit(e)
-	})
-	j.size = size
-	return err
-}
-
-// readJournal reads the journal at path line by line. Resume (Journal.load)
-// and compaction (CompactJournal) both read through it, so they cannot
-// disagree about which lines a journal holds. The header line must be whole
-// and of this version; header sees it, raw bytes included, before any entry.
-// Every later line goes to entry, parsed, with its raw bytes (which the
-// callback may keep). A line cut short of its newline (the next append would
-// fuse with it, even when what is there parses), a line that does not parse
-// and a line entry refuses are fatal only when more lines follow: the last
-// line may be a partial write from a killed process, and is then left out.
-// readJournal returns the offset just past the last line it kept and how many
-// entry lines it read, kept or not.
-func readJournal(path string, header func(hdr journalHeader, raw []byte) error,
-	entry func(e journalEntry, raw []byte) error) (size int64, lines int, err error) {
-	f, err := os.Open(path)
+	f, err := os.Open(j.path)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	defer f.Close()
 	rd := bufio.NewReaderSize(f, 1<<20)
 	b, err := rd.ReadBytes('\n')
 	if len(b) == 0 || (err != nil && err != io.EOF) {
-		return 0, 0, fmt.Errorf("exp: journal %s: empty or unreadable header: %w", path, err)
+		return fmt.Errorf("exp: journal %s: empty or unreadable header: %w", j.path, err)
 	}
 	var hdr journalHeader
 	// err is io.EOF here for a header cut short of its newline: torn, even
 	// if what is there parses.
 	if jerr := json.Unmarshal(b, &hdr); jerr != nil || hdr.Type != "header" || err != nil {
-		return 0, 0, fmt.Errorf("exp: journal %s: bad header line", path)
+		return fmt.Errorf("exp: journal %s: bad header line", j.path)
 	}
 	if hdr.Version != journalVersion {
-		return 0, 0, fmt.Errorf("exp: journal %s: version %d, want %d", path, hdr.Version, journalVersion)
+		return fmt.Errorf("exp: journal %s: version %d, want %d", j.path, hdr.Version, journalVersion)
 	}
-	if err := header(hdr, b); err != nil {
-		return 0, 0, err
+	if err := matchFingerprints(hdr.Jobs, j.fps); err != nil {
+		return fmt.Errorf("%w (%s: %v)", ErrJournalMismatch, j.path, err)
 	}
-	size = int64(len(b))
+	j.size = int64(len(b))
 	var pendingErr error
-	for {
+	for line := 2; ; line++ { // the file's line number; the header is 1
 		b, err := rd.ReadBytes('\n')
 		if err != nil && err != io.EOF {
-			return 0, 0, fmt.Errorf("exp: journal %s: %w", path, err)
+			return fmt.Errorf("exp: journal %s: %w", j.path, err)
 		}
 		if len(b) > 0 {
-			lines++
 			if pendingErr != nil {
-				return 0, 0, pendingErr
+				return pendingErr
 			}
 			var e journalEntry
 			var lerr error
@@ -191,22 +169,22 @@ func readJournal(path string, header func(hdr journalHeader, raw []byte) error,
 				lerr = errors.New("corrupt entry: no newline")
 			} else if jerr := json.Unmarshal(b, &e); jerr != nil {
 				lerr = fmt.Errorf("corrupt entry: %v", jerr)
-			} else {
-				lerr = entry(e, b)
+			} else if e.Type != voteType {
+				lerr = j.admit(e)
 			}
 			if lerr != nil {
-				pendingErr = fmt.Errorf("exp: journal %s:%d: %w", path, lines+1, lerr)
+				pendingErr = fmt.Errorf("exp: journal %s:%d: %w", j.path, line, lerr)
 			} else {
-				size += int64(len(b))
+				j.size += int64(len(b))
 			}
 		}
 		if err == io.EOF {
-			return size, lines, nil
+			return nil
 		}
 	}
 }
 
-// admit validates one loaded entry and, for successes, stores it as
+// admit validates one loaded entry and, for a success, stores it as
 // completed.
 func (j *Journal) admit(e journalEntry) error {
 	if e.Type != "result" || e.Index < 0 || e.Index >= len(j.fps) {
@@ -216,7 +194,7 @@ func (j *Journal) admit(e journalEntry) error {
 		return fmt.Errorf("%w: entry for job %d", ErrJournalMismatch, e.Index)
 	}
 	if e.Err != "" {
-		return nil // recorded failure: kept on disk, re-executed on resume
+		return nil // a failure an older build recorded: re-executed on resume
 	}
 	r, err := e.Decode()
 	if err != nil {
@@ -251,22 +229,23 @@ func (j *Journal) Resumable() int {
 	return len(j.done)
 }
 
-// Record appends one completed result and syncs it to disk. Successful
-// results also become resumable in-process, so repeated Run calls on the
-// same engine observe them.
+// Record appends one successful result, syncs it to disk and makes it
+// resumable in-process, so repeated Run calls on the same engine observe it.
+// A failed result is not written: a resume re-executes the job.
 func (j *Journal) Record(index int, r Result) error {
 	if index < 0 || index >= len(j.fps) {
 		return fmt.Errorf("exp: journal: index %d out of range", index)
+	}
+	if r.Err != nil {
+		return nil
 	}
 	e := journalEntry{Type: "result", WireResult: EncodeResult(index, j.fps[index], r)}
 	if err := j.append(e); err != nil {
 		return err
 	}
-	if r.Err == nil {
-		j.mu.Lock()
-		j.done[index] = Result{Run: r.Run, Wall: r.Wall}
-		j.mu.Unlock()
-	}
+	j.mu.Lock()
+	j.done[index] = Result{Run: r.Run, Wall: r.Wall}
+	j.mu.Unlock()
 	return nil
 }
 

@@ -2,13 +2,16 @@ package exp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 )
 
 func journalPath(t *testing.T) string {
@@ -31,7 +34,7 @@ func TestJournalResumeRoundTrip(t *testing.T) {
 	}
 
 	// First flight: job 3 dies to an injected panic; the journal records
-	// three successes and one failure, then the process "dies" (Close).
+	// the three successes, then the process "dies" (Close).
 	j1, err := OpenJournal(path, jobs, false)
 	if err != nil {
 		t.Fatal(err)
@@ -367,6 +370,141 @@ func TestJournalRejectsInteriorCorruption(t *testing.T) {
 	}
 }
 
+// The TestCompactJournal tests hold the journal to its invariant: it is
+// compact as written — a header plus at most one line per job — and stays
+// so through torn tails and the resumes that repair them.
+
+// journaledRun runs jobs with a fresh journal at path and closes it.
+func journaledRun(t *testing.T, path string, jobs []Job) {
+	t.Helper()
+	j, err := OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(2)
+	eng.Journal = j
+	if _, _, err := eng.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireCompact fails unless the journal at path is whole lines only: a
+// header, then one line for each of jobs, each job's fingerprint once.
+func requireCompact(t *testing.T, path string, jobs []Job) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(data, []byte("\n")) {
+		t.Fatalf("journal does not end on a line boundary:\n%s", data)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != len(jobs)+1 {
+		t.Fatalf("journal has %d lines, want the header + %d", len(lines), len(jobs))
+	}
+	for i, job := range jobs {
+		fp := fmt.Sprintf(`"job":%q`, job.Fingerprint())
+		if n := strings.Count(strings.Join(lines[1:], "\n"), fp); n != 1 {
+			t.Fatalf("job %d has %d journal lines, want 1", i, n)
+		}
+	}
+}
+
+// TestCompactJournalToleratesPartialTrailingLine: a truncated final line
+// after a complete campaign is cut off by the resume, which leaves the file
+// compact again and restores every job.
+func TestCompactJournalToleratesPartialTrailingLine(t *testing.T) {
+	jobs := tinyJobs(t, 1)
+	path := journalPath(t)
+	journaledRun(t, path, jobs)
+	requireCompact(t, path, jobs)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"type":"result","index":1,"jo`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j, err := OpenJournal(path, jobs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if n := j.Resumable(); n != len(jobs) {
+		t.Fatalf("resumes %d jobs after a partial line, want %d", n, len(jobs))
+	}
+	requireCompact(t, path, jobs)
+}
+
+// TestCompactJournalDropsEntryMissingItsNewline: a final entry that parses
+// but lost its newline is torn (the next append would fuse with it), so the
+// resume drops it and re-executes that job — and the journal it leaves holds
+// that job once, not twice.
+func TestCompactJournalDropsEntryMissingItsNewline(t *testing.T) {
+	jobs := tinyJobs(t, 1)
+	path := journalPath(t)
+	journaledRun(t, path, jobs)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, bytes.TrimSuffix(raw, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j, err := OpenJournal(path, jobs, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Resumable(); n != len(jobs)-1 {
+		t.Fatalf("the torn journal resumes %d jobs, want %d", n, len(jobs)-1)
+	}
+	eng := New(2)
+	eng.Journal = j
+	if _, m, err := eng.Run(jobs); err != nil || m.Resumed != len(jobs)-1 || m.Failed != 0 {
+		t.Fatalf("resumed run: %+v, %v", m, err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireCompact(t, path, jobs)
+}
+
+// TestCompactJournalRejectsInteriorCorruption: garbage before the end is a
+// hard error on resume, and the refused journal is left byte-for-byte as it
+// was — the loader cuts off only a torn last line.
+func TestCompactJournalRejectsInteriorCorruption(t *testing.T) {
+	jobs := tinyJobs(t, 1)
+	path := journalPath(t)
+	journaledRun(t, path, jobs)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(raw, []byte("\n"))
+	lines[1] = []byte(`{"type":"result","index":0,"garbage`)
+	before := bytes.Join(lines, []byte("\n"))
+	if err := os.WriteFile(path, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenJournal(path, jobs, true); err == nil {
+		t.Fatal("resume accepted interior corruption")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a refused resume modified the journal")
+	}
+}
+
 // TestJournalRejectsTamperedResult: an entry whose stats.Run no longer
 // matches its integrity hash fails the load.
 func TestJournalRejectsTamperedResult(t *testing.T) {
@@ -407,8 +545,8 @@ func TestJournalRejectsTamperedResult(t *testing.T) {
 	}
 }
 
-// TestJournalDoesNotResumeFailures: recorded failures stay on disk for
-// the record but are re-executed on resume.
+// TestJournalDoesNotResumeFailures: a failed job is not journaled, so the
+// file holds no line carrying an error, and a resume re-executes the job.
 func TestJournalDoesNotResumeFailures(t *testing.T) {
 	jobs := tinyJobs(t, 1) // 2 jobs
 	path := journalPath(t)
@@ -424,6 +562,16 @@ func TestJournalDoesNotResumeFailures(t *testing.T) {
 		t.Fatalf("first flight: err %v, %d failed", err, m.Failed)
 	}
 	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 2 {
+		t.Fatalf("journal has %d lines, want the header and the one success", n)
+	}
+	if bytes.Contains(data, []byte(`"err"`)) {
+		t.Fatalf("the failure was journaled:\n%s", data)
+	}
 
 	j2, err := OpenJournal(path, jobs, true)
 	if err != nil {
@@ -444,8 +592,8 @@ func TestJournalDoesNotResumeFailures(t *testing.T) {
 	}
 }
 
-// TestJournalSkipsCanceledJobs: canceled jobs must not be journaled —
-// they are neither completed work nor real failures.
+// TestJournalSkipsCanceledJobs: jobs shed because the Run context ended are
+// not journaled — they are neither completed work nor real failures.
 func TestJournalSkipsCanceledJobs(t *testing.T) {
 	jobs := tinyJobs(t, 2) // 4 jobs
 	path := journalPath(t)
@@ -453,27 +601,213 @@ func TestJournalSkipsCanceledJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(1) // serial: job 0 fails, the rest are shed as canceled
-	eng.Mode = FailFast
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	eng := New(1) // serial: job 0 runs, then the context ends
 	eng.Journal = j
-	eng.Faults = NewFaultPlan()
-	eng.Faults.Set(jobs[0].String(), Fault{Err: errors.New("fatal")})
-	if _, _, err := eng.Run(jobs); err == nil {
-		t.Fatal("FailFast run returned nil error")
+	eng.OnProgress = func(Progress) { cancel() }
+	results, m, err := eng.RunContext(ctx, jobs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	j.Close()
-
+	if results[0].Err != nil || m.Failed != len(jobs)-1 {
+		t.Fatalf("job 0: %v; %d failed, want the %d shed", results[0].Err, m.Failed, len(jobs)-1)
+	}
+	for _, r := range results[1:] {
+		if !errors.Is(r.Err, ErrCanceled) {
+			t.Fatalf("job %s: %v, want ErrCanceled", r.Job, r.Err)
+		}
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(strings.TrimRight(string(data), "\n"), "\n")[1:] {
-		var e journalEntry
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
+	if n := bytes.Count(data, []byte("\n")); n != 2 {
+		t.Fatalf("journal has %d lines, want the header and job 0:\n%s", n, data)
+	}
+}
+
+// faultyDisk is a journal file on a failing disk: from write number failFrom
+// on (0: never), writes fail with ENOSPC having written nothing, and every
+// Sync fails with syncErr when it is set.
+type faultyDisk struct {
+	*os.File
+	failFrom, writes int
+	syncErr          error
+}
+
+func (f *faultyDisk) Write(b []byte) (int, error) {
+	f.writes++
+	if f.failFrom > 0 && f.writes >= f.failFrom {
+		return 0, syscall.ENOSPC
+	}
+	return f.File.Write(b)
+}
+
+func (f *faultyDisk) Sync() error {
+	if f.syncErr != nil {
+		return f.syncErr
+	}
+	return f.File.Sync()
+}
+
+// TestEngineFullDiskShedsUnstartedJobs drives a journaled engine onto a
+// failing disk. The first failed journal write ends the sweep: Run reports it
+// as a journal error wrapping the disk's errno, every job not yet started
+// comes back ErrCanceled and unjournaled, and a resume restores exactly the
+// entries that reached the file, identical to a clean run.
+func TestEngineFullDiskShedsUnstartedJobs(t *testing.T) {
+	jobs := tinyJobs(t, 2) // 4 jobs
+	clean, _, err := New(2).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		disk    faultyDisk
+		errno   syscall.Errno
+		reached int // entries on disk: jobs 0..reached-1
+		shed    int // first job shed unstarted
+	}{
+		// Jobs 0 and 1 are written; job 2's write fails, job 3 is shed.
+		{"ENOSPC from the third write", faultyDisk{failFrom: 3}, syscall.ENOSPC, 2, 3},
+		// Job 0's entry is written but its Sync fails; jobs 1-3 are shed.
+		{"Sync fails", faultyDisk{syncErr: syscall.EIO}, syscall.EIO, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := journalPath(t)
+			j, err := OpenJournal(path, jobs, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			disk := tc.disk
+			disk.File = j.f.(*os.File)
+			j.f = &disk
+			eng := New(1) // serial, so which jobs start is fixed
+			eng.Journal = j
+			results, m, err := eng.Run(jobs)
+			j.Close()
+			if err == nil || !strings.HasPrefix(err.Error(), "exp: journal: ") || !errors.Is(err, tc.errno) {
+				t.Fatalf("Run returned %v, want an exp: journal: error wrapping %v", err, tc.errno)
+			}
+			for i, r := range results {
+				if shed := i >= tc.shed; shed != errors.Is(r.Err, ErrCanceled) {
+					t.Errorf("job %d: %v, shed %t", i, r.Err, shed)
+				}
+			}
+			if m.Failed != len(jobs)-tc.shed {
+				t.Errorf("%d failed, want the %d shed", m.Failed, len(jobs)-tc.shed)
+			}
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := bytes.Count(data, []byte("\n")); n != 1+tc.reached {
+				t.Fatalf("journal has %d lines, want the header and %d entries:\n%s", n, tc.reached, data)
+			}
+
+			j2, err := OpenJournal(path, jobs, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j2.Close()
+			for i := range jobs {
+				r, ok := j2.Completed(i)
+				if ok != (i < tc.reached) {
+					t.Fatalf("after reload, job %d completed = %t", i, ok)
+				}
+				if ok && !bytes.Equal(r.Run.Fingerprint(), clean[i].Run.Fingerprint()) {
+					t.Errorf("job %d: the journaled run differs from a clean run", i)
+				}
+			}
+			eng2 := New(2)
+			eng2.Journal = j2
+			resumed, m2, err := eng2.Run(jobs)
+			if err != nil || m2.Failed != 0 || m2.Resumed != tc.reached {
+				t.Fatalf("resume: %+v, %v", m2, err)
+			}
+			for i, r := range resumed {
+				if !bytes.Equal(r.Run.Fingerprint(), clean[i].Run.Fingerprint()) {
+					t.Errorf("job %d: the resumed campaign differs from a clean run", i)
+				}
+			}
+		})
+	}
+}
+
+// TestJournalResumesParentFormatLines: journals written before failures were
+// left out hold failure entries, and journals of replicated campaigns hold
+// quorum-vote audit lines. Such a journal, here with a job that failed twice
+// before it succeeded, still opens and resumes to the uninterrupted run, and
+// an engine resuming it executes nothing.
+func TestJournalResumesParentFormatLines(t *testing.T) {
+	jobs := tinyJobs(t, 2) // 4 jobs
+	path := journalPath(t)
+	clean, _, err := New(4).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	failure := fmt.Sprintf(`{"type":"result","index":1,"job":%q,"jobName":%q,"err":"flaky board","errClass":"permanent"}`+"\n",
+		jobs[1].Fingerprint(), jobs[1].String())
+	vote := func(i int, v string) string {
+		return fmt.Sprintf(`{"type":"vote","index":%d,"job":%q,"worker":"w1","vote":%q,"accepted":%q,"agree":true}`+"\n",
+			i, jobs[i].Fingerprint(), v, v)
+	}
+	var lines strings.Builder
+	lines.WriteString(failure)
+	lines.WriteString(vote(1, "err:permanent"))
+	for i, r := range clean {
+		if i == 1 {
+			lines.WriteString(failure)
+		}
+		ok, err := json.Marshal(journalEntry{Type: "result", WireResult: EncodeResult(i, jobs[i].Fingerprint(),
+			Result{Job: jobs[i], Run: r.Run, Wall: 5 * time.Millisecond})})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if e.ErrClass == ClassCanceled.String() {
-			t.Fatalf("canceled job journaled: %s", line)
+		lines.Write(append(ok, '\n'))
+		lines.WriteString(vote(i, RunSHA(r.Run)))
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(lines.String()); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	j2, err := OpenJournal(path, jobs, true)
+	if err != nil {
+		t.Fatalf("journal with failure and vote lines refused: %v", err)
+	}
+	defer j2.Close()
+	if n := j2.Resumable(); n != len(jobs) {
+		t.Fatalf("journal resumes %d jobs, want %d", n, len(jobs))
+	}
+	eng := New(4)
+	eng.Journal = j2
+	eng.Faults = NewFaultPlan()
+	for _, job := range jobs {
+		eng.Faults.Set(job.String(), Fault{Panic: "resumed job re-executed"})
+	}
+	results, m, err := eng.Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Resumed != len(jobs) || m.Failed != 0 {
+		t.Fatalf("resume metrics: %+v", m)
+	}
+	for i, r := range results {
+		if r.Run == nil || !bytes.Equal(r.Run.Fingerprint(), clean[i].Run.Fingerprint()) {
+			t.Fatalf("job %d: resumed result differs from the uninterrupted run", i)
 		}
 	}
 }

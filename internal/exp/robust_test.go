@@ -44,7 +44,7 @@ func TestPanicRecovery(t *testing.T) {
 
 	results, m, err := eng.Run(jobs)
 	if err != nil {
-		t.Fatalf("CollectAll returned error: %v", err)
+		t.Fatalf("Run returned error: %v", err)
 	}
 	if m.Failed != 1 {
 		t.Fatalf("metrics count %d failed, want 1", m.Failed)
@@ -213,39 +213,44 @@ func TestTimeoutKillsHangingJob(t *testing.T) {
 	}
 }
 
-// TestFailFastCancelsHangingJobMidFlight is the mid-job cancellation
-// proof: a hanging job (livelock stand-in, no timeout of its own) is
-// released by the fail-fast cancellation triggered by a sibling failure —
-// FailFast no longer only sheds unstarted jobs.
-func TestFailFastCancelsHangingJobMidFlight(t *testing.T) {
+// TestCancelReleasesHangingJobMidFlight is the mid-job cancellation proof:
+// a hanging job (livelock stand-in, no timeout of its own) is released when
+// the Run context ends — cancellation does not only shed unstarted jobs.
+func TestCancelReleasesHangingJobMidFlight(t *testing.T) {
 	jobs := tinyJobs(t, 2) // 4 jobs
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	eng := New(2)
-	eng.Mode = FailFast
 	eng.Faults = NewFaultPlan()
 	eng.Faults.Set(jobs[0].String(), Fault{Hang: true})
 	eng.Faults.Set(jobs[1].String(), Fault{Delay: 5 * time.Millisecond, Err: errors.New("fatal config")})
+	eng.OnProgress = func(p Progress) {
+		if p.Job == jobs[1] {
+			cancel()
+		}
+	}
 
 	done := make(chan struct{})
 	var results []Result
 	var err error
 	go func() {
-		results, _, err = eng.Run(jobs)
+		results, _, err = eng.RunContext(ctx, jobs)
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		t.Fatal("FailFast did not cancel the hanging job")
+		t.Fatal("canceling the context did not release the hanging job")
 	}
-	if err == nil {
-		t.Fatal("FailFast returned nil error")
+	if err != nil {
+		t.Fatalf("RunContext returned %v; per-job errors belong in the results", err)
 	}
 	if got := Classify(results[0].Err); got != ClassCanceled {
 		t.Fatalf("hung job classified as %s: %v", got, results[0].Err)
 	}
 	for _, r := range results[2:] {
 		if r.Err == nil {
-			continue // may have raced to completion before the failure
+			continue // may have raced to completion before the cancel
 		}
 		if !errors.Is(r.Err, ErrCanceled) && Classify(r.Err) != ClassCanceled {
 			t.Fatalf("tail job %s: %v", r.Job, r.Err)
@@ -254,7 +259,7 @@ func TestFailFastCancelsHangingJobMidFlight(t *testing.T) {
 }
 
 // TestRunContextPreCanceled proves an already-ended context sheds every
-// job as canceled in any mode, without executing simulations.
+// job as canceled, without executing simulations.
 func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -294,7 +299,7 @@ func TestFaultedSweepPreservesCleanResults(t *testing.T) {
 	eng.Faults.Set(jobs[1].String(), Fault{Panic: "injected panic"})
 	results, m, err := eng.Run(jobs)
 	if err != nil {
-		t.Fatalf("CollectAll returned error: %v", err)
+		t.Fatalf("Run returned error: %v", err)
 	}
 	if m.Failed != 2 {
 		t.Fatalf("metrics count %d failed, want 2", m.Failed)

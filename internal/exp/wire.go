@@ -11,7 +11,7 @@ import (
 )
 
 // WireResult is the portable serialization of one job's Result: what the
-// journal appends per completed job and what a distributed worker streams
+// journal appends per successful job and what a distributed worker streams
 // back to its coordinator. Jobs are identified by fingerprint rather than
 // by value, and successful runs carry an integrity hash so corruption —
 // on disk or in flight — is detected at decode time. exp.Job itself needs

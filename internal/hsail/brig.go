@@ -93,8 +93,11 @@ func DecodeBRIG(data []byte) (*Kernel, error) {
 	k.PrivateSize = int(r.u32())
 	k.SpillSize = int(r.u32())
 	k.KernargSize = int(r.u32())
+	// Every count is checked against the bytes left before anything is
+	// allocated for it: an argument takes at least 12 bytes, a block 4 and
+	// an instruction a base record plus its destination operand record.
 	nArgs := int(r.u32())
-	if nArgs > 1<<16 {
+	if nArgs > r.left()/12 {
 		return nil, fmt.Errorf("hsail: decode: implausible arg count %d", nArgs)
 	}
 	for i := 0; i < nArgs; i++ {
@@ -102,13 +105,13 @@ func DecodeBRIG(data []byte) (*Kernel, error) {
 		k.Args = append(k.Args, a)
 	}
 	nBlocks := int(r.u32())
-	if nBlocks > 1<<20 {
+	if nBlocks > r.left()/4 {
 		return nil, fmt.Errorf("hsail: decode: implausible block count %d", nBlocks)
 	}
 	for bi := 0; bi < nBlocks; bi++ {
 		b := &Block{ID: bi}
 		nInsts := int(r.u32())
-		if nInsts > 1<<24 {
+		if nInsts > r.left()/(instRecordSize+operandRecordSize) {
 			return nil, fmt.Errorf("hsail: decode: implausible instruction count %d", nInsts)
 		}
 		b.Insts = make([]Inst, nInsts)
@@ -235,6 +238,9 @@ func (r *reader) bytes(dst []byte) {
 	copy(dst, r.data[r.off:])
 	r.off += len(dst)
 }
+
+// left is the number of bytes not yet read.
+func (r *reader) left() int { return len(r.data) - r.off }
 
 func (r *reader) u32() uint32 {
 	var b [4]byte

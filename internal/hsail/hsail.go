@@ -323,7 +323,7 @@ func (in *Inst) String() string {
 	}
 	s := fmt.Sprintf("%s_%s %s", in.Op, in.Type, regString(in.Dst, in.Type))
 	t := in.Type
-	if in.Op == OpCmov {
+	if in.Op == OpCmov && in.NSrc > 0 {
 		s += ", " + regString(in.Srcs[0], isa.TypeNone)
 		for _, src := range in.Srcs[1:in.NSrc] {
 			s += ", " + regString(src, t)

@@ -1,8 +1,10 @@
 package hsail
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -84,6 +86,30 @@ func TestBRIGRejectsCorruption(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := DecodeBRIG(bad); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestBRIGRejectsCountsBeyondInput: a count that the remaining bytes cannot
+// hold is refused before anything is allocated for it — an instruction count
+// of 2^24-1 once cost the decoder a 1.9 GB slice.
+func TestBRIGRejectsCountsBeyondInput(t *testing.T) {
+	data, err := EncodeBRIG(&Kernel{Name: "k", Blocks: []*Block{{Insts: []Inst{{Op: OpRet}}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The instruction count follows the block count: magic, version, name,
+	// six sizes, the argument and block counts.
+	at := 8 + 4 + 4 + len("k") + 6*4 + 4 + 4
+	binary.LittleEndian.PutUint32(data[at:], 1<<24-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DecodeBRIG(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "implausible instruction count") {
+		t.Fatalf("oversized instruction count: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding allocated %d bytes before refusing the count", grew)
 	}
 }
 

@@ -20,7 +20,8 @@ import (
 
 // BufWords is the size, in 32-bit words, of the input buffer a generated
 // kernel gathers from (argument "in"); argument "out" takes one word per
-// work-item.
+// work-item. Every load masks its index to the buffer, so a kernel takes any
+// grid. BufWords must stay a power of two.
 const BufWords = 256
 
 // Gen builds a random kernel deterministically from seed. When raw is true,
@@ -35,8 +36,11 @@ func Gen(seed int64, raw bool) (*hsail.Kernel, error) {
 	outAddr := b.Add(isa.TypeU64, b.LoadArg(outArg),
 		b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, gid), b.Int(isa.TypeU64, 2)))
 
+	// in[gid mod BufWords]: masked like the gathers below, so any grid stays
+	// within the input buffer.
+	x0idx := b.And(isa.TypeU32, gid, b.Int(isa.TypeU32, BufWords-1))
 	x0 := b.Load(hsail.SegGlobal, isa.TypeU32,
-		b.Add(isa.TypeU64, inBase, b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, gid), b.Int(isa.TypeU64, 2))), 0)
+		b.Add(isa.TypeU64, inBase, b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, x0idx), b.Int(isa.TypeU64, 2))), 0)
 	pool := []kernel.Val{gid, x0, b.Mov(isa.TypeU32, b.Int(isa.TypeU32, int64(rng.Intn(1000))))}
 	fpool := []kernel.Val{b.Cvt(isa.TypeF32, gid), b.Cvt(isa.TypeF32, x0)}
 

@@ -123,8 +123,7 @@ func TestSleepBoundsShadow(t *testing.T) {
 	})
 }
 
-// randGrid is the largest grid a generated kernel takes (it reads in[gid]):
-// four one-wave workgroups.
+// randGrid is the grid generated kernels run on: four one-wave workgroups.
 const randGrid = randkernel.BufWords
 
 // randomSetup returns the setup for one generated kernel — the seeded input
