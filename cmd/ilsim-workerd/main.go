@@ -1,9 +1,11 @@
 // Command ilsim-workerd is the distributed-sweep worker daemon: it joins a
-// coordinator (ilsim-sweep -serve, or any dist.Coordinator), long-polls
-// for job leases, executes each once on a local experiment engine — watchdog
-// budgets and panic isolation apply per job, as they would locally — and
-// streams integrity-hashed results back. It exits 0 when the coordinator
-// reports the campaign complete.
+// coordinator (ilsim-sweep -serve, or any dist.Coordinator), leases jobs,
+// executes each once on a local experiment engine — watchdog budgets and
+// panic isolation apply per job, as they would locally — and streams
+// integrity-hashed results back. The reply to each result is the slot's next
+// lease, so a slot long-polls for a lease only for its first job and after
+// the coordinator says to wait. It exits 0 when the coordinator reports the
+// campaign complete.
 //
 // The join handshake refuses stale binaries: protocol versions must match
 // and the worker must recompute the coordinator's job fingerprints

@@ -7,7 +7,11 @@ import "ilsim/internal/timing"
 
 // TakeDevice removes and returns the device on top of the free list, nil when
 // it is empty.
-func TakeDevice() *timing.GPU { return popDevice() }
+func TakeDevice() *timing.GPU { return devices.pop() }
 
 // OfferDevice puts g on the free list.
-func OfferDevice(g *timing.GPU) { putDevice(g) }
+func OfferDevice(g *timing.GPU) { devices.push(g) }
+
+// TakeMachine removes and returns the machine on top of the machine free
+// list, nil when it is empty.
+func TakeMachine() *Machine { return machines.pop() }

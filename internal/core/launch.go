@@ -36,6 +36,11 @@ type Launch struct {
 
 // Machine is one simulated process executing under one abstraction: its own
 // functional memory image, loaded kernels, AQL queue and statistics.
+//
+// A machine outlives its run when the run hands it back (Recycle): the next
+// run re-arms it (arm) instead of building one, keeping its storage — the
+// image's pages, the waves' register files, and the engine of every kernel
+// the last run launched, which a relaunch at the same code address reuses.
 type Machine struct {
 	Abs Abstraction
 	Ctx *hsa.Context
@@ -48,30 +53,67 @@ type Machine struct {
 	queue     *hsa.Queue
 	codeBase  map[*KernelSource]uint64
 	kernelFor map[uint64]*KernelSource
-	launches  []Launch
+	// engines holds each launched kernel's engine under each abstraction,
+	// lowered once and shared by every dispatch of the kernel; waves is the
+	// wave pool they all share. (Nothing the machine holds points back at
+	// it, so a finalizer on a Machine runs.)
+	engines map[engineKey]loadedEngine
+	waves   *emu.WavePool
+}
+
+type engineKey struct {
+	ks  *KernelSource
+	abs Abstraction
+}
+
+// loadedEngine is an engine and the code address it was lowered for.
+type loadedEngine struct {
+	eng  emu.Engine
+	base uint64
 }
 
 // NewMachine creates a machine collecting into run.
 func NewMachine(abs Abstraction, run *stats.Run) *Machine {
-	const queueSlots = 4096
-	ctx := hsa.NewContext()
-	qBase := ctx.AllocQueueSlot(queueSlots * hsa.PacketSize)
 	m := &Machine{
-		Abs:       abs,
-		Ctx:       ctx,
-		Col:       &emu.Collector{Run: run},
-		queue:     hsa.NewQueue(ctx.Mem, qBase, queueSlots),
+		Ctx:       hsa.NewContext(),
+		Col:       &emu.Collector{},
 		codeBase:  make(map[*KernelSource]uint64),
 		kernelFor: make(map[uint64]*KernelSource),
+		engines:   make(map[engineKey]loadedEngine),
+		waves:     &emu.WavePool{},
 	}
+	m.arm(abs, run)
+	return m
+}
+
+// arm readies the machine for a run under abs collecting into run: what
+// NewMachine returns, whatever the machine ran before. It is the one list of
+// the state a run leaves behind. The engines of the kernels the last run
+// loaded survive, under both abstractions — a sweep alternates them — and
+// NextDispatch re-lowers one whose kernel loads at another address this
+// time; the others go.
+func (m *Machine) arm(abs Abstraction, run *stats.Run) {
+	const queueSlots = 4096
+	for k := range m.engines {
+		if _, ok := m.codeBase[k.ks]; !ok {
+			delete(m.engines, k)
+		}
+	}
+	m.Abs = abs
+	m.Ctx.Reset()
+	*m.Col = emu.Collector{Run: run}
+	m.Workload = nil
+	clear(m.codeBase)
+	clear(m.kernelFor)
+	qBase := m.Ctx.AllocQueueSlot(queueSlots * hsa.PacketSize)
+	m.queue = hsa.NewQueue(m.Ctx.Mem, qBase, queueSlots)
 	// AQL packets and signals are runtime-internal: the GCN3 prologue
 	// reads dispatch packets from memory (the ABI), but that is not
 	// application data footprint.
-	ctx.Mem.ExcludeFromFootprint(hsa.QueueBase, hsa.QueueBase+hsa.QueueSize)
+	m.Ctx.Mem.ExcludeFromFootprint(hsa.QueueBase, hsa.QueueBase+hsa.QueueSize)
 	if run != nil {
 		run.Abstraction = abs.String()
 	}
-	return m
 }
 
 // Load places a kernel's code in the machine's code region and returns its
@@ -158,7 +200,6 @@ func (m *Machine) Submit(l Launch) error {
 	if err != nil {
 		return err
 	}
-	m.launches = append(m.launches, l)
 	return nil
 }
 
@@ -184,7 +225,6 @@ func (m *Machine) NextDispatch() (*hsa.Dispatch, emu.Engine, error) {
 	d.KernelName = ks.HSAIL.Name
 	total := d.GridTotal()
 
-	var eng emu.Engine
 	if m.Abs == AbsHSAIL {
 		k := ks.HSAIL
 		if k.PrivateSize > 0 {
@@ -195,18 +235,37 @@ func (m *Machine) NextDispatch() (*hsa.Dispatch, emu.Engine, error) {
 			d.SpillStride = uint32(k.SpillSize)
 			d.SpillBase = m.Ctx.ScratchForHSAIL(total * uint64(k.SpillSize))
 		}
-		eng = emu.NewHSAILEngine(m.Ctx, k, ks.CFG, d, m.codeBase[ks], m.Col)
-	} else {
-		if ks.GCN3.PrivateSize > 0 {
-			d.PrivateStride = uint32(ks.GCN3.PrivateSize)
-			d.PrivateBase = m.Ctx.ScratchForGCN3(total * uint64(ks.GCN3.PrivateSize))
-		}
-		eng = emu.NewGCN3Engine(m.Ctx, ks.GCN3, d, m.codeBase[ks], m.Col)
+	} else if ks.GCN3.PrivateSize > 0 {
+		d.PrivateStride = uint32(ks.GCN3.PrivateSize)
+		d.PrivateBase = m.Ctx.ScratchForGCN3(total * uint64(ks.GCN3.PrivateSize))
 	}
+	eng := m.engine(ks, pkt.KernelObject)
 	if m.Col != nil && m.Col.Run != nil {
 		m.Col.Run.KernelLaunches++
 	}
 	return d, eng, nil
+}
+
+// engine returns ks's engine for code loaded at base: the one lowered for an
+// earlier dispatch at that address, this run's or the last one's, or a new
+// one.
+func (m *Machine) engine(ks *KernelSource, base uint64) emu.Engine {
+	key := engineKey{ks, m.Abs}
+	if l, ok := m.engines[key]; ok && l.base == base {
+		return l.eng
+	}
+	var eng emu.Engine
+	if m.Abs == AbsHSAIL {
+		e := emu.NewHSAILEngine(m.Ctx, ks.HSAIL, ks.CFG, base, m.Col)
+		e.Waves = m.waves
+		eng = e
+	} else {
+		e := emu.NewGCN3Engine(m.Ctx, ks.GCN3, base, m.Col)
+		e.Waves = m.waves
+		eng = e
+	}
+	m.engines[key] = loadedEngine{eng, base}
+	return eng
 }
 
 // CompleteDispatch performs the packet processor's completion work:

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"regexp"
@@ -29,6 +31,12 @@ func emptyDevices() {
 	}
 }
 
+// emptyMachines is emptyDevices for the machine free list.
+func emptyMachines() {
+	for core.TakeMachine() != nil {
+	}
+}
+
 // instances prepares each workload once per test.
 type instances map[string]*workloads.Instance
 
@@ -46,7 +54,8 @@ func (c instances) get(t *testing.T, name string, scale int) *workloads.Instance
 }
 
 // runJob runs one engine job the way the engine does, serially, and returns
-// its checked run (nil and the error when the run fails).
+// its checked run (nil and the error when the run or the check fails). Like
+// exp's runJob it hands the machine back only once the outputs check.
 func (c instances) runJob(t *testing.T, job exp.Job) (*stats.Run, error) {
 	t.Helper()
 	sim, err := core.NewSimulator(job.Config)
@@ -59,8 +68,9 @@ func (c instances) runJob(t *testing.T, job exp.Job) (*stats.Run, error) {
 		return nil, err
 	}
 	if err := inst.Check(m); err != nil {
-		t.Fatalf("%s: %v", job, err)
+		return nil, fmt.Errorf("%s: output check: %w", job, err)
 	}
+	m.Recycle()
 	return run, nil
 }
 
@@ -206,30 +216,39 @@ func TestResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestFailedRunIsNotReused: a run killed mid-kernel by its cycle budget does
-// not hand its device on — the free list is empty afterwards — and the next
-// clean job is what it is on a new device.
+// TestFailedRunIsNotReused: a run killed mid-kernel by its cycle budget hands
+// on neither its device nor its machine, on the engine's path as on a direct
+// call's; a run whose outputs fail their check hands on no machine; and the
+// next clean job is what it is on a new device.
 func TestFailedRunIsNotReused(t *testing.T) {
 	emptyDevices()
+	emptyMachines()
 	insts := instances{}
 	clean := exp.Job{Workload: "SpMV", Scale: 1, Abs: core.AbsGCN3, Config: core.DefaultConfig()}
 	want, err := insts.runJob(t, clean)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if core.TakeDevice() == nil {
-		t.Fatal("a clean run left no device on the free list")
+	if core.TakeDevice() == nil || core.TakeMachine() == nil {
+		t.Fatal("a clean, checked run left no device or no machine on the free lists")
 	}
 	// The watchdog first polls past the 1,500-cycle launch overhead, with
 	// every CU mid-flight.
 	killed := exp.Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL, Config: core.DefaultConfig(),
 		Opts: core.RunOptions{MaxCycles: 2000, CheckEvery: 16}}
-	for round := 0; round < 2; round++ { // from an empty list, then from a used device
+	for round := 0; round < 2; round++ { // from empty lists, then from a used device and machine
 		if _, err := insts.runJob(t, killed); err == nil {
 			t.Fatal("the budget did not kill the run")
 		}
-		if core.TakeDevice() != nil {
-			t.Fatal("a failed run put its device back")
+		if core.TakeDevice() != nil || core.TakeMachine() != nil {
+			t.Fatal("a failed run put its device or its machine back")
+		}
+		results, _, err := exp.New(1).Run([]exp.Job{killed})
+		if err != nil || results[0].Err == nil {
+			t.Fatalf("the budget did not kill the engine's run (%v)", err)
+		}
+		if core.TakeDevice() != nil || core.TakeMachine() != nil {
+			t.Fatal("a failed engine job put its device or its machine back")
 		}
 		got, err := insts.runJob(t, clean)
 		if err != nil {
@@ -238,6 +257,20 @@ func TestFailedRunIsNotReused(t *testing.T) {
 		if !bytes.Equal(got.Fingerprint(), want.Fingerprint()) {
 			t.Fatalf("clean run after a killed one differs:\n%s-- want --\n%s", got.Fingerprint(), want.Fingerprint())
 		}
+	}
+
+	// An output check that fails: the run's device goes back (the run
+	// ended cleanly), its machine does not.
+	emptyDevices()
+	emptyMachines()
+	inst := insts.get(t, clean.Workload, clean.Scale)
+	wrong := instances{clean.Workload: &workloads.Instance{Setup: inst.Setup,
+		Check: func(*core.Machine) error { return errors.New("outputs do not check") }}}
+	if _, err := wrong.runJob(t, clean); err == nil {
+		t.Fatal("the failing check passed")
+	}
+	if core.TakeMachine() != nil {
+		t.Fatal("a run whose outputs failed their check put its machine back")
 	}
 }
 
@@ -278,12 +311,14 @@ func TestKeptDeviceHoldsNoImage(t *testing.T) {
 	t.Fatal("the run's memory image stayed reachable while its device was kept")
 }
 
-// TestJobAllocBudget: on a warm process — workload prepared, a device on the
-// free list — one more ArrayBW@1 job allocates under half a megabyte: its
-// memory image, its waves, its statistics. It was over a megabyte when every
-// job built and dropped the cache hierarchy.
+// TestJobAllocBudget: on a warm process — workload prepared, a device and a
+// machine on the free lists — one more ArrayBW@1 job allocates under 48 KB:
+// its statistics, its dispatch, its timing state. It was over a megabyte
+// when every job built and dropped the cache hierarchy, and 176 KB when it
+// built a machine: a memory image, wave register files and engines.
 func TestJobAllocBudget(t *testing.T) {
 	emptyDevices()
+	emptyMachines()
 	insts := instances{}
 	job := exp.Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsGCN3, Config: core.DefaultConfig()}
 	if _, err := insts.runJob(t, job); err != nil {
@@ -295,10 +330,111 @@ func TestJobAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 512<<10 {
-		t.Fatalf("second ArrayBW@1 job allocated %d KB, budget 512 KB", got>>10)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 48<<10 {
+		t.Fatalf("second ArrayBW@1 job allocated %d KB, budget 48 KB", got>>10)
 	} else {
 		t.Logf("second ArrayBW@1 job allocated %d KB", got>>10)
+	}
+}
+
+// TestRecycledMachineMatchesFresh: every registered workload at scale 1,
+// under both abstractions, runs back to back on one single-worker engine —
+// twice, the second pass in reverse — so each job inherits the machine the
+// job before it used, across workload and abstraction switches. Each must
+// produce the fingerprint it produces on a new machine and pass its output
+// check, and the engine must leave exactly that one machine on the free
+// list.
+func TestRecycledMachineMatchesFresh(t *testing.T) {
+	var jobs []exp.Job
+	for _, w := range append(append(workloads.All(), workloads.Fig3()), workloads.Ablations()...) {
+		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+			jobs = append(jobs, exp.Job{Workload: w.Name, Scale: 1, Abs: abs, Config: core.DefaultConfig()})
+		}
+	}
+	// Alternate the abstraction between neighbours as well as within a
+	// workload's pair.
+	for i := 2; i < len(jobs); i += 4 {
+		jobs[i], jobs[i+1] = jobs[i+1], jobs[i]
+	}
+	sim, err := core.NewSimulator(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := instances{}
+	fresh := map[string][]byte{}
+	for _, job := range jobs {
+		emptyMachines() // direct runs never hand theirs back
+		inst := insts.get(t, job.Workload, job.Scale)
+		run, m, err := sim.Run(job.Abs, job.Workload, inst.Setup, job.Opts)
+		if err != nil {
+			t.Fatalf("%s on a new machine: %v", job, err)
+		}
+		if err := inst.Check(m); err != nil {
+			t.Fatalf("%s on a new machine: %v", job, err)
+		}
+		fresh[job.String()] = run.Fingerprint()
+	}
+
+	emptyMachines()
+	for i := len(jobs) - 1; i >= 0; i-- {
+		jobs = append(jobs, jobs[i])
+	}
+	results, _, err := exp.New(1).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("%s after %s: %v", r.Job, jobs[max(i-1, 0)], r.Err)
+		}
+		if fp := r.Run.Fingerprint(); !bytes.Equal(fp, fresh[r.Job.String()]) {
+			t.Fatalf("%s on the machine %s used differs from a new machine:\n-- recycled --\n%s-- new --\n%s",
+				r.Job, jobs[max(i-1, 0)], fp, fresh[r.Job.String()])
+		}
+	}
+	if core.TakeMachine() == nil || core.TakeMachine() != nil {
+		t.Fatal("a single-worker engine should leave exactly one machine on the free list")
+	}
+}
+
+// TestRecycledMachineRelowersMovedKernel: a machine keeps the engines of the
+// kernels its last run launched, lowered for where the kernel was loaded. A
+// run that loads one of them elsewhere — MD's kernel loaded and launched
+// first, where ArrayBW's was — runs it from its new address, under both
+// abstractions: outputs check and the fingerprint is a new machine's (an
+// engine left at the old address fetches MD's instruction lines).
+func TestRecycledMachineRelowersMovedKernel(t *testing.T) {
+	insts := instances{}
+	arrayBW, md := insts.get(t, "ArrayBW", 1), insts.get(t, "MD", 1)
+	moved := func(m *core.Machine) error {
+		if err := md.Setup(m); err != nil {
+			return err
+		}
+		return arrayBW.Setup(m)
+	}
+	sim, err := core.NewSimulator(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
+		emptyMachines()
+		want, _, err := sim.Run(abs, "ArrayBW", moved, core.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := insts.runJob(t, exp.Job{Workload: "ArrayBW", Scale: 1, Abs: abs, Config: core.DefaultConfig()}); err != nil {
+			t.Fatal(err)
+		}
+		got, m, err := sim.Run(abs, "ArrayBW", moved, core.RunOptions{})
+		if err != nil {
+			t.Fatalf("%s, kernel moved on a recycled machine: %v", abs, err)
+		}
+		if err := arrayBW.Check(m); err != nil {
+			t.Fatalf("%s, kernel moved on a recycled machine: %v", abs, err)
+		}
+		if !bytes.Equal(got.Fingerprint(), want.Fingerprint()) {
+			t.Fatalf("%s, kernel moved on a recycled machine:\n%s-- new machine --\n%s", abs, got.Fingerprint(), want.Fingerprint())
+		}
 	}
 }
 

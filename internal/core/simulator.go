@@ -82,49 +82,81 @@ func (s *Simulator) params() timing.Params {
 	return p
 }
 
-// devices is the free list of timed devices: the cache banks, CUs and drain
-// wiring of a run, kept for the next one. A campaign is thousands of
-// millisecond runs and building the hierarchy is most of a megabyte of
-// zeroed, page-faulted allocation, so a run takes a device here and re-arms
-// it (timing.GPU.Reset) where it can. It lives in core because core is where
-// runs begin and end and where goroutines meet; a simulation itself (timing,
-// mem, emu, stats) stays free of sync. The list is a plain stack — it never
-// holds more devices than runs were ever in flight at once, and a run that
-// finds one there gets it, on any goroutine and under the race detector,
-// which a sync.Pool (per-P slots, emptied by the collector) does not promise.
-var devices struct {
-	sync.Mutex
-	free []*timing.GPU
+// The free lists: devices and machines finished runs left behind, kept for
+// the next runs. They live in core because core is where runs begin and end
+// and where goroutines meet; a simulation itself (timing, mem, emu, stats)
+// stays free of sync. Each is a plain stack — it never holds more than runs
+// were ever in flight at once, and a run that finds an entry there gets it,
+// on any goroutine and under the race detector, which a sync.Pool (per-P
+// slots, emptied by the collector) does not promise.
+
+// freeList is a stack of T under a mutex.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
 }
+
+// pop removes and returns the top entry, nil when the list is empty.
+func (l *freeList[T]) pop() *T {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return nil
+	}
+	x := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return x
+}
+
+func (l *freeList[T]) push(x *T) {
+	l.mu.Lock()
+	l.free = append(l.free, x)
+	l.mu.Unlock()
+}
+
+// devices is the free list of timed devices: the cache banks, CUs and drain
+// wiring of a run. A campaign is thousands of millisecond runs and building
+// the hierarchy is most of a megabyte of zeroed, page-faulted allocation, so
+// a run takes a device here and re-arms it (timing.GPU.Reset) where it can.
+// Every run that ends cleanly puts its device back.
+var devices freeList[timing.GPU]
+
+// machines is the free list of machines (see Machine): only a run whose
+// outputs were checked hands its machine back (Recycle), and a device never
+// holds one.
+var machines freeList[Machine]
 
 // takeDevice returns a timed device armed for a run under p: the one on top
 // of the free list when it has p's storage geometry, else a new one (a device
 // of another geometry is dropped, not put back: sweeps vary the geometry
 // rarely and then for good).
 func takeDevice(p timing.Params, run *stats.Run) *timing.GPU {
-	if g := popDevice(); g != nil && g.Reset(p, run) {
+	if g := devices.pop(); g != nil && g.Reset(p, run) {
 		return g
 	}
 	return timing.NewGPU(p, run)
 }
 
-func popDevice() *timing.GPU {
-	devices.Lock()
-	defer devices.Unlock()
-	n := len(devices.free)
-	if n == 0 {
-		return nil
+// takeMachine returns a machine armed for a run under abs: the one on top of
+// the free list, else a new one.
+func takeMachine(abs Abstraction, run *stats.Run) *Machine {
+	if m := machines.pop(); m != nil {
+		m.arm(abs, run)
+		return m
 	}
-	g := devices.free[n-1]
-	devices.free[n-1] = nil
-	devices.free = devices.free[:n-1]
-	return g
+	return NewMachine(abs, run)
 }
 
-func putDevice(g *timing.GPU) {
-	devices.Lock()
-	devices.free = append(devices.free, g)
-	devices.Unlock()
+// Recycle hands m back for a later run to re-arm instead of building a
+// machine. Call it once a run's outputs have been read and checked, and
+// never touch m again: the next run may already be using it. A machine whose
+// run failed, or whose outputs did not check, is left to the collector.
+func (m *Machine) Recycle() {
+	m.Workload = nil
+	m.Col.Run = nil
+	machines.push(m)
 }
 
 // Run executes a workload setup under one abstraction on the timed model.
@@ -140,7 +172,7 @@ func (s *Simulator) Run(abs Abstraction, workload string, setup func(m *Machine)
 // simulation mid-kernel instead of only between jobs.
 func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload string, setup func(m *Machine) error, opts RunOptions) (*stats.Run, *Machine, error) {
 	run := &stats.Run{Workload: workload, Abstraction: abs.String()}
-	m := NewMachine(abs, run)
+	m := takeMachine(abs, run)
 	m.Col.TrackValues = opts.TrackValues
 	m.Col.ValueSampleEvery = opts.ValueSampleEvery
 	m.Col.TrackReuse = opts.TrackReuse
@@ -180,7 +212,7 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 	// Only a run that came all the way here hands its device on: an error
 	// return or a panic above leaves it to the collector, so no state a
 	// failure stopped halfway is ever re-armed.
-	putDevice(gpu)
+	devices.push(gpu)
 	run.DataFootprintBytes = m.Ctx.Mem.FootprintBytes()
 	return run, m, nil
 }

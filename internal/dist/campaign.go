@@ -238,19 +238,31 @@ func (cp *campaign) lease(req leaseRequest, now time.Time) (leaseReply, <-chan s
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
+	rep := cp.grantLocked(req.Worker, now)
+	if rep.Wait {
+		return rep, cp.changed, nil
+	}
+	return rep, nil, nil
+}
+
+// grantLocked is the lease poll's answer at now, without waiting: Done once
+// the campaign has ended, else the lowest pending job, else Wait — always
+// Wait for a worker that said goodbye. It is also the next lease a result
+// reply carries. Callers hold cp.mu.
+func (cp *campaign) grantLocked(worker string, now time.Time) leaseReply {
 	if cp.finishedNow() {
-		return leaseReply{Done: true}, nil, nil
+		return leaseReply{Done: true}
 	}
 	cp.reclaimLocked(now)
-	ws := cp.workerLocked(req.Worker)
+	ws := cp.workerLocked(worker)
 	ws.seen = now
 	if !ws.released {
-		if idx, ok := cp.takeLocked(req.Worker, now); ok {
+		if idx, ok := cp.takeLocked(worker, now); ok {
 			job := cp.jobs[idx]
-			return leaseReply{Index: idx, Job: &job, JobFP: cp.fps[idx]}, nil, nil
+			return leaseReply{Index: idx, Job: &job, JobFP: cp.fps[idx]}
 		}
 	}
-	return leaseReply{Wait: true}, cp.changed, nil
+	return leaseReply{Wait: true}
 }
 
 // reclaim returns every expired lease to the pending pool.

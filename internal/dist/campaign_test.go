@@ -78,9 +78,12 @@ func (r *rig) wire(idx int, cycles uint64) exp.WireResult {
 		exp.Result{Run: &stats.Run{Cycles: cycles}, Wall: 10 * time.Millisecond})
 }
 
-// report delivers worker's result for job idx at t0+d.
+// report delivers worker's result for job idx at t0+d through take, the
+// acceptance half of result: the scripts here lease explicitly, and the next
+// lease a result reply carries is TestCampaignResultCarriesNextLease's
+// subject.
 func (r *rig) report(worker string, d time.Duration, idx int, cycles uint64) error {
-	return r.cp.result(resultRequest{Worker: worker, SetFP: r.cp.setFP, Result: r.wire(idx, cycles)}, r.at(d))
+	return r.cp.take(resultRequest{Worker: worker, SetFP: r.cp.setFP, Result: r.wire(idx, cycles)}, r.at(d))
 }
 
 func (r *rig) mustReport(worker string, d time.Duration, idx int, cycles uint64) {
@@ -183,9 +186,9 @@ func TestCampaignRefusals(t *testing.T) {
 		{"stale version", validateJoin(joinRequest{Version: ProtocolVersion - 1, Worker: "old"}), refuseStale},
 		{"nameless join", validateJoin(joinRequest{Version: ProtocolVersion}), refuseMalformed},
 		{"foreign job set", r.cp.release(releaseRequest{Worker: "w", SetFP: "other"}), refuseStale},
-		{"index out of range", r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP,
+		{"index out of range", r.cp.take(resultRequest{Worker: "w", SetFP: r.cp.setFP,
 			Result: exp.WireResult{Index: 7}}, t0), refuseMalformed},
-		{"drifted job fingerprint", r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP,
+		{"drifted job fingerprint", r.cp.take(resultRequest{Worker: "w", SetFP: r.cp.setFP,
 			Result: exp.WireResult{Index: 0, Job: "drifted"}}, t0), refuseStale},
 	}
 	for _, tc := range cases {
@@ -201,7 +204,7 @@ func TestCampaignRefusals(t *testing.T) {
 	// freed for someone else.
 	tampered := r.wire(0, 100)
 	tampered.Run.Cycles++
-	err := r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP, Result: tampered}, r.at(time.Second))
+	err := r.cp.take(resultRequest{Worker: "w", SetFP: r.cp.setFP, Result: tampered}, r.at(time.Second))
 	if kind, ok := refusalOf(err); !ok || kind != refuseMalformed {
 		t.Fatalf("tampered result: %v", err)
 	}
@@ -214,7 +217,7 @@ func TestCampaignRefusals(t *testing.T) {
 	// still open.
 	r.grant("w", time.Second, 1)
 	canceled := exp.EncodeResult(1, r.cp.fps[1], exp.Result{Err: exp.ErrCanceled})
-	if err := r.cp.result(resultRequest{Worker: "w", SetFP: r.cp.setFP, Result: canceled}, r.at(2*time.Second)); err != nil {
+	if err := r.cp.take(resultRequest{Worker: "w", SetFP: r.cp.setFP, Result: canceled}, r.at(2*time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if _, done := r.accepted(1); done {
@@ -237,7 +240,7 @@ func TestCampaignPanickingJobsConvictNobody(t *testing.T) {
 		r.grant("carrier", d, idx)
 		panicked := exp.EncodeResult(idx, r.cp.fps[idx],
 			exp.Result{Err: &exp.PanicError{Job: r.cp.jobs[idx].String(), Value: "index out of range"}})
-		if err := r.cp.result(resultRequest{Worker: "carrier", SetFP: r.cp.setFP, Result: panicked}, r.at(d)); err != nil {
+		if err := r.cp.take(resultRequest{Worker: "carrier", SetFP: r.cp.setFP, Result: panicked}, r.at(d)); err != nil {
 			t.Fatalf("panic result for job %d: %v", idx, err)
 		}
 	}
@@ -348,6 +351,53 @@ func TestCampaignOneAckPerWorker(t *testing.T) {
 	}
 	if ok, _ := r.cp.allAcked(r.at(time.Hour)); !ok {
 		t.Fatal("linger waits for a worker silent for a whole lease TTL")
+	}
+}
+
+// TestCampaignResultCarriesNextLease: a result reply is the sender's next
+// lease, answered at once — the lowest pending job while there is one, Wait
+// while the rest is held elsewhere, Done once the reported job was the last —
+// and nothing at all for a worker that says it is draining, whose result
+// still counts. A refused result carries no lease.
+func TestCampaignResultCarriesNextLease(t *testing.T) {
+	r := newRig(t, 4, Options{})
+	r.join("a", "b")
+	r.grant("a", 0, 0)
+	r.grant("b", 0, 1)
+	result := func(worker string, d time.Duration, idx int, draining bool) leaseReply {
+		t.Helper()
+		rep, err := r.cp.result(resultRequest{Worker: worker, SetFP: r.cp.setFP,
+			Result: r.wire(idx, uint64(100*(idx+1))), Draining: draining}, r.at(d))
+		if err != nil {
+			t.Fatalf("result(%s, job %d): %v", worker, idx, err)
+		}
+		return rep
+	}
+	if rep := result("a", time.Second, 0, false); rep.Job == nil || rep.Index != 2 || rep.JobFP != r.cp.fps[2] {
+		t.Fatalf("a's first result reply = %+v, want a grant of job 2", rep)
+	}
+	if rep := result("b", time.Second, 1, true); rep != (leaseReply{}) {
+		t.Fatalf("draining b's result reply = %+v, want no lease", rep)
+	}
+	if row := r.row("b", time.Second); row.Done != 1 || row.Held != 0 {
+		t.Fatalf("draining b after its last result: %+v", row)
+	}
+	if rep := result("a", 2*time.Second, 2, false); rep.Job == nil || rep.Index != 3 {
+		t.Fatalf("a's second result reply = %+v, want a grant of job 3", rep)
+	}
+	r.join("c")
+	r.waits("c", 2*time.Second)
+	if _, err := r.cp.result(resultRequest{Worker: "c", SetFP: r.cp.setFP,
+		Result: exp.WireResult{Index: 9}}, r.at(2*time.Second)); err == nil {
+		t.Fatal("an out-of-range result was accepted")
+	}
+	if rep := result("a", 3*time.Second, 3, false); !rep.Done {
+		t.Fatalf("the last result's reply = %+v, want Done", rep)
+	}
+	for idx := range 4 {
+		if got, ok := r.accepted(idx); !ok || got != uint64(100*(idx+1)) {
+			t.Errorf("job %d accepted %d (%v)", idx, got, ok)
+		}
 	}
 }
 

@@ -19,7 +19,8 @@
 //
 //	POST /join       version + probe-fingerprint handshake; stale binaries refused
 //	POST /lease      long-poll for one job (index, job, fingerprint)
-//	POST /result     stream back one exp.WireResult (integrity-hashed)
+//	POST /result     stream back one exp.WireResult (integrity-hashed); the
+//	                 reply is the slot's next lease
 //	POST /heartbeat  keep held leases alive
 //	POST /release    a departing worker's goodbye: hands every held lease back
 //	GET  /status     campaign counters plus per-worker throughput
@@ -85,8 +86,11 @@ import (
 // wanted-slots hint in Status; 8 = a job runs once: exp.WireResult drops
 // its attempts count; 9 = one lease per job: quorum re-execution and the
 // worker health ledger are gone, and with them their fields in Status and
-// WorkerStatus.
-const ProtocolVersion = 9
+// WorkerStatus; 10 = a /result reply carries the slot's next lease (a
+// leaseReply, answered at once, never long-polled) unless the request says
+// the worker is draining, so a slot posts /lease only for its first job and
+// after a Wait.
+const ProtocolVersion = 10
 
 // Defaults for the lease lifecycle. LeaseTTL bounds how long a silent
 // worker keeps a job before it is reassigned; workers heartbeat at a third
@@ -138,11 +142,14 @@ type leaseReply struct {
 	JobFP string   `json:"jobFp,omitempty"`
 }
 
-// resultRequest streams one finished job back.
+// resultRequest streams one finished job back. Its reply is the slot's next
+// lease — the grant, Wait or Done a lease poll would answer at once — or,
+// when Draining says the worker takes no more jobs, an empty leaseReply.
 type resultRequest struct {
-	Worker string         `json:"worker"`
-	SetFP  string         `json:"setFp"`
-	Result exp.WireResult `json:"result"`
+	Worker   string         `json:"worker"`
+	SetFP    string         `json:"setFp"`
+	Result   exp.WireResult `json:"result"`
+	Draining bool           `json:"draining,omitempty"`
 }
 
 // heartbeatRequest renews the deadlines of every lease the worker holds.

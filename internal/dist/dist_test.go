@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -118,6 +119,122 @@ func slowEngine(jobs []exp.Job, d time.Duration) *exp.Engine {
 		eng.Faults.Set(job.String(), exp.Fault{Delay: d})
 	}
 	return eng
+}
+
+// handlerTransport serves a client's requests with h in process: no socket
+// carries them.
+type handlerTransport struct{ h http.Handler }
+
+func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	t.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// trafficLog is a client transport that records the protocol traffic it
+// passes on to next: requests by path, the replies that told a slot to wait,
+// and every /result request with the lease its reply carried.
+type trafficLog struct {
+	next http.RoundTripper
+
+	mu      sync.Mutex
+	calls   map[string]int
+	waits   int
+	results []resultExchange
+}
+
+type resultExchange struct {
+	req resultRequest
+	rep leaseReply
+}
+
+func (l *trafficLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	var req []byte
+	if r.GetBody != nil {
+		if b, err := r.GetBody(); err == nil {
+			req, _ = io.ReadAll(b)
+		}
+	}
+	resp, err := l.next.RoundTrip(r)
+	if err != nil {
+		return resp, err
+	}
+	rep, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	resp.Body = io.NopCloser(bytes.NewReader(rep))
+	if err != nil {
+		return nil, err
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.calls == nil {
+		l.calls = map[string]int{}
+	}
+	l.calls[r.URL.Path]++
+	if resp.StatusCode != http.StatusOK || (r.URL.Path != "/lease" && r.URL.Path != "/result") {
+		return resp, nil
+	}
+	var lease leaseReply
+	if json.Unmarshal(rep, &lease) == nil && lease.Wait {
+		l.waits++
+	}
+	if r.URL.Path == "/result" {
+		var res resultRequest
+		json.Unmarshal(req, &res)
+		l.results = append(l.results, resultExchange{res, lease})
+	}
+	return resp, nil
+}
+
+// TestCampaignOneLeasePerSlot: a result reply carries the slot's next lease,
+// so a campaign of N jobs on two single-slot workers makes N /result
+// requests and at most 2 + (Wait replies) /lease requests — one per slot for
+// its first job and one after each Wait — where polling for every job made
+// 2N. The requests are counted on the workers' transport, which hands them
+// to Coordinator.Handler() in process; the results are byte-identical to a
+// local run.
+func TestCampaignOneLeasePerSlot(t *testing.T) {
+	jobs := testJobs(t, 4)
+	want := localFingerprints(t, jobs)
+	c := NewCoordinator(Options{Addr: "127.0.0.1:0", LongPoll: 200 * time.Millisecond})
+	t.Cleanup(func() { c.Close() })
+	traffic := &trafficLog{next: handlerTransport{c.Handler()}}
+
+	ctx := context.Background()
+	out := make(chan campaignOutcome, 1)
+	go func() {
+		results, metrics, err := c.RunContext(ctx, jobs)
+		out <- campaignOutcome{results, metrics, err}
+	}()
+	var wg sync.WaitGroup
+	for _, name := range []string{"w1", "w2"} {
+		w := &Worker{Coordinator: "http://coordinator", Name: name, Engine: exp.New(1),
+			Client: ClientOptions{HTTPClient: &http.Client{Transport: traffic}}}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := w.Run(ctx); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		}()
+	}
+	wg.Wait()
+	oc := <-out
+	if oc.err != nil {
+		t.Fatal(oc.err)
+	}
+	checkFingerprints(t, oc.results, want)
+
+	traffic.mu.Lock()
+	defer traffic.mu.Unlock()
+	if n := traffic.calls["/result"]; n != len(jobs) {
+		t.Fatalf("%d /result requests for %d jobs", n, len(jobs))
+	}
+	t.Logf("%d jobs: %d /result, %d /lease, %d Wait replies", len(jobs), traffic.calls["/result"], traffic.calls["/lease"], traffic.waits)
+	if n, most := traffic.calls["/lease"], 2+traffic.waits; n > most {
+		t.Fatalf("%d /lease requests for %d jobs on two slots and %d Wait replies, want at most %d",
+			n, len(jobs), traffic.waits, most)
+	}
 }
 
 // TestDistributedMatchesLocal is the subsystem's acceptance criterion: a
@@ -389,16 +506,17 @@ func TestJoinVersionMismatch(t *testing.T) {
 // TestStaleProtocolV1Refused pins the version gate over a real socket: a
 // worker speaking an older protocol — version 1, the version 6 whose
 // workers still announce a supervisor label and read a wanted-slots hint,
-// or the version 8 whose status carried quorum and health fields — is
-// refused at join with 409 before any lease, and the campaign still
-// completes on a current worker.
+// the version 8 whose status carried quorum and health fields, or the
+// version 9 that reads a /result reply as an empty ack and would strand the
+// lease it carries — is refused at join with 409 before any lease, and the
+// campaign still completes on a current worker.
 func TestStaleProtocolV1Refused(t *testing.T) {
 	jobs := testJobs(t, 1)
 	ctx := context.Background()
 	c, out := startCampaign(t, ctx, Options{}, jobs)
 	cp := waitCampaign(t, c)
 
-	for _, version := range []int{1, 6, 8} {
+	for _, version := range []int{1, 6, 8, 9} {
 		body, _ := json.Marshal(joinRequest{Version: version, Worker: "relic"})
 		resp, err := http.Post("http://"+c.Addr()+"/join", "application/json", bytes.NewReader(body))
 		if err != nil {

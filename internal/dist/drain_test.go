@@ -2,8 +2,9 @@ package dist
 
 import (
 	"context"
+	"net/http"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,35 +12,42 @@ import (
 )
 
 // TestGracefulDrain drains a two-slot worker mid-campaign: the jobs
-// executing when Drain fires must finish and report, no further lease may be
-// taken, nothing may stay leased to the drained worker once its Run returns
-// (proven structurally — the lease TTL is 60s, far past the test's patience,
-// so a lease stranded by the drain would stall the campaign), the status feed
-// must show the worker drained with its slots out of
-// the live count, and a second worker must then finish the campaign with
+// executing when Drain fires must finish and report — a /result that says
+// the worker is draining, as its slot's last does, is granted no lease — no
+// further lease may be taken, nothing may stay leased to the drained worker
+// once its Run returns (proven structurally — the lease TTL is 60s, far past
+// the test's patience, so a lease stranded by the drain would stall the
+// campaign), the status feed must show the worker drained with its slots out
+// of the live count, and a second worker must then finish the campaign with
 // results byte-identical to a local run.
 func TestGracefulDrain(t *testing.T) {
 	jobs := testJobs(t, 4) // 8 jobs: each point pairs into HSAIL + GCN3
 	want := localFingerprints(t, jobs)
 
 	ctx := context.Background()
-	w1 := &Worker{Name: "drainer", Slots: 2, Engine: slowEngine(jobs, 20*time.Millisecond)}
-	var once sync.Once
+	traffic := &trafficLog{}
+	w1 := &Worker{Name: "drainer", Slots: 2, Engine: slowEngine(jobs, 20*time.Millisecond),
+		Client: ClientOptions{Wrap: func(rt http.RoundTripper) http.RoundTripper {
+			traffic.next = rt
+			if rt == nil {
+				traffic.next = http.DefaultTransport
+			}
+			return traffic
+		}}}
+	// The worker's second finished job drains it before the job reports, so
+	// that result — its slot's last — says the worker is draining.
+	var finished atomic.Int32
 	drained := make(chan struct{})
+	w1.Engine.OnProgress = func(exp.Progress) {
+		if finished.Add(1) == 2 {
+			w1.Drain()
+			close(drained)
+		}
+	}
 	c, out := startCampaign(t, ctx, Options{
 		LongPoll: 100 * time.Millisecond,
 		LeaseTTL: 60 * time.Second,
 		Logf:     t.Logf,
-		OnProgress: func(p exp.Progress) {
-			// Second completion: both slots are about to lease again (or
-			// already executing their next job) — drain mid-campaign.
-			if p.Done >= 2 {
-				once.Do(func() {
-					w1.Drain()
-					close(drained)
-				})
-			}
-		},
 	}, jobs)
 	w1.Coordinator = c.Addr()
 
@@ -51,6 +59,21 @@ func TestGracefulDrain(t *testing.T) {
 	}
 	if !w1.Draining() {
 		t.Fatal("worker does not report Draining after Drain")
+	}
+	traffic.mu.Lock()
+	results := traffic.results
+	traffic.mu.Unlock()
+	draining := 0
+	for i, ex := range results {
+		if ex.req.Draining {
+			draining++
+			if ex.rep != (leaseReply{}) {
+				t.Errorf("/result %d said draining and was answered %+v, want no lease", i, ex.rep)
+			}
+		}
+	}
+	if draining == 0 { // the job that drained the worker reports after the drain
+		t.Errorf("none of the drained worker's %d results said it was draining", len(results))
 	}
 
 	// The drained worker's leases are gone NOW — not in 60 seconds — and

@@ -191,8 +191,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	serve(c, w, r, nil, func(cp *campaign, req resultRequest) (ack, error) {
-		return ack{}, cp.result(req, time.Now())
+	serve(c, w, r, nil, func(cp *campaign, req resultRequest) (leaseReply, error) {
+		return cp.result(req, time.Now())
 	})
 }
 

@@ -7,11 +7,32 @@ import (
 	"ilsim/internal/exp"
 )
 
-// result takes one streamed-back result: validates it against the job it
-// claims to be, refuses a payload that fails its integrity hash (and frees
-// the sender's lease), puts a canceled attempt back up for lease, and
-// otherwise accepts it as the job's outcome.
-func (cp *campaign) result(req resultRequest, now time.Time) error {
+// result takes one streamed-back result and answers with the sender's next
+// lease (see next).
+func (cp *campaign) result(req resultRequest, now time.Time) (leaseReply, error) {
+	if err := cp.take(req, now); err != nil {
+		return leaseReply{}, err
+	}
+	return cp.next(req.Worker, req.Draining, now), nil
+}
+
+// next is the lease a result reply carries: what a lease poll would answer
+// at once (grantLocked), so a slot that gets Wait polls /lease and one that
+// gets a job runs it — or nothing for a worker that says it is draining.
+func (cp *campaign) next(worker string, draining bool, now time.Time) leaseReply {
+	if draining {
+		return leaseReply{}
+	}
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	return cp.grantLocked(worker, now)
+}
+
+// take validates a result against the job it claims to be, refuses a payload
+// that fails its integrity hash (and frees the sender's lease), puts a
+// canceled attempt back up for lease, and otherwise accepts it as the job's
+// outcome.
+func (cp *campaign) take(req resultRequest, now time.Time) error {
 	if err := cp.checkSet(req.SetFP); err != nil {
 		return err
 	}

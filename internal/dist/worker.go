@@ -235,22 +235,28 @@ func verifyProbe(rep joinReply) error {
 	return nil
 }
 
-// slotLoop is one concurrent execution slot: lease a job, execute it,
-// repeat until the coordinator says the campaign is done (errDone) or the
-// worker drains (nil). Lease polls run on leaseCtx so Drain cuts them short.
+// slotLoop is one concurrent execution slot: lease a job, execute it, and
+// run the job the result reply grants next, polling /lease again only for the
+// first job and after a Wait — until the coordinator says the campaign is
+// done (errDone) or the worker drains (nil). Lease polls run on leaseCtx so
+// Drain cuts them short; a grant that arrives after a drain is not run (the
+// closing /release hands it back).
 func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
+	var rep leaseReply // the lease in hand
 	for ctx.Err() == nil {
 		if w.Draining() {
 			return nil
 		}
-		var rep leaseReply
-		err := w.postRetry(leaseCtx, "/lease",
-			leaseRequest{Worker: w.Name, SetFP: w.setFP, WaitMS: w.LongPoll.Milliseconds()}, &rep)
-		if err != nil {
-			if ctx.Err() != nil || w.Draining() {
-				return nil
+		if rep.Job == nil && !rep.Done {
+			rep = leaseReply{}
+			err := w.postRetry(leaseCtx, "/lease",
+				leaseRequest{Worker: w.Name, SetFP: w.setFP, WaitMS: w.LongPoll.Milliseconds()}, &rep)
+			if err != nil {
+				if ctx.Err() != nil || w.Draining() {
+					return nil
+				}
+				return err
 			}
-			return err
 		}
 		if rep.Done {
 			return errDone
@@ -258,39 +264,44 @@ func (w *Worker) slotLoop(ctx, leaseCtx context.Context) error {
 		if rep.Job == nil {
 			continue
 		}
-		if err := w.runJob(ctx, rep); err != nil {
+		next, err := w.runJob(ctx, rep)
+		if err != nil {
 			return err
 		}
+		rep = next
 	}
 	return nil
 }
 
-// runJob executes one leased job and streams its result back. A canceled
-// attempt is abandoned, not reported: the lease expires on the coordinator
-// and the job is re-leased to a live worker, exactly as if this worker had
-// died.
-func (w *Worker) runJob(ctx context.Context, lease leaseReply) error {
+// runJob executes one leased job, streams its result back and returns the
+// reply: the slot's next lease (empty when the worker is draining). A
+// canceled attempt is abandoned, not reported: the lease expires on the
+// coordinator and the job is re-leased to a live worker, exactly as if this
+// worker had died.
+func (w *Worker) runJob(ctx context.Context, lease leaseReply) (leaseReply, error) {
 	idx := lease.Index
 	// Re-verify the fingerprint before executing: a drifted job encoding
 	// means the whole binary cannot be trusted.
 	if got := lease.Job.Fingerprint(); got != lease.JobFP {
-		return fmt.Errorf("%w: leased job %d fingerprints as %s here, %s on the coordinator", errStale, idx, got, lease.JobFP)
+		return leaseReply{}, fmt.Errorf("%w: leased job %d fingerprints as %s here, %s on the coordinator", errStale, idx, got, lease.JobFP)
 	}
 	w.setHeld(idx, true)
 	defer w.setHeld(idx, false)
 	res := w.execute(ctx, idx, *lease.Job)
 	if ctx.Err() != nil || (res.Err != nil && exp.Classify(res.Err) == exp.ClassCanceled) {
-		return nil
+		return leaseReply{}, nil
 	}
 	wire := exp.EncodeResult(idx, lease.JobFP, res)
-	if err := w.postRetry(ctx, "/result", resultRequest{Worker: w.Name, SetFP: w.setFP, Result: wire}, &struct{}{}); err != nil {
+	var next leaseReply
+	req := resultRequest{Worker: w.Name, SetFP: w.setFP, Result: wire, Draining: w.Draining()}
+	if err := w.postRetry(ctx, "/result", req, &next); err != nil {
 		if ctx.Err() != nil {
-			return nil
+			return leaseReply{}, nil
 		}
-		return err
+		return leaseReply{}, err
 	}
 	w.Logf("dist: %s finished job %d (%s)", w.Name, idx, lease.Job)
-	return nil
+	return next, nil
 }
 
 // release is a departing worker's last word, once every slot has stopped.

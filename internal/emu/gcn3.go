@@ -15,11 +15,14 @@ import (
 // instructions against the architected EXEC mask, scalar instructions on
 // SGPR state, real ABI register initialization, scalar memory loads that
 // read the actual dispatch packet, and waitcnt-based dependency semantics.
+// Like HSAILEngine, it is a loaded code object and serves every dispatch of
+// it.
 type GCN3Engine struct {
 	Ctx *hsa.Context
 	CO  *gcn3.CodeObject
-	D   *hsa.Dispatch
 	Col *Collector
+	// Waves, when set, recycles finished waves' storage (see WavePool).
+	Waves *WavePool
 
 	// Base is the code object's load address; instruction PCs are
 	// Base-relative per Program.PCs.
@@ -40,11 +43,11 @@ type GCN3Engine struct {
 }
 
 // NewGCN3Engine prepares a loaded code object for execution.
-func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, d *hsa.Dispatch, base uint64, col *Collector) *GCN3Engine {
+func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, base uint64, col *Collector) *GCN3Engine {
 	if co.Program.PCs == nil || co.Program.ByPCStale() {
 		co.Program.Layout()
 	}
-	e := &GCN3Engine{Ctx: ctx, CO: co, D: d, Col: col, Base: base, prog: co.Program}
+	e := &GCN3Engine{Ctx: ctx, CO: co, Col: col, Base: base, prog: co.Program}
 	e.infos = make([]InstInfo, len(e.prog.Insts))
 	e.uops = make([]gcn3Uop, len(e.prog.Insts))
 	consts := constPool{}
@@ -98,12 +101,11 @@ func (e *GCN3Engine) NewWave(wg *WGState, waveID int) *Wave {
 	if nv < 1 {
 		nv = 1
 	}
-	w := &Wave{
-		WG: wg, WaveID: waveID, FirstWI: first, NumLanes: lanes,
-		PC:   e.Base,
-		Exec: isa.FullMask(lanes),
-		VGPR: make([][isa.WavefrontSize]uint32, nv),
-	}
+	w, rows := e.Waves.get()
+	w.WG, w.WaveID, w.FirstWI, w.NumLanes = wg, waveID, first, lanes
+	w.PC = e.Base
+	w.Exec = isa.FullMask(lanes)
+	w.VGPR = zeroed(rows, nv)
 	d := wg.Dispatch
 	w.SGPR[gcn3.SGPRPrivateBase] = uint32(d.PrivateBase)
 	w.SGPR[gcn3.SGPRPrivateBase+1] = uint32(d.PrivateBase >> 32)
@@ -134,6 +136,9 @@ func (e *GCN3Engine) NewWave(wg *WGState, waveID int) *Wave {
 	}
 	return w
 }
+
+// FreeWave hands a finished wave to the engine's pool.
+func (e *GCN3Engine) FreeWave(w *Wave) { e.Waves.put(w) }
 
 // Peek returns the decode-cache entry for the instruction at w.PC.
 func (e *GCN3Engine) Peek(w *Wave) (*InstInfo, error) {

@@ -23,7 +23,7 @@ func engineFor(t testing.TB, insts []gcn3.Inst) (*GCN3Engine, *Wave) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewGCN3Engine(ctx, co, d, 0x1000, &Collector{})
+	eng := NewGCN3Engine(ctx, co, 0x1000, &Collector{})
 	wg := NewWGState(d, &d.Workgroups[0], 0)
 	return eng, eng.NewWave(wg, 0)
 }

@@ -18,12 +18,17 @@ import (
 // reconvergence points, a simulator-defined ABI (geometry and kernarg state
 // serviced from dispatch structures rather than registers/memory), and every
 // operand residing in the virtual vector register file.
+//
+// An engine is a kernel loaded at a base address, not a dispatch: a dispatch
+// reaches the engine through its waves (Wave.WG), so one engine serves every
+// launch of its kernel.
 type HSAILEngine struct {
 	Ctx *hsa.Context
 	K   *hsail.Kernel
 	CFG *kernel.CFG
-	D   *hsa.Dispatch
 	Col *Collector
+	// Waves, when set, recycles finished waves' storage (see WavePool).
+	Waves *WavePool
 
 	// Base is the simulated-memory address where the decoded kernel's
 	// fixed 8-byte instruction handles live.
@@ -45,10 +50,10 @@ type HSAILEngine struct {
 	scratch laneUnit
 }
 
-// NewHSAILEngine loads a kernel for a dispatch. base is the code address the
-// loader assigned (each instruction occupies hsail.InstBytes there).
-func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, d *hsa.Dispatch, base uint64, col *Collector) *HSAILEngine {
-	e := &HSAILEngine{Ctx: ctx, K: k, CFG: cfg, D: d, Col: col, Base: base}
+// NewHSAILEngine loads a kernel. base is the code address the loader
+// assigned (each instruction occupies hsail.InstBytes there).
+func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, base uint64, col *Collector) *HSAILEngine {
+	e := &HSAILEngine{Ctx: ctx, K: k, CFG: cfg, Col: col, Base: base}
 	for _, b := range k.Blocks {
 		e.blockStart = append(e.blockStart, len(e.flat))
 		for _, in := range b.Insts {
@@ -108,18 +113,20 @@ func (e *HSAILEngine) NewWave(wg *WGState, waveID int) *Wave {
 	if lanes > isa.WavefrontSize {
 		lanes = isa.WavefrontSize
 	}
-	w := &Wave{
-		WG: wg, WaveID: waveID, FirstWI: first, NumLanes: lanes,
-		PC:    e.Base,
-		Exec:  isa.FullMask(lanes),
-		VRegs: make([][isa.WavefrontSize]uint32, e.K.NumRegSlots),
-		CRegs: make([]uint64, e.K.NumCRegs),
-	}
+	w, rows := e.Waves.get()
+	w.WG, w.WaveID, w.FirstWI, w.NumLanes = wg, waveID, first, lanes
+	w.PC = e.Base
+	w.Exec = isa.FullMask(lanes)
+	w.VRegs = zeroed(rows, e.K.NumRegSlots)
+	w.CRegs = zeroed(w.CRegs, e.K.NumCRegs)
 	if e.Col != nil && e.Col.TrackReuse {
 		w.Reuse = stats.NewReuseTracker(e.K.NumRegSlots)
 	}
 	return w
 }
+
+// FreeWave hands a finished wave to the engine's pool.
+func (e *HSAILEngine) FreeWave(w *Wave) { e.Waves.put(w) }
 
 // Peek returns the decode-cache entry for the instruction at w.PC.
 func (e *HSAILEngine) Peek(w *Wave) (*InstInfo, error) {

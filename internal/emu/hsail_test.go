@@ -26,7 +26,7 @@ func hsailEngineFor(t testing.TB, k *hsail.Kernel) (*HSAILEngine, *Wave) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewHSAILEngine(ctx, k, cfg, d, 0x1000, &Collector{})
+	eng := NewHSAILEngine(ctx, k, cfg, 0x1000, &Collector{})
 	wg := NewWGState(d, &d.Workgroups[0], k.GroupSize)
 	return eng, eng.NewWave(wg, 0)
 }

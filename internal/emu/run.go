@@ -42,6 +42,9 @@ func RunFunctional(eng Engine, d *hsa.Dispatch) error {
 				}
 			}
 			if allDone {
+				for _, w := range waves {
+					eng.FreeWave(w)
+				}
 				break
 			}
 			if !progressed {

@@ -154,6 +154,50 @@ type Wave struct {
 	linesBuf []uint64
 }
 
+// WavePool is a free list of finished waves. NewWave re-arms one before it
+// allocates: every field zeroed, the register files and scratch slices
+// keeping their storage, the vector register rows going to whichever file
+// the new wave's abstraction uses. A machine gives all its engines one pool,
+// so a wave of one kernel serves the next wave of any kernel, and the pool
+// holds no more waves than were ever resident at once. A nil pool allocates
+// every wave; the zero value is an empty pool.
+type WavePool struct{ free []*Wave }
+
+func (p *WavePool) put(w *Wave) {
+	if p != nil {
+		p.free = append(p.free, w)
+	}
+}
+
+// get returns a zeroed wave and the vector register rows it may reuse (nil
+// when the wave is new).
+func (p *WavePool) get() (*Wave, [][isa.WavefrontSize]uint32) {
+	if p == nil || len(p.free) == 0 {
+		return &Wave{}, nil
+	}
+	n := len(p.free)
+	w := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	rows := w.VGPR
+	if cap(w.VRegs) > cap(rows) {
+		rows = w.VRegs
+	}
+	*w = Wave{CRegs: w.CRegs[:0], RS: w.RS[:0], linesBuf: w.linesBuf[:0]}
+	return w, rows
+}
+
+// zeroed returns s as n zero values, reusing its storage when that is
+// enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // RSEntry is one reconvergence-stack entry: when the wavefront's PC reaches
 // RPC, execution switches to PC' with Mask.
 type RSEntry struct {
@@ -267,4 +311,7 @@ type Engine interface {
 	// RegDemand returns (vector slots, scalar regs) per wavefront, used by
 	// the dispatcher for occupancy accounting.
 	RegDemand() (int, int)
+	// FreeWave takes back a wave whose workgroup has finished, for a later
+	// NewWave to re-arm: the caller never touches it again.
+	FreeWave(w *Wave)
 }

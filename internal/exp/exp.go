@@ -364,9 +364,10 @@ func (e *Engine) execute(ctx context.Context, job Job, r *Result) {
 }
 
 // runJob executes one job: inject faults, prepare (via the cache),
-// simulate under ctx, verify. A panic anywhere inside — a workload bug, a
-// simulator bug, an injected fault — is recovered into a PanicError so it
-// fails only this job, not the whole sweep.
+// simulate under ctx, verify, and hand the machine back for the next job.
+// A panic anywhere inside — a workload bug, a simulator bug, an injected
+// fault — is recovered into a PanicError so it fails only this job, not the
+// whole sweep.
 func (e *Engine) runJob(ctx context.Context, job Job) (run *stats.Run, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -394,6 +395,8 @@ func (e *Engine) runJob(ctx context.Context, job Job) (run *stats.Run, err error
 		if err := inst.Check(m); err != nil {
 			return nil, fmt.Errorf("output check: %w", err)
 		}
+		// Only a run that ended cleanly and checked hands its machine on.
+		m.Recycle()
 	}
 	return run, nil
 }

@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"ilsim/internal/core"
 	"ilsim/internal/workloads"
@@ -109,12 +111,29 @@ func TestBudgetKillsRunawayJob(t *testing.T) {
 }
 
 // TestFailedJobsLeaveNothingBehind: a job killed after Setup never reaches
-// Check, and the engine keeps its prepared Instance for its whole life — so
-// nothing of the run may be reachable from the Instance. Fifty budget-killed
-// jobs on one engine: every one of their machines (memory image and all) must
-// be collectable while the engine, and the instance in its cache, are alive.
+// Check, a job whose outputs fail Check does not hand its machine back, and
+// the engine keeps its prepared Instance for its whole life — so nothing of
+// the run may be reachable from the Instance or the machine free list. Fifty
+// budget-killed jobs and ten that fail their check on one engine: every one of
+// their machines (memory image and all) must be collectable while the engine,
+// and the instance in its cache, are alive.
 func TestFailedJobsLeaveNothingBehind(t *testing.T) {
 	var machines, freed atomic.Int32
+	var (
+		mu   sync.Mutex
+		seen []weak.Pointer[core.Machine] // weak: the test must not keep one alive
+	)
+	reused := func(m *core.Machine) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, p := range seen {
+			if p.Value() == m {
+				return true
+			}
+		}
+		seen = append(seen, weak.Make(m))
+		return false
+	}
 	eng := &Engine{Workers: 2, cache: NewInstanceCacheFunc(func(workload string, scale int) (*workloads.Instance, error) {
 		inst, err := workloads.Prepare(workload, scale)
 		if err != nil {
@@ -122,25 +141,36 @@ func TestFailedJobsLeaveNothingBehind(t *testing.T) {
 		}
 		setup := inst.Setup
 		inst.Setup = func(m *core.Machine) error {
+			if reused(m) {
+				t.Error("a failed job's machine was handed to the next job")
+				return setup(m)
+			}
 			machines.Add(1)
 			runtime.SetFinalizer(m, func(*core.Machine) { freed.Add(1) })
 			return setup(m)
 		}
+		inst.Check = func(*core.Machine) error { return errors.New("outputs do not check") }
 		return inst, nil
 	})}
-	jobs := make([]Job, 50)
+	jobs := make([]Job, 60)
 	for i := range jobs {
 		jobs[i] = Job{Label: fmt.Sprintf("killed-%d", i), Workload: "ArrayBW", Scale: 1,
 			Abs: core.Abstraction(i % 2), Config: core.DefaultConfig(),
 			Opts: core.RunOptions{MaxCycles: 2000, CheckEvery: 16}}
+		if i >= 50 {
+			jobs[i].Label, jobs[i].Opts = fmt.Sprintf("unchecked-%d", i), core.RunOptions{}
+		}
 	}
 	results, _, err := eng.Run(jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
-		if !errors.Is(r.Err, ErrBudgetExceeded) {
+	for i, r := range results {
+		if i < 50 && !errors.Is(r.Err, ErrBudgetExceeded) {
 			t.Fatalf("%s: err = %v, want ErrBudgetExceeded", r.Job, r.Err)
+		}
+		if i >= 50 && (r.Err == nil || !strings.Contains(r.Err.Error(), "output check")) {
+			t.Fatalf("%s: err = %v, want an output check failure", r.Job, r.Err)
 		}
 	}
 	results = nil
@@ -148,8 +178,8 @@ func TestFailedJobsLeaveNothingBehind(t *testing.T) {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
-	if got, want := freed.Load(), machines.Load(); want != 50 || got != want {
-		t.Fatalf("%d of %d machines of failed jobs were collected (50 jobs)", got, want)
+	if got, want := freed.Load(), machines.Load(); want != 60 || got != want {
+		t.Fatalf("%d of %d machines of failed jobs were collected (60 jobs)", got, want)
 	}
 	if eng.instances().Len() != 1 {
 		t.Fatalf("engine holds %d prepared instances, want the one it reused", eng.instances().Len())

@@ -26,11 +26,11 @@ const (
 type Context struct {
 	Mem *mem.Memory
 
-	codeAlloc    *mem.Allocator
-	queueAlloc   *mem.Allocator
-	kernargAlloc *mem.Allocator
-	heapAlloc    *mem.Allocator
-	scratchAlloc *mem.Allocator
+	codeAlloc    mem.Allocator
+	queueAlloc   mem.Allocator
+	kernargAlloc mem.Allocator
+	heapAlloc    mem.Allocator
+	scratchAlloc mem.Allocator
 
 	// gcn3Scratch caches the per-process scratch arena the real runtime
 	// allocates once and reuses across launches (paper §VI.A).
@@ -40,15 +40,25 @@ type Context struct {
 
 // NewContext creates a fresh process context.
 func NewContext() *Context {
-	m := mem.NewMemory()
-	return &Context{
-		Mem:          m,
-		codeAlloc:    mem.NewAllocator(CodeBase, CodeSize),
-		queueAlloc:   mem.NewAllocator(QueueBase, QueueSize),
-		kernargAlloc: mem.NewAllocator(KernargBase, KernargSize),
-		heapAlloc:    mem.NewAllocator(HeapBase, HeapSize),
-		scratchAlloc: mem.NewAllocator(ScratchBase, ScratchSize),
-	}
+	c := &Context{Mem: mem.NewMemory()}
+	c.reset()
+	return c
+}
+
+// Reset makes the context a fresh process again: an empty image (which keeps
+// its pages for reuse, see mem.Memory.Reset) and every region unallocated.
+func (c *Context) Reset() {
+	c.Mem.Reset()
+	c.reset()
+}
+
+func (c *Context) reset() {
+	c.codeAlloc = *mem.NewAllocator(CodeBase, CodeSize)
+	c.queueAlloc = *mem.NewAllocator(QueueBase, QueueSize)
+	c.kernargAlloc = *mem.NewAllocator(KernargBase, KernargSize)
+	c.heapAlloc = *mem.NewAllocator(HeapBase, HeapSize)
+	c.scratchAlloc = *mem.NewAllocator(ScratchBase, ScratchSize)
+	c.gcn3Scratch, c.gcn3ScratchSize = 0, 0
 }
 
 // AllocBuffer reserves application heap memory (hsa_memory_allocate).

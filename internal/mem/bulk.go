@@ -35,28 +35,29 @@ func (m *Memory) WriteU32s(addr uint64, vals []uint32) { writeWords(m, addr, val
 // WriteU64s writes vals as consecutive little-endian uint64s from addr.
 func (m *Memory) WriteU64s(addr uint64, vals []uint64) { writeWords(m, addr, vals, 8) }
 
-// writeWords stores size-byte words (size is T's) a page's worth at a time.
+// writeWords stores size-byte words (size is T's) a page's worth at a time,
+// in one loop per word size: a per-word closure choosing the size cost more
+// than the stores.
 func writeWords[T uint32 | uint64](m *Memory, addr uint64, vals []T, size int) {
 	m.touchWords(addr, len(vals), uint64(size))
-	put := func(b []byte, v T) {
-		if size == 4 {
-			binary.LittleEndian.PutUint32(b, uint32(v))
-		} else {
-			binary.LittleEndian.PutUint64(b, uint64(v))
-		}
-	}
 	for len(vals) > 0 {
 		off := addr & (PageSize - 1)
 		k := min(len(vals), int(PageSize-off)/size)
-		if k == 0 { // an unaligned word straddling two pages
+		switch {
+		case k == 0: // an unaligned word straddling two pages
 			var b [8]byte
-			put(b[:], vals[0])
+			binary.LittleEndian.PutUint64(b[:], uint64(vals[0]))
 			m.store(addr, b[:size])
 			k = 1
-		} else {
-			data := m.page(addr).data[off:]
+		case size == 4:
+			data := m.page(addr).data[off : off+4*uint64(k)]
 			for i, v := range vals[:k] {
-				put(data[size*i:], v)
+				binary.LittleEndian.PutUint32(data[4*i:], uint32(v))
+			}
+		default:
+			data := m.page(addr).data[off : off+8*uint64(k)]
+			for i, v := range vals[:k] {
+				binary.LittleEndian.PutUint64(data[8*i:], uint64(v))
 			}
 		}
 		vals, addr = vals[k:], addr+uint64(size*k)

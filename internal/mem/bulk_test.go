@@ -99,3 +99,32 @@ func BenchmarkTouchLines(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkWriteU32s writes ArrayBW@1's input — 16,384 words, 64 KB, at the
+// heap base — into a new image, which allocates each page on first touch,
+// and into a re-armed one (Reset), which hands its spare pages out again.
+func BenchmarkWriteU32s(b *testing.B) {
+	const heapBase = 0x0001_0000_0000 // hsa.HeapBase
+	vals := make([]uint32, 16<<10)
+	for i := range vals {
+		vals[i] = uint32(i % 48)
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(4 * len(vals)))
+		for i := 0; i < b.N; i++ {
+			NewMemory().WriteU32s(heapBase, vals)
+		}
+	})
+	b.Run("rearmed", func(b *testing.B) {
+		m := NewMemory()
+		m.WriteU32s(heapBase, vals)
+		b.ReportAllocs()
+		b.SetBytes(int64(4 * len(vals)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Reset()
+			m.WriteU32s(heapBase, vals)
+		}
+	})
+}

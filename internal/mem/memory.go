@@ -42,11 +42,15 @@ type page struct {
 // A Memory is not safe for concurrent use: a simulation runs on one
 // goroutine.
 type Memory struct {
-	// pages is the sparse page store. Pages are never replaced or freed,
-	// so a resolved page may be cached and used forever.
+	// pages is the sparse page store. Pages are never replaced or freed
+	// while the image is in use, so a resolved page may be cached until the
+	// next Reset.
 	pages map[uint64]*page
+	// spare holds the pages Reset unmapped, for lookup to hand out again.
+	spare []*page
 	// lastBase/lastPage cache the most recently resolved page: simulated
-	// accesses are heavily page-local, so most lookups skip the map.
+	// accesses are heavily page-local, so most lookups skip the map. With
+	// nothing cached lastBase is noPage, which no address shifts to.
 	lastBase uint64
 	lastPage *page
 	// lines counts the bits set in the pages' touched words.
@@ -60,7 +64,23 @@ type Memory struct {
 
 // NewMemory returns an empty memory image with footprint tracking enabled.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*page), trackFootprint: true}
+	return &Memory{pages: make(map[uint64]*page), lastBase: noPage, trackFootprint: true}
+}
+
+// Reset empties the image for another run: it reads as NewMemory's does,
+// footprint and excluded range included, but keeps its pages. Each goes on
+// the spare list and is handed out again, zeroed and with no line touched,
+// when an address first falls in it, so a run that touches no more pages
+// than the last allocates none.
+func (m *Memory) Reset() {
+	for _, p := range m.pages {
+		m.spare = append(m.spare, p)
+	}
+	clear(m.pages)
+	m.lastBase, m.lastPage = noPage, nil
+	m.lines = 0
+	m.trackFootprint = true
+	m.exclLo, m.exclHi = 0, 0
 }
 
 // SetFootprintTracking toggles touched-line recording (loaders disable it so
@@ -87,14 +107,34 @@ func (m *Memory) FootprintBytes() uint64 {
 	return m.lines * LineSize
 }
 
+// noPage is the page number of no address.
+const noPage = ^uint64(0)
+
 func (m *Memory) page(addr uint64) *page {
 	base := addr >> PageBits
-	if m.lastPage != nil && base == m.lastBase {
+	if base == m.lastBase {
 		return m.lastPage
 	}
+	return m.lookup(base)
+}
+
+// lookup resolves page number base, mapping an all-zero page with no line
+// touched there if there is none yet — a spare one when there is one — and
+// caches it as the last resolved page. It stays out of line so that page,
+// on every access's path, stays inlinable.
+//
+//go:noinline
+func (m *Memory) lookup(base uint64) *page {
 	p, ok := m.pages[base]
 	if !ok {
-		p = &page{data: new([PageSize]byte)}
+		if n := len(m.spare); n > 0 {
+			p = m.spare[n-1]
+			m.spare = m.spare[:n-1]
+			*p.data = [PageSize]byte{}
+			p.touched = 0
+		} else {
+			p = &page{data: new([PageSize]byte)}
+		}
 		m.pages[base] = p
 	}
 	m.lastBase, m.lastPage = base, p

@@ -679,9 +679,15 @@ func (c *cu) checkBarrier(run *wgRun) {
 	c.nextEvent = 0
 }
 
-// releaseWG frees the workgroup's slots. The compaction is stable, so
+// releaseWG frees the workgroup's slots and hands its waves back to their
+// engine (emu.Engine.FreeWave): completions still due this cycle feed the
+// waves' timing state, never the emu.Wave. The compaction is stable, so
 // c.waves stays seq-ordered.
 func (c *cu) releaseWG(run *wgRun) {
+	for _, wv := range run.waves {
+		wv.eng.FreeWave(wv.w)
+		wv.w = nil
+	}
 	keep := c.waves[:0]
 	for _, wv := range c.waves {
 		if wv.wg != run {

@@ -45,6 +45,7 @@ func (e *stubEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
 func (e *stubEngine) CodeBytes() uint64     { return 0 }
 func (e *stubEngine) LDSBytes() int         { return 0 }
 func (e *stubEngine) RegDemand() (int, int) { return 8, 8 }
+func (e *stubEngine) FreeWave(*emu.Wave)    {}
 
 // benchCU builds one CU populated with waves that never finish.
 func benchCU(waves int) *cu {
