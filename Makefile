@@ -13,6 +13,9 @@
 # goroutine of its own.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
 # the race detector — the flake detector for lease/result/drain timing.
+# `make portable` runs what the AVX2 kernels of internal/emu must not hide:
+# the kernel differentials, lockstep tests and goldens under the purego tag,
+# which builds the generated kernels alone, and an arm64 vet and build.
 # `make fuzz` gives the wire codec, the BRIG container decoder, the GCN3
 # instruction decoder, the cache model, the memory drain, the whole-wave
 # memory accesses, the whole-wave kernels and the Fig 10 uniqueness kernel a
@@ -20,7 +23,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race dist-soak fuzz bench bench-ab
+.PHONY: check fmt vet build test race portable dist-soak fuzz bench bench-ab
 
 check: fmt vet build test
 
@@ -42,6 +45,11 @@ test:
 race:
 	$(GO) test -race ./internal/exp/... ./internal/dist/... ./internal/chaos/... \
 		./internal/core/... ./cmd/...
+
+portable:
+	$(GO) test -tags purego ./internal/emu/... ./internal/core/... ./internal/report/...
+	GOARCH=arm64 $(GO) vet ./internal/emu
+	GOARCH=arm64 $(GO) build ./...
 
 # dist-soak: ~10 s per repeat on two cores, so the default is about half an
 # hour; the timeout is per package and replaces go test's 10-minute default.

@@ -44,11 +44,13 @@ const (
 	sparse8 = isa.ExecMask(0x8040201008040201) // 8 active lanes
 )
 
-// execShapes builds the shapes that matter for host time: the f64 FMA of
-// the compute-bound workloads at full mask, an integer add under a nearly
-// empty mask (divergent code), 64-bit address arithmetic with a constant
-// operand, the unit-stride f64 load, the scattered 32-bit gather, LDS
-// traffic, a global store, and the scalar bookkeeping GCN3 interleaves.
+// execShapes builds the shapes that matter for host time: the f64 FMA,
+// subtract, multiply, divide and reciprocal square root of the
+// compute-bound workloads at full mask, GCN3's 32-bit carry chain and move,
+// an integer add under a nearly empty mask (divergent code), 64-bit address
+// arithmetic with a constant operand, the unit-stride f64 load, the
+// scattered 32-bit gather, LDS traffic, a global store, and the scalar
+// bookkeeping GCN3 interleaves.
 func execShapesFor(tb testing.TB) []*execShape {
 	var shapes []*execShape
 	f64, u32, u64 := isa.TypeF64, isa.TypeU32, isa.TypeU64
@@ -80,6 +82,10 @@ func execShapesFor(tb testing.TB) []*execShape {
 	full := isa.FullMask(64)
 	r := hsail.Reg
 	hs("fma_f64_full", full, hsail.Inst{Op: hsail.OpFma, Type: f64, Dst: r(8), Srcs: [3]hsail.Operand{r(2), r(4), r(6)}, NSrc: 3})
+	hs("sub_f64_full", full, hsail.Inst{Op: hsail.OpSub, Type: f64, Dst: r(8), Srcs: [3]hsail.Operand{r(2), r(4)}, NSrc: 2})
+	hs("mul_f64_full", full, hsail.Inst{Op: hsail.OpMul, Type: f64, Dst: r(8), Srcs: [3]hsail.Operand{r(2), r(4)}, NSrc: 2})
+	hs("div_f64_full", full, hsail.Inst{Op: hsail.OpDiv, Type: f64, Dst: r(8), Srcs: [3]hsail.Operand{r(2), r(4)}, NSrc: 2})
+	hs("rsqrt_f64_full", full, hsail.Inst{Op: hsail.OpRsqrt, Type: f64, Dst: r(8), Srcs: [3]hsail.Operand{r(2)}, NSrc: 1})
 	hs("add_u32_4lanes", sparse4, hsail.Inst{Op: hsail.OpAdd, Type: u32, Dst: r(8), Srcs: [3]hsail.Operand{r(2), r(4)}, NSrc: 2})
 	hs("shl_u64_const", full, hsail.Inst{Op: hsail.OpShl, Type: u64, Dst: r(8), Srcs: [3]hsail.Operand{r(2), hsail.Imm(3)}, NSrc: 2})
 	hs("ld_f64_unit_full", full, hsail.Inst{Op: hsail.OpLd, Type: f64, Seg: hsail.SegGlobal, Dst: r(8), Addr: hsail.MemAddr{Base: r(10)}})
@@ -97,6 +103,9 @@ func execShapesFor(tb testing.TB) []*execShape {
 	}
 	v, s := gcn3.VReg, gcn3.SReg
 	gs("fma_f64_full", full, gcn3.Inst{Op: gcn3.OpVFma, Type: f64, Dst: v(8), Srcs: [3]gcn3.Operand{v(2), v(4), v(6)}})
+	gs("addc_u32_full", full, gcn3.Inst{Op: gcn3.OpVAddc, Type: u32, Dst: v(9), SDst: gcn3.VCC(), Srcs: [3]gcn3.Operand{v(3), v(5)}})
+	gs("add_u32_co_full", full, gcn3.Inst{Op: gcn3.OpVAdd, Type: u32, Dst: v(8), SDst: gcn3.VCC(), Srcs: [3]gcn3.Operand{v(2), v(4)}})
+	gs("mov_b32_full", full, gcn3.Inst{Op: gcn3.OpVMov, Type: isa.TypeB32, Dst: v(8), Srcs: [3]gcn3.Operand{v(2)}})
 	gs("add_u32_4lanes", sparse4, gcn3.Inst{Op: gcn3.OpVAdd, Type: u32, Dst: v(8), SDst: gcn3.VCC(), Srcs: [3]gcn3.Operand{s(20), v(4)}})
 	gs("lshl_b64_const", full, gcn3.Inst{Op: gcn3.OpVLshl, Type: isa.TypeB64, Dst: v(8), Srcs: [3]gcn3.Operand{gcn3.Inline(3), v(2)}})
 	gs("flat_load_x2_unit_full", full, gcn3.Inst{Op: gcn3.OpFlatLoadDwordx2, Dst: v(8), Srcs: [3]gcn3.Operand{v(10)}})
@@ -125,20 +134,29 @@ func BenchmarkExecute(b *testing.B) {
 
 // TestExecuteNoAllocs: in steady state Execute allocates nothing, for ALU,
 // scalar, global load/store and LDS instructions, whether or not the
-// collector is tracking register values and reuse.
+// collector is tracking register values and reuse. A full-mask shape runs
+// under a sparse mask too, so a kernel with a full-wave fast path
+// (kernels_amd64.go) is held to it on both of its paths.
 func TestExecuteNoAllocs(t *testing.T) {
 	for _, tracked := range []bool{false, true} {
 		for _, s := range execShapesFor(t) {
 			if tracked {
 				s.track()
 			}
-			for i := 0; i < 3; i++ { // grow linesBuf, fault pages in, size the histogram
-				if err := s.run(); err != nil {
-					t.Fatalf("%s: %v", s.name, err)
-				}
+			masks := []isa.ExecMask{s.w.Exec}
+			if s.w.Exec == isa.FullMask(64) {
+				masks = append(masks, sparse8)
 			}
-			if n := testing.AllocsPerRun(100, func() { _ = s.run() }); n != 0 {
-				t.Errorf("%s (tracked=%v): %v allocs per instruction, want 0", s.name, tracked, n)
+			for _, m := range masks {
+				s.w.Exec = m
+				for i := 0; i < 3; i++ { // grow linesBuf, fault pages in, size the histogram
+					if err := s.run(); err != nil {
+						t.Fatalf("%s exec %#x: %v", s.name, m, err)
+					}
+				}
+				if n := testing.AllocsPerRun(100, func() { _ = s.run() }); n != 0 {
+					t.Errorf("%s exec %#x (tracked=%v): %v allocs per instruction, want 0", s.name, m, tracked, n)
+				}
 			}
 		}
 	}

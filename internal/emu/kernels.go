@@ -2,6 +2,7 @@ package emu
 
 import (
 	"math/bits"
+	"reflect"
 
 	"ilsim/internal/isa"
 )
@@ -84,6 +85,32 @@ const numCmpOps = int(isa.CmpGe) + 1
 // cvtKernels[dst][src] — are in kernels_gen.go. A nil entry is an
 // (operation, type) pair with no defined semantics; lowering turns it into
 // an error at that PC instead of a kernel that computes zeros.
+
+// kernelSwap is a generated kernel and the kernel that replaces it.
+type kernelSwap struct{ portable, fast laneKernel }
+
+// installKernels points every entry of laneKernels that holds a swap's
+// generated kernel at its replacement. It runs from init, before any
+// engine lowers an instruction.
+func installKernels(swaps []kernelSwap) {
+	for op := range laneKernels {
+		for t, k := range laneKernels[op] {
+			if k == nil {
+				continue
+			}
+			for _, s := range swaps {
+				if sameKernel(k, s.portable) {
+					laneKernels[op][t] = s.fast
+				}
+			}
+		}
+	}
+}
+
+// sameKernel reports whether a and b are the same function.
+func sameKernel(a, b laneKernel) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
 
 // kernelFor looks up the (op, t) kernel.
 func kernelFor(op laneOp, t isa.DataType) laneKernel {

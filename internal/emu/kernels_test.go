@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"ilsim/internal/isa"
@@ -61,6 +63,8 @@ func bit(b bool) uint64 {
 }
 
 // kernelCases enumerates every non-nil entry of the three kernel tables.
+// An entry the AVX2 overlay replaced (kernels_amd64.go) is enumerated twice:
+// as the generated kernel and, suffixed "/avx2", as its replacement.
 func kernelCases() []kernelCase {
 	var cases []kernelCase
 	for op := opNone + 1; op < numLaneOps; op++ {
@@ -112,6 +116,14 @@ func kernelCases() []kernelCase {
 			default:
 				c.srcW = []int{w}
 				c.oracle = func(a, _, _ uint64, _ bool) (uint64, bool) { return unOp(unKinds[op], t, a), false }
+			}
+			for _, s := range avx2Kernels {
+				if sameKernel(k, s.fast) {
+					fast := c
+					fast.name += "/avx2"
+					c.kern = s.portable
+					cases = append(cases, fast)
+				}
 			}
 			cases = append(cases, c)
 		}
@@ -373,10 +385,58 @@ func TestKernelChecksCatchBrokenKernels(t *testing.T) {
 			}}, 0xF0F0, aliasNone},
 		{"computes the wrong value", kernelCase{name: "wrong-value", srcW: []int{2, 2}, dstW: 2, oracle: oracleAdd64,
 			kern: kernelFor(opSub, isa.TypeU64)}, fullExec, aliasNone},
+		{"runs its full-wave path under a partial mask", kernelCase{name: "full-path-always", srcW: []int{2, 2}, dstW: 2, oracle: oracleAdd64,
+			kern: func(x *laneArgs, exec uint64) uint64 { return kernelFor(opAdd, isa.TypeU64)(x, fullExec) }}, 0xFFFF0000FFFFFFFF, aliasNone},
+		{"computes the wrong value on its full-wave path", kernelCase{name: "wrong-full-path", srcW: []int{2, 2}, dstW: 2,
+			oracle: func(a, b, _ uint64, _ bool) (uint64, bool) { return a - b, false },
+			kern:   kernelFor(opAdd, isa.TypeU64)}, fullExec, aliasNone},
+		{"stores a four-lane block's low halves before loading its high halves", kernelCase{name: "block-write-before-read", srcW: []int{2, 2}, dstW: 2, oracle: oracleAdd64,
+			kern: func(x *laneArgs, exec uint64) uint64 {
+				for b := 0; b < isa.WavefrontSize; b += 4 {
+					var hi [4]uint32
+					for l := b; l < b+4; l++ {
+						x.dst.lo[l], _ = add64(x, l)
+					}
+					for l := b; l < b+4; l++ {
+						_, hi[l-b] = add64(x, l) // src0.hi is dst.lo: this block's lanes are overwritten
+					}
+					copy(x.dst.hi[b:b+4], hi[:])
+				}
+				return 0
+			}}, fullExec, aliasLoOnHi},
 	}
 	for _, b := range broken {
 		if checkKernel(b.c, rand.New(rand.NewSource(1)), b.exec, b.alias) == nil {
 			t.Errorf("a kernel that %s passed the differential", b.why)
 		}
+	}
+}
+
+// TestAVX2KernelsSelected: the table holds the AVX2 kernels exactly when
+// the CPU can run them. Where the overlay is built, every entry that mapped
+// to a replaced kernel holds its wrapper when CPUID reports AVX2, FMA and
+// YMM state, and the generated kernel otherwise.
+func TestAVX2KernelsSelected(t *testing.T) {
+	selected := cpuHasAVX2FMA()
+	for _, s := range avx2Kernels {
+		var portable, fast int
+		for op := range laneKernels {
+			for _, k := range laneKernels[op] {
+				switch {
+				case k == nil:
+				case sameKernel(k, s.portable):
+					portable++
+				case sameKernel(k, s.fast):
+					fast++
+				}
+			}
+		}
+		if selected && (portable != 0 || fast == 0) || !selected && (fast != 0 || portable == 0) {
+			t.Errorf("AVX2 selected=%v, but the table maps %d entries to %s and %d to its replacement",
+				selected, portable, runtime.FuncForPC(reflect.ValueOf(s.portable).Pointer()).Name(), fast)
+		}
+	}
+	if len(avx2Kernels) == 0 {
+		t.Logf("built without the AVX2 kernels (%s, or the purego tag): the generated kernels run", runtime.GOARCH)
 	}
 }
