@@ -13,9 +13,11 @@
 # goroutine of its own.
 # `make dist-soak` repeats the control plane's own suites COUNT times under
 # the race detector — the flake detector for lease/result/drain timing.
-# `make portable` runs what the AVX2 kernels of internal/emu must not hide:
-# the kernel differentials, lockstep tests and goldens under the purego tag,
-# which builds the generated kernels alone, and an arm64 vet and build.
+# `make portable` runs what the assembly overlays (the AVX2 kernels of
+# internal/emu, the AVX-512 uniqueness kernel of internal/stats) must not
+# hide: the kernel differentials, the uniqueness oracle, lockstep tests and
+# goldens under the purego tag, which builds the generated kernels and the
+# table alone, and an arm64 vet and build.
 # `make fuzz` gives the wire codec, the BRIG container decoder, the GCN3
 # instruction decoder, the cache model, the memory drain, the whole-wave
 # memory accesses, the whole-wave kernels and the Fig 10 uniqueness kernel a
@@ -47,8 +49,8 @@ race:
 		./internal/core/... ./cmd/...
 
 portable:
-	$(GO) test -tags purego ./internal/emu/... ./internal/core/... ./internal/report/...
-	GOARCH=arm64 $(GO) vet ./internal/emu
+	$(GO) test -tags purego ./internal/emu/... ./internal/stats/... ./internal/core/... ./internal/report/...
+	GOARCH=arm64 $(GO) vet ./internal/emu ./internal/stats
 	GOARCH=arm64 $(GO) build ./...
 
 # dist-soak: ~10 s per repeat on two cores, so the default is about half an

@@ -134,6 +134,9 @@ func (e *GCN3Engine) NewWave(wg *WGState, waveID int) *Wave {
 	if e.Col != nil && e.Col.TrackReuse {
 		w.Reuse = stats.NewReuseTracker(nv)
 	}
+	if e.Col != nil && e.Col.TrackValues {
+		w.uniq = zeroed(w.uniq, nv)
+	}
 	return w
 }
 
@@ -730,14 +733,17 @@ func (e *GCN3Engine) stepSLoad(w *Wave, u *gcn3Uop, res *ExecResult) {
 }
 
 // addresses reads the address operand (a 64-bit flat address or a 32-bit
-// LDS byte address) into the lane scratch for the active lanes.
-func (e *GCN3Engine) addresses(w *Wave, u *gcn3Uop, tracked bool) {
-	a := e.scratch.operand(0, &u.vec.src[0], w, w.VGPR, e.Col, tracked)
+// LDS byte address) into the lane scratch for the active lanes. It begins
+// the instruction's walk.
+func (e *GCN3Engine) addresses(w *Wave, u *gcn3Uop) *vrfWalk {
+	walk := e.scratch.walk(e.Col, w)
+	a := e.scratch.operand(0, &u.vec.src[0], w, w.VGPR, walk)
 	addrs := &e.scratch.addrs
 	for m := uint64(w.Exec); m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros64(m) & 63
 		addrs[lane] = uint64(a.lo[lane]) | uint64(a.hi[lane])<<32
 	}
+	return walk
 }
 
 // flatResult reports a FLAT access's coalesced line requests.
@@ -748,72 +754,67 @@ func (e *GCN3Engine) flatResult(w *Wave, u *gcn3Uop, res *ExecResult) {
 }
 
 func (e *GCN3Engine) stepFlatLoad(w *Wave, u *gcn3Uop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.addresses(w, u, tracked)
+	walk := e.addresses(w, u)
+	walk.settle(int(u.vec.dstW))
 	dst := dstPair(w.VGPR, u.vec.dst, u.vec.dstW)
 	e.Ctx.Mem.LoadLanes(&e.scratch.addrs, w.Exec, int(u.size), dst.lo, dst.hi)
-	if tracked {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, u.vec.dstW == 2)
-	}
+	walk.finish(dst, u.vec.dst, u.vec.dstW)
 	e.flatResult(w, u, res)
 }
 
 func (e *GCN3Engine) stepFlatStore(w *Wave, u *gcn3Uop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.addresses(w, u, tracked)
-	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	walk := e.addresses(w, u)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
+	walk.settle(0)
 	e.Ctx.Mem.StoreLanes(&e.scratch.addrs, w.Exec, int(u.size), data.lo, data.hi)
+	walk.finish(lanePair{}, 0, 0)
 	res.MemWrite = true
 	e.flatResult(w, u, res)
 }
 
 func (e *GCN3Engine) stepFlatAtomicAdd(w *Wave, u *gcn3Uop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.addresses(w, u, tracked)
-	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	walk := e.addresses(w, u)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
+	walk.settle(1)
 	dst := dstPair(w.VGPR, u.vec.dst, 1)
 	e.Ctx.Mem.AtomicAddLanes(&e.scratch.addrs, w.Exec, data.lo, dst.lo)
-	if tracked {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
-	}
+	walk.finish(dst, u.vec.dst, 1)
 	res.MemWrite = true
 	e.flatResult(w, u, res)
 }
 
 // dsAddresses is addresses for DS instructions, which also report bank
 // conflicts (on the register address, before the immediate offset).
-func (e *GCN3Engine) dsAddresses(w *Wave, u *gcn3Uop, res *ExecResult, tracked bool) {
-	e.addresses(w, u, tracked)
+func (e *GCN3Engine) dsAddresses(w *Wave, u *gcn3Uop, res *ExecResult) *vrfWalk {
+	walk := e.addresses(w, u)
 	res.LDSBankConflicts = ldsBankConflicts(&e.scratch.addrs, w.Exec)
 	res.MemKind = MemLDS
+	return walk
 }
 
 func (e *GCN3Engine) stepDSRead(w *Wave, u *gcn3Uop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.dsAddresses(w, u, res, tracked)
+	walk := e.dsAddresses(w, u, res)
+	walk.settle(int(u.vec.dstW))
 	dst := dstPair(w.VGPR, u.vec.dst, u.vec.dstW)
 	ldsLoadLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, int(u.size), dst)
-	if tracked {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, u.vec.dstW == 2)
-	}
+	walk.finish(dst, u.vec.dst, u.vec.dstW)
 }
 
 func (e *GCN3Engine) stepDSWrite(w *Wave, u *gcn3Uop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.dsAddresses(w, u, res, tracked)
-	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	walk := e.dsAddresses(w, u, res)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
+	walk.settle(0)
 	ldsStoreLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, int(u.size), data)
+	walk.finish(lanePair{}, 0, 0)
 	res.MemWrite = true
 }
 
 func (e *GCN3Engine) stepDSAdd(w *Wave, u *gcn3Uop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.dsAddresses(w, u, res, tracked)
-	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, e.Col, tracked)
+	walk := e.dsAddresses(w, u, res)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
+	walk.settle(1)
 	dst := dstPair(w.VGPR, u.vec.dst, 1)
 	ldsAddLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, data.lo, dst.lo)
-	if tracked {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
-	}
+	walk.finish(dst, u.vec.dst, 1)
 	res.MemWrite = true
 }

@@ -122,6 +122,9 @@ func (e *HSAILEngine) NewWave(wg *WGState, waveID int) *Wave {
 	if e.Col != nil && e.Col.TrackReuse {
 		w.Reuse = stats.NewReuseTracker(e.K.NumRegSlots)
 	}
+	if e.Col != nil && e.Col.TrackValues {
+		w.uniq = zeroed(w.uniq, e.K.NumRegSlots)
+	}
 	return w
 }
 
@@ -486,9 +489,9 @@ func (e *HSAILEngine) stepGeometry(w *Wave, u *hsailUop, res *ExecResult) {
 			dst.lo[lane] = p.GridSize[dim]
 		}
 	}
-	if e.Col.tracksVRF() {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
-	}
+	walk := e.scratch.walk(e.Col, w)
+	walk.settle(1)
+	walk.finish(dst, u.vec.dst, 1)
 }
 
 // addresses computes the active lanes' addresses of a memory instruction
@@ -520,24 +523,27 @@ func (e *HSAILEngine) addresses(w *Wave, u *hsailUop, base lanePair) {
 }
 
 // memAddresses is addresses for ld/st/atomic, whose base register read is a
-// VRF access.
-func (e *HSAILEngine) memAddresses(w *Wave, u *hsailUop, tracked bool) {
+// VRF access: it begins the instruction's walk.
+func (e *HSAILEngine) memAddresses(w *Wave, u *hsailUop) *vrfWalk {
+	walk := e.scratch.walk(e.Col, w)
 	var base lanePair
 	if u.hasBase {
-		base = e.scratch.operand(0, &u.vec.src[0], w, w.VRegs, e.Col, tracked)
+		base = e.scratch.operand(0, &u.vec.src[0], w, w.VRegs, walk)
 	}
 	e.addresses(w, u, base)
+	return walk
 }
 
 // stepLda materializes a segment address into a register pair.
 func (e *HSAILEngine) stepLda(w *Wave, u *hsailUop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
+	walk := e.scratch.walk(e.Col, w)
+	walk.settle(2)
 	var base lanePair
 	if u.hasBase {
 		base = srcPair(w.VRegs, u.vec.src[0].slot, true)
 	}
 	e.addresses(w, u, base)
-	if tracked && u.hasBase {
+	if u.hasBase {
 		// The base register counts towards reuse distance but is not a
 		// value-sampled read.
 		e.Col.OnVRFSlot(w, int(u.vec.src[0].slot))
@@ -549,52 +555,47 @@ func (e *HSAILEngine) stepLda(w *Wave, u *hsailUop, res *ExecResult) {
 		lane := bits.TrailingZeros64(m) & 63
 		dst.lo[lane], dst.hi[lane] = uint32(addrs[lane]), uint32(addrs[lane]>>32)
 	}
-	if tracked {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, true)
-	}
+	walk.finish(dst, u.vec.dst, 2)
 }
 
 func (e *HSAILEngine) stepLoad(w *Wave, u *hsailUop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.memAddresses(w, u, tracked)
+	walk := e.memAddresses(w, u)
+	walk.settle(int(u.vec.dstW))
 	dst := dstPair(w.VRegs, u.vec.dst, u.vec.dstW)
 	if u.seg == hsail.SegGroup {
 		ldsLoadLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, int(u.size), dst)
 	} else {
 		e.Ctx.Mem.LoadLanes(&e.scratch.addrs, w.Exec, int(u.size), dst.lo, dst.hi)
 	}
-	if tracked {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, u.vec.dstW == 2)
-	}
+	walk.finish(dst, u.vec.dst, u.vec.dstW)
 	e.memResult(w, u, res)
 }
 
 func (e *HSAILEngine) stepStore(w *Wave, u *hsailUop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.memAddresses(w, u, tracked)
-	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, e.Col, tracked)
+	walk := e.memAddresses(w, u)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, walk)
+	walk.settle(0)
 	if u.seg == hsail.SegGroup {
 		ldsStoreLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, int(u.size), data)
 	} else {
 		e.Ctx.Mem.StoreLanes(&e.scratch.addrs, w.Exec, int(u.size), data.lo, data.hi)
 	}
+	walk.finish(lanePair{}, 0, 0)
 	res.MemWrite = true
 	e.memResult(w, u, res)
 }
 
 func (e *HSAILEngine) stepAtomicAdd(w *Wave, u *hsailUop, res *ExecResult) {
-	tracked := e.Col.tracksVRF()
-	e.memAddresses(w, u, tracked)
-	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, e.Col, tracked)
+	walk := e.memAddresses(w, u)
+	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, walk)
+	walk.settle(1)
 	dst := dstPair(w.VRegs, u.vec.dst, 1)
 	if u.seg == hsail.SegGroup {
 		ldsAddLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, data.lo, dst.lo)
 	} else {
 		e.Ctx.Mem.AtomicAddLanes(&e.scratch.addrs, w.Exec, data.lo, dst.lo)
 	}
-	if tracked {
-		e.Col.vrfAccess(w, true, dst, u.vec.dst, false)
-	}
+	walk.finish(dst, u.vec.dst, 1)
 	res.MemWrite = true
 	e.memResult(w, u, res)
 }

@@ -37,6 +37,7 @@ type tracking struct {
 var trackings = []tracking{
 	{},
 	{values: true, every: 1, reuse: true},
+	{values: true, every: 3, reuse: true},
 	{values: true, every: 4, reuse: true},
 }
 
@@ -393,4 +394,39 @@ func TestSharedEngineInterleaved(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestUniqueMemoGuard runs the ten Table 5 workloads at scale 1 under both
+// abstractions on the timing model, with values and reuse tracked, and the
+// unique-count memo's guard on: every memo hit recounts its values. A stale
+// hit is a register write the walk did not report.
+func TestUniqueMemoGuard(t *testing.T) {
+	emu.SetMemoGuard(true)
+	defer emu.SetMemoGuard(false)
+	sim, err := core.NewSimulator(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workloads.All() {
+		inst, err := w.Prepare(1)
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", w.Name, err)
+		}
+		for _, abs := range bothAbstractions {
+			for _, every := range []int{1, 4} {
+				opts := core.RunOptions{TrackValues: true, ValueSampleEvery: every, TrackReuse: true}
+				if _, _, err := sim.Run(abs, w.Name, inst.Setup, opts); err != nil {
+					t.Fatalf("%s/%s every %d: %v", w.Name, abs, every, err)
+				}
+			}
+		}
+	}
+	hits, stale := emu.MemoGuardCounts()
+	if stale != 0 {
+		t.Fatalf("%d of %d memo hits were stale", stale, hits)
+	}
+	if hits == 0 {
+		t.Fatal("the memo never hit: the guard checked nothing")
+	}
+	t.Logf("%d memo hits, none stale", hits)
 }

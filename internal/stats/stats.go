@@ -188,6 +188,17 @@ type Histogram struct {
 
 // Add records one observation.
 func (h *Histogram) Add(v uint32) {
+	if v < uint32(len(h.dense)) && h.keys == nil {
+		h.dense[v]++
+		h.n++
+		return
+	}
+	h.add(v)
+}
+
+// add is Add for the first small observation, an overflow value, or a
+// histogram holding cached keys.
+func (h *Histogram) add(v uint32) {
 	h.keys = nil
 	if v < histDenseSize {
 		if h.dense == nil {
@@ -387,17 +398,27 @@ func (t *ReuseTracker) Tick() { t.count++ }
 // Access records an access to a register slot, emitting the reuse distance
 // into h when the slot was accessed before.
 func (t *ReuseTracker) Access(slot int, h *Histogram) {
-	if slot >= len(t.last) {
-		return
+	if slot < len(t.last) {
+		t.AccessSlots([]uint16{uint16(slot)}, h)
 	}
-	if prev := t.last[slot]; prev >= 0 {
-		d := t.count - prev
-		if d > math.MaxUint32 {
-			d = math.MaxUint32
+}
+
+// AccessSlots is Access for each slot in turn: one call for all the
+// register accesses of an instruction.
+func (t *ReuseTracker) AccessSlots(slots []uint16, h *Histogram) {
+	for _, s := range slots {
+		if int(s) >= len(t.last) {
+			continue
 		}
-		h.Add(uint32(d))
+		if prev := t.last[s]; prev >= 0 {
+			d := t.count - prev
+			if d > math.MaxUint32 {
+				d = math.MaxUint32
+			}
+			h.Add(uint32(d))
+		}
+		t.last[s] = t.count
 	}
-	t.last[slot] = t.count
 }
 
 // UniqueCount's table: 2^uniqueTableBits one-byte slots (1 KB of stack, at
@@ -413,23 +434,40 @@ const (
 // that are set in mask, and the number of such lanes. It is the Fig 10 kernel:
 // unique lane values per VRF access, called once per sampled operand.
 //
-// The result is exact for every input and mask. The function allocates
-// nothing and its time is linear in the number of active lanes: a uniform
+// The result is exact for every input and mask, and the call allocates
+// nothing. On a CPU with AVX-512 an access with at least uniqueSIMDMinLanes
+// active lanes goes to the vector kernel (unique_amd64.s), which sorts the
+// wave; everything else goes to uniqueTable.
+func UniqueCount(vals *[isa.WavefrontSize]uint32, mask isa.ExecMask) (unique, lanes int) {
+	lanes = mask.PopCount()
+	if lanes <= 1 {
+		return lanes, lanes
+	}
+	if lanes >= uniqueSIMDMinLanes && uniqueSIMD != nil {
+		return uniqueSIMD(vals, uint64(mask)), lanes
+	}
+	return uniqueTable(vals, mask, lanes), lanes
+}
+
+// uniqueSIMDMinLanes is the fewest active lanes the vector kernel takes.
+// The kernel costs the same at any mask; the table's cost grows with the
+// lanes, and the two break even between 4 and 6 (BenchmarkUniqueCount's
+// lanes-N cases).
+const uniqueSIMDMinLanes = 6
+
+// uniqueTable is UniqueCount's portable path for lanes (at least two)
+// active lanes. Its time is linear in the number of active lanes: a uniform
 // or strictly monotonic access (an address, a lane id, a broadcast constant)
 // is settled by one pass of comparisons, and everything else goes through an
 // open-addressed table on the stack whose slots hold lane numbers, not
 // values, so no value needs a sentinel. (Linear in expectation: the table
 // is at most 1/16 full, so a probe rarely takes a second step, but 64 values
 // hashing to one slot would still be counted correctly.)
-func UniqueCount(vals *[isa.WavefrontSize]uint32, mask isa.ExecMask) (unique, lanes int) {
+func uniqueTable(vals *[isa.WavefrontSize]uint32, mask isa.ExecMask, lanes int) (unique int) {
 	const (
 		laneMask  = isa.WavefrontSize - 1
 		tableMask = 1<<uniqueTableBits - 1
 	)
-	lanes = mask.PopCount()
-	if lanes <= 1 {
-		return lanes, lanes
-	}
 	// a[:lanes] holds the active lanes' values in lane order.
 	a := vals
 	if lanes < isa.WavefrontSize {
@@ -443,9 +481,9 @@ func UniqueCount(vals *[isa.WavefrontSize]uint32, mask isa.ExecMask) (unique, la
 	}
 	if uniformOrMonotonic(a[:lanes]) {
 		if a[0] == a[1] {
-			return 1, lanes
+			return 1
 		}
-		return lanes, lanes
+		return lanes
 	}
 	// table[s] is 1 + the latest index into a whose value lives in slot s,
 	// 0 while the slot is empty. Keeping the latest index rather than the
@@ -472,7 +510,7 @@ func UniqueCount(vals *[isa.WavefrontSize]uint32, mask isa.ExecMask) (unique, la
 		}
 		table[h&tableMask] = uint8(i + 1)
 	}
-	return unique, lanes
+	return unique
 }
 
 // uniformOrMonotonic reports whether a, of length at least two, is all one

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -151,6 +152,38 @@ var laneShapes = []struct {
 	}},
 }
 
+// uniqueImpl is one way to count: UniqueCount as dispatched (name ""), or
+// one implementation forced at every lane count.
+type uniqueImpl struct {
+	name  string
+	count func(*laneVals, isa.ExecMask) (unique, lanes int)
+}
+
+// uniqueImpls lists the dispatched UniqueCount, the table ("/table") and,
+// where this build and CPU selected it, the AVX-512 kernel ("/avx512").
+func uniqueImpls() []uniqueImpl {
+	impls := []uniqueImpl{
+		{"", UniqueCount},
+		{"/table", func(v *laneVals, m isa.ExecMask) (int, int) {
+			lanes := m.PopCount()
+			if lanes <= 1 {
+				return lanes, lanes
+			}
+			return uniqueTable(v, m, lanes), lanes
+		}},
+	}
+	if simd := uniqueSIMD; simd != nil {
+		impls = append(impls, uniqueImpl{"/avx512", func(v *laneVals, m isa.ExecMask) (int, int) {
+			lanes := m.PopCount()
+			if lanes == 0 {
+				return 0, 0
+			}
+			return simd(v, uint64(m)), lanes
+		}})
+	}
+	return impls
+}
+
 func fullMask(*rand.Rand) isa.ExecMask { return isa.FullMask(isa.WavefrontSize) }
 
 // sparseMask keeps about one lane in eight.
@@ -177,21 +210,45 @@ var laneMasks = []struct {
 }
 
 func TestUniqueCountAgainstMapOracle(t *testing.T) {
-	for _, shape := range laneShapes {
-		for _, mk := range laneMasks {
-			rng := rand.New(rand.NewSource(5))
-			for iter := 0; iter < 200; iter++ {
-				var vals laneVals
-				shape.fill(rng, &vals)
-				mask := mk.draw(rng)
-				unique, lanes := UniqueCount(&vals, mask)
-				wantUnique, wantLanes := uniqueOracle(&vals, mask)
-				if unique != wantUnique || lanes != wantLanes {
-					t.Fatalf("%s under a %s mask, iter %d: got (%d,%d), want (%d,%d)\nmask %#016x\nvals %#x",
-						shape.name, mk.name, iter, unique, lanes, wantUnique, wantLanes, uint64(mask), vals)
+	for _, impl := range uniqueImpls() {
+		for _, shape := range laneShapes {
+			for _, mk := range laneMasks {
+				rng := rand.New(rand.NewSource(5))
+				for iter := 0; iter < 200; iter++ {
+					var vals laneVals
+					shape.fill(rng, &vals)
+					mask := mk.draw(rng)
+					unique, lanes := impl.count(&vals, mask)
+					wantUnique, wantLanes := uniqueOracle(&vals, mask)
+					if unique != wantUnique || lanes != wantLanes {
+						t.Fatalf("UniqueCount%s: %s under a %s mask, iter %d: got (%d,%d), want (%d,%d)\nmask %#016x\nvals %#x",
+							impl.name, shape.name, mk.name, iter, unique, lanes, wantUnique, wantLanes, uint64(mask), vals)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestUniqueSIMDSelected: the vector kernel is selected exactly when CPUID
+// and XGETBV say the CPU and the operating system can run it. The feature
+// bits are read here afresh, not through cpuHasAVX512.
+func TestUniqueSIMDSelected(t *testing.T) {
+	want := false
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf >= 7 {
+		_, _, ecx1, _ := cpuid(1, 0)
+		_, ebx7, _, _ := cpuid(7, 0)
+		want = ecx1>>23&1 == 1 && ecx1>>27&1 == 1 && ebx7>>16&1 == 1
+		if want {
+			xcr0, _ := xgetbv()
+			want = xcr0&0xE6 == 0xE6
+		}
+	}
+	if got := uniqueSIMD != nil; got != want {
+		t.Fatalf("AVX-512 kernel selected=%v, but CPUID and XGETBV say %v", got, want)
+	}
+	if !want {
+		t.Logf("the table counts every access (no AVX-512 here, or a build without the kernel)")
 	}
 }
 
@@ -235,13 +292,16 @@ func FuzzUniqueCount(f *testing.F) {
 		f.Add(data, uint64(laneMasks[i%len(laneMasks)].draw(rng)))
 	}
 	f.Add([]byte{1, 0, 0, 0}, ^uint64(0)) // one value, then 63 zeros
+	impls := uniqueImpls()
 	f.Fuzz(func(t *testing.T, data []byte, mask uint64) {
 		vals := lanesFromBytes(data)
-		unique, lanes := UniqueCount(vals, isa.ExecMask(mask))
 		wantUnique, wantLanes := uniqueOracle(vals, isa.ExecMask(mask))
-		if unique != wantUnique || lanes != wantLanes {
-			t.Fatalf("got (%d,%d), want (%d,%d)\nmask %#016x\nvals %#x",
-				unique, lanes, wantUnique, wantLanes, mask, *vals)
+		for _, impl := range impls {
+			unique, lanes := impl.count(vals, isa.ExecMask(mask))
+			if unique != wantUnique || lanes != wantLanes {
+				t.Fatalf("UniqueCount%s: got (%d,%d), want (%d,%d)\nmask %#016x\nvals %#x",
+					impl.name, unique, lanes, wantUnique, wantLanes, mask, *vals)
+			}
 		}
 	})
 }
@@ -252,6 +312,9 @@ func FuzzUniqueCount(f *testing.F) {
 // ascending, a sixth all distinct in no order, under half mostly distinct,
 // a fortieth few-valued; nine in ten under a full mask. Each shape cycles
 // through 1024 different inputs so the branch predictor cannot learn one.
+// Every case runs UniqueCount as dispatched and each implementation forced
+// (uniqueImpls); the lanes-N cases, N random lanes of mostly-distinct
+// values, are where uniqueSIMDMinLanes comes from.
 func BenchmarkUniqueCount(b *testing.B) {
 	byName := map[string]func(*rand.Rand, *laneVals){}
 	for _, s := range laneShapes {
@@ -267,24 +330,40 @@ func BenchmarkUniqueCount(b *testing.B) {
 		{"random", "all-distinct-random", fullMask},
 		{"mostly-distinct", "mostly-distinct", fullMask},
 		{"sparse-mask", "mostly-distinct", sparseMask},
+		{"lanes-4", "mostly-distinct", lanesMask(4)},
+		{"lanes-6", "mostly-distinct", lanesMask(6)},
+		{"lanes-8", "mostly-distinct", lanesMask(8)},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			inputs := make([]laneVals, 1024)
-			masks := make([]isa.ExecMask, len(inputs))
-			for i := range inputs {
-				byName[bc.shape](rng, &inputs[i])
-				masks[i] = bc.mask(rng)
-			}
-			b.ResetTimer()
-			sink := 0
-			for i := 0; i < b.N; i++ {
-				u, _ := UniqueCount(&inputs[i%len(inputs)], masks[i%len(inputs)])
-				sink += u
-			}
-			if sink < 0 {
-				b.Fatal("unreachable: keeps the calls live")
-			}
-		})
+		for _, impl := range uniqueImpls() {
+			b.Run(bc.name+impl.name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(3))
+				inputs := make([]laneVals, 1024)
+				masks := make([]isa.ExecMask, len(inputs))
+				for i := range inputs {
+					byName[bc.shape](rng, &inputs[i])
+					masks[i] = bc.mask(rng)
+				}
+				b.ResetTimer()
+				sink := 0
+				for i := 0; i < b.N; i++ {
+					u, _ := impl.count(&inputs[i%len(inputs)], masks[i%len(inputs)])
+					sink += u
+				}
+				if sink < 0 {
+					b.Fatal("unreachable: keeps the calls live")
+				}
+			})
+		}
+	}
+}
+
+// lanesMask draws masks of exactly n random lanes.
+func lanesMask(n int) func(*rand.Rand) isa.ExecMask {
+	return func(rng *rand.Rand) isa.ExecMask {
+		var m uint64
+		for bits.OnesCount64(m) < n {
+			m |= 1 << rng.Intn(isa.WavefrontSize)
+		}
+		return isa.ExecMask(m)
 	}
 }
