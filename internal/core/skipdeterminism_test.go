@@ -20,8 +20,9 @@ import (
 // leaves the CU empty (the dispatcher once ended the dispatch there, dropping
 // the workgroups still queued).
 //
-// That DisableCycleSkipping really switches every level of skipping off is
-// asserted where the timing core's test hooks are reachable
+// TestDisableCycleSkippingReachesDevice checks that the option reaches the
+// device; that NoSkip really switches every level of skipping off is
+// asserted where the timing core's shadow oracle is reachable
 // (internal/timing TestNoSkipTicksEverything).
 func TestCycleSkippingDeterminism(t *testing.T) {
 	opts := core.RunOptions{TrackValues: true, ValueSampleEvery: 4, TrackReuse: true}
@@ -75,6 +76,40 @@ func TestCycleSkippingDeterminism(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestDisableCycleSkippingReachesDevice: a run arms its device's NoSkip from
+// RunOptions.DisableCycleSkipping, and the next run re-arms it. The device
+// keeps the flag after the run until its next Reset, so the one a run hands
+// back to the free list shows what the run used. Without this wiring
+// TestCycleSkippingDeterminism would compare two skipped runs and pass.
+func TestDisableCycleSkippingReachesDevice(t *testing.T) {
+	w, err := workloads.ByName("ArrayBW")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := core.NewSimulator(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, noskip := range []bool{true, false, true} {
+		inst, err := w.Prepare(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.RunOptions{DisableCycleSkipping: noskip}
+		if _, _, err := sim.Run(core.AbsHSAIL, "ArrayBW", inst.Setup, opts); err != nil {
+			t.Fatal(err)
+		}
+		g := core.TakeDevice()
+		if g == nil {
+			t.Fatal("a clean run left no device on the free list")
+		}
+		if g.NoSkip != noskip {
+			t.Fatalf("DisableCycleSkipping %v ran on a device with NoSkip %v", noskip, g.NoSkip)
+		}
+		core.OfferDevice(g) // the next run re-arms this device
 	}
 }
 

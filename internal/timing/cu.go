@@ -212,13 +212,10 @@ func (c *cu) wake(at int64) {
 	}
 }
 
-// canPlace reports whether a workgroup fits (slot capacity and occupancy).
+// canPlace reports whether a workgroup fits beside the resident waves under
+// maxWaves, the dispatch's bound on waves per CU (slots and register files).
 func (c *cu) canPlace(wg *emu.WGState, maxWaves int) bool {
-	cap := maxWaves
-	if c.g.P.WFSlots < cap {
-		cap = c.g.P.WFSlots
-	}
-	return c.usedSlots+wg.Info.NumWaves <= cap
+	return c.usedSlots+wg.Info.NumWaves <= maxWaves
 }
 
 // place creates the workgroup's wavefronts in this CU and wakes it. The
@@ -276,10 +273,8 @@ func (c *cu) settle(until int64) {
 		return
 	}
 	c.g.Run.FetchStallCycles += uint64(c.stallers) * uint64(n)
-	if sh := c.g.shadow; sh != nil {
-		for t := c.asleepFrom; t < until; t++ {
-			sh.cuAsleep(c, t)
-		}
+	if ev := c.g.events; ev != nil {
+		ev.cuAsleep(c, c.asleepFrom, until)
 	}
 	c.asleepFrom = until
 }
@@ -300,7 +295,7 @@ func (c *cu) tick(now int64) (int, error) {
 	skip := !c.g.NoSkip
 	c.nextEvent = noEvent
 	p := &c.g.P
-	sh := c.g.shadow
+	ev := c.g.events
 
 	// c.waves is seq-ordered by construction; filtering into the reusable
 	// scratch snapshots eligibility at the start of the cycle (a barrier
@@ -316,8 +311,8 @@ func (c *cu) tick(now int64) (int, error) {
 			if wv.stalled {
 				sleepers++
 			}
-			if sh != nil {
-				sh.waveAsleep(c, wv, now)
+			if ev != nil {
+				ev.waveAsleep(c, wv, now)
 			}
 			continue
 		}
@@ -352,8 +347,8 @@ func (c *cu) tick(now int64) (int, error) {
 	c.wake(firstWake)
 	c.stallers = sleepers
 	c.g.Run.FetchStallCycles += uint64(sleepers)
-	if sh != nil {
-		sh.ticked(c, visited, len(order))
+	if ev != nil {
+		ev.ticked(c, visited, len(order))
 	}
 	return c.issueStage(now)
 }

@@ -1,17 +1,14 @@
 package timing
 
-import (
-	"fmt"
-	"testing"
-)
+import "fmt"
 
-// Shadow is the sleep-bound oracle the tests install: for every wave a tick
-// skips as asleep and every cycle a CU sleeps through — alone or as part of
-// a GPU-wide jump — it re-runs the unabridged fetch and issue checks
-// (refWave: what a tick-everything run would do with that wave that cycle)
-// and records a failure if the wave could have acted or would have charged
-// FetchStallCycles differently from what the sleeper charged for it. It
-// also tallies what the real ticks did.
+// Shadow is the sleep-bound oracle the tests attach to a device: for every
+// wave a tick skips as asleep and every cycle a CU sleeps through — alone
+// or as part of a GPU-wide jump — it re-runs the unabridged fetch and issue
+// checks (refWave: what a tick-everything run would do with that wave that
+// cycle) and records a failure if the wave could have acted or would have
+// charged FetchStallCycles differently from what the sleeper charged for
+// it. It also tallies what the real ticks did.
 type Shadow struct {
 	// WavesAsleep counts wave visits skipped inside real ticks,
 	// CUCyclesAsleep CU ticks skipped (one per CU per cycle slept).
@@ -25,12 +22,10 @@ type Shadow struct {
 	nFailed  int
 }
 
-// InstallShadow makes every GPU built until the test ends report to a fresh
-// Shadow.
-func InstallShadow(t testing.TB) *Shadow {
+// AttachShadow makes g report to a fresh Shadow until its next Reset.
+func AttachShadow(g *GPU) *Shadow {
 	s := &Shadow{}
-	shadow = &shadowHooks{waveAsleep: s.waveAsleep, cuAsleep: s.cuAsleep, ticked: s.ticked}
-	t.Cleanup(func() { shadow = nil })
+	g.events = s
 	return s
 }
 
@@ -54,34 +49,40 @@ func (s *Shadow) ticked(c *cu, visited, checked int) {
 
 func (s *Shadow) waveAsleep(c *cu, wv *waveCtx, now int64) {
 	s.WavesAsleep++
+	if stall, ok := s.asleep(c, wv, now, wv.wakeAt); ok && stall != wv.stalled {
+		s.failf("cycle %d CU %d wave %d asleep with stalled=%v, but a visit would have stall=%v", now, c.id, wv.seq, wv.stalled, stall)
+	}
+}
+
+func (s *Shadow) cuAsleep(c *cu, from, until int64) {
+	for now := from; now < until; now++ {
+		s.CUCyclesAsleep++
+		stallers := 0
+		for _, wv := range c.waves {
+			if stall, ok := s.asleep(c, wv, now, c.nextEvent); ok && stall {
+				stallers++
+			}
+		}
+		if stallers != c.stallers {
+			s.failf("cycle %d CU %d asleep charging %d stallers, a tick would charge %d", now, c.id, c.stallers, stallers)
+		}
+	}
+}
+
+// asleep is the verdict on wv sitting out cycle now on a bound of wakeAt:
+// it records a failure, and returns !ok, if visiting the wave would act;
+// otherwise it returns whether the visit would charge a fetch stall.
+func (s *Shadow) asleep(c *cu, wv *waveCtx, now, wakeAt int64) (stall, ok bool) {
 	o, err := refWave(c, wv, now)
 	switch {
 	case err != nil:
 		s.failf("cycle %d CU %d wave %d: %v", now, c.id, wv.seq, err)
 	case o.fetch || o.issue:
-		s.failf("cycle %d CU %d wave %d asleep until %d, but a visit would act: %+v", now, c.id, wv.seq, wv.wakeAt, o)
-	case o.stall != wv.stalled:
-		s.failf("cycle %d CU %d wave %d asleep with stalled=%v, but a visit would have stall=%v", now, c.id, wv.seq, wv.stalled, o.stall)
+		s.failf("cycle %d CU %d wave %d asleep until %d, but a visit would act: %+v", now, c.id, wv.seq, wakeAt, o)
+	default:
+		return o.stall, true
 	}
-}
-
-func (s *Shadow) cuAsleep(c *cu, now int64) {
-	s.CUCyclesAsleep++
-	stallers := 0
-	for _, wv := range c.waves {
-		o, err := refWave(c, wv, now)
-		switch {
-		case err != nil:
-			s.failf("cycle %d CU %d wave %d: %v", now, c.id, wv.seq, err)
-		case o.fetch || o.issue:
-			s.failf("cycle %d CU %d asleep until %d, but a tick would act on wave %d: %+v", now, c.id, c.nextEvent, wv.seq, o)
-		case o.stall:
-			stallers++
-		}
-	}
-	if stallers != c.stallers {
-		s.failf("cycle %d CU %d asleep charging %d stallers, a tick would charge %d", now, c.id, c.stallers, stallers)
-	}
+	return false, false
 }
 
 // refOutcome is what visiting a wave would do: land or start a fill, issue

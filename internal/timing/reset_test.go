@@ -95,8 +95,8 @@ func stateDiff(path string, a, b reflect.Value, seen map[[2]uintptr]bool) string
 }
 
 // TestResetLeavesADeviceLikeNew stops a device in the middle of everything —
-// waves resident on a CU, loads in flight, a watchdog armed, skipping off —
-// re-arms it under parameters that differ in all that Reset may change, and
+// waves resident on a CU, loads in flight, a watchdog armed, skipping off, a
+// shadow attached — re-arms it under parameters that differ in all that Reset may change, and
 // compares it field by field with a device built under those parameters. A
 // field added to GPU or cu and forgotten in Reset fails here by name.
 func TestResetLeavesADeviceLikeNew(t *testing.T) {
@@ -105,6 +105,7 @@ func TestResetLeavesADeviceLikeNew(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g.WD, g.NoSkip = Watchdog{Ctx: ctx, MaxCycles: 1 << 40}, true
+	AttachShadow(g)
 	for ; g.now < 300; g.now++ {
 		if err := cycle(c, g.now); err != nil {
 			t.Fatal(err)

@@ -51,8 +51,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 	failures := func(sh *Shadow) int { n, _ := sh.Failures(); return n }
 
 	t.Run("exact", func(t *testing.T) {
-		sh := InstallShadow(t)
 		c := benchBlockedCU(2)
+		sh := AttachShadow(c.g)
 		run(t, c, warm(t, c), 4096)
 		if n, msgs := sh.Failures(); n != 0 {
 			t.Fatalf("unperturbed run refuted %d times: %v", n, msgs)
@@ -63,8 +63,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 	})
 
 	t.Run("wave bound late", func(t *testing.T) {
-		sh := InstallShadow(t)
 		c := benchBlockedCU(2)
+		sh := AttachShadow(c.g)
 		now := warm(t, c)
 		for _, wv := range c.waves {
 			if sleeping(wv, now) {
@@ -79,8 +79,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 	})
 
 	t.Run("wave bound early", func(t *testing.T) {
-		sh := InstallShadow(t)
 		c, twin := benchBlockedCU(2), benchBlockedCU(2)
+		sh, twinSh := AttachShadow(c.g), AttachShadow(twin.g)
 		now, twinNow := warm(t, c), warm(t, twin)
 		for i := 0; i < 64; i++ {
 			for _, wv := range c.waves {
@@ -92,8 +92,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 			now = run(t, c, now, 16)
 		}
 		run(t, twin, twinNow, 64*16)
-		if n, msgs := sh.Failures(); n != 0 {
-			t.Fatalf("early bounds refuted %d times: %v", n, msgs)
+		if n, msgs := sh.Failures(); n != 0 || failures(twinSh) != 0 {
+			t.Fatalf("early bounds refuted %d times (%v), the twin %d times", n, msgs, failures(twinSh))
 		}
 		if !reflect.DeepEqual(c.g.Run, twin.g.Run) || c.l1d.Stats() != twin.l1d.Stats() {
 			t.Fatalf("early bounds changed the run:\n%+v\n%+v", c.g.Run, twin.g.Run)
@@ -105,8 +105,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 		// parked later than that, it is asleep on the issue-time bound (its
 		// next instruction's SIMD is busy), and waking it a cycle late must
 		// be refuted.
-		sh := InstallShadow(t)
 		c := benchCU(8)
+		sh := AttachShadow(c.g)
 		now := warm(t, c)
 		pushed := 0
 		for i := 0; i < 256; i++ {
@@ -128,8 +128,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 	})
 
 	t.Run("CU bound late", func(t *testing.T) {
-		sh := InstallShadow(t)
 		c := benchBlockedCU(0)
+		sh := AttachShadow(c.g)
 		now := runUntil(t, c, warm(t, c), func(now int64) bool {
 			return c.nextEvent > now+1 && c.nextEvent != noEvent
 		})
@@ -151,8 +151,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 			}
 			return nil
 		}
-		sh := InstallShadow(t)
 		c := benchBlockedCU(2)
+		sh := AttachShadow(c.g)
 		now := runUntil(t, c, 0, func(now int64) bool { return stalled(c, now) != nil })
 		stalled(c, now).stalled = false
 		c.nextEvent = 0
@@ -161,8 +161,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 			t.Fatal("a sleeping wave stopped charging its fetch stall and the oracle saw nothing")
 		}
 
-		sh = InstallShadow(t)
 		c = benchBlockedCU(0)
+		sh = AttachShadow(c.g)
 		now = runUntil(t, c, 0, func(now int64) bool {
 			return c.stallers > 0 && c.nextEvent > now
 		})
@@ -179,8 +179,8 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 // charged and checked against the waves that slept through them — not
 // against the newcomers, which could have fetched had they been there.
 func TestPlacementSettlesFirst(t *testing.T) {
-	sh := InstallShadow(t)
 	c := benchInertCU()
+	sh := AttachShadow(c.g)
 	now := warm(t, c)
 	for end := now + 16; now < end; now++ {
 		if err := cycle(c, now); err != nil {

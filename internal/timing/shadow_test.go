@@ -32,18 +32,61 @@ func requireClean(t *testing.T, sh *timing.Shadow) {
 	}
 }
 
+// runOn runs a workload on g the way core.Simulator.RunContext does — setup
+// on a new machine, then each dispatch through g, then Finalize — and
+// returns the machine; the statistics are g.Run. TestNoSkipTicksEverything
+// holds it to the simulator's fingerprint.
+func runOn(t *testing.T, g *timing.GPU, abs core.Abstraction, name string, setup func(*core.Machine) error) *core.Machine {
+	t.Helper()
+	g.Run.Workload = name
+	m := core.NewMachine(abs, g.Run)
+	if err := setup(m); err != nil {
+		t.Fatalf("%s/%s setup: %v", name, abs, err)
+	}
+	for {
+		d, eng, err := m.NextDispatch()
+		if err != nil {
+			t.Fatalf("%s/%s dispatch: %v", name, abs, err)
+		}
+		if d == nil {
+			break
+		}
+		cycles, err := g.RunDispatch(eng, d)
+		if err != nil {
+			t.Fatalf("%s/%s (kernel %s): %v", name, abs, d.KernelName, err)
+		}
+		g.Run.KernelCycles = append(g.Run.KernelCycles, uint64(cycles))
+		m.CompleteDispatch(d)
+	}
+	g.Finalize()
+	g.Run.DataFootprintBytes = m.Ctx.Mem.FootprintBytes()
+	return m
+}
+
+// rearm re-arms g for a new run, as core's device free list does between
+// runs, and attaches a fresh shadow: Reset detaches the last one.
+func rearm(t *testing.T, g *timing.GPU) *timing.Shadow {
+	t.Helper()
+	if !g.Reset(g.P, nil) {
+		t.Fatal("Reset refused the device's own parameters")
+	}
+	return timing.AttachShadow(g)
+}
+
 // TestSleepBoundsShadow is the invariant behind the three skipping levels
-// (wave wakeAt, CU sleep, GPU jump): with the shadow oracle installed, every
+// (wave wakeAt, CU sleep, GPU jump): with the shadow oracle attached, every
 // wave and every CU cycle the timing core skips is re-checked against the
 // unabridged fetch/issue rules, and none may have been able to act or have
 // been charged a different FetchStallCycles. Every workload of the suite
-// under both abstractions, plus random structured kernels on machines small
-// enough that workgroups queue behind occupied slots.
+// under both abstractions, on one device re-armed between them, plus random
+// structured kernels on machines small enough that workgroups queue behind
+// occupied slots.
 func TestSleepBoundsShadow(t *testing.T) {
 	names := suiteNames
 	if testing.Short() {
 		names = []string{"MD", "SpMV", "BitonicSort"}
 	}
+	g := timing.NewGPU(timing.DefaultParams(), nil)
 	for _, name := range names {
 		w, err := workloads.ByName(name)
 		if err != nil {
@@ -51,20 +94,12 @@ func TestSleepBoundsShadow(t *testing.T) {
 		}
 		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 			t.Run(name+"/"+abs.String(), func(t *testing.T) {
-				sh := timing.InstallShadow(t)
+				sh := rearm(t, g)
 				inst, err := w.Prepare(1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sim, err := core.NewSimulator(core.DefaultConfig())
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, m, err := sim.Run(abs, name, inst.Setup, core.RunOptions{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := inst.Check(m); err != nil {
+				if err := inst.Check(runOn(t, g, abs, name, inst.Setup)); err != nil {
 					t.Fatal(err)
 				}
 				requireClean(t, sh)
@@ -84,19 +119,15 @@ func TestSleepBoundsShadow(t *testing.T) {
 		// The grid is four one-wave workgroups: they queue two deep on two
 		// single-slot CUs, share one CU's SIMDs, or spread over the default
 		// machine.
-		var sims []*core.Simulator
+		var devs []*timing.GPU
 		for _, shape := range [][2]int{{2, 1}, {1, 4}, {8, 40}} {
-			cfg := core.DefaultConfig()
-			cfg.NumCUs, cfg.WFSlots = shape[0], shape[1]
-			sim, err := core.NewSimulator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sims = append(sims, sim)
+			p := timing.DefaultParams()
+			p.NumCUs, p.WFSlots = shape[0], shape[1]
+			devs = append(devs, timing.NewGPU(p, nil))
 		}
-		sh := timing.InstallShadow(t)
+		var wavesAsleep, cuCyclesAsleep int64
 		for seed := int64(0); seed < int64(seeds); seed++ {
-			sim := sims[seed%int64(len(sims))]
+			g := devs[seed%int64(len(devs))]
 			k, err := randkernel.Gen(seed, false)
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
@@ -107,7 +138,11 @@ func TestSleepBoundsShadow(t *testing.T) {
 			}
 			var outs [2][]uint32
 			for i, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
-				_, outs[i] = runRandomTimed(t, sim, ks, abs, seed)
+				sh := rearm(t, g)
+				outs[i] = runRandomTimed(t, g, ks, abs, seed)
+				requireClean(t, sh)
+				wavesAsleep += sh.WavesAsleep
+				cuCyclesAsleep += sh.CUCyclesAsleep
 			}
 			for i := range outs[0] {
 				if outs[0][i] != outs[1][i] {
@@ -116,8 +151,7 @@ func TestSleepBoundsShadow(t *testing.T) {
 				}
 			}
 		}
-		requireClean(t, sh)
-		if sh.WavesAsleep == 0 || sh.CUCyclesAsleep == 0 {
+		if wavesAsleep == 0 || cuCyclesAsleep == 0 {
 			t.Error("nothing slept: the oracle checked nothing")
 		}
 	})
@@ -143,16 +177,11 @@ func randomSetup(ks *core.KernelSource, seed int64) (setup func(m *core.Machine)
 	}, out
 }
 
-// runRandomTimed runs one generated kernel on the timed model and returns
-// its run and its output.
-func runRandomTimed(t *testing.T, sim *core.Simulator, ks *core.KernelSource, abs core.Abstraction, seed int64) (*stats.Run, []uint32) {
+// runRandomTimed runs one generated kernel on g and returns its output.
+func runRandomTimed(t *testing.T, g *timing.GPU, ks *core.KernelSource, abs core.Abstraction, seed int64) []uint32 {
 	t.Helper()
 	setup, out := randomSetup(ks, seed)
-	run, m, err := sim.Run(abs, fmt.Sprintf("rand_%d", seed), setup, core.RunOptions{})
-	if err != nil {
-		t.Fatalf("seed %d (%s): %v", seed, abs, err)
-	}
-	return run, readWords(m, *out, randGrid)
+	return readWords(runOn(t, g, abs, fmt.Sprintf("rand_%d", seed), setup), *out, randGrid)
 }
 
 func readWords(m *core.Machine, addr uint64, n int) []uint32 {
@@ -170,16 +199,18 @@ func readWords(m *core.Machine, addr uint64, n int) []uint32 {
 // ends with the same fingerprint. BitonicSort on one CU with one wavefront
 // slot is the barrier-heavy single-slot schedule (and the configuration that
 // used to drop workgroups); SpMV on the default machine sleeps on memory.
+// Both must also match core.Simulator's run on the same core.Config: that
+// pins runOn to RunContext's loop and Params to the Config mapping.
 func TestNoSkipTicksEverything(t *testing.T) {
-	single := core.DefaultConfig()
+	single := timing.DefaultParams()
 	single.NumCUs, single.WFSlots = 1, 1
 	for _, tc := range []struct {
 		name  string
-		cfg   core.Config
+		p     timing.Params
 		scale int
 	}{
 		{"BitonicSort", single, 2},
-		{"SpMV", core.DefaultConfig(), 1},
+		{"SpMV", timing.DefaultParams(), 1},
 	} {
 		w, err := workloads.ByName(tc.name)
 		if err != nil {
@@ -187,27 +218,21 @@ func TestNoSkipTicksEverything(t *testing.T) {
 		}
 		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 			t.Run(tc.name+"/"+abs.String(), func(t *testing.T) {
+				g := timing.NewGPU(tc.p, nil)
 				var fps [2][]byte
 				for i, noskip := range []bool{true, false} {
-					sh := timing.InstallShadow(t)
+					sh := rearm(t, g)
+					g.NoSkip = noskip
 					inst, err := w.Prepare(tc.scale)
 					if err != nil {
 						t.Fatal(err)
 					}
-					sim, err := core.NewSimulator(tc.cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					run, m, err := sim.Run(abs, tc.name, inst.Setup, core.RunOptions{DisableCycleSkipping: noskip})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := inst.Check(m); err != nil {
+					if err := inst.Check(runOn(t, g, abs, tc.name, inst.Setup)); err != nil {
 						t.Fatal(err)
 					}
 					requireClean(t, sh)
-					fps[i] = run.Fingerprint()
-					everyTick := int64(tc.cfg.NumCUs) * int64(run.Cycles)
+					fps[i] = g.Run.Fingerprint()
+					everyTick := int64(tc.p.NumCUs) * int64(g.Run.Cycles)
 					ticks, resident, visited := sh.Ticks, sh.Resident, sh.Visited
 					asleep := sh.WavesAsleep + sh.CUCyclesAsleep
 					if noskip {
@@ -222,6 +247,18 @@ func TestNoSkipTicksEverything(t *testing.T) {
 				}
 				if !bytes.Equal(fps[0], fps[1]) {
 					t.Errorf("fingerprint differs between ticked and skipped runs:\n%s", diffLines(fps[0], fps[1]))
+				}
+				cfg := core.DefaultConfig()
+				cfg.NumCUs, cfg.WFSlots = tc.p.NumCUs, tc.p.WFSlots
+				sim, err := core.NewSimulator(cfg)
+				inst, err2 := w.Prepare(tc.scale)
+				if err != nil || err2 != nil {
+					t.Fatal(err, err2)
+				}
+				if run, _, err := sim.Run(abs, tc.name, inst.Setup, core.RunOptions{}); err != nil {
+					t.Fatal(err)
+				} else if want := run.Fingerprint(); !bytes.Equal(want, fps[1]) {
+					t.Errorf("runOn and core.Simulator differ:\n%s", diffLines(want, fps[1]))
 				}
 			})
 		}
@@ -259,19 +296,13 @@ func TestVisitsPerIssue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := core.NewSimulator(core.DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sh := timing.InstallShadow(t)
-			run, _, err := sim.Run(tc.abs, tc.name, inst.Setup, core.RunOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := timing.NewGPU(timing.DefaultParams(), nil)
+			sh := timing.AttachShadow(g)
+			runOn(t, g, tc.abs, tc.name, inst.Setup)
 			requireClean(t, sh)
-			perIssue := float64(sh.Checked) / float64(run.TotalInsts())
+			perIssue := float64(sh.Checked) / float64(g.Run.TotalInsts())
 			t.Logf("%d eligibility checks for %d instructions (%.2f per issue); %d wave visits skipped",
-				sh.Checked, run.TotalInsts(), perIssue, sh.WavesAsleep)
+				sh.Checked, g.Run.TotalInsts(), perIssue, sh.WavesAsleep)
 			if perIssue >= tc.bound {
 				t.Errorf("%.2f eligibility checks per issued instruction, want < %g", perIssue, tc.bound)
 			}
@@ -294,12 +325,8 @@ func TestDispatchLaunchesEveryWorkgroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.NumCUs, cfg.WFSlots = 1, 1
-	sim, err := core.NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := timing.DefaultParams()
+	p.NumCUs, p.WFSlots = 1, 1
 	for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 		ref := &stats.Run{}
 		fm := core.NewMachine(abs, ref)
@@ -312,10 +339,11 @@ func TestDispatchLaunchesEveryWorkgroup(t *testing.T) {
 		}
 		want := readWords(fm, *out, randGrid)
 
-		run, got := runRandomTimed(t, sim, ks, abs, 1)
-		if run.TotalInsts() != ref.TotalInsts() {
+		g := timing.NewGPU(p, nil)
+		got := runRandomTimed(t, g, ks, abs, 1)
+		if g.Run.TotalInsts() != ref.TotalInsts() {
 			t.Errorf("%s: timed run committed %d instructions, functional reference %d",
-				abs, run.TotalInsts(), ref.TotalInsts())
+				abs, g.Run.TotalInsts(), ref.TotalInsts())
 		}
 		for i := range got {
 			if got[i] != want[i] {

@@ -185,25 +185,21 @@ type GPU struct {
 	// wdTick counts cycles toward the next watchdog check; it persists
 	// across dispatches so short kernels cannot starve the watchdog.
 	wdTick int64
-	// shadow is the sleep-bound oracle NewGPU found installed (tests only).
-	shadow *shadowHooks
+	// events, when set, is told what the timing loop did. Only tests set
+	// it (export_test.go); Reset clears it.
+	events sink
 }
 
-// shadowHooks is the test-only oracle of the sleep bounds. Production never
-// installs one, so each call site costs a nil check; the tests do
-// (export_test.go), and are then told of every wave a tick skips as asleep
-// and every cycle a CU sleeps through — to re-run the unabridged fetch and
-// issue checks against — and of what each real tick visited.
-type shadowHooks struct {
-	waveAsleep func(c *cu, wv *waveCtx, now int64)
-	cuAsleep   func(c *cu, now int64)
-	// ticked reports a real tick: how many waves its pass visited and how
-	// many of them went through the issue stage's eligibility checks.
-	ticked func(c *cu, visited, checked int)
+// sink receives the timing loop's events: a wave a tick skipped as asleep,
+// a CU's sleep as the span of cycles [from, until) that cu.settle charges,
+// and what each real tick visited (waves its pass visited, and how many of
+// them went through the issue stage's eligibility checks). With no sink set
+// each event costs a nil check.
+type sink interface {
+	waveAsleep(c *cu, wv *waveCtx, now int64)
+	cuAsleep(c *cu, from, until int64)
+	ticked(c *cu, visited, checked int)
 }
-
-// shadow is what NewGPU installs on the GPUs it builds.
-var shadow *shadowHooks
 
 // NewGPU builds the device: it allocates the storage p sizes — cache banks,
 // DRAM channels, CUs, the drain's wiring — and arms it with Reset.
@@ -267,7 +263,7 @@ func (g *GPU) Reset(p Params, run *stats.Run) bool {
 	g.P, g.Run = p, run
 	g.WD, g.NoSkip = Watchdog{}, false
 	g.now, g.wdTick = 0, 0
-	g.shadow = shadow
+	g.events = nil
 
 	g.dram.Reset()
 	g.dram.Latency, g.dram.Occupancy = p.DRAMLatency, p.DRAMOccupancy
@@ -300,9 +296,6 @@ func (g *GPU) release() {
 		c.release()
 	}
 }
-
-// Now returns the current cycle.
-func (g *GPU) Now() int64 { return g.now }
 
 // drainFlush replays the cycle's deferred cache accesses through the
 // banked hierarchy (see mem.Drain) and empties the pending-request table
@@ -482,8 +475,11 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	return g.now - start, nil
 }
 
-// HarvestCacheStats copies hierarchy counters into the run record.
-func (g *GPU) HarvestCacheStats() {
+// Finalize ends the run: it copies the hierarchy counters into the run
+// record and lets go of the run's waves, so a device kept for reuse does
+// not keep the run's memory image alive. Call it once, after the last
+// dispatch.
+func (g *GPU) Finalize() {
 	for _, c := range g.cus {
 		st := c.l1d.Stats()
 		g.Run.L1DAccesses += st.Accesses
@@ -502,14 +498,6 @@ func (g *GPU) HarvestCacheStats() {
 	l2 := g.l2.Stats()
 	g.Run.L2Accesses = l2.Accesses
 	g.Run.L2Misses = l2.Misses
-}
-
-// Finalize ends the run: it copies the hierarchy counters into the run
-// record (HarvestCacheStats) and lets go of the run's waves, so a device kept
-// for reuse does not keep the run's memory image alive. Call it once, after
-// the last dispatch.
-func (g *GPU) Finalize() {
-	g.HarvestCacheStats()
 	g.release()
 }
 

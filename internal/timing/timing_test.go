@@ -26,7 +26,8 @@ func TestDefaultParamsSane(t *testing.T) {
 	}
 }
 
-// runWorkload executes one workload on the timed model.
+// runWorkload executes one workload on a new device with the default
+// parameters.
 func runWorkload(t *testing.T, name string, abs core.Abstraction) *stats.Run {
 	t.Helper()
 	w, err := workloads.ByName(name)
@@ -37,18 +38,11 @@ func runWorkload(t *testing.T, name string, abs core.Abstraction) *stats.Run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := core.NewSimulator(core.DefaultConfig())
-	if err != nil {
+	g := timing.NewGPU(timing.DefaultParams(), nil)
+	if err := inst.Check(runOn(t, g, abs, name, inst.Setup)); err != nil {
 		t.Fatal(err)
 	}
-	run, m, err := sim.Run(abs, name, inst.Setup, core.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Check(m); err != nil {
-		t.Fatal(err)
-	}
-	return run
+	return g.Run
 }
 
 // TestTimingDeterminism: identical runs must produce identical statistics —
@@ -95,7 +89,7 @@ func TestWatchdogAbortIsExact(t *testing.T) {
 					if _, err := g.RunDispatch(eng, d); !errors.Is(err, timing.ErrBudgetExceeded) {
 						t.Fatalf("%s/%s budget %d: err = %v, want the budget exceeded", name, abs, budget, err)
 					}
-					g.HarvestCacheStats()
+					g.Finalize()
 				}
 				if a, b := runs[0].Fingerprint(), runs[1].Fingerprint(); !bytes.Equal(a, b) {
 					t.Errorf("%s/%s stopped at %d cycles: skipped and ticked runs differ:\n%s",
@@ -129,10 +123,6 @@ func TestScoreboardCostsHSAILStalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := core.NewSimulator(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var cyclesPerInst [2]float64
 	for i, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 		setup := func(m *core.Machine) error {
@@ -140,11 +130,9 @@ func TestScoreboardCostsHSAILStalls(t *testing.T) {
 			return m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{64, 1, 1},
 				WG: [3]uint16{64, 1, 1}, Args: []uint64{out}})
 		}
-		run, _, err := sim.Run(abs, "dep_chain", setup, core.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cyclesPerInst[i] = float64(run.Cycles) / float64(run.TotalInsts())
+		g := timing.NewGPU(timing.DefaultParams(), nil)
+		runOn(t, g, abs, "dep_chain", setup)
+		cyclesPerInst[i] = float64(g.Run.Cycles) / float64(g.Run.TotalInsts())
 	}
 	if cyclesPerInst[0] <= cyclesPerInst[1] {
 		t.Errorf("dependent chain: HSAIL %.2f cyc/inst <= GCN3 %.2f — scoreboard stalls missing",
@@ -186,10 +174,6 @@ func TestOccupancyLimitedByRegisters(t *testing.T) {
 	}
 	lean := build(2)
 	fat := build(100) // ~100+ live slots/wave: ~17 waves/CU instead of 40
-	sim, err := core.NewSimulator(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cycles := func(ks *core.KernelSource) uint64 {
 		const n = 16384
 		setup := func(m *core.Machine) error {
@@ -198,11 +182,9 @@ func TestOccupancyLimitedByRegisters(t *testing.T) {
 			return m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{n, 1, 1},
 				WG: [3]uint16{64, 1, 1}, Args: []uint64{in, out}})
 		}
-		run, _, err := sim.Run(core.AbsHSAIL, "occ", setup, core.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return run.Cycles
+		g := timing.NewGPU(timing.DefaultParams(), nil)
+		runOn(t, g, core.AbsHSAIL, "occ", setup)
+		return g.Run.Cycles
 	}
 	leanCycles, fatCycles := cycles(lean), cycles(fat)
 	if fatCycles <= leanCycles {
@@ -235,10 +217,6 @@ func TestBarrierTimedCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := core.NewSimulator(core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	const n = 512 // 4 workgroups x 2 waves each
 	for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 		var inAddr, outAddr uint64
@@ -251,11 +229,9 @@ func TestBarrierTimedCompletion(t *testing.T) {
 			return m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{n, 1, 1},
 				WG: [3]uint16{128, 1, 1}, Args: []uint64{inAddr, outAddr}})
 		}
-		run, m, err := sim.Run(abs, "barrier_timed", setup, core.RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if run.InstsByCategory[isa.CatMisc] == 0 {
+		g := timing.NewGPU(timing.DefaultParams(), nil)
+		m := runOn(t, g, abs, "barrier_timed", setup)
+		if g.Run.InstsByCategory[isa.CatMisc] == 0 {
 			t.Errorf("%s: no barrier instructions counted", abs)
 		}
 		for i := 0; i < n; i++ {
