@@ -75,12 +75,12 @@ func run(args []string, out, errw io.Writer) error {
 			}
 			continue
 		}
-		if *wgIdx >= len(d.Workgroups) {
+		if *wgIdx < 0 || *wgIdx >= len(d.Workgroups) {
 			return fmt.Errorf("workgroup %d out of range (%d)", *wgIdx, len(d.Workgroups))
 		}
 		info := &d.Workgroups[*wgIdx]
 		wg := emu.NewWGState(d, info, eng.LDSBytes())
-		if *waveIdx >= info.NumWaves {
+		if *waveIdx < 0 || *waveIdx >= info.NumWaves {
 			return fmt.Errorf("wave %d out of range (%d)", *waveIdx, info.NumWaves)
 		}
 		// Other waves of the group run untraced but interleaved enough

@@ -53,3 +53,17 @@ func TestTraceBadAbstraction(t *testing.T) {
 		t.Fatalf("bad -abs: got %v, want unknown abstraction error", err)
 	}
 }
+
+// TestTraceIndexOutOfRange asserts a workgroup or wave index past either
+// end of the launch is an error, not a panic.
+func TestTraceIndexOutOfRange(t *testing.T) {
+	for _, args := range [][]string{
+		{"-wg", "-1"}, {"-wg", "1000000"}, {"-wave", "-1"}, {"-wave", "1000"},
+	} {
+		var out, errw bytes.Buffer
+		err := run(append([]string{"-workload", "ArrayBW"}, args...), &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%v: got %v, want an out of range error", args, err)
+		}
+	}
+}

@@ -64,6 +64,14 @@ func run(args []string, out, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	for _, o := range []struct {
+		name string
+		v    int
+	}{{"cus", *cus}, {"banks", *banks}, {"wfslots", *wfSlots}, {"l1i", *l1iKB}} {
+		if o.v < 0 {
+			return fmt.Errorf("-%s %d is negative (0 keeps the default)", o.name, o.v)
+		}
+	}
 
 	stopProf, err := prof.StartOptions(prof.Options{
 		CPUPath: *cpuProfile, MemPath: *memProfile,

@@ -103,6 +103,21 @@ func TestJSONRejectsWorkloadList(t *testing.T) {
 	}
 }
 
+// TestNegativeMachineOverride asserts a negative machine override is an
+// error before anything simulates; 0 alone means "keep the default".
+func TestNegativeMachineOverride(t *testing.T) {
+	for _, flag := range []string{"-cus", "-banks", "-wfslots", "-l1i"} {
+		var out, errw bytes.Buffer
+		err := run([]string{"-workload", "ArrayBW", "-scale", "1", flag, "-2"}, &out, &errw)
+		if err == nil || !strings.Contains(err.Error(), flag+" -2") {
+			t.Errorf("%s -2: err = %v, want a negative-override error", flag, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s -2 printed results:\n%s", flag, out.String())
+		}
+	}
+}
+
 // TestUnknownWorkload must fail cleanly before any simulation runs.
 func TestUnknownWorkload(t *testing.T) {
 	var out, errw bytes.Buffer

@@ -11,11 +11,3 @@ var (
 	DiffWaves   = diffWaves
 	DiffResults = diffResults
 )
-
-// SetMemoGuard turns the unique-count memo's guard on or off and zeroes its
-// tallies; MemoGuardCounts reads them. On, every memo hit recounts.
-func SetMemoGuard(on bool) {
-	memoGuard.on, memoGuard.hits, memoGuard.stale = on, 0, 0
-}
-
-func MemoGuardCounts() (hits, stale int) { return memoGuard.hits, memoGuard.stale }

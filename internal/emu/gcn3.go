@@ -134,9 +134,6 @@ func (e *GCN3Engine) NewWave(wg *WGState, waveID int) *Wave {
 	if e.Col != nil && e.Col.TrackReuse {
 		w.Reuse = stats.NewReuseTracker(nv)
 	}
-	if e.Col != nil && e.Col.TrackValues {
-		w.uniq = zeroed(w.uniq, nv)
-	}
 	return w
 }
 
@@ -755,7 +752,6 @@ func (e *GCN3Engine) flatResult(w *Wave, u *gcn3Uop, res *ExecResult) {
 
 func (e *GCN3Engine) stepFlatLoad(w *Wave, u *gcn3Uop, res *ExecResult) {
 	walk := e.addresses(w, u)
-	walk.settle(int(u.vec.dstW))
 	dst := dstPair(w.VGPR, u.vec.dst, u.vec.dstW)
 	e.Ctx.Mem.LoadLanes(&e.scratch.addrs, w.Exec, int(u.size), dst.lo, dst.hi)
 	walk.finish(dst, u.vec.dst, u.vec.dstW)
@@ -765,7 +761,6 @@ func (e *GCN3Engine) stepFlatLoad(w *Wave, u *gcn3Uop, res *ExecResult) {
 func (e *GCN3Engine) stepFlatStore(w *Wave, u *gcn3Uop, res *ExecResult) {
 	walk := e.addresses(w, u)
 	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
-	walk.settle(0)
 	e.Ctx.Mem.StoreLanes(&e.scratch.addrs, w.Exec, int(u.size), data.lo, data.hi)
 	walk.finish(lanePair{}, 0, 0)
 	res.MemWrite = true
@@ -775,7 +770,6 @@ func (e *GCN3Engine) stepFlatStore(w *Wave, u *gcn3Uop, res *ExecResult) {
 func (e *GCN3Engine) stepFlatAtomicAdd(w *Wave, u *gcn3Uop, res *ExecResult) {
 	walk := e.addresses(w, u)
 	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
-	walk.settle(1)
 	dst := dstPair(w.VGPR, u.vec.dst, 1)
 	e.Ctx.Mem.AtomicAddLanes(&e.scratch.addrs, w.Exec, data.lo, dst.lo)
 	walk.finish(dst, u.vec.dst, 1)
@@ -794,7 +788,6 @@ func (e *GCN3Engine) dsAddresses(w *Wave, u *gcn3Uop, res *ExecResult) *vrfWalk 
 
 func (e *GCN3Engine) stepDSRead(w *Wave, u *gcn3Uop, res *ExecResult) {
 	walk := e.dsAddresses(w, u, res)
-	walk.settle(int(u.vec.dstW))
 	dst := dstPair(w.VGPR, u.vec.dst, u.vec.dstW)
 	ldsLoadLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, int(u.size), dst)
 	walk.finish(dst, u.vec.dst, u.vec.dstW)
@@ -803,7 +796,6 @@ func (e *GCN3Engine) stepDSRead(w *Wave, u *gcn3Uop, res *ExecResult) {
 func (e *GCN3Engine) stepDSWrite(w *Wave, u *gcn3Uop, res *ExecResult) {
 	walk := e.dsAddresses(w, u, res)
 	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
-	walk.settle(0)
 	ldsStoreLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, int(u.size), data)
 	walk.finish(lanePair{}, 0, 0)
 	res.MemWrite = true
@@ -812,7 +804,6 @@ func (e *GCN3Engine) stepDSWrite(w *Wave, u *gcn3Uop, res *ExecResult) {
 func (e *GCN3Engine) stepDSAdd(w *Wave, u *gcn3Uop, res *ExecResult) {
 	walk := e.dsAddresses(w, u, res)
 	data := e.scratch.operand(1, &u.vec.src[1], w, w.VGPR, walk)
-	walk.settle(1)
 	dst := dstPair(w.VGPR, u.vec.dst, 1)
 	ldsAddLanes(w.WG.LDS, &e.scratch.addrs, u.off, w.Exec, data.lo, dst.lo)
 	walk.finish(dst, u.vec.dst, 1)

@@ -122,9 +122,6 @@ func (e *HSAILEngine) NewWave(wg *WGState, waveID int) *Wave {
 	if e.Col != nil && e.Col.TrackReuse {
 		w.Reuse = stats.NewReuseTracker(e.K.NumRegSlots)
 	}
-	if e.Col != nil && e.Col.TrackValues {
-		w.uniq = zeroed(w.uniq, e.K.NumRegSlots)
-	}
 	return w
 }
 
@@ -490,7 +487,6 @@ func (e *HSAILEngine) stepGeometry(w *Wave, u *hsailUop, res *ExecResult) {
 		}
 	}
 	walk := e.scratch.walk(e.Col, w)
-	walk.settle(1)
 	walk.finish(dst, u.vec.dst, 1)
 }
 
@@ -537,7 +533,6 @@ func (e *HSAILEngine) memAddresses(w *Wave, u *hsailUop) *vrfWalk {
 // stepLda materializes a segment address into a register pair.
 func (e *HSAILEngine) stepLda(w *Wave, u *hsailUop, res *ExecResult) {
 	walk := e.scratch.walk(e.Col, w)
-	walk.settle(2)
 	var base lanePair
 	if u.hasBase {
 		base = srcPair(w.VRegs, u.vec.src[0].slot, true)
@@ -560,7 +555,6 @@ func (e *HSAILEngine) stepLda(w *Wave, u *hsailUop, res *ExecResult) {
 
 func (e *HSAILEngine) stepLoad(w *Wave, u *hsailUop, res *ExecResult) {
 	walk := e.memAddresses(w, u)
-	walk.settle(int(u.vec.dstW))
 	dst := dstPair(w.VRegs, u.vec.dst, u.vec.dstW)
 	if u.seg == hsail.SegGroup {
 		ldsLoadLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, int(u.size), dst)
@@ -574,7 +568,6 @@ func (e *HSAILEngine) stepLoad(w *Wave, u *hsailUop, res *ExecResult) {
 func (e *HSAILEngine) stepStore(w *Wave, u *hsailUop, res *ExecResult) {
 	walk := e.memAddresses(w, u)
 	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, walk)
-	walk.settle(0)
 	if u.seg == hsail.SegGroup {
 		ldsStoreLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, int(u.size), data)
 	} else {
@@ -588,7 +581,6 @@ func (e *HSAILEngine) stepStore(w *Wave, u *hsailUop, res *ExecResult) {
 func (e *HSAILEngine) stepAtomicAdd(w *Wave, u *hsailUop, res *ExecResult) {
 	walk := e.memAddresses(w, u)
 	data := e.scratch.operand(1, &u.vec.src[1], w, w.VRegs, walk)
-	walk.settle(1)
 	dst := dstPair(w.VRegs, u.vec.dst, 1)
 	if u.seg == hsail.SegGroup {
 		ldsAddLanes(w.WG.LDS, &e.scratch.addrs, 0, w.Exec, data.lo, dst.lo)

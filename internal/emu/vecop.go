@@ -1,8 +1,6 @@
 package emu
 
 import (
-	"math/bits"
-
 	"ilsim/internal/gcn3"
 	"ilsim/internal/isa"
 )
@@ -111,25 +109,21 @@ func (c *Collector) tracksVRF() bool {
 }
 
 // vrfWalk reports one instruction's register-file accesses to the
-// collector. The engine records its register reads as it resolves the
-// operands (read), settles the instruction before its first register write
-// (settle), and reports the destination last (finish). The order of the
+// collector. The engine reports its register reads as it resolves the
+// operands (read) and the destination last (finish). The order of the
 // accesses is part of the statistics: sources in operand order, low slot
-// then high, observing pre-write values; then the destination. settle
-// advances the value-sampling counter past all of them at once and counts
-// only the sampled reads; finish records every access's reuse distance and
-// counts only the sampled writes. A walk begun without tracking records
-// nothing.
+// then high, observing pre-write values; then the destination. Each access
+// goes to Collector.OnVRFValue as it is reported; finish also records every
+// access's reuse distance in one batch. A walk begun without tracking
+// records nothing.
 type vrfWalk struct {
-	c       *Collector // nil: not tracking
-	w       *Wave
-	sampled uint16 // bit i: access i is value-sampled
-	n       uint8  // reads recorded
-	// slot holds the reads' slots, then the destination's; vals the
-	// reads' values. An instruction reads at most six slots (three 64-bit
-	// sources) and writes at most two.
+	c *Collector // nil: not tracking
+	w *Wave
+	n uint8 // reads recorded
+	// slot holds the reads' slots, then the destination's. An instruction
+	// reads at most six slots (three 64-bit sources) and writes at most
+	// two.
 	slot [8]uint16
-	vals [8]*lanes
 }
 
 // walk begins the walk of an instruction of w's in the unit's scratch.
@@ -142,24 +136,11 @@ func (u *laneUnit) walk(c *Collector, w *Wave) *vrfWalk {
 	return r
 }
 
-// read records a source operand's slots: its low half, and its high half
+// read reports a source operand's slots: its low half, and its high half
 // if wide.
 func (r *vrfWalk) read(p lanePair, slot uint16, wide bool) {
-	if r.c == nil {
-		return
-	}
-	r.slot[r.n&7], r.vals[r.n&7] = slot, p.lo
-	r.n++
-	if wide {
-		r.slot[r.n&7], r.vals[r.n&7] = slot+1, p.hi
-		r.n++
-	}
-}
-
-// settle closes the reads; the instruction writes k slots after them.
-func (r *vrfWalk) settle(k int) {
-	if r.c != nil && r.c.TrackValues {
-		r.c.settleWalk(r, k)
+	if r.c != nil {
+		r.c.readWalk(r, p, slot, wide)
 	}
 }
 
@@ -171,11 +152,14 @@ func (r *vrfWalk) finish(p lanePair, slot uint16, k uint8) {
 	}
 }
 
-func (c *Collector) settleWalk(r *vrfWalk, k int) {
-	r.sampled = c.samplePositions(r.w, int(r.n)+k)
-	for m := r.sampled & (1<<r.n - 1); m != 0; m &= m - 1 {
-		i := bits.TrailingZeros16(m) & 7
-		c.sampleUnique(r.w, false, r.vals[i], r.slot[i])
+func (c *Collector) readWalk(r *vrfWalk, p lanePair, slot uint16, wide bool) {
+	r.slot[r.n&7] = slot
+	r.n++
+	c.OnVRFValue(r.w, false, p.lo)
+	if wide {
+		r.slot[r.n&7] = slot + 1
+		r.n++
+		c.OnVRFValue(r.w, false, p.hi)
 	}
 }
 
@@ -188,43 +172,12 @@ func (c *Collector) finishWalk(r *vrfWalk, p lanePair, slot uint16, k uint8) {
 		}
 		t.AccessSlots(r.slot[:n+int(k)], &c.Run.Reuse)
 	}
-	if !c.TrackValues {
-		return
+	if k > 0 {
+		c.OnVRFValue(w, true, p.lo)
 	}
-	for i := range k {
-		if s := int(slot + uint16(i)); s < len(w.uniq) {
-			w.uniq[s] = uniqueMemo{}
-		}
-		if r.sampled>>(r.n+i)&1 != 0 {
-			vals := p.lo
-			if i == 1 {
-				vals = p.hi
-			}
-			c.sampleUnique(w, true, vals, slot+uint16(i))
-		}
+	if k > 1 {
+		c.OnVRFValue(w, true, p.hi)
 	}
-}
-
-// samplePositions advances w's sampling counter (the collector's when w has
-// none) past k accesses and returns which of them are sampled: with counter
-// c and period n, access p = 1..k is sampled when (c+p) mod n = 0, and the
-// counter becomes (c+k) mod n. That is what k calls of sampleValue do.
-func (c *Collector) samplePositions(w *Wave, k int) (sampled uint16) {
-	n := c.ValueSampleEvery
-	if n <= 1 {
-		return 1<<k - 1
-	}
-	ctr := w.ValueCounter
-	if ctr == nil {
-		ctr = &c.valueCounter
-	}
-	cur := min(*ctr, n-1) // sampleValue samples at once from any count >= n-1
-	p := n - cur
-	for ; p <= k; p += n {
-		sampled |= 1 << (p - 1)
-	}
-	*ctr = n - (p - k) // p is the first sampled access past the k
-	return sampled
 }
 
 // srcPair returns the register arrays of a source operand. A 64-bit kernel
@@ -285,7 +238,6 @@ func (u *laneUnit) run(v *vecOp, w *Wave, regs []lanes, col *Collector) {
 	if v.maskIn.kind != maskNone {
 		x.mask = v.maskIn.read(w)
 	}
-	walk.settle(int(v.dstW))
 	m := v.kern(x, uint64(w.Exec))
 	walk.finish(x.dst, v.dst, v.dstW)
 	if v.maskOut.kind != maskNone {

@@ -145,9 +145,6 @@ type Wave struct {
 	// points every wave of a compute unit at that unit's counter, so the
 	// sampling cadence is per compute unit and restarts at every dispatch.
 	ValueCounter *int
-	// uniq is the unique-count memo, one entry per vector register slot,
-	// when the collector tracks values (Collector.sampleUnique).
-	uniq []uniqueMemo
 
 	// linesBuf is the wave's reusable coalescing scratch. Execute
 	// overwrites it on every memory instruction and hands it out as
@@ -186,7 +183,7 @@ func (p *WavePool) get() (*Wave, [][isa.WavefrontSize]uint32) {
 	if cap(w.VRegs) > cap(rows) {
 		rows = w.VRegs
 	}
-	*w = Wave{CRegs: w.CRegs[:0], RS: w.RS[:0], uniq: w.uniq[:0], linesBuf: w.linesBuf[:0]}
+	*w = Wave{CRegs: w.CRegs[:0], RS: w.RS[:0], linesBuf: w.linesBuf[:0]}
 	return w, rows
 }
 
@@ -259,18 +256,14 @@ func (c *Collector) sampleValue(w *Wave) bool {
 }
 
 // OnVRFValue records a lane-value uniqueness observation for one vector
-// operand access of w's: vals under w's execution mask. It is the
-// per-access form of the engines' register-file walk (vrfWalk), kept for
-// the reference interpreter and tests.
+// operand access of w's, if it is sampled: vals under w's execution mask.
+// Every value-sampled access goes through it, the engines' register-file
+// walk (vrfWalk) and the reference interpreter's alike.
 func (c *Collector) OnVRFValue(w *Wave, write bool, vals *[isa.WavefrontSize]uint32) {
 	if !c.sampleValue(w) {
 		return
 	}
 	unique, lanes := stats.UniqueCount(vals, w.Exec)
-	c.addUnique(write, unique, lanes)
-}
-
-func (c *Collector) addUnique(write bool, unique, lanes int) {
 	if write {
 		c.Run.WriteUnique += uint64(unique)
 		c.Run.WriteLanes += uint64(lanes)
@@ -278,47 +271,6 @@ func (c *Collector) addUnique(write bool, unique, lanes int) {
 		c.Run.ReadUnique += uint64(unique)
 		c.Run.ReadLanes += uint64(lanes)
 	}
-}
-
-// uniqueMemo is one slot's entry in a wave's unique-count memo: the count
-// of the slot's last sampled access and the execution mask it was taken
-// under. unique 0 is an empty entry. Every write to the slot empties it, so
-// a read of a full entry under the same mask sees the values it counted.
-type uniqueMemo struct {
-	exec   isa.ExecMask
-	unique uint32
-}
-
-// memoGuard makes every memo hit recount the values and tally the hits
-// and the entries that were stale. Only tests turn it on (export_test.go).
-var memoGuard struct {
-	on          bool
-	hits, stale int
-}
-
-// sampleUnique records the uniqueness of a sampled access to w's register
-// slot holding vals. A read under the mask its slot's memo entry was taken
-// under reuses the entry's count; anything else counts and refills it.
-func (c *Collector) sampleUnique(w *Wave, write bool, vals *[isa.WavefrontSize]uint32, slot uint16) {
-	var m *uniqueMemo
-	if int(slot) < len(w.uniq) {
-		m = &w.uniq[slot]
-		if !write && m.unique != 0 && m.exec == w.Exec {
-			if memoGuard.on {
-				memoGuard.hits++
-				if u, _ := stats.UniqueCount(vals, w.Exec); u != int(m.unique) {
-					memoGuard.stale++
-				}
-			}
-			c.addUnique(write, int(m.unique), w.Exec.PopCount())
-			return
-		}
-	}
-	unique, lanes := stats.UniqueCount(vals, w.Exec)
-	if m != nil {
-		*m = uniqueMemo{exec: w.Exec, unique: uint32(unique)}
-	}
-	c.addUnique(write, unique, lanes)
 }
 
 // OnVRFSlot records a reuse-distance access to a vector register slot.

@@ -237,7 +237,7 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 			simd:    c.usedSlots % c.g.P.SIMDsPerCU,
 			regBase: c.vrfCursor,
 		}
-		c.vrfCursor = (c.vrfCursor + vregs) % c.g.P.VRFRegsPerCU
+		c.vrfCursor = (c.vrfCursor + vregs) % vrfRegsPerCU
 		c.seq++
 		if eng.Abstraction() == "HSAIL" {
 			nSlots, _ := eng.RegDemand()
@@ -544,13 +544,13 @@ func (c *cu) issueBound(wv *waveCtx) int64 {
 func (c *cu) unit(wv *waveCtx, info *emu.InstInfo) (busy *int64, occ int64) {
 	switch info.Category {
 	case isa.CatVALU:
-		return &c.simdBusy[wv.simd], c.g.P.SIMDIssueCycles
+		return &c.simdBusy[wv.simd], simdIssueCycles
 	case isa.CatVMem:
-		return &c.vmemBusy, c.g.P.VMemIssueCycles
+		return &c.vmemBusy, vmemIssueCycles
 	case isa.CatLDS:
-		return &c.ldsBusy, c.g.P.VMemIssueCycles
+		return &c.ldsBusy, vmemIssueCycles
 	default: // scalar ALU, scalar memory, branch, waitcnt, misc
-		return &c.scalarBusy, c.g.P.ScalarIssueCycles
+		return &c.scalarBusy, scalarIssueCycles
 	}
 }
 
@@ -603,15 +603,15 @@ func (c *cu) retire(wv *waveCtx, info *emu.InstInfo, res *emu.ExecResult, now in
 		var ready int64
 		switch info.LatClass {
 		case emu.LatALU:
-			ready = now + p.ALULatency
+			ready = now + aluLatency
 		case emu.LatALU64:
-			ready = now + p.ALU64Latency
+			ready = now + alu64Latency
 		case emu.LatTrans:
-			ready = now + p.TransLatency
+			ready = now + transLatency
 		case emu.LatScalar:
-			ready = now + p.ScalarLatency
+			ready = now + scalarLatency
 		case emu.LatBranch:
-			ready = now + p.BranchLatency
+			ready = now + branchLatency
 		default:
 			ready = now + 1
 		}
@@ -625,7 +625,7 @@ func (c *cu) retire(wv *waveCtx, info *emu.InstInfo, res *emu.ExecResult, now in
 		}
 		wv.ibBytes = 0
 		wv.fetchEpoch++ // cancel any in-flight fill
-		wv.nextIssue = now + p.BranchLatency
+		wv.nextIssue = now + branchLatency
 	}
 
 	if res.IsBarrier {

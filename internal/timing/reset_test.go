@@ -10,6 +10,16 @@ import (
 	"ilsim/internal/stats"
 )
 
+func TestDefaultParamsSane(t *testing.T) {
+	p := DefaultParams()
+	if p.NumCUs != 8 || p.SIMDsPerCU != 4 || p.WFSlots != 40 {
+		t.Fatalf("Table 4 geometry wrong: %+v", p)
+	}
+	if vrfRegsPerCU != 2048 || srfRegsPerCU != 800 {
+		t.Fatalf("Table 4 register files wrong: %d/%d", vrfRegsPerCU, srfRegsPerCU)
+	}
+}
+
 // stateDiff walks two values of one type and returns where they first
 // differ, "" if nowhere: numbers, strings and booleans by value, slices by
 // length and element (not capacity: reuse keeps storage), pointers and
@@ -126,7 +136,7 @@ func TestResetLeavesADeviceLikeNew(t *testing.T) {
 	p := g.P
 	p.WFSlots, p.IBBytes, p.FetchWidth = 10, 16, 2
 	p.L1HitLatency, p.L2HitLatency, p.ScalarHitLatency = 3, 5, 7
-	p.DRAMLatency, p.DRAMOccupancy, p.LDSLatency, p.ALULatency = 11, 2, 13, 17
+	p.DRAMLatency, p.DRAMOccupancy, p.LDSLatency = 11, 2, 13
 	run := &stats.Run{}
 	if !g.Reset(p, run) {
 		t.Fatal("Reset refused parameters that size no storage differently")

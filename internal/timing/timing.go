@@ -95,25 +95,8 @@ type Params struct {
 	// FetchWidth is the number of wavefront fetch requests a CU may start
 	// per cycle.
 	FetchWidth int
-	// VRFRegsPerCU / SRFRegsPerCU bound occupancy (Table 4: 2048/800).
-	VRFRegsPerCU int
-	SRFRegsPerCU int
-
-	// Execution latencies (cycles from issue to result availability).
-	ALULatency    int64
-	ALU64Latency  int64
-	TransLatency  int64
-	ScalarLatency int64
-	BranchLatency int64
-	LDSLatency    int64
-
-	// Issue occupancies (cycles a unit stays busy per instruction).
-	SIMDIssueCycles   int64
-	VMemIssueCycles   int64
-	ScalarIssueCycles int64
-
-	// LaunchOverhead is the packet-processor cost per dispatch, cycles.
-	LaunchOverhead int64
+	// LDSLatency is the LDS access latency, cycles, before bank conflicts.
+	LDSLatency int64
 
 	// Cache geometry.
 	L1DSize, L1DWays           int
@@ -132,17 +115,35 @@ type Params struct {
 	DRAMOccupancy    int64
 }
 
+// The model's fixed parameters, which no configuration changes.
+const (
+	// vrfRegsPerCU / srfRegsPerCU bound occupancy (Table 4: 2048/800).
+	vrfRegsPerCU = 2048
+	srfRegsPerCU = 800
+
+	// Execution latencies (cycles from issue to result availability).
+	aluLatency    = 8
+	alu64Latency  = 12
+	transLatency  = 16
+	scalarLatency = 1
+	branchLatency = 4
+
+	// Issue occupancies (cycles a unit stays busy per instruction).
+	simdIssueCycles   = 4
+	vmemIssueCycles   = 4
+	scalarIssueCycles = 1
+
+	// launchOverhead is the packet-processor cost per dispatch, cycles.
+	launchOverhead = 1500
+)
+
 // DefaultParams returns the Table 4 machine with this model's latencies.
 func DefaultParams() Params {
 	return Params{
 		NumCUs: 8, SIMDsPerCU: 4, WFSlots: 40, VRFBanks: 16,
 		IBBytes: 64, FetchWidth: 1,
-		VRFRegsPerCU: 2048, SRFRegsPerCU: 800,
-		ALULatency: 8, ALU64Latency: 12, TransLatency: 16,
-		ScalarLatency: 1, BranchLatency: 4, LDSLatency: 8,
-		SIMDIssueCycles: 4, VMemIssueCycles: 4, ScalarIssueCycles: 1,
-		LaunchOverhead: 1500,
-		L1DSize:        16 << 10, L1DWays: 0,
+		LDSLatency: 8,
+		L1DSize:    16 << 10, L1DWays: 0,
 		L1ISize: 16 << 10, L1IWays: 8,
 		ScalarL1Size: 32 << 10, ScalarL1Ways: 8,
 		L2Size: 512 << 10, L2Ways: 16, L2Banks: 8,
@@ -340,7 +341,7 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 		}
 	}
 	start := g.now
-	g.now += g.P.LaunchOverhead
+	g.now += launchOverhead
 
 	// Fig 10's value sampling counts each CU's VRF accesses from zero at
 	// every dispatch (the waves cu.place creates point at their CU's
@@ -359,11 +360,11 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	vregs, sregs := eng.RegDemand()
 	wavesByVRF := g.P.WFSlots
 	if vregs > 0 {
-		wavesByVRF = g.P.VRFRegsPerCU / vregs
+		wavesByVRF = vrfRegsPerCU / vregs
 	}
 	wavesBySRF := g.P.WFSlots
 	if sregs > 0 {
-		wavesBySRF = g.P.SRFRegsPerCU / sregs
+		wavesBySRF = srfRegsPerCU / sregs
 	}
 	maxWaves := min3(g.P.WFSlots, wavesByVRF, wavesBySRF)
 	if maxWaves < 1 {

@@ -16,16 +16,6 @@ import (
 	"ilsim/internal/workloads"
 )
 
-func TestDefaultParamsSane(t *testing.T) {
-	p := timing.DefaultParams()
-	if p.NumCUs != 8 || p.SIMDsPerCU != 4 || p.WFSlots != 40 {
-		t.Fatalf("Table 4 geometry wrong: %+v", p)
-	}
-	if p.VRFRegsPerCU != 2048 || p.SRFRegsPerCU != 800 {
-		t.Fatalf("Table 4 register files wrong: %+v", p)
-	}
-}
-
 // runWorkload executes one workload on a new device with the default
 // parameters.
 func runWorkload(t *testing.T, name string, abs core.Abstraction) *stats.Run {
