@@ -78,6 +78,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "ilsim-report: -resume requires -journal")
 		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(stderr, "ilsim-report: -j %d is negative (0 = GOMAXPROCS)\n", *workers)
+		return 2
+	}
 	render := experiments[*expName]
 	if *expName != "" && render == nil {
 		fmt.Fprintf(stderr, "ilsim-report: unknown experiment %q\n", *expName)

@@ -30,6 +30,27 @@ func TestUnknownExperimentRunsNothing(t *testing.T) {
 	}
 }
 
+// TestNegativeFlags: a negative worker count is refused with exit status 2
+// before the journal is opened or any job runs; -j 0 keeps its documented
+// meaning (GOMAXPROCS).
+func TestNegativeFlags(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{{"-j", "-1"}} {
+		journal := filepath.Join(t.TempDir(), "report.jsonl")
+		var out, errw bytes.Buffer
+		code := run([]string{"-exp", "fig5", "-scale", "1", "-hw=false", "-journal", journal,
+			c.flag, c.value}, &out, &errw)
+		if want := c.flag + " " + c.value; code != 2 || !strings.Contains(errw.String(), want) {
+			t.Errorf("%s: exit status %d, want 2 naming it; stderr:\n%s", want, code, errw.String())
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s printed a report:\n%s", c.flag, c.value, out.String())
+		}
+		if _, err := os.Stat(journal); !os.IsNotExist(err) {
+			t.Errorf("%s %s created journal %s (stat error %v)", c.flag, c.value, journal, err)
+		}
+	}
+}
+
 // TestOneExperimentPrintsOnlyItsSection: -exp fig5 prints the Fig 5 section
 // and nothing else on stdout; the -csv confirmation goes to stderr.
 func TestOneExperimentPrintsOnlyItsSection(t *testing.T) {

@@ -98,6 +98,14 @@ func run(args []string, out, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *workers < 0:
+		return fmt.Errorf("-j %d is negative (0 = GOMAXPROCS)", *workers)
+	case *points < 0:
+		return fmt.Errorf("-points %d is negative (0 = all)", *points)
+	case *timeout < 0:
+		return fmt.Errorf("-timeout %s is negative (0 = none)", *timeout)
+	}
 
 	stopProf, err := prof.StartOptions(prof.Options{
 		CPUPath: *cpuProfile, MemPath: *memProfile,

@@ -68,6 +68,24 @@ func TestSweepUnknownParam(t *testing.T) {
 	}
 }
 
+// TestSweepNegativeFlags: a negative worker count, point limit or timeout
+// is an error before anything simulates; 0 keeps its documented meaning.
+func TestSweepNegativeFlags(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-j", "-3"}, {"-points", "-2"}, {"-timeout", "-1s"},
+	} {
+		var out, errw bytes.Buffer
+		err := run([]string{"-param", "banks", "-workload", "ArrayBW", "-scale", "1", "-points", "1",
+			c.flag, c.value}, &out, &errw)
+		if want := c.flag + " " + c.value; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a negative-value error", want, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s %s printed results:\n%s", c.flag, c.value, out.String())
+		}
+	}
+}
+
 // TestSweepRetriesFlagGone: a job runs once, so there is no -retries.
 func TestSweepRetriesFlagGone(t *testing.T) {
 	var out, errw bytes.Buffer

@@ -72,6 +72,12 @@ func run(args []string, out, errw io.Writer) error {
 			return fmt.Errorf("-%s %d is negative (0 keeps the default)", o.name, o.v)
 		}
 	}
+	switch {
+	case *workers < 0:
+		return fmt.Errorf("-j %d is negative (0 = GOMAXPROCS)", *workers)
+	case *timeout < 0:
+		return fmt.Errorf("-timeout %s is negative (0 = none)", *timeout)
+	}
 
 	stopProf, err := prof.StartOptions(prof.Options{
 		CPUPath: *cpuProfile, MemPath: *memProfile,

@@ -103,17 +103,21 @@ func TestJSONRejectsWorkloadList(t *testing.T) {
 	}
 }
 
-// TestNegativeMachineOverride asserts a negative machine override is an
-// error before anything simulates; 0 alone means "keep the default".
+// TestNegativeMachineOverride asserts a negative machine override, worker
+// count or timeout is an error before anything simulates; 0 alone means
+// "keep the default".
 func TestNegativeMachineOverride(t *testing.T) {
-	for _, flag := range []string{"-cus", "-banks", "-wfslots", "-l1i"} {
+	for _, c := range []struct{ flag, value string }{
+		{"-cus", "-2"}, {"-banks", "-2"}, {"-wfslots", "-2"}, {"-l1i", "-2"},
+		{"-j", "-1"}, {"-timeout", "-1s"},
+	} {
 		var out, errw bytes.Buffer
-		err := run([]string{"-workload", "ArrayBW", "-scale", "1", flag, "-2"}, &out, &errw)
-		if err == nil || !strings.Contains(err.Error(), flag+" -2") {
-			t.Errorf("%s -2: err = %v, want a negative-override error", flag, err)
+		err := run([]string{"-workload", "ArrayBW", "-scale", "1", c.flag, c.value}, &out, &errw)
+		if want := c.flag + " " + c.value; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want a negative-value error", want, err)
 		}
 		if out.Len() != 0 {
-			t.Errorf("%s -2 printed results:\n%s", flag, out.String())
+			t.Errorf("%s %s printed results:\n%s", c.flag, c.value, out.String())
 		}
 	}
 }

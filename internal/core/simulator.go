@@ -9,6 +9,14 @@ import (
 	"ilsim/internal/timing"
 )
 
+// ModelVersion names the model whose statistics a run produces. Every
+// change that moves a simulated statistic (a golden of internal/report)
+// bumps it. It is part of every job's identity (exp.Job.Fingerprint), so a
+// -resume journal written under another version is refused instead of
+// mixing two models' results, and a distributed worker built at another
+// version fails the coordinator's join probe.
+const ModelVersion = 1
+
 // ErrBudgetExceeded marks a run killed by its cycle or instruction budget
 // (RunOptions.MaxCycles / MaxInsts); errors.Is-compatible with the timing
 // layer's sentinel.

@@ -221,10 +221,10 @@ func (w *Worker) join(ctx context.Context) error {
 }
 
 // verifyProbe recomputes the probe job's fingerprint — the stale-binary
-// detector. A worker whose exp.Job encoding (fields, config layout,
-// fingerprint format) drifted from the coordinator's computes a different
-// fingerprint for the same decoded job and is refused here, at join time,
-// before it can taint any result.
+// detector. A worker whose core.ModelVersion or exp.Job encoding (fields,
+// config layout, fingerprint format) differs from the coordinator's
+// computes a different fingerprint for the same decoded job and is refused
+// here, at join time, before it can taint any result.
 func verifyProbe(rep joinReply) error {
 	if rep.Probe == nil {
 		return nil

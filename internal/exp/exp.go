@@ -10,8 +10,6 @@ package exp
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -52,23 +50,6 @@ func (j Job) String() string {
 		s = j.Label + " " + s
 	}
 	return s
-}
-
-// Fingerprint returns a short stable hash over every field that influences
-// the job's result — the identity the journal keys completed work by, in
-// the same spirit as stats.Run.Fingerprint() on the result side. Two jobs
-// with equal fingerprints would (determinism guarantee) produce
-// byte-identical runs. CUParallelism and MemParallelism are inert and are
-// zeroed, as they were when they were host-level execution knobs, so
-// journals written then still resume.
-func (j Job) Fingerprint() string {
-	opts := j.Opts
-	opts.CUParallelism = 0
-	opts.MemParallelism = 0
-	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%d|%s|%v|%t|%+v|%+v",
-		j.Label, j.Workload, j.Scale, j.Abs, j.Timeout, j.SkipCheck, j.Config, opts)
-	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
 // Result is one job's outcome. Results returned by Run are indexed exactly

@@ -12,6 +12,7 @@ import (
 	"os"
 	"sync"
 
+	"ilsim/internal/core"
 	"ilsim/internal/stats"
 )
 
@@ -25,10 +26,13 @@ var ErrJournalMismatch = errors.New("exp: journal job set does not match")
 const journalVersion = 1
 
 // journalHeader is the first JSONL line: the identity of the campaign the
-// journal checkpoints, as the ordered job fingerprints.
+// journal checkpoints, as the model version its results come from and the
+// ordered job fingerprints. A journal written before the model version was
+// recorded reads as model 0.
 type journalHeader struct {
 	Type    string   `json:"type"` // "header"
 	Version int      `json:"version"`
+	Model   int      `json:"model"`
 	Jobs    []string `json:"jobs"`
 }
 
@@ -82,8 +86,9 @@ type journalFile interface {
 // OpenJournal binds a journal file to a job set. When path does not exist
 // a fresh journal is created (with or without resume). When it exists,
 // resume must be true — refusing to silently clobber a checkpoint — and
-// the file's recorded job set must match jobs exactly, or the open fails
-// with ErrJournalMismatch. A partial trailing line (the mark of a kill
+// the file's recorded model version and job set must match
+// core.ModelVersion and jobs exactly, or the open fails with
+// ErrJournalMismatch. A partial trailing line (the mark of a kill
 // mid-write) is tolerated and cut off the file, so the entries appended
 // next start on a line boundary.
 func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
@@ -112,7 +117,8 @@ func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
 			return nil, err
 		}
 		j.f = f
-		if err := j.append(journalHeader{Type: "header", Version: journalVersion, Jobs: j.fps}); err != nil {
+		if err := j.append(journalHeader{Type: "header", Version: journalVersion,
+			Model: core.ModelVersion, Jobs: j.fps}); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -124,11 +130,12 @@ func OpenJournal(path string, jobs []Job, resume bool) (*Journal, error) {
 
 // load parses an existing journal line by line, validating every entry
 // against the bound job set, and leaves in j.size the offset just past the
-// last good line. The header line must be whole, of this version and for this
-// job set. A later line cut short of its newline (the next append would fuse
-// with it, even when what is there parses), a line that does not parse and a
-// line admit refuses are fatal only when more lines follow: the last line may
-// be a partial write from a killed process, and is then left out.
+// last good line. The header line must be whole, of this format version, of
+// this model version and for this job set. A later line cut short of its
+// newline (the next append would fuse with it, even when what is there
+// parses), a line that does not parse and a line admit refuses are fatal
+// only when more lines follow: the last line may be a partial write from a
+// killed process, and is then left out.
 func (j *Journal) load() error {
 	f, err := os.Open(j.path)
 	if err != nil {
@@ -148,6 +155,11 @@ func (j *Journal) load() error {
 	}
 	if hdr.Version != journalVersion {
 		return fmt.Errorf("exp: journal %s: version %d, want %d", j.path, hdr.Version, journalVersion)
+	}
+	if hdr.Model != core.ModelVersion {
+		return fmt.Errorf("%w (%s: written by model version %d, this binary is model version %d; "+
+			"its results would mix two models, so start a new journal)",
+			ErrJournalMismatch, j.path, hdr.Model, core.ModelVersion)
 	}
 	if err := matchFingerprints(hdr.Jobs, j.fps); err != nil {
 		return fmt.Errorf("%w (%s: %v)", ErrJournalMismatch, j.path, err)

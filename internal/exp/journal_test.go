@@ -12,6 +12,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"ilsim/internal/core"
 )
 
 func journalPath(t *testing.T) string {
@@ -181,6 +183,56 @@ func TestJournalRefusesMismatchedJobSet(t *testing.T) {
 	if _, _, err := eng.Run(other); !errors.Is(err, ErrJournalMismatch) {
 		t.Fatalf("engine run with mismatched journal returned %v", err)
 	}
+}
+
+// TestJournalRefusesAnotherModel: a journal is bound to the model version
+// that wrote it. One written before headers named a model (here, the header
+// the previous encoding wrote for TestJobFingerprintPinned's job, whose
+// fingerprint there was 27eadb242342c622a5563a04) and one whose header names
+// another model are both refused with ErrJournalMismatch, by a message naming
+// both versions, ahead of any per-job comparison. A journal this binary
+// wrote resumes.
+func TestJournalRefusesAnotherModel(t *testing.T) {
+	jobs := []Job{{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
+		Config: core.DefaultConfig(), Opts: core.RunOptions{MaxCycles: 7}}}
+	here := fmt.Sprintf("model version %d", core.ModelVersion)
+	refused := func(header string, want string) {
+		t.Helper()
+		path := journalPath(t)
+		if err := os.WriteFile(path, []byte(header+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := OpenJournal(path, jobs, true)
+		if !errors.Is(err, ErrJournalMismatch) {
+			t.Fatalf("journal %s: OpenJournal returned %v, want ErrJournalMismatch", header, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, want) || !strings.Contains(msg, here) {
+			t.Fatalf("journal %s refused with %q, want it to name %q and %q", header, msg, want, here)
+		}
+	}
+	refused(`{"type":"header","version":1,"jobs":["27eadb242342c622a5563a04"]}`, "model version 0")
+
+	path := journalPath(t)
+	j, err := OpenJournal(path, jobs, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if j, err = OpenJournal(path, jobs, true); err != nil {
+		t.Fatalf("a journal this binary wrote does not resume: %v", err)
+	}
+	j.Close()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ours := fmt.Sprintf(`"model":%d,`, core.ModelVersion)
+	if !bytes.Contains(b, []byte(ours)) {
+		t.Fatalf("header %s does not record %s", b, ours)
+	}
+	next := core.ModelVersion + 1
+	refused(strings.TrimSpace(strings.Replace(string(b), ours, fmt.Sprintf(`"model":%d,`, next), 1)),
+		fmt.Sprintf("model version %d", next))
 }
 
 // TestJournalToleratesPartialTrailingLine: a kill mid-write leaves a

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -398,22 +399,48 @@ func TestJobFingerprint(t *testing.T) {
 	}
 }
 
-// TestJobFingerprintPinned pins the journal identity of one literal job.
-// Fingerprint hashes %+v of core.Config and core.RunOptions, so renaming,
-// removing or reordering a field of either orphans every -resume journal and
-// fails every distributed campaign's job-set check; if this literal has to
-// change, that is what the change does. The inert parallelism fields must
-// not move it.
+// TestJobFingerprintPinned pins the journal identity of one literal job. A
+// job is the model version plus its non-zero fields by name, so the literal
+// moves only when core.ModelVersion is bumped, when a field this job sets is
+// renamed or changes meaning, or when the encoding itself changes; each of
+// those makes every -resume journal re-run instead of resuming, which is
+// what the change does. A field added at its zero value, or deleted while
+// no job sets it, moves nothing.
 func TestJobFingerprintPinned(t *testing.T) {
-	const pinned = "27eadb242342c622a5563a04"
+	const pinned = "372f17bb1df722fd21949c9e"
 	job := Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
 		Config: core.DefaultConfig(), Opts: core.RunOptions{MaxCycles: 7}}
 	if fp := job.Fingerprint(); fp != pinned {
-		t.Fatalf("fingerprint %s, want %s: existing journals no longer resume", fp, pinned)
+		t.Fatalf("fingerprint %s, want %s: existing journals no longer resume. Identity:\n%s",
+			fp, pinned, job.appendIdentity(nil, core.ModelVersion))
 	}
-	job.Opts.CUParallelism, job.Opts.MemParallelism = 8, 44
-	if fp := job.Fingerprint(); fp != pinned {
-		t.Fatalf("fingerprint %s with CUParallelism/MemParallelism set, want %s", fp, pinned)
+	if fp := job.fingerprint(core.ModelVersion + 1); fp == pinned {
+		t.Error("the same job under the next model version keeps its fingerprint")
+	}
+	unbounded := job
+	unbounded.Opts.MaxCycles = 0
+	if fp := unbounded.Fingerprint(); fp == pinned {
+		t.Error("MaxCycles: 7 does not move the fingerprint")
+	}
+
+	// A struct with core.Config's fields plus one more encodes exactly as
+	// core.Config does while the extra field is zero, and differently once
+	// it is set.
+	cfg := reflect.ValueOf(job.Config)
+	fields := reflect.VisibleFields(cfg.Type())
+	wider := reflect.StructOf(append(fields, reflect.StructField{Name: "NewKnob", Type: reflect.TypeFor[int]()}))
+	v := reflect.New(wider).Elem()
+	for i := range fields {
+		v.Field(i).Set(cfg.Field(i))
+	}
+	want := appendFields(nil, configFields, cfg)
+	widerFields := identityFields("Config", wider)
+	if got := appendFields(nil, widerFields, v); !bytes.Equal(got, want) {
+		t.Errorf("a zero-valued new Config field changes the encoding:\n%s\nwant\n%s", got, want)
+	}
+	v.FieldByName("NewKnob").SetInt(3)
+	if got := appendFields(nil, widerFields, v); bytes.Equal(got, want) {
+		t.Error("a non-zero new Config field leaves the encoding unchanged")
 	}
 }
 

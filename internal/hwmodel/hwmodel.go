@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"ilsim/internal/core"
-	"ilsim/internal/workloads"
 )
 
 // SiliconConfig returns the oracle's machine configuration: the Table 4
@@ -54,45 +53,13 @@ func perturbation(name string, kernelIdx int) float64 {
 	return app * kern
 }
 
-// Oracle measures ground-truth runtimes.
-type Oracle struct {
-	sim *core.Simulator
-}
-
-// New builds the oracle.
-func New() (*Oracle, error) {
-	sim, err := core.NewSimulator(SiliconConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Oracle{sim: sim}, nil
-}
-
-// KernelRuntimes returns the "measured hardware" cycle counts for every
-// dynamic kernel launch of a workload: the silicon-configured GCN3 execution
-// scaled by the perturbations. The same binary runs on the oracle and in
-// simulation, as in the paper's methodology ("we use the same binaries in
-// the case of GCN3 execution").
-func (o *Oracle) KernelRuntimes(w *workloads.Workload, scale int) ([]float64, error) {
-	inst, err := w.Prepare(scale)
-	if err != nil {
-		return nil, fmt.Errorf("hwmodel: %s: %w", w.Name, err)
-	}
-	run, m, err := o.sim.Run(core.AbsGCN3, w.Name, inst.Setup, core.RunOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("hwmodel: %s: %w", w.Name, err)
-	}
-	if err := inst.Check(m); err != nil {
-		return nil, fmt.Errorf("hwmodel: %s: %w", w.Name, err)
-	}
-	return PerturbedRuntimes(w.Name, run.KernelCycles), nil
-}
-
 // PerturbedRuntimes scales a silicon-configured run's per-kernel cycle
 // counts by the oracle's deterministic perturbations, turning any GCN3
 // execution under SiliconConfig into "measured hardware" runtimes. The
-// experiment engine uses this to fold oracle measurements into a parallel
-// job set instead of running them through a private simulator.
+// oracle is an ordinary experiment job (report.SuiteJobs labels it
+// "hw-oracle"); the same binary runs on the oracle and in simulation, as in
+// the paper's methodology ("we use the same binaries in the case of GCN3
+// execution").
 func PerturbedRuntimes(name string, kernelCycles []uint64) []float64 {
 	out := make([]float64, len(kernelCycles))
 	for i, c := range kernelCycles {

@@ -1,10 +1,11 @@
 package hwmodel
 
 import (
+	"slices"
 	"testing"
 
 	"ilsim/internal/core"
-	"ilsim/internal/workloads"
+	"ilsim/internal/exp"
 )
 
 func TestPerturbationDeterministicAndBounded(t *testing.T) {
@@ -36,19 +37,23 @@ func TestSiliconConfigSlower(t *testing.T) {
 	}
 }
 
+// TestOracleRuntimes runs HPGMG@1's hw-oracle job (GCN3 under
+// SiliconConfig) twice through the experiment engine: every perturbed
+// kernel runtime is positive, and the two runs give identical runtimes.
 func TestOracleRuntimes(t *testing.T) {
-	o, err := New()
+	job := exp.Job{Label: "hw-oracle", Workload: "HPGMG", Scale: 1, Abs: core.AbsGCN3, Config: SiliconConfig()}
+	results, _, err := exp.New(1).Run([]exp.Job{job, job})
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := workloads.ByName("HPGMG")
-	if err != nil {
-		t.Fatal(err)
+	var runtimes [2][]float64
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		runtimes[i] = PerturbedRuntimes(job.Workload, r.Run.KernelCycles)
 	}
-	times, err := o.KernelRuntimes(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	times, again := runtimes[0], runtimes[1]
 	if len(times) == 0 {
 		t.Fatal("no kernel runtimes")
 	}
@@ -57,14 +62,7 @@ func TestOracleRuntimes(t *testing.T) {
 			t.Fatalf("kernel %d: non-positive runtime %v", i, v)
 		}
 	}
-	// Determinism.
-	again, err := o.KernelRuntimes(w, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range times {
-		if times[i] != again[i] {
-			t.Fatalf("oracle nondeterministic at kernel %d", i)
-		}
+	if !slices.Equal(times, again) {
+		t.Fatalf("oracle nondeterministic: %v, then %v", times, again)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 
 	"ilsim/internal/core"
@@ -19,8 +20,9 @@ import (
 //
 //	ILSIM_UPDATE_GOLDEN=1 go test ./internal/report -run TestGoldenFingerprints -v
 //
-// and paste the printed map — but only when a PR deliberately changes the
-// model, never for a speedup.
+// and paste the printed map — but only when a change deliberately moves the
+// model, never for a speedup, and together with a core.ModelVersion bump
+// (TestGoldensPinnedToModelVersion).
 //
 // Last epoch: the banked memory system (set-interleaved L2 banks with
 // per-bank ports, per-channel DRAM ports, and the level-wave drain's
@@ -46,6 +48,40 @@ var goldenFingerprints = map[string]string{
 	"SpMV/GCN3":         "7637385a25ff0dd5e12eb2ad1be82c08c2513f49ab30ed15088ce6e6df28da51",
 	"XSBench/HSAIL":     "39201326a68fe08c7fe4f4a17a107af9d3c73c65431725279504c091fb7b5737",
 	"XSBench/GCN3":      "c68c08d5d5c632edefd8006fe62bb918e84cf371d2023996fd551a6a6f8b5a86",
+}
+
+// goldenModel and goldenSHA pin the pair (core.ModelVersion, sha256 of the
+// sorted goldenFingerprints): the goldens move only with a model version
+// bump, so a -resume journal of the old model is refused instead of mixing
+// two models' results into one report.
+const (
+	goldenModel = 1
+	goldenSHA   = "1b2b65997cd0c93216af097bdc037c7e0ed02a6240087ba83fc0df6e9d2e8d78"
+)
+
+// TestGoldensPinnedToModelVersion fails when the goldens or
+// core.ModelVersion move without the other, and says what to re-pin.
+func TestGoldensPinnedToModelVersion(t *testing.T) {
+	keys := make([]string, 0, len(goldenFingerprints))
+	for k := range goldenFingerprints {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		fmt.Fprintf(h, "%s=%s\n", k, goldenFingerprints[k])
+	}
+	sum := hex.EncodeToString(h.Sum(nil))
+	switch {
+	case sum == goldenSHA && core.ModelVersion == goldenModel:
+	case core.ModelVersion == goldenModel:
+		t.Fatalf("the goldens moved (sha256 %s, pinned %s) but core.ModelVersion is still %d: "+
+			"bump core.ModelVersion in internal/core, then pin goldenModel and goldenSHA = %q",
+			sum, goldenSHA, core.ModelVersion, sum)
+	default:
+		t.Fatalf("core.ModelVersion is %d but the goldens are pinned at model %d: "+
+			"pin goldenModel = %d and goldenSHA = %q", core.ModelVersion, goldenModel, core.ModelVersion, sum)
+	}
 }
 
 // TestGoldenFingerprints runs the full 10-workload suite under both
