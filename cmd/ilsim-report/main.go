@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	ilsim-report [-scale N] [-hw=false] [-exp fig5] [-o EXPERIMENTS.md] [-j 8]
+//	ilsim-report [-scale N] [-exp fig5] [-o EXPERIMENTS.md] [-j 8]
 //	ilsim-report -journal report.jsonl            # checkpoint as it goes
 //	ilsim-report -journal report.jsonl -resume    # continue after a kill
 //	ilsim-report -serve :9666                     # lease the suite to workers
@@ -59,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ilsim-report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.Int("scale", 2, "input scale for the workload suite")
-	withHW := fs.Bool("hw", true, "run the hardware-correlation oracle (Table 7)")
 	expName := fs.String("exp", "", "render only one experiment (fig1, fig3, fig5..fig12, table6, table7, ablation)")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	csvDir := fs.String("csv", "", "also export per-figure CSV files to this directory")
@@ -82,6 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ilsim-report: -j %d is negative (0 = GOMAXPROCS)\n", *workers)
 		return 2
 	}
+	if *scale < 1 {
+		fmt.Fprintf(stderr, "ilsim-report: -scale %d is below 1\n", *scale)
+		return 2
+	}
 	render := experiments[*expName]
 	if *expName != "" && render == nil {
 		fmt.Fprintf(stderr, "ilsim-report: unknown experiment %q\n", *expName)
@@ -98,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var journal *exp.Journal
 	if *journalPath != "" {
-		jobs := report.SuiteJobs(cfg, *scale, *withHW)
+		jobs := report.SuiteJobs(cfg, *scale, false)
 		j, err := exp.OpenJournal(*journalPath, jobs, *resume)
 		if err != nil {
 			return fail(err)
@@ -135,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		eng.OnProgress = onProgress
 		runner = eng
 	}
-	res, err := report.CollectParallel(runner, cfg, *scale, *withHW)
+	res, err := report.CollectParallel(runner, cfg, *scale)
 	if err != nil {
 		return fail(err)
 	}

@@ -14,7 +14,7 @@ import (
 func TestUnknownExperimentRunsNothing(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "report.jsonl")
 	var out, errw bytes.Buffer
-	code := run([]string{"-exp", "fig13", "-scale", "1", "-hw=false", "-v", "-journal", journal}, &out, &errw)
+	code := run([]string{"-exp", "fig13", "-scale", "1", "-v", "-journal", journal}, &out, &errw)
 	if code != 2 {
 		t.Fatalf("exit status %d, want 2; stderr:\n%s", code, errw.String())
 	}
@@ -30,14 +30,14 @@ func TestUnknownExperimentRunsNothing(t *testing.T) {
 	}
 }
 
-// TestNegativeFlags: a negative worker count is refused with exit status 2
-// before the journal is opened or any job runs; -j 0 keeps its documented
-// meaning (GOMAXPROCS).
+// TestNegativeFlags: a negative worker count or a scale below 1 is refused
+// with exit status 2 before the journal is opened or any job runs; -j 0
+// keeps its documented meaning (GOMAXPROCS).
 func TestNegativeFlags(t *testing.T) {
-	for _, c := range []struct{ flag, value string }{{"-j", "-1"}} {
+	for _, c := range []struct{ flag, value string }{{"-j", "-1"}, {"-scale", "0"}, {"-scale", "-1"}} {
 		journal := filepath.Join(t.TempDir(), "report.jsonl")
 		var out, errw bytes.Buffer
-		code := run([]string{"-exp", "fig5", "-scale", "1", "-hw=false", "-journal", journal,
+		code := run([]string{"-exp", "fig5", "-scale", "1", "-journal", journal,
 			c.flag, c.value}, &out, &errw)
 		if want := c.flag + " " + c.value; code != 2 || !strings.Contains(errw.String(), want) {
 			t.Errorf("%s: exit status %d, want 2 naming it; stderr:\n%s", want, code, errw.String())
@@ -55,7 +55,7 @@ func TestNegativeFlags(t *testing.T) {
 // and nothing else on stdout; the -csv confirmation goes to stderr.
 func TestOneExperimentPrintsOnlyItsSection(t *testing.T) {
 	var out, errw bytes.Buffer
-	code := run([]string{"-exp", "fig5", "-scale", "1", "-hw=false", "-csv", t.TempDir()}, &out, &errw)
+	code := run([]string{"-exp", "fig5", "-scale", "1", "-csv", t.TempDir()}, &out, &errw)
 	if code != 0 {
 		t.Fatalf("exit status %d; stderr:\n%s", code, errw.String())
 	}
@@ -70,5 +70,14 @@ func TestOneExperimentPrintsOnlyItsSection(t *testing.T) {
 	}
 	if strings.Contains(text, "wrote CSV") || !strings.Contains(errw.String(), "wrote CSV files to") {
 		t.Errorf("the CSV confirmation is not on stderr alone; stderr:\n%s", errw.String())
+	}
+}
+
+// TestHWFlagGone: Table 7 needs no oracle run, so there is no -hw.
+func TestHWFlagGone(t *testing.T) {
+	var out, errw bytes.Buffer
+	code := run([]string{"-exp", "table7", "-scale", "1", "-hw=false"}, &out, &errw)
+	if code != 2 || !strings.Contains(errw.String(), "flag provided but not defined: -hw") {
+		t.Fatalf("-hw=false: exit status %d; stderr:\n%s", code, errw.String())
 	}
 }

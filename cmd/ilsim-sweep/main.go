@@ -34,6 +34,7 @@
 //	ilsim-sweep -param waves  -workload MD        # wavefront slots per CU
 //	ilsim-sweep -param l1i    -workload LULESH    # I-cache size
 //	ilsim-sweep -param cus    -workload SpMV      # machine scaling (CU count)
+//	ilsim-sweep -param silicon -workload LULESH   # Table 4 vs slower memory latencies
 //	ilsim-sweep -param banks -j 8 -v              # 8 workers, progress on stderr
 //	ilsim-sweep -param banks -journal s.jsonl     # checkpoint successful jobs
 //	ilsim-sweep -param banks -journal s.jsonl -resume   # continue after a kill
@@ -99,6 +100,8 @@ func run(args []string, out, errw io.Writer) error {
 		return err
 	}
 	switch {
+	case *scale < 1:
+		return fmt.Errorf("-scale %d is below 1", *scale)
 	case *workers < 0:
 		return fmt.Errorf("-j %d is negative (0 = GOMAXPROCS)", *workers)
 	case *points < 0:

@@ -68,11 +68,12 @@ func TestSweepUnknownParam(t *testing.T) {
 	}
 }
 
-// TestSweepNegativeFlags: a negative worker count, point limit or timeout
-// is an error before anything simulates; 0 keeps its documented meaning.
+// TestSweepNegativeFlags: a negative worker count, point limit or timeout,
+// or a scale below 1, is an error before anything simulates; 0 keeps its
+// documented meaning.
 func TestSweepNegativeFlags(t *testing.T) {
 	for _, c := range []struct{ flag, value string }{
-		{"-j", "-3"}, {"-points", "-2"}, {"-timeout", "-1s"},
+		{"-j", "-3"}, {"-points", "-2"}, {"-timeout", "-1s"}, {"-scale", "0"}, {"-scale", "-1"},
 	} {
 		var out, errw bytes.Buffer
 		err := run([]string{"-param", "banks", "-workload", "ArrayBW", "-scale", "1", "-points", "1",

@@ -73,6 +73,8 @@ func run(args []string, out, errw io.Writer) error {
 		}
 	}
 	switch {
+	case *scale < 1:
+		return fmt.Errorf("-scale %d is below 1", *scale)
 	case *workers < 0:
 		return fmt.Errorf("-j %d is negative (0 = GOMAXPROCS)", *workers)
 	case *timeout < 0:

@@ -104,12 +104,12 @@ func TestJSONRejectsWorkloadList(t *testing.T) {
 }
 
 // TestNegativeMachineOverride asserts a negative machine override, worker
-// count or timeout is an error before anything simulates; 0 alone means
-// "keep the default".
+// count or timeout, or a scale below 1, is an error before anything
+// simulates; 0 alone means "keep the default" for an override.
 func TestNegativeMachineOverride(t *testing.T) {
 	for _, c := range []struct{ flag, value string }{
 		{"-cus", "-2"}, {"-banks", "-2"}, {"-wfslots", "-2"}, {"-l1i", "-2"},
-		{"-j", "-1"}, {"-timeout", "-1s"},
+		{"-j", "-1"}, {"-timeout", "-1s"}, {"-scale", "0"}, {"-scale", "-1"},
 	} {
 		var out, errw bytes.Buffer
 		err := run([]string{"-workload", "ArrayBW", "-scale", "1", c.flag, c.value}, &out, &errw)

@@ -2,6 +2,8 @@ package exp
 
 import (
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,7 +192,11 @@ func TestSweepPoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", param, err)
 		}
-		if len(pts) < 4 {
+		want := 4 // a range sweep
+		if param == "silicon" {
+			want = 2 // the Table 4 baseline and the silicon point
+		}
+		if len(pts) < want {
 			t.Fatalf("%s: only %d points", param, len(pts))
 		}
 		seen := map[string]bool{}
@@ -206,6 +212,38 @@ func TestSweepPoints(t *testing.T) {
 	}
 	if _, err := SweepPoints("nope"); err == nil {
 		t.Fatal("unknown parameter accepted")
+	}
+}
+
+// TestSiliconPointSlower: the silicon sweep pairs the Table 4 machine with
+// one that differs from it in exactly the four memory parameters, each
+// raised, and still validates.
+func TestSiliconPointSlower(t *testing.T) {
+	pts, err := SweepPoints("silicon")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := core.DefaultConfig()
+	if len(pts) != 2 || pts[0].Label != "table4" || pts[0].Config != base || pts[1].Label != "silicon" {
+		t.Fatalf("points %+v, want table4 (the default) then silicon", pts)
+	}
+	sil := pts[1].Config
+	b, s := reflect.ValueOf(base), reflect.ValueOf(sil)
+	var moved []string
+	for i := range b.NumField() {
+		if b.Field(i).Interface() != s.Field(i).Interface() {
+			moved = append(moved, b.Type().Field(i).Name)
+		}
+	}
+	if want := []string{"DRAMLatency", "DRAMOccupancy", "L1HitLatency", "L2HitLatency"}; !slices.Equal(moved, want) {
+		t.Fatalf("silicon differs from Table 4 in %v, want %v", moved, want)
+	}
+	if sil.DRAMLatency <= base.DRAMLatency || sil.DRAMOccupancy <= base.DRAMOccupancy ||
+		sil.L1HitLatency <= base.L1HitLatency || sil.L2HitLatency <= base.L2HitLatency {
+		t.Fatalf("silicon %+v must add latency to Table 4", sil)
+	}
+	if err := sil.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -16,7 +16,7 @@ var fingerprintSink string
 // the report's suite, "sweep" an ArrayBW@1 design point shaped like the
 // loopback benchmark's sweep jobs.
 func BenchmarkJobFingerprint(b *testing.B) {
-	suite := report.SuiteJobs(core.DefaultConfig(), 2, true)
+	suite := report.SuiteJobs(core.DefaultConfig(), 2, false)
 	i := slices.IndexFunc(suite, func(j exp.Job) bool { return j.Opts.TrackValues })
 	cfg := core.DefaultConfig()
 	cfg.VRFBanks, cfg.WFSlots, cfg.IBEntries = 8, 20, 4

@@ -15,7 +15,7 @@ type Point struct {
 
 // SweepParams lists the supported sweep parameter names.
 func SweepParams() []string {
-	return []string{"banks", "ib", "waves", "l1i", "cus"}
+	return []string{"banks", "ib", "waves", "l1i", "cus", "silicon"}
 }
 
 // SweepPoints returns the design points for one microarchitecture
@@ -58,8 +58,19 @@ func SweepPoints(param string) ([]Point, error) {
 			n := n
 			add(fmt.Sprintf("cus=%d", n), func(c *core.Config) { c.NumCUs = n })
 		}
+	case "silicon":
+		// The Table 4 machine against one with the memory latencies and
+		// DRAM occupancy a shared-memory APU shows and a typical academic
+		// model underestimates.
+		add("table4", func(*core.Config) {})
+		add("silicon", func(c *core.Config) {
+			c.DRAMLatency = 320
+			c.DRAMOccupancy = 9
+			c.L2HitLatency = 110
+			c.L1HitLatency = 26
+		})
 	default:
-		return nil, fmt.Errorf("exp: unknown sweep parameter %q (banks, ib, waves, l1i, cus)", param)
+		return nil, fmt.Errorf("exp: unknown sweep parameter %q (banks, ib, waves, l1i, cus, silicon)", param)
 	}
 	return pts, nil
 }

@@ -121,20 +121,13 @@ func (r *Results) WriteCSV(dir string) error {
 	}
 
 	// table7.csv: per dynamic kernel launch.
-	if len(r.HW) > 0 {
-		header := []string{"workload", "kernel_index", "hsail_cycles", "gcn3_cycles", "hw_cycles"}
-		var rows [][]string
-		for _, name := range r.Order {
-			p := r.Runs[name]
-			hw := r.HW[name]
-			for i := 0; i < len(hw) && i < len(p.HSAIL.KernelCycles) && i < len(p.GCN3.KernelCycles); i++ {
-				rows = append(rows, []string{name, fmt.Sprint(i),
-					u(p.HSAIL.KernelCycles[i]), u(p.GCN3.KernelCycles[i]), f(hw[i])})
-			}
-		}
-		if err := write("table7.csv", header, rows); err != nil {
-			return err
+	var rows [][]string
+	for _, name := range r.Order {
+		p := r.Runs[name]
+		for i := 0; i < len(p.HSAIL.KernelCycles) && i < len(p.GCN3.KernelCycles); i++ {
+			rows = append(rows, []string{name, fmt.Sprint(i),
+				u(p.HSAIL.KernelCycles[i]), u(p.GCN3.KernelCycles[i])})
 		}
 	}
-	return nil
+	return write("table7.csv", []string{"workload", "kernel_index", "hsail_cycles", "gcn3_cycles"}, rows)
 }

@@ -89,7 +89,7 @@ func TestGoldensPinnedToModelVersion(t *testing.T) {
 // and uniqueness paths are exercised) and requires byte-identical
 // fingerprints against the committed goldens.
 func TestGoldenFingerprints(t *testing.T) {
-	res, err := CollectParallel(exp.New(0), core.DefaultConfig(), 1, false)
+	res, err := CollectParallel(exp.New(0), core.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

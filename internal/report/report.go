@@ -9,11 +9,11 @@ package report
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"ilsim/internal/core"
 	"ilsim/internal/exp"
-	"ilsim/internal/hwmodel"
 	"ilsim/internal/isa"
 	"ilsim/internal/stats"
 	"ilsim/internal/workloads"
@@ -31,30 +31,28 @@ type Results struct {
 	// each ablation configuration's GCN3 run (see Assemble).
 	Order []string
 	Runs  map[string]*Pair
-	// HW maps workload → per-kernel oracle runtimes (Table 7).
-	HW map[string][]float64
 	// Scale is the input scale the suite ran at.
 	Scale int
 }
 
 // Collect runs the whole suite under both abstractions, verifying outputs.
-// When withHW is set it also measures the hardware oracle. Jobs execute on
-// a default experiment engine (GOMAXPROCS workers).
-func Collect(cfg core.Config, scale int, withHW bool) (*Results, error) {
-	return CollectParallel(exp.New(0), cfg, scale, withHW)
+// Jobs execute on a default experiment engine (GOMAXPROCS workers).
+func Collect(cfg core.Config, scale int) (*Results, error) {
+	return CollectParallel(exp.New(0), cfg, scale)
 }
 
 // SuiteJobs builds the report's flat job set: first the finalizer ablation
 // study (one GCN3 run per workloads.Ablations configuration) and the Figure 3
 // kernel under both abstractions, so the long spill run starts with the
-// suite; then, per Table 5 workload, HSAIL and GCN3 runs on cfg plus
-// (optionally) the hardware oracle's silicon-configured run. It is exported
-// so callers can bind a checkpoint journal (exp.OpenJournal) to exactly the
-// set CollectParallel will run.
-func SuiteJobs(cfg core.Config, scale int, withHW bool) []exp.Job {
+// suite; then, per Table 5 workload, HSAIL and GCN3 runs on cfg. It is
+// exported so callers can bind a checkpoint journal (exp.OpenJournal) to
+// exactly the set CollectParallel will run. The trailing bool is ignored:
+// the set is the same whatever it says, and it stays only because the
+// benchmark harness passes one.
+func SuiteJobs(cfg core.Config, scale int, _ bool) []exp.Job {
 	abl := workloads.Ablations()
 	all := workloads.All()
-	jobs := make([]exp.Job, 0, len(abl)+2+perWorkload(withHW)*len(all))
+	jobs := make([]exp.Job, 0, len(abl)+2+2*len(all))
 	for _, w := range abl {
 		jobs = append(jobs, exp.Job{Workload: w.Name, Scale: scale, Abs: core.AbsGCN3, Config: cfg,
 			Opts: core.RunOptions{TrackReuse: true}})
@@ -68,20 +66,8 @@ func SuiteJobs(cfg core.Config, scale int, withHW bool) []exp.Job {
 		jobs = append(jobs,
 			exp.Job{Workload: w.Name, Scale: scale, Abs: core.AbsHSAIL, Config: cfg, Opts: opts},
 			exp.Job{Workload: w.Name, Scale: scale, Abs: core.AbsGCN3, Config: cfg, Opts: opts})
-		if withHW {
-			jobs = append(jobs, exp.Job{Label: "hw-oracle", Workload: w.Name,
-				Scale: scale, Abs: core.AbsGCN3, Config: hwmodel.SiliconConfig()})
-		}
 	}
 	return jobs
-}
-
-// perWorkload is how many jobs SuiteJobs gives each Table 5 workload.
-func perWorkload(withHW bool) int {
-	if withHW {
-		return 3
-	}
-	return 2
 }
 
 // CollectParallel runs the whole suite through the given runner — a local
@@ -90,16 +76,17 @@ func perWorkload(withHW bool) int {
 // are assembled in Table 5 order. Every figure needs every run, so ANY
 // failed job fails the collection; the returned error enumerates all
 // failures with their classes so one rerun can address them together.
-func CollectParallel(eng exp.Runner, cfg core.Config, scale int, withHW bool) (*Results, error) {
-	results, _, err := eng.Run(SuiteJobs(cfg, scale, withHW))
+func CollectParallel(eng exp.Runner, cfg core.Config, scale int) (*Results, error) {
+	results, _, err := eng.Run(SuiteJobs(cfg, scale, false))
 	if err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
-	return Assemble(results, scale, withHW)
+	return Assemble(results, scale, false)
 }
 
 // Assemble builds the figure-ready Results from the SuiteJobs result set.
-func Assemble(results []exp.Result, scale int, withHW bool) (*Results, error) {
+// The trailing bool is ignored, as SuiteJobs' is.
+func Assemble(results []exp.Result, scale int, _ bool) (*Results, error) {
 	var errs []error
 	for _, r := range results {
 		if r.Err != nil {
@@ -112,11 +99,10 @@ func Assemble(results []exp.Result, scale int, withHW bool) (*Results, error) {
 	}
 	abl := workloads.Ablations()
 	all := workloads.All()
-	perWL := perWorkload(withHW)
-	if want := len(abl) + 2 + perWL*len(all); len(results) != want {
+	if want := len(abl) + 2 + 2*len(all); len(results) != want {
 		return nil, fmt.Errorf("report: %d results for a %d-job suite", len(results), want)
 	}
-	res := &Results{Runs: make(map[string]*Pair), HW: make(map[string][]float64), Scale: scale}
+	res := &Results{Runs: make(map[string]*Pair), Scale: scale}
 	for i, w := range abl {
 		res.Runs[w.Name] = &Pair{GCN3: results[i].Run}
 	}
@@ -124,12 +110,8 @@ func Assemble(results []exp.Result, scale int, withHW bool) (*Results, error) {
 	res.Runs[workloads.Fig3().Name] = &Pair{HSAIL: fig3[0].Run, GCN3: fig3[1].Run}
 	suite := fig3[2:]
 	for i, w := range all {
-		base := i * perWL
 		res.Order = append(res.Order, w.Name)
-		res.Runs[w.Name] = &Pair{HSAIL: suite[base].Run, GCN3: suite[base+1].Run}
-		if withHW {
-			res.HW[w.Name] = hwmodel.PerturbedRuntimes(w.Name, suite[base+2].Run.KernelCycles)
-		}
+		res.Runs[w.Name] = &Pair{HSAIL: suite[2*i].Run, GCN3: suite[2*i+1].Run}
 	}
 	return res, nil
 }
@@ -152,6 +134,9 @@ func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
 func kb(v uint64) string   { return fmt.Sprintf("%.1fKB", float64(v)/1024) }
+
+// pct1 is pct with one decimal, for Table 7's errors.
+func pct1(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
 
 // ratios computes GCN3/HSAIL for a metric over the suite.
 func (r *Results) ratios(metric func(*stats.Run) float64) []float64 {
@@ -379,54 +364,68 @@ func (r *Results) Table6() string {
 	return t.String()
 }
 
-// Table7 renders the hardware correlation study.
-func (r *Results) Table7() string {
-	t := &table{}
-	t.title("Table 7 — Hardware correlation and error")
-	if len(r.HW) == 0 {
-		t.note("(hardware oracle not run; use -hw)")
-		return t.String()
-	}
-	t.note("Per-kernel runtimes compared against the silicon oracle (see internal/hwmodel), averaged across all dynamic kernel launches as in the paper. Correlation stays high for both; absolute error is larger and more erratic for HSAIL.")
-	var hs, gs, hw []float64
-	t.row("Workload", "kernels", "HSAIL err (mean±max)", "GCN3 err (mean±max)")
-	t.sep(4)
+// ilError is Table 7's measurement: the error the IL abstraction adds,
+// taken per dynamic kernel launch as |HSAIL − GCN3| / GCN3 cycles, with the
+// GCN3 simulation as the reference.
+type ilError struct {
+	rows []ilErrorRow // one per workload, in Order
+	// launches counts the suite's dynamic kernel launches.
+	launches int
+	// perLaunch is the mean error over all launches (LULESH's launches
+	// dominate it); perWorkload the mean of the rows' means.
+	perLaunch, perWorkload float64
+	// pearson is Pearson(HSAIL, GCN3) over all launches.
+	pearson float64
+}
+
+type ilErrorRow struct {
+	name      string
+	launches  int
+	mean, max float64
+}
+
+// abstractionError measures Table 7 over the suite.
+func (r *Results) abstractionError() ilError {
+	var e ilError
+	var hs, gs []float64
 	for _, name := range r.Order {
 		p := r.Runs[name]
-		w := r.HW[name]
-		n := len(w)
-		if len(p.HSAIL.KernelCycles) < n {
-			n = len(p.HSAIL.KernelCycles)
+		n := min(len(p.HSAIL.KernelCycles), len(p.GCN3.KernelCycles))
+		h, g := make([]float64, n), make([]float64, n)
+		row := ilErrorRow{name: name, launches: n}
+		for i := range n {
+			h[i], g[i] = float64(p.HSAIL.KernelCycles[i]), float64(p.GCN3.KernelCycles[i])
+			row.max = max(row.max, math.Abs(h[i]-g[i])/g[i])
 		}
-		var hErrW, gErrW []float64
-		var hMax, gMax float64
-		for i := 0; i < n; i++ {
-			h := float64(p.HSAIL.KernelCycles[i])
-			g := float64(p.GCN3.KernelCycles[i])
-			hs, gs, hw = append(hs, h), append(gs, g), append(hw, w[i])
-			he := abs(h-w[i]) / w[i]
-			ge := abs(g-w[i]) / w[i]
-			hErrW = append(hErrW, he)
-			gErrW = append(gErrW, ge)
-			if he > hMax {
-				hMax = he
-			}
-			if ge > gMax {
-				gMax = ge
-			}
-		}
-		t.row(name, fmt.Sprintf("%d", n),
-			fmt.Sprintf("%s / %s", pct(mean(hErrW)), pct(hMax)),
-			fmt.Sprintf("%s / %s", pct(mean(gErrW)), pct(gMax)))
+		row.mean = stats.MeanAbsError(h, g)
+		e.rows = append(e.rows, row)
+		e.perWorkload += row.mean / float64(len(r.Order))
+		hs, gs = append(hs, h...), append(gs, g...)
 	}
-	var hErr, gErr []float64
-	for i := range hw {
-		hErr = append(hErr, abs(hs[i]-hw[i])/hw[i])
-		gErr = append(gErr, abs(gs[i]-hw[i])/hw[i])
+	e.launches = len(hs)
+	e.perLaunch = stats.MeanAbsError(hs, gs)
+	e.pearson = stats.Pearson(hs, gs)
+	return e
+}
+
+// Table7 renders what the IL costs against the machine ISA. The paper's
+// Table 7 compares both simulators with measured silicon; without silicon,
+// what this repository can measure is the error the IL abstraction adds.
+func (r *Results) Table7() string {
+	e := r.abstractionError()
+	t := &table{}
+	t.title("Table 7 — What the IL costs against the machine ISA")
+	t.note("The paper compares both simulators with an AMD Pro A12-8800B measured through the Radeon Compute Profiler; this repository has no silicon, so that comparison is not reproduced. " +
+		"Instead, per dynamic kernel launch: |HSAIL − GCN3| / GCN3 cycles, the error an IL-level simulation adds against the machine-ISA simulation of the same binary. " +
+		"The per-launch mean weights each workload by its launches (LULESH dominates it); the per-workload mean weights each workload once.")
+	t.row("Workload", "launches", "mean error", "max error")
+	t.sep(4)
+	for _, row := range e.rows {
+		t.row(row.name, fmt.Sprintf("%d", row.launches), pct1(row.mean), pct1(row.max))
 	}
-	t.row("**summary**",
-		fmt.Sprintf("corr HSAIL %.3f / GCN3 %.3f", stats.Pearson(hs, hw), stats.Pearson(gs, hw)),
-		pct(mean(hErr)), pct(mean(gErr)))
+	t.row("**summary**", fmt.Sprintf("%d", e.launches),
+		fmt.Sprintf("%s per launch / %s per workload", pct1(e.perLaunch), pct1(e.perWorkload)),
+		fmt.Sprintf("Pearson(HSAIL, GCN3) %.3f", e.pearson))
 	return t.String()
 }
 
@@ -459,24 +458,6 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString(r.Table7())
 	b.WriteString(r.AblationTable())
 	return b.String()
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 func max64(a, b uint64) uint64 {

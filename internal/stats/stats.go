@@ -3,7 +3,8 @@
 // (Fig 6), vector-register reuse distance (Fig 7), instruction footprint
 // (Fig 8), instruction-buffer flushes (Fig 9), VRF lane-value uniqueness
 // (Fig 10), IPC and cycles (Figs 11/12), data footprint and SIMD utilization
-// (Table 6), and the correlation/error math for the hardware study (Table 7).
+// (Table 6), and the correlation and error math of Table 7, which compares
+// the HSAIL simulation's per-launch runtimes with the GCN3 simulation's.
 package stats
 
 import (
@@ -344,18 +345,20 @@ func Pearson(x, y []float64) float64 {
 	return cov / math.Sqrt(vx*vy)
 }
 
-// MeanAbsError returns the mean of |sim-hw|/hw over kernel runtimes, the
-// "average absolute error" of the paper's Table 7.
-func MeanAbsError(sim, hw []float64) float64 {
-	if len(sim) != len(hw) || len(sim) == 0 {
+// MeanAbsError returns the mean of |sim-ref|/ref over kernel runtimes, the
+// "average absolute error" of the paper's Table 7. The paper's reference is
+// measured silicon; the report's is the GCN3 simulation, so sim is the
+// HSAIL simulation and the error is what the IL abstraction adds.
+func MeanAbsError(sim, ref []float64) float64 {
+	if len(sim) != len(ref) || len(sim) == 0 {
 		return 0
 	}
 	var sum float64
 	for i := range sim {
-		if hw[i] == 0 {
+		if ref[i] == 0 {
 			continue
 		}
-		sum += math.Abs(sim[i]-hw[i]) / hw[i]
+		sum += math.Abs(sim[i]-ref[i]) / ref[i]
 	}
 	return sum / float64(len(sim))
 }
