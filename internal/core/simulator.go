@@ -15,7 +15,7 @@ import (
 // -resume journal written under another version is refused instead of
 // mixing two models' results, and a distributed worker built at another
 // version fails the coordinator's join probe.
-const ModelVersion = 1
+const ModelVersion = 2
 
 // ErrBudgetExceeded marks a run killed by its cycle or instruction budget
 // (RunOptions.MaxCycles / MaxInsts); errors.Is-compatible with the timing

@@ -1,8 +1,11 @@
 package emu
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
+	"ilsim/internal/hsa"
 	"ilsim/internal/isa"
 	"ilsim/internal/stats"
 )
@@ -35,77 +38,95 @@ func TestCollectorCommitCounts(t *testing.T) {
 	}
 }
 
+// sampleWave is wave waveID of the dispatch's workgroup wg, all lanes on.
+func sampleWave(wg uint32, waveID int) *Wave {
+	return &Wave{WG: &WGState{Info: &hsa.WorkgroupInfo{FlatID: wg}}, WaveID: waveID, Exec: isa.FullMask(64)}
+}
+
+// samples returns which of w's next n VRF accesses c samples.
+func samples(c *Collector, w *Wave, n int) []bool {
+	s := make([]bool, n)
+	for i := range s {
+		s[i] = c.sampleValue(w)
+	}
+	return s
+}
+
+// TestCollectorValueSampling: a wave's accesses are sampled one in N on
+// average, by a rule of the wave's identity and its own access index alone;
+// ValueSampleEvery 0 and 1 sample every access, under the wave's EXEC.
 func TestCollectorValueSampling(t *testing.T) {
-	run := &stats.Run{}
-	c := &Collector{Run: run, TrackValues: true, ValueSampleEvery: 4}
+	// Over a few thousand accesses each wave samples 1/n of them, within
+	// four standard deviations of as many fair 1-in-n draws.
+	const accesses = 4096
+	for _, n := range []int{3, 4, 16} {
+		c := &Collector{Run: &stats.Run{}, TrackValues: true, ValueSampleEvery: n}
+		for _, id := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {255, 3}, {256, 3}, {70000, 15}} {
+			got := 0
+			for _, s := range samples(c, sampleWave(uint32(id[0]), id[1]), accesses) {
+				if s {
+					got++
+				}
+			}
+			p := 1 / float64(n)
+			want, tol := accesses*p, 4*math.Sqrt(accesses*p*(1-p))
+			if math.Abs(float64(got)-want) > tol {
+				t.Errorf("every %d: wave %d of workgroup %d sampled %d of %d accesses, want %.0f ± %.0f",
+					n, id[1], id[0], got, accesses, want, tol)
+			}
+		}
+	}
+
+	// Every-access sampling, under the wave's execution mask.
 	var vals [isa.WavefrontSize]uint32
 	for i := range vals {
 		vals[i] = uint32(i % 4)
 	}
-	w := &Wave{Exec: isa.FullMask(64)}
-	for i := 0; i < 16; i++ {
-		c.OnVRFValue(w, false, &vals)
-	}
-	// Sampling 1-in-4 over 16 accesses records 4 observations of 64 lanes.
-	if run.ReadLanes != 4*64 {
-		t.Fatalf("sampled lanes %d, want %d", run.ReadLanes, 4*64)
-	}
-	if run.ReadUnique != 4*4 {
-		t.Fatalf("sampled unique %d, want %d", run.ReadUnique, 4*4)
-	}
-	// Every-access sampling, under the wave's execution mask.
-	run2 := &stats.Run{}
-	c2 := &Collector{Run: run2, TrackValues: true, ValueSampleEvery: 1}
-	c2.OnVRFValue(&Wave{Exec: isa.FullMask(32)}, true, &vals)
-	if run2.WriteLanes != 32 || run2.WriteUnique != 4 {
-		t.Fatalf("write sampling: %d lanes %d unique", run2.WriteLanes, run2.WriteUnique)
+	for _, every := range []int{0, 1} {
+		run := &stats.Run{}
+		c := &Collector{Run: run, TrackValues: true, ValueSampleEvery: every}
+		w := &Wave{Exec: isa.FullMask(32)}
+		for range 3 {
+			c.OnVRFValue(w, true, &vals)
+			c.OnVRFValue(w, false, &vals)
+		}
+		if run.WriteLanes != 3*32 || run.WriteUnique != 3*4 || run.ReadLanes != 3*32 || run.ReadUnique != 3*4 {
+			t.Fatalf("every %d: write %d lanes %d unique, read %d lanes %d unique over 3 accesses each, want 96 and 12",
+				every, run.WriteLanes, run.WriteUnique, run.ReadLanes, run.ReadUnique)
+		}
 	}
 	t.Run("per-wave counters", testPerWaveCounters)
 }
 
-// testPerWaveCounters: a wave with its own sampling counter (the timing
-// model's per-CU counter) advances only that one. Two waves on distinct
-// counters, interleaved access by access, each sample one in N of their own
-// accesses; a wave without one counts on the collector's counter.
+// testPerWaveCounters: which of a wave's accesses are sampled does not
+// depend on other waves' accesses. Two waves interleaved access by access
+// sample exactly the sets each samples alone, and the two sets differ (the
+// wave's identity is part of the rule, so waves running one loop do not all
+// sample the same iterations). A wave taken from the pool starts over.
 func testPerWaveCounters(t *testing.T) {
-	const every = 4
-	run := &stats.Run{}
-	c := &Collector{Run: run, TrackValues: true, ValueSampleEvery: every}
-	var vals [isa.WavefrontSize]uint32
-	var ctrA, ctrB int
-	a := &Wave{Exec: isa.FullMask(1), ValueCounter: &ctrA}
-	b := &Wave{Exec: isa.FullMask(2), ValueCounter: &ctrB}
-	plain := &Wave{Exec: isa.FullMask(4)}
-	// a and b make 3 accesses each, interleaved: with one shared counter the
-	// sixth access overall would be sampled; with their own neither samples.
-	for i := 0; i < every-1; i++ {
-		c.OnVRFValue(a, false, &vals)
-		c.OnVRFValue(b, false, &vals)
+	const accesses = 256
+	c := &Collector{Run: &stats.Run{}, TrackValues: true, ValueSampleEvery: 4}
+	aloneA := samples(c, sampleWave(5, 0), accesses)
+	aloneB := samples(c, sampleWave(5, 1), accesses)
+	a, b := sampleWave(5, 0), sampleWave(5, 1)
+	var gotA, gotB []bool
+	for range accesses {
+		gotA = append(gotA, c.sampleValue(a))
+		gotB = append(gotB, c.sampleValue(b))
 	}
-	if run.ReadLanes != 0 || ctrA != every-1 || ctrB != every-1 || c.valueCounter != 0 {
-		t.Fatalf("after %d accesses each: %d lanes sampled, counters a=%d b=%d collector=%d",
-			every-1, run.ReadLanes, ctrA, ctrB, c.valueCounter)
+	if !reflect.DeepEqual(gotA, aloneA) || !reflect.DeepEqual(gotB, aloneB) {
+		t.Fatal("interleaving two waves' accesses moved the sample")
 	}
-	// The fourth access of each samples it, on its own lanes.
-	c.OnVRFValue(a, false, &vals)
-	if run.ReadLanes != 1 {
-		t.Fatalf("a's 4th access: %d lanes sampled, want 1", run.ReadLanes)
+	if reflect.DeepEqual(aloneA, aloneB) {
+		t.Fatal("waves 0 and 1 of one workgroup sample the same accesses")
 	}
-	c.OnVRFValue(b, false, &vals)
-	if run.ReadLanes != 1+2 || ctrA != 0 || ctrB != 0 {
-		t.Fatalf("b's 4th access: %d lanes sampled (want 3), counters a=%d b=%d", run.ReadLanes, ctrA, ctrB)
-	}
-	// A wave without a counter of its own uses the collector's.
-	for i := 0; i < every; i++ {
-		c.OnVRFValue(plain, true, &vals)
-	}
-	if run.WriteLanes != 4 || c.valueCounter != 0 || ctrA != 0 || ctrB != 0 {
-		t.Fatalf("plain wave: %d write lanes (want 4), counters a=%d b=%d collector=%d",
-			run.WriteLanes, ctrA, ctrB, c.valueCounter)
-	}
-	c.OnVRFValue(plain, true, &vals)
-	if c.valueCounter != 1 {
-		t.Fatalf("plain wave's access left the collector's counter at %d, want 1", c.valueCounter)
+	var pool WavePool
+	wg := a.WG
+	pool.put(a)
+	w, _ := pool.get()
+	w.WG = wg
+	if got := samples(c, w, accesses); !reflect.DeepEqual(got, aloneA) {
+		t.Fatal("a pooled wave re-armed as wave 0 of workgroup 5 samples other accesses than a new one")
 	}
 }
 

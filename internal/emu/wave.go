@@ -140,11 +140,10 @@ type Wave struct {
 
 	// Reuse tracks vector-register reuse distances when enabled.
 	Reuse *stats.ReuseTracker
-	// ValueCounter, when set, is the value-sampling counter this wave's VRF
-	// accesses advance instead of the collector's own: the timing model
-	// points every wave of a compute unit at that unit's counter, so the
-	// sampling cadence is per compute unit and restarts at every dispatch.
-	ValueCounter *int
+	// valueKey and valueIndex place the wave's VRF accesses in Fig 10's
+	// value sampling (Collector.sampleValue): the wave's identity within
+	// the dispatch, set at its first access, and its accesses so far.
+	valueKey, valueIndex uint64
 
 	// linesBuf is the wave's reusable coalescing scratch. Execute
 	// overwrites it on every memory instruction and hands it out as
@@ -214,9 +213,6 @@ type Collector struct {
 	TrackValues bool
 	// ValueSampleEvery samples one in N VRF accesses (1 = all).
 	ValueSampleEvery int
-	// valueCounter is the sampling counter of waves without their own
-	// (Wave.ValueCounter): functional runs and tests.
-	valueCounter int
 	// TrackReuse enables reuse-distance tracking (Fig 7).
 	TrackReuse bool
 }
@@ -233,26 +229,29 @@ func (c *Collector) OnCommit(cat isa.Category, activeLanes int) {
 	}
 }
 
-// sampleValue reports whether this VRF access of w's should be
-// value-sampled, advancing w's sampling counter (the collector's when w has
-// none).
+// sampleValue reports whether this VRF access of w's is value-sampled: it
+// is when a hash of (w's workgroup and wave index within the dispatch, the
+// index of the access among w's own) falls in the lowest 1/ValueSampleEvery
+// of its range. The sampled set is a property of the program and its data,
+// whichever compute unit runs w and however its accesses interleave with
+// other waves'.
 func (c *Collector) sampleValue(w *Wave) bool {
 	if c == nil || c.Run == nil || !c.TrackValues {
 		return false
 	}
-	n := c.ValueSampleEvery
-	if n <= 1 {
+	if c.ValueSampleEvery <= 1 {
 		return true
 	}
-	ctr := w.ValueCounter
-	if ctr == nil {
-		ctr = &c.valueCounter
+	i := w.valueIndex
+	if i == 0 { // the access index keeps the low 32 bits to itself
+		w.valueKey = uint64(w.WG.Info.FlatID)<<40 | uint64(w.WaveID)<<32
 	}
-	if *ctr++; *ctr >= n {
-		*ctr = 0
-		return true
-	}
-	return false
+	w.valueIndex = i + 1
+	h := (w.valueKey ^ i) * 0x9e3779b97f4a7c15
+	h ^= h >> 29
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 32
+	return (h>>32)*uint64(c.ValueSampleEvery)>>32 == 0
 }
 
 // OnVRFValue records a lane-value uniqueness observation for one vector

@@ -45,8 +45,7 @@ func TestWavePoolRearmsLikeNew(t *testing.T) {
 		}
 		w.RS = append(w.RS, RSEntry{RPC: 1, PC: 2, Mask: 3})
 		w.linesBuf = append(w.linesBuf, 64, 128)
-		counter := 5
-		w.ValueCounter = &counter
+		w.valueKey, w.valueIndex = 5, 5
 	}
 	// empty normalizes empty slices to nil: a pooled wave keeps their
 	// storage, a new one has none.

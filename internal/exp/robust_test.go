@@ -407,7 +407,7 @@ func TestJobFingerprint(t *testing.T) {
 // what the change does. A field added at its zero value, or deleted while
 // no job sets it, moves nothing.
 func TestJobFingerprintPinned(t *testing.T) {
-	const pinned = "372f17bb1df722fd21949c9e"
+	const pinned = "fc0245221163b27658bce849"
 	job := Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
 		Config: core.DefaultConfig(), Opts: core.RunOptions{MaxCycles: 7}}
 	if fp := job.Fingerprint(); fp != pinned {

@@ -132,10 +132,6 @@ type cu struct {
 	l1iDest int
 	sl1Dest int
 
-	// valueCounter is the value-sampling counter of the CU's waves
-	// (emu.Wave.ValueCounter), zeroed at every dispatch.
-	valueCounter int
-
 	// waves is kept permanently ordered by seq: place appends waves with
 	// monotonically increasing seq and releaseWG compacts stably, so the
 	// issue stage never needs to sort.
@@ -187,7 +183,6 @@ func (c *cu) release() {
 // with.
 func (c *cu) reset() {
 	p := &c.g.P
-	c.valueCounter = 0
 	c.usedSlots, c.seq, c.vrfCursor = 0, 0, 0
 	c.simdBusy = zeroed(c.simdBusy, p.SIMDsPerCU)
 	c.bankFree = zeroed(c.bankFree, p.VRFBanks)
@@ -230,7 +225,6 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 	}
 	for i := 0; i < wg.Info.NumWaves; i++ {
 		w := eng.NewWave(wg, i)
-		w.ValueCounter = &c.valueCounter
 		ctx := &waveCtx{
 			w: w, eng: eng, wg: run,
 			seq:     c.seq,

@@ -124,7 +124,6 @@ func TestResetLeavesADeviceLikeNew(t *testing.T) {
 	}
 	// A tick the drain never saw: a pending entry and its request.
 	g.reqs.AppendLine(c.l1dDest, 0x40, false, c.tag(c.waves[0], nil))
-	c.valueCounter = 3
 	g.Run.VRFAccesses++
 	c.simdBusy[1] = g.now + 3 // the stub streams loads only
 	if g.l2.Stats().Accesses == 0 || len(c.waves) == 0 {

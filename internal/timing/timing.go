@@ -343,11 +343,7 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	start := g.now
 	g.now += launchOverhead
 
-	// Fig 10's value sampling counts each CU's VRF accesses from zero at
-	// every dispatch (the waves cu.place creates point at their CU's
-	// counter).
 	for _, c := range g.cus {
-		c.valueCounter = 0
 		c.asleepFrom = g.now
 	}
 	defer func() {
