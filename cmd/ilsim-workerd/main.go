@@ -87,6 +87,12 @@ func run(args []string, out, errw io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *slots < 0 {
+		return fmt.Errorf("-j %d is negative (0 = GOMAXPROCS)", *slots)
+	}
+	if *window < 0 {
+		return fmt.Errorf("-window %s is negative (0 = 2m0s)", *window)
+	}
 	if *debugAddr != "" {
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
@@ -99,7 +105,7 @@ func run(args []string, out, errw io.Writer) error {
 	if *connect == "" {
 		return errors.New("-connect is required")
 	}
-	if *slots <= 0 {
+	if *slots == 0 {
 		*slots = runtime.GOMAXPROCS(0)
 	}
 

@@ -68,6 +68,21 @@ func TestWorkerdRetriesFlagGone(t *testing.T) {
 	}
 }
 
+// TestWorkerdNegativeFlags: a negative slot count or retry window is an
+// error before the worker dials; 0 keeps its documented meaning. The CA
+// file does not exist, so a run that got past the flag checks fails
+// building its client, before any connection.
+func TestWorkerdNegativeFlags(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{{"-j", "-1"}, {"-window", "-1s"}} {
+		var out, errw bytes.Buffer
+		err := run([]string{"-connect", "127.0.0.1:1", "-tls-ca", t.TempDir() + "/missing.pem",
+			c.flag, c.value}, &out, &errw)
+		if want := c.flag + " " + c.value + " is negative"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s %s: err = %v, want %q", c.flag, c.value, err, want)
+		}
+	}
+}
+
 // TestWorkerdUnreachableCoordinator bounds the give-up time with -window.
 func TestWorkerdUnreachableCoordinator(t *testing.T) {
 	var out, errw bytes.Buffer
