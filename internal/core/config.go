@@ -101,6 +101,20 @@ func (c Config) Validate() error {
 	if c.L2Banks < 0 {
 		return fmt.Errorf("core: negative L2 bank count")
 	}
+	// A negative latency completes a request before it was issued; the
+	// drain would clamp it to the flush cycle and report nothing.
+	for _, l := range []struct {
+		name   string
+		cycles int64
+	}{
+		{"DRAMLatency", c.DRAMLatency}, {"DRAMOccupancy", c.DRAMOccupancy},
+		{"L1HitLatency", c.L1HitLatency}, {"L2HitLatency", c.L2HitLatency},
+		{"ScalarHitLatency", c.ScalarHitLatency}, {"LDSLatency", c.LDSLatency},
+	} {
+		if l.cycles < 0 {
+			return fmt.Errorf("core: negative %s %d", l.name, l.cycles)
+		}
+	}
 	for _, cache := range []struct {
 		name string
 		size int

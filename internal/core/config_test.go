@@ -52,3 +52,45 @@ func TestValidateRejectsCacheBelowOneLine(t *testing.T) {
 		t.Fatalf("one-line caches: run = %v, %v", run, err)
 	}
 }
+
+// TestValidateRejectsNegativeLatency: a negative latency or occupancy would
+// complete requests before they were issued (the drain clamps them to the
+// flush cycle, silently), so Validate, and so NewSimulator, refuse it with an
+// error naming the field. Zero is a legal latency.
+func TestValidateRejectsNegativeLatency(t *testing.T) {
+	fields := []struct {
+		name   string
+		cycles func(c *Config) *int64
+	}{
+		{"DRAMLatency", func(c *Config) *int64 { return &c.DRAMLatency }},
+		{"DRAMOccupancy", func(c *Config) *int64 { return &c.DRAMOccupancy }},
+		{"L1HitLatency", func(c *Config) *int64 { return &c.L1HitLatency }},
+		{"L2HitLatency", func(c *Config) *int64 { return &c.L2HitLatency }},
+		{"ScalarHitLatency", func(c *Config) *int64 { return &c.ScalarHitLatency }},
+		{"LDSLatency", func(c *Config) *int64 { return &c.LDSLatency }},
+	}
+	for _, f := range fields {
+		for _, cycles := range []int64{-1, -500} {
+			cfg := DefaultConfig()
+			*f.cycles(&cfg) = cycles
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %d: Validate = %v, want an error naming the field", f.name, cycles, err)
+			}
+			if _, err := NewSimulator(cfg); err == nil {
+				t.Errorf("%s = %d: NewSimulator accepted the config", f.name, cycles)
+			}
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.DRAMLatency, cfg.L2HitLatency = -500, -100
+	if _, err := NewSimulator(cfg); err == nil {
+		t.Error("DRAMLatency -500, L2HitLatency -100: NewSimulator accepted the config")
+	}
+	cfg = DefaultConfig()
+	for _, f := range fields {
+		*f.cycles(&cfg) = 0
+	}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("every latency 0: Validate = %v", err)
+	}
+}

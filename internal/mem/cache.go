@@ -38,12 +38,10 @@ func (s *CacheStats) Merge(o *CacheStats) {
 	s.LatencySum += o.LatencySum
 }
 
-// cacheWay is one line slot. Slots are laid out flat per bank, local set s
-// owning slots [s*ways, (s+1)*ways); prev/next thread the set's resident
-// lines into a recency list (slot indices, noSlot ends it).
-type cacheWay struct {
-	line       uint64 // addr >> lineBits of the resident line
-	prev, next int32  // towards more / less recently used
+// wayLink threads one slot into its set's recency list: prev/next are slot
+// indices (noSlot ends the list).
+type wayLink struct {
+	prev, next int32 // towards more / less recently used
 	dirty      bool
 }
 
@@ -55,19 +53,13 @@ type cacheSet struct {
 	used     int32
 }
 
-// indexEntry is one cell of a bank's open-addressed line→slot index.
-type indexEntry struct {
-	line uint64
-	slot int32 // noSlot marks an empty cell
-}
-
 const noSlot = -1
 
-// scanWays is the widest set a bank searches by scanning its slots; a bank
-// with wider sets keeps an index instead. In BenchmarkBankAccess a scan
-// beats the index on misses up to 16 ways and loses on hits from 8 ways;
-// the 16-way L2 serves mostly misses, and on spmv_serial scanning it beats
-// indexing it (DESIGN.md, "Banked structures").
+// scanWays is the widest set a bank searches by scanning its tags; a bank
+// with wider sets keeps an index instead. In BenchmarkBankAccess a scan of
+// the dense tag array beats the index on misses up to 16 ways; the 16-way
+// L2 serves mostly misses, and on spmv_serial scanning it beats indexing it
+// (DESIGN.md, "Banked structures").
 const scanWays = 16
 
 // portOccupancy is the cycles one request holds a bank's port. It must stay
@@ -79,23 +71,28 @@ const portOccupancy = 1
 
 // cacheBank is one set-interleaved partition of a cache: it owns the lines
 // of every set s with s % numBanks == bank, a private request port and a
-// private statistics shard, so two banks never share mutable state. Each set
+// private statistics shard, so two banks never share mutable state. Slots
+// are laid out flat, local set s owning slots [s*ways, (s+1)*ways). Each set
 // keeps its slots on an intrusive recency list, so LRU update and victim
 // choice are O(1). How a line is found depends on the set's width: a bank of
-// at most scanWays ways scans the set's filled slots and holds no index; a
-// wider one (Table 4's fully-associative L1D) probes an open-addressed index
-// (linear probing, at most a quarter full) that maps a resident line to its
-// slot.
+// at most scanWays ways scans the set's filled tags and holds no index; a
+// wider one (Table 4's fully-associative L1D) hashes the line to a bucket of
+// a chained index whose chains run through the slots themselves.
 type cacheBank struct {
 	stats CacheStats
 	// nextFree models the bank's single request port.
 	nextFree int64
 	// sets[local] is global set local*numBanks + bank.
 	sets []cacheSet
-	ways []cacheWay
-	// index is nil on a scanning bank.
-	index []indexEntry
-	// shift turns a 64-bit line hash into an index position.
+	// tags[slot] is the resident line (addr >> lineBits), dense so that a
+	// 16-way set scan reads 128 bytes; links[slot] is the slot's recency
+	// links and dirty bit.
+	tags  []uint64
+	links []wayLink
+	// heads[h] is the first slot of bucket h and chain[slot] the next slot
+	// of slot's bucket (noSlot ends both); nil on a scanning bank.
+	heads, chain []int32
+	// shift turns a 64-bit line hash into a bucket number.
 	shift uint
 }
 
@@ -103,15 +100,19 @@ type cacheBank struct {
 // lookup (NewCache: ways > scanWays).
 func newCacheBank(nSets, ways int, indexed bool) cacheBank {
 	b := cacheBank{
-		sets: make([]cacheSet, nSets),
-		ways: make([]cacheWay, nSets*ways),
+		sets:  make([]cacheSet, nSets),
+		tags:  make([]uint64, nSets*ways),
+		links: make([]wayLink, nSets*ways),
 	}
 	if indexed {
+		// Twice as many buckets as slots: a miss walks half a slot on
+		// average.
 		bits := uint(1)
-		for 1<<bits < 4*len(b.ways) {
+		for 1<<bits < 2*len(b.tags) {
 			bits++
 		}
-		b.index = make([]indexEntry, 1<<bits)
+		b.heads = make([]int32, 1<<bits)
+		b.chain = make([]int32, len(b.tags))
 		b.shift = 64 - bits
 	}
 	b.reset()
@@ -122,15 +123,15 @@ func (b *cacheBank) reset() {
 	for i := range b.sets {
 		b.sets[i] = cacheSet{mru: noSlot, lru: noSlot}
 	}
-	for i := range b.index {
-		b.index[i].slot = noSlot
+	for i := range b.heads {
+		b.heads[i] = noSlot
 	}
 	b.stats = CacheStats{}
 	b.nextFree = 0
 }
 
-// home is line's preferred index position (Fibonacci hashing: set-strided
-// line numbers still spread over the table).
+// home is line's bucket (Fibonacci hashing: set-strided line numbers still
+// spread over the buckets).
 func (b *cacheBank) home(line uint64) int {
 	return int(line * 0x9E3779B97F4A7C15 >> b.shift)
 }
@@ -138,47 +139,30 @@ func (b *cacheBank) home(line uint64) int {
 // scan returns the slot of set slots [base, base+used) holding line, or
 // noSlot.
 func (b *cacheBank) scan(line uint64, base, used int32) int32 {
-	ws := b.ways[base : base+used]
-	for i := range ws {
-		if ws[i].line == line {
+	for i, t := range b.tags[base : base+used] {
+		if t == line {
 			return base + int32(i)
 		}
 	}
 	return noSlot
 }
 
-// find returns the slot the index maps line to and the cell holding it, or
-// noSlot and the empty cell where the probe stopped — where line belongs if
-// it is written before anything else changes the table.
-func (b *cacheBank) find(line uint64) (int32, int) {
-	mask := len(b.index) - 1
-	for i := b.home(line); ; i = (i + 1) & mask {
-		e := &b.index[i]
-		if e.slot == noSlot || e.line == line {
-			return e.slot, i
-		}
+// find returns the slot the index holds line in, or noSlot.
+func (b *cacheBank) find(line uint64) int32 {
+	s := b.heads[b.home(line)]
+	for s != noSlot && b.tags[s] != line {
+		s = b.chain[s]
 	}
+	return s
 }
 
-// remove deletes line (which must be present) by backward shift: every
-// later entry of the probe run that may legally move into the hole does, so
-// the table never needs tombstones.
-func (b *cacheBank) remove(line uint64) {
-	mask := len(b.index) - 1
-	i := b.home(line)
-	for b.index[i].line != line {
-		i = (i + 1) & mask
+// unlink takes slot, which holds line, out of line's bucket.
+func (b *cacheBank) unlink(line uint64, slot int32) {
+	p := &b.heads[b.home(line)]
+	for *p != slot {
+		p = &b.chain[*p]
 	}
-	for j := (i + 1) & mask; b.index[j].slot != noSlot; j = (j + 1) & mask {
-		// The entry at j may fill the hole at i unless its home lies
-		// cyclically within (i, j].
-		if h := b.home(b.index[j].line); (h-i-1)&mask < (j-i)&mask {
-			continue
-		}
-		b.index[i] = b.index[j]
-		i = j
-	}
-	b.index[i].slot = noSlot
+	*p = b.chain[slot]
 }
 
 // touch makes slot the most recently used line of set s.
@@ -186,25 +170,25 @@ func (b *cacheBank) touch(s *cacheSet, slot int32) {
 	if s.mru == slot {
 		return
 	}
-	w := &b.ways[slot]
+	w := &b.links[slot]
 	// slot is not the MRU, so it has a prev.
-	b.ways[w.prev].next = w.next
+	b.links[w.prev].next = w.next
 	if w.next == noSlot {
 		s.lru = w.prev
 	} else {
-		b.ways[w.next].prev = w.prev
+		b.links[w.next].prev = w.prev
 	}
 	b.pushMRU(s, slot)
 }
 
 // pushMRU links an unlinked slot at the recent end of set s.
 func (b *cacheBank) pushMRU(s *cacheSet, slot int32) {
-	w := &b.ways[slot]
+	w := &b.links[slot]
 	w.prev, w.next = noSlot, s.mru
 	if s.mru == noSlot {
 		s.lru = slot
 	} else {
-		b.ways[s.mru].prev = slot
+		b.links[s.mru].prev = slot
 	}
 	s.mru = slot
 }
@@ -355,11 +339,10 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64, out
 	set := &b.sets[local]
 	base := int32(local * c.ways)
 	var slot int32
-	var cell int
-	if b.index == nil {
+	if b.heads == nil {
 		slot = b.scan(line, base, set.used)
 	} else {
-		slot, cell = b.find(line)
+		slot = b.find(line)
 	}
 	if slot != noSlot {
 		b.stats.Hits++
@@ -373,7 +356,7 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64, out
 			return
 		}
 		if write && c.writeBack {
-			b.ways[slot].dirty = true
+			b.links[slot].dirty = true
 		}
 		*out = access{done: done}
 		return
@@ -399,29 +382,28 @@ func (c *Cache) bankAccess(b *cacheBank, addr uint64, write bool, now int64, out
 		// Full set: the victim is the least recently used line.
 		slot = set.lru
 	}
-	if b.index != nil {
-		// Into the cell find stopped at, before the victim's removal
-		// shifts any entry: line's probe run is still unbroken up to it.
-		b.index[cell] = indexEntry{line: line, slot: slot}
-	}
 	if full {
-		v := &b.ways[slot]
+		victim := b.tags[slot]
 		b.stats.Evictions++
-		if v.dirty && c.lower != nil {
+		if b.links[slot].dirty && c.lower != nil {
 			// Write back the victim; posted, does not extend the fill.
-			out.victimAddr = v.line << c.lineBits
+			out.victimAddr = victim << c.lineBits
 			out.victimWB = true
 		}
-		if b.index != nil {
-			b.remove(v.line)
+		if b.heads != nil {
+			b.unlink(victim, slot)
 		}
 		b.touch(set, slot)
 	} else {
 		set.used++
 		b.pushMRU(set, slot)
 	}
-	b.ways[slot].line = line
-	b.ways[slot].dirty = write && c.writeBack
+	b.tags[slot] = line
+	b.links[slot].dirty = write && c.writeBack
+	if b.heads != nil {
+		h := b.home(line)
+		b.chain[slot], b.heads[h] = b.heads[h], slot
+	}
 	if c.lower == nil {
 		// Nothing below: the "fill" completes at the hit latency.
 		out.fill = false
@@ -475,6 +457,9 @@ type DRAM struct {
 	Occupancy int64
 	lineBits  uint
 	chans     []dramChan
+	// chanMask is the channel count less one when that is a power of two
+	// (Table 4's 32), so channel masks instead of dividing; else 0.
+	chanMask uint64
 }
 
 // NewDRAM builds the DRAM model. lineSize sets the channel-interleave
@@ -484,8 +469,12 @@ func NewDRAM(channels, lineSize int, latency, occupancy int64) *DRAM {
 	for 1<<lineBits < lineSize {
 		lineBits++
 	}
-	return &DRAM{Latency: latency, Occupancy: occupancy, lineBits: lineBits,
+	d := &DRAM{Latency: latency, Occupancy: occupancy, lineBits: lineBits,
 		chans: make([]dramChan, channels)}
+	if channels&(channels-1) == 0 {
+		d.chanMask = uint64(channels - 1)
+	}
+	return d
 }
 
 // Reset clears channel state and statistics.
@@ -500,7 +489,11 @@ func (d *DRAM) NumBanks() int { return len(d.chans) }
 
 // BankOf returns the line-interleaved channel servicing addr.
 func (d *DRAM) BankOf(addr uint64) int {
-	return int(addr >> d.lineBits % uint64(len(d.chans)))
+	line := addr >> d.lineBits
+	if d.chanMask != 0 || len(d.chans) == 1 {
+		return int(line & d.chanMask)
+	}
+	return int(line % uint64(len(d.chans)))
 }
 
 // Stats returns the DRAM's counters, merged across channel shards.

@@ -276,8 +276,37 @@ func randomCacheOps(rng *rand.Rand, lines, n int) []cacheOp {
 // banks, scanWays-way, 2*scanWays-way and fully-associative 256-line
 // geometries, write-through and write-back, every access outcome, every
 // per-bank counter and every completion cycle must equal the scan-based
-// reference's.
+// reference's. The indexed geometries are also fed lines that all share one
+// bucket of bank 0's index, so every lookup and eviction walks a chain
+// through every resident line.
 func TestCacheMatchesReferenceLRU(t *testing.T) {
+	for _, g := range []cacheGeom{
+		{lines: 64, ways: 0, banks: 1},
+		{lines: 8 * scanWays, ways: 2 * scanWays, banks: 2},
+	} {
+		c := NewCache("c", g.lines*64, 64, g.ways, 3, false, nil, g.banks)
+		b := &c.banks[0]
+		if b.heads == nil {
+			t.Fatalf("%v: bank 0 is not indexed", g)
+		}
+		// Three times the bank's slots, so the stream evicts.
+		var bucket []uint64
+		for l := uint64(0); len(bucket) < 3*len(b.tags); l++ {
+			if c.BankOf(l*64) == 0 && b.home(l) == b.home(0) {
+				bucket = append(bucket, l)
+			}
+		}
+		for _, wb := range []bool{false, true} {
+			g.writeBack = wb
+			ops := randomCacheOps(rand.New(rand.NewSource(4)), len(bucket)/3, 20000)
+			for i := range ops {
+				if !ops[i].reset {
+					ops[i].addr = bucket[ops[i].addr/64]*64 + ops[i].addr%64
+				}
+			}
+			checkAgainstReference(t, g, ops)
+		}
+	}
 	for _, g := range []cacheGeom{
 		{lines: 64, ways: 1, banks: 1},
 		{lines: 64, ways: 1, banks: 4},

@@ -2,50 +2,37 @@ package mem
 
 import (
 	"fmt"
+	mathbits "math/bits"
 	"slices"
 )
 
-// downJob is one access descending into a lower level: appended to the lower
-// bank's input queue instead of calling through, which is what makes the
-// replay level-ordered. done starts at the arrival cycle and is raised to the
-// completion cycle by the level that services the job.
-type downJob struct {
-	addr  uint64
-	write bool
-	at    int64
-	done  int64
+// l2Job is one level-1 miss or posted write on its way to an L2 bank:
+// appended to the bank's input queue instead of calling through, which is
+// what makes the replay level-ordered. A fill names the feed and request
+// whose completion it raises (feed is noFeed for a posted write); done is
+// written when the L2 services the job.
+type l2Job struct {
+	addr      uint64
+	at, done  int64
+	feed, req int32
+	write     bool
 }
 
-// pendFill is a cache level's bookkeeping for one miss it sent below: the
-// bank that missed (its shard is charged the latency), where the fill's
-// completion lands (sink), which lower queue holds the fill's job (queue/idx
-// — indices, not a pointer, because the queue may still grow while this
-// level replays), the request's arrival cycle and a dirty victim to write
-// back once the fill completes.
-type pendFill struct {
-	sink       *int64
-	bank       *cacheBank
-	queue      int32
-	idx        int32
-	at         int64
-	victimAddr uint64
-	victimWB   bool
+// noFeed marks an l2Job nobody waits on.
+const noFeed = -1
+
+// l1Victim is a dirty line a level-1 fill evicted: written back to the L2,
+// posted at the completion of the fill that is job idx of bank queue's input.
+type l1Victim struct {
+	addr       uint64
+	queue, idx int32
 }
 
-// drainLevel is one cache level's share of a flush: the input queues it
-// fills for the level below, one per lower bank (active lists the non-empty
-// ones, in first-append order), and the fills it is waiting on, in the order
-// it issued them.
-type drainLevel struct {
-	lower interface {
-		Level
-		Banked
-	}
-	down   [][]downJob
-	active []int32
-	pend   []pendFill
-	// out receives each replayed access's outcome.
-	out access
+// l2Victim is a dirty line an L2 fill evicted: written back to DRAM, posted
+// at the fill's completion.
+type l2Victim struct {
+	addr uint64
+	at   int64
 }
 
 // feed is one source's line list for one level-1 cache.
@@ -71,27 +58,29 @@ type DrainSource struct {
 //	          order, appending misses and posted writes to the input queue
 //	          of the L2 bank they map to;
 //	L2      — every L2 bank that received work, in ascending order, replays
-//	          its queue, appending misses to per-DRAM-channel queues;
-//	DRAM    — every channel that received work services its queue.
+//	          its queue; a miss or posted write calls through to its DRAM
+//	          channel, so each channel services its requests in (L2 bank,
+//	          issue) order, and a fill's completion reaches the level-1
+//	          request waiting on it at once.
 //
-// Then two finalize passes (L2 first, then level 1) resolve miss completions
-// upward in the order the fills were issued, charge miss latency and apply
-// dirty-victim write-backs, and each source's completion callback fires in
-// (source, request) order. This order — an L2 bank sees a cycle's L1D misses
-// of every source before any L1I/sL1 miss, and victim write-backs reach the
-// level below after all of the cycle's fills — is not the order a
+// Then the dirty victims are written back, posted at their fills'
+// completions: the L2's to DRAM, then level 1's to the L2, each level's in
+// the order its fills were issued; and each source's completion callback
+// fires in (source, request) order. This order — an L2 bank sees a cycle's
+// L1D misses of every source before any L1I/sL1 miss, and victim write-backs
+// reach the level below after all of the cycle's fills — is not the order a
 // call-through hierarchy would produce; it is the memory model's semantics,
 // pinned by TestDrainLevel1ReplayOrder and TestDrainVictimWriteBackOrder.
+// Resolving a fill is a max into the request's ready cycle and a sum into the
+// missing bank's latency counter, so the order fills resolve in is free.
 //
 // One goroutine replays the caches of a level one after another, so a queue
 // that is only appended to while the level above runs is already in the
-// pinned order, and so is a level's pending-fill list: nothing is wired per
-// flush, and the one thing sorted is the list of L2 banks that received work.
-// The invariant that pays for this is that every queue, active list,
-// pending-fill list and buffer is empty between flushes
-// (TestDrainMatchesReference holds the whole replay against the level-wave
-// drain it replaced). A steady-state Flush allocates nothing once the queues
-// have grown to their working size.
+// pinned order, and so is a victim list: nothing is wired or sorted per
+// flush. The invariant that pays for this is that every queue, victim list
+// and buffer is empty between flushes (TestDrainMatchesReference holds the
+// whole replay against the level-wave drain it replaced). A steady-state
+// Flush allocates nothing once the queues have grown to their working size.
 type Drain struct {
 	l2   *Cache
 	dram *DRAM
@@ -99,9 +88,15 @@ type Drain struct {
 	// feeds lists every (level-1 cache, source) pair with a route between
 	// them, level-1 caches in replay order, sources in order within a cache.
 	feeds []feed
-	// up is the level-1 caches' share of a flush (its queues are the L2
-	// banks' inputs), lo the L2's (the DRAM channels' inputs).
-	up, lo drainLevel
+	// queues[b] is L2 bank b's input; bit b of active is set while it is
+	// non-empty.
+	queues [][]l2Job
+	active []uint64
+	// l1Victims and l2Victims wait for the end of the L2's replay.
+	l1Victims []l1Victim
+	l2Victims []l2Victim
+	// out receives each replayed access's outcome.
+	out access
 }
 
 // NewDrain wires the pipeline. l1s lists every level-1 cache in replay
@@ -116,8 +111,7 @@ func NewDrain(l1s []*Cache, srcs []DrainSource, l2 *Cache, dram *DRAM) *Drain {
 		panic("mem: NewDrain: l2 is not directly above dram")
 	}
 	d := &Drain{l2: l2, dram: dram, srcs: srcs,
-		up: drainLevel{lower: l2, down: make([][]downJob, l2.NumBanks())},
-		lo: drainLevel{lower: dram, down: make([][]downJob, dram.NumBanks())}}
+		queues: make([][]l2Job, l2.NumBanks()), active: make([]uint64, (l2.NumBanks()+63)/64)}
 	for _, s := range srcs {
 		for _, dst := range s.Buf.dests {
 			if !slices.Contains(l1s, dst.cache) {
@@ -143,66 +137,26 @@ func NewDrain(l1s []*Cache, srcs []DrainSource, l2 *Cache, dram *DRAM) *Drain {
 	return d
 }
 
-// apply replays one access on bank b of cache c. A completion that is
-// already known is max-reduced into sink; a miss is queued for the level
-// below and remembered in pend, a posted write only queued. A sink starts no
-// later than any completion it can receive — a request's ready at zero (cycles
-// are non-negative: a port is free from cycle 0), a job's done at its arrival
-// cycle — so it ends at the latest one.
-func (lv *drainLevel) apply(c *Cache, b *cacheBank, addr uint64, write bool, at int64, sink *int64) {
-	a := &lv.out
-	c.bankAccess(b, addr, write, at, a)
-	if !a.fill {
-		*sink = max(*sink, a.done)
-		if !a.post {
-			return
-		}
-	}
-	q := lv.lower.BankOf(a.downAddr)
-	if len(lv.down[q]) == 0 {
-		lv.active = append(lv.active, int32(q))
-	}
-	if a.fill {
-		lv.pend = append(lv.pend, pendFill{sink: sink, bank: b, queue: int32(q), idx: int32(len(lv.down[q])),
-			at: at, victimAddr: a.victimAddr, victimWB: a.victimWB})
-	}
-	lv.down[q] = append(lv.down[q], downJob{addr: a.downAddr, write: a.post, at: a.downAt, done: a.downAt})
-}
-
-// finalize resolves the level's pending fills after the levels below ran, in
-// issue order — ascending (cache or bank, fill): max-reduce each fill's
-// completion into its sink, charge the miss latency to the bank's shard and
-// write a dirty victim back (posted at the fill's completion) — then empties
-// the level's queues.
-func (lv *drainLevel) finalize() {
-	for _, p := range lv.pend {
-		done := lv.down[p.queue][p.idx].done
-		p.bank.stats.LatencySum += uint64(done - p.at)
-		*p.sink = max(*p.sink, done)
-		if p.victimWB {
-			lv.lower.Access(p.victimAddr, true, done)
-		}
-	}
-	lv.pend = lv.pend[:0]
-	for _, q := range lv.active {
-		lv.down[q] = lv.down[q][:0]
-	}
-	lv.active = lv.active[:0]
-}
-
 // Reset empties every queue, list and source buffer, whatever an abandoned
 // flush or an unflushed tick left in them. A Flush that returned leaves them
 // empty already.
 func (d *Drain) Reset() {
-	for _, lv := range []*drainLevel{&d.up, &d.lo} {
-		for q := range lv.down {
-			lv.down[q] = lv.down[q][:0]
-		}
-		lv.active, lv.pend = lv.active[:0], lv.pend[:0]
-	}
+	d.clear()
 	for _, s := range d.srcs {
 		s.Buf.Reset()
 	}
+}
+
+// clear empties the L2 queues and the victim lists.
+func (d *Drain) clear() {
+	for w, bits := range d.active {
+		for ; bits != 0; bits &= bits - 1 {
+			q := w<<6 | mathbits.TrailingZeros64(bits)
+			d.queues[q] = d.queues[q][:0]
+		}
+		d.active[w] = 0
+	}
+	d.l1Victims, d.l2Victims = d.l1Victims[:0], d.l2Victims[:0]
 }
 
 // Flush drains every pending request at cycle now. The second parameter is
@@ -216,32 +170,76 @@ func (d *Drain) Flush(now int64, _ any) {
 	if nreq == 0 {
 		return
 	}
-	for _, f := range d.feeds {
-		reqs, b := f.buf.reqs, &f.cache.banks[0]
-		for _, lr := range f.buf.dests[f.dest].lines {
-			d.up.apply(f.cache, b, lr.line, lr.write, now, &reqs[lr.req].ready)
+	a, l2, dram := &d.out, d.l2, d.dram
+	for fi := range d.feeds {
+		f := &d.feeds[fi]
+		lines := f.buf.dests[f.dest].lines
+		if len(lines) == 0 {
+			continue
+		}
+		c, reqs := f.cache, f.buf.reqs
+		b := &c.banks[0]
+		for _, lr := range lines {
+			c.bankAccess(b, lr.line, lr.write, now, a)
+			if !a.fill {
+				r := &reqs[lr.req]
+				r.ready = max(r.ready, a.done)
+				if !a.post {
+					continue
+				}
+			}
+			q, _ := l2.route(a.downAddr >> l2.lineBits)
+			d.active[q>>6] |= 1 << (q & 63)
+			// The job is written in place: a literal built on the stack and
+			// copied in would reload its fields across store boundaries.
+			jobs := append(d.queues[q], l2Job{})
+			d.queues[q] = jobs
+			jb := &jobs[len(jobs)-1]
+			jb.addr, jb.at, jb.feed, jb.req, jb.write = a.downAddr, a.downAt, noFeed, lr.req, a.post
+			if a.fill {
+				jb.feed = int32(fi)
+				if a.victimWB {
+					d.l1Victims = append(d.l1Victims, l1Victim{addr: a.victimAddr, queue: int32(q), idx: int32(len(jobs) - 1)})
+				}
+			}
 		}
 	}
-	// L2 banks share the channels' queues and the L2's pending-fill list, so
-	// they run in ascending order; DRAM channels share nothing, so they run
-	// in whatever order they received work.
-	slices.Sort(d.up.active)
-	for _, bank := range d.up.active {
-		jobs, b := d.up.down[bank], &d.l2.banks[bank]
-		for j := range jobs {
-			jb := &jobs[j]
-			d.lo.apply(d.l2, b, jb.addr, jb.write, jb.at, &jb.done)
+	// L2 banks share the DRAM channels, so they run in ascending order.
+	for w, bits := range d.active {
+		for ; bits != 0; bits &= bits - 1 {
+			bank := w<<6 | mathbits.TrailingZeros64(bits)
+			jobs, b := d.queues[bank], &l2.banks[bank]
+			for j := range jobs {
+				jb := &jobs[j]
+				l2.bankAccess(b, jb.addr, jb.write, jb.at, a)
+				done := a.done
+				if a.fill || a.post {
+					ch := dram.bankAccess(dram.BankOf(a.downAddr), a.post, a.downAt)
+					if a.fill {
+						done = ch
+						b.stats.LatencySum += uint64(done - jb.at)
+						if a.victimWB {
+							d.l2Victims = append(d.l2Victims, l2Victim{addr: a.victimAddr, at: done})
+						}
+					}
+				}
+				jb.done = max(jb.at, done)
+				if jb.feed != noFeed {
+					f := &d.feeds[jb.feed]
+					f.cache.banks[0].stats.LatencySum += uint64(jb.done - now)
+					r := &f.buf.reqs[jb.req]
+					r.ready = max(r.ready, jb.done)
+				}
+			}
 		}
 	}
-	for _, ch := range d.lo.active {
-		jobs := d.lo.down[ch]
-		for j := range jobs {
-			jb := &jobs[j]
-			jb.done = d.dram.bankAccess(int(ch), jb.write, jb.at)
-		}
+	for _, v := range d.l2Victims {
+		dram.Access(v.addr, true, v.at)
 	}
-	d.lo.finalize()
-	d.up.finalize()
+	for _, v := range d.l1Victims {
+		l2.Access(v.addr, true, d.queues[v.queue][v.idx].done)
+	}
+	d.clear()
 	for _, s := range d.srcs {
 		if len(s.Buf.reqs) == 0 {
 			continue

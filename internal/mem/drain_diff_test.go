@@ -14,12 +14,16 @@ import (
 // [0, sharers) and replayed at place sharedPos of the level-1 order, over a
 // banked L2 of l2Lines lines — a fraction of the 256-line address space the
 // scripts range over, so dirty victims are common — and a channeled DRAM.
+// Every level-1 cache has l1Ways ways; the L2 has l2Ways. Table 4's shapes
+// are among them: a 16-way scanned L2 and a fully associative (l1Ways 0)
+// level-1 cache of 32 lines, wider than scanWays, so indexed.
 type drainCase struct {
 	nSrc, l2Banks, channels int
 	wbMask                  uint8
 	sharers, sharedPos      int
 	sharedWB, l2WB          bool
 	l2Lines                 int
+	l1Ways, l2Ways          int
 }
 
 func newDrainCase(nSrc, l2Banks, channels, wb, shared uint8) drainCase {
@@ -29,12 +33,23 @@ func newDrainCase(nSrc, l2Banks, channels, wb, shared uint8) drainCase {
 	g.sharedWB = shared&0x80 != 0
 	g.l2WB = l2Banks&0xC0 != 0xC0 // a write-through L2 one time in four
 	g.l2Lines = 32 << (channels >> 7)
+	g.l1Ways = []int{2, 16, 0}[int(nSrc>>3&3)%3]
+	g.l2Ways = []int{2, 16}[l2Banks>>3&1]
 	return g
 }
 
+// l1Bytes is a level-1 cache's size: 8 lines of 2 ways, or 32 lines, two
+// 16-way sets or one fully associative set.
+func (g drainCase) l1Bytes() int {
+	if g.l1Ways == 2 {
+		return 512
+	}
+	return 32 * 64
+}
+
 func (g drainCase) String() string {
-	return fmt.Sprintf("%d sources (wb %08b), shared L1 by %d at %d (wb %v), L2 %d lines x %d banks (wb %v), %d channels",
-		g.nSrc, g.wbMask, g.sharers, g.sharedPos, g.sharedWB, g.l2Lines, g.l2Banks, g.l2WB, g.channels)
+	return fmt.Sprintf("%d sources (wb %08b), %d-byte %d-way L1s, shared L1 by %d at %d (wb %v), L2 %d lines x %d ways x %d banks (wb %v), %d channels",
+		g.nSrc, g.wbMask, g.l1Bytes(), g.l1Ways, g.sharers, g.sharedPos, g.sharedWB, g.l2Lines, g.l2Ways, g.l2Banks, g.l2WB, g.channels)
 }
 
 // lineSink is what both request buffers — today's and the reference's — offer
@@ -60,14 +75,14 @@ type drainSide struct {
 func (g drainCase) build(ref bool) *drainSide {
 	s := &drainSide{}
 	s.dram = NewDRAM(g.channels, 64, 100, 4)
-	s.l2 = NewCache("L2", g.l2Lines*64, 64, 2, 8, g.l2WB, s.dram, g.l2Banks)
+	s.l2 = NewCache("L2", g.l2Lines*64, 64, g.l2Ways, 8, g.l2WB, s.dram, g.l2Banks)
 	for i := 0; i < g.nSrc; i++ {
-		s.l1s = append(s.l1s, NewCache(fmt.Sprintf("L1.%d", i), 512, 64, 2, 2, g.wbMask>>i&1 != 0, s.l2, 1))
+		s.l1s = append(s.l1s, NewCache(fmt.Sprintf("L1.%d", i), g.l1Bytes(), 64, g.l1Ways, 2, g.wbMask>>i&1 != 0, s.l2, 1))
 	}
 	own := slices.Clone(s.l1s)
 	var shared *Cache
 	if g.sharers > 0 {
-		shared = NewCache("shared", 512, 64, 2, 2, g.sharedWB, s.l2, 1)
+		shared = NewCache("shared", g.l1Bytes(), 64, g.l1Ways, 2, g.sharedWB, s.l2, 1)
 		s.l1s = slices.Insert(s.l1s, g.sharedPos, shared)
 	}
 	// Odd sources register the shared cache first, so handle order and
@@ -164,25 +179,38 @@ func checkDrainAgainstReference(t *testing.T, g drainCase, script []byte) uint64
 // TestDrainMatchesReference is the serial drain's differential oracle: over
 // 300 random hierarchies — 1–8 sources with write-back and write-through
 // level-1 caches, a level-1 cache shared by several of them anywhere in the
-// replay order, 1–8 L2 banks, 1–8 DRAM channels, an L2 an eighth or a quarter
-// of the address range — and about 200 flushes each, with idle sources,
-// zero-line requests and same-cycle flushes mixed in, Drain must reproduce
-// the level-wave drain it replaced (refDrain, drain_ref_test.go) completion
-// for completion and bank counter for bank counter. Perturbing the level-1
-// order, the L2 bank order or the write-back-after-all-fills order fails it.
+// replay order, 2-way, 16-way and fully associative level-1 caches, 2-way
+// and 16-way L2s in 1–8 banks, 1–8 DRAM channels, an L2 an eighth or a
+// quarter of the address range — and about 200 flushes each, with idle
+// sources, zero-line requests and same-cycle flushes mixed in, Drain must
+// reproduce the level-wave drain it replaced (refDrain, drain_ref_test.go)
+// completion for completion and bank counter for bank counter. Perturbing
+// the level-1 order, the L2 bank order or the write-back-after-all-fills
+// order fails it.
 func TestDrainMatchesReference(t *testing.T) {
 	var evictions uint64
+	shapes := map[[2]int]int{}
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var geom [5]byte
 		rng.Read(geom[:])
 		script := make([]byte, 3*1600)
 		rng.Read(script)
-		evictions += checkDrainAgainstReference(t, newDrainCase(geom[0], geom[1], geom[2], geom[3], geom[4]), script)
+		g := newDrainCase(geom[0], geom[1], geom[2], geom[3], geom[4])
+		shapes[[2]int{g.l1Ways, g.l2Ways}]++
+		evictions += checkDrainAgainstReference(t, g, script)
 	}
 	if evictions < 300*1000 {
 		t.Fatalf("only %d L2 evictions over 300 hierarchies: dirty victims are not common", evictions)
 	}
+	for _, l1 := range []int{2, 16, 0} {
+		for _, l2 := range []int{2, 16} {
+			if n := shapes[[2]int{l1, l2}]; n < 20 {
+				t.Errorf("only %d hierarchies with %d-way level-1 caches over a %d-way L2", n, l1, l2)
+			}
+		}
+	}
+	t.Logf("%d L2 evictions; hierarchies by (level-1 ways, L2 ways): %v", evictions, shapes)
 }
 
 // FuzzDrainReplay lets the fuzzer shape the hierarchy and write the script.

@@ -81,10 +81,11 @@ type laneAccess struct {
 	data           *[PageSize]byte
 }
 
-func (m *Memory) laneAccess() laneAccess {
-	a := laneAccess{m: m, base: ^uint64(0)}
+// start arms a for one instruction on m. It writes the fields in place: a
+// literal returned and copied would reload them across store boundaries.
+func (a *laneAccess) start(m *Memory) {
+	a.m, a.base = m, ^uint64(0)
 	a.track, a.exclLo, a.exclHi = m.trackFootprint, m.exclLo, m.exclHi
-	return a
 }
 
 // word records the access in the footprint and returns the bytes of the
@@ -97,7 +98,12 @@ func (a *laneAccess) word(addr uint64, size uint64) (data []byte, off uint64, ok
 		return nil, 0, false
 	}
 	if base := addr >> PageBits; base != a.base {
-		a.base, a.page = base, a.m.page(addr)
+		// A gather changes page at almost every lane: ask the TLB here, and
+		// call out only when it misses.
+		a.base, a.page = base, a.m.cached(base)
+		if a.page == nil {
+			a.page = a.m.lookup(base)
+		}
 		a.data = a.page.data
 	}
 	if a.track && !(addr >= a.exclLo && addr < a.exclHi) {
@@ -134,7 +140,8 @@ func (m *Memory) LoadLanes(addrs *[isa.WavefrontSize]uint64, active isa.ExecMask
 		}
 		return
 	}
-	a := m.laneAccess()
+	var a laneAccess
+	a.start(m)
 	for e := uint64(active); e != 0; e &= e - 1 {
 		l := bits.TrailingZeros64(e) & 63
 		p, off, ok := a.word(addrs[l], uint64(size))
@@ -175,7 +182,8 @@ func (m *Memory) StoreLanes(addrs *[isa.WavefrontSize]uint64, active isa.ExecMas
 		}
 		return
 	}
-	a := m.laneAccess()
+	var a laneAccess
+	a.start(m)
 	for e := uint64(active); e != 0; e &= e - 1 {
 		l := bits.TrailingZeros64(e) & 63
 		p, off, ok := a.word(addrs[l], uint64(size))
@@ -197,7 +205,8 @@ func (m *Memory) StoreLanes(addrs *[isa.WavefrontSize]uint64, active isa.ExecMas
 // every active lane l, returning the prior value in ret[l]. Lanes naming
 // the same address serialize in lane order. ret may alias val.
 func (m *Memory) AtomicAddLanes(addrs *[isa.WavefrontSize]uint64, active isa.ExecMask, val, ret *[isa.WavefrontSize]uint32) {
-	a := m.laneAccess()
+	var a laneAccess
+	a.start(m)
 	for e := uint64(active); e != 0; e &= e - 1 {
 		l := bits.TrailingZeros64(e) & 63
 		p, off, ok := a.word(addrs[l], 4)

@@ -307,3 +307,50 @@ func TestFootprintBitmapIsExact(t *testing.T) {
 	touch(4096-2, 4)
 	check("after reset and two touches")
 }
+
+// BenchmarkGather times one wave's global load as the emulator performs it:
+// LoadLanes, then CoalesceInto on the same addresses (ns per wave). Lanes
+// are 4-byte words at unit stride (one line-aligned 256-byte run, the
+// whole-wave path), or each in its own line of a 64 KB vector (a divergent
+// gather: 64 lines, sixteen pages).
+func BenchmarkGather(b *testing.B) {
+	const base, vector = 0x1_0000_0000, 64 << 10
+	rng := rand.New(rand.NewSource(1))
+	const perLane = vector / LineSize / isa.WavefrontSize // lines each lane draws from
+	for _, shape := range []struct {
+		name    string
+		addr    func(wave, lane int) uint64
+		shuffle bool
+		lines   int
+	}{
+		{"unit", func(wave, lane int) uint64 { return base + uint64(wave%(vector/256))*256 + uint64(4*lane) }, false, 4},
+		{"line-per-lane", func(_, lane int) uint64 { return base + uint64(lane*perLane+rng.Intn(perLane))*LineSize }, true, isa.WavefrontSize},
+	} {
+		waves := make([][isa.WavefrontSize]uint64, 1024)
+		for w := range waves {
+			for l := range waves[w] {
+				waves[w][l] = shape.addr(w, l)
+			}
+			if shape.shuffle {
+				rng.Shuffle(isa.WavefrontSize, func(i, j int) { waves[w][i], waves[w][j] = waves[w][j], waves[w][i] })
+			}
+		}
+		b.Run(shape.name, func(b *testing.B) {
+			m := NewMemory()
+			m.Write(base, make([]byte, vector))
+			full := isa.FullMask(isa.WavefrontSize)
+			var lo, hi [isa.WavefrontSize]uint32
+			lines := make([]uint64, 0, 2*isa.WavefrontSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := &waves[i%len(waves)]
+				m.LoadLanes(w, full, 4, &lo, &hi)
+				lines = CoalesceInto(lines[:0], w, 4, full)
+			}
+			if len(lines) != shape.lines {
+				b.Fatalf("a wave coalesced to %d lines, want %d", len(lines), shape.lines)
+			}
+		})
+	}
+}

@@ -235,8 +235,12 @@ func TestDRAMChannelContention(t *testing.T) {
 
 // TestCoalesceAgainstBruteForce: the coalesced lines are every line an active
 // lane's word touches, once each, in first-touch order — for random
-// addresses near one base, and for the lane-access tests' scenarios, whose
-// whole-wave shapes take CoalesceInto's stride path.
+// addresses near one base, for the lane-access tests' scenarios, whose
+// whole-wave shapes take CoalesceInto's stride path, for 64 8-byte words
+// that each straddle two lines (128 lines, the most a wave can name), and
+// for lines that all set one bit of CoalesceInto's filter. Each access is
+// also coalesced after lines already in the buffer, which it must not
+// repeat.
 func TestCoalesceAgainstBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	check := func(what string, addrs *[isa.WavefrontSize]uint64, size int, mask isa.ExecMask) {
@@ -257,6 +261,19 @@ func TestCoalesceAgainstBruteForce(t *testing.T) {
 		if got := Coalesce(addrs, size, mask); !slices.Equal(got, want) {
 			t.Fatalf("%s: lines %#x, want %#x", what, got, want)
 		}
+		// After a prefix holding every other wanted line and one line
+		// the access does not touch.
+		prefix := []uint64{^uint64(63)}
+		for i := 0; i < len(want); i += 2 {
+			prefix = append(prefix, want[i])
+		}
+		wantAfter := slices.Clone(prefix)
+		for i := 1; i < len(want); i += 2 {
+			wantAfter = append(wantAfter, want[i])
+		}
+		if got := CoalesceInto(slices.Clone(prefix), addrs, size, mask); !slices.Equal(got, wantAfter) {
+			t.Fatalf("%s after %d lines: lines %#x, want %#x", what, len(prefix), got, wantAfter)
+		}
 	}
 	for iter := 0; iter < 300; iter++ {
 		var addrs [isa.WavefrontSize]uint64
@@ -272,6 +289,46 @@ func TestCoalesceAgainstBruteForce(t *testing.T) {
 		size := []int{4, 8}[rng.Intn(2)]
 		addrs, mask := laneScenario(rng, 0x1000_0000, size)
 		check(fmt.Sprintf("scenario %d", iter), &addrs, size, mask)
+	}
+	full := isa.FullMask(isa.WavefrontSize)
+	for iter := 0; iter < 50; iter++ {
+		// Lane l reads the last 4 bytes of line 2l and the first 4 of
+		// line 2l+1, lanes shuffled; some runs repeat a lane's word.
+		var addrs [isa.WavefrontSize]uint64
+		for l := range addrs {
+			addrs[l] = 0x2000_0000 + uint64(2*l+1)*LineSize - 4
+		}
+		rng.Shuffle(len(addrs), func(i, j int) { addrs[i], addrs[j] = addrs[j], addrs[i] })
+		mask := full
+		if iter%2 == 1 {
+			addrs[rng.Intn(len(addrs))] = addrs[rng.Intn(len(addrs))]
+			mask = isa.ExecMask(rng.Uint64())
+		}
+		check(fmt.Sprintf("straddling %d", iter), &addrs, 8, mask)
+	}
+	// Lines whose filter bit is that of line 0x3000_0000: every one after
+	// the first must be looked for among those before it.
+	var colliding []uint64
+	bit := func(l uint64) lineFilter {
+		var f lineFilter
+		f.add(l)
+		return f
+	}
+	for l, want := uint64(0x3000_0000), bit(0x3000_0000); len(colliding) < 2*isa.WavefrontSize; l += LineSize {
+		if bit(l) == want {
+			colliding = append(colliding, l)
+		}
+	}
+	for iter := 0; iter < 50; iter++ {
+		var addrs [isa.WavefrontSize]uint64
+		for l := range addrs {
+			addrs[l] = colliding[rng.Intn(len(colliding))] + uint64(rng.Intn(LineSize/4)*4)
+		}
+		mask := full
+		if iter%2 == 1 {
+			mask = isa.ExecMask(rng.Uint64())
+		}
+		check(fmt.Sprintf("colliding %d", iter), &addrs, 4, mask)
 	}
 }
 

@@ -53,6 +53,12 @@ type Memory struct {
 	// nothing cached lastBase is noPage, which no address shifts to.
 	lastBase uint64
 	lastPage *page
+	// tlb caches resolved pages behind lastBase, direct-mapped by the page
+	// number's low byte: a kernel's accesses revisit a few dozen pages, so a
+	// divergent gather that changes page at every lane indexes this array
+	// instead of looking each page up in the map. An empty entry's base is
+	// noPage.
+	tlb [1 << 8]tlbEntry
 	// lines counts the bits set in the pages' touched words.
 	lines uint64
 	// trackFootprint enables touched-line recording.
@@ -62,9 +68,25 @@ type Memory struct {
 	exclLo, exclHi uint64
 }
 
+// tlbEntry is one cached page-number → page mapping.
+type tlbEntry struct {
+	base uint64
+	page *page
+}
+
 // NewMemory returns an empty memory image with footprint tracking enabled.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*page), lastBase: noPage, trackFootprint: true}
+	m := &Memory{pages: make(map[uint64]*page), trackFootprint: true}
+	m.forget()
+	return m
+}
+
+// forget empties the page caches.
+func (m *Memory) forget() {
+	m.lastBase, m.lastPage = noPage, nil
+	for i := range m.tlb {
+		m.tlb[i] = tlbEntry{base: noPage}
+	}
 }
 
 // Reset empties the image for another run: it reads as NewMemory's does,
@@ -77,7 +99,7 @@ func (m *Memory) Reset() {
 		m.spare = append(m.spare, p)
 	}
 	clear(m.pages)
-	m.lastBase, m.lastPage = noPage, nil
+	m.forget()
 	m.lines = 0
 	m.trackFootprint = true
 	m.exclLo, m.exclHi = 0, 0
@@ -118,13 +140,18 @@ func (m *Memory) page(addr uint64) *page {
 	return m.lookup(base)
 }
 
-// lookup resolves page number base, mapping an all-zero page with no line
-// touched there if there is none yet — a spare one when there is one — and
-// caches it as the last resolved page. It stays out of line so that page,
-// on every access's path, stays inlinable.
+// lookup resolves page number base — from the TLB, else from the map,
+// mapping an all-zero page with no line touched there if there is none yet
+// (a spare one when there is one) — and caches it as the last resolved page.
+// It stays out of line so that page, on every access's path, stays
+// inlinable.
 //
 //go:noinline
 func (m *Memory) lookup(base uint64) *page {
+	if p := m.cached(base); p != nil {
+		m.lastBase, m.lastPage = base, p
+		return p
+	}
 	p, ok := m.pages[base]
 	if !ok {
 		if n := len(m.spare); n > 0 {
@@ -137,8 +164,17 @@ func (m *Memory) lookup(base uint64) *page {
 		}
 		m.pages[base] = p
 	}
+	m.tlb[uint8(base)] = tlbEntry{base: base, page: p}
 	m.lastBase, m.lastPage = base, p
 	return p
+}
+
+// cached returns the TLB's page for page number base, or nil.
+func (m *Memory) cached(base uint64) *page {
+	if e := &m.tlb[uint8(base)]; e.base == base {
+		return e.page
+	}
+	return nil
 }
 
 func (m *Memory) touch(addr uint64, n int) {

@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // lineReq is one deferred line access: the line address, the write flag and
 // the index of the owning request in the buffer's request table.
 type lineReq struct {
@@ -63,8 +65,10 @@ func (b *RequestBuffer) AppendLine(d int, line uint64, write bool, tag int) {
 func (b *RequestBuffer) Append(d int, lines []uint64, write bool, tag int) {
 	dst := &b.dests[d]
 	ri := int32(len(b.reqs))
-	for _, line := range lines {
-		dst.lines = append(dst.lines, lineReq{line: line, write: write, req: ri})
+	n := len(dst.lines)
+	dst.lines = slices.Grow(dst.lines, len(lines))[:n+len(lines)]
+	for i, line := range lines {
+		dst.lines[n+i] = lineReq{line: line, write: write, req: ri}
 	}
 	b.reqs = append(b.reqs, request{tag: tag})
 }
