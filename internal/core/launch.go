@@ -280,11 +280,6 @@ func (m *Machine) CompleteDispatch(d *hsa.Dispatch) {
 	m.Ctx.Mem.SetFootprintTracking(true)
 }
 
-// SignalValue reads a completion signal's current value.
-func (m *Machine) SignalValue(addr uint64) int64 {
-	return int64(m.Ctx.Mem.ReadU64(addr))
-}
-
 // Pending returns the number of submitted, undispatched launches.
 func (m *Machine) Pending() uint64 { return m.queue.Pending() }
 

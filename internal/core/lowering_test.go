@@ -243,7 +243,7 @@ func TestCompletionSignals(t *testing.T) {
 		if d.Packet.CompletionSignal == 0 {
 			t.Fatal("dispatch has no completion signal")
 		}
-		if m.SignalValue(d.Packet.CompletionSignal) != 1 {
+		if m.Ctx.Mem.ReadU64(d.Packet.CompletionSignal) != 1 {
 			t.Fatal("signal not initialized to 1")
 		}
 		sigs = append(sigs, d.Packet.CompletionSignal)
@@ -256,8 +256,8 @@ func TestCompletionSignals(t *testing.T) {
 		t.Fatalf("dispatched %d, want 3", len(sigs))
 	}
 	for i, s := range sigs {
-		if m.SignalValue(s) != 0 {
-			t.Fatalf("signal %d not completed: %d", i, m.SignalValue(s))
+		if v := m.Ctx.Mem.ReadU64(s); v != 0 {
+			t.Fatalf("signal %d not completed: %d", i, int64(v))
 		}
 	}
 }

@@ -461,7 +461,7 @@ func TestRecycledMachineRelowersMovedKernel(t *testing.T) {
 // BenchmarkNewVsReset times what a run pays for its device: building the
 // Table 4 hierarchy, or re-arming one that a run has used.
 func BenchmarkNewVsReset(b *testing.B) {
-	p := timing.DefaultParams()
+	p := timing.DefaultConfig()
 	b.Run("new", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -17,9 +17,9 @@ import (
 // version fails the coordinator's join probe.
 const ModelVersion = 2
 
-// ErrBudgetExceeded marks a run killed by its cycle or instruction budget
-// (RunOptions.MaxCycles / MaxInsts); errors.Is-compatible with the timing
-// layer's sentinel.
+// ErrBudgetExceeded marks a run killed by its cycle budget
+// (RunOptions.MaxCycles); errors.Is-compatible with the timing layer's
+// sentinel.
 var ErrBudgetExceeded = timing.ErrBudgetExceeded
 
 // RunOptions control optional (more expensive) statistics and the run's
@@ -42,8 +42,6 @@ type RunOptions struct {
 	// against livelocked or runaway simulations: the budget is enforced
 	// inside the timing loop, not just between kernels.
 	MaxCycles uint64
-	// MaxInsts bounds committed wavefront instructions (0 = unlimited).
-	MaxInsts uint64
 	// CheckEvery is the watchdog poll period in simulated cycles
 	// (0 = timing.DefaultCheckEvery).
 	CheckEvery int
@@ -68,26 +66,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 	return &Simulator{Cfg: cfg}, nil
-}
-
-// params maps the public configuration onto the timing model.
-func (s *Simulator) params() timing.Params {
-	p := timing.DefaultParams()
-	c := s.Cfg
-	p.NumCUs, p.SIMDsPerCU, p.WFSlots = c.NumCUs, c.SIMDsPerCU, c.WFSlots
-	p.VRFBanks = c.VRFBanks
-	p.IBBytes = c.IBEntries * 8
-	p.FetchWidth = c.FetchWidth
-	p.L1DSize, p.L1DWays = c.L1DSize, c.L1DWays
-	p.L1ISize, p.L1IWays = c.L1ISize, c.L1IWays
-	p.ScalarL1Size, p.ScalarL1Ways = c.ScalarL1Size, c.ScalarL1Ways
-	p.L2Size, p.L2Ways, p.L2Banks = c.L2Size, c.L2Ways, c.L2Banks
-	p.L1HitLatency, p.L2HitLatency = c.L1HitLatency, c.L2HitLatency
-	p.ScalarHitLatency = c.ScalarHitLatency
-	p.LDSLatency = c.LDSLatency
-	p.DRAMChannels = c.DRAMChannels
-	p.DRAMLatency, p.DRAMOccupancy = c.DRAMLatency, c.DRAMOccupancy
-	return p
 }
 
 // The free lists: devices and machines finished runs left behind, kept for
@@ -136,15 +114,15 @@ var devices freeList[timing.GPU]
 // holds one.
 var machines freeList[Machine]
 
-// takeDevice returns a timed device armed for a run under p: the one on top
-// of the free list when it has p's storage geometry, else a new one (a device
-// of another geometry is dropped, not put back: sweeps vary the geometry
-// rarely and then for good).
-func takeDevice(p timing.Params, run *stats.Run) *timing.GPU {
-	if g := devices.pop(); g != nil && g.Reset(p, run) {
+// takeDevice returns a timed device armed for a run under cfg: the one on
+// top of the free list when it has cfg's storage geometry, else a new one (a
+// device of another geometry is dropped, not put back: sweeps vary the
+// geometry rarely and then for good).
+func takeDevice(cfg Config, run *stats.Run) *timing.GPU {
+	if g := devices.pop(); g != nil && g.Reset(cfg, run) {
 		return g
 	}
-	return timing.NewGPU(p, run)
+	return timing.NewGPU(cfg, run)
 }
 
 // takeMachine returns a machine armed for a run under abs: the one on top of
@@ -175,7 +153,7 @@ func (s *Simulator) Run(abs Abstraction, workload string, setup func(m *Machine)
 }
 
 // RunContext is Run with cooperative cancellation: the timing loop polls
-// ctx (and the opts budgets) every opts.CheckEvery cycles, so canceling the
+// ctx (and the opts budget) every opts.CheckEvery cycles, so canceling the
 // context — a per-job timeout, a ctrl-C, a failed journal write — stops a
 // simulation mid-kernel instead of only between jobs.
 func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload string, setup func(m *Machine) error, opts RunOptions) (*stats.Run, *Machine, error) {
@@ -187,10 +165,9 @@ func (s *Simulator) RunContext(ctx context.Context, abs Abstraction, workload st
 	if err := setup(m); err != nil {
 		return nil, nil, fmt.Errorf("core: %s/%s setup: %w", workload, abs, err)
 	}
-	gpu := takeDevice(s.params(), run)
+	gpu := takeDevice(s.Cfg, run)
 	wd := timing.Watchdog{
 		MaxCycles:  int64(opts.MaxCycles),
-		MaxInsts:   opts.MaxInsts,
 		CheckEvery: int64(opts.CheckEvery),
 	}
 	if ctx != nil && ctx.Done() != nil {

@@ -8,9 +8,9 @@ import (
 	"ilsim/internal/core"
 )
 
-// ErrBudgetExceeded marks a job killed by its cycle or instruction budget
-// (core.RunOptions.MaxCycles / MaxInsts); errors.Is-compatible with the
-// core and timing sentinels.
+// ErrBudgetExceeded marks a job killed by its cycle budget
+// (core.RunOptions.MaxCycles); errors.Is-compatible with the core and timing
+// sentinels.
 var ErrBudgetExceeded = core.ErrBudgetExceeded
 
 // Class is the engine's error taxonomy. Every job failure classifies into
@@ -29,7 +29,7 @@ const (
 	ClassCanceled
 	// ClassTimeout marks jobs killed by their wall-clock Timeout.
 	ClassTimeout
-	// ClassBudget marks jobs killed by a cycle/instruction budget — the
+	// ClassBudget marks jobs killed by their cycle budget — the
 	// runaway/livelock defense.
 	ClassBudget
 	// ClassPanic marks jobs whose worker recovered a panic.

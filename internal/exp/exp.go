@@ -33,9 +33,6 @@ type Job struct {
 	Abs      core.Abstraction
 	Config   core.Config
 	Opts     core.RunOptions
-	// SkipCheck disables the workload's host-side output verification
-	// after the run.
-	SkipCheck bool
 	// Timeout bounds the job's wall-clock execution (0 = none). The
 	// simulator observes it cooperatively (core.RunOptions.CheckEvery),
 	// so an overrunning job dies mid-kernel with a timeout-classified
@@ -372,13 +369,11 @@ func (e *Engine) runJob(ctx context.Context, job Job) (run *stats.Run, err error
 	if err != nil {
 		return nil, err
 	}
-	if !job.SkipCheck {
-		if err := inst.Check(m); err != nil {
-			return nil, fmt.Errorf("output check: %w", err)
-		}
-		// Only a run that ended cleanly and checked hands its machine on.
-		m.Recycle()
+	if err := inst.Check(m); err != nil {
+		return nil, fmt.Errorf("output check: %w", err)
 	}
+	// Only a run that ended cleanly and checked hands its machine on.
+	m.Recycle()
 	return run, nil
 }
 

@@ -40,7 +40,6 @@ func (j Job) appendIdentity(b []byte, model int) []byte {
 	b = appendString(b, "Workload", j.Workload)
 	b = appendInt(b, "Scale", int64(j.Scale))
 	b = appendString(b, "Abs", j.Abs.String())
-	b = appendBool(b, "SkipCheck", j.SkipCheck)
 	b = appendInt(b, "Timeout", int64(j.Timeout))
 	b = appendFields(b, configFields, reflect.ValueOf(&j.Config).Elem())
 	return appendFields(b, optsFields, reflect.ValueOf(&j.Opts).Elem())

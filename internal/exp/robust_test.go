@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -184,19 +185,6 @@ func TestFailedJobsLeaveNothingBehind(t *testing.T) {
 	}
 	if eng.instances().Len() != 1 {
 		t.Fatalf("engine holds %d prepared instances, want the one it reused", eng.instances().Len())
-	}
-}
-
-// TestInstructionBudget kills a run by committed-instruction count.
-func TestInstructionBudget(t *testing.T) {
-	job := Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
-		Config: core.DefaultConfig(), Opts: core.RunOptions{MaxInsts: 10, CheckEvery: 16}}
-	results, _, err := New(1).Run([]Job{job})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(results[0].Err, ErrBudgetExceeded) {
-		t.Fatalf("err = %v, want ErrBudgetExceeded", results[0].Err)
 	}
 }
 
@@ -399,6 +387,9 @@ func TestJobFingerprint(t *testing.T) {
 	}
 }
 
+// pinnedJobFP is the fingerprint of TestJobFingerprintPinned's job.
+const pinnedJobFP = "fc0245221163b27658bce849"
+
 // TestJobFingerprintPinned pins the journal identity of one literal job. A
 // job is the model version plus its non-zero fields by name, so the literal
 // moves only when core.ModelVersion is bumped, when a field this job sets is
@@ -407,19 +398,18 @@ func TestJobFingerprint(t *testing.T) {
 // what the change does. A field added at its zero value, or deleted while
 // no job sets it, moves nothing.
 func TestJobFingerprintPinned(t *testing.T) {
-	const pinned = "fc0245221163b27658bce849"
 	job := Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
 		Config: core.DefaultConfig(), Opts: core.RunOptions{MaxCycles: 7}}
-	if fp := job.Fingerprint(); fp != pinned {
+	if fp := job.Fingerprint(); fp != pinnedJobFP {
 		t.Fatalf("fingerprint %s, want %s: existing journals no longer resume. Identity:\n%s",
-			fp, pinned, job.appendIdentity(nil, core.ModelVersion))
+			fp, pinnedJobFP, job.appendIdentity(nil, core.ModelVersion))
 	}
-	if fp := job.fingerprint(core.ModelVersion + 1); fp == pinned {
+	if fp := job.fingerprint(core.ModelVersion + 1); fp == pinnedJobFP {
 		t.Error("the same job under the next model version keeps its fingerprint")
 	}
 	unbounded := job
 	unbounded.Opts.MaxCycles = 0
-	if fp := unbounded.Fingerprint(); fp == pinned {
+	if fp := unbounded.Fingerprint(); fp == pinnedJobFP {
 		t.Error("MaxCycles: 7 does not move the fingerprint")
 	}
 
@@ -441,6 +431,33 @@ func TestJobFingerprintPinned(t *testing.T) {
 	v.FieldByName("NewKnob").SetInt(3)
 	if got := appendFields(nil, widerFields, v); bytes.Equal(got, want) {
 		t.Error("a non-zero new Config field leaves the encoding unchanged")
+	}
+}
+
+// TestLeasedJobWireFormDecodes: a coordinator built before Job.SkipCheck,
+// RunOptions.MaxInsts and timing.Config existed leases TestJobFingerprintPinned's
+// job as this JSON. It must still decode here into that job, and a worker
+// recomputes the fingerprint the coordinator sent with the lease.
+func TestLeasedJobWireFormDecodes(t *testing.T) {
+	const lease = `{"Label":"","Workload":"ArrayBW","Scale":1,"Abs":0,` +
+		`"Config":{"NumCUs":8,"SIMDsPerCU":4,"WFSlots":40,"VRFBanks":16,"IBEntries":8,"FetchWidth":1,` +
+		`"L1DSize":16384,"L1DWays":0,"L1ISize":16384,"L1IWays":8,"ScalarL1Size":32768,"ScalarL1Ways":8,` +
+		`"L2Size":524288,"L2Ways":16,"L2Banks":8,"DRAMChannels":32,"DRAMLatency":160,"DRAMOccupancy":4,` +
+		`"L1HitLatency":16,"L2HitLatency":64,"ScalarHitLatency":16,"LDSLatency":8,"GPUClockMHz":800},` +
+		`"Opts":{"TrackValues":false,"ValueSampleEvery":0,"TrackReuse":false,"CUParallelism":0,` +
+		`"MemParallelism":0,"MaxCycles":7,"MaxInsts":0,"CheckEvery":0,"DisableCycleSkipping":false},` +
+		`"SkipCheck":false,"Timeout":0}`
+	var job Job
+	if err := json.NewDecoder(strings.NewReader(lease)).Decode(&job); err != nil {
+		t.Fatalf("the leased job does not decode: %v", err)
+	}
+	want := Job{Workload: "ArrayBW", Scale: 1, Abs: core.AbsHSAIL,
+		Config: core.DefaultConfig(), Opts: core.RunOptions{MaxCycles: 7}}
+	if !reflect.DeepEqual(job, want) {
+		t.Fatalf("the leased job decodes as %+v, want %+v", job, want)
+	}
+	if fp := job.Fingerprint(); fp != pinnedJobFP {
+		t.Fatalf("the leased job fingerprints as %s here, %s on the coordinator", fp, pinnedJobFP)
 	}
 }
 

@@ -15,33 +15,21 @@ import (
 // Options names the profile outputs; empty paths disable the corresponding
 // profiler.
 type Options struct {
-	// CPUPath receives a CPU profile from Start until stop.
+	// CPUPath receives a CPU profile from StartOptions until stop.
 	CPUPath string
 	// MemPath receives a heap profile taken at stop time (after a GC, so
 	// it reflects live memory).
 	MemPath string
-	// BlockPath receives a blocking profile — time goroutines spend
-	// parked on channels, locks and WaitGroups. A simulation is one
-	// goroutine, so what shows here is the engine's workers waiting for
-	// jobs and the distributed plane waiting on the network.
+	// BlockPath receives a blocking profile of every event — time
+	// goroutines spend parked on channels, locks and WaitGroups. A
+	// simulation is one goroutine, so what shows here is the engine's
+	// workers waiting for jobs and the distributed plane waiting on the
+	// network.
 	BlockPath string
-	// MutexPath receives a mutex-contention profile (who made others
-	// wait), e.g. contention on the engine's progress lock or the
-	// coordinator's campaign state.
+	// MutexPath receives a mutex-contention profile of every event (who
+	// made others wait), e.g. contention on the engine's progress lock or
+	// the coordinator's campaign state.
 	MutexPath string
-	// BlockRate is the runtime block-profile sampling rate in
-	// nanoseconds-per-sample (0 = 1, every event); only used when
-	// BlockPath is set.
-	BlockRate int
-	// MutexFraction samples 1/n mutex contention events (0 = 1, every
-	// event); only used when MutexPath is set.
-	MutexFraction int
-}
-
-// Start begins CPU and heap profiling. The returned stop function must be
-// called exactly once; it is never nil.
-func Start(cpuPath, memPath string) (stop func() error, err error) {
-	return StartOptions(Options{CPUPath: cpuPath, MemPath: memPath})
 }
 
 // StartOptions begins every profiler opts requests. The returned stop
@@ -60,18 +48,10 @@ func StartOptions(opts Options) (stop func() error, err error) {
 		}
 	}
 	if opts.BlockPath != "" {
-		rate := opts.BlockRate
-		if rate <= 0 {
-			rate = 1
-		}
-		runtime.SetBlockProfileRate(rate)
+		runtime.SetBlockProfileRate(1)
 	}
 	if opts.MutexPath != "" {
-		frac := opts.MutexFraction
-		if frac <= 0 {
-			frac = 1
-		}
-		runtime.SetMutexProfileFraction(frac)
+		runtime.SetMutexProfileFraction(1)
 	}
 	return func() error {
 		if cpuFile != nil {

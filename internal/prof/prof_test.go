@@ -13,7 +13,7 @@ func TestStartWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.out")
 	mem := filepath.Join(dir, "mem.out")
-	stop, err := Start(cpu, mem)
+	stop, err := StartOptions(Options{CPUPath: cpu, MemPath: mem})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestStartOptionsBlockMutex(t *testing.T) {
 }
 
 func TestStartDisabled(t *testing.T) {
-	stop, err := Start("", "")
+	stop, err := StartOptions(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

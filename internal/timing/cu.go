@@ -12,6 +12,10 @@ import (
 // own"; the GPU loop never skips toward it.
 const noEvent = int64(math.MaxInt64)
 
+// ibEntryBytes is the size of one instruction-buffer entry (Config.IBEntries
+// counts them).
+const ibEntryBytes = 8
+
 // waveCtx is a wavefront's timing state in a CU wavefront slot.
 type waveCtx struct {
 	w    *emu.Wave
@@ -140,6 +144,8 @@ type cu struct {
 	seq       int64
 	// vrfCursor assigns physical VRF regions to incoming waves.
 	vrfCursor int
+	// ibCap is a wave's instruction-buffer capacity in bytes.
+	ibCap int
 
 	simdBusy   []int64
 	scalarBusy int64
@@ -179,11 +185,12 @@ func (c *cu) release() {
 }
 
 // reset returns the CU's private state (its caches are the GPU's to reset,
-// its wave lists the GPU's to release) to what a new CU under g.P starts
+// its wave lists the GPU's to release) to what a new CU under g.Cfg starts
 // with.
 func (c *cu) reset() {
-	p := &c.g.P
+	p := &c.g.Cfg
 	c.usedSlots, c.seq, c.vrfCursor = 0, 0, 0
+	c.ibCap = p.IBEntries * ibEntryBytes
 	c.simdBusy = zeroed(c.simdBusy, p.SIMDsPerCU)
 	c.bankFree = zeroed(c.bankFree, p.VRFBanks)
 	c.scalarBusy, c.vmemBusy, c.ldsBusy = 0, 0, 0
@@ -228,7 +235,7 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 		ctx := &waveCtx{
 			w: w, eng: eng, wg: run,
 			seq:     c.seq,
-			simd:    c.usedSlots % c.g.P.SIMDsPerCU,
+			simd:    c.usedSlots % c.g.Cfg.SIMDsPerCU,
 			regBase: c.vrfCursor,
 		}
 		c.vrfCursor = (c.vrfCursor + vregs) % vrfRegsPerCU
@@ -288,7 +295,7 @@ func (c *cu) tick(now int64) (int, error) {
 	c.asleepFrom = now + 1
 	skip := !c.g.NoSkip
 	c.nextEvent = noEvent
-	p := &c.g.P
+	p := &c.g.Cfg
 	ev := c.g.events
 
 	// c.waves is seq-ordered by construction; filtering into the reusable
@@ -317,7 +324,7 @@ func (c *cu) tick(now int64) (int, error) {
 				wv.ibBytes += wv.fetchBytes
 			}
 		}
-		if !wv.done && !wv.fetchBusy && wv.ibBytes < p.IBBytes && started < p.FetchWidth {
+		if !wv.done && !wv.fetchBusy && wv.ibBytes < c.ibCap && started < p.FetchWidth {
 			addr := wv.w.PC + uint64(wv.ibBytes)
 			line := addr &^ (mem.LineSize - 1)
 			// The shared (per-4-CU) I-cache lookup is deferred to the drain
@@ -363,7 +370,7 @@ func (c *cu) park(wv *waveCtx, at, now int64) {
 			if wv.fetchDone < at {
 				at = wv.fetchDone
 			}
-		} else if wv.ibBytes < c.g.P.IBBytes {
+		} else if wv.ibBytes < c.ibCap {
 			// Lost fetch-width arbitration: contend again next cycle.
 			at = now + 1
 		}
@@ -576,7 +583,7 @@ func scoreboardReadyAt(wv *waveCtx, info *emu.InstInfo) int64 {
 // one instruction per cycle, so the wave's dependency lists grow in the same
 // order the serial loop grew them.
 func (c *cu) retire(wv *waveCtx, info *emu.InstInfo, res *emu.ExecResult, now int64) {
-	p := &c.g.P
+	p := &c.g.Cfg
 	// Completion time of the instruction's result.
 	switch {
 	case res.MemKind == emu.MemGlobal && len(res.Lines) > 0:

@@ -49,7 +49,7 @@ func (e *stubEngine) FreeWave(*emu.Wave)    {}
 
 // benchCU builds one CU populated with waves that never finish.
 func benchCU(waves int) *cu {
-	g := NewGPU(DefaultParams(), &stats.Run{})
+	g := NewGPU(DefaultConfig(), &stats.Run{})
 	eng := newStubEngine()
 	d := &hsa.Dispatch{Workgroups: make([]hsa.WorkgroupInfo, 1)}
 	d.Workgroups[0] = hsa.WorkgroupInfo{
@@ -86,7 +86,7 @@ type memStubEngine struct {
 }
 
 func newMemStubEngine() *memStubEngine {
-	e := &memStubEngine{stubEngine: *newStubEngine(), region: 2 * uint64(DefaultParams().L1DSize)}
+	e := &memStubEngine{stubEngine: *newStubEngine(), region: 2 * uint64(DefaultConfig().L1DSize)}
 	e.info.Category = isa.CatVMem
 	return e
 }
@@ -103,7 +103,7 @@ func (e *memStubEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
 
 // benchMemCU builds one CU whose waves stream global loads forever.
 func benchMemCU(waves int) *cu {
-	g := NewGPU(DefaultParams(), &stats.Run{})
+	g := NewGPU(DefaultConfig(), &stats.Run{})
 	eng := newMemStubEngine()
 	d := &hsa.Dispatch{Workgroups: make([]hsa.WorkgroupInfo, 1)}
 	d.Workgroups[0] = hsa.WorkgroupInfo{
@@ -153,7 +153,7 @@ func TestDrainRoutingNoAllocs(t *testing.T) {
 	// DRAM on a different L2 bank and channel. The per-flush lists of queues
 	// that received work and the pending-fill lists must reuse their storage
 	// too.
-	p := DefaultParams()
+	p := DefaultConfig()
 	dram := mem.NewDRAM(p.DRAMChannels, mem.LineSize, p.DRAMLatency, p.DRAMOccupancy)
 	l2 := mem.NewCache("L2", p.L2Size, mem.LineSize, p.L2Ways, p.L2HitLatency, true, dram, p.L2Banks)
 	var l1s []*mem.Cache
@@ -202,7 +202,7 @@ type blockedStubEngine struct {
 
 func newBlockedStubEngine(ready int) *blockedStubEngine {
 	e := &blockedStubEngine{ready: ready, memStubEngine: memStubEngine{
-		stubEngine: *newStubEngine(), region: 2 * uint64(DefaultParams().L2Size)}}
+		stubEngine: *newStubEngine(), region: 2 * uint64(DefaultConfig().L2Size)}}
 	e.load = emu.InstInfo{SizeBytes: 4, Category: isa.CatVMem, IsVMem: true, WaitVM: -1, WaitLGKM: -1}
 	e.load.VRFWrites.Add(2, 1)
 	e.wait = emu.InstInfo{SizeBytes: 4, Category: isa.CatWaitcnt, LatClass: emu.LatScalar, WaitVM: 0, WaitLGKM: -1}
@@ -234,7 +234,7 @@ func (e *blockedStubEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
 // them streaming vector-ALU work and the rest parked on loads.
 func benchBlockedCU(ready int) *cu {
 	const waves = 40
-	g := NewGPU(DefaultParams(), &stats.Run{})
+	g := NewGPU(DefaultConfig(), &stats.Run{})
 	d := &hsa.Dispatch{Workgroups: make([]hsa.WorkgroupInfo, 1)}
 	d.Workgroups[0] = hsa.WorkgroupInfo{Size: waves * isa.WavefrontSize, NumWaves: waves}
 	c := g.cus[0]

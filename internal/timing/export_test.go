@@ -104,7 +104,7 @@ func refWave(c *cu, wv *waveCtx, now int64) (refOutcome, error) {
 	if wv.fetchBusy {
 		o.fetch = now >= wv.fetchDone
 	} else {
-		o.fetch = wv.ibBytes < c.g.P.IBBytes
+		o.fetch = wv.ibBytes < c.ibCap
 	}
 	if wv.barrier || now < wv.nextIssue {
 		return o, nil

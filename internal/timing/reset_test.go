@@ -10,10 +10,26 @@ import (
 	"ilsim/internal/stats"
 )
 
-func TestDefaultParamsSane(t *testing.T) {
-	p := DefaultParams()
-	if p.NumCUs != 8 || p.SIMDsPerCU != 4 || p.WFSlots != 40 {
-		t.Fatalf("Table 4 geometry wrong: %+v", p)
+// TestDefaultConfigIsTable4 pins DefaultConfig to the paper's Table 4, the
+// one literal of it the simulator holds.
+func TestDefaultConfigIsTable4(t *testing.T) {
+	want := Config{
+		NumCUs: 8, SIMDsPerCU: 4, WFSlots: 40, VRFBanks: 16,
+		IBEntries: 8, FetchWidth: 1,
+		L1DSize: 16 << 10, L1DWays: 0,
+		L1ISize: 16 << 10, L1IWays: 8,
+		ScalarL1Size: 32 << 10, ScalarL1Ways: 8,
+		L2Size: 512 << 10, L2Ways: 16, L2Banks: 8,
+		DRAMChannels: 32, DRAMLatency: 160, DRAMOccupancy: 4,
+		L1HitLatency: 16, L2HitLatency: 64, ScalarHitLatency: 16,
+		LDSLatency:  8,
+		GPUClockMHz: 800,
+	}
+	if got := DefaultConfig(); got != want {
+		t.Fatalf("DefaultConfig() = %+v, want Table 4's %+v", got, want)
+	}
+	if err := want.Validate(); err != nil {
+		t.Fatalf("Table 4 does not validate: %v", err)
 	}
 	if vrfRegsPerCU != 2048 || srfRegsPerCU != 800 {
 		t.Fatalf("Table 4 register files wrong: %d/%d", vrfRegsPerCU, srfRegsPerCU)
@@ -132,8 +148,8 @@ func TestResetLeavesADeviceLikeNew(t *testing.T) {
 
 	// VRF banks and SIMDs keep their counts, so their busy-until arrays are
 	// reused in place (core's TestResetMatchesFresh resizes them).
-	p := g.P
-	p.WFSlots, p.IBBytes, p.FetchWidth = 10, 16, 2
+	p := g.Cfg
+	p.WFSlots, p.IBEntries, p.FetchWidth = 10, 2, 2
 	p.L1HitLatency, p.L2HitLatency, p.ScalarHitLatency = 3, 5, 7
 	p.DRAMLatency, p.DRAMOccupancy, p.LDSLatency = 11, 2, 13
 	run := &stats.Run{}
@@ -167,25 +183,25 @@ func TestResetLeavesADeviceLikeNew(t *testing.T) {
 	}
 
 	// Anything that sizes storage is refused, and refusing changes nothing.
-	for name, mod := range map[string]func(*Params){
-		"NumCUs":       func(q *Params) { q.NumCUs++ },
-		"L1DSize":      func(q *Params) { q.L1DSize *= 2 },
-		"L1DWays":      func(q *Params) { q.L1DWays = 4 },
-		"L1ISize":      func(q *Params) { q.L1ISize /= 2 },
-		"L1IWays":      func(q *Params) { q.L1IWays = 4 },
-		"ScalarL1Size": func(q *Params) { q.ScalarL1Size *= 2 },
-		"ScalarL1Ways": func(q *Params) { q.ScalarL1Ways = 4 },
-		"L2Size":       func(q *Params) { q.L2Size /= 2 },
-		"L2Ways":       func(q *Params) { q.L2Ways = 8 },
-		"L2Banks":      func(q *Params) { q.L2Banks = 4 },
-		"DRAMChannels": func(q *Params) { q.DRAMChannels = 16 },
+	for name, mod := range map[string]func(*Config){
+		"NumCUs":       func(q *Config) { q.NumCUs++ },
+		"L1DSize":      func(q *Config) { q.L1DSize *= 2 },
+		"L1DWays":      func(q *Config) { q.L1DWays = 4 },
+		"L1ISize":      func(q *Config) { q.L1ISize /= 2 },
+		"L1IWays":      func(q *Config) { q.L1IWays = 4 },
+		"ScalarL1Size": func(q *Config) { q.ScalarL1Size *= 2 },
+		"ScalarL1Ways": func(q *Config) { q.ScalarL1Ways = 4 },
+		"L2Size":       func(q *Config) { q.L2Size /= 2 },
+		"L2Ways":       func(q *Config) { q.L2Ways = 8 },
+		"L2Banks":      func(q *Config) { q.L2Banks = 4 },
+		"DRAMChannels": func(q *Config) { q.DRAMChannels = 16 },
 	} {
 		q := p
 		mod(&q)
 		if g.Reset(q, nil) {
 			t.Errorf("Reset accepted another %s", name)
 		}
-		if g.P != p || g.Run != run {
+		if g.Cfg != p || g.Run != run {
 			t.Fatalf("a refused Reset (%s) changed the device", name)
 		}
 	}

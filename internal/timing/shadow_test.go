@@ -67,7 +67,7 @@ func runOn(t *testing.T, g *timing.GPU, abs core.Abstraction, name string, setup
 // runs, and attaches a fresh shadow: Reset detaches the last one.
 func rearm(t *testing.T, g *timing.GPU) *timing.Shadow {
 	t.Helper()
-	if !g.Reset(g.P, nil) {
+	if !g.Reset(g.Cfg, nil) {
 		t.Fatal("Reset refused the device's own parameters")
 	}
 	return timing.AttachShadow(g)
@@ -86,7 +86,7 @@ func TestSleepBoundsShadow(t *testing.T) {
 	if testing.Short() {
 		names = []string{"MD", "SpMV", "BitonicSort"}
 	}
-	g := timing.NewGPU(timing.DefaultParams(), nil)
+	g := timing.NewGPU(timing.DefaultConfig(), nil)
 	for _, name := range names {
 		w, err := workloads.ByName(name)
 		if err != nil {
@@ -121,7 +121,7 @@ func TestSleepBoundsShadow(t *testing.T) {
 		// machine.
 		var devs []*timing.GPU
 		for _, shape := range [][2]int{{2, 1}, {1, 4}, {8, 40}} {
-			p := timing.DefaultParams()
+			p := timing.DefaultConfig()
 			p.NumCUs, p.WFSlots = shape[0], shape[1]
 			devs = append(devs, timing.NewGPU(p, nil))
 		}
@@ -199,18 +199,18 @@ func readWords(m *core.Machine, addr uint64, n int) []uint32 {
 // ends with the same fingerprint. BitonicSort on one CU with one wavefront
 // slot is the barrier-heavy single-slot schedule (and the configuration that
 // used to drop workgroups); SpMV on the default machine sleeps on memory.
-// Both must also match core.Simulator's run on the same core.Config: that
-// pins runOn to RunContext's loop and Params to the Config mapping.
+// Both must also match core.Simulator's run on the same Config: that pins
+// runOn to RunContext's loop.
 func TestNoSkipTicksEverything(t *testing.T) {
-	single := timing.DefaultParams()
+	single := timing.DefaultConfig()
 	single.NumCUs, single.WFSlots = 1, 1
 	for _, tc := range []struct {
 		name  string
-		p     timing.Params
+		p     timing.Config
 		scale int
 	}{
 		{"BitonicSort", single, 2},
-		{"SpMV", timing.DefaultParams(), 1},
+		{"SpMV", timing.DefaultConfig(), 1},
 	} {
 		w, err := workloads.ByName(tc.name)
 		if err != nil {
@@ -248,9 +248,7 @@ func TestNoSkipTicksEverything(t *testing.T) {
 				if !bytes.Equal(fps[0], fps[1]) {
 					t.Errorf("fingerprint differs between ticked and skipped runs:\n%s", diffLines(fps[0], fps[1]))
 				}
-				cfg := core.DefaultConfig()
-				cfg.NumCUs, cfg.WFSlots = tc.p.NumCUs, tc.p.WFSlots
-				sim, err := core.NewSimulator(cfg)
+				sim, err := core.NewSimulator(tc.p)
 				inst, err2 := w.Prepare(tc.scale)
 				if err != nil || err2 != nil {
 					t.Fatal(err, err2)
@@ -296,7 +294,7 @@ func TestVisitsPerIssue(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := timing.NewGPU(timing.DefaultParams(), nil)
+			g := timing.NewGPU(timing.DefaultConfig(), nil)
 			sh := timing.AttachShadow(g)
 			runOn(t, g, tc.abs, tc.name, inst.Setup)
 			requireClean(t, sh)
@@ -325,7 +323,7 @@ func TestDispatchLaunchesEveryWorkgroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := timing.DefaultParams()
+	p := timing.DefaultConfig()
 	p.NumCUs, p.WFSlots = 1, 1
 	for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
 		ref := &stats.Run{}

@@ -27,16 +27,15 @@ import (
 	"ilsim/internal/stats"
 )
 
-// ErrBudgetExceeded marks a run aborted because it exhausted its cycle or
-// instruction budget (Watchdog.MaxCycles / Watchdog.MaxInsts). It is the
-// mechanism that bounds a runaway or livelocked simulation; core and the
-// experiment engine re-export it so callers can classify the failure with
-// errors.Is at any layer.
+// ErrBudgetExceeded marks a run aborted because it exhausted its cycle
+// budget (Watchdog.MaxCycles). It is the mechanism that bounds a runaway or
+// livelocked simulation; core and the experiment engine re-export it so
+// callers can classify the failure with errors.Is at any layer.
 var ErrBudgetExceeded = errors.New("simulation budget exceeded")
 
 // DefaultCheckEvery is the watchdog check period in simulated cycles when
-// Watchdog.CheckEvery is unset. The check is a context poll plus two integer
-// comparisons, so even the default keeps overhead far below the per-cycle
+// Watchdog.CheckEvery is unset. The check is a context poll plus an integer
+// comparison, so even the default keeps overhead far below the per-cycle
 // model cost while bounding kill latency to ~1k cycles.
 const DefaultCheckEvery = 1024
 
@@ -51,14 +50,12 @@ type Watchdog struct {
 	// MaxCycles bounds total simulated cycles since the device was built
 	// or last Reset (0 = unlimited).
 	MaxCycles int64
-	// MaxInsts bounds committed wavefront instructions (0 = unlimited).
-	MaxInsts uint64
 	// CheckEvery is the check period in cycles (0 = DefaultCheckEvery).
 	CheckEvery int64
 }
 
 func (w Watchdog) enabled() bool {
-	return w.Ctx != nil || w.MaxCycles > 0 || w.MaxInsts > 0
+	return w.Ctx != nil || w.MaxCycles > 0
 }
 
 func (w Watchdog) every() int64 {
@@ -68,51 +65,15 @@ func (w Watchdog) every() int64 {
 	return DefaultCheckEvery
 }
 
-// check reports why the run must stop, or nil to continue. insts is the
-// committed-instruction total (only consulted when MaxInsts is set; callers
-// may pass 0 otherwise).
-func (w Watchdog) check(now int64, insts uint64) error {
+// check reports why the run must stop at cycle now, or nil to continue.
+func (w Watchdog) check(now int64) error {
 	if w.Ctx != nil && w.Ctx.Err() != nil {
 		return fmt.Errorf("timing: run canceled at cycle %d: %w", now, context.Cause(w.Ctx))
 	}
 	if w.MaxCycles > 0 && now >= w.MaxCycles {
 		return fmt.Errorf("timing: %w: %d cycles >= budget %d", ErrBudgetExceeded, now, w.MaxCycles)
 	}
-	if w.MaxInsts > 0 && insts >= w.MaxInsts {
-		return fmt.Errorf("timing: %w: %d instructions >= budget %d", ErrBudgetExceeded, insts, w.MaxInsts)
-	}
 	return nil
-}
-
-// Params configures the timing model (core.Config maps onto it).
-type Params struct {
-	NumCUs     int
-	SIMDsPerCU int
-	WFSlots    int
-	VRFBanks   int
-	// IBBytes is the per-wavefront instruction-buffer capacity in bytes.
-	IBBytes int
-	// FetchWidth is the number of wavefront fetch requests a CU may start
-	// per cycle.
-	FetchWidth int
-	// LDSLatency is the LDS access latency, cycles, before bank conflicts.
-	LDSLatency int64
-
-	// Cache geometry.
-	L1DSize, L1DWays           int
-	L1ISize, L1IWays           int
-	ScalarL1Size, ScalarL1Ways int
-	L2Size, L2Ways             int
-	// L2Banks set-interleaves the shared L2 into independent banks, each
-	// with its own request port (DRAM channels are banks of their own
-	// already).
-	L2Banks          int
-	L1HitLatency     int64
-	L2HitLatency     int64
-	ScalarHitLatency int64
-	DRAMChannels     int
-	DRAMLatency      int64
-	DRAMOccupancy    int64
 }
 
 // The model's fixed parameters, which no configuration changes.
@@ -137,24 +98,9 @@ const (
 	launchOverhead = 1500
 )
 
-// DefaultParams returns the Table 4 machine with this model's latencies.
-func DefaultParams() Params {
-	return Params{
-		NumCUs: 8, SIMDsPerCU: 4, WFSlots: 40, VRFBanks: 16,
-		IBBytes: 64, FetchWidth: 1,
-		LDSLatency: 8,
-		L1DSize:    16 << 10, L1DWays: 0,
-		L1ISize: 16 << 10, L1IWays: 8,
-		ScalarL1Size: 32 << 10, ScalarL1Ways: 8,
-		L2Size: 512 << 10, L2Ways: 16, L2Banks: 8,
-		L1HitLatency: 16, L2HitLatency: 64, ScalarHitLatency: 16,
-		DRAMChannels: 32, DRAMLatency: 160, DRAMOccupancy: 4,
-	}
-}
-
 // GPU is the timed device: CUs plus the shared memory system.
 type GPU struct {
-	P   Params
+	Cfg Config
 	Run *stats.Run
 	// WD bounds the run (cancellation and budgets); set it before the
 	// first RunDispatch. The zero value runs unbounded.
@@ -204,8 +150,8 @@ type sink interface {
 
 // NewGPU builds the device: it allocates the storage p sizes — cache banks,
 // DRAM channels, CUs, the drain's wiring — and arms it with Reset.
-func NewGPU(p Params, run *stats.Run) *GPU {
-	g := &GPU{P: p}
+func NewGPU(p Config, run *stats.Run) *GPU {
+	g := &GPU{Cfg: p}
 	g.dram = mem.NewDRAM(p.DRAMChannels, mem.LineSize, p.DRAMLatency, p.DRAMOccupancy)
 	g.l2 = mem.NewCache("L2", p.L2Size, mem.LineSize, p.L2Ways, p.L2HitLatency, true, g.dram, p.L2Banks)
 	nShared := (p.NumCUs + 3) / 4
@@ -250,8 +196,8 @@ func NewGPU(p Params, run *stats.Run) *GPU {
 // of whatever runs on it, and holds nothing of the runs before: it is the
 // only list of the state a run leaves behind (NewGPU arms through it), and
 // TestResetMatchesFresh polices it.
-func (g *GPU) Reset(p Params, run *stats.Run) bool {
-	if o := &g.P; p.NumCUs != o.NumCUs || p.DRAMChannels != o.DRAMChannels ||
+func (g *GPU) Reset(p Config, run *stats.Run) bool {
+	if o := &g.Cfg; p.NumCUs != o.NumCUs || p.DRAMChannels != o.DRAMChannels ||
 		p.L1DSize != o.L1DSize || p.L1DWays != o.L1DWays ||
 		p.L1ISize != o.L1ISize || p.L1IWays != o.L1IWays ||
 		p.ScalarL1Size != o.ScalarL1Size || p.ScalarL1Ways != o.ScalarL1Ways ||
@@ -261,7 +207,7 @@ func (g *GPU) Reset(p Params, run *stats.Run) bool {
 	if run == nil {
 		run = &stats.Run{}
 	}
-	g.P, g.Run = p, run
+	g.Cfg, g.Run = p, run
 	g.WD, g.NoSkip = Watchdog{}, false
 	g.now, g.wdTick = 0, 0
 	g.events = nil
@@ -306,15 +252,6 @@ func (g *GPU) drainFlush(now int64) {
 	g.pend = g.pend[:0]
 }
 
-// wdInsts returns the instruction total for a watchdog check, skipping the
-// count when no instruction budget is set.
-func (g *GPU) wdInsts() uint64 {
-	if g.WD.MaxInsts == 0 {
-		return 0
-	}
-	return g.Run.TotalInsts()
-}
-
 // RunDispatch executes one dispatch to completion on the timed model and
 // returns the cycles it took.
 //
@@ -336,7 +273,7 @@ func (g *GPU) wdInsts() uint64 {
 func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	watched := g.WD.enabled()
 	if watched {
-		if err := g.WD.check(g.now, g.wdInsts()); err != nil {
+		if err := g.WD.check(g.now); err != nil {
 			return 0, err
 		}
 	}
@@ -354,15 +291,15 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 
 	// Occupancy: waves per CU limited by WF slots and register files.
 	vregs, sregs := eng.RegDemand()
-	wavesByVRF := g.P.WFSlots
+	wavesByVRF := g.Cfg.WFSlots
 	if vregs > 0 {
 		wavesByVRF = vrfRegsPerCU / vregs
 	}
-	wavesBySRF := g.P.WFSlots
+	wavesBySRF := g.Cfg.WFSlots
 	if sregs > 0 {
 		wavesBySRF = srfRegsPerCU / sregs
 	}
-	maxWaves := min3(g.P.WFSlots, wavesByVRF, wavesBySRF)
+	maxWaves := min3(g.Cfg.WFSlots, wavesByVRF, wavesBySRF)
 	if maxWaves < 1 {
 		maxWaves = 1
 	}
@@ -411,7 +348,7 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 		if watched {
 			if g.wdTick += n; g.wdTick >= g.WD.every() {
 				g.wdTick = 0
-				return g.WD.check(g.now, g.wdInsts())
+				return g.WD.check(g.now)
 			}
 		}
 		return nil

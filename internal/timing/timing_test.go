@@ -28,7 +28,7 @@ func runWorkload(t *testing.T, name string, abs core.Abstraction) *stats.Run {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := timing.NewGPU(timing.DefaultParams(), nil)
+	g := timing.NewGPU(timing.DefaultConfig(), nil)
 	if err := inst.Check(runOn(t, g, abs, name, inst.Setup)); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestWatchdogAbortIsExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					g := timing.NewGPU(timing.DefaultParams(), runs[i])
+					g := timing.NewGPU(timing.DefaultConfig(), runs[i])
 					g.NoSkip = noskip
 					g.WD = timing.Watchdog{MaxCycles: budget, CheckEvery: 7}
 					if _, err := g.RunDispatch(eng, d); !errors.Is(err, timing.ErrBudgetExceeded) {
@@ -120,7 +120,7 @@ func TestScoreboardCostsHSAILStalls(t *testing.T) {
 			return m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{64, 1, 1},
 				WG: [3]uint16{64, 1, 1}, Args: []uint64{out}})
 		}
-		g := timing.NewGPU(timing.DefaultParams(), nil)
+		g := timing.NewGPU(timing.DefaultConfig(), nil)
 		runOn(t, g, abs, "dep_chain", setup)
 		cyclesPerInst[i] = float64(g.Run.Cycles) / float64(g.Run.TotalInsts())
 	}
@@ -172,7 +172,7 @@ func TestOccupancyLimitedByRegisters(t *testing.T) {
 			return m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{n, 1, 1},
 				WG: [3]uint16{64, 1, 1}, Args: []uint64{in, out}})
 		}
-		g := timing.NewGPU(timing.DefaultParams(), nil)
+		g := timing.NewGPU(timing.DefaultConfig(), nil)
 		runOn(t, g, core.AbsHSAIL, "occ", setup)
 		return g.Run.Cycles
 	}
@@ -219,7 +219,7 @@ func TestBarrierTimedCompletion(t *testing.T) {
 			return m.Submit(core.Launch{Kernel: ks, Grid: [3]uint32{n, 1, 1},
 				WG: [3]uint16{128, 1, 1}, Args: []uint64{inAddr, outAddr}})
 		}
-		g := timing.NewGPU(timing.DefaultParams(), nil)
+		g := timing.NewGPU(timing.DefaultConfig(), nil)
 		m := runOn(t, g, abs, "barrier_timed", setup)
 		if g.Run.InstsByCategory[isa.CatMisc] == 0 {
 			t.Errorf("%s: no barrier instructions counted", abs)

@@ -4,12 +4,15 @@
 #
 #	scripts/bench-ab.sh <parent-checkout> [pairs]     (make bench-ab REF=<commit>)
 #
-# Each side is built by its own bench/run.sh. Every pair is one full set (all
-# five workloads, seed = pair number) on each side, back to back; odd pairs
-# run the parent first, even pairs the change. One traced set per side
-# follows (the per-layer ladder and the exact sim.* comparison). The runs are
-# merged into .bench_build/ab/{parent,change}.json and handed to
-# `bench -compare`, whose table is printed and kept in compare.txt.
+# Each side's benchmark is built once, before the first pair, in the
+# environment its bench/run.sh builds in, and that binary runs from its own
+# checkout for every pair: an edit made while the A/B runs reaches no run.
+# Every pair is one full set (all five workloads, seed = pair number) on each
+# side, back to back; odd pairs run the parent first, even pairs the change.
+# One traced set per side follows (the per-layer ladder and the exact sim.*
+# comparison). The runs are merged into .bench_build/ab/{parent,change}.json
+# and handed to `bench -compare`, whose table is printed and kept in
+# compare.txt below the sha256 of both binaries.
 set -euo pipefail
 
 parent=$(cd "${1:?usage: bench-ab.sh <parent-checkout> [pairs]}" && pwd)
@@ -27,13 +30,29 @@ out=$change/.bench_build/ab
 rm -rf "$out/runs"
 mkdir -p "$out/runs"
 
+# checkout <parent|change>: the side's checkout.
+checkout() {
+	if [ "$1" = parent ]; then echo "$parent"; else echo "$change"; fi
+}
+
+# build <parent|change>: the side's benchmark, built as its bench/run.sh
+# builds it, into $out/<side>.bin.
+build() {
+	local dir
+	dir=$(checkout "$1")
+	(cd "$dir" && GOCACHE="$dir/.bench_build/gocache" GOPATH="$dir/.bench_build/gopath" \
+		GOFLAGS=-buildvcs=false GOTOOLCHAIN=local go build -o "$out/$1.bin" ./bench) ||
+		{ echo "bench-ab: building the $1 benchmark failed" >&2; exit 1; }
+}
+
 # side <parent|change> <name> <bench arguments...>
 side() {
-	local dir=$change
-	[ "$1" = parent ] && dir=$parent
-	bash "$dir/bench/run.sh" "${@:3}" -out "$out/runs/$1.$2.json" >"$out/runs/$1.$2.log" 2>&1 ||
+	(cd "$(checkout "$1")" && "$out/$1.bin" "${@:3}" -out "$out/runs/$1.$2.json") >"$out/runs/$1.$2.log" 2>&1 ||
 		{ echo "bench-ab: $1 run $2 failed; see $out/runs/$1.$2.log" >&2; exit 1; }
 }
+
+build parent
+build change
 
 for i in $(seq 1 "$pairs"); do
 	order="parent change"
@@ -54,4 +73,9 @@ for s in parent change; do
 	done
 	jq -s '.[0] + {runs: (map(.runs) | add)}' "${files[@]}" >"$out/$s.json"
 done
-bash bench/run.sh -compare "$out/parent.json" "$out/change.json" | tee "$out/compare.txt"
+{
+	for s in parent change; do
+		echo "$s $(sha256sum <"$out/$s.bin" | cut -d' ' -f1) $(checkout "$s")"
+	done
+	"$out/change.bin" -compare "$out/parent.json" "$out/change.json"
+} | tee "$out/compare.txt"
