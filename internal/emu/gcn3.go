@@ -156,49 +156,29 @@ func (e *GCN3Engine) Peek(w *Wave) (*InstInfo, error) {
 func (e *GCN3Engine) decodeInfo(idx int) InstInfo {
 	in := &e.prog.Insts[idx]
 	info := InstInfo{
-		PC:        e.Base + e.prog.PCs[idx],
 		SizeBytes: in.SizeBytes(),
 		Category:  in.Category(),
 		WaitVM:    -1,
 		WaitLGKM:  -1,
 	}
-	addOper := func(o gcn3.Operand, width int, write bool) {
-		switch o.Kind {
-		case gcn3.OperVGPR:
-			if write {
-				info.VRFWrites.Add(int(o.Index), width)
-			} else {
-				info.VRFReads.Add(int(o.Index), width)
-			}
-		case gcn3.OperSGPR:
-			if write {
-				info.SRFWrites.Add(int(o.Index), width)
-			} else {
-				info.SRFReads.Add(int(o.Index), width)
-			}
+	in.Operands(func(o gcn3.Operand, width int, def bool) {
+		switch {
+		case o.Kind != gcn3.OperVGPR:
+		case def:
+			info.VRFWrites.Add(int(o.Index), width)
+		default:
+			info.VRFReads.Add(int(o.Index), width)
 		}
-	}
-	for i := 0; i < in.Op.NSrc(); i++ {
-		addOper(in.Srcs[i], in.SrcRegs(i), false)
-	}
-	addOper(in.Dst, in.DstRegs(), true)
-	addOper(in.SDst, 2, true)
+	})
 
 	switch {
 	case in.Op == gcn3.OpSWaitcnt:
 		info.LatClass = LatNop
 		info.WaitVM, info.WaitLGKM = in.VMCnt, in.LGKMCnt
-	case in.Op == gcn3.OpSBarrier:
-		info.LatClass = LatNop
-		info.IsBarrier = true
-	case in.Op == gcn3.OpSEndpgm:
-		info.LatClass = LatNop
-		info.IsEndPgm = true
-	case in.Op == gcn3.OpSNop:
+	case in.Op == gcn3.OpSBarrier, in.Op == gcn3.OpSEndpgm, in.Op == gcn3.OpSNop:
 		info.LatClass = LatNop
 	case in.Op.IsBranch():
 		info.LatClass = LatBranch
-		info.IsBranch = true
 	case in.Op.Category() == isa.CatSALU:
 		info.LatClass = LatScalar
 	case in.Op.Category() == isa.CatSMem:

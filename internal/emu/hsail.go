@@ -144,36 +144,18 @@ func (e *HSAILEngine) Peek(w *Wave) (*InstInfo, error) {
 func (e *HSAILEngine) decodeInfo(idx int) InstInfo {
 	in := &e.flat[idx]
 	info := InstInfo{
-		PC:        e.pcOf(idx),
 		SizeBytes: hsail.InstBytes,
 		Category:  in.Category(),
 	}
-	addReg := func(l *RegList, o hsail.Operand, t isa.DataType) {
-		if o.Kind == hsail.OperReg {
-			l.Add(int(o.Reg), t.Regs())
+	in.Operands(func(o *hsail.Operand, t isa.DataType, def bool) {
+		switch {
+		case o.Kind != hsail.OperReg:
+		case def:
+			info.VRFWrites.Add(int(o.Reg), t.Regs())
+		default:
+			info.VRFReads.Add(int(o.Reg), t.Regs())
 		}
-	}
-	srcT := in.Type
-	if in.SrcType != isa.TypeNone {
-		srcT = in.SrcType
-	}
-	for i, s := range in.SrcSlice() {
-		t := srcT
-		if in.Op == hsail.OpCmov && i == 0 {
-			t = isa.TypeNone
-		}
-		addReg(&info.VRFReads, s, t)
-	}
-	if in.Op.IsMemory() || in.Op == hsail.OpLda {
-		addReg(&info.VRFReads, in.Addr.Base, isa.TypeU64)
-	}
-	dt := in.Type
-	if in.Op == hsail.OpLda {
-		dt = isa.TypeU64
-	}
-	if in.Dst.Kind == hsail.OperReg {
-		addReg(&info.VRFWrites, in.Dst, dt)
-	}
+	})
 	switch in.Op {
 	case hsail.OpDiv, hsail.OpRem, hsail.OpSqrt, hsail.OpRsqrt:
 		info.LatClass = LatTrans
@@ -191,13 +173,10 @@ func (e *HSAILEngine) decodeInfo(idx int) InstInfo {
 		}
 	case hsail.OpBr, hsail.OpCBr:
 		info.LatClass = LatBranch
-		info.IsBranch = true
 	case hsail.OpBarrier:
 		info.LatClass = LatNop
-		info.IsBarrier = true
 	case hsail.OpRet:
 		info.LatClass = LatNop
-		info.IsEndPgm = true
 	case hsail.OpNop:
 		info.LatClass = LatNop
 	default:
@@ -329,10 +308,7 @@ func (v *vecOp) setDst(in *hsail.Inst, t isa.DataType, width int) error {
 
 // lowerHSAILVec lowers an ALU instruction to a kernel call.
 func lowerHSAILVec(v *vecOp, in *hsail.Inst, consts constPool) error {
-	srcT := in.Type
-	if in.SrcType != isa.TypeNone {
-		srcT = in.SrcType
-	}
+	srcT := in.ReadType()
 	srcs := in.SrcSlice()
 	switch in.Op {
 	case hsail.OpCvt:

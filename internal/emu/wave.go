@@ -43,25 +43,20 @@ func (l *RegList) Slice() []uint16 { return l.Idx[:l.N] }
 // InstInfo is the pre-execution metadata the timing model needs to schedule
 // an instruction: its category, size, operand usage and latency class.
 type InstInfo struct {
-	PC        uint64
 	SizeBytes int
 	Category  isa.Category
 	LatClass  LatencyClass
 
-	// Vector (VRF) and scalar (SRF) operand usage in 32-bit granules.
-	// Under HSAIL every operand is vector (there is no SRF).
+	// Vector register (VRF) operand usage in 32-bit granules, as the ISA
+	// package's Inst.Operands states it. Under HSAIL every operand is
+	// vector; GCN3's scalar operands are not tracked.
 	VRFReads, VRFWrites RegList
-	SRFReads, SRFWrites RegList
 
 	// GCN3 waitcnt semantics.
 	IsVMem   bool // increments vmcnt when issued
 	IsLGKM   bool // increments lgkmcnt when issued
 	WaitVM   int8 // s_waitcnt bound (-1 = unconstrained)
 	WaitLGKM int8
-
-	IsBarrier bool
-	IsEndPgm  bool
-	IsBranch  bool
 }
 
 // MemKind classifies a memory access for latency purposes.

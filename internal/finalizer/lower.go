@@ -313,8 +313,7 @@ func (f *finalizer) lowerAll() error {
 				pendingCmp = in
 				continue
 			}
-			reads, writes := hsailRegRefs(in)
-			f.prepareSpills(e, reads, writes)
+			writes := f.prepareSpills(e, in)
 			if err := f.lowerInst(e, in, bi, pendingCmp); err != nil {
 				return err
 			}

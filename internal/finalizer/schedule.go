@@ -15,9 +15,14 @@ const (
 	resMEM      = 2003
 )
 
-// regUse extracts the resources an instruction reads and writes.
+// regUse extracts the resources an instruction reads and writes: its
+// explicit operands, then the state it touches implicitly.
 func regUse(in *gcn3.Inst) (reads, writes []int) {
-	addOper := func(list *[]int, o gcn3.Operand, width int) {
+	in.Operands(func(o gcn3.Operand, width int, def bool) {
+		list := &reads
+		if def {
+			list = &writes
+		}
 		switch o.Kind {
 		case gcn3.OperVGPR:
 			for i := 0; i < width; i++ {
@@ -34,12 +39,7 @@ func regUse(in *gcn3.Inst) (reads, writes []int) {
 		case gcn3.OperSCC:
 			*list = append(*list, resSCC)
 		}
-	}
-	for i := 0; i < in.Op.NSrc(); i++ {
-		addOper(&reads, in.Srcs[i], in.SrcRegs(i))
-	}
-	addOper(&writes, in.Dst, in.DstRegs())
-	addOper(&writes, in.SDst, 2)
+	})
 
 	cat := in.Op.Category()
 	switch {

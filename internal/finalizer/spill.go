@@ -31,9 +31,22 @@ const spillStageRegs = 10
 
 // prepareSpills loads every spilled slot the instruction reads into staging
 // registers and reserves staging for spilled destinations, recording the
-// overlay that slotOperand consults. It returns the set of spilled
-// destination slots to flush afterwards.
-func (f *finalizer) prepareSpills(e *emitter, reads, writes []int) {
+// overlay that slotOperand consults. It returns the slots the instruction
+// writes, for flushSpills.
+func (f *finalizer) prepareSpills(e *emitter, in *hsail.Inst) (writes []int) {
+	var reads []int
+	in.Operands(func(o *hsail.Operand, t isa.DataType, def bool) {
+		if o.Kind != hsail.OperReg {
+			return
+		}
+		list := &reads
+		if def {
+			list = &writes
+		}
+		for p := 0; p < t.Regs(); p++ {
+			*list = append(*list, int(o.Reg)+p)
+		}
+	})
 	f.spillOverlay = map[int]int{}
 	stage := f.vSpillBase
 	alloc := func(slot int) int {
@@ -79,6 +92,7 @@ func (f *finalizer) prepareSpills(e *emitter, reads, writes []int) {
 		}
 		alloc(s)
 	}
+	return writes
 }
 
 // flushSpills stores spilled destination slots back to scratch.
@@ -136,47 +150,4 @@ func (f *finalizer) emitSpillAccess(e *emitter, slot, r int, store bool) {
 	}
 	in.Op = op
 	e.emit(in)
-}
-
-// hsailRegRefs lists the HSAIL register slots an instruction reads and
-// writes, used to drive spill staging.
-func hsailRegRefs(in *hsail.Inst) (reads, writes []int) {
-	srcT := in.Type
-	if in.SrcType != isa.TypeNone {
-		srcT = in.SrcType
-	}
-	for i, s := range in.SrcSlice() {
-		if s.Kind != hsail.OperReg {
-			continue
-		}
-		if in.Op == hsail.OpCmov && i == 0 {
-			continue
-		}
-		w := srcT.Regs()
-		if w == 0 {
-			w = 1
-		}
-		for p := 0; p < w; p++ {
-			reads = append(reads, int(s.Reg)+p)
-		}
-	}
-	if in.Op.IsMemory() || in.Op == hsail.OpLda {
-		if in.Addr.Base.Kind == hsail.OperReg {
-			reads = append(reads, int(in.Addr.Base.Reg), int(in.Addr.Base.Reg)+1)
-		}
-	}
-	if in.Dst.Kind == hsail.OperReg {
-		dt := in.Type
-		if in.Op == hsail.OpLda {
-			dt = isa.TypeU64
-		}
-		w := dt.Regs()
-		if w == 0 {
-			w = 1
-		}
-		for p := 0; p < w; p++ {
-			writes = append(writes, int(in.Dst.Reg)+p)
-		}
-	}
-	return reads, writes
 }

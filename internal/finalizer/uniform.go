@@ -47,18 +47,10 @@ func (f *finalizer) allocate() error {
 	f.loopSave = make(map[int]int)
 	f.condSave = make(map[int]int)
 
-	// Discover pair structure and usage from operand types.
-	mark := func(o hsail.Operand, t isa.DataType) {
-		if o.Kind != hsail.OperReg {
-			return
-		}
-		f.slots[o.Reg].used = true
-		if t.Regs() == 2 {
-			f.slots[o.Reg].pairStart = true
-			f.slots[o.Reg+1].pairSecond = true
-			f.slots[o.Reg+1].used = true
-		}
-	}
+	// Discover pair structure and usage from operand types, segment usage
+	// and work-item ID dimensionality.
+	f.spillOffset = k.PrivateSize
+	f.idDims = 1
 	cregOnlyCbr := make([]bool, k.NumCRegs)
 	cregFusable := make([]bool, k.NumCRegs)
 	cregSrcSlots := make([][]int, k.NumCRegs)
@@ -68,30 +60,29 @@ func (f *finalizer) allocate() error {
 	for _, b := range k.Blocks {
 		for ii := range b.Insts {
 			in := &b.Insts[ii]
-			srcT := in.Type
-			if in.SrcType != isa.TypeNone {
-				srcT = in.SrcType
+			switch {
+			case in.Op == hsail.OpWorkItemAbsId:
+				f.useAbsID = true
+			case in.Op == hsail.OpWorkItemId && int(in.Dim)+1 > f.idDims:
+				f.idDims = int(in.Dim) + 1
+			case in.Op.HasAddr() && in.Seg.IsWorkItemPrivate():
+				f.usePrivate = true
 			}
-			for i, s := range in.SrcSlice() {
-				t := srcT
-				if in.Op == hsail.OpCmov && i == 0 {
-					t = isa.TypeNone
+			in.Operands(func(o *hsail.Operand, t isa.DataType, def bool) {
+				switch o.Kind {
+				case hsail.OperReg:
+					f.slots[o.Reg].used = true
+					if t.Regs() == 2 {
+						f.slots[o.Reg].pairStart = true
+						f.slots[o.Reg+1].pairSecond = true
+						f.slots[o.Reg+1].used = true
+					}
+				case hsail.OperCReg:
+					if !def && in.Op != hsail.OpCBr {
+						cregOnlyCbr[o.Reg] = false
+					}
 				}
-				mark(s, t)
-				if s.Kind == hsail.OperCReg && in.Op != hsail.OpCBr {
-					cregOnlyCbr[s.Reg] = false
-				}
-			}
-			if in.Op.IsMemory() || in.Op == hsail.OpLda {
-				mark(in.Addr.Base, isa.TypeU64)
-			}
-			dt := in.Type
-			if in.Op == hsail.OpLda {
-				dt = isa.TypeU64
-			}
-			if in.Dst.Kind == hsail.OperReg {
-				mark(in.Dst, dt)
-			}
+			})
 			// Fusable: cmp as the penultimate instruction of a block
 			// whose terminator is a cbr consuming its creg.
 			if in.Op == hsail.OpCmp && ii == len(b.Insts)-2 {
@@ -108,23 +99,6 @@ func (f *finalizer) allocate() error {
 		}
 	}
 
-	// Segment usage and work-item ID dimensionality.
-	f.spillOffset = k.PrivateSize
-	f.idDims = 1
-	for _, b := range k.Blocks {
-		for ii := range b.Insts {
-			in := &b.Insts[ii]
-			if in.Op == hsail.OpWorkItemAbsId {
-				f.useAbsID = true
-			}
-			if in.Op == hsail.OpWorkItemId && int(in.Dim)+1 > f.idDims {
-				f.idDims = int(in.Dim) + 1
-			}
-			if (in.Op.IsMemory() || in.Op == hsail.OpLda) && in.Seg.IsWorkItemPrivate() {
-				f.usePrivate = true
-			}
-		}
-	}
 	if f.usePrivate {
 		f.useAbsID = true
 	}

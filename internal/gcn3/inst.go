@@ -216,6 +216,21 @@ func (in *Inst) SrcRegs(i int) int {
 	}
 }
 
+// Operands visits each explicit operand with the number of 32-bit registers
+// it spans and whether the instruction writes it: Dst at DstRegs, SDst as a
+// pair, then the sources at SrcRegs. It is the one statement of which
+// registers an instruction names; the visit includes absent and constant
+// operands, which callers filter by Kind. State an instruction touches
+// without naming it (EXEC under a vector op, the VCC of v_addc, SCC, memory)
+// is not an operand.
+func (in *Inst) Operands(visit func(o Operand, regs int, def bool)) {
+	visit(in.Dst, in.DstRegs(), true)
+	visit(in.SDst, 2, true)
+	for i := 0; i < in.Op.NSrc(); i++ {
+		visit(in.Srcs[i], in.SrcRegs(i), false)
+	}
+}
+
 // Mnemonic renders the full mnemonic including type suffixes.
 func (in *Inst) Mnemonic() string {
 	base := in.Op.String()
@@ -329,11 +344,6 @@ func (in *Inst) String() string {
 	}
 	for i := 0; i < in.Op.NSrc(); i++ {
 		s += ", " + operandString(in.Srcs[i], in.SrcRegs(i))
-	}
-	// v_add_u32 carries through VCC implicitly; v_cndmask VOP2 selects on VCC.
-	if in.Op == OpVCndmask && in.Srcs[2].Kind == OperVCC {
-		// already printed as src
-		_ = s
 	}
 	return s
 }

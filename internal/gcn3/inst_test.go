@@ -153,3 +153,50 @@ func TestRegWidthMetadata(t *testing.T) {
 		t.Error("64-bit shift operand widths wrong")
 	}
 }
+
+// TestOperandsWalk pins the explicit-operand rule the finalizer's
+// dependence analysis and the engine's decode cache share: Dst at DstRegs,
+// SDst as a pair, then each source at SrcRegs. Absent operands are left
+// out of the log.
+func TestOperandsWalk(t *testing.T) {
+	cases := []struct {
+		in   Inst
+		want string
+	}{
+		// VOP2 add with its carry-out in VCC.
+		{Inst{Op: OpVAdd, Type: isa.TypeU32, Dst: VReg(4), SDst: VCC(), Srcs: [3]Operand{VReg(1), VReg(2)}},
+			"w v4, w vcc, r v1, r v2"},
+		// The same carry-out in an SGPR pair.
+		{Inst{Op: OpVAdd, Type: isa.TypeU32, Dst: VReg(4), SDst: SReg(6), Srcs: [3]Operand{VReg(1), VReg(2)}},
+			"w v4, w s[6:7], r v1, r v2"},
+		// 64-bit VALU (VOP3): every operand a pair.
+		{Inst{Op: OpVAdd, Type: isa.TypeF64, Dst: VReg(4), Srcs: [3]Operand{VReg(0), VReg(2)}},
+			"w v[4:5], r v[0:1], r v[2:3]"},
+		{Inst{Op: OpSAndSaveexec, Dst: SReg(10), Srcs: [3]Operand{VCC()}},
+			"w s[10:11], r vcc"},
+		// Flat memory: the address is a VGPR pair.
+		{Inst{Op: OpFlatLoadDword, Dst: VReg(3), Srcs: [3]Operand{VReg(0)}},
+			"w v3, r v[0:1]"},
+		{Inst{Op: OpFlatStoreDwordx2, Srcs: [3]Operand{VReg(0), VReg(2)}},
+			"r v[0:1], r v[2:3]"},
+		// DS: a 32-bit LDS address.
+		{Inst{Op: OpDSReadB32, Dst: VReg(5), Srcs: [3]Operand{VReg(1)}, Offset: 16},
+			"w v5, r v1"},
+	}
+	for _, c := range cases {
+		var got []string
+		c.in.Operands(func(o Operand, regs int, def bool) {
+			if o.Kind == OperNone {
+				return
+			}
+			rw := "r "
+			if def {
+				rw = "w "
+			}
+			got = append(got, rw+operandString(o, regs))
+		})
+		if g := strings.Join(got, ", "); g != c.want {
+			t.Errorf("%s:\n got  %s\n want %s", &c.in, g, c.want)
+		}
+	}
+}

@@ -141,10 +141,8 @@ func encodeInst(buf *bytes.Buffer, strTab *stringTable, in *Inst) {
 	rec[6] = byte(in.Seg)
 	rec[7] = byte(in.Dim)
 	rec[8] = in.NSrc
-	nOper := int(in.NSrc) + 1 // dst + sources
-	if in.Op.IsMemory() || in.Op == OpLda {
-		nOper++ // address operand record
-	}
+	nOper := 0
+	in.Operands(func(*Operand, isa.DataType, bool) { nOper++ })
 	rec[9] = byte(nOper)
 	le.PutUint32(rec[12:], uint32(in.Target))
 	le.PutUint32(rec[16:], uint32(in.Addr.Offset))
@@ -153,13 +151,8 @@ func encodeInst(buf *bytes.Buffer, strTab *stringTable, in *Inst) {
 	// base records.
 	buf.Write(rec[:])
 
-	writeOperand(buf, in.Dst)
-	for _, s := range in.SrcSlice() {
-		writeOperand(buf, s)
-	}
-	if in.Op.IsMemory() || in.Op == OpLda {
-		writeOperand(buf, in.Addr.Base)
-	}
+	// One 16-byte record per operand, in the order Inst.Operands visits.
+	in.Operands(func(o *Operand, _ isa.DataType, _ bool) { writeOperand(buf, *o) })
 }
 
 func decodeInst(r *reader, in *Inst) {
@@ -183,13 +176,7 @@ func decodeInst(r *reader, in *Inst) {
 	}
 	in.Target = int32(le.Uint32(rec[12:]))
 	in.Addr.Offset = int32(le.Uint32(rec[16:]))
-	in.Dst = r.operand()
-	for i := 0; i < int(in.NSrc); i++ {
-		in.Srcs[i] = r.operand()
-	}
-	if in.Op.IsMemory() || in.Op == OpLda {
-		in.Addr.Base = r.operand()
-	}
+	in.Operands(func(o *Operand, _ isa.DataType, _ bool) { *o = r.operand() })
 }
 
 func writeOperand(buf *bytes.Buffer, o Operand) {

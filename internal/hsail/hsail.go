@@ -177,9 +177,10 @@ func (op Op) Category() isa.Category {
 	}
 }
 
-// IsMemory reports whether the opcode accesses memory through Inst.Addr.
-func (op Op) IsMemory() bool {
-	return op == OpLd || op == OpSt || op == OpAtomicAdd
+// HasAddr reports whether the opcode carries an address operand (Inst.Addr):
+// the memory accesses ld, st and atomic_add, and lda.
+func (op Op) HasAddr() bool {
+	return op == OpLd || op == OpSt || op == OpAtomicAdd || op == OpLda
 }
 
 // OperandKind distinguishes the ways an HSAIL operand can be expressed.
@@ -254,6 +255,42 @@ type Inst struct {
 // SrcSlice returns the populated source operands.
 func (in *Inst) SrcSlice() []Operand { return in.Srcs[:in.NSrc] }
 
+// ReadType is the type the sources are read at: SrcType when it is set (cvt,
+// cmp), the operation type otherwise.
+func (in *Inst) ReadType() isa.DataType {
+	if in.SrcType != isa.TypeNone {
+		return in.SrcType
+	}
+	return in.Type
+}
+
+// Operands visits every operand of the instruction with the type it is
+// accessed at and whether the instruction defines it: the destination
+// first, then the sources, then the address base of an instruction that
+// HasAddr. It is the one statement of which registers an instruction reads
+// and writes, and of their widths; the visit includes absent, immediate,
+// control-register and argument-symbol operands, which callers filter by
+// Kind. lda writes a u64, cmov's first source is a control register, and
+// an address base is a u64 register pair.
+func (in *Inst) Operands(visit func(o *Operand, t isa.DataType, def bool)) {
+	dt := in.Type
+	if in.Op == OpLda {
+		dt = isa.TypeU64
+	}
+	visit(&in.Dst, dt, true)
+	st := in.ReadType()
+	for i := range in.Srcs[:in.NSrc] {
+		if in.Op == OpCmov && i == 0 {
+			visit(&in.Srcs[i], isa.TypeNone, false)
+			continue
+		}
+		visit(&in.Srcs[i], st, false)
+	}
+	if in.Op.HasAddr() {
+		visit(&in.Addr.Base, isa.TypeU64, false)
+	}
+}
+
 // Category returns the execution-resource category of the instruction.
 func (in *Inst) Category() isa.Category { return in.Op.Category() }
 
@@ -312,27 +349,21 @@ func (in *Inst) String() string {
 			return fmt.Sprintf("lda_%s_u64 %s, %s", in.Seg, regString(in.Dst, isa.TypeU64), addr)
 		}
 		return fmt.Sprintf("ld_%s_%s %s, %s", in.Seg, in.Type, regString(in.Dst, in.Type), addr)
-	case OpCmp:
-		return fmt.Sprintf("cmp_%s_%s %s, %s, %s", in.Cmp, in.SrcType,
-			regString(in.Dst, isa.TypeNone), regString(in.Srcs[0], in.SrcType), regString(in.Srcs[1], in.SrcType))
-	case OpCvt:
-		return fmt.Sprintf("cvt_%s_%s %s, %s", in.Type, in.SrcType,
-			regString(in.Dst, in.Type), regString(in.Srcs[0], in.SrcType))
 	case OpWorkItemAbsId, OpWorkItemId, OpWorkGroupId, OpWorkGroupSize, OpGridSize:
 		return fmt.Sprintf("%s_u32 %s, %d", in.Op, regString(in.Dst, in.Type), in.Dim)
 	}
-	s := fmt.Sprintf("%s_%s %s", in.Op, in.Type, regString(in.Dst, in.Type))
-	t := in.Type
-	if in.Op == OpCmov && in.NSrc > 0 {
-		s += ", " + regString(in.Srcs[0], isa.TypeNone)
-		for _, src := range in.Srcs[1:in.NSrc] {
-			s += ", " + regString(src, t)
-		}
-		return s
+	s := fmt.Sprintf("%s_%s", in.Op, in.Type)
+	switch in.Op {
+	case OpCmp:
+		s = fmt.Sprintf("cmp_%s_%s", in.Cmp, in.SrcType)
+	case OpCvt:
+		s = fmt.Sprintf("cvt_%s_%s", in.Type, in.SrcType)
 	}
-	for _, src := range in.SrcSlice() {
-		s += ", " + regString(src, t)
-	}
+	sep := " "
+	in.Operands(func(o *Operand, t isa.DataType, _ bool) {
+		s += sep + regString(*o, t)
+		sep = ", "
+	})
 	return s
 }
 
@@ -414,61 +445,32 @@ func (k *Kernel) validateInst(in *Inst) error {
 			return fmt.Errorf("branch target BB%d out of range", in.Target)
 		}
 	}
-	check := func(o Operand, t isa.DataType) error {
+	var err error
+	in.Operands(func(o *Operand, t isa.DataType, _ bool) {
+		if err != nil {
+			return
+		}
 		switch o.Kind {
 		case OperReg:
-			if int(o.Reg)+t.Regs() > k.NumRegSlots {
-				return fmt.Errorf("register slot %d exceeds declared demand %d", o.Reg, k.NumRegSlots)
-			}
-			if k.NumRegSlots > isa.MaxHSAILRegs {
-				return fmt.Errorf("register demand %d exceeds HSAIL limit %d", k.NumRegSlots, isa.MaxHSAILRegs)
+			switch {
+			case t.Regs() == 0:
+				err = fmt.Errorf("register operand $s%d of type %s spans no slot", o.Reg, t)
+			case int(o.Reg)+t.Regs() > k.NumRegSlots:
+				err = fmt.Errorf("register slot %d exceeds declared demand %d", o.Reg, k.NumRegSlots)
+			case k.NumRegSlots > isa.MaxHSAILRegs:
+				err = fmt.Errorf("register demand %d exceeds HSAIL limit %d", k.NumRegSlots, isa.MaxHSAILRegs)
 			}
 		case OperCReg:
 			if int(o.Reg) >= k.NumCRegs {
-				return fmt.Errorf("control register %d exceeds declared demand %d", o.Reg, k.NumCRegs)
+				err = fmt.Errorf("control register %d exceeds declared demand %d", o.Reg, k.NumCRegs)
 			}
 		case OperArgSym:
 			if int(o.Reg) >= len(k.Args) {
-				return fmt.Errorf("argument symbol %%arg%d out of range", o.Reg)
+				err = fmt.Errorf("argument symbol %%arg%d out of range", o.Reg)
 			}
 		}
-		return nil
-	}
-	if in.Dst.Kind == OperReg || in.Dst.Kind == OperCReg {
-		dt := in.Type
-		if in.Op == OpLda {
-			dt = isa.TypeU64
-		}
-		if err := check(in.Dst, dt); err != nil {
-			return err
-		}
-	}
-	st := in.Type
-	if in.SrcType != isa.TypeNone {
-		st = in.SrcType
-	}
-	for i, s := range in.SrcSlice() {
-		t := st
-		if in.Op == OpCmov && i == 0 {
-			t = isa.TypeNone
-		}
-		if err := check(s, t); err != nil {
-			return err
-		}
-	}
-	if in.Op.IsMemory() || in.Op == OpLda {
-		if in.Addr.Base.Kind == OperReg {
-			if err := check(in.Addr.Base, isa.TypeU64); err != nil {
-				return err
-			}
-		}
-		if in.Addr.Base.Kind == OperArgSym {
-			if err := check(in.Addr.Base, isa.TypeNone); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	})
+	return err
 }
 
 // Disassemble renders the whole kernel as HSAIL-flavored text.

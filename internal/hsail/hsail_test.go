@@ -202,3 +202,87 @@ func TestCodeBytes(t *testing.T) {
 		t.Fatalf("CodeBytes %d", k.CodeBytes())
 	}
 }
+
+// TestOperandsWalk pins the operand rule every pass and decoder asks: the
+// destination first, then the sources, then the address base, each with the
+// type it is accessed at and whether the instruction defines it.
+func TestOperandsWalk(t *testing.T) {
+	cases := []struct {
+		in   Inst
+		want string
+	}{
+		// lda writes a u64 whatever its type says; the base is a u64 pair.
+		{Inst{Op: OpLda, Type: isa.TypeU32, Seg: SegPrivate, Dst: Reg(4), Addr: MemAddr{Base: Reg(2), Offset: 8}},
+			"w $d[4:5] u64, r $d[2:3] u64"},
+		// cmov's first source is a control register.
+		{Inst{Op: OpCmov, Type: isa.TypeU32, Dst: Reg(3), Srcs: [3]Operand{CReg(1), Reg(1), Imm(7)}, NSrc: 3},
+			"w $s3 u32, r $c1 none, r $s1 u32, r 7 u32"},
+		// cvt reads at SrcType and writes at Type.
+		{Inst{Op: OpCvt, Type: isa.TypeF64, SrcType: isa.TypeU32, Dst: Reg(2), Srcs: [3]Operand{Reg(0)}, NSrc: 1},
+			"w $d[2:3] f64, r $s0 u32"},
+		// cmp defines a control register and reads at SrcType.
+		{Inst{Op: OpCmp, SrcType: isa.TypeF64, Cmp: isa.CmpLt, Dst: CReg(0), Srcs: [3]Operand{Reg(0), Reg(2)}, NSrc: 2},
+			"w $c0 none, r $d[0:1] f64, r $d[2:3] f64"},
+		// st has no destination: its record is still visited, absent.
+		{Inst{Op: OpSt, Type: isa.TypeU32, Seg: SegGlobal, Srcs: [3]Operand{Reg(5)}, NSrc: 1, Addr: MemAddr{Base: Reg(0), Offset: 4}},
+			"w _ u32, r $s5 u32, r $d[0:1] u64"},
+		{Inst{Op: OpAtomicAdd, Type: isa.TypeU32, Seg: SegGlobal, Dst: Reg(6), Srcs: [3]Operand{Reg(5)}, NSrc: 1, Addr: MemAddr{Base: Reg(0)}},
+			"w $s6 u32, r $s5 u32, r $d[0:1] u64"},
+		// A kernarg load names its base by argument symbol, in no register.
+		{Inst{Op: OpLd, Type: isa.TypeU64, Seg: SegKernarg, Dst: Reg(0), Addr: MemAddr{Base: ArgSym(1)}},
+			"w $d[0:1] u64, r %arg1 u64"},
+		{Inst{Op: OpAdd, Type: isa.TypeU64, Dst: Reg(4), Srcs: [3]Operand{Reg(0), Reg(2)}, NSrc: 2},
+			"w $d[4:5] u64, r $d[0:1] u64, r $d[2:3] u64"},
+		// Only an instruction that HasAddr visits Addr.
+		{Inst{Op: OpCBr, Srcs: [3]Operand{CReg(2)}, NSrc: 1, Addr: MemAddr{Base: Reg(0)}},
+			"w _ none, r $c2 none"},
+	}
+	for _, c := range cases {
+		var got []string
+		c.in.Operands(func(o *Operand, ty isa.DataType, def bool) {
+			rw := "r "
+			if def {
+				rw = "w "
+			}
+			s := regString(*o, ty)
+			if o.Kind == OperNone {
+				s = "_"
+			}
+			got = append(got, rw+s+" "+ty.String())
+		})
+		if g := strings.Join(got, ", "); g != c.want {
+			t.Errorf("%s:\n got  %s\n want %s", &c.in, g, c.want)
+		}
+	}
+}
+
+// TestRegisterOperandSpanningNoSlotIsRefused: a register operand whose type
+// spans no slot names no register, and Validate and the BRIG decoder refuse
+// it. `mov_none $s2, $s2` once passed both with NumRegSlots 2, since
+// 2+0 slots do not exceed the demand, and then indexed slot 2 in the
+// uniformity analysis the finalizer runs.
+func TestRegisterOperandSpanningNoSlotIsRefused(t *testing.T) {
+	k := &Kernel{Name: "k", NumRegSlots: 2, Blocks: []*Block{{Insts: []Inst{
+		{Op: OpMov, Type: isa.TypeNone, Dst: Reg(2), Srcs: [3]Operand{Reg(2)}, NSrc: 1},
+		{Op: OpRet},
+	}}}}
+	if err := k.Validate(); err == nil || !strings.Contains(err.Error(), "spans no slot") {
+		t.Fatalf("Validate: %v", err)
+	}
+
+	// The same kernel as bytes: encode `mov_u32 $s1, $s1`, then patch the
+	// type byte and both operand records' registers.
+	k.Blocks[0].Insts[0] = Inst{Op: OpMov, Type: isa.TypeU32, Dst: Reg(1), Srcs: [3]Operand{Reg(1)}, NSrc: 1}
+	data, err := EncodeBRIG(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 8 + 4 + 4 + len("k") + 6*4 + 4 + 4 + 4 // the first instruction record
+	data[at+3] = byte(isa.TypeNone)
+	for _, oper := range []int{at + instRecordSize, at + instRecordSize + operandRecordSize} {
+		binary.LittleEndian.PutUint16(data[oper+2:], 2)
+	}
+	if _, err := DecodeBRIG(data); err == nil || !strings.Contains(err.Error(), "spans no slot") {
+		t.Fatalf("DecodeBRIG: %v", err)
+	}
+}

@@ -36,7 +36,6 @@ func AllocateRegisters(k *hsail.Kernel) error {
 		pos += len(b.Insts)
 		blockEnd[bi] = pos - 1
 	}
-	total := pos
 
 	// Discover value units (a unit is one virtual value: 1 or 2 slots).
 	type unit struct {
@@ -48,68 +47,43 @@ func AllocateRegisters(k *hsail.Kernel) error {
 	}
 	unitOf := map[int]*unit{} // start slot → unit
 	var units []*unit
-	touch := func(slot, width, p int, isDef bool) error {
-		u, ok := unitOf[slot]
-		if !ok {
-			u = &unit{start: slot, width: width, lo: p, hi: p, firstIsDef: isDef,
-				uniform: uni.Slots[slot]}
-			unitOf[slot] = u
-			units = append(units, u)
-			return nil
+	// A unit's first reference is its definition only if nothing at that
+	// position reads it: an instruction that reads and writes one slot
+	// reads it first.
+	p := 0
+	for _, b := range k.Blocks {
+		for ii := range b.Insts {
+			b.Insts[ii].Operands(func(o *hsail.Operand, t isa.DataType, isDef bool) {
+				if o.Kind != hsail.OperReg || err != nil {
+					return
+				}
+				slot, width := int(o.Reg), t.Regs()
+				u, ok := unitOf[slot]
+				if !ok {
+					u = &unit{start: slot, width: width, lo: p, hi: p, firstIsDef: isDef,
+						uniform: uni.Slots[slot]}
+					unitOf[slot] = u
+					units = append(units, u)
+					return
+				}
+				if u.width != width {
+					err = fmt.Errorf("kernel: register slot %d used with widths %d and %d", slot, u.width, width)
+					return
+				}
+				if p < u.lo {
+					u.lo = p
+					u.firstIsDef = isDef
+				} else if p == u.lo && !isDef {
+					u.firstIsDef = false
+				}
+				if p > u.hi {
+					u.hi = p
+				}
+			})
+			p++
 		}
-		if u.width != width {
-			return fmt.Errorf("kernel: register slot %d used with widths %d and %d", slot, u.width, width)
-		}
-		if p < u.lo {
-			u.lo = p
-			u.firstIsDef = isDef
-		}
-		if p > u.hi {
-			u.hi = p
-		}
-		return nil
 	}
-	forEachRef := func(fn func(slot, width, p int, isDef bool) error) error {
-		p := 0
-		for _, b := range k.Blocks {
-			for ii := range b.Insts {
-				in := &b.Insts[ii]
-				srcT := in.Type
-				if in.SrcType != isa.TypeNone {
-					srcT = in.SrcType
-				}
-				for i, s := range in.SrcSlice() {
-					if s.Kind != hsail.OperReg {
-						continue
-					}
-					t := srcT
-					if in.Op == hsail.OpCmov && i == 0 {
-						continue // control register
-					}
-					if err := fn(int(s.Reg), t.Regs(), p, false); err != nil {
-						return err
-					}
-				}
-				if (in.Op.IsMemory() || in.Op == hsail.OpLda) && in.Addr.Base.Kind == hsail.OperReg {
-					if err := fn(int(in.Addr.Base.Reg), 2, p, false); err != nil {
-						return err
-					}
-				}
-				if in.Dst.Kind == hsail.OperReg {
-					dt := in.Type
-					if in.Op == hsail.OpLda {
-						dt = isa.TypeU64
-					}
-					if err := fn(int(in.Dst.Reg), dt.Regs(), p, true); err != nil {
-						return err
-					}
-				}
-				p++
-			}
-		}
-		return nil
-	}
-	if err := forEachRef(touch); err != nil {
+	if err != nil {
 		return err
 	}
 
@@ -191,27 +165,15 @@ func AllocateRegisters(k *hsail.Kernel) error {
 	if next > isa.MaxHSAILRegs {
 		return fmt.Errorf("kernel: register demand %d exceeds the HSAIL limit %d", next, isa.MaxHSAILRegs)
 	}
-	_ = total
 
 	// Rewrite operands.
-	remap := func(o *hsail.Operand) {
-		u := unitOf[int(o.Reg)]
-		o.Reg = uint16(u.phys)
-	}
 	for _, b := range k.Blocks {
 		for ii := range b.Insts {
-			in := &b.Insts[ii]
-			for i := range in.SrcSlice() {
-				if in.Srcs[i].Kind == hsail.OperReg && !(in.Op == hsail.OpCmov && i == 0) {
-					remap(&in.Srcs[i])
+			b.Insts[ii].Operands(func(o *hsail.Operand, _ isa.DataType, _ bool) {
+				if o.Kind == hsail.OperReg {
+					o.Reg = uint16(unitOf[int(o.Reg)].phys)
 				}
-			}
-			if (in.Op.IsMemory() || in.Op == hsail.OpLda) && in.Addr.Base.Kind == hsail.OperReg {
-				remap(&in.Addr.Base)
-			}
-			if in.Dst.Kind == hsail.OperReg {
-				remap(&in.Dst)
-			}
+			})
 		}
 	}
 	k.NumRegSlots = next

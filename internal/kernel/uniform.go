@@ -78,24 +78,17 @@ func AnalyzeUniformityOpt(k *hsail.Kernel, cfg *CFG, scalarKernarg bool) *Unifor
 	}
 
 	srcsUniform := func(in *hsail.Inst) bool {
-		for _, s := range in.SrcSlice() {
-			switch s.Kind {
-			case hsail.OperReg:
-				if !u.Slots[s.Reg] {
-					return false
-				}
-			case hsail.OperCReg:
-				if !u.CRegs[s.Reg] {
-					return false
-				}
+		uniform := true
+		in.Operands(func(o *hsail.Operand, _ isa.DataType, def bool) {
+			switch {
+			case def:
+			case o.Kind == hsail.OperReg:
+				uniform = uniform && u.Slots[o.Reg]
+			case o.Kind == hsail.OperCReg:
+				uniform = uniform && u.CRegs[o.Reg]
 			}
-		}
-		if in.Op.IsMemory() || in.Op == hsail.OpLda {
-			if in.Addr.Base.Kind == hsail.OperReg && !u.Slots[in.Addr.Base.Reg] {
-				return false
-			}
-		}
-		return true
+		})
+		return uniform
 	}
 	defUniform := func(in *hsail.Inst, block int) bool {
 		if !u.Blocks[block] {
