@@ -21,33 +21,14 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"ilsim/internal/core"
 	"ilsim/internal/dist"
 	"ilsim/internal/exp"
 	"ilsim/internal/report"
 )
-
-// experiments renders each experiment -exp can name.
-var experiments = map[string]func(*report.Results) (string, error){
-	"fig1":     plain((*report.Results).Fig1),
-	"fig3":     (*report.Results).Fig3,
-	"fig5":     plain((*report.Results).Fig5),
-	"fig6":     plain((*report.Results).Fig6),
-	"fig7":     plain((*report.Results).Fig7),
-	"fig8":     plain((*report.Results).Fig8),
-	"fig9":     plain((*report.Results).Fig9),
-	"fig10":    plain((*report.Results).Fig10),
-	"fig11":    plain((*report.Results).Fig11),
-	"fig12":    plain((*report.Results).Fig12),
-	"table6":   plain((*report.Results).Table6),
-	"table7":   plain((*report.Results).Table7),
-	"ablation": plain((*report.Results).AblationTable),
-}
-
-func plain(f func(*report.Results) string) func(*report.Results) (string, error) {
-	return func(r *report.Results) (string, error) { return f(r), nil }
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -59,7 +40,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ilsim-report", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	scale := fs.Int("scale", 2, "input scale for the workload suite")
-	expName := fs.String("exp", "", "render only one experiment (fig1, fig3, fig5..fig12, table6, table7, ablation)")
+	expName := fs.String("exp", "", "render only one experiment: "+strings.Join(report.Experiments(), ", "))
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	csvDir := fs.String("csv", "", "also export per-figure CSV files to this directory")
 	workers := fs.Int("j", 0, "max parallel simulation jobs (0 = GOMAXPROCS)")
@@ -85,8 +66,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ilsim-report: -scale %d is below 1\n", *scale)
 		return 2
 	}
-	render := experiments[*expName]
-	if *expName != "" && render == nil {
+	if *expName != "" && !slices.Contains(report.Experiments(), *expName) {
 		fmt.Fprintf(stderr, "ilsim-report: unknown experiment %q\n", *expName)
 		return 2
 	}
@@ -96,9 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := core.DefaultConfig()
-	if render == nil {
-		render = func(r *report.Results) (string, error) { return r.Markdown(cfg), nil }
-	}
 	var journal *exp.Journal
 	if *journalPath != "" {
 		jobs := report.SuiteJobs(cfg, *scale, false)
@@ -149,8 +126,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "wrote CSV files to", *csvDir)
 	}
 
-	text, err := render(res)
-	if err != nil {
+	text := ""
+	if *expName == "" {
+		text = res.Markdown(cfg)
+	} else if text, err = res.Experiment(*expName); err != nil {
 		return fail(err)
 	}
 	if *out == "" {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"ilsim/internal/finalizer"
 	"ilsim/internal/gcn3"
@@ -24,22 +23,9 @@ type KernelSource struct {
 	// BRIGBytes is the encoded IL container size (the "several kilobytes"
 	// representation, reported for context alongside Figure 8).
 	BRIGBytes int
-
-	// encOnce memoizes EncodedGCN3: CodeObject.Encode re-runs program
-	// layout, which mutates the shared Program, so concurrent Machines
-	// must share one encode.
-	encOnce  sync.Once
-	encBytes []byte
-	encErr   error
-}
-
-// EncodedGCN3 returns the serialized GCN3 code object, encoding it at most
-// once per KernelSource (concurrent loaders share the result).
-func (ks *KernelSource) EncodedGCN3() ([]byte, error) {
-	ks.encOnce.Do(func() {
-		ks.encBytes, ks.encErr = ks.GCN3.Encode()
-	})
-	return ks.encBytes, ks.encErr
+	// coBytes is the encoded code object GCN3 was decoded from: the image
+	// a GCN3 Machine loads.
+	coBytes []byte
 }
 
 // PrepareKernel runs the full toolchain on an HSAIL kernel: validation,
@@ -76,6 +62,7 @@ func PrepareKernel(k *hsail.Kernel, fopts finalizer.Options) (*KernelSource, err
 		CFG:       cfg,
 		GCN3:      co2,
 		BRIGBytes: len(brig),
+		coBytes:   coBytes,
 	}, nil
 }
 

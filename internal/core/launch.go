@@ -132,12 +132,8 @@ func (m *Machine) Load(ks *KernelSource) uint64 {
 			m.Ctx.Mem.WriteU64(base+uint64(i*8), uint64(i))
 		}
 	} else {
-		encoded, err := ks.EncodedGCN3()
-		if err != nil {
-			panic(fmt.Sprintf("core: encoding validated code object: %v", err))
-		}
-		base = m.Ctx.AllocCode(uint64(len(encoded)))
-		m.Ctx.Mem.Write(base, encoded)
+		base = m.Ctx.AllocCode(uint64(len(ks.coBytes)))
+		m.Ctx.Mem.Write(base, ks.coBytes)
 	}
 	m.Ctx.Mem.SetFootprintTracking(true)
 	m.codeBase[ks] = base

@@ -61,9 +61,6 @@ func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, base uint64, col *Coll
 // Abstraction identifies the engine.
 func (e *GCN3Engine) Abstraction() string { return "GCN3" }
 
-// CodeBytes returns the true encoded instruction footprint.
-func (e *GCN3Engine) CodeBytes() uint64 { return uint64(e.prog.Size) }
-
 // LDSBytes returns the workgroup LDS demand.
 func (e *GCN3Engine) LDSBytes() int { return e.CO.GroupSize }
 

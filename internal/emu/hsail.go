@@ -74,9 +74,6 @@ func NewHSAILEngine(ctx *hsa.Context, k *hsail.Kernel, cfg *kernel.CFG, base uin
 // Abstraction identifies the engine.
 func (e *HSAILEngine) Abstraction() string { return "HSAIL" }
 
-// CodeBytes returns the 8-byte-per-instruction loaded footprint.
-func (e *HSAILEngine) CodeBytes() uint64 { return uint64(len(e.flat)) * hsail.InstBytes }
-
 // LDSBytes returns the workgroup LDS demand.
 func (e *HSAILEngine) LDSBytes() int { return e.K.GroupSize }
 

@@ -300,8 +300,6 @@ type Engine interface {
 	InstString(pc uint64) string
 	// Execute commits the instruction at w.PC and advances the wavefront.
 	Execute(w *Wave) (ExecResult, error)
-	// CodeBytes returns the loaded kernel's instruction footprint.
-	CodeBytes() uint64
 	// LDSBytes returns the kernel's workgroup LDS demand.
 	LDSBytes() int
 	// RegDemand returns (vector slots, scalar regs) per wavefront, used by

@@ -34,8 +34,6 @@ type Options struct {
 	// MaxVGPRs caps the vector registers available to this kernel
 	// (default isa.MaxVGPRs). Demands beyond the cap are an error.
 	MaxVGPRs int
-	// MaxSGPRs caps scalar registers (default isa.MaxSGPRs).
-	MaxSGPRs int
 	// UseFlatKernarg lowers kernarg loads through vector moves and a flat
 	// load (the paper's Table 2 sequence) instead of a scalar load.
 	UseFlatKernarg bool
@@ -49,9 +47,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxVGPRs <= 0 {
 		o.MaxVGPRs = isa.MaxVGPRs
-	}
-	if o.MaxSGPRs <= 0 {
-		o.MaxSGPRs = isa.MaxSGPRs
 	}
 	return o
 }
@@ -183,8 +178,8 @@ func (f *finalizer) checkLimits() error {
 		return fmt.Errorf("VGPR demand %d exceeds budget %d even after spilling",
 			f.numVGPRs+f.vTempMax, f.opts.MaxVGPRs)
 	}
-	if f.numSGPRs+f.sTempMax > f.opts.MaxSGPRs {
-		return fmt.Errorf("SGPR demand %d exceeds budget %d", f.numSGPRs+f.sTempMax, f.opts.MaxSGPRs)
+	if f.numSGPRs+f.sTempMax > isa.MaxSGPRs {
+		return fmt.Errorf("SGPR demand %d exceeds budget %d", f.numSGPRs+f.sTempMax, isa.MaxSGPRs)
 	}
 	return nil
 }

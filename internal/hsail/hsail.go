@@ -419,8 +419,9 @@ func (k *Kernel) NumInsts() int {
 func (k *Kernel) CodeBytes() int { return k.NumInsts() * InstBytes }
 
 // Validate checks structural invariants: branch targets exist, operand
-// register slots are within the declared register demand, and every block
-// ends the kernel or transfers control.
+// register slots are within the declared register demand, a destination is
+// a register (a control register only for cmp), and every block ends the
+// kernel or transfers control.
 func (k *Kernel) Validate() error {
 	if len(k.Blocks) == 0 {
 		return fmt.Errorf("hsail: kernel %q has no blocks", k.Name)
@@ -446,8 +447,16 @@ func (k *Kernel) validateInst(in *Inst) error {
 		}
 	}
 	var err error
-	in.Operands(func(o *Operand, t isa.DataType, _ bool) {
+	in.Operands(func(o *Operand, t isa.DataType, def bool) {
 		if err != nil {
+			return
+		}
+		switch {
+		case def && (o.Kind == OperImm || o.Kind == OperArgSym):
+			err = fmt.Errorf("destination is not a register")
+			return
+		case def && o.Kind == OperCReg && in.Op != OpCmp:
+			err = fmt.Errorf("only cmp writes a control register")
 			return
 		}
 		switch o.Kind {

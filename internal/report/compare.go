@@ -1,44 +1,29 @@
 package report
 
-import (
-	"fmt"
-
-	"ilsim/internal/stats"
-)
+import "fmt"
 
 // PaperComparison renders the headline paper-vs-measured table: for every
 // quantitative claim in the paper's abstract and evaluation, the value this
-// reproduction measures, with the deviations discussed.
+// reproduction measures, with the deviations discussed. Each value is the
+// suite summary of the section that plots it, or Fig 1's row for SIMD
+// utilization, which Table 6 shows without one.
 func (r *Results) PaperComparison() string {
-	gm := func(metric func(*stats.Run) float64) float64 {
-		return stats.Geomean(r.ratios(metric))
-	}
-	insts := gm(func(s *stats.Run) float64 { return float64(s.TotalInsts()) })
-	reuse := gm(func(s *stats.Run) float64 { return float64(s.Reuse.Median()) })
-	foot := gm(func(s *stats.Run) float64 { return float64(s.CodeFootprintBytes) })
-	util := gm(func(s *stats.Run) float64 { return s.SIMDUtilization() })
-
-	var conflictRatios, flushRatios []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		if g := p.GCN3.ConflictsPerKiloInst(); g > 0 {
-			conflictRatios = append(conflictRatios, p.HSAIL.ConflictsPerKiloInst()/g)
-		}
-		h := float64(p.HSAIL.IBFlushes) / float64(p.HSAIL.TotalInsts())
-		g := float64(p.GCN3.IBFlushes) / float64(p.GCN3.TotalInsts())
-		if g > 0 {
-			flushRatios = append(flushRatios, h/g)
-		}
-	}
-	conflicts := stats.Geomean(conflictRatios)
-	flushes := stats.Geomean(flushRatios)
+	insts := r.summary(find("fig5"))
+	conflicts := r.summary(find("fig6"))
+	reuse := r.summary(find("fig7"))
+	foot := r.summary(find("fig8"))
+	flushes := r.summary(find("fig9"))
+	util := r.geomean(simdUtil, find("fig1").ratio)
 
 	// Runtime extremes (Fig 12's featured pair).
 	var slowHSAIL, slowGCN3 float64 = 1, 1
 	var slowHSAILName, slowGCN3Name string
+	fig12 := find("fig12")
 	for _, name := range r.Order {
-		p := r.Runs[name]
-		hg := float64(p.HSAIL.Cycles) / float64(p.GCN3.Cycles)
+		hg, ok := fig12.ratio.of(fig12.metrics[0], r.Runs[name])
+		if !ok {
+			continue
+		}
 		if hg > slowHSAIL {
 			slowHSAIL, slowHSAILName = hg, name
 		}

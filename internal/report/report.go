@@ -10,11 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"ilsim/internal/core"
 	"ilsim/internal/exp"
-	"ilsim/internal/isa"
 	"ilsim/internal/stats"
 	"ilsim/internal/workloads"
 )
@@ -133,236 +133,11 @@ func (t *table) String() string { return t.b.String() }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func pct(v float64) string { return fmt.Sprintf("%.0f%%", 100*v) }
-func kb(v uint64) string   { return fmt.Sprintf("%.1fKB", float64(v)/1024) }
+func kb(v float64) string  { return fmt.Sprintf("%.1fKB", v/1024) }
+func f0(v float64) string  { return strconv.FormatFloat(v, 'f', 0, 64) }
 
 // pct1 is pct with one decimal, for Table 7's errors.
 func pct1(v float64) string { return fmt.Sprintf("%.1f%%", 100*v) }
-
-// ratios computes GCN3/HSAIL for a metric over the suite.
-func (r *Results) ratios(metric func(*stats.Run) float64) []float64 {
-	var out []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		h, g := metric(p.HSAIL), metric(p.GCN3)
-		if h > 0 {
-			out = append(out, g/h)
-		}
-	}
-	return out
-}
-
-// Fig5 renders the dynamic instruction count breakdown, GCN3 normalized to
-// HSAIL per workload.
-func (r *Results) Fig5() string {
-	t := &table{}
-	t.title("Figure 5 — Dynamic instruction count and breakdown (normalized to HSAIL)")
-	t.note("Each GCN3 column is that category's dynamic count divided by the workload's TOTAL HSAIL count; Total is the paper's headline expansion factor.")
-	hdr := []string{"Workload"}
-	for c := 0; c < isa.NumCategories; c++ {
-		hdr = append(hdr, isa.Category(c).String())
-	}
-	hdr = append(hdr, "GCN3 Total", "HSAIL VMem%", "HSAIL Branch%")
-	t.row(hdr...)
-	t.sep(len(hdr))
-	var totals []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		hTot := float64(p.HSAIL.TotalInsts())
-		cells := []string{name}
-		for c := 0; c < isa.NumCategories; c++ {
-			cells = append(cells, f2(float64(p.GCN3.InstsByCategory[c])/hTot))
-		}
-		tot := float64(p.GCN3.TotalInsts()) / hTot
-		totals = append(totals, tot)
-		cells = append(cells, f2(tot),
-			pct(float64(p.HSAIL.InstsByCategory[isa.CatVMem])/hTot),
-			pct(float64(p.HSAIL.InstsByCategory[isa.CatBranch])/hTot))
-		t.row(cells...)
-	}
-	t.row("**geomean**", "", "", "", "", "", "", "", "", f2(stats.Geomean(totals)), "", "")
-	return t.String()
-}
-
-// Fig6 renders VRF bank conflicts.
-func (r *Results) Fig6() string {
-	t := &table{}
-	t.title("Figure 6 — VRF bank conflicts")
-	t.note("Conflicts per 1K dynamic instructions; the paper reports GCN3 at roughly one third of HSAIL on average.")
-	t.row("Workload", "HSAIL", "GCN3", "HSAIL/GCN3")
-	t.sep(4)
-	var ratios []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		h, g := p.HSAIL.ConflictsPerKiloInst(), p.GCN3.ConflictsPerKiloInst()
-		ratio := 0.0
-		if g > 0 {
-			ratio = h / g
-			ratios = append(ratios, ratio)
-		}
-		t.row(name, f2(h), f2(g), f2(ratio))
-	}
-	t.row("**geomean**", "", "", f2(stats.Geomean(ratios)))
-	return t.String()
-}
-
-// Fig7 renders median vector-register reuse distance.
-func (r *Results) Fig7() string {
-	t := &table{}
-	t.title("Figure 7 — Median vector register reuse distance")
-	t.note("Dynamic instructions between consecutive accesses to the same vector register; finalizer scheduling should roughly double it.")
-	t.row("Workload", "HSAIL", "GCN3", "GCN3/HSAIL")
-	t.sep(4)
-	var ratios []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		h, g := float64(p.HSAIL.Reuse.Median()), float64(p.GCN3.Reuse.Median())
-		ratio := 0.0
-		if h > 0 {
-			ratio = g / h
-			ratios = append(ratios, ratio)
-		}
-		t.row(name, fmt.Sprintf("%.0f", h), fmt.Sprintf("%.0f", g), f2(ratio))
-	}
-	t.row("**geomean**", "", "", f2(stats.Geomean(ratios)))
-	return t.String()
-}
-
-// Fig8 renders static instruction footprints.
-func (r *Results) Fig8() string {
-	t := &table{}
-	t.title("Figure 8 — Instruction footprint")
-	t.note("HSAIL uses the loader's 8-byte-per-instruction approximation; GCN3 is the true encoded size. LULESH's GCN3 footprint exceeding the 16KB L1I is the paper's highlighted case.")
-	t.row("Workload", "HSAIL", "GCN3", "GCN3/HSAIL", "GCN3 L1I miss rate", "HSAIL L1I miss rate")
-	t.sep(6)
-	var ratios []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		h, g := p.HSAIL.CodeFootprintBytes, p.GCN3.CodeFootprintBytes
-		ratio := float64(g) / float64(h)
-		ratios = append(ratios, ratio)
-		hm := float64(p.HSAIL.L1IMisses) / float64(max64(p.HSAIL.L1IAccesses, 1))
-		gm := float64(p.GCN3.L1IMisses) / float64(max64(p.GCN3.L1IAccesses, 1))
-		t.row(name, kb(h), kb(g), f2(ratio), f3(gm), f3(hm))
-	}
-	t.row("**geomean**", "", "", f2(stats.Geomean(ratios)), "", "")
-	return t.String()
-}
-
-// Fig9 renders instruction-buffer flushes.
-func (r *Results) Fig9() string {
-	t := &table{}
-	t.title("Figure 9 — Instruction buffer flushes")
-	t.note("Flushes per 1K dynamic instructions. Reconvergence-stack jumps inflate HSAIL; predicated GCN3 flushes mostly on loop back-edges.")
-	t.row("Workload", "HSAIL", "GCN3", "HSAIL/GCN3")
-	t.sep(4)
-	var ratios []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		h := 1000 * float64(p.HSAIL.IBFlushes) / float64(p.HSAIL.TotalInsts())
-		g := 1000 * float64(p.GCN3.IBFlushes) / float64(p.GCN3.TotalInsts())
-		ratio := 0.0
-		if g > 0 {
-			ratio = h / g
-			ratios = append(ratios, ratio)
-		}
-		t.row(name, f2(h), f2(g), f2(ratio))
-	}
-	t.row("**geomean**", "", "", f2(stats.Geomean(ratios)))
-	return t.String()
-}
-
-// Fig10 renders VRF lane-value uniqueness.
-func (r *Results) Fig10() string {
-	t := &table{}
-	t.title("Figure 10 — Uniqueness of VRF lane values")
-	t.note("Unique values per active lane over sampled VRF accesses (reads and writes). Direction is workload-dependent, as in the paper.")
-	t.row("Workload", "HSAIL read", "GCN3 read", "HSAIL write", "GCN3 write")
-	t.sep(5)
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		t.row(name,
-			pct(p.HSAIL.ReadUniqueness()), pct(p.GCN3.ReadUniqueness()),
-			pct(p.HSAIL.WriteUniqueness()), pct(p.GCN3.WriteUniqueness()))
-	}
-	return t.String()
-}
-
-// Fig11 renders IPC.
-func (r *Results) Fig11() string {
-	t := &table{}
-	t.title("Figure 11 — IPC (normalized to HSAIL)")
-	t.row("Workload", "HSAIL IPC", "GCN3 IPC", "GCN3/HSAIL")
-	t.sep(4)
-	var ratios []float64
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		ratio := p.GCN3.IPC() / p.HSAIL.IPC()
-		ratios = append(ratios, ratio)
-		t.row(name, f3(p.HSAIL.IPC()), f3(p.GCN3.IPC()), f2(ratio))
-	}
-	t.row("**geomean**", "", "", f2(stats.Geomean(ratios)))
-	return t.String()
-}
-
-// Fig12 renders runtimes.
-func (r *Results) Fig12() string {
-	t := &table{}
-	t.title("Figure 12 — Runtime (GPU cycles, HSAIL normalized to GCN3)")
-	t.note("Values above 1 mean the IL simulation is pessimistic; below 1, optimistic. The paper's point is that the sign is workload-dependent and unpredictable.")
-	t.row("Workload", "HSAIL cycles", "GCN3 cycles", "HSAIL/GCN3")
-	t.sep(4)
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		t.row(name, fmt.Sprintf("%d", p.HSAIL.Cycles), fmt.Sprintf("%d", p.GCN3.Cycles),
-			f2(float64(p.HSAIL.Cycles)/float64(p.GCN3.Cycles)))
-	}
-	return t.String()
-}
-
-// Fig1 renders the summary of dissimilar and similar statistics.
-func (r *Results) Fig1() string {
-	t := &table{}
-	t.title("Figure 1 — Average of dissimilar and similar statistics (GCN3/HSAIL)")
-	rows := []struct {
-		name string
-		v    float64
-	}{
-		{"Dynamic instructions", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return float64(s.TotalInsts()) }))},
-		{"Code footprint", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return float64(s.CodeFootprintBytes) }))},
-		{"VRF bank conflicts", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return s.ConflictsPerKiloInst() }))},
-		{"Register reuse distance", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return float64(s.Reuse.Median()) }))},
-		{"IB flushes (per inst)", stats.Geomean(r.ratios(func(s *stats.Run) float64 {
-			return float64(s.IBFlushes) / float64(s.TotalInsts())
-		}))},
-		{"GPU cycles", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return float64(s.Cycles) }))},
-		{"IPC", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return s.IPC() }))},
-		{"SIMD utilization (similar)", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return s.SIMDUtilization() }))},
-		{"Data footprint (similar)", stats.Geomean(r.ratios(func(s *stats.Run) float64 { return float64(s.DataFootprintBytes) }))},
-	}
-	t.row("Statistic", "GCN3/HSAIL geomean")
-	t.sep(2)
-	for _, row := range rows {
-		t.row(row.name, f2(row.v))
-	}
-	return t.String()
-}
-
-// Table6 renders the similarity table: data footprint and SIMD utilization.
-func (r *Results) Table6() string {
-	t := &table{}
-	t.title("Table 6 — Similar statistics: data footprint and SIMD utilization")
-	t.note("Footprints match except for workloads using per-launch special segments (FFT spill, LULESH private), which HSAIL's emulated ABI re-maps at every dynamic launch.")
-	t.row("Workload", "HSAIL footprint", "GCN3 footprint", "ratio", "HSAIL SIMD util", "GCN3 SIMD util")
-	t.sep(6)
-	for _, name := range r.Order {
-		p := r.Runs[name]
-		t.row(name,
-			kb(p.HSAIL.DataFootprintBytes), kb(p.GCN3.DataFootprintBytes),
-			f2(float64(p.HSAIL.DataFootprintBytes)/float64(p.GCN3.DataFootprintBytes)),
-			pct(p.HSAIL.SIMDUtilization()), pct(p.GCN3.SIMDUtilization()))
-	}
-	return t.String()
-}
 
 // ilError is Table 7's measurement: the error the IL abstraction adds,
 // taken per dynamic kernel launch as |HSAIL − GCN3| / GCN3 cycles, with the
@@ -379,9 +154,10 @@ type ilError struct {
 }
 
 type ilErrorRow struct {
-	name      string
-	launches  int
-	mean, max float64
+	name string
+	// hsail and gcn3 are the cycles of each launch both runs made.
+	hsail, gcn3 []float64
+	mean, max   float64
 }
 
 // abstractionError measures Table 7 over the suite.
@@ -392,7 +168,7 @@ func (r *Results) abstractionError() ilError {
 		p := r.Runs[name]
 		n := min(len(p.HSAIL.KernelCycles), len(p.GCN3.KernelCycles))
 		h, g := make([]float64, n), make([]float64, n)
-		row := ilErrorRow{name: name, launches: n}
+		row := ilErrorRow{name: name, hsail: h, gcn3: g}
 		for i := range n {
 			h[i], g[i] = float64(p.HSAIL.KernelCycles[i]), float64(p.GCN3.KernelCycles[i])
 			row.max = max(row.max, math.Abs(h[i]-g[i])/g[i])
@@ -408,28 +184,35 @@ func (r *Results) abstractionError() ilError {
 	return e
 }
 
-// Table7 renders what the IL costs against the machine ISA. The paper's
+// table7 renders what the IL costs against the machine ISA. The paper's
 // Table 7 compares both simulators with measured silicon; without silicon,
 // what this repository can measure is the error the IL abstraction adds.
-func (r *Results) Table7() string {
+func (r *Results) table7(_ *section, t *table) error {
 	e := r.abstractionError()
-	t := &table{}
-	t.title("Table 7 — What the IL costs against the machine ISA")
-	t.note("The paper compares both simulators with an AMD Pro A12-8800B measured through the Radeon Compute Profiler; this repository has no silicon, so that comparison is not reproduced. " +
-		"Instead, per dynamic kernel launch: |HSAIL − GCN3| / GCN3 cycles, the error an IL-level simulation adds against the machine-ISA simulation of the same binary. " +
-		"The per-launch mean weights each workload by its launches (LULESH dominates it); the per-workload mean weights each workload once.")
 	t.row("Workload", "launches", "mean error", "max error")
 	t.sep(4)
 	for _, row := range e.rows {
-		t.row(row.name, fmt.Sprintf("%d", row.launches), pct1(row.mean), pct1(row.max))
+		t.row(row.name, fmt.Sprintf("%d", len(row.hsail)), pct1(row.mean), pct1(row.max))
 	}
 	t.row("**summary**", fmt.Sprintf("%d", e.launches),
 		fmt.Sprintf("%s per launch / %s per workload", pct1(e.perLaunch), pct1(e.perWorkload)),
 		fmt.Sprintf("Pearson(HSAIL, GCN3) %.3f", e.pearson))
-	return t.String()
+	return nil
 }
 
-// Markdown renders the complete experiment report.
+// table7CSV is Table 7's data per dynamic kernel launch.
+func (r *Results) table7CSV() [][]string {
+	rows := [][]string{{"workload", "kernel_index", "hsail_cycles", "gcn3_cycles"}}
+	for _, row := range r.abstractionError().rows {
+		for i := range row.hsail {
+			rows = append(rows, []string{row.name, fmt.Sprint(i), f0(row.hsail[i]), f0(row.gcn3[i])})
+		}
+	}
+	return rows
+}
+
+// Markdown renders the complete experiment report: the paper comparison,
+// then every section in list order.
 func (r *Results) Markdown(cfg core.Config) string {
 	var b strings.Builder
 	b.WriteString("# EXPERIMENTS — paper vs measured\n\n")
@@ -440,29 +223,12 @@ func (r *Results) Markdown(cfg core.Config) string {
 	b.WriteString("are annotated inline and discussed in DESIGN.md §8.\n\n")
 	fmt.Fprintf(&b, "Input scale: %d. Simulated configuration (Table 4):\n\n```\n%s\n```\n", r.Scale, cfg.String())
 	b.WriteString(r.PaperComparison())
-	b.WriteString(r.Fig1())
-	if fig3, err := r.Fig3(); err != nil {
-		fmt.Fprintf(&b, "\n**Figure 3 failed:** %v\n", err)
-	} else {
-		b.WriteString(fig3)
+	for i := range sections {
+		text, err := r.render(&sections[i])
+		if err != nil {
+			fmt.Fprintf(&b, "\n**%s failed:** %v\n", sections[i].title, err)
+		}
+		b.WriteString(text)
 	}
-	b.WriteString(r.Fig5())
-	b.WriteString(r.Fig6())
-	b.WriteString(r.Fig7())
-	b.WriteString(r.Fig8())
-	b.WriteString(r.Fig9())
-	b.WriteString(r.Fig10())
-	b.WriteString(r.Fig11())
-	b.WriteString(r.Fig12())
-	b.WriteString(r.Table6())
-	b.WriteString(r.Table7())
-	b.WriteString(r.AblationTable())
 	return b.String()
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,6 +8,8 @@ import (
 
 	"ilsim/internal/core"
 	"ilsim/internal/exp"
+	"ilsim/internal/isa"
+	"ilsim/internal/stats"
 	"ilsim/internal/workloads"
 )
 
@@ -47,9 +49,6 @@ func TestReportEndToEnd(t *testing.T) {
 		p := res.Runs[name]
 		if p.GCN3.TotalInsts() <= p.HSAIL.TotalInsts() {
 			t.Errorf("%s: GCN3 executed fewer instructions than HSAIL", name)
-		}
-		if p.HSAIL.InstsByCategory[4] != 0 { // CatBranch sanity is workload-dependent; check scalar cats instead
-			_ = p
 		}
 		hu, gu := p.HSAIL.SIMDUtilization(), p.GCN3.SIMDUtilization()
 		if hu-gu > 0.1 || gu-hu > 0.1 {
@@ -151,8 +150,12 @@ func TestAblationsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	abl := workloads.Ablations()
+	text, err := res.Experiment("ablation")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rows []string
-	for _, line := range strings.Split(res.AblationTable(), "\n") {
+	for _, line := range strings.Split(text, "\n") {
 		for _, w := range abl {
 			if strings.HasPrefix(line, "| "+w.Description+" |") {
 				rows = append(rows, w.Description)
@@ -227,7 +230,7 @@ func fig3Results(t *testing.T) *Results {
 // exactly zero, in the timed runs whose outputs the workload's check read.
 func TestFig3ExactRedirectCounts(t *testing.T) {
 	res := fig3Results(t)
-	text, err := res.Fig3()
+	text, err := res.Experiment("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +253,12 @@ func TestFig3ExactRedirectCounts(t *testing.T) {
 // runs. Fifty finalizations, one listing.
 func TestFig3ListingIsDeterministic(t *testing.T) {
 	res := fig3Results(t)
-	first, err := res.Fig3()
+	first, err := res.Experiment("fig3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 50; i++ {
-		text, err := res.Fig3()
+		text, err := res.Experiment("fig3")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +269,8 @@ func TestFig3ListingIsDeterministic(t *testing.T) {
 }
 
 // TestCSVExport verifies the plotting-pipeline export writes every file with
-// one row per workload, except table7.csv, which has one per kernel launch.
+// its header and one row per workload, except fig5.csv, which has one per
+// workload and abstraction, and table7.csv, which has one per kernel launch.
 func TestCSVExport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow")
@@ -279,30 +283,97 @@ func TestCSVExport(t *testing.T) {
 	if err := res.WriteCSV(dir); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"fig5.csv", "fig6.csv", "fig7.csv", "fig8.csv",
-		"fig9.csv", "fig10.csv", "fig11.csv", "fig12.csv", "table6.csv", "table7.csv"} {
-		data, err := os.ReadFile(dir + "/" + name)
+	launches := 0
+	for _, n := range res.Order {
+		launches += len(res.Runs[n].GCN3.KernelCycles)
+	}
+	for _, c := range []struct {
+		name, header string
+		rows         int
+	}{
+		{"fig5.csv", "workload,abstraction,VALU,SALU,VMem,SMem,Branch,Waitcnt,LDS,Misc,total", 2 * len(res.Order)},
+		{"fig6.csv", "workload,hsail_conflicts_per_kiloinst,gcn3_conflicts_per_kiloinst", len(res.Order)},
+		{"fig7.csv", "workload,hsail_reuse_median,gcn3_reuse_median", len(res.Order)},
+		{"fig8.csv", "workload,hsail_code_bytes,gcn3_code_bytes,hsail_l1i_miss_rate,gcn3_l1i_miss_rate", len(res.Order)},
+		{"fig9.csv", "workload,hsail_ib_flushes_per_kiloinst,gcn3_ib_flushes_per_kiloinst", len(res.Order)},
+		{"fig10.csv", "workload,hsail_read_uniq,gcn3_read_uniq,hsail_write_uniq,gcn3_write_uniq", len(res.Order)},
+		{"fig11.csv", "workload,hsail_ipc,gcn3_ipc", len(res.Order)},
+		{"fig12.csv", "workload,hsail_cycles,gcn3_cycles", len(res.Order)},
+		{"table6.csv", "workload,hsail_data_bytes,gcn3_data_bytes,hsail_simd_util,gcn3_simd_util", len(res.Order)},
+		{"table7.csv", "workload,kernel_index,hsail_cycles,gcn3_cycles", launches},
+	} {
+		data, err := os.ReadFile(dir + "/" + c.name)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		lines := strings.Count(string(data), "\n")
-		switch name {
-		case "fig5.csv":
-			if lines != 1+2*len(res.Order) {
-				t.Errorf("%s: %d lines", name, lines)
+		if lines := strings.Count(string(data), "\n"); lines != 1+c.rows || !strings.HasPrefix(string(data), c.header+"\n") {
+			t.Errorf("%s: %d lines, want the header %q and %d rows:\n%.200s", c.name, lines, c.header, c.rows, data)
+		}
+	}
+	if files, _ := os.ReadDir(dir); len(files) != 10 {
+		t.Errorf("%d files exported, want 10", len(files))
+	}
+}
+
+// TestEveryExperimentIsInTheReport renders each section ilsim-report -exp
+// can name and finds that text, verbatim, in the full report.
+func TestEveryExperimentIsInTheReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow")
+	}
+	cfg := core.DefaultConfig()
+	res, err := Collect(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	md := res.Markdown(cfg)
+	keys := Experiments()
+	if len(keys) != 13 {
+		t.Errorf("%d experiments %q, want 13", len(keys), keys)
+	}
+	for _, key := range keys {
+		text, err := res.Experiment(key)
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		if !strings.HasPrefix(text, "\n### ") || !strings.Contains(md, text) {
+			t.Errorf("%s: not a section of the report:\n%.300s", key, text)
+		}
+	}
+	if _, err := res.Experiment("fig13"); err == nil {
+		t.Error("an unknown experiment rendered")
+	}
+}
+
+// TestZeroDenominatorRule: a workload whose ratio has a zero denominator
+// reads 0.00 in its figure and stays out of the suite summary, in every
+// figure alike: in either direction of a ratio, and in Fig 1's rows.
+func TestZeroDenominatorRule(t *testing.T) {
+	run := func(insts, cycles, flushes uint64) *stats.Run {
+		s := &stats.Run{Cycles: cycles, IBFlushes: flushes}
+		s.InstsByCategory[isa.CatVALU] = insts
+		return s
+	}
+	res := &Results{Order: []string{"idle", "busy"}, Runs: map[string]*Pair{
+		"idle": {HSAIL: run(0, 0, 0), GCN3: run(0, 0, 0)},
+		"busy": {HSAIL: run(100, 100, 4), GCN3: run(200, 100, 2)},
+	}}
+	for key, rows := range map[string][]string{
+		"fig11": {"| idle | 0.000 | 0.000 | 0.00 |", "| busy | 1.000 | 2.000 | 2.00 |", "| **geomean** |  |  | 2.00 |"},
+		"fig9":  {"| idle | 0.00 | 0.00 | 0.00 |", "| busy | 40.00 | 10.00 | 4.00 |", "| **geomean** |  |  | 4.00 |"},
+		"fig1":  {"| Dynamic instructions | 2.00 |", "| IB flushes (per inst) | 0.25 |", "| IPC | 2.00 |"},
+	} {
+		text, err := res.Experiment(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range rows {
+			if !strings.Contains(text, row+"\n") {
+				t.Errorf("%s lacks the row %q:\n%s", key, row, text)
 			}
-		case "table7.csv":
-			launches := 0
-			for _, n := range res.Order {
-				launches += len(res.Runs[n].GCN3.KernelCycles)
-			}
-			if lines != 1+launches || !strings.HasPrefix(string(data), "workload,kernel_index,hsail_cycles,gcn3_cycles\n") {
-				t.Errorf("%s: %d lines, want a header and %d launches:\n%.200s", name, lines, launches, data)
-			}
-		default:
-			if lines != 1+len(res.Order) {
-				t.Errorf("%s: %d lines", name, lines)
-			}
+		}
+		if strings.Contains(text, "NaN") || strings.Contains(text, "Inf") {
+			t.Errorf("%s divides by zero:\n%s", key, text)
 		}
 	}
 }

@@ -161,6 +161,16 @@ func (r *Run) ConflictsPerKiloInst() float64 {
 	return 1000 * float64(r.VRFBankConflicts) / float64(t)
 }
 
+// IBFlushesPerKiloInst normalizes instruction-buffer flushes by dynamic
+// instructions.
+func (r *Run) IBFlushesPerKiloInst() float64 {
+	t := r.TotalInsts()
+	if t == 0 {
+		return 0
+	}
+	return 1000 * float64(r.IBFlushes) / float64(t)
+}
+
 // String renders a one-line summary.
 func (r *Run) String() string {
 	return fmt.Sprintf("%s/%s: %d insts, %d cycles, IPC %.3f",

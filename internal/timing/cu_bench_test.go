@@ -42,7 +42,6 @@ func (e *stubEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
 	w.PC += 4
 	return emu.ExecResult{ActiveLanes: isa.WavefrontSize}, nil
 }
-func (e *stubEngine) CodeBytes() uint64     { return 0 }
 func (e *stubEngine) LDSBytes() int         { return 0 }
 func (e *stubEngine) RegDemand() (int, int) { return 8, 8 }
 func (e *stubEngine) FreeWave(*emu.Wave)    {}
