@@ -16,10 +16,6 @@ import (
 	"os"
 
 	"ilsim/internal/core"
-	"ilsim/internal/finalizer"
-	"ilsim/internal/hsail"
-	"ilsim/internal/isa"
-	"ilsim/internal/kernel"
 	"ilsim/internal/workloads"
 )
 
@@ -70,54 +66,9 @@ func show(out io.Writer, ks *core.KernelSource) {
 }
 
 func showTables(out io.Writer) error {
-	// Table 1: obtaining the absolute work-item ID.
-	{
-		b := kernel.NewBuilder("table1_workitemabsid")
-		outArg := b.ArgPtr("out")
-		gid := b.WorkItemAbsID(isa.DimX)
-		addr := b.Add(isa.TypeU64, b.LoadArg(outArg), b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, gid), b.Int(isa.TypeU64, 2)))
-		b.Store(hsail.SegGlobal, gid, addr, 0)
-		b.Ret()
-		fmt.Fprintln(out, "############ Table 1: work-item ID requires the ABI ############")
-		ks, err := core.PrepareKernel(b.MustFinish(), finalizer.Options{})
-		if err != nil {
-			return err
-		}
-		show(out, ks)
-	}
-	// Table 2: kernarg access through vector moves and a flat load.
-	{
-		b := kernel.NewBuilder("table2_kernarg")
-		arg := b.ArgPtr("arg1")
-		ptr := b.LoadArg(arg)
-		v := b.Load(hsail.SegGlobal, isa.TypeU32, ptr, 0)
-		outArg := b.ArgPtr("out")
-		gid := b.WorkItemAbsID(isa.DimX)
-		addr := b.Add(isa.TypeU64, b.LoadArg(outArg), b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, gid), b.Int(isa.TypeU64, 2)))
-		b.Store(hsail.SegGlobal, v, addr, 0)
-		b.Ret()
-		fmt.Fprintln(out, "############ Table 2: kernarg address calculation (UseFlatKernarg) ############")
-		ks, err := core.PrepareKernel(b.MustFinish(), finalizer.Options{UseFlatKernarg: true})
-		if err != nil {
-			return err
-		}
-		show(out, ks)
-	}
-	// Table 3: 64-bit floating-point division.
-	{
-		b := kernel.NewBuilder("table3_fdiv64")
-		aArg := b.ArgPtr("a")
-		bArg := b.ArgPtr("b")
-		oArg := b.ArgPtr("out")
-		gid := b.WorkItemAbsID(isa.DimX)
-		off := b.Shl(isa.TypeU64, b.Cvt(isa.TypeU64, gid), b.Int(isa.TypeU64, 3))
-		num := b.Load(hsail.SegGlobal, isa.TypeF64, b.Add(isa.TypeU64, b.LoadArg(aArg), off), 0)
-		den := b.Load(hsail.SegGlobal, isa.TypeF64, b.Add(isa.TypeU64, b.LoadArg(bArg), off), 0)
-		q := b.Div(isa.TypeF64, num, den)
-		b.Store(hsail.SegGlobal, q, b.Add(isa.TypeU64, b.LoadArg(oArg), off), 0)
-		b.Ret()
-		fmt.Fprintln(out, "############ Table 3: f64 division (Newton-Raphson expansion) ############")
-		ks, err := core.PrepareKernel(b.MustFinish(), finalizer.Options{})
+	for _, ex := range workloads.TableExamples() {
+		fmt.Fprintf(out, "############ %s ############\n", ex.Title)
+		ks, err := core.PrepareKernel(ex.Kernel, ex.Opts)
 		if err != nil {
 			return err
 		}

@@ -15,3 +15,6 @@ func OfferDevice(g *timing.GPU) { devices.push(g) }
 // TakeMachine removes and returns the machine on top of the machine free
 // list, nil when it is empty.
 func TakeMachine() *Machine { return machines.pop() }
+
+// CodeObjectBytes returns the encoded code object a GCN3 Machine loads.
+func (ks *KernelSource) CodeObjectBytes() []byte { return ks.coBytes }
