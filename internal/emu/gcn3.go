@@ -42,11 +42,10 @@ type GCN3Engine struct {
 	scratch laneUnit
 }
 
-// NewGCN3Engine prepares a loaded code object for execution.
+// NewGCN3Engine prepares a loaded code object for execution. Its program
+// must be laid out, as the finalizer and DecodeProgram leave it; the engine
+// only reads it.
 func NewGCN3Engine(ctx *hsa.Context, co *gcn3.CodeObject, base uint64, col *Collector) *GCN3Engine {
-	if co.Program.PCs == nil || co.Program.ByPCStale() {
-		co.Program.Layout()
-	}
 	e := &GCN3Engine{Ctx: ctx, CO: co, Col: col, Base: base, prog: co.Program}
 	e.infos = make([]InstInfo, len(e.prog.Insts))
 	e.uops = make([]gcn3Uop, len(e.prog.Insts))
@@ -157,6 +156,8 @@ func (e *GCN3Engine) decodeInfo(idx int) InstInfo {
 		Category:  in.Category(),
 		WaitVM:    -1,
 		WaitLGKM:  -1,
+		IsVMem:    in.Op.IsVMem(),
+		IsLGKM:    in.Op.IsLGKM(),
 	}
 	in.Operands(func(o gcn3.Operand, width int, def bool) {
 		switch {
@@ -178,15 +179,10 @@ func (e *GCN3Engine) decodeInfo(idx int) InstInfo {
 		info.LatClass = LatBranch
 	case in.Op.Category() == isa.CatSALU:
 		info.LatClass = LatScalar
-	case in.Op.Category() == isa.CatSMem:
+	case in.Op.Category() == isa.CatSMem, in.Op.Category() == isa.CatVMem:
 		info.LatClass = LatMem
-		info.IsLGKM = true
 	case in.Op.Category() == isa.CatLDS:
 		info.LatClass = LatLDS
-		info.IsLGKM = true
-	case in.Op.Category() == isa.CatVMem:
-		info.LatClass = LatMem
-		info.IsVMem = true
 	case in.Op == gcn3.OpVRcp || in.Op == gcn3.OpVSqrt || in.Op == gcn3.OpVRsq ||
 		in.Op == gcn3.OpVDivScale || in.Op == gcn3.OpVDivFmas || in.Op == gcn3.OpVDivFixup:
 		info.LatClass = LatTrans

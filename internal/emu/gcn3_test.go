@@ -210,3 +210,30 @@ func TestWaitcntFieldsExposed(t *testing.T) {
 		t.Fatalf("category %s", info.Category)
 	}
 }
+
+// TestInstInfoCountersAreOpPredicates: the counters the timing model counts
+// an instruction against are the ones the finalizer's s_waitcnt pass waits
+// on, because both read gcn3.Op's IsVMem and IsLGKM.
+func TestInstInfoCountersAreOpPredicates(t *testing.T) {
+	e := &GCN3Engine{prog: &gcn3.Program{}}
+	for op := gcn3.Op(0); op < gcn3.Op(gcn3.NumOps); op++ {
+		e.prog.Insts = append(e.prog.Insts, gcn3.Inst{Op: op})
+	}
+	vm, lgkm := 0, 0
+	for i, in := range e.prog.Insts {
+		info := e.decodeInfo(i)
+		if info.IsVMem != in.Op.IsVMem() || info.IsLGKM != in.Op.IsLGKM() {
+			t.Errorf("%s: InstInfo counts vmcnt %v lgkmcnt %v, the op %v %v",
+				in.Op, info.IsVMem, info.IsLGKM, in.Op.IsVMem(), in.Op.IsLGKM())
+		}
+		if info.IsVMem {
+			vm++
+		}
+		if info.IsLGKM {
+			lgkm++
+		}
+	}
+	if vm == 0 || lgkm == 0 {
+		t.Errorf("%d ops count vmcnt and %d lgkmcnt; want some of each", vm, lgkm)
+	}
+}

@@ -197,7 +197,7 @@ func (f *finalizer) object() *gcn3.CodeObject {
 	blockStart[len(f.out)] = len(prog.Insts)
 	for i := range prog.Insts {
 		in := &prog.Insts[i]
-		if isBranchOp(in.Op) && in.Target < 0 {
+		if in.Op.IsBranch() && in.Target < 0 {
 			in.Target = int32(blockStart[-in.Target-1])
 		}
 	}
@@ -212,16 +212,6 @@ func (f *finalizer) object() *gcn3.CodeObject {
 		WorkItemIDDims: f.idDims,
 		Program:        &prog,
 	}
-}
-
-func isBranchOp(op gcn3.Op) bool {
-	switch op {
-	case gcn3.OpSBranch, gcn3.OpSCbranchSCC0, gcn3.OpSCbranchSCC1,
-		gcn3.OpSCbranchVCCZ, gcn3.OpSCbranchVCCNZ,
-		gcn3.OpSCbranchExecZ, gcn3.OpSCbranchExecNZ:
-		return true
-	}
-	return false
 }
 
 // blockTarget encodes a block-id branch target as a negative placeholder,

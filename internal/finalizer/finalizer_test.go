@@ -109,7 +109,7 @@ func checkWaitcnts(t *testing.T, co *gcn3.CodeObject) {
 				t.Fatalf("inst %d (%s) touches an outstanding lgkm destination", i, in.String())
 			}
 		}
-		if isBranchOp(in.Op) || in.Op == gcn3.OpSEndpgm || in.Op == gcn3.OpSBarrier {
+		if in.Op.IsBranch() || in.Op == gcn3.OpSEndpgm || in.Op == gcn3.OpSBarrier {
 			if len(vmem)+len(lgkm) > 0 {
 				t.Fatalf("inst %d (%s) reached with %d/%d outstanding memory ops",
 					i, in.String(), len(vmem), len(lgkm))
@@ -354,7 +354,7 @@ func TestBlockTargetsResolved(t *testing.T) {
 	co := finalize(t, buildUniformLoop(t), Options{})
 	for i := range co.Program.Insts {
 		in := &co.Program.Insts[i]
-		if isBranchOp(in.Op) && (in.Target < 0 || int(in.Target) >= len(co.Program.Insts)) {
+		if in.Op.IsBranch() && (in.Target < 0 || int(in.Target) >= len(co.Program.Insts)) {
 			t.Fatalf("unresolved branch target %d at inst %d", in.Target, i)
 		}
 	}

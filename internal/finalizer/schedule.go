@@ -82,7 +82,7 @@ func regUse(in *gcn3.Inst) (reads, writes []int) {
 
 // isSchedBarrier reports instructions that must not move.
 func isSchedBarrier(op gcn3.Op) bool {
-	return op == gcn3.OpSBarrier || op == gcn3.OpSWaitcnt || isBranchOp(op) || op == gcn3.OpSEndpgm
+	return op == gcn3.OpSBarrier || op == gcn3.OpSWaitcnt || op.IsBranch() || op == gcn3.OpSEndpgm
 }
 
 // scheduleAll list-schedules every block: dependence-legal reordering that

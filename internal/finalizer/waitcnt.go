@@ -1,9 +1,6 @@
 package finalizer
 
-import (
-	"ilsim/internal/gcn3"
-	"ilsim/internal/isa"
-)
+import "ilsim/internal/gcn3"
 
 // insertWaitcnts adds the software dependency management GCN3 relies on
 // instead of a hardware scoreboard (paper §III.B.2): an s_waitcnt before the
@@ -94,7 +91,7 @@ func insertWaitcntsBlock(insts []gcn3.Inst) []gcn3.Inst {
 
 		// Full drains at synchronization and block-exit points.
 		if in.Op == gcn3.OpSBarrier || in.Op == gcn3.OpSEndpgm ||
-			isBranchOp(in.Op) || i == len(insts)-1 {
+			in.Op.IsBranch() || i == len(insts)-1 {
 			drainVM(0)
 			drainLGKM()
 		}
@@ -102,8 +99,8 @@ func insertWaitcntsBlock(insts []gcn3.Inst) []gcn3.Inst {
 		out = append(out, in)
 
 		// Record newly outstanding operations.
-		switch in.Op.Category() {
-		case isa.CatVMem:
+		switch {
+		case in.Op.IsVMem():
 			var w []int
 			if !in.Op.IsStore() {
 				_, w = regUse(&in)
@@ -112,7 +109,7 @@ func insertWaitcntsBlock(insts []gcn3.Inst) []gcn3.Inst {
 			if len(vmem) > 15 {
 				drainVM(14)
 			}
-		case isa.CatSMem, isa.CatLDS:
+		case in.Op.IsLGKM():
 			var w []int
 			if !in.Op.IsStore() {
 				_, w = regUse(&in)

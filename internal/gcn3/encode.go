@@ -8,16 +8,10 @@ import (
 	"ilsim/internal/isa"
 )
 
-// This file implements the binary codec for GCN3-like programs.
-//
-// The bit-level field packing is this project's own, but the encoding obeys
-// the GCN3 size rules exactly — 32-bit base encodings for SOP1/SOP2/SOPC/
-// SOPP/VOP1/VOP2/VOPC, 64-bit for VOP3/SMEM/FLAT/DS, at most one trailing
-// 32-bit literal and only on 32-bit formats — because encoded size is what
-// the instruction-footprint and fetch experiments measure. Like real GCN3,
-// the operation's data type is folded into the format's opcode field: a
-// deterministic registry enumerates every legal (op, type, srcType, cmp)
-// combination per format.
+// This file implements the binary codec for GCN3-like programs; the formats'
+// bit layouts are declared in layout.go. Like real GCN3, the operation's data
+// type is folded into the format's opcode field: a deterministic registry
+// enumerates every legal (op, type, srcType, cmp) combination per format.
 
 // comboKey identifies an encodable operation variant.
 type comboKey struct {
@@ -140,15 +134,14 @@ func init() {
 			codeToCombo[FmtVOP3] = append(codeToCombo[FmtVOP3], k3)
 		}
 	}
-	// Sanity: per-format code fields must hold every code.
-	limits := map[Format]int{
-		FmtSOP1: 256, FmtSOP2: 128, FmtSOPC: 128, FmtSOPP: 128,
-		FmtSMEM: 256, FmtVOP1: 256, FmtVOP2: 62, FmtVOPC: 256,
-		FmtVOP3: 1024, FmtFLAT: 256, FmtDS: 256,
-	}
+	// Every code must fit its format's opcode field and read back as that
+	// format: VOP2 codes 62 and 63 would be VOP1 and VOPC words.
 	for f, combos := range codeToCombo {
-		if len(combos) > limits[Format(f)] {
-			panic(fmt.Sprintf("gcn3: format %s opcode space overflow: %d", Format(f), len(combos)))
+		l := &formats[f]
+		for code := range combos {
+			if g, _ := formatOf(uint32(l.word(uint16(code)))); code >= 1<<l.opBits || g != Format(f) {
+				panic(fmt.Sprintf("gcn3: format %s opcode space overflow: %d", Format(f), len(combos)))
+			}
 		}
 	}
 }
@@ -207,7 +200,7 @@ func encodeSrc(o Operand, wide bool, lit *[]uint32) (uint16, error) {
 	switch o.Kind {
 	case OperSGPR:
 		if o.Index >= isa.MaxSGPRs {
-			return 0, fmt.Errorf("gcn3: SGPR s%d out of range", o.Index)
+			return 0, fmt.Errorf("SGPR s%d out of range", o.Index)
 		}
 		return o.Index, nil
 	case OperVCC:
@@ -218,10 +211,10 @@ func encodeSrc(o Operand, wide bool, lit *[]uint32) (uint16, error) {
 		return srcSCC, nil
 	case OperVGPR:
 		if !wide {
-			return 0, fmt.Errorf("gcn3: VGPR source in scalar format")
+			return 0, fmt.Errorf("VGPR source in scalar format")
 		}
 		if o.Index >= isa.MaxVGPRs {
-			return 0, fmt.Errorf("gcn3: VGPR v%d out of range", o.Index)
+			return 0, fmt.Errorf("VGPR v%d out of range", o.Index)
 		}
 		return srcVGPR0 + o.Index, nil
 	case OperInline:
@@ -240,12 +233,12 @@ func encodeSrc(o Operand, wide bool, lit *[]uint32) (uint16, error) {
 				return srcFloat05 + uint16(i), nil
 			}
 		}
-		return 0, fmt.Errorf("gcn3: value %#x not inline-encodable", o.Val)
+		return 0, fmt.Errorf("value %#x not inline-encodable", o.Val)
 	case OperLit:
 		*lit = append(*lit, o.Val)
 		return srcLiteral, nil
 	}
-	return 0, fmt.Errorf("gcn3: unencodable source operand kind %d", o.Kind)
+	return 0, fmt.Errorf("unencodable source operand kind %d", o.Kind)
 }
 
 // decodeSrc inverts encodeSrc. nextLit fetches the trailing literal.
@@ -283,7 +276,7 @@ func encodeSDst(o Operand) (uint16, error) {
 		return 127, nil // sentinel: no scalar destination
 	case OperSGPR:
 		if o.Index >= isa.MaxSGPRs {
-			return 0, fmt.Errorf("gcn3: SGPR s%d out of range", o.Index)
+			return 0, fmt.Errorf("SGPR s%d out of range", o.Index)
 		}
 		return o.Index, nil
 	case OperVCC:
@@ -291,7 +284,7 @@ func encodeSDst(o Operand) (uint16, error) {
 	case OperEXEC:
 		return srcEXEC, nil
 	}
-	return 0, fmt.Errorf("gcn3: unencodable scalar destination kind %d", o.Kind)
+	return 0, fmt.Errorf("unencodable scalar destination kind %d", o.Kind)
 }
 
 func decodeSDst(code uint16) (Operand, error) {
@@ -337,205 +330,47 @@ func waitcntFields(imm uint16) (vm, lgkm int8) {
 // expressed as a word offset in in.SImm (EncodeProgram handles this).
 func EncodeInst(in *Inst) ([]byte, error) {
 	f := in.Format()
+	l := &formats[f]
 	code, err := lookupCode(in)
 	if err != nil {
 		return nil, err
 	}
-	var lits []uint32
-	var w0, w1 uint32
 	fail := func(format string, args ...any) ([]byte, error) {
 		return nil, fmt.Errorf("gcn3: encode %s: %s", in.Op, fmt.Sprintf(format, args...))
 	}
-	vgpr := func(o Operand) (uint32, error) {
-		if o.Kind != OperVGPR {
-			return 0, fmt.Errorf("gcn3: encode %s: operand must be a VGPR", in.Op)
-		}
-		return uint32(o.Index), nil
+	// The fields read v, a copy the rules that are not bit layout rewrite.
+	v, bits := *in, l.word(code)
+	switch {
+	case in.Op == OpSWaitcnt:
+		v.SImm = waitcntImm(in.VMCnt, in.LGKMCnt)
+	case in.Op == OpVCmp && f == FmtVOP3:
+		// The destination field names the SGPR pair, and bit 0 says so.
+		v.Dst.Kind = OperVGPR
+		bits |= 1
 	}
-	switch f {
-	case FmtVOP2:
-		if code >= 64 {
-			return fail("opcode space overflow")
+	var lits []uint32
+	for _, fd := range l.fields {
+		if !fd.slot.carried(in.Op) {
+			continue
 		}
-		vdst, err := vgpr(in.Dst)
+		x, err := fd.encode(&v, &lits)
 		if err != nil {
-			return nil, err
+			return fail("%v", err)
 		}
-		if in.Srcs[1].Kind != OperVGPR {
-			return fail("VOP2 src1 must be a VGPR (use VOP3 or commute)")
-		}
-		src0, err := encodeSrc(in.Srcs[0], true, &lits)
-		if err != nil {
-			return nil, err
-		}
-		w0 = uint32(code)<<25 | vdst<<17 | uint32(in.Srcs[1].Index)<<9 | uint32(src0)
-	case FmtVOP1:
-		vdst, err := vgpr(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		src0, err := encodeSrc(in.Srcs[0], true, &lits)
-		if err != nil {
-			return nil, err
-		}
-		w0 = 0x3F<<25 | vdst<<17 | uint32(code)<<9 | uint32(src0)
-	case FmtVOPC:
-		if in.Srcs[1].Kind != OperVGPR {
-			return fail("VOPC src1 must be a VGPR")
-		}
-		src0, err := encodeSrc(in.Srcs[0], true, &lits)
-		if err != nil {
-			return nil, err
-		}
-		w0 = 0x3E<<25 | uint32(code)<<17 | uint32(in.Srcs[1].Index)<<9 | uint32(src0)
-	case FmtSOP2:
-		if code >= 128 {
-			return fail("opcode space overflow")
-		}
-		sdst, err := encodeSDst(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		s0, err := encodeSrc(in.Srcs[0], false, &lits)
-		if err != nil {
-			return nil, err
-		}
-		s1, err := encodeSrc(in.Srcs[1], false, &lits)
-		if err != nil {
-			return nil, err
-		}
-		w0 = 0b10<<30 | uint32(code)<<23 | uint32(sdst)<<16 | uint32(s1)<<8 | uint32(s0)
-	case FmtSOP1:
-		sdst, err := encodeSDst(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		s0, err := encodeSrc(in.Srcs[0], false, &lits)
-		if err != nil {
-			return nil, err
-		}
-		w0 = 0b101111101<<23 | uint32(sdst)<<16 | uint32(code)<<8 | uint32(s0)
-	case FmtSOPC:
-		s0, err := encodeSrc(in.Srcs[0], false, &lits)
-		if err != nil {
-			return nil, err
-		}
-		s1, err := encodeSrc(in.Srcs[1], false, &lits)
-		if err != nil {
-			return nil, err
-		}
-		w0 = 0b101111110<<23 | uint32(code)<<16 | uint32(s1)<<8 | uint32(s0)
-	case FmtSOPP:
-		imm := in.SImm
-		if in.Op == OpSWaitcnt {
-			imm = waitcntImm(in.VMCnt, in.LGKMCnt)
-		}
-		w0 = 0b101111111<<23 | uint32(code)<<16 | uint32(imm)
-	case FmtSMEM:
-		if in.Srcs[0].Kind != OperSGPR {
-			return fail("SMEM base must be an SGPR pair")
-		}
-		sdata, err := encodeSDst(in.Dst)
-		if err != nil {
-			return nil, err
-		}
-		if in.Offset < 0 || in.Offset >= 1<<20 {
-			return fail("SMEM offset %#x out of range", in.Offset)
-		}
-		w0 = 0b110000<<26 | uint32(code)<<18 | uint32(sdata)<<11 | uint32(in.Srcs[0].Index)<<4
-		w1 = uint32(in.Offset)
-	case FmtVOP3:
-		var vdst uint32
-		switch in.Dst.Kind {
-		case OperVGPR:
-			vdst = uint32(in.Dst.Index)
-		case OperSGPR: // v_cmp to SGPR pair: dst field reused
-			vdst = uint32(in.Dst.Index)
-		case OperVCC:
-			vdst = srcVCC
-		default:
-			return fail("bad VOP3 destination")
-		}
-		sdst, err := encodeSDst(in.SDst)
-		if err != nil {
-			return nil, err
-		}
-		var srcCodes [3]uint32
-		for i := 0; i < in.Op.NSrc(); i++ {
-			if in.Srcs[i].Kind == OperLit {
-				return fail("VOP3 cannot encode literals")
-			}
-			c, err := encodeSrc(in.Srcs[i], true, &lits)
-			if err != nil {
-				return nil, err
-			}
-			srcCodes[i] = uint32(c)
-		}
-		w0 = 0b110100<<26 | uint32(code)<<16 | vdst<<8 | uint32(sdst)<<1
-		if in.Op == OpVCmp && in.Dst.Kind == OperSGPR {
-			w0 |= 1 // flag: dst field names an SGPR pair
-		}
-		w1 = srcCodes[2]<<18 | srcCodes[1]<<9 | srcCodes[0]
-	case FmtFLAT:
-		var addr, data, vdst uint32
-		a, err := vgpr(in.Srcs[0])
-		if err != nil {
-			return nil, err
-		}
-		addr = a
-		if in.Op.IsStore() || in.Op == OpFlatAtomicAdd {
-			d, err := vgpr(in.Srcs[1])
-			if err != nil {
-				return nil, err
-			}
-			data = d
-		}
-		if in.Dst.Kind == OperVGPR {
-			vdst = uint32(in.Dst.Index)
-		}
-		w0 = 0b110111<<26 | uint32(code)<<18
-		w1 = vdst<<16 | data<<8 | addr
-	case FmtDS:
-		a, err := vgpr(in.Srcs[0])
-		if err != nil {
-			return nil, err
-		}
-		var data, vdst uint32
-		if in.Op.IsStore() || in.Op == OpDSAddU32 {
-			d, err := vgpr(in.Srcs[1])
-			if err != nil {
-				return nil, err
-			}
-			data = d
-		}
-		if in.Dst.Kind == OperVGPR {
-			vdst = uint32(in.Dst.Index)
-		}
-		if in.Offset < 0 || in.Offset >= 1<<16 {
-			return fail("DS offset %#x out of range", in.Offset)
-		}
-		w0 = 0b110110<<26 | uint32(code)<<18 | uint32(in.Offset)
-		w1 = vdst<<16 | data<<8 | a
-	default:
-		return fail("unhandled format %s", f)
+		bits |= x << fd.pos
 	}
 	if len(lits) > 1 {
 		return fail("multiple literal constants")
 	}
-	if len(lits) == 1 && !f.AllowsLiteral() {
+	if len(lits) == 1 && !l.literal {
 		return fail("literal constant in %s format", f)
 	}
-	buf := make([]byte, 0, 12)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], w0)
-	buf = append(buf, b4[:]...)
-	if f.BaseBytes() == 8 {
-		binary.LittleEndian.PutUint32(b4[:], w1)
-		buf = append(buf, b4[:]...)
+	buf := binary.LittleEndian.AppendUint32(make([]byte, 0, 12), uint32(bits))
+	if l.bytes == 8 {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(bits>>32))
 	}
-	for _, l := range lits {
-		binary.LittleEndian.PutUint32(b4[:], l)
-		buf = append(buf, b4[:]...)
+	for _, lit := range lits {
+		buf = binary.LittleEndian.AppendUint32(buf, lit)
 	}
 	if len(buf) != in.SizeBytes() {
 		return fail("size mismatch: encoded %d, SizeBytes %d", len(buf), in.SizeBytes())

@@ -1,6 +1,7 @@
 package gcn3
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -222,5 +223,24 @@ func TestRandomInstRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(*got, in) {
 			t.Fatalf("iter %d: mismatch\n in: %#v\nout: %#v", iter, in, *got)
 		}
+	}
+}
+
+// TestSGPRBaseBeyondTheFileIsRefused: SMEM's 7-bit base field can name
+// s102-s127, which are not registers; the encoder and the decoder refuse
+// them alike, so the fuzzer's decode-encode round trip holds.
+func TestSGPRBaseBeyondTheFileIsRefused(t *testing.T) {
+	in := Inst{Op: OpSLoadDword, Dst: SReg(10), Srcs: [3]Operand{SReg(isa.MaxSGPRs)}, VMCnt: -1, LGKMCnt: -1}
+	if b, err := EncodeInst(&in); err == nil {
+		t.Errorf("encoded s_load_dword with base s%d as % x", isa.MaxSGPRs, b)
+	}
+	in.Srcs[0] = SReg(4)
+	b, err := EncodeInst(&in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b, binary.LittleEndian.Uint32(b)|0x7F<<4) // base s127
+	if got, _, err := DecodeInst(b); err == nil {
+		t.Errorf("% x decoded to %s", b, got)
 	}
 }

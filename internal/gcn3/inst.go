@@ -380,30 +380,11 @@ func (p *Program) Layout() {
 	}
 }
 
-// ByPCStale reports whether the layout tables need recomputing.
-func (p *Program) ByPCStale() bool {
-	return len(p.PCs) != len(p.Insts) || p.byPC == nil
-}
-
-// IndexAt returns the instruction index at byte offset pc, or -1.
+// IndexAt returns the instruction index at byte offset pc, or -1, also for
+// a program Layout has not run on.
 func (p *Program) IndexAt(pc uint64) int {
-	if p.byPC != nil {
-		if pc%4 == 0 && pc/4 < uint64(len(p.byPC)) {
-			return int(p.byPC[pc/4])
-		}
-		return -1
-	}
-	lo, hi := 0, len(p.PCs)-1
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		if p.PCs[mid] == pc {
-			return mid
-		}
-		if p.PCs[mid] < pc {
-			lo = mid + 1
-		} else {
-			hi = mid - 1
-		}
+	if pc%4 == 0 && pc/4 < uint64(len(p.byPC)) {
+		return int(p.byPC[pc/4])
 	}
 	return -1
 }

@@ -93,6 +93,9 @@ func TestProgramIndexAt(t *testing.T) {
 		{Op: OpFlatLoadDword, Dst: VReg(1), Srcs: [3]Operand{VReg(2)}},             // 8B
 		{Op: OpSEndpgm}, // 4B
 	}}
+	if p.IndexAt(0) != -1 {
+		t.Error("IndexAt found an instruction in a program that was never laid out")
+	}
 	p.Layout()
 	if p.Size != 16 {
 		t.Fatalf("size %d", p.Size)

@@ -30,53 +30,6 @@ import (
 	"ilsim/internal/isa"
 )
 
-// Format is a GCN3 encoding format. It determines the instruction's size:
-// 4-byte formats may be followed by one 4-byte literal; 8-byte formats may
-// not carry literals (as on real GCN3, where VOP3/SMEM/FLAT/DS encode no
-// literal constants).
-type Format uint8
-
-// Encoding formats.
-const (
-	FmtSOP1 Format = iota // scalar, 1 source, 4 bytes
-	FmtSOP2               // scalar, 2 sources, 4 bytes
-	FmtSOPC               // scalar compare, 4 bytes
-	FmtSOPP               // scalar program control, 4 bytes
-	FmtSMEM               // scalar memory, 8 bytes
-	FmtVOP1               // vector, 1 source, 4 bytes
-	FmtVOP2               // vector, 2 sources, 4 bytes
-	FmtVOPC               // vector compare to VCC, 4 bytes
-	FmtVOP3               // vector, 3 sources / SGPR destinations, 8 bytes
-	FmtFLAT               // flat memory, 8 bytes
-	FmtDS                 // local data share, 8 bytes
-
-	// NumFormats is the number of encoding formats.
-	NumFormats = int(FmtDS) + 1
-)
-
-// String names the format.
-func (f Format) String() string {
-	names := [...]string{"SOP1", "SOP2", "SOPC", "SOPP", "SMEM", "VOP1", "VOP2", "VOPC", "VOP3", "FLAT", "DS"}
-	if int(f) < len(names) {
-		return names[f]
-	}
-	return fmt.Sprintf("Format(%d)", uint8(f))
-}
-
-// BaseBytes returns the format's base encoding size.
-func (f Format) BaseBytes() int {
-	switch f {
-	case FmtVOP3, FmtSMEM, FmtFLAT, FmtDS:
-		return 8
-	default:
-		return 4
-	}
-}
-
-// AllowsLiteral reports whether the format may carry a trailing 32-bit
-// literal constant.
-func (f Format) AllowsLiteral() bool { return f.BaseBytes() == 4 && f != FmtSOPP }
-
 // Op is a GCN3 opcode. Operation width/type is carried in Inst.Type (and
 // Inst.SrcType for conversions), mirroring how real GCN3 enumerates one
 // opcode per type; the encoder folds (Op, Type, SrcType, Cmp) into the

@@ -75,22 +75,22 @@ var (
 	hsailOverGCN3 = &ratio{head: "HSAIL/GCN3", hsailOverGCN3: true}
 )
 
-// of is m's ratio for one workload. The report's one rule for a zero
-// denominator: the ratio reads 0 and ok is false, which keeps the workload
-// out of every suite summary.
+// of is m's ratio for one workload. The report's one rule for a zero on
+// either side: the ratio reads 0 and ok is false, which keeps the workload
+// out of every suite summary (a zero would make a geomean 0).
 func (d *ratio) of(m metric, p *Pair) (v float64, ok bool) {
 	num, den := m.of(p.GCN3), m.of(p.HSAIL)
 	if d.hsailOverGCN3 {
 		num, den = den, num
 	}
-	if den == 0 {
+	if num == 0 || den == 0 {
 		return 0, false
 	}
 	return num / den, true
 }
 
 // geomean is the suite summary of m's ratio: the geomean over the workloads
-// whose denominator is not zero.
+// whose ratio has no zero side.
 func (r *Results) geomean(m metric, d *ratio) float64 {
 	var xs []float64
 	for _, name := range r.Order {

@@ -345,7 +345,7 @@ func TestEveryExperimentIsInTheReport(t *testing.T) {
 	}
 }
 
-// TestZeroDenominatorRule: a workload whose ratio has a zero denominator
+// TestZeroDenominatorRule: a workload whose ratio has a zero on either side
 // reads 0.00 in its figure and stays out of the suite summary, in every
 // figure alike: in either direction of a ratio, and in Fig 1's rows.
 func TestZeroDenominatorRule(t *testing.T) {
@@ -354,26 +354,36 @@ func TestZeroDenominatorRule(t *testing.T) {
 		s.InstsByCategory[isa.CatVALU] = insts
 		return s
 	}
-	res := &Results{Order: []string{"idle", "busy"}, Runs: map[string]*Pair{
+	idle := &Results{Order: []string{"idle", "busy"}, Runs: map[string]*Pair{
 		"idle": {HSAIL: run(0, 0, 0), GCN3: run(0, 0, 0)},
 		"busy": {HSAIL: run(100, 100, 4), GCN3: run(200, 100, 2)},
 	}}
-	for key, rows := range map[string][]string{
-		"fig11": {"| idle | 0.000 | 0.000 | 0.00 |", "| busy | 1.000 | 2.000 | 2.00 |", "| **geomean** |  |  | 2.00 |"},
-		"fig9":  {"| idle | 0.00 | 0.00 | 0.00 |", "| busy | 40.00 | 10.00 | 4.00 |", "| **geomean** |  |  | 4.00 |"},
-		"fig1":  {"| Dynamic instructions | 2.00 |", "| IB flushes (per inst) | 0.25 |", "| IPC | 2.00 |"},
+	// A zero numerator: HSAIL has no IB flushes where GCN3 has some.
+	quiet := &Results{Order: []string{"quiet", "busy"}, Runs: map[string]*Pair{
+		"quiet": {HSAIL: run(100, 100, 0), GCN3: run(200, 100, 2)},
+		"busy":  {HSAIL: run(100, 100, 4), GCN3: run(200, 100, 4)},
+	}}
+	for _, c := range []struct {
+		res  *Results
+		key  string
+		rows []string
+	}{
+		{idle, "fig11", []string{"| idle | 0.000 | 0.000 | 0.00 |", "| busy | 1.000 | 2.000 | 2.00 |", "| **geomean** |  |  | 2.00 |"}},
+		{idle, "fig9", []string{"| idle | 0.00 | 0.00 | 0.00 |", "| busy | 40.00 | 10.00 | 4.00 |", "| **geomean** |  |  | 4.00 |"}},
+		{idle, "fig1", []string{"| Dynamic instructions | 2.00 |", "| IB flushes (per inst) | 0.25 |", "| IPC | 2.00 |"}},
+		{quiet, "fig9", []string{"| quiet | 0.00 | 10.00 | 0.00 |", "| busy | 40.00 | 20.00 | 2.00 |", "| **geomean** |  |  | 2.00 |"}},
 	} {
-		text, err := res.Experiment(key)
+		text, err := c.res.Experiment(c.key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, row := range rows {
+		for _, row := range c.rows {
 			if !strings.Contains(text, row+"\n") {
-				t.Errorf("%s lacks the row %q:\n%s", key, row, text)
+				t.Errorf("%s lacks the row %q:\n%s", c.key, row, text)
 			}
 		}
 		if strings.Contains(text, "NaN") || strings.Contains(text, "Inf") {
-			t.Errorf("%s divides by zero:\n%s", key, text)
+			t.Errorf("%s divides by zero:\n%s", c.key, text)
 		}
 	}
 }
