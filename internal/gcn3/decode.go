@@ -78,11 +78,15 @@ func DecodeInst(data []byte) (*Inst, int, error) {
 	return in, litOff, nil
 }
 
-// EncodeProgram lays out and encodes a whole program. Branch targets in
-// Inst.Target (instruction indexes) become GCN3-style signed word offsets
-// relative to the next instruction.
+// EncodeProgram encodes a whole program, laying it out first unless Layout
+// has already run on it: a laid-out program may be shared with engines that
+// read its PCs, so it is only read. Branch targets in Inst.Target
+// (instruction indexes) become GCN3-style signed word offsets relative to
+// the next instruction.
 func EncodeProgram(p *Program) ([]byte, error) {
-	p.Layout()
+	if len(p.PCs) != len(p.Insts) {
+		p.Layout()
+	}
 	var out []byte
 	for i := range p.Insts {
 		in := p.Insts[i] // copy: Target→SImm translation is encode-local

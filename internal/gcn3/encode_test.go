@@ -1,6 +1,7 @@
 package gcn3
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 	"math/rand"
@@ -161,6 +162,35 @@ func TestProgramRoundTripWithBranches(t *testing.T) {
 	}
 	if got.Size != p.Size {
 		t.Errorf("size %d != %d", got.Size, p.Size)
+	}
+}
+
+// TestEncodeKeepsLayout: encoding a program that is already laid out — a
+// prepared kernel's, which the engines index by PC — leaves its layout where
+// it is and emits what encoding a copy laid out afresh emits.
+func TestEncodeKeepsLayout(t *testing.T) {
+	insts := []Inst{
+		{Op: OpSMov, Type: isa.TypeB32, Dst: SReg(0), Srcs: [3]Operand{Inline(0)}, VMCnt: -1, LGKMCnt: -1},
+		{Op: OpSCbranchExecZ, Target: 3, VMCnt: -1, LGKMCnt: -1},
+		{Op: OpVMov, Type: isa.TypeB32, Dst: VReg(1), Srcs: [3]Operand{Lit(42)}, VMCnt: -1, LGKMCnt: -1},
+		{Op: OpSEndpgm, VMCnt: -1, LGKMCnt: -1},
+	}
+	p := &Program{Insts: insts}
+	p.Layout()
+	pcs, byPC := &p.PCs[0], &p.byPC[0]
+	got, err := EncodeProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &p.PCs[0] != pcs || &p.byPC[0] != byPC {
+		t.Error("encoding a laid-out program reallocated its PCs or its PC index")
+	}
+	want, err := EncodeProgram(&Program{Insts: insts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("laid-out program encodes as % x, a fresh copy as % x", got, want)
 	}
 }
 

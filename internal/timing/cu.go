@@ -53,10 +53,13 @@ type waveCtx struct {
 
 	// wakeAt is the first cycle at which visiting the wave can do anything:
 	// until then no fill of its can land or start and its next instruction
-	// cannot issue, so tick skips it (see park). stalled marks a sleeping
-	// wave that charges FetchStallCycles every cycle it sleeps through.
-	wakeAt  int64
-	stalled bool
+	// cannot issue, so tick skips it (see park).
+	wakeAt int64
+	// stallFrom opens the wave's fetch stall: from this cycle on its next
+	// instruction is due but missing from the instruction buffer, and every
+	// cycle until the wave's next visit charges FetchStallCycles (chargeStall).
+	// noEvent when no stall is open.
+	stallFrom int64
 }
 
 // outstanding returns how many completion cycles are still in the future,
@@ -137,8 +140,8 @@ type cu struct {
 	sl1Dest int
 
 	// waves is kept permanently ordered by seq: place appends waves with
-	// monotonically increasing seq and releaseWG compacts stably, so the
-	// issue stage never needs to sort.
+	// monotonically increasing seq and releaseFinished compacts stably, so
+	// the tick's pass never needs to sort.
 	waves     []*waveCtx
 	usedSlots int
 	seq       int64
@@ -158,30 +161,17 @@ type cu struct {
 	// cycles rather than resetting every cycle.
 	bankFree []int64
 
-	// order is the issue stage's reusable scheduling scratch: the awake
-	// waves eligible at the start of the cycle, oldest first. Keeping it on
-	// the CU makes the steady-state issue loop allocation-free.
-	order []*waveCtx
-
-	// Sleep bookkeeping, left behind by the last real tick:
-	//   nextEvent  — the minimum of the waves' wakeAt: the CU's ticks before
-	//                it are inert and are skipped (step), and the GPU jumps
-	//                to the minimum over CUs. place resets it to wake the CU
-	//                for an incoming workgroup.
-	//   stallers   — waves that charged FetchStallCycles in that tick and
-	//                would charge it again in every cycle slept through.
-	//   asleepFrom — the first cycle since then whose charge settle has not
-	//                taken yet.
-	stallers   int
-	nextEvent  int64
-	asleepFrom int64
+	// nextEvent is the minimum of the waves' wakeAt, left behind by the last
+	// real tick: the CU's ticks before it are inert and are skipped (step),
+	// and the GPU jumps to the minimum over CUs. place resets it to wake the
+	// CU for an incoming workgroup.
+	nextEvent int64
 }
 
-// release clears the CU's wave lists to their capacity (see GPU.release).
+// release clears the CU's wave list to its capacity (see GPU.release).
 func (c *cu) release() {
 	clear(c.waves[:cap(c.waves)])
-	clear(c.order[:cap(c.order)])
-	c.waves, c.order = c.waves[:0], c.order[:0]
+	c.waves = c.waves[:0]
 }
 
 // reset returns the CU's private state (its caches are the GPU's to reset,
@@ -194,7 +184,7 @@ func (c *cu) reset() {
 	c.simdBusy = zeroed(c.simdBusy, p.SIMDsPerCU)
 	c.bankFree = zeroed(c.bankFree, p.VRFBanks)
 	c.scalarBusy, c.vmemBusy, c.ldsBusy = 0, 0, 0
-	c.stallers, c.nextEvent, c.asleepFrom = 0, 0, 0
+	c.nextEvent = 0
 }
 
 // zeroed returns s as n zeros, reusing its storage when that is enough.
@@ -220,11 +210,11 @@ func (c *cu) canPlace(wg *emu.WGState, maxWaves int) bool {
 	return c.usedSlots+wg.Info.NumWaves <= maxWaves
 }
 
-// place creates the workgroup's wavefronts in this CU and wakes it. The
-// cycles the CU slept through so far are settled first, against the waves
-// that slept through them.
+// place creates the workgroup's wavefronts in this CU and wakes it.
 func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
-	c.settle(c.g.now)
+	if ev := c.g.events; ev != nil {
+		ev.cuActs(c, c.g.now)
+	}
 	run := &wgRun{wg: wg, remaining: wg.Info.NumWaves}
 	vregs, _ := eng.RegDemand()
 	if vregs < 1 {
@@ -234,9 +224,10 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 		w := eng.NewWave(wg, i)
 		ctx := &waveCtx{
 			w: w, eng: eng, wg: run,
-			seq:     c.seq,
-			simd:    c.usedSlots % c.g.Cfg.SIMDsPerCU,
-			regBase: c.vrfCursor,
+			seq:       c.seq,
+			simd:      c.usedSlots % c.g.Cfg.SIMDsPerCU,
+			regBase:   c.vrfCursor,
+			stallFrom: noEvent,
 		}
 		c.vrfCursor = (c.vrfCursor + vregs) % vrfRegsPerCU
 		c.seq++
@@ -253,10 +244,10 @@ func (c *cu) place(wg *emu.WGState, eng emu.Engine) {
 
 // step is the CU's share of cycle now, in RunDispatch and in the tests
 // alike; it returns how many workgroups finished. A CU whose nextEvent lies
-// ahead sleeps: the cycle costs it one compare, and what its tick would have
-// charged is taken in bulk when it next ticks (settle). GPU.NoSkip ticks it
-// every cycle. (Written to stay under the inliner's budget, so a sleeping
-// CU costs RunDispatch no call.)
+// ahead sleeps: the cycle costs it one compare, and its waves' open fetch
+// stalls are charged when each is next visited (chargeStall). GPU.NoSkip
+// ticks it every cycle. (Written to stay under the inliner's budget, so a
+// sleeping CU costs RunDispatch no call.)
 func (c *cu) step(now int64) (finished int, err error) {
 	if now >= c.nextEvent || c.g.NoSkip {
 		finished, err = c.tick(now)
@@ -264,60 +255,37 @@ func (c *cu) step(now int64) (finished int, err error) {
 	return
 }
 
-// settle charges the cycles from asleepFrom up to until that the CU slept
-// through with what each of their ticks would have charged: FetchStallCycles
-// once per stalled wave. One product is exact because stallers changes only
-// in a real tick.
-func (c *cu) settle(until int64) {
-	n := until - c.asleepFrom
-	if n <= 0 {
-		return
-	}
-	c.g.Run.FetchStallCycles += uint64(c.stallers) * uint64(n)
-	if ev := c.g.events; ev != nil {
-		ev.cuAsleep(c, c.asleepFrom, until)
-	}
-	c.asleepFrom = until
-}
-
 // tick advances the CU one cycle; it returns how many workgroups finished.
 //
-// A tick costs what the waves that can act cost. One pass over c.waves skips
-// every wave still asleep (now < wakeAt: one compare), completes and starts
-// instruction-buffer fills for the rest, and collects those that may issue;
-// the issue stage then visits only them. Every visited wave leaves with a
-// new wakeAt (park), and their minimum is c.nextEvent, before which the CU
-// is not ticked at all (step). GPU.NoSkip switches both levels off: every
-// tick then visits every wave, which is the oracle the skipping runs are
-// compared against.
-func (c *cu) tick(now int64) (int, error) {
-	c.settle(now)
-	c.asleepFrom = now + 1
+// A tick costs what the waves that can act cost. One oldest-first pass over
+// c.waves skips every wave still asleep (now < wakeAt: one compare) and, for
+// the rest, charges its open fetch stall, lands and starts its
+// instruction-buffer fill and issues its next instruction if readyAt allows.
+// Every visited wave leaves with a new wakeAt (park), and their minimum is
+// c.nextEvent, before which the CU is not ticked at all (step). Workgroups
+// that finished are released after the pass, so the pass never sees c.waves
+// move. GPU.NoSkip switches both levels off: every tick then visits every
+// wave, which is the oracle the skipping runs are compared against.
+func (c *cu) tick(now int64) (finished int, err error) {
+	ev := c.g.events
+	if ev != nil {
+		ev.cuActs(c, now)
+	}
 	skip := !c.g.NoSkip
 	c.nextEvent = noEvent
 	p := &c.g.Cfg
-	ev := c.g.events
-
-	// c.waves is seq-ordered by construction; filtering into the reusable
-	// scratch snapshots eligibility at the start of the cycle (a barrier
-	// released mid-cycle must not issue until the next cycle).
-	order := c.order[:0]
-	visited, started := 0, 0
-	sleepers, firstWake := 0, noEvent // stalled sleepers; earliest sleeper's wakeAt
+	run := c.g.Run
+	visited, checked, started := 0, 0, 0
 	for _, wv := range c.waves {
-		if at := wv.wakeAt; skip && now < at {
-			if at < firstWake {
-				firstWake = at
-			}
-			if wv.stalled {
-				sleepers++
-			}
+		if skip && now < wv.wakeAt {
+			c.wake(wv.wakeAt)
 			if ev != nil {
 				ev.waveAsleep(c, wv, now)
 			}
 			continue
 		}
 		visited++
+		c.chargeStall(wv, now)
 		if wv.fetchBusy && now >= wv.fetchDone {
 			wv.fetchBusy = false
 			if wv.fetchInEpoch == wv.fetchEpoch {
@@ -340,130 +308,26 @@ func (c *cu) tick(now int64) (int, error) {
 		}
 		if wv.done || wv.barrier {
 			c.park(wv, noEvent, now)
-		} else {
-			order = append(order, wv)
-		}
-	}
-	c.order = order
-	c.wake(firstWake)
-	c.stallers = sleepers
-	c.g.Run.FetchStallCycles += uint64(sleepers)
-	if ev != nil {
-		ev.ticked(c, visited, len(order))
-	}
-	return c.issueStage(now)
-}
-
-// park records when wv next needs visiting: at, the issue stage's bound
-// (noEvent when only a fill or a barrier release can unblock the wave),
-// folded with the wave's own fetch needs. The bound may be early — the visit
-// then changes nothing and parks the wave again — but never late, and that
-// is exact: a wave's instruction buffer and dependency state change only
-// through its own issue, its own fill landing, or the drain completing its
-// own requests in the cycle it issued them (which can only delay a bound
-// taken at issue, before the drain), and unit-busy times only grow.
-func (c *cu) park(wv *waveCtx, at, now int64) {
-	if !wv.done {
-		if wv.fetchBusy {
-			// A fill deferred this tick lands its true completion cycle
-			// during drain (complete), lowering wakeAt then.
-			if wv.fetchDone < at {
-				at = wv.fetchDone
-			}
-		} else if wv.ibBytes < c.ibCap {
-			// Lost fetch-width arbitration: contend again next cycle.
-			at = now + 1
-		}
-	}
-	wv.wakeAt = at
-	wv.stalled = false
-	c.wake(at)
-}
-
-// tag enters an access of wv's that the CU defers to the drain in the GPU's
-// pending-request table — with info, the instruction its completion feeds
-// (nil for an instruction fetch) — and returns the access's tag there.
-func (c *cu) tag(wv *waveCtx, info *emu.InstInfo) int {
-	g := c.g
-	g.pend = append(g.pend, pendReq{c: c, wv: wv, info: info})
-	return len(g.pend) - 1
-}
-
-// complete is the drain callback: it lands one deferred access's completion
-// cycle. Fetch fills (nil info) record the fill time and wake the wave and
-// its CU then. Data accesses feed the wave's dependency state.
-func (g *GPU) complete(tag int, ready int64) {
-	p := &g.pend[tag]
-	if p.info == nil {
-		p.wv.fetchDone = ready
-		if ready < p.wv.wakeAt {
-			p.wv.wakeAt = ready
-		}
-		p.c.wake(ready)
-		return
-	}
-	p.c.finishMem(p.wv, p.info, ready)
-}
-
-// issueStage picks ready wavefronts oldest-first from c.order and issues at
-// most one instruction per execution unit. A wave blocked this cycle parks
-// until the exact cycle its blocking condition can next change.
-func (c *cu) issueStage(now int64) (int, error) {
-	finished := 0
-	run := c.g.Run
-	for _, wv := range c.order {
-		if now < wv.nextIssue {
-			c.park(wv, wv.nextIssue, now)
 			continue
 		}
-		if wv.info == nil {
-			info, err := wv.eng.Peek(wv.w)
-			if err != nil {
-				return finished, err
+		checked++
+		at := wv.nextIssue
+		if at <= now {
+			if at, err = c.readyAt(wv, now); err != nil {
+				break
 			}
-			wv.info = info
 		}
+		if at > now {
+			c.park(wv, at, now)
+			continue
+		}
+
 		info := wv.info
-		if wv.ibBytes < info.SizeBytes {
-			// The stall repeats every cycle until a fill lands, asleep or
-			// awake; settle bulk-charges it across cycles the CU sleeps
-			// through.
-			run.FetchStallCycles++
-			c.stallers++
-			c.park(wv, noEvent, now)
-			wv.stalled = true
-			continue
+		var res emu.ExecResult
+		if res, err = wv.eng.Execute(wv.w); err != nil {
+			break
 		}
-		// Dependency checks.
-		if wv.vregReady != nil {
-			if at := scoreboardReadyAt(wv, info); at > now {
-				c.park(wv, at, now)
-				continue
-			}
-		} else {
-			if info.WaitVM >= 0 && outstanding(&wv.vmemDone, now) > int(info.WaitVM) {
-				// vmcnt completes in order (vmemDone is non-decreasing):
-				// the counter reaches WaitVM exactly when the
-				// (n-WaitVM)-th oldest operation lands.
-				c.park(wv, wv.vmemDone[len(wv.vmemDone)-1-int(info.WaitVM)], now)
-				continue
-			}
-			if info.WaitLGKM >= 0 && outstanding(&wv.lgkmDone, now) > int(info.WaitLGKM) {
-				c.park(wv, kthSmallest(wv.lgkmDone, len(wv.lgkmDone)-int(info.WaitLGKM)), now)
-				continue
-			}
-		}
-		// Execution-unit availability.
 		busy, occ := c.unit(wv, info)
-		if *busy > now {
-			c.park(wv, *busy, now)
-			continue
-		}
-
-		res, err := wv.eng.Execute(wv.w)
-		if err != nil {
-			return finished, err
-		}
 		*busy = now + occ
 		wv.nextIssue = now + 1
 		wv.ibBytes -= info.SizeBytes
@@ -499,45 +363,123 @@ func (c *cu) issueStage(now int64) (int, error) {
 		c.retire(wv, info, &res, now)
 		if res.IsEndPgm {
 			wv.done = true
-			wv.wg.remaining--
-			if wv.wg.remaining == 0 {
-				c.releaseWG(wv.wg)
+			if wv.wg.remaining--; wv.wg.remaining == 0 {
 				finished++
 			}
 		}
-		at := noEvent
+		at = noEvent
 		if !wv.done && !wv.barrier {
-			at = c.issueBound(wv)
+			// On a Peek error the wave parks at nextIssue, and the visit
+			// then reports the error.
+			at, _ = c.readyAt(wv, now)
 		}
 		c.park(wv, at, now)
 	}
-	return finished, nil
+	if ev != nil {
+		ev.ticked(c, visited, checked)
+	}
+	if finished > 0 {
+		c.releaseFinished()
+	}
+	return finished, err
 }
 
-// issueBound is where a wave that has just issued parks: the first cycle its
-// next instruction can issue, as far as the CU can tell now. That is
-// nextIssue, or later while the instruction's unit is busy or, under HSAIL,
-// its registers are pending. It stays nextIssue when the instruction buffer
-// does not hold the instruction yet — its fetch stall is charged per cycle
-// from that visit on — and when Peek fails, whose error that visit reports.
-// Waitcnt bounds are not used: a request issued this cycle learns its
-// completion cycle only in the drain. The bound may be early, never late
-// (see park).
-func (c *cu) issueBound(wv *waveCtx) int64 {
-	at := wv.nextIssue
-	info, err := wv.eng.Peek(wv.w)
-	if err != nil {
-		return at
+// chargeStall closes wv's open fetch stall, if any, charging it the cycles
+// before until.
+func (c *cu) chargeStall(wv *waveCtx, until int64) {
+	if wv.stallFrom < until {
+		c.g.Run.FetchStallCycles += uint64(until - wv.stallFrom)
 	}
-	wv.info = info
+	wv.stallFrom = noEvent
+}
+
+// park records when wv next needs visiting: at, the issue bound (noEvent
+// when only a fill or a barrier release can unblock the wave), folded with
+// the wave's own fetch needs. The bound may be early — the visit then
+// changes nothing and parks the wave again — but never late, and that is
+// exact: a wave's instruction buffer and dependency state change only
+// through its own issue, its own fill landing, or the drain completing its
+// own requests in the cycle it issued them (which can only delay a bound
+// taken at issue, before the drain), and unit-busy times only grow.
+func (c *cu) park(wv *waveCtx, at, now int64) {
+	if !wv.done {
+		if wv.fetchBusy {
+			// A fill deferred this tick lands its true completion cycle
+			// during drain (complete), lowering wakeAt then.
+			if wv.fetchDone < at {
+				at = wv.fetchDone
+			}
+		} else if wv.ibBytes < c.ibCap {
+			// Lost fetch-width arbitration: contend again next cycle.
+			at = now + 1
+		}
+	}
+	wv.wakeAt = at
+	c.wake(at)
+}
+
+// tag enters an access of wv's that the CU defers to the drain in the GPU's
+// pending-request table — with info, the instruction its completion feeds
+// (nil for an instruction fetch) — and returns the access's tag there.
+func (c *cu) tag(wv *waveCtx, info *emu.InstInfo) int {
+	g := c.g
+	g.pend = append(g.pend, pendReq{c: c, wv: wv, info: info})
+	return len(g.pend) - 1
+}
+
+// complete is the drain callback: it lands one deferred access's completion
+// cycle. Fetch fills (nil info) record the fill time and wake the wave and
+// its CU then. Data accesses feed the wave's dependency state.
+func (g *GPU) complete(tag int, ready int64) {
+	p := &g.pend[tag]
+	if p.info == nil {
+		p.wv.fetchDone = ready
+		if ready < p.wv.wakeAt {
+			p.wv.wakeAt = ready
+		}
+		p.c.wake(ready)
+		return
+	}
+	p.c.finishMem(p.wv, p.info, ready)
+}
+
+// readyAt is the first cycle wv's next instruction can issue, as far as the
+// CU can tell at cycle now: the latest of nextIssue, the busy-until cycle of
+// the instruction's execution unit, and its HSAIL scoreboard or GCN3 waitcnt
+// bound. It decides both whether a visited wave issues and where a wave that
+// has just issued parks; the bound may be early, never late (see park). An
+// instruction missing from the instruction buffer has no bound: the wave
+// stalls from nextIssue (or now, if later) until a fill lands, so readyAt
+// opens its fetch stall and returns noEvent. A Peek error returns nextIssue.
+func (c *cu) readyAt(wv *waveCtx, now int64) (int64, error) {
+	info := wv.info
+	if info == nil {
+		var err error
+		if info, err = wv.eng.Peek(wv.w); err != nil {
+			return wv.nextIssue, err
+		}
+		wv.info = info
+	}
 	if wv.ibBytes < info.SizeBytes {
-		return at
+		wv.stallFrom = max(now, wv.nextIssue)
+		return noEvent, nil
 	}
+	at := wv.nextIssue
 	if wv.vregReady != nil {
 		at = max(at, scoreboardReadyAt(wv, info))
+	} else {
+		// vmcnt completes in order (vmemDone is non-decreasing): the counter
+		// reaches WaitVM exactly when the (n-WaitVM)-th oldest operation
+		// lands; lgkmcnt may complete out of order.
+		if info.WaitVM >= 0 && outstanding(&wv.vmemDone, now) > int(info.WaitVM) {
+			at = max(at, wv.vmemDone[len(wv.vmemDone)-1-int(info.WaitVM)])
+		}
+		if info.WaitLGKM >= 0 && outstanding(&wv.lgkmDone, now) > int(info.WaitLGKM) {
+			at = max(at, kthSmallest(wv.lgkmDone, len(wv.lgkmDone)-int(info.WaitLGKM)))
+		}
 	}
 	busy, _ := c.unit(wv, info)
-	return max(at, *busy)
+	return max(at, *busy), nil
 }
 
 // unit returns the execution unit an instruction issues to — the cycle it
@@ -631,7 +573,7 @@ func (c *cu) retire(wv *waveCtx, info *emu.InstInfo, res *emu.ExecResult, now in
 
 	if res.IsBarrier {
 		wv.barrier = true
-		c.checkBarrier(wv.wg)
+		c.checkBarrier(wv.wg, now)
 	}
 }
 
@@ -661,8 +603,9 @@ func (c *cu) finishMem(wv *waveCtx, info *emu.InstInfo, ready int64) {
 }
 
 // checkBarrier releases a workgroup barrier once every unfinished wave has
-// arrived, waking the released waves and the CU.
-func (c *cu) checkBarrier(run *wgRun) {
+// arrived at cycle now. The released waves issue from the next cycle on,
+// under NoSkip too, and are woken by then.
+func (c *cu) checkBarrier(run *wgRun, now int64) {
 	for _, wv := range run.waves {
 		if !wv.done && !wv.barrier {
 			return
@@ -670,26 +613,26 @@ func (c *cu) checkBarrier(run *wgRun) {
 	}
 	for _, wv := range run.waves {
 		wv.barrier = false
-		wv.wakeAt = 0
+		wv.nextIssue = max(wv.nextIssue, now+1)
+		wv.wakeAt = min(wv.wakeAt, now+1)
 	}
-	c.nextEvent = 0
+	c.wake(now + 1)
 }
 
-// releaseWG frees the workgroup's slots and hands its waves back to their
-// engine (emu.Engine.FreeWave): completions still due this cycle feed the
-// waves' timing state, never the emu.Wave. The compaction is stable, so
-// c.waves stays seq-ordered.
-func (c *cu) releaseWG(run *wgRun) {
-	for _, wv := range run.waves {
+// releaseFinished frees the slots of the workgroups whose last wave ended
+// and hands their waves back to their engine (emu.Engine.FreeWave):
+// completions still due this cycle feed the waves' timing state, never the
+// emu.Wave. The compaction is stable, so c.waves stays seq-ordered.
+func (c *cu) releaseFinished() {
+	keep := c.waves[:0]
+	for _, wv := range c.waves {
+		if wv.wg.remaining > 0 {
+			keep = append(keep, wv)
+			continue
+		}
 		wv.eng.FreeWave(wv.w)
 		wv.w = nil
 	}
-	keep := c.waves[:0]
-	for _, wv := range c.waves {
-		if wv.wg != run {
-			keep = append(keep, wv)
-		}
-	}
+	c.usedSlots -= len(c.waves) - len(keep)
 	c.waves = keep
-	c.usedSlots -= len(run.waves)
 }

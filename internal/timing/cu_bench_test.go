@@ -253,9 +253,9 @@ func benchInertCU() *cu {
 	return c
 }
 
-// warm runs c through its first 2048 cycles: cold-start growth (order
-// scratch, request buffers, dependency lists, cache compulsory misses) and,
-// for the blocked shapes, several load round trips per wave.
+// warm runs c through its first 2048 cycles: cold-start growth (request
+// buffers, dependency lists, cache compulsory misses) and, for the blocked
+// shapes, several load round trips per wave.
 func warm(tb testing.TB, c *cu) (now int64) {
 	for ; now < 2048; now++ {
 		if err := cycle(c, now); err != nil {
@@ -268,11 +268,10 @@ func warm(tb testing.TB, c *cu) (now int64) {
 // TestIssueStageNoAllocs pins the timing core's allocation invariant: once
 // a CU is in steady state, a full two-phase cycle — tick (fetch + issue +
 // execute + retire into the request buffer) plus drain (deferred cache
-// accesses) — allocates nothing: every buffer involved (the CU's order
-// scratch, the device's request buffer and pending table) is reused. The
-// contract covers every shape a tick takes: all waves issuing, most waves
-// asleep and waking as their loads land (park, wake, re-park), and a CU
-// asleep as a whole.
+// accesses) — allocates nothing: every buffer involved (the device's request
+// buffer and pending table) is reused. The contract covers every shape a
+// tick takes: all waves issuing, most waves asleep and waking as their loads
+// land (park, wake, re-park), and a CU asleep as a whole.
 func TestIssueStageNoAllocs(t *testing.T) {
 	for _, shape := range []struct {
 		name string

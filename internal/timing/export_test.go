@@ -3,20 +3,25 @@ package timing
 import "fmt"
 
 // Shadow is the sleep-bound oracle the tests attach to a device: for every
-// wave a tick skips as asleep and every cycle a CU sleeps through — alone
-// or as part of a GPU-wide jump — it re-runs the unabridged fetch and issue
-// checks (refWave: what a tick-everything run would do with that wave that
-// cycle) and records a failure if the wave could have acted or would have
-// charged FetchStallCycles differently from what the sleeper charged for
-// it. It also tallies what the real ticks did.
+// wave a tick skips as asleep and every cycle a CU with resident waves sleeps
+// through — alone or as part of a GPU-wide jump — it re-runs the unabridged
+// fetch and issue checks (refWave: what a tick-everything run would do with
+// that wave that cycle) and records a failure if the wave could have acted,
+// or would have charged FetchStallCycles when its open stall does not (or
+// the other way round). It also tallies what the real ticks did.
 type Shadow struct {
 	// WavesAsleep counts wave visits skipped inside real ticks,
-	// CUCyclesAsleep CU ticks skipped (one per CU per cycle slept).
+	// CUCyclesAsleep CU ticks skipped with waves resident (one per CU per
+	// cycle slept).
 	WavesAsleep, CUCyclesAsleep int64
 	// Ticks counts real CU ticks; Resident sums the waves resident at each,
 	// Visited the waves its pass visited, Checked those that went through
-	// the issue stage's eligibility checks.
+	// the issue checks.
 	Ticks, Resident, Visited, Checked int64
+
+	// acted is the cycle after each CU last acted: the first it may have
+	// slept through.
+	acted map[*cu]int64
 
 	failures []string
 	nFailed  int
@@ -24,7 +29,7 @@ type Shadow struct {
 
 // AttachShadow makes g report to a fresh Shadow until its next Reset.
 func AttachShadow(g *GPU) *Shadow {
-	s := &Shadow{}
+	s := &Shadow{acted: map[*cu]int64{}}
 	g.events = s
 	return s
 }
@@ -49,51 +54,50 @@ func (s *Shadow) ticked(c *cu, visited, checked int) {
 
 func (s *Shadow) waveAsleep(c *cu, wv *waveCtx, now int64) {
 	s.WavesAsleep++
-	if stall, ok := s.asleep(c, wv, now, wv.wakeAt); ok && stall != wv.stalled {
-		s.failf("cycle %d CU %d wave %d asleep with stalled=%v, but a visit would have stall=%v", now, c.id, wv.seq, wv.stalled, stall)
-	}
+	s.asleep(c, wv, now, wv.wakeAt)
 }
 
-func (s *Shadow) cuAsleep(c *cu, from, until int64) {
-	for now := from; now < until; now++ {
+// cuActs checks the cycles c slept through since it last acted against its
+// waves as they stand, which nothing has changed since: a sleeping CU's waves
+// change only when it acts.
+func (s *Shadow) cuActs(c *cu, now int64) {
+	from, ok := s.acted[c]
+	s.acted[c] = now + 1
+	if !ok || len(c.waves) == 0 {
+		return
+	}
+	for ; from < now; from++ {
 		s.CUCyclesAsleep++
-		stallers := 0
 		for _, wv := range c.waves {
-			if stall, ok := s.asleep(c, wv, now, c.nextEvent); ok && stall {
-				stallers++
-			}
-		}
-		if stallers != c.stallers {
-			s.failf("cycle %d CU %d asleep charging %d stallers, a tick would charge %d", now, c.id, c.stallers, stallers)
+			s.asleep(c, wv, from, c.nextEvent)
 		}
 	}
 }
 
-// asleep is the verdict on wv sitting out cycle now on a bound of wakeAt:
-// it records a failure, and returns !ok, if visiting the wave would act;
-// otherwise it returns whether the visit would charge a fetch stall.
-func (s *Shadow) asleep(c *cu, wv *waveCtx, now, wakeAt int64) (stall, ok bool) {
+// asleep is the verdict on wv sitting out cycle now on a bound of wakeAt: it
+// records a failure if visiting the wave would act, or would charge a fetch
+// stall that the wave's open stall does not charge (or the other way round).
+func (s *Shadow) asleep(c *cu, wv *waveCtx, now, wakeAt int64) {
 	o, err := refWave(c, wv, now)
-	switch {
+	switch charged := wv.stallFrom <= now; {
 	case err != nil:
 		s.failf("cycle %d CU %d wave %d: %v", now, c.id, wv.seq, err)
 	case o.fetch || o.issue:
 		s.failf("cycle %d CU %d wave %d asleep until %d, but a visit would act: %+v", now, c.id, wv.seq, wakeAt, o)
-	default:
-		return o.stall, true
+	case o.stall != charged:
+		s.failf("cycle %d CU %d wave %d asleep charging a stall=%v, but a visit would stall=%v", now, c.id, wv.seq, charged, o.stall)
 	}
-	return false, false
 }
 
 // refOutcome is what visiting a wave would do: land or start a fill, issue
 // its next instruction, charge FetchStallCycles for an empty buffer.
 type refOutcome struct{ fetch, issue, stall bool }
 
-// refWave is the fetch and issue stages' treatment of one wave with no sleep
+// refWave is the tick's fetch and issue treatment of one wave with no sleep
 // state consulted and nothing modified: the checks, in order, that a
 // tick-everything run applies to every wave every cycle. Unit-busy times are
-// read as they stand before this cycle's issues, which can only make the
-// verdict stricter (another wave taking the unit first would block this one).
+// read as the pass leaves them when it reaches the wave, which is what such a
+// run sees there: older waves issue first.
 func refWave(c *cu, wv *waveCtx, now int64) (refOutcome, error) {
 	var o refOutcome
 	if wv.done {

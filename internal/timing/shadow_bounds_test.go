@@ -7,18 +7,29 @@ import (
 	"ilsim/internal/emu"
 	"ilsim/internal/hsa"
 	"ilsim/internal/isa"
+	"ilsim/internal/stats"
 )
 
-// run advances c by n cycles from now and, as RunDispatch does on its way
-// out, settles the cycles it slept through.
+// run advances c by n cycles from now and returns the next cycle.
 func run(tb testing.TB, c *cu, now, n int64) int64 {
 	for end := now + n; now < end; now++ {
 		if err := cycle(c, now); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	c.settle(now)
 	return now
+}
+
+// charged returns c's statistics as RunDispatch leaves them on its way out
+// at cycle now: with every wave's open fetch stall charged up to it.
+func charged(c *cu, now int64) stats.Run {
+	r := *c.g.Run
+	for _, wv := range c.waves {
+		if wv.stallFrom < now {
+			r.FetchStallCycles += uint64(now - wv.stallFrom)
+		}
+	}
+	return r
 }
 
 // runUntil advances c until cond holds after a cycle and returns the next
@@ -91,12 +102,12 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 			c.nextEvent = 0
 			now = run(t, c, now, 16)
 		}
-		run(t, twin, twinNow, 64*16)
+		twinNow = run(t, twin, twinNow, 64*16)
 		if n, msgs := sh.Failures(); n != 0 || failures(twinSh) != 0 {
 			t.Fatalf("early bounds refuted %d times (%v), the twin %d times", n, msgs, failures(twinSh))
 		}
-		if !reflect.DeepEqual(c.g.Run, twin.g.Run) || c.l1d.Stats() != twin.l1d.Stats() {
-			t.Fatalf("early bounds changed the run:\n%+v\n%+v", c.g.Run, twin.g.Run)
+		if a, b := charged(c, now), charged(twin, twinNow); !reflect.DeepEqual(a, b) || c.l1d.Stats() != twin.l1d.Stats() {
+			t.Fatalf("early bounds changed the run:\n%+v\n%+v", a, b)
 		}
 	})
 
@@ -134,51 +145,59 @@ func TestShadowRefutesWrongBounds(t *testing.T) {
 			return c.nextEvent > now+1 && c.nextEvent != noEvent
 		})
 		c.nextEvent++
-		run(t, c, now, c.nextEvent-now)
+		// Through the late tick, when the oracle checks the cycles slept.
+		run(t, c, now, c.nextEvent-now+1)
 		if failures(sh) == 0 {
 			t.Fatal("the CU slept through a wave's wake-up and the oracle saw nothing")
 		}
 	})
 
-	t.Run("stall charge dropped", func(t *testing.T) {
-		// Cold start: every wave's first fill misses the I-cache, so
-		// waves sleep on it while charging FetchStallCycles.
-		stalled := func(c *cu, now int64) *waveCtx {
-			for _, wv := range c.waves {
-				if wv.stalled && sleeping(wv, now) {
-					return wv
-				}
+	// stalled returns a wave asleep at now on an open fetch stall. Cold
+	// start: every wave's first fill misses the I-cache, so waves sleep on
+	// it while stalled.
+	stalled := func(c *cu, now int64) *waveCtx {
+		for _, wv := range c.waves {
+			if wv.stallFrom < now && sleeping(wv, now) {
+				return wv
 			}
-			return nil
 		}
+		return nil
+	}
+
+	t.Run("stall charge dropped", func(t *testing.T) {
 		c := benchBlockedCU(2)
 		sh := AttachShadow(c.g)
 		now := runUntil(t, c, 0, func(now int64) bool { return stalled(c, now) != nil })
-		stalled(c, now).stalled = false
+		stalled(c, now).stallFrom = noEvent
 		c.nextEvent = 0
 		run(t, c, now, 1)
 		if failures(sh) == 0 {
 			t.Fatal("a sleeping wave stopped charging its fetch stall and the oracle saw nothing")
 		}
+	})
 
-		c = benchBlockedCU(0)
-		sh = AttachShadow(c.g)
-		now = runUntil(t, c, 0, func(now int64) bool {
-			return c.stallers > 0 && c.nextEvent > now
+	t.Run("stall cut short asleep", func(t *testing.T) {
+		// The CU sleeps through the cycle its wave's stall is cut short at;
+		// the oracle sees that cycle when the CU next acts.
+		c := benchBlockedCU(0)
+		sh := AttachShadow(c.g)
+		now := runUntil(t, c, 0, func(now int64) bool {
+			return c.nextEvent > now+1 && c.nextEvent != noEvent && stalled(c, now) != nil
 		})
-		c.stallers--
-		run(t, c, now, 1)
+		stalled(c, now).stallFrom = now + 1
+		run(t, c, now, c.nextEvent-now+1)
 		if failures(sh) == 0 {
-			t.Fatal("a sleeping CU undercharged its stallers and the oracle saw nothing")
+			t.Fatal("a sleeping CU's wave charged its stall a cycle short and the oracle saw nothing")
 		}
 	})
 }
 
-// TestPlacementSettlesFirst: a workgroup placed on a CU that has slept since
-// its last tick settles those cycles before its waves arrive, so they are
-// charged and checked against the waves that slept through them — not
-// against the newcomers, which could have fetched had they been there.
-func TestPlacementSettlesFirst(t *testing.T) {
+// TestSleepCheckedBeforePlacement: a workgroup placed on a CU that has slept
+// since its last tick reports the sleep to the oracle before its waves
+// arrive, so the cycles slept are checked against the waves that slept
+// through them — not against the newcomers, which could have fetched had
+// they been there.
+func TestSleepCheckedBeforePlacement(t *testing.T) {
 	c := benchInertCU()
 	sh := AttachShadow(c.g)
 	now := warm(t, c)
@@ -187,14 +206,68 @@ func TestPlacementSettlesFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.asleepFrom >= now {
+	if c.nextEvent <= now {
 		t.Fatal("the CU did not sleep")
 	}
 	c.g.now = now
 	d := &hsa.Dispatch{Workgroups: []hsa.WorkgroupInfo{{Size: isa.WavefrontSize, NumWaves: 1}}}
 	c.place(emu.NewWGState(d, &d.Workgroups[0], 0), c.waves[0].eng)
+	if sh.CUCyclesAsleep == 0 {
+		t.Fatal("placement checked none of the cycles the CU slept")
+	}
 	run(t, c, now, 64)
 	if n, msgs := sh.Failures(); n != 0 {
 		t.Fatalf("placement into a sleeping CU refuted %d times: %v", n, msgs)
+	}
+}
+
+// barrierStubEngine runs stubEngine's vector-ALU stream with one workgroup
+// barrier, a scalar instruction: wave 1 meets it first, at PC 0; wave 0,
+// older and so ahead of wave 1 in every pass, issues three vector
+// instructions first and releases the barrier by meeting it at PC 12.
+type barrierStubEngine struct {
+	stubEngine
+	barrier emu.InstInfo
+}
+
+func (e *barrierStubEngine) atBarrier(w *emu.Wave) bool {
+	return w.PC == 12-12*uint64(w.WaveID)
+}
+
+func (e *barrierStubEngine) Peek(w *emu.Wave) (*emu.InstInfo, error) {
+	if e.atBarrier(w) {
+		return &e.barrier, nil
+	}
+	return &e.info, nil
+}
+
+func (e *barrierStubEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
+	res, err := e.stubEngine.Execute(w)
+	res.IsBarrier = w.PC-4 == 12-12*uint64(w.WaveID)
+	return res, err
+}
+
+// TestBarrierReleaseIssuesNextCycle: a wave released from a barrier issues
+// from the cycle after the release on — not in the cycle itself, though it
+// comes later in the pass than the wave that released it — with skipping on
+// and off.
+func TestBarrierReleaseIssuesNextCycle(t *testing.T) {
+	for _, noskip := range []bool{false, true} {
+		g := NewGPU(DefaultConfig(), &stats.Run{})
+		g.NoSkip = noskip
+		eng := &barrierStubEngine{stubEngine: *newStubEngine()}
+		eng.barrier = emu.InstInfo{SizeBytes: 4, Category: isa.CatMisc, LatClass: emu.LatScalar, WaitVM: -1, WaitLGKM: -1}
+		d := &hsa.Dispatch{Workgroups: []hsa.WorkgroupInfo{{Size: 2 * isa.WavefrontSize, NumWaves: 2}}}
+		c := g.cus[0]
+		c.place(emu.NewWGState(d, &d.Workgroups[0], 0), eng)
+		first, second := c.waves[0], c.waves[1]
+		now := runUntil(t, c, 0, func(int64) bool { return first.w.PC == 16 })
+		if second.w.PC != 4 || second.barrier {
+			t.Fatalf("noskip=%v: at the release the second wave is at PC %d, barrier=%v", noskip, second.w.PC, second.barrier)
+		}
+		run(t, c, now, 1)
+		if second.w.PC != 8 {
+			t.Fatalf("noskip=%v: the cycle after the release the second wave is at PC %d, want 8", noskip, second.w.PC)
+		}
 	}
 }

@@ -137,14 +137,14 @@ type GPU struct {
 	events sink
 }
 
-// sink receives the timing loop's events: a wave a tick skipped as asleep,
-// a CU's sleep as the span of cycles [from, until) that cu.settle charges,
-// and what each real tick visited (waves its pass visited, and how many of
-// them went through the issue stage's eligibility checks). With no sink set
-// each event costs a nil check.
+// sink receives the timing loop's events: a CU about to act in cycle now
+// (a tick, or a workgroup placed on it), before it changes anything; a wave
+// a tick skipped as asleep; and what each real tick visited (waves its pass
+// visited, and how many of them went through the issue checks). With no sink
+// set each event costs a nil check.
 type sink interface {
+	cuActs(c *cu, now int64)
 	waveAsleep(c *cu, wv *waveCtx, now int64)
-	cuAsleep(c *cu, from, until int64)
 	ticked(c *cu, visited, checked int)
 }
 
@@ -267,9 +267,9 @@ func (g *GPU) drainFlush(now int64) {
 // A cycle costs what the waves that can act in it cost: a wave sleeps until
 // its wakeAt, a CU until the earliest of its waves' (cu.step), and when every
 // CU is asleep the loop jumps to the earliest of theirs (below). NoSkip turns
-// all three off. A sleeping CU's stall charge is taken in bulk when it next
-// ticks or receives a workgroup, and for every CU on every way out of here,
-// errors included (cu.settle).
+// all three off. A wave's open fetch stall is charged when the wave is next
+// visited, and on every way out of here, errors included, with the cycles
+// before the one the run stops in (cu.chargeStall).
 func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	watched := g.WD.enabled()
 	if watched {
@@ -280,12 +280,11 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	start := g.now
 	g.now += launchOverhead
 
-	for _, c := range g.cus {
-		c.asleepFrom = g.now
-	}
 	defer func() {
 		for _, c := range g.cus {
-			c.settle(g.now)
+			for _, wv := range c.waves {
+				c.chargeStall(wv, g.now)
+			}
 		}
 	}()
 
@@ -357,20 +356,15 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 	for active > 0 {
 		// Phase 1: tick CUs against private state; phase 2: replay the
 		// cache accesses they deferred.
-		for i, c := range g.cus {
+		for _, c := range g.cus {
 			fin, err := c.step(g.now)
 			if err != nil {
-				// The CUs before c are through this cycle.
-				for _, b := range g.cus[:i] {
-					b.settle(g.now + 1)
-				}
 				return 0, err
 			}
 			active -= fin
 		}
 		g.drainFlush(g.now)
-		// Placement follows the move to the next cycle: a CU that slept
-		// through this one settles it before its new waves arrive.
+		// Placement follows the move to the next cycle.
 		if err := advance(1); err != nil {
 			return 0, err
 		}
@@ -381,10 +375,9 @@ func (g *GPU) RunDispatch(eng emu.Engine, d *hsa.Dispatch) (int64, error) {
 		// The GPU-wide jump is the CU sleep with every CU asleep at once:
 		// no CU can act before the earliest nextEvent (fill completions
 		// lowered the bounds during the drain, placements reset them), so
-		// advance now straight there; each CU settles the span when it
-		// next ticks. Jumps are capped at the watchdog's next check
-		// boundary so budget and cancellation polls fire at the same
-		// cycles a ticked run polls.
+		// advance now straight there. Jumps are capped at the watchdog's
+		// next check boundary so budget and cancellation polls fire at the
+		// same cycles a ticked run polls.
 		if g.NoSkip || active == 0 {
 			continue
 		}

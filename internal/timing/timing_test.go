@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ilsim/internal/core"
+	"ilsim/internal/emu"
 	"ilsim/internal/finalizer"
 	"ilsim/internal/hsail"
 	"ilsim/internal/isa"
@@ -45,12 +46,33 @@ func TestTimingDeterminism(t *testing.T) {
 	}
 }
 
-// TestWatchdogAbortIsExact: a dispatch the cycle budget stops part-way — the
-// watchdog polling every few cycles — leaves the same statistics with
-// skipping on and off. A sleeping CU's fetch-stall charge is taken in bulk
-// when it next ticks, so this holds only if every way out of RunDispatch,
-// an abort included, takes what is still owed.
+// failingEngine is an engine whose nth Execute fails: an error in the middle
+// of a cycle, after the CUs before the failing one have ticked it.
+type failingEngine struct {
+	emu.Engine
+	n int
+}
+
+var errEngineFailed = errors.New("engine failed")
+
+func (e *failingEngine) Execute(w *emu.Wave) (emu.ExecResult, error) {
+	if e.n--; e.n == 0 {
+		return emu.ExecResult{}, errEngineFailed
+	}
+	return e.Engine.Execute(w)
+}
+
+// TestWatchdogAbortIsExact: a dispatch stopped part-way — by the cycle
+// budget, the watchdog polling every few cycles, or by an engine error —
+// leaves the same statistics with skipping on and off. A wave's open fetch
+// stall is charged when the wave is next visited, so this holds only if
+// every way out of RunDispatch, an abort included, charges what is still
+// open.
 func TestWatchdogAbortIsExact(t *testing.T) {
+	type stop struct {
+		budget int64 // cycles, or 0
+		fail   int   // the Execute that fails, or 0
+	}
 	for _, name := range []string{"LULESH", "MD"} {
 		w, err := workloads.ByName(name)
 		if err != nil {
@@ -61,7 +83,7 @@ func TestWatchdogAbortIsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, abs := range []core.Abstraction{core.AbsHSAIL, core.AbsGCN3} {
-			for _, budget := range []int64{1601, 1789, 2311} {
+			for _, st := range []stop{{budget: 1601}, {budget: 1789}, {budget: 2311}, {fail: 211}, {fail: 397}} {
 				var runs [2]*stats.Run
 				for i, noskip := range []bool{false, true} {
 					runs[i] = &stats.Run{}
@@ -73,20 +95,24 @@ func TestWatchdogAbortIsExact(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					want := timing.ErrBudgetExceeded
+					if st.fail > 0 {
+						eng, want = &failingEngine{Engine: eng, n: st.fail}, errEngineFailed
+					}
 					g := timing.NewGPU(timing.DefaultConfig(), runs[i])
 					g.NoSkip = noskip
-					g.WD = timing.Watchdog{MaxCycles: budget, CheckEvery: 7}
-					if _, err := g.RunDispatch(eng, d); !errors.Is(err, timing.ErrBudgetExceeded) {
-						t.Fatalf("%s/%s budget %d: err = %v, want the budget exceeded", name, abs, budget, err)
+					g.WD = timing.Watchdog{MaxCycles: st.budget, CheckEvery: 7}
+					if _, err := g.RunDispatch(eng, d); !errors.Is(err, want) {
+						t.Fatalf("%s/%s %+v: err = %v, want %v", name, abs, st, err, want)
 					}
 					g.Finalize()
 				}
 				if a, b := runs[0].Fingerprint(), runs[1].Fingerprint(); !bytes.Equal(a, b) {
-					t.Errorf("%s/%s stopped at %d cycles: skipped and ticked runs differ:\n%s",
-						name, abs, budget, diffLines(b, a))
+					t.Errorf("%s/%s stopped at %+v: skipped and ticked runs differ:\n%s",
+						name, abs, st, diffLines(b, a))
 				}
 				if runs[0].FetchStallCycles == 0 {
-					t.Errorf("%s/%s stopped at %d cycles: no fetch stall charged, nothing to settle", name, abs, budget)
+					t.Errorf("%s/%s stopped at %+v: no fetch stall charged, nothing left open", name, abs, st)
 				}
 			}
 		}
