@@ -19,9 +19,9 @@
 # goldens under the purego tag, which builds the generated kernels and the
 # table alone, and an arm64 vet and build.
 # `make fuzz` gives the wire codec, the BRIG container decoder, the GCN3
-# instruction decoder, the cache model, the memory drain, the whole-wave
-# memory accesses, the whole-wave kernels and the Fig 10 uniqueness kernel a
-# short coverage-guided beating.
+# instruction decoder, the finalizer's verified output, the cache model, the
+# memory drain, the whole-wave memory accesses, the whole-wave kernels and
+# the Fig 10 uniqueness kernel a short coverage-guided beating.
 
 GO ?= go
 
@@ -60,7 +60,8 @@ dist-soak:
 	$(GO) test -race -count=$(COUNT) -timeout 2h ./internal/dist
 
 # fuzz runs the journal/distributed-result codec fuzzer, the BRIG and GCN3
-# decode-what-encodes fuzzers, the cache-vs-reference-LRU fuzzer, the
+# decode-what-encodes fuzzers, the finalize-a-random-kernel-and-Verify
+# fuzzer, the cache-vs-reference-LRU fuzzer, the
 # drain-vs-level-wave-reference fuzzer, the wave-access-vs-per-lane-calls
 # fuzzer, the kernel-vs-scalar-ALU fuzzer and the UniqueCount-vs-map fuzzer
 # for a bounded time each (FUZZTIME to taste);
@@ -70,6 +71,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWireResult -fuzztime $(FUZZTIME) -run '^$$' ./internal/exp
 	$(GO) test -fuzz=FuzzDecodeBRIG -fuzztime $(FUZZTIME) -run '^$$' ./internal/hsail
 	$(GO) test -fuzz=FuzzDecodeInst -fuzztime $(FUZZTIME) -run '^$$' ./internal/gcn3
+	$(GO) test -fuzz=FuzzFinalize -fuzztime $(FUZZTIME) -run '^$$' ./internal/finalizer
 	$(GO) test -fuzz=FuzzCacheAccess -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
 	$(GO) test -fuzz=FuzzDrainReplay -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem
 	$(GO) test -fuzz=FuzzLaneAccess -fuzztime $(FUZZTIME) -run '^$$' ./internal/mem

@@ -17,7 +17,7 @@
 //   - Software dependency management: a list scheduler separates dependent
 //     ALU pairs (inserting s_nop when nothing independent exists) and a
 //     waitcnt pass inserts s_waitcnt before first uses of loaded values
-//     (§III.B.2).
+//     (§III.B.2); Verify checks both rules on every finalized program.
 package finalizer
 
 import (
@@ -70,7 +70,11 @@ func FinalizeWithCFG(k *hsail.Kernel, cfg *kernel.CFG, opts Options) (*gcn3.Code
 	if err := f.run(); err != nil {
 		return nil, fmt.Errorf("finalizer: kernel %q: %w", k.Name, err)
 	}
-	return f.object(), nil
+	co := f.object()
+	if err := Verify(co); err != nil {
+		return nil, fmt.Errorf("finalizer: kernel %q: %w", k.Name, err)
+	}
+	return co, nil
 }
 
 // valueHome says where an HSAIL register slot lives after finalization.
@@ -212,6 +216,51 @@ func (f *finalizer) object() *gcn3.CodeObject {
 		WorkItemIDDims: f.idDims,
 		Program:        &prog,
 	}
+}
+
+// Verify checks a finalized program against the rules its software
+// dependency management (§III.B.2) promises, which no execution shows since
+// the emulator reads a load's value at issue: nothing outstanding at a
+// branch, s_barrier, s_endpgm or the program's end; no instruction touching
+// the destination of an outstanding memory operation; no VALU touching what
+// the VALU just before it wrote. It also requires every register operand to
+// lie below the declared NumVGPRs/NumSGPRs, which size the wave's register
+// files and its occupancy.
+//
+// One linear walk is exact. Every taken edge leaves a branch, which finds
+// nothing outstanding, so a branch target's state is its fallthrough state;
+// and a branch is never a VALU, so a dependent pair only meets on a
+// fallthrough.
+func Verify(co *gcn3.CodeObject) error {
+	insts := co.Program.Insts
+	var o outstanding
+	for i := range insts {
+		in := &insts[i]
+		var err error
+		in.Operands(func(op gcn3.Operand, regs int, _ bool) {
+			if end := int(op.Index) + regs; op.Kind == gcn3.OperVGPR && end > co.NumVGPRs ||
+				op.Kind == gcn3.OperSGPR && end > co.NumSGPRs {
+				err = fmt.Errorf("inst %d (%s) names a register beyond the declared %d VGPRs, %d SGPRs",
+					i, in.String(), co.NumVGPRs, co.NumSGPRs)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		if vm, lg := o.need(in); vm >= 0 || lg >= 0 {
+			w := gcn3.Inst{Op: gcn3.OpSWaitcnt, VMCnt: vm, LGKMCnt: lg}
+			return fmt.Errorf("inst %d (%s) needs %s first", i, in.String(), w.String())
+		}
+		if i > 0 && needsGap(&insts[i-1], in) {
+			return fmt.Errorf("inst %d (%s) issues right after the VALU it depends on (%s)",
+				i, in.String(), insts[i-1].String())
+		}
+		o.issue(in)
+	}
+	if vm, lg := o.drain(); vm >= 0 || lg >= 0 {
+		return fmt.Errorf("program ends with memory operations outstanding")
+	}
+	return nil
 }
 
 // blockTarget encodes a block-id branch target as a negative placeholder,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ilsim/internal/gcn3"
+	"ilsim/internal/hsail"
 	"ilsim/internal/isa"
 )
 
@@ -108,73 +109,50 @@ func TestSchedulerPreservesDependencesRandomized(t *testing.T) {
 	}
 }
 
-// TestWaitcntInsertionRandomized: after the waitcnt pass, the static
-// sufficiency checker (same rules as checkWaitcnts in finalizer_test) must
-// accept every random block.
+// randomBlocks cuts a random stream into up to four blocks that fall
+// through one into the next.
+func randomBlocks(rng *rand.Rand, n int) [][]gcn3.Inst {
+	insts := randomStream(rng, n)
+	var blocks [][]gcn3.Inst
+	for len(blocks) < 3 && len(insts) > 1 {
+		cut := 1 + rng.Intn(len(insts)-1)
+		blocks = append(blocks, insts[:cut])
+		insts = insts[cut:]
+	}
+	return append(blocks, insts)
+}
+
+// passesVerify runs the waitcnt and s_nop passes over blocks, scheduled
+// first if asked, lays them out as one program, and verifies it.
+// randomStream's registers lie below v12 and s20.
+func passesVerify(blocks [][]gcn3.Inst, schedule bool) error {
+	f := &finalizer{k: &hsail.Kernel{}, out: blocks, numVGPRs: 12, numSGPRs: 20}
+	if schedule {
+		f.scheduleAll()
+	}
+	f.insertWaitcnts()
+	f.insertNops()
+	return Verify(f.object())
+}
+
+// TestWaitcntInsertionRandomized: random unscheduled blocks pass Verify
+// after the waitcnt and s_nop passes, across their block exits too.
 func TestWaitcntInsertionRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for iter := 0; iter < 200; iter++ {
-		block := insertWaitcntsBlock(randomStream(rng, 3+rng.Intn(40)))
-		// Inline sufficiency check.
-		type pend struct{ writes []int }
-		var vmem, lgkm []pend
-		for i := range block {
-			in := &block[i]
-			if in.Op == gcn3.OpSWaitcnt {
-				if in.VMCnt >= 0 && int(in.VMCnt) < len(vmem) {
-					vmem = vmem[len(vmem)-int(in.VMCnt):]
-				}
-				if in.LGKMCnt >= 0 && int(in.LGKMCnt) < len(lgkm) {
-					lgkm = lgkm[len(lgkm)-int(in.LGKMCnt):]
-				}
-				continue
-			}
-			reads, writes := regUse(in)
-			for _, p := range vmem {
-				if overlap(p.writes, reads) || overlap(p.writes, writes) {
-					t.Fatalf("iter %d: inst %d (%s) touches pending vmem dest", iter, i, in.String())
-				}
-			}
-			for _, p := range lgkm {
-				if overlap(p.writes, reads) || overlap(p.writes, writes) {
-					t.Fatalf("iter %d: inst %d (%s) touches pending lgkm dest", iter, i, in.String())
-				}
-			}
-			switch in.Op.Category() {
-			case isa.CatVMem:
-				var w []int
-				if !in.Op.IsStore() {
-					_, w = regUse(in)
-				}
-				vmem = append(vmem, pend{w})
-			case isa.CatSMem, isa.CatLDS:
-				var w []int
-				if !in.Op.IsStore() {
-					_, w = regUse(in)
-				}
-				lgkm = append(lgkm, pend{w})
-			}
-		}
-		if len(vmem)+len(lgkm) > 0 {
-			t.Fatalf("iter %d: block ends with outstanding memory", iter)
+		if err := passesVerify(randomBlocks(rng, 3+rng.Intn(40)), false); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
 }
 
-// TestNopInsertionRandomized: after scheduling + nop insertion, no adjacent
-// dependent VALU pairs remain in random blocks.
+// TestNopInsertionRandomized: the same for scheduled blocks, where the
+// scheduler has already separated what dependent VALU pairs it could.
 func TestNopInsertionRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for iter := 0; iter < 200; iter++ {
-		f := &finalizer{}
-		f.out = [][]gcn3.Inst{scheduleBlock(randomStream(rng, 3+rng.Intn(30)))}
-		f.insertNops()
-		insts := f.out[0]
-		for i := 1; i < len(insts); i++ {
-			if needsGap(&insts[i-1], &insts[i]) {
-				t.Fatalf("iter %d: adjacent dependent VALU pair:\n  %s\n  %s",
-					iter, insts[i-1].String(), insts[i].String())
-			}
+		if err := passesVerify(randomBlocks(rng, 3+rng.Intn(30)), true); err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
 		}
 	}
 }

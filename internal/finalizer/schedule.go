@@ -18,6 +18,7 @@ const (
 // regUse extracts the resources an instruction reads and writes: its
 // explicit operands, then the state it touches implicitly.
 func regUse(in *gcn3.Inst) (reads, writes []int) {
+	reads, writes = make([]int, 0, 8), make([]int, 0, 4)
 	in.Operands(func(o gcn3.Operand, width int, def bool) {
 		list := &reads
 		if def {
@@ -209,28 +210,22 @@ func scheduleBlock(insts []gcn3.Inst) []gcn3.Inst {
 	return out
 }
 
-// valuWrites returns the vector registers (and VCC) written by a VALU op.
-func valuWrites(in *gcn3.Inst) []int {
-	if in.Op.Category() != isa.CatVALU {
-		return nil
-	}
-	_, writes := regUse(in)
-	return writes
-}
-
 // insertNops pads the remaining adjacent VALU register dependences with
 // s_nop — "for deterministic latencies, the finalizer will insert
 // independent or NOP instructions between dependent instructions" (§III.B.2).
 // The shared timing model gives VALU results a one-issue-slot shadow; GCN3
-// code must therefore never issue a dependent VALU back-to-back.
+// code must therefore never issue a dependent VALU back-to-back, also across
+// a block exit: the previous instruction carries over in layout order.
 func (f *finalizer) insertNops() {
+	var prev *gcn3.Inst
 	for bi, insts := range f.out {
 		var out []gcn3.Inst
-		for i := 0; i < len(insts); i++ {
-			if i > 0 && needsGap(&insts[i-1], &insts[i]) {
+		for i := range insts {
+			if prev != nil && needsGap(prev, &insts[i]) {
 				out = append(out, gcn3.Inst{Op: gcn3.OpSNop, VMCnt: -1, LGKMCnt: -1})
 			}
 			out = append(out, insts[i])
+			prev = &insts[i]
 		}
 		f.out[bi] = out
 	}
@@ -242,7 +237,7 @@ func needsGap(prev, cur *gcn3.Inst) bool {
 	if prev.Op.Category() != isa.CatVALU || cur.Op.Category() != isa.CatVALU {
 		return false
 	}
-	writes := valuWrites(prev)
+	_, writes := regUse(prev)
 	reads, curWrites := regUse(cur)
 	for _, w := range writes {
 		if w == resEXEC {
